@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos bench-fast bench bench-full perf-budget coverage trace check check-sweep
+.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest coverage trace check check-sweep
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -35,12 +35,14 @@ bench:
 bench-full:
 	$(PYTHON) -m repro.bench --full
 
-# Throughput gate: the latest `make bench` run's aggregate fast-suite
-# events/s must stay within 20% of benchmarks/perf_floor.json.
-# Re-baseline an intended change with:
-#   python -m repro.bench.budget <BENCH.json> --label bench --write-floor
-perf-budget:
-	$(PYTHON) -m repro.bench.budget $$(test -n "$$REPRO_PERF_JSON" && echo "$$REPRO_PERF_JSON" || echo benchmarks/BENCH_$$(date +%Y-%m-%d).json) --label bench
+# Perf observatory (benchmarks/observatory/README.md): every workload,
+# timed then traced, into one result file (compare.py reads pairs of them).
+observatory:
+	$(PYTHON) benchmarks/observatory/run.py --seed 1 --seconds 6 --out observatory.json
+
+# The observatory's own checks (kept out of tier-1: they time things).
+observatory-selftest:
+	$(PYTHON) -m pytest benchmarks/observatory/selftest.py -q
 
 # Model checker (repro.check): replay the committed schedule corpus
 # (tier-1 smoke), then a quick randomized sweep.

@@ -75,6 +75,8 @@ def ycsb_gets():
             return setup_us, per_op
 
         setup_us, per_op = sim.run_process(proc())
+        if name == "krcore":
+            sim.run_process(backend.close())  # the worker exits: VQPs destroyed
         print(f"  {name:7s} worker setup {setup_us:10.1f} us   GET {per_op:6.2f} us/op")
 
     for name in ("krcore", "lite", "verbs"):

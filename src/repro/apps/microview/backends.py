@@ -178,6 +178,12 @@ class KrcoreBackend:
             yield from self.lib.qconnect(vqp, gid)
             self._vqps[gid] = vqp
 
+    def close(self):
+        """Process: the worker exits -- destroy its VQPs (one syscall each)."""
+        while self._vqps:
+            _gid, vqp = self._vqps.popitem()
+            yield from self.lib.destroy_vqp(vqp)
+
     def setup_buffer(self, nbytes):
         addr = self.node.memory.alloc(nbytes)
         region = yield from self.lib.reg_mr(addr, nbytes)

@@ -124,7 +124,11 @@ def _krcore_transfer(sim, sender_node, receiver_node, payload_bytes):
     results = yield from recv_lib.qpop_msgs_wait(recv_vqp)
     assert results and results[0][1].byte_len == payload_bytes
     done = sim.now
-    recv_lib.module.unbind(_PORT)  # free the port for reruns
+    # The receiver function exits: drop its VQPs (which also frees the
+    # port for reruns).  The sender's stays -- its SEND completion is still
+    # on the wire and nobody is left to reap it.
+    recv_lib.module.destroy_vqp(results[0][0])
+    recv_lib.module.destroy_vqp(recv_vqp)
     return TransferResult(
         payload_bytes,
         transfer_ns=done - start,

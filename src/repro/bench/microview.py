@@ -128,6 +128,7 @@ def _churn_run(strategy, interval_us, cycles, pods_per_worker=8, seed=7):
             name="microview-churn",
         )
         yield from collector.run_cycles(cycles, strategy, gap_ns=20 * US)
+        yield from backend.close()  # the collector exits
 
     sim.run_process(drive())
     stats = collector.stats

@@ -40,6 +40,10 @@ Invariants
     No signaled work-request completion is dispatched twice through one
     module's ``poll_inner`` (Algorithm 2's wr_id token table), and no
     token is left undispatched at quiescence.
+``vqp-table-accounting``
+    At quiescence no module table (by id, connected-per-target, bound
+    port, reply) still reaches a VQP that ``destroy_vqp`` dropped (a
+    ``qconnect`` in flight across the destroy must fail, not re-index it).
 ``batch-exactly-once``
     Every WR of a doorbell-batched chain (``QueuePair.post_send_batch``)
     completes exactly once: a mid-chain fault (RETRY_EXC) must neither
@@ -411,6 +415,14 @@ class Checker:
                     now,
                     f"{module.node.gid} left {len(module._wrid_tokens)} wr_id "
                     "token(s) undispatched at quiescence (lost completion)",
+                )
+            stale = {vqp.id for vqp in module.indexed_vqps() if vqp.destroyed}
+            if stale:
+                self.violate(
+                    "vqp-table-accounting",
+                    now,
+                    f"{module.node.gid} still indexes destroyed VQP(s) "
+                    f"{sorted(stale)}",
                 )
         for wr, qp, chain_no, index, completions in self._batch_wrs.values():
             if completions == 0:

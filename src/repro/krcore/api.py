@@ -34,7 +34,7 @@ class KrcoreLib:
     def _enter_kernel(self):
         if self.charge_syscall:
             if _trace.TRACER is not None:
-                track = f"krcore@{self.node.gid}"
+                track = self.module.track
                 _trace.TRACER.begin(self.sim.now, track, "syscall")
                 yield timing.SYSCALL_NS
                 _trace.TRACER.end(self.sim.now, track, "syscall")
@@ -65,7 +65,7 @@ class KrcoreLib:
         tracer = _trace.TRACER
         if tracer is not None:
             tracer.begin(
-                self.sim.now, f"krcore@{self.node.gid}", "qconnect",
+                self.sim.now, self.module.track, "qconnect",
                 gid=gid, vqp=vqp.id,
             )
         if _metrics.METRICS is not None:
@@ -76,8 +76,15 @@ class KrcoreLib:
             yield from vqp.connect(gid, port, deadline)
         finally:
             if tracer is not None:
-                tracer.end(self.sim.now, f"krcore@{self.node.gid}", "qconnect")
+                tracer.end(self.sim.now, self.module.track, "qconnect")
         return vqp
+
+    def destroy_vqp(self, vqp):
+        """Process: ibv_destroy_qp -- drop the VQP from the kernel's
+        tables.  Raises :class:`KrcoreError` while it has un-polled
+        completions or a QP transfer in flight."""
+        yield from self._enter_kernel()
+        self.module.destroy_vqp(vqp)
 
     def qbind(self, vqp, port):
         """Process: bind the VQP to a port for incoming connections."""

@@ -102,6 +102,7 @@ class KrcoreModule:
     ):
         self.node = node
         self.sim = node.sim
+        self.track = f"krcore@{node.gid}"  # this module's trace track
         #: Overload-protection policy (repro.degrade.DegradePolicy) or
         #: None -- the default, in which case every guard below is a
         #: single falsy check and the control path is unchanged.
@@ -201,7 +202,7 @@ class KrcoreModule:
         self._next_vqp_id = 1
         self._reply_vqps = {}  # (port, src_gid, src_vqp) -> Vqp
         self._transfer_acks = {}  # (gid, vqp_id) -> event
-        self._connected_vqps = {}  # gid -> list of Vqps (for transfers)
+        self._connected_vqps = {}  # gid -> {Vqp: None}, in connect order
         self.sim.process(self._kernel_daemon(), name=f"krcore-kerneld@{node.gid}")
 
         # --- background RC machinery ---
@@ -260,9 +261,49 @@ class KrcoreModule:
         return vqp
 
     def register_connected_vqp(self, vqp):
-        self._connected_vqps.setdefault(vqp.remote_gid, [])
-        if vqp not in self._connected_vqps[vqp.remote_gid]:
-            self._connected_vqps[vqp.remote_gid].append(vqp)
+        """Index a connected VQP under its target (idempotent; a dict keeps
+        connect order, which is the order the transfer paths visit in)."""
+        index = self._connected_vqps.get(vqp.remote_gid)
+        if index is None:
+            index = self._connected_vqps[vqp.remote_gid] = {}
+        index[vqp] = None
+
+    def destroy_vqp(self, vqp):
+        """ibv_destroy_qp on a VQP: unlink it from every module table.
+
+        Refused while the VQP still has work the kernel would have to
+        dispatch to it -- un-polled send completions (every wr_id token
+        naming the VQP has its entry in ``comp_queue``) or a QP transfer
+        in flight.  The shared physical QP stays in the pool.
+        """
+        if vqp.destroyed:
+            return
+        if vqp.comp_queue or vqp.transferring:
+            raise KrcoreError(
+                f"VQP {vqp.id} is busy (un-polled completions or a transfer in flight)"
+            )
+        vqp.destroyed = True
+        vqp.qp = None
+        del self._vqps_by_id[vqp.id]
+        index = self._connected_vqps.get(vqp.remote_gid)
+        if index is not None:
+            index.pop(vqp, None)
+            if not index:
+                del self._connected_vqps[vqp.remote_gid]
+        if vqp.bound_port is not None:
+            self.unbind(vqp.bound_port)
+        if vqp.reply_key is not None:
+            del self._reply_vqps[vqp.reply_key]
+        for msg in vqp.pending_msgs:
+            self._release_slot(msg)  # undelivered: free the kernel buffers
+
+    def indexed_vqps(self):
+        """Every VQP some module table still reaches (quiescence audit)."""
+        yield from self._vqps_by_id.values()
+        for index in self._connected_vqps.values():
+            yield from index
+        yield from self._bound.values()
+        yield from self._reply_vqps.values()
 
     def bind(self, port, vqp):
         """qbind: accept two-sided connections on ``port``."""
@@ -529,10 +570,7 @@ class KrcoreModule:
         :class:`MetaUnavailableError` only when *every* owner is dark."""
         return (
             yield from self._plane_lookup(
-                cpu_id,
-                dct_key(gid),
-                lambda client: client.lookup_dct(gid, deadline=deadline),
-                deadline,
+                cpu_id, dct_key(gid), deadline, MetaClient.lookup_dct, gid
             )
         )
 
@@ -540,14 +578,13 @@ class KrcoreModule:
         """Process: one MR-record lookup via the plane, with failover."""
         return (
             yield from self._plane_lookup(
-                cpu_id,
-                mr_key(gid, rkey),
-                lambda client: client.lookup_mr(gid, rkey, deadline=deadline),
-                deadline,
+                cpu_id, mr_key(gid, rkey), deadline, MetaClient.lookup_mr, gid, rkey
             )
         )
 
-    def _plane_lookup(self, cpu_id, key, fetch, deadline=None):
+    def _plane_lookup(self, cpu_id, key, deadline, lookup, *args):
+        """Process: ``lookup(client, *args)`` (a :class:`MetaClient` lookup
+        method) against ``key``'s owner shards in turn."""
         owners = self.meta_plane.owner_indices(key)
         breakers = self.degrade is not None and self.degrade.breaker_enabled
         last_error = None
@@ -563,7 +600,7 @@ class KrcoreModule:
                     )
                 if _trace.TRACER is not None:
                     _trace.TRACER.instant(
-                        self.sim.now, f"krcore@{self.node.gid}", "meta.failover",
+                        self.sim.now, self.track, "meta.failover",
                         shard=shard,
                     )
             breaker = self.meta_breaker(shard) if breakers else None
@@ -581,7 +618,9 @@ class KrcoreModule:
                 continue
             started = self.sim.now
             try:
-                value = yield from fetch(self.meta_client(cpu_id, shard))
+                value = yield from lookup(
+                    self.meta_client(cpu_id, shard), *args, deadline=deadline
+                )
             except DeadlineExceededError:
                 # The budget died inside this shard's fetch (queued at the
                 # client mutex, or a lagging reply).  No failover -- the
@@ -641,7 +680,7 @@ class KrcoreModule:
         restarted host publishes a new key under the same gid)."""
         if _trace.TRACER is not None:
             _trace.TRACER.instant(
-                self.sim.now, f"krcore@{self.node.gid}", "dct.revalidate", gid=gid
+                self.sim.now, self.track, "dct.revalidate", gid=gid
             )
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("krcore.dct_revalidations").inc()
@@ -668,15 +707,7 @@ class KrcoreModule:
                 meta = yield from self._dct_meta_for(vqp.cpu_id, vqp.remote_gid)
             fence.dct_gid = vqp.remote_gid
             fence.dct_number, fence.dct_key = meta
-        event = self.sim.event()
-        fence.signaled = True
-        fence.wr_id = self.encode_wr_id(None, 1, event=event)
-        yield timing.POST_SEND_CPU_NS
-        while qp.free_slots < 1:
-            if self.poll_inner(qp) == 0:
-                yield qp.send_cq.wait()
-        qp.post_send(fence)
-        wc = yield from self._wait_token_event(qp, event)
+        wc = yield from self._issue_signaled(qp, fence)
         if wc.status is not WcStatus.SUCCESS:
             raise KrcoreError(f"transfer fence failed: {wc.status}", code=wc.status)
 
@@ -793,10 +824,11 @@ class KrcoreModule:
             else:
                 new_qp = pool.select_dc()
                 vqp.dct_meta = yield from self._dct_meta_for(vqp.cpu_id, vqp.remote_gid)
-            if new_qp is not vqp.qp:
-                yield from self.fence_qp(vqp, vqp.qp)
-                vqp.qp = new_qp
-                self.stats_transfers += 1
+            # A transfer already running re-virtualizes this side anyway
+            # (waiting for it here could deadlock two peers that promote
+            # at once: each holds its switch for the other's ack).
+            if not vqp.transferring:
+                yield from vqp.transfer_to(new_qp, notify_peer=False)
         yield from self.send_kernel_msg(
             header["src_gid"],
             {
@@ -842,7 +874,8 @@ class KrcoreModule:
             vqp = self._vqps_by_id.get(wc.imm)
             if vqp is None:
                 return  # no such VQP: the immediate is dropped
-            vqp.recv_completions.append(
+            vqp.enqueue(
+                "recv_completions",
                 Completion(
                     0,
                     WcStatus.SUCCESS,
@@ -850,7 +883,7 @@ class KrcoreModule:
                     byte_len=wc.byte_len,
                     src=wc.src,
                     imm=wc.imm,
-                )
+                ),
             )
             self._vqp_msg_arrived(vqp)
             return
@@ -870,7 +903,7 @@ class KrcoreModule:
             if vqp is None:
                 self._release_slot(msg)
                 return
-            vqp.pending_msgs.append(msg)
+            vqp.enqueue("pending_msgs", msg)
             self._vqp_msg_arrived(vqp)
             return
         port = header.get("dst_port")
@@ -895,7 +928,7 @@ class KrcoreModule:
     # -- waiting hooks for VQP-addressed messages --
 
     def _vqp_msg_arrived(self, vqp):
-        waiters = getattr(vqp, "_msg_waiters", None)
+        waiters = vqp._msg_waiters
         if waiters:
             for event in waiters:
                 if not event.triggered:
@@ -907,7 +940,7 @@ class KrcoreModule:
         if vqp.pending_msgs:
             event.trigger(None)
         else:
-            if not hasattr(vqp, "_msg_waiters"):
+            if vqp._msg_waiters is None:
                 vqp._msg_waiters = []
             vqp._msg_waiters.append(event)
         return event
@@ -923,7 +956,8 @@ class KrcoreModule:
             user_buf = vqp.recv_queue.popleft()
             byte_len = yield from self._land_message(vqp, msg, user_buf)
             header = msg["header"]
-            vqp.recv_completions.append(
+            vqp.enqueue(
+                "recv_completions",
                 Completion(
                     user_buf.wr_id,
                     WcStatus.SUCCESS,
@@ -931,7 +965,7 @@ class KrcoreModule:
                     byte_len=byte_len,
                     src=(header.get("src_gid"), header.get("src_vqp")),
                     header=header,
-                )
+                ),
             )
 
     def _land_message(self, vqp, msg, user_buf):
@@ -1020,6 +1054,7 @@ class KrcoreModule:
         vqp = self.create_vqp(cpu_id=cpu_id)
         yield from vqp.connect(header["src_gid"])
         vqp.peer = (header["src_gid"], header["src_vqp"])
+        vqp.reply_key = key
         self._reply_vqps[key] = vqp
         return vqp
 
@@ -1070,7 +1105,7 @@ class KrcoreModule:
         DCT metadata).  Returns the RTS queue pair."""
         if _trace.TRACER is not None:
             _trace.TRACER.begin(
-                self.sim.now, f"krcore@{self.node.gid}", "krcore.establish_rc",
+                self.sim.now, self.track, "krcore.establish_rc",
                 gid=gid,
             )
         send_cq = CompletionQueue(self.sim)
@@ -1089,7 +1124,7 @@ class KrcoreModule:
             self._retire_rc(*evicted, pool)
         if _trace.TRACER is not None:
             _trace.TRACER.end(
-                self.sim.now, f"krcore@{self.node.gid}", "krcore.establish_rc"
+                self.sim.now, self.track, "krcore.establish_rc"
             )
         return qp
 
@@ -1099,7 +1134,7 @@ class KrcoreModule:
         transparently transfer this CPU's VQPs onto it."""
         try:
             qp = yield from self.establish_rc(gid, pool)
-            for vqp in list(self._connected_vqps.get(gid, [])):
+            for vqp in list(self._connected_vqps.get(gid, ())):
                 if vqp.cpu_id == pool.cpu_id and vqp.qp is not qp:
                     yield from vqp.transfer_to(qp)
         finally:
@@ -1110,7 +1145,7 @@ class KrcoreModule:
         self.sim.process(self._retire_rc_proc(gid, qp, pool))
 
     def _retire_rc_proc(self, gid, qp, pool):
-        for vqp in list(self._connected_vqps.get(gid, [])):
+        for vqp in list(self._connected_vqps.get(gid, ())):
             if vqp.qp is qp:
                 meta = yield from self._dct_meta_for(pool.cpu_id, gid)
                 yield from vqp.transfer_to(pool.select_dc(), new_dct_meta=meta)

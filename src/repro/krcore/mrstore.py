@@ -175,7 +175,7 @@ class MrStore:
                 _metrics.METRICS.counter("krcore.mrstore_misses").inc()
             if _trace.TRACER is not None:
                 _trace.TRACER.begin(
-                    self.sim.now, f"krcore@{self.module.node.gid}",
+                    self.sim.now, self.module.track,
                     "mrstore.check", gid=gid, rkey=rkey,
                 )
             accepted_stale = False
@@ -203,7 +203,7 @@ class MrStore:
             finally:
                 if _trace.TRACER is not None:
                     _trace.TRACER.end(
-                        self.sim.now, f"krcore@{self.module.node.gid}",
+                        self.sim.now, self.module.track,
                         "mrstore.check",
                     )
             if record is None:

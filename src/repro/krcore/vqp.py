@@ -23,6 +23,10 @@ from repro.verbs.types import POSTABLE_OPCODES, Opcode, QpType, WcStatus
 
 __all__ = ["CompletionEntry", "KrcoreError", "Vqp"]
 
+#: What a software queue nothing was ever appended to reads as: empty,
+#: falsy, iterable -- and shared, so an idle VQP owns no queue storage.
+_EMPTY = ()
+
 
 class CompletionEntry:
     """One slot of a VQP's software completion queue.
@@ -46,7 +50,20 @@ class CompletionEntry:
 
 
 class Vqp:
-    """A kernel-side virtual QP (vqp_create of Algorithm 1)."""
+    """A kernel-side virtual QP (vqp_create of Algorithm 1).
+
+    An elastic burst holds thousands of these, most of them idle, so the
+    object is slotted and each software queue becomes a ``deque`` on its
+    first append (:meth:`enqueue`); until then it is the shared ``()``.
+    """
+
+    __slots__ = (
+        "module", "node", "sim", "id", "cpu_id",
+        "comp_queue", "recv_queue", "recv_completions", "pending_msgs",
+        "qp", "dct_meta", "remote_gid", "remote_port", "bound_port", "peer",
+        "reply_key", "destroyed", "stats_posted", "_msg_waiters",
+        "_transfer_waiters",
+    )
 
     def __init__(self, module, cpu_id, vqp_id):
         self.module = module
@@ -55,17 +72,32 @@ class Vqp:
         self.id = vqp_id
         self.cpu_id = cpu_id
         # Algorithm 1 lines 3-5: software queues; physical QP bound later.
-        self.comp_queue = deque()
-        self.recv_queue = deque()  # user-posted RecvBuffers (ibv_post_recv)
-        self.recv_completions = deque()  # delivered two-sided completions
-        self.pending_msgs = deque()  # messages addressed to this VQP
+        self.comp_queue = _EMPTY
+        self.recv_queue = _EMPTY  # user-posted RecvBuffers (ibv_post_recv)
+        self.recv_completions = _EMPTY  # delivered two-sided completions
+        self.pending_msgs = _EMPTY  # messages addressed to this VQP
         self.qp = None
         self.dct_meta = None
         self.remote_gid = None
         self.remote_port = None
         self.bound_port = None
         self.peer = None  # (gid, vqp_id) once a two-sided peering exists
+        self.reply_key = None  # this VQP's key in the module's reply table
+        self.destroyed = False
         self.stats_posted = 0
+        self._msg_waiters = None  # events of processes awaiting a message
+        #: None, or -- while a QP transfer runs -- the events of the posts
+        #: it holds back (nothing may follow the fence on the old QP).
+        self._transfer_waiters = None
+
+    def enqueue(self, queue_name, item):
+        """Append to one of the receive-side queues, creating it on first
+        use (``_post_chunk`` does the same for ``comp_queue`` inline)."""
+        queue = getattr(self, queue_name)
+        if queue is _EMPTY:
+            queue = deque()
+            setattr(self, queue_name, queue)
+        queue.append(item)
 
     # ------------------------------------------------------------ Algorithm 1
 
@@ -92,11 +124,10 @@ class Vqp:
                 self.qp = pool.select_rc(gid)
             else:
                 meta = self.module.dc_cache.get(gid)
-                track = f"krcore@{self.node.gid}"
                 if meta is None:
                     if _trace.TRACER is not None:
                         _trace.TRACER.instant(
-                            self.sim.now, track, "dc_cache.miss", gid=gid
+                            self.sim.now, self.module.track, "dc_cache.miss", gid=gid
                         )
                     if _metrics.METRICS is not None:
                         _metrics.METRICS.counter("krcore.dc_cache_misses").inc()
@@ -113,13 +144,16 @@ class Vqp:
                 else:
                     if _trace.TRACER is not None:
                         _trace.TRACER.instant(
-                            self.sim.now, track, "dc_cache.hit", gid=gid
+                            self.sim.now, self.module.track, "dc_cache.hit", gid=gid
                         )
                     if _metrics.METRICS is not None:
                         _metrics.METRICS.counter("krcore.dc_cache_hits").inc()
                 if self.qp is None:  # not claimed by the RC fallback
                     self.qp = pool.select_dc()
                     self.dct_meta = meta
+        if self.destroyed:  # before the call, or while it waited on the meta plane
+            self.qp = None
+            raise KrcoreError(f"VQP {self.id} was destroyed")
         self.remote_gid = gid
         self.remote_port = port
         self.module.register_connected_vqp(self)
@@ -137,7 +171,7 @@ class Vqp:
         milliseconds-long RC fallback.
         """
         module = self.module
-        track = f"krcore@{self.node.gid}"
+        track = module.track
         try:
             if _trace.TRACER is not None:
                 from repro.krcore.meta import dct_key
@@ -234,7 +268,6 @@ class Vqp:
         yield from self.post_send(wr_list, deadline, batched=True)
 
     def _post_chunk(self, wrs, deadline=None, batched=False):
-        qp = self.qp
         module = self.module
         # --- request integrity (lines 5-7), before anything is posted ---
         if module.charge_checks:
@@ -296,16 +329,16 @@ class Vqp:
         # --- build the physical requests (lines 4-17) ---
         phys = []
         unsignaled_cnt = 0
+        comp_queue = self.comp_queue
+        if comp_queue is _EMPTY:
+            comp_queue = self.comp_queue = deque()
         for wr in wrs:
             pwr = wr.clone()
-            if qp.qp_type is QpType.DC:
-                pwr.dct_gid = self.remote_gid
-                pwr.dct_number, pwr.dct_key = self.dct_meta
             if pwr.opcode is Opcode.SEND:
                 self._prepare_send(pwr)
             if wr.signaled:
                 entry = CompletionEntry(wr.wr_id, wr.opcode)
-                self.comp_queue.append(entry)
+                comp_queue.append(entry)
                 pwr.wr_id = module.encode_wr_id(self, unsignaled_cnt + 1, entry=entry)
                 unsignaled_cnt = 0
             else:
@@ -320,11 +353,23 @@ class Vqp:
             last.wr_id = module.encode_wr_id(None, unsignaled_cnt, entry=None)
         # --- prevent queue overflow (lines 2-3) ---
         yield timing.POST_SEND_CPU_NS
-        while qp.free_slots < len(phys):
+        while True:
+            if self._transfer_waiters is not None:
+                # §4.6: nothing may follow the fence on the old QP, so a
+                # post waits out a running transfer and lands on the new one.
+                yield self._transfer_done()
+                continue
+            qp = self.qp
+            if qp.free_slots >= len(phys):
+                break
             if module.poll_inner(qp) == 0:
                 yield qp.send_cq.wait()
-        # No simulated time may pass between the capacity check and the
-        # post: the two lines below are atomic in the event loop.
+        # No simulated time may pass between the gate, the capacity check
+        # and the post: from here to the post is atomic in the event loop.
+        if qp.qp_type is QpType.DC:
+            for pwr in phys:
+                pwr.dct_gid = self.remote_gid
+                pwr.dct_number, pwr.dct_key = self.dct_meta
         try:
             if batched and len(phys) >= 2:
                 qp.post_send_batch(phys)
@@ -405,7 +450,7 @@ class Vqp:
 
     def post_recv(self, recv_buffer):
         """ibv_post_recv: record the buffer in the virtual recv queue."""
-        self.recv_queue.append(recv_buffer)
+        self.enqueue("recv_queue", recv_buffer)
 
     def poll_recv(self):
         """Process: deliver pending messages into user buffers, then pop one
@@ -425,26 +470,50 @@ class Vqp:
 
     # ------------------------------------------------------ transfer protocol
 
-    def transfer_to(self, new_qp, new_dct_meta=None):
+    def transfer_to(self, new_qp, new_dct_meta=None, notify_peer=True):
         """Process: §4.6 -- seamlessly re-virtualize onto ``new_qp``.
 
         FIFO is preserved by fencing the old QP with a fake signaled
         request; a two-sided peer is notified and must acknowledge before
-        the switch (otherwise its replies would target the old QP).
+        the switch (otherwise its replies would target the old QP).  From
+        the fence to the switch the owner's posts are held back
+        (``_post_chunk`` waits on :meth:`_transfer_done`): a request posted
+        behind the fence would complete on the old QP's CQ, which nobody
+        polls for this VQP once it has moved.
         """
+        while self._transfer_waiters is not None:  # one transfer at a time
+            yield self._transfer_done()
         old = self.qp
-        if old is new_qp:
+        if old is new_qp or self.destroyed:
             return
         if old is not None:
+            self._transfer_waiters = []
             try:
-                yield from self.module.fence_qp(self, old)
-            except KrcoreError:
-                # The remote died: the old QP's outstanding requests can
-                # only fail, so FIFO is vacuously preserved -- swap anyway.
-                pass
-            if self.peer is not None:
-                yield from self.module.notify_peer_transfer(self)
+                try:
+                    yield from self.module.fence_qp(self, old)
+                except KrcoreError:
+                    # The remote died: the old QP's outstanding requests can
+                    # only fail, so FIFO is vacuously preserved -- swap anyway.
+                    pass
+                if notify_peer and self.peer is not None:
+                    yield from self.module.notify_peer_transfer(self)
+            finally:
+                # Waiters resume through the scheduler, i.e. after the
+                # switch below (or, on an error, still on the old QP).
+                held, self._transfer_waiters = self._transfer_waiters, None
+                for event in held:
+                    event.trigger(None)
         self.qp = new_qp
         if new_dct_meta is not None:
             self.dct_meta = new_dct_meta
         self.module.stats_transfers += 1
+
+    @property
+    def transferring(self):
+        return self._transfer_waiters is not None
+
+    def _transfer_done(self):
+        """Event that fires once the running transfer has switched QPs."""
+        event = self.sim.event()
+        self._transfer_waiters.append(event)
+        return event

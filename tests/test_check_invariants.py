@@ -167,11 +167,25 @@ def test_wr_dispatched_twice_is_flagged():
 def test_leftover_wr_tokens_flagged_at_finalize():
     checker = Checker()
     module = SimpleNamespace(
-        _wrid_tokens={17: object()}, node=SimpleNamespace(gid="nodeZ")
+        _wrid_tokens={17: object()}, node=SimpleNamespace(gid="nodeZ"),
+        indexed_vqps=lambda: (),
     )
     checker.finalize(modules=[module], now=99)
     assert [v.invariant for v in checker.violations] == ["wr-exactly-once"]
     assert "undispatched" in checker.violations[0].detail
+
+
+def test_destroyed_vqp_still_indexed_flagged_at_finalize():
+    live = SimpleNamespace(id=1, destroyed=False)
+    dead = SimpleNamespace(id=2, destroyed=True)
+    module = SimpleNamespace(
+        _wrid_tokens={}, node=SimpleNamespace(gid="nodeZ"),
+        indexed_vqps=lambda: (live, dead, dead),
+    )
+    checker = Checker()
+    checker.finalize(modules=[module], now=99)
+    assert [v.invariant for v in checker.violations] == ["vqp-table-accounting"]
+    assert "[2]" in checker.violations[0].detail
 
 
 def test_rnic_busy_overlap_is_flagged():

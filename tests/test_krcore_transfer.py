@@ -263,3 +263,84 @@ def test_thread_migration_prefers_rc_on_new_cpu(env):
     vqp = sim.run_process(proc())
     assert vqp.cpu_id == 3
     assert vqp.qp is rc
+
+
+def test_post_during_transfer_waits_for_the_switch(env):
+    # §4.6: nothing may follow the fence on the old QP.  A request the
+    # owner posts between the fence's post and its completion used to land
+    # on the old DCQP behind the fence; its completion went to the old CQ,
+    # which nobody polls for this VQP once it has moved, and the waiter
+    # slept forever (one leaked wr_id token, one not-ready comp_queue slot).
+    sim, cluster, meta, modules = env
+    lib_s = KrcoreLib(cluster.node(2))
+    raddr, rmr = _setup(sim, lib_s, cluster.node(2))
+    cluster.node(2).memory.write(raddr, b"in-fence")
+    lib = KrcoreLib(cluster.node(1))
+    laddr, lmr = _setup(sim, lib, cluster.node(1))
+    module = modules[1]
+
+    def proc():
+        vqp = yield from lib.create_vqp()
+        yield from lib.qconnect(vqp, cluster.node(2).gid)
+        dc = vqp.qp
+        rc, _ = quick_rc_pair(cluster.node(1), cluster.node(2))
+        sim.process(vqp.transfer_to(rc))
+        # Let the fence reach the wire, then post while it is in flight.
+        yield timing.POST_SEND_CPU_NS + 1
+        assert dc.outstanding == 1 and vqp.qp is dc
+        yield from lib.read_sync(vqp, laddr, lmr.lkey, raddr, rmr.rkey, 8)
+        return vqp, dc, rc
+
+    vqp, dc, rc = sim.run_process(proc())
+    assert vqp.qp is rc
+    assert cluster.node(1).memory.read(laddr, 8) == b"in-fence"
+    assert not module._wrid_tokens and not vqp.comp_queue
+    assert dc.outstanding == 0 and rc.outstanding == 0
+
+
+def test_harvest_under_churn_survives_background_promotion():
+    # The shape that first showed the lost completion: a MicroView
+    # collector reading pods serially while its VQPs are promoted to
+    # background RCQPs and a churn driver retracts pods under it.
+    import random
+
+    from repro.apps.microview import KrcoreBackend, PodDirectory
+    from repro.sim import US
+
+    sim = Simulator()
+    cluster, meta, modules = krcore_cluster(sim, num_nodes=5, background_rc=True)
+    workers = [(cluster.node(2 + i), modules[2 + i]) for i in range(3)]
+    directory = PodDirectory(workers)
+    backend = KrcoreBackend(cluster.node(1))
+    cycles = 40
+
+    def deploy():
+        yield from directory.deploy(12)
+        yield from backend.connect(sorted(node.gid for node, _ in workers))
+        nbytes = len(directory.pods) * directory.pod_bytes
+        return (yield from backend.setup_buffer(nbytes))
+
+    laddr, lkey = sim.run_process(deploy())
+    rng = random.Random(1)
+    victims = [rng.randrange(len(directory.pods)) for _ in range(cycles * 4)]
+    harvesting = [True]
+
+    def churn():
+        for victim in victims:
+            yield 60 * US
+            if not harvesting[0]:
+                return
+            yield from directory.churn_one(directory.pods[victim])
+
+    def collect():
+        for _ in range(cycles):
+            yield from backend.harvest_serial(directory.targets(), laddr, lkey)
+            yield 20 * US
+        harvesting[0] = False
+
+    sim.process(churn())
+    sim.run_process(collect())  # hung here: "process collect did not finish"
+    sim.run()
+    assert modules[1].stats_transfers == 3  # every VQP was promoted mid-run
+    assert not modules[1]._wrid_tokens
+    assert all(not vqp.comp_queue for vqp in backend._vqps.values())
