@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest coverage trace check check-sweep
+.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest hop-budget coverage trace check check-sweep
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -43,6 +43,12 @@ observatory:
 # The observatory's own checks (kept out of tier-1: they time things).
 observatory-selftest:
 	$(PYTHON) -m pytest benchmarks/observatory/selftest.py -q
+
+# WR hop budget (DESIGN.md §17): print the exact engine-record counts per
+# work request on the selected core (REPRO_ENGINE) and check them against
+# the pinned budget.
+hop-budget:
+	$(PYTHON) -m pytest -s -k hop_budget
 
 # Model checker (repro.check): replay the committed schedule corpus
 # (tier-1 smoke), then a quick randomized sweep.

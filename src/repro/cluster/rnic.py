@@ -167,20 +167,44 @@ class Rnic:
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("rnic.stall_ns").inc(int(duration_ns))
 
-    def serve_inbound(self, service_ns):
-        """Process: occupy the inbound engine for ``service_ns``.
-
-        Accepts fractional nanoseconds; the remainder is carried so that
-        aggregate throughput matches the configured rate exactly.
-        """
+    def inbound_hold_ns(self, service_ns):
+        """Whole nanoseconds the inbound engine is held for an op arriving
+        now with a (fractional) ``service_ns``: stretched inside a gray
+        window, the sub-ns remainder carried so that aggregate throughput
+        matches the configured rate exactly."""
         if self._degraded_until and self.sim.now < self._degraded_until:
             service_ns = service_ns * self._degrade_factor
         total = service_ns + self._service_carry
         whole = int(total)
         self._service_carry = total - whole
+        return whole
+
+    def inbound_served(self, start, held_ns):
+        """Account one inbound op that held the engine over [start, now].
+
+        With :meth:`inbound_hold_ns`, this is the whole of the responder
+        model; :meth:`serve_inbound` and the READ/WRITE block inlined in
+        ``QueuePair._flight`` differ only in how they wait.
+        """
+        if _check.CHECKER is not None:
+            _check.CHECKER.rnic_busy(
+                self, "inbound", self.inbound_engine, start, self.sim.now
+            )
+        if _trace.TRACER is not None:
+            _trace.TRACER.end(self.sim.now, f"rnic@{self.node.gid}", "rnic.inbound")
+        if _metrics.METRICS is not None:
+            _metrics.METRICS.counter("rnic.inbound_busy_ns").inc(held_ns)
+        self.stats_inbound_ops += 1
+
+    def serve_inbound(self, service_ns):
+        """Process: occupy the inbound engine for ``service_ns`` (fractional
+        nanoseconds, see :meth:`inbound_hold_ns`)."""
+        whole = self.inbound_hold_ns(service_ns)
         # Resource.serve inlined: this is the per-op responder hot path.
         resource = self.inbound_engine
-        grant = yield resource.acquire()
+        grant = resource.try_acquire()
+        if grant is None:
+            grant = yield resource.acquire()
         start = self.sim.now
         if _trace.TRACER is not None:
             _trace.TRACER.begin(
@@ -190,12 +214,4 @@ class Rnic:
             yield whole
         finally:
             resource.release(grant)
-            if _check.CHECKER is not None:
-                _check.CHECKER.rnic_busy(
-                    self, "inbound", resource, start, self.sim.now
-                )
-        if _trace.TRACER is not None:
-            _trace.TRACER.end(self.sim.now, f"rnic@{self.node.gid}", "rnic.inbound")
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("rnic.inbound_busy_ns").inc(whole)
-        self.stats_inbound_ops += 1
+        self.inbound_served(start, whole)

@@ -143,6 +143,21 @@ def responder_payload_service_ns(nbytes):
     _payload_service_cache[nbytes] = result = small + bulk
     return result
 
+
+def onesided_service_ns(read, nbytes, dc):
+    """Responder engine occupancy (fractional ns) of one READ (``read``
+    true) or WRITE of ``nbytes``, on the DC transport if ``dc``."""
+    if read:
+        service = READ_RESPONDER_SERVICE_NS + responder_payload_service_ns(nbytes)
+        if dc:
+            service += DC_READ_SERVICE_EXTRA_NS
+    else:
+        service = WRITE_RESPONDER_SERVICE_NS + responder_payload_service_ns(nbytes)
+        if dc:
+            service += DC_WRITE_SERVICE_EXTRA_NS
+    return service
+
+
 #: RDMA request header bytes on the wire (simplified BTH+RETH).
 REQUEST_HEADER_BYTES = 30
 

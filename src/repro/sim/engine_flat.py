@@ -152,7 +152,7 @@ class Process:
         "sim", "name", "_gen", "_send", "_throw", "_done", "_interrupts", "_wait_gen",
     )
 
-    def __init__(self, sim, gen, name=None):
+    def __init__(self, sim, gen, name=None, inline=False):
         self.sim = sim
         self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
@@ -161,6 +161,9 @@ class Process:
         self._done = Event(sim)
         self._interrupts = None  # lazily a deque: most processes never see one
         self._wait_gen = 0
+        if inline:
+            self._resume(None, None)
+            return
         slab = sim._rbuf
         slab.append(self._start)
         slab.append(None)
@@ -351,11 +354,17 @@ class Simulator:
     def event(self):
         return Event(self)
 
-    def process(self, gen, name=None):
-        """Start ``gen`` (a generator) as a simulated process."""
+    def process(self, gen, name=None, inline=False):
+        """Start ``gen`` (a generator) as a simulated process.
+
+        ``inline=True`` runs it to its first yield right here, in the
+        caller's context, instead of through a start record at the same
+        timestamp: for a caller that would itself yield straight after,
+        that saves one dispatch and moves nothing in simulated time.
+        """
         if not hasattr(gen, "send"):
             raise SimulationError("process() expects a generator")
-        return Process(self, gen, name=name)
+        return Process(self, gen, name, inline)
 
     # -- awaitable coercion --------------------------------------------------
 

@@ -101,7 +101,12 @@ class QueuePair:
         self._reclaimed = 0
         self._pending_unsignaled = 0
         self._recv_buffers = deque()
-        self._last_done = None  # tail of the in-order completion chain
+        # In-order completion tickets: the sender numbers flights at issue
+        # and they complete in that order.  A flight that finishes ahead
+        # of its predecessor parks on an Event here (ticket -> Event); the
+        # common in-order finish allocates nothing.
+        self._completed = 0
+        self._order_waits = None
         self._dc_current = None  # (gid, dct_number) the DC QP is wired to
         self._dc_retargets = 0
         self._dc_last_retarget_ns = -(10 ** 12)
@@ -257,33 +262,51 @@ class QueuePair:
     # ------------------------------------------------------------- NIC side
 
     def _sender_loop(self):
-        """The NIC's per-QP work-queue processor: issues WRs in order."""
+        """The NIC's per-QP work-queue processor: issues WRs in order.
+
+        One doorbell wakes it once: it then drains the whole backlog with
+        ``try_get`` and only blocks again when the send queue is empty.
+        """
+        sim = self.sim
+        get, try_get = self._sq.get, self._sq.try_get
+        is_dc = self.qp_type is QpType.DC
+        link_faults = self.node.fabric.link_faults
+        ticket = 0
         while True:
-            wr = yield self._sq.get()
+            wr = try_get()
+            if wr is None:
+                wr = yield get()
             if self.state is QpState.ERR:
                 self._complete(wr, WcStatus.FLUSH_ERR)
                 continue
-            if self.qp_type is QpType.DC:
-                yield from self._dc_retarget(wr)
+            if is_dc and (wr.dct_gid, wr.dct_number) != self._dc_current:
+                yield self._dc_retarget(wr)
             # A chained WQE rides the doorbell of its chain head: the NIC
             # already has the chain, so issue is a cheap descriptor fetch.
             yield timing.NIC_TX_CHAINED_NS if wr.chained else timing.NIC_TX_NS
-            done = self.sim.event()
-            prev, self._last_done = self._last_done, done
-            self.sim.process(self._flight(wr, prev, done), name=self._flight_name)
+            # Started inline: the flight runs to its first yield (the
+            # request's wire time) right here, so local-SGE validation and
+            # payload fetch happen at issue time without a start record
+            # per WR.  Not while a link fault is installed: fault draws
+            # come off one LCG per directed link, shared with the
+            # responses of connections going the other way, so the order
+            # of two draws inside a nanosecond decides which packet is
+            # lost -- the start record keeps that order.
+            ticket += 1
+            sim.process(
+                self._flight(wr, ticket), self._flight_name, not link_faults
+            )
 
     def _dc_retarget(self, wr):
-        """Hardware-offloaded DCT (re)connection before issuing ``wr``.
+        """Hardware-offloaded DCT (re)connection before issuing ``wr``, to
+        a target other than the one the QP is wired to; returns its delay.
 
         A small deterministic fraction of reconnections (one in
         DCT_RECONNECT_TAIL_EVERY, drawn from a per-QP LCG so it is
         reproducible yet uniform in time) needs an extra network round --
         the source of DC's 99.9th-percentile tail (Fig 14b).
         """
-        target = (wr.dct_gid, wr.dct_number)
-        if target == self._dc_current:
-            return
-        self._dc_current = target
+        self._dc_current = (wr.dct_gid, wr.dct_number)
         self._dc_retargets += 1
         self.stats_reconnects += 1
         if _trace.TRACER is not None:
@@ -300,24 +323,34 @@ class QueuePair:
         self._dc_lcg = (self._dc_lcg * 6364136223846793005 + 1442695040888963407) % (1 << 64)
         if (self._dc_lcg >> 33) % timing.DCT_RECONNECT_TAIL_EVERY == 0:
             delay += timing.DCT_RECONNECT_TAIL_NS
-        yield delay
+        return delay
 
-    def _flight(self, wr, prev_done, done):
+    def _flight(self, wr, ticket):
         """One WR's life on the network, ending with in-order completion.
 
-        The READ/WRITE path inlines ``_fetch_local``/``_remote_gid``/
-        ``_resolve_remote``/``_execute_remote``/``Rnic.serve_inbound``:
-        this generator is resumed for every hop of every WR, and each
-        nested ``yield from`` frame is traversed on every resume.  The
-        yield sequence and error mapping are identical to the helpers,
-        which remain for the other opcodes.
+        Started inline by ``_sender_loop`` (through a start record while
+        any link fault is installed) and resumed once per *timed* hop
+        only -- request wire, responder occupancy, responder pipeline,
+        response wire + RX completion (DESIGN.md §17 has the table).  A
+        step that would merely re-queue the generator at the same
+        nanosecond runs synchronously instead: the start, the grant of an
+        idle inbound engine, the in-order check when the predecessor has
+        already completed.
+
+        READ and WRITE are processed right here rather than through
+        ``_execute_remote`` + ``Rnic.serve_inbound``, so that no nested
+        ``yield from`` frame is traversed on their resumes; the
+        responder's service time and occupancy accounting are still the
+        RNIC's own (``inbound_hold_ns`` / ``inbound_served``), shared
+        with ``serve_inbound``, which the other opcodes go through.
 
         The attempt loop is the retransmission machinery: a lost packet or
         unreachable responder burns one ``timeout_ns`` wait per retry; an
-        RNR NAK burns ``rnr_timer_ns`` per ``rnr_retry``.  The fault-free
-        path runs the loop body exactly once with the same yield sequence
-        as before, and consults the fabric's fault table only when it is
-        non-empty -- fault-free runs are bit-identical.
+        RNR NAK burns ``rnr_timer_ns`` per ``rnr_retry``.  Everything up
+        to the request's wire time -- local-SGE validation, payload
+        fetch, link-fault draws -- reruns at the start of every attempt.
+        The fault-free path runs the loop body exactly once and consults
+        the fabric's fault table only when it is non-empty.
         """
         status = WcStatus.SUCCESS
         byte_len = 0
@@ -334,7 +367,7 @@ class QueuePair:
                 length = wr.length
                 if opcode not in POSTABLE_OPCODES:
                     raise _Malformed(WcStatus.BAD_OPCODE_ERR)
-                # -- local SGE validation (_fetch_local) --
+                # -- local SGE validation --
                 if length == 0 and opcode is Opcode.SEND:
                     payload = b""
                 else:
@@ -346,7 +379,7 @@ class QueuePair:
                         payload = node.memory.read(wr.laddr, length)
                     else:
                         payload = None
-                # -- remote addressing (_remote_gid) --
+                # -- remote addressing --
                 if qp_type is QpType.RC:
                     if self.remote is None:
                         raise _Malformed(WcStatus.RETRY_EXC_ERR)
@@ -390,7 +423,7 @@ class QueuePair:
                     else:
                         self._req_arrival_clock = arrival
                 yield wire_out
-                # -- remote lookup (_resolve_remote) --
+                # -- remote lookup --
                 if not fabric.has_node(remote_gid):
                     if qp_type is QpType.UD:
                         raise _UdDrop()
@@ -404,47 +437,34 @@ class QueuePair:
                 if opcode is Opcode.READ or opcode is Opcode.WRITE:
                     rnic = remote_node.rnic
                     memory = remote_node.memory
-                    if opcode is Opcode.READ:
-                        service = timing.READ_RESPONDER_SERVICE_NS
-                        service += timing.responder_payload_service_ns(length)
-                        if qp_type is QpType.DC:
-                            service += timing.DC_READ_SERVICE_EXTRA_NS
-                    else:
-                        service = timing.WRITE_RESPONDER_SERVICE_NS
-                        service += timing.responder_payload_service_ns(length)
-                        if qp_type is QpType.DC:
-                            service += timing.DC_WRITE_SERVICE_EXTRA_NS
-                    total = service + rnic._service_carry
-                    whole = int(total)
-                    rnic._service_carry = total - whole
+                    whole = rnic.inbound_hold_ns(
+                        timing.onesided_service_ns(
+                            opcode is Opcode.READ, length, qp_type is QpType.DC
+                        )
+                    )
                     resource = rnic.inbound_engine
-                    grant = yield resource.acquire()
-                    if _trace.TRACER is not None:
-                        _trace.TRACER.begin(
-                            self.sim.now, f"rnic@{remote_gid}", "rnic.inbound",
-                            opcode=opcode.value,
-                        )
-                    try:
-                        yield whole
-                    finally:
-                        resource.release(grant)
-                    if _trace.TRACER is not None:
-                        _trace.TRACER.end(
-                            self.sim.now, f"rnic@{remote_gid}", "rnic.inbound"
-                        )
-                    if _metrics.METRICS is not None:
-                        _metrics.METRICS.counter("rnic.inbound_busy_ns").inc(whole)
-                    rnic.stats_inbound_ops += 1
-                    if duplicated:
-                        # The duplicate arrives right behind the original;
-                        # the responder burns engine time re-serving it,
-                        # then discards it by PSN before any memory op.
-                        grant = yield resource.acquire()
+                    while True:
+                        grant = resource.try_acquire()
+                        if grant is None:
+                            grant = yield resource.acquire()
+                        start = self.sim.now
+                        if _trace.TRACER is not None:
+                            _trace.TRACER.begin(
+                                start, f"rnic@{remote_gid}", "rnic.inbound",
+                                opcode=opcode.value,
+                            )
                         try:
                             yield whole
                         finally:
                             resource.release(grant)
-                        rnic.stats_inbound_ops += 1
+                        rnic.inbound_served(start, whole)
+                        if not duplicated:
+                            break
+                        # The duplicate arrives right behind the original;
+                        # the responder burns the same engine time
+                        # re-serving it, then discards it by PSN before
+                        # any memory op.
+                        duplicated = False
                     yield timing.NIC_RESPONDER_PIPELINE_NS
                     if not remote_node.alive:
                         raise _Unreachable()
@@ -498,8 +518,9 @@ class QueuePair:
                 wire_back = fabric.one_way_ns(response_bytes)
                 if rfault is not None:
                     wire_back = rfault.delay_ns(wire_back)
-                yield wire_back
-                yield timing.NIC_RX_COMPLETION_NS
+                # Response wire and RX completion processing: one timer,
+                # nothing observes the instant between them.
+                yield wire_back + timing.NIC_RX_COMPLETION_NS
                 byte_len = length
                 break
             except _UdDrop:
@@ -522,8 +543,7 @@ class QueuePair:
                     yield self.timeout_ns
                     continue
                 status = WcStatus.RETRY_EXC_ERR
-                yield fabric.one_way_ns(0)
-                yield timing.NIC_RX_COMPLETION_NS
+                yield fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS
                 break
             except _RnrNak:
                 # Receiver not ready: honor the RNR retry budget.
@@ -541,18 +561,20 @@ class QueuePair:
                 status = (
                     WcStatus.RNR_ERR if self.rnr_retry == 0 else WcStatus.RNR_RETRY_EXC_ERR
                 )
-                yield fabric.one_way_ns(0)
-                yield timing.NIC_RX_COMPLETION_NS
+                yield fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS
                 break
             except _Malformed as malformed:
                 status = malformed.status
                 # The NAK still travels back before the requester learns of it.
-                yield fabric.one_way_ns(0)
-                yield timing.NIC_RX_COMPLETION_NS
+                yield fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS
                 break
         # Deliver completions in posting order (RC FIFO, §4.6).
-        if prev_done is not None and not prev_done.triggered:
-            yield prev_done
+        if self._completed != ticket - 1:
+            waits = self._order_waits
+            if waits is None:
+                waits = self._order_waits = {}
+            parked = waits[ticket] = self.sim.event()
+            yield parked
         if self.state is QpState.ERR and status is WcStatus.SUCCESS:
             # A preceding request wrecked the QP: this one's remote effects
             # stand, but it completes flushed, like outstanding WRs on a
@@ -563,62 +585,20 @@ class QueuePair:
         else:
             self._complete(wr, status)
             self._enter_error()
-        done.trigger(None)
-
-    def _fetch_local(self, wr):
-        """Validate the local SGE; return outbound payload bytes if any."""
-        if wr.length == 0 and wr.opcode is Opcode.SEND:
-            return b""
-        try:
-            self.node.memory.check_local(wr.lkey, wr.laddr, wr.length)
-        except MemoryError_ as err:
-            raise _Malformed(WcStatus.LOC_PROT_ERR) from err
-        if wr.opcode in (Opcode.WRITE, Opcode.WRITE_IMM, Opcode.SEND):
-            return self.node.memory.read(wr.laddr, wr.length)
-        return None
-
-    def _remote_gid(self, wr):
-        if self.qp_type is QpType.RC:
-            if self.remote is None:
-                raise _Malformed(WcStatus.RETRY_EXC_ERR)
-            return self.remote[0]
-        # UD and DC address per work request.
-        if wr.dct_gid is None:
-            raise _Malformed(WcStatus.BAD_OPCODE_ERR)
-        return wr.dct_gid
-
-    def _resolve_remote(self, gid, wr):
-        if not self.node.fabric.has_node(gid):
-            if self.qp_type is QpType.UD:
-                raise _UdDrop()
-            raise _Malformed(WcStatus.RETRY_EXC_ERR)
-        node = self.node.fabric.node(gid)
-        if self.qp_type is QpType.DC:
-            target = node.rnic.dct_target(wr.dct_number)
-            if target is None or target.key != wr.dct_key:
-                raise _Malformed(WcStatus.REM_ACCESS_ERR)
-        return node
+        self._completed = ticket
+        if self._order_waits:
+            successor = self._order_waits.pop(ticket + 1, None)
+            if successor is not None:
+                successor.trigger(None)
 
     def _execute_remote(self, remote_node, wr, payload):
-        """Responder-side processing.  Returns the response payload size."""
+        """Responder-side processing of everything but READ and WRITE
+        (those two run inline in :meth:`_flight`).  Returns the response
+        payload size."""
         rnic = remote_node.rnic
         memory = remote_node.memory
+        dc = self.qp_type is QpType.DC
         try:
-            if wr.opcode is Opcode.READ:
-                service = timing.READ_RESPONDER_SERVICE_NS
-                service += timing.responder_payload_service_ns(wr.length)
-                if self.qp_type is QpType.DC:
-                    service += timing.DC_READ_SERVICE_EXTRA_NS
-                yield from rnic.serve_inbound(service)
-                yield timing.NIC_RESPONDER_PIPELINE_NS
-                if not remote_node.alive:
-                    raise _Unreachable()
-                memory.check_remote(wr.rkey, wr.raddr, wr.length, write=False)
-                data = memory.read(wr.raddr, wr.length)
-                self.node.memory.write(wr.laddr, data)
-                if _check.CHECKER is not None:
-                    _check.CHECKER.read_executed(remote_node.gid, wr.rkey, self.sim.now)
-                return wr.length
             if wr.opcode is Opcode.READ_V:
                 # Vectored gather: one request, one responder occupancy.
                 # The payload-size cost is charged once on the summed
@@ -628,7 +608,7 @@ class QueuePair:
                 service = timing.READ_RESPONDER_SERVICE_NS
                 service += timing.responder_payload_service_ns(wr.length)
                 service += timing.VECTORED_SGE_SERVICE_NS * (len(wr.sges) - 1)
-                if self.qp_type is QpType.DC:
+                if dc:
                     service += timing.DC_READ_SERVICE_EXTRA_NS
                 yield from rnic.serve_inbound(service)
                 yield timing.NIC_RESPONDER_PIPELINE_NS
@@ -646,22 +626,19 @@ class QueuePair:
                         )
                     offset += seg_len
                 return wr.length
-            if wr.opcode is Opcode.WRITE or wr.opcode is Opcode.WRITE_IMM:
-                service = timing.WRITE_RESPONDER_SERVICE_NS
-                service += timing.responder_payload_service_ns(wr.length)
-                if self.qp_type is QpType.DC:
-                    service += timing.DC_WRITE_SERVICE_EXTRA_NS
-                yield from rnic.serve_inbound(service)
+            if wr.opcode is Opcode.WRITE_IMM:
+                yield from rnic.serve_inbound(
+                    timing.onesided_service_ns(False, wr.length, dc)
+                )
                 yield timing.NIC_RESPONDER_PIPELINE_NS
                 if not remote_node.alive:
                     raise _Unreachable()
                 memory.check_remote(wr.rkey, wr.raddr, wr.length, write=True)
                 memory.write(wr.raddr, payload)
-                if wr.opcode is Opcode.WRITE_IMM:
-                    # The immediate rides the last write packet and raises a
-                    # receiver-side CQE, consuming a posted recv buffer --
-                    # RNR semantics apply just like a SEND.
-                    yield from self._deliver_imm(remote_node, wr)
+                # The immediate rides the last write packet and raises a
+                # receiver-side CQE, consuming a posted recv buffer --
+                # RNR semantics apply just like a SEND.
+                yield from self._deliver_imm(remote_node, wr)
                 return 0
             if wr.opcode in (Opcode.CAS, Opcode.FETCH_ADD):
                 yield from rnic.serve_inbound(timing.ATOMIC_RESPONDER_SERVICE_NS)
@@ -702,8 +679,7 @@ class QueuePair:
         if wr.opcode in (Opcode.CAS, Opcode.FETCH_ADD):
             service = timing.ATOMIC_RESPONDER_SERVICE_NS
         elif wr.opcode is Opcode.WRITE_IMM:
-            service = timing.WRITE_RESPONDER_SERVICE_NS
-            service += timing.responder_payload_service_ns(wr.length)
+            service = timing.onesided_service_ns(False, wr.length, False)
         elif wr.opcode is Opcode.READ_V:
             service = timing.READ_RESPONDER_SERVICE_NS
             service += timing.responder_payload_service_ns(wr.length)

@@ -40,15 +40,16 @@ class WcStatus(enum.Enum):
     RETRY_EXC_ERR = "RETRY_EXC_ERR"  # remote unreachable (dead/dropped, retries exhausted)
 
 
-#: Opcodes a requester may post (RECV/RECV_IMM are completion-only).
-POSTABLE_OPCODES = frozenset(
-    {
-        Opcode.READ,
-        Opcode.READ_V,
-        Opcode.WRITE,
-        Opcode.WRITE_IMM,
-        Opcode.SEND,
-        Opcode.CAS,
-        Opcode.FETCH_ADD,
-    }
+#: Opcodes a requester may post (RECV/RECV_IMM are completion-only), most
+#: frequent first.  A tuple, not a set: ``in`` then compares by identity in
+#: C, where a set would hash the member through Enum's Python ``__hash__``
+#: -- and this is tested once per WR on the post and flight paths.
+POSTABLE_OPCODES = (
+    Opcode.READ,
+    Opcode.WRITE,
+    Opcode.SEND,
+    Opcode.READ_V,
+    Opcode.WRITE_IMM,
+    Opcode.CAS,
+    Opcode.FETCH_ADD,
 )

@@ -179,25 +179,27 @@ class WorkRequest:
         )
 
     def clone(self):
-        clone = WorkRequest(
-            self.opcode,
-            wr_id=self.wr_id,
-            signaled=self.signaled,
-            laddr=self.laddr,
-            length=self.length,
-            lkey=self.lkey,
-            raddr=self.raddr,
-            rkey=self.rkey,
-            compare=self.compare,
-            swap=self.swap,
-            header=self.header,
-            dct_gid=self.dct_gid,
-            dct_number=self.dct_number,
-            dct_key=self.dct_key,
-            imm=self.imm,
-            sges=self.sges,
-        )
+        """A copy that can be posted on its own: every field but
+        ``trace_id`` (each posted WR is its own span)."""
+        clone = WorkRequest.__new__(WorkRequest)
+        clone.opcode = self.opcode
+        clone.wr_id = self.wr_id
+        clone.signaled = self.signaled
+        clone.laddr = self.laddr
+        clone.length = self.length
+        clone.lkey = self.lkey
+        clone.raddr = self.raddr
+        clone.rkey = self.rkey
+        clone.compare = self.compare
+        clone.swap = self.swap
+        clone.header = self.header
+        clone.dct_gid = self.dct_gid
+        clone.dct_number = self.dct_number
+        clone.dct_key = self.dct_key
+        clone.imm = self.imm
+        clone.sges = self.sges
         clone.chained = self.chained
+        clone.trace_id = None
         return clone
 
     def __repr__(self):

@@ -120,14 +120,16 @@ def test_random_strategy_perturbs_and_replays_byte_identically():
         return controller, report.digest()
 
     _, fifo_digest = run(FifoStrategy())
-    controller, random_digest = run(RandomWalkStrategy(7))
+    # Walk 2 perturbs the digest on the record sequence before and after
+    # the PR 13 hop fusion (walk 7, pinned until then, only on the former).
+    controller, random_digest = run(RandomWalkStrategy(2))
     assert controller.decisions, "random walk never deviated from FIFO"
     assert random_digest != fifo_digest, (
         "reordering same-timestamp dispatch changed nothing observable"
     )
     _, replay_digest = run(ReplayStrategy(controller.decisions))
     assert replay_digest == random_digest
-    _, again = run(RandomWalkStrategy(7))
+    _, again = run(RandomWalkStrategy(2))
     assert again == random_digest
 
 

@@ -243,6 +243,35 @@ def test_every_registry_hook_fires_in_pool_churn():
         )
 
 
+def test_one_sided_read_reports_inbound_occupancy():
+    """Regression: the READ/WRITE responder block inlined in
+    ``QueuePair._flight`` never called ``CHECKER.rnic_busy``, leaving
+    ``rnic-busy-conservation`` blind to the bulk of the traffic."""
+    from repro.check import hooks
+    from repro.cluster import Cluster
+    from repro.verbs import WorkRequest
+    from tests.conftest import quick_rc_pair, register
+
+    sim = Simulator()
+    client, server = Cluster(sim, num_nodes=2).nodes
+    qp, _ = quick_rc_pair(client, server)
+    laddr, lmr = register(client, 64)
+    raddr, rmr = register(server, 64)
+
+    def proc():
+        qp.post_send([
+            WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey, signaled=False),
+            WorkRequest.write(laddr, 8, lmr.lkey, raddr, rmr.rkey),
+        ])
+        yield from qp.send_cq.wait_poll()
+
+    checker = Checker()
+    with hooks.checking(checker):
+        sim.run_process(proc())
+    assert checker.observed.get("rnic.busy") == 2
+    assert checker.ok
+
+
 def test_pool_drop_hook_fires_on_invalidate_node():
     from repro.check import hooks
 

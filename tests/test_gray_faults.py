@@ -54,6 +54,43 @@ def test_rnic_degrade_window():
     assert rnic._degrade_factor == 8.0
 
 
+def test_rnic_degrade_slows_one_sided_reads():
+    """Regression: the READ/WRITE responder block inlined in
+    ``QueuePair._flight`` ignored the gray window, so RNIC_DEGRADE slowed
+    SENDs and atomics but not the bulk of the traffic.  An 8 B READ issued
+    inside ``set_degraded(..., 8.0)`` holds the inbound engine 8x longer,
+    and completes exactly that much later."""
+    from repro import obs
+    from repro.cluster import Cluster
+    from repro.sim import Simulator
+    from repro.verbs import WorkRequest
+    from tests.conftest import quick_rc_pair, register
+
+    def one_read(factor):
+        sim = Simulator()
+        client, server = Cluster(sim, num_nodes=2).nodes
+        qp, _ = quick_rc_pair(client, server)
+        laddr, lmr = register(client, 64)
+        raddr, rmr = register(server, 64)
+        if factor is not None:
+            server.rnic.set_degraded(1 * timing.MS, factor)
+
+        def proc():
+            qp.post_send(WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey))
+            yield from qp.send_cq.wait_poll()
+            return sim.now
+
+        with obs.observe() as (_tracer, metrics):
+            done_ns = sim.run_process(proc())
+        return metrics.value("rnic.inbound_busy_ns"), done_ns
+
+    healthy_busy, healthy_done = one_read(None)
+    sick_busy, sick_done = one_read(8.0)
+    assert healthy_busy == int(timing.READ_RESPONDER_SERVICE_NS)
+    assert sick_busy == int(8.0 * timing.READ_RESPONDER_SERVICE_NS)
+    assert sick_done - healthy_done == sick_busy - healthy_busy
+
+
 def test_random_gray_plans_are_gray_and_seeded():
     gids = ["node0", "node1"]
     plan = FaultPlan.random_gray(3, gids, 4 * timing.MS, meta_shards=2)

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.sim.engine_classic as classic_engine
+import repro.sim.engine_flat as flat_engine
 from repro.sim import AllOf, AnyOf, Event, Interrupt, SimulationError, Simulator
 
 
@@ -261,3 +263,155 @@ def test_interleaved_interrupters_preserve_issue_order(sim):
     # Both interrupters wake at t=5; the first-spawned runs first and
     # issues its whole burst, so delivery follows issue order exactly.
     assert causes == ["a1", "a2", "a3", "b1", "b2", "b3"]
+
+
+# -- process(inline=True), on both cores ---------------------------------------
+
+
+@pytest.fixture(params=[flat_engine, classic_engine], ids=["flat", "classic"])
+def core(request):
+    return request.param
+
+
+def test_inline_process_runs_to_its_first_yield_in_the_callers_context(core):
+    sim = core.Simulator()
+    log = []
+
+    def child(tag):
+        log.append((tag, "started", sim.now))
+        yield 30
+        log.append((tag, "resumed", sim.now))
+        return tag
+
+    def parent(inline):
+        yield 5
+        proc = sim.process(child(inline), inline=inline)
+        log.append((inline, "spawned", sim.now))
+        value = yield proc
+        log.append((inline, "joined", value, sim.now))
+
+    def run(inline):
+        before = sim.events_dispatched
+        sim.run_process(parent(inline))
+        return sim.events_dispatched - before
+
+    queued, inline = run(False), run(True)
+    assert [entry[1] for entry in log if entry[0] is False] == [
+        "spawned", "started", "resumed", "joined"
+    ]
+    assert [entry[1] for entry in log if entry[0] is True] == [
+        "started", "spawned", "resumed", "joined"
+    ]
+    # Same simulated times either way; the start record is the one saving.
+    assert [entry[-1] for entry in log[:4]] == [5, 5, 35, 35]
+    assert [entry[-1] - 35 for entry in log[4:]] == [5, 5, 35, 35]
+    assert queued - inline == 1
+
+
+def test_inline_process_first_yield_may_be_an_event(core):
+    sim = core.Simulator()
+    gate = core.Event(sim)
+
+    def child():
+        value = yield gate
+        return (value, sim.now)
+
+    proc = sim.process(child(), inline=True)
+    assert proc.is_alive
+    sim.schedule(70, lambda: gate.trigger("open"))
+    sim.run()
+    assert proc.done_event.value == ("open", 70)
+
+
+def test_inline_process_may_return_without_yielding(core):
+    sim = core.Simulator()
+
+    def child():
+        return "instant"
+        yield  # pragma: no cover - makes this a generator
+
+    def parent():
+        proc = sim.process(child(), inline=True)
+        assert not proc.is_alive
+        value = yield proc
+        return (value, sim.now)
+
+    assert sim.run_process(parent()) == ("instant", 0)
+
+
+def test_inline_process_failure_before_first_yield_is_an_orphan_failure(core):
+    """Nobody can have joined it yet, so it follows the orphan rule:
+    re-raised from ``run()`` right after the spawning dispatch."""
+    sim = core.Simulator()
+    after = []
+
+    def bad():
+        raise ValueError("before the first yield")
+        yield  # pragma: no cover
+
+    def parent():
+        yield 10
+        sim.process(bad(), inline=True)
+        after.append(sim.now)  # the spawner itself is not interrupted
+        yield 10
+        after.append(sim.now)
+
+    sim.process(parent())
+    with pytest.raises(ValueError, match="before the first yield"):
+        sim.run()
+    assert after == [10]
+    sim.run()  # the run resumes cleanly past the failure
+    assert after == [10, 20]
+
+
+def test_inline_process_can_be_interrupted_afterwards(core):
+    sim = core.Simulator()
+    log = []
+
+    def sleeper():
+        try:
+            yield 1_000
+        except core.Interrupt as intr:
+            log.append((sim.now, intr.cause))
+            yield 5
+            log.append((sim.now, "recovered"))
+
+    proc = sim.process(sleeper(), inline=True)
+    sim.schedule(100, lambda: proc.interrupt("wake"))
+    sim.run()
+    assert log == [(100, "wake"), (105, "recovered")]
+    # The superseded 1000 ns timer fired into a stale wait generation.
+    assert sim.now == 1_000 and not proc.is_alive
+
+
+def test_inline_processes_under_the_schedule_controller(core):
+    """FIFO-controlled == uncontrolled, and identical across the cores
+    (the pending lists the controller sees must line up one for one)."""
+    from repro.check import FifoStrategy, ScheduleController
+
+    def run(engine, controlled):
+        sim = engine.Simulator()
+        controller = ScheduleController(FifoStrategy())
+        if controlled:
+            controller.attach(sim)
+        log = []
+
+        def leaf(tag):
+            log.append((sim.now, tag, "in"))
+            yield tag % 3  # zero delays collide timestamps
+            log.append((sim.now, tag, "out"))
+
+        def spawner(base):
+            for step in range(4):
+                sim.process(leaf(base + step), inline=(step % 2 == 0))
+                yield step % 2
+
+        for base in (0, 10, 20):
+            sim.process(spawner(base))
+        sim.run()
+        return log, sim.events_dispatched, sim.timer_fires, controller.points
+
+    free = run(core, False)
+    driven = run(core, True)
+    assert free[:3] == driven[:3]
+    assert driven == run(flat_engine, True) == run(classic_engine, True)

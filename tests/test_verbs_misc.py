@@ -240,3 +240,39 @@ def test_driver_context_requires_init_for_resources():
     ctx = DriverContext(cluster.node(0))
     with pytest.raises(VerbsError):
         ctx.alloc_pd()
+
+
+def test_work_request_clone_copies_every_field_but_the_span_id():
+    """``clone`` assigns slot by slot; a slot added later must join it."""
+    wr = WorkRequest.read_vectored(
+        0x1000, 7, [(0x2000, 9, 8), (0x3000, 9, 16)], wr_id=41, signaled=False,
+        compare=3, swap=4, header={"k": 1}, dct_gid="node9", dct_number=5,
+        dct_key=6, imm=77, raddr=0x2000, rkey=9,
+    )
+    wr.chained = True
+    wr.trace_id = 123
+    clone = wr.clone()
+    assert clone is not wr
+    for slot in WorkRequest.__slots__:
+        if slot != "trace_id":
+            assert getattr(clone, slot) == getattr(wr, slot), slot
+    assert clone.trace_id is None
+
+
+def test_onesided_service_matches_its_terms():
+    payload = timing.responder_payload_service_ns
+    for nbytes in (0, 8, 64, 4096):
+        assert timing.onesided_service_ns(True, nbytes, False) == (
+            timing.READ_RESPONDER_SERVICE_NS + payload(nbytes)
+        )
+        assert timing.onesided_service_ns(True, nbytes, True) == (
+            timing.READ_RESPONDER_SERVICE_NS + payload(nbytes)
+            + timing.DC_READ_SERVICE_EXTRA_NS
+        )
+        assert timing.onesided_service_ns(False, nbytes, False) == (
+            timing.WRITE_RESPONDER_SERVICE_NS + payload(nbytes)
+        )
+        assert timing.onesided_service_ns(False, nbytes, True) == (
+            timing.WRITE_RESPONDER_SERVICE_NS + payload(nbytes)
+            + timing.DC_WRITE_SERVICE_EXTRA_NS
+        )

@@ -1,0 +1,203 @@
+"""WR hop budget: exact engine-event counts per work request.
+
+One work request costs a fixed number of engine records (DESIGN.md §17
+lists them hop by hop).  The counts are exact and repeat on every run, so
+they are pinned here: a hop that creeps back into ``QueuePair._flight`` /
+``_sender_loop`` fails this file instead of waiting for a timing run.
+
+Two shapes, idle two-node system, connection warm:
+
+* one signaled 8 B WR, posted and polled by one process -- per
+  (transport, opcode);
+* a 16-WR window posted with one ``post_send`` (last WR signaled) -- the
+  per-WR cost of a backlog, where the per-doorbell and per-CQE records
+  amortize.
+
+``make hop-budget`` prints the table (``pytest -s -k hop_budget``).
+"""
+
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from repro.cluster import Cluster
+from repro.cluster.fabric import LinkFault
+from repro.sim import ENGINE, Simulator
+from repro.verbs import CompletionQueue, Opcode, QpType, RecvBuffer, WorkRequest
+from tests.conftest import quick_dc_qp, quick_rc_pair, register
+
+WINDOW = 16
+
+#: (transport, opcode) -> (events_dispatched, timer_fires) for one signaled
+#: WR.  Before the PR 13 hop fusion every row cost 4 events and 1 timer
+#: fire more: (16, 6), and (18, 7) for the two opcodes that deliver a
+#: receiver-side CQE.
+SINGLE_WR_BUDGET = {
+    ("RC", "READ"): (12, 5),
+    ("RC", "WRITE"): (12, 5),
+    ("RC", "SEND"): (14, 6),
+    ("RC", "CAS"): (12, 5),
+    ("RC", "READ_V"): (12, 5),
+    ("RC", "WRITE_IMM"): (14, 6),
+    ("DC", "READ"): (12, 5),
+    ("DC", "WRITE"): (12, 5),
+    ("DC", "SEND"): (14, 6),
+    ("DC", "CAS"): (12, 5),
+    ("DC", "READ_V"): (12, 5),
+    ("DC", "WRITE_IMM"): (14, 6),
+}
+
+#: transport -> (events_dispatched, timer_fires) for the whole 16-READ
+#: window.  Before the fusion the RC window cost 241 events (15.06 per WR).
+WINDOW_BUDGET = {
+    "RC": (162, 80),
+    "DC": (162, 80),
+}
+
+
+class _Rig:
+    """Two idle nodes, one warm requester QP of the given transport."""
+
+    def __init__(self, transport):
+        self.sim = sim = Simulator()
+        cluster = Cluster(sim, num_nodes=2)
+        self.client, self.server = cluster.nodes
+        self.laddr, self.lmr = register(self.client, 4096)
+        self.raddr, self.rmr = register(self.server, 4096)
+        self.recv_addr, self.recv_mr = register(self.server, 4096)
+        if transport == "RC":
+            self.qp, self.peer = quick_rc_pair(self.client, self.server)
+            self.addressing = {}
+            self.recv_queue = self.peer.post_recv
+        else:
+            self.qp = quick_dc_qp(self.client)
+            target = self.server.rnic.create_dct_target(dc_key=5)
+            target.recv_cq = CompletionQueue(sim)
+            self.addressing = dict(
+                dct_gid=self.server.gid, dct_number=target.number, dct_key=target.key
+            )
+            self.recv_queue = target.post_srq
+        # Warm: the first WR pays the DC (re)connection and fills the
+        # per-size caches; the budget is the steady state.
+        self.run([self.wr(Opcode.READ)])
+
+    def wr(self, opcode, signaled=True, slot=0):
+        laddr, raddr = self.laddr + 8 * slot, self.raddr + 8 * slot
+        common = dict(signaled=signaled, **self.addressing)
+        lkey, rkey = self.lmr.lkey, self.rmr.rkey
+        if opcode is Opcode.READ:
+            return WorkRequest.read(laddr, 8, lkey, raddr, rkey, **common)
+        if opcode is Opcode.WRITE:
+            return WorkRequest.write(laddr, 8, lkey, raddr, rkey, **common)
+        if opcode is Opcode.CAS:
+            return WorkRequest.cas(laddr, lkey, raddr, rkey, 0, 1, **common)
+        if opcode is Opcode.READ_V:
+            sges = [(raddr, rkey, 8), (raddr + 64, rkey, 8)]
+            return WorkRequest.read_vectored(laddr, lkey, sges, **common)
+        self.recv_queue(RecvBuffer(self.recv_addr, 64, self.recv_mr.lkey))
+        if opcode is Opcode.WRITE_IMM:
+            return WorkRequest.write_imm(laddr, 8, lkey, raddr, rkey, imm=9, **common)
+        return WorkRequest.send(laddr, 8, lkey, **common)
+
+    def run(self, wrs):
+        """Post ``wrs`` with one ``post_send``, poll the last one's CQE;
+        returns the (events, timer fires) the engine spent on them."""
+        sim, qp = self.sim, self.qp
+
+        def driver():
+            qp.post_send(wrs)
+            completions = yield from qp.send_cq.wait_poll()
+            assert [c.ok for c in completions] == [True]
+
+        events, fires = sim.events_dispatched, sim.timer_fires
+        sim.run_process(driver())
+        # The driver process's own start record is not WR work.
+        return sim.events_dispatched - events - 1, sim.timer_fires - fires
+
+
+def _single_wr_table():
+    table = {}
+    for transport, opcode in SINGLE_WR_BUDGET:
+        rig = _Rig(transport)
+        table[transport, opcode] = rig.run([rig.wr(Opcode[opcode])])
+    return table
+
+
+def _window_table():
+    table = {}
+    for transport in WINDOW_BUDGET:
+        rig = _Rig(transport)
+        table[transport] = rig.run([
+            rig.wr(Opcode.READ, signaled=(slot == WINDOW - 1), slot=slot)
+            for slot in range(WINDOW)
+        ])
+    return table
+
+
+def test_single_wr_hop_budget():
+    table = _single_wr_table()
+    print(f"\nWR hop budget, one signaled 8 B WR (engine={ENGINE})")
+    print(f"  {'transport':<10}{'opcode':<11}{'events':>7}{'timer_fires':>13}")
+    for (transport, opcode), (events, fires) in table.items():
+        print(f"  {transport:<10}{opcode:<11}{events:>7}{fires:>13}")
+    assert table == SINGLE_WR_BUDGET
+    assert table["RC", "READ"][0] <= 12  # was 16 before the hop fusion
+
+
+def test_window_hop_budget():
+    table = _window_table()
+    print(f"\nWR hop budget, {WINDOW}-READ window, one post_send (engine={ENGINE})")
+    print(f"  {'transport':<10}{'events':>7}{'per WR':>8}{'timer_fires':>13}")
+    for transport, (events, fires) in table.items():
+        print(f"  {transport:<10}{events:>7}{events / WINDOW:>8.2f}{fires:>13}")
+    assert table == WINDOW_BUDGET
+    assert table["RC"][0] / WINDOW < 10.5  # was 15.06 before the hop fusion
+
+
+@pytest.mark.parametrize("qp_type", [QpType.RC, QpType.DC])
+def test_contended_engine_costs_one_grant_record(qp_type):
+    """The synchronous engine grant only skips the hop when the inbound
+    engine is idle: a WR that arrives while it is busy still queues and
+    is granted through the scheduler (one more record, nothing lost)."""
+    rig = _Rig(qp_type.value)
+    idle = rig.run([rig.wr(Opcode.READ)])
+
+    def hog():
+        yield from rig.server.rnic.stall(3000, engine="inbound")
+
+    rig.sim.process(hog())
+    busy = rig.run([rig.wr(Opcode.READ)])
+    # hog: start + grant + timer (2) = 4 records; the WR's queued grant
+    # is the one record the idle path saves.
+    assert busy[0] - 4 == idle[0] + 1
+    assert busy[1] - 1 == idle[1]
+
+
+def test_hop_budget_keeps_the_flight_start_record_under_link_faults():
+    """Link-fault draws come off one LCG per directed link, shared by
+    every connection crossing it, so their order inside a nanosecond is
+    an outcome.  While any fault is installed the flight therefore starts
+    through the scheduler, in the dispatch position it always had."""
+    rig = _Rig("RC")
+    idle = rig.run([rig.wr(Opcode.READ)])
+    fabric = rig.client.fabric
+    fabric.set_link_fault("elsewhere", "nowhere", LinkFault(extra_ns=1))
+    assert rig.run([rig.wr(Opcode.READ)]) == (idle[0] + 1, idle[1])
+    fabric.clear_link_fault("elsewhere", "nowhere")
+    assert rig.run([rig.wr(Opcode.READ)]) == idle
+
+
+def test_hop_budget_holds_on_the_other_engine():
+    """tier-1 runs on one core; count on the other one too."""
+    other = "classic" if ENGINE == "flat" else "flat"
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(pathlib.Path(__file__).resolve()), "-k", "hop_budget and not other_engine"],
+        cwd=repo, capture_output=True, text=True,
+        env={"PYTHONPATH": f"{repo / 'src'}:{repo}", "REPRO_ENGINE": other,
+             "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
