@@ -108,19 +108,19 @@ def run_onesided(
             raise ValueError(f"unknown mode {mode!r}")
         env.sim.process(proc, name=f"client{index}")
     # Snapshot the server RNIC counters exactly at the warmup boundary so
-    # throughput is counted where it is served (no in-flight bias).
-    baseline = {}
+    # throughput is counted where it is served (no in-flight bias), and
+    # again one nanosecond past the window: ``stats_inbound_ops`` counts ops
+    # served *before* the instant it is read at, and one served exactly
+    # at stop_at is inside.
+    counts = []
 
     def snapshot():
-        for server in env.server_nodes:
-            baseline[server.gid] = server.rnic.stats_inbound_ops
+        counts.append(sum(server.rnic.stats_inbound_ops for server in env.server_nodes))
 
     env.sim.schedule(warmup_ns, snapshot)
-    env.sim.run(until=stop_at)
-    served = sum(
-        server.rnic.stats_inbound_ops - baseline.get(server.gid, 0)
-        for server in env.server_nodes
-    )
+    env.sim.schedule(stop_at + 1, snapshot)
+    env.sim.run(until=stop_at + 1)
+    served = counts[1] - counts[0]
     return OneSidedResult(recorder, client_windows, measure_ns, served=served)
 
 
@@ -131,8 +131,10 @@ def _client_loop(env, issue, target, rng, batch, windows, index, warmup_ns, stop
         start = env.sim.now
         yield from issue(server_index, sync=sync, batch=batch)
         now = env.sim.now
-        if start <= warmup_ns:
-            continue  # ops *begun* during warmup (incl. setup) don't count
+        if start <= warmup_ns or now > stop_at:
+            # Ops *begun* during warmup (incl. setup) don't count, nor does
+            # one completing in the nanosecond the run overshoots by.
+            continue
         if recorder is not None:
             recorder.record(now - start)
         entry = windows.get(index)

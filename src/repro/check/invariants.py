@@ -52,9 +52,10 @@ Invariants
     hook, with a quiescence sweep for chain members that never
     completed.
 ``rnic-busy-conservation``
-    Busy intervals of one serialized RNIC engine (capacity-1 resource)
+    Busy intervals of one serialized RNIC engine (ops and stalls alike)
     never overlap: occupancy is conserved, so modelled throughput
-    ceilings cannot be double-counted.
+    ceilings cannot be double-counted; at quiescence the inbound engine
+    has served every op it admitted.
 ``breaker-state-sanity``
     Circuit breakers only walk the legal state machine (closed -> open
     -> half_open -> {closed, open}) and every reported transition
@@ -118,7 +119,7 @@ class Checker:
         # doorbell chains: id(wr) -> [wr, qp, chain_no, index, completions]
         self._batch_wrs = {}
         self._batch_chains = 0
-        # rnic busy: id(resource) -> [resource, label, last_end]
+        # rnic busy: (rnic, engine) -> last_end
         self._busy = {}
         # mr churn: (gid, rkey) -> (retract_t, lease_ns) for retracted MRs
         self._mr_retired = {}
@@ -313,21 +314,20 @@ class Checker:
                 f"times (last status {status.name})",
             )
 
-    def rnic_busy(self, rnic, label, resource, start, end):
-        """A serialized RNIC engine was occupied over [start, end]."""
+    def rnic_busy(self, rnic, engine, start, end):
+        """``rnic``'s serialized ``engine`` ("command" / "inbound") is
+        occupied over [start, end], by an op or by a stall."""
         self._note("rnic.busy")
-        record = self._busy.get(id(resource))
-        if record is None:
-            self._busy[id(resource)] = [resource, label, int(end)]
-            return
-        if start < record[2]:
+        last_end = self._busy.get((rnic, engine))
+        if last_end is not None and start < last_end:
             self.violate(
                 "rnic-busy-conservation",
                 rnic.sim.now,
-                f"rnic@{rnic.node.gid} {label} interval [{start}, {end}] "
-                f"overlaps previous busy interval ending at {record[2]}",
+                f"rnic@{rnic.node.gid} {engine} interval [{start}, {end}] "
+                f"overlaps previous busy interval ending at {last_end}",
             )
-        record[2] = max(record[2], int(end))
+            end = max(end, last_end)
+        self._busy[rnic, engine] = int(end)
 
     # ------------------------------------------------------ degrade breakers
 
@@ -406,6 +406,7 @@ class Checker:
         modules = list(modules)
         self._finalize_pools(now)
         self._finalize_admission(now)
+        self._finalize_rnics(now)
         if plane is not None:
             self._finalize_meta(plane, now)
         for module in modules:
@@ -453,6 +454,18 @@ class Checker:
                     now,
                     f"RCQP qpn={qp.qpn} to {gid} is pool-owned on "
                     f"{qp.node.gid} but not RNIC-registered",
+                )
+
+    def _finalize_rnics(self, now):
+        """RNIC queues all drained (the inbound busy-until clock)."""
+        for rnic in {rnic: None for rnic, _engine in self._busy}:
+            unserved = rnic._inbound_admitted - rnic.stats_inbound_ops
+            if unserved or rnic._inbound_free_at > rnic.sim.now:
+                self.violate(
+                    "rnic-busy-conservation",
+                    now,
+                    f"rnic@{rnic.node.gid} inbound engine busy until "
+                    f"{rnic._inbound_free_at}, {unserved} op(s) unserved at quiescence",
                 )
 
     def _finalize_admission(self, now):

@@ -5,19 +5,25 @@ Two serialized engines reproduce the two bottlenecks the paper measures:
 * the **command processor** handles control-path work (building hardware
   queues for create_qp, configuring QPs to RTR/RTS).  Its occupancy per
   connection setup yields the ~712 QP/s server-side ceiling of Fig 8a.
+  A FIFO ``Resource`` (admission control reads its queue; not hot).
 * the **inbound engine** handles responder-side data-path work.  Its per-op
   occupancy yields the async peaks of Fig 10 (138M/s READ, 145M/s WRITE,
-  lower for DCT).
+  lower for DCT).  A busy-until clock, :meth:`Rnic.inbound_admit` (§17).
 
 Latency and occupancy are modelled separately: an op holds the engine for
 its (few-ns) service time, then pays a fixed pipeline latency that does not
 block other ops.
 """
 
+from collections import deque
+
 from repro.check import hooks as _check
+from repro.cluster import timing
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.sim import Resource
+
+ENGINES = ("command", "inbound")  #: what :meth:`Rnic.stall` can wedge
 
 
 class Rnic:
@@ -27,7 +33,11 @@ class Rnic:
         self.sim = sim
         self.node = node
         self.command_processor = Resource(sim, capacity=1)
-        self.inbound_engine = Resource(sim, capacity=1)
+        #: Inbound engine: busy until this instant (:meth:`inbound_admit`).
+        self._inbound_free_at = 0
+        #: Service ends of admitted ops not yet counted as served (monotone).
+        self._inbound_ends = deque()
+        self._inbound_admitted = 0
         self._qps = {}
         self._dct_targets = {}
         self._next_qpn = 1
@@ -35,8 +45,6 @@ class Rnic:
         #: Fractional-ns remainder so sub-ns service times still add up to
         #: the right aggregate rate (sim time is integer ns).
         self._service_carry = 0.0
-        #: Inbound ops served (benchmarks read this for unbiased rates).
-        self.stats_inbound_ops = 0
         #: Admission bound on the command queue (repro.degrade): when
         #: this many ops already wait for the command processor, further
         #: control-path work is rejected instead of queued.  None (the
@@ -99,6 +107,10 @@ class Rnic:
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("rnic.cq_poll_busy_ns").inc(int(spent_ns))
 
+    def _track(self, engine):
+        # One per engine: inbound spans are stamped ahead; no track runs backwards.
+        return f"rnic@{self.node.gid}" + ("" if engine == "inbound" else "/command")
+
     def command(self, service_ns):
         """Process: occupy the command processor for ``service_ns``."""
         limit = self.command_queue_limit
@@ -121,19 +133,15 @@ class Rnic:
         grant = yield resource.acquire()
         start = self.sim.now
         if _trace.TRACER is not None:
-            _trace.TRACER.begin(
-                self.sim.now, f"rnic@{self.node.gid}", "rnic.command"
-            )
+            _trace.TRACER.begin(self.sim.now, self._track("command"), "rnic.command")
         try:
             yield int(service_ns)
         finally:
             resource.release(grant)
             if _check.CHECKER is not None:
-                _check.CHECKER.rnic_busy(
-                    self, "command", resource, start, self.sim.now
-                )
+                _check.CHECKER.rnic_busy(self, "command", start, self.sim.now)
         if _trace.TRACER is not None:
-            _trace.TRACER.end(self.sim.now, f"rnic@{self.node.gid}", "rnic.command")
+            _trace.TRACER.end(self.sim.now, self._track("command"), "rnic.command")
         if _metrics.METRICS is not None:
             registry = _metrics.METRICS
             registry.counter("rnic.command_ops").inc()
@@ -147,71 +155,82 @@ class Rnic:
         QP repairs, inbound ops) backs up behind the stall and drains in
         FIFO order afterwards -- no work is lost.
         """
-        resource = self.command_processor if engine == "command" else self.inbound_engine
-        grant = yield resource.acquire()
-        start = self.sim.now
+        if engine not in ENGINES:
+            raise ValueError(f"unknown RNIC engine {engine!r}: expected one of {ENGINES}")
+        duration_ns = int(duration_ns)
+        grant = None
+        if engine == "inbound":  # one more occupant of the busy-until clock
+            start, end = self._inbound_occupy(duration_ns)
+        else:
+            grant = yield self.command_processor.acquire()
+            start = self.sim.now
+            end = start + duration_ns
+        if _check.CHECKER is not None:
+            _check.CHECKER.rnic_busy(self, engine, start, end)
         if _trace.TRACER is not None:
-            _trace.TRACER.begin(
-                self.sim.now, f"rnic@{self.node.gid}", "rnic.stall", engine=engine
-            )
+            _trace.TRACER.begin(start, self._track(engine), "rnic.stall", engine=engine)
+            _trace.TRACER.end(end, self._track(engine), "rnic.stall")
         try:
-            yield int(duration_ns)
+            yield end - self.sim.now
         finally:
-            resource.release(grant)
-            if _check.CHECKER is not None:
-                _check.CHECKER.rnic_busy(
-                    self, f"stall:{engine}", resource, start, self.sim.now
-                )
-        if _trace.TRACER is not None:
-            _trace.TRACER.end(self.sim.now, f"rnic@{self.node.gid}", "rnic.stall")
+            if grant is not None:
+                self.command_processor.release(grant)
         if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("rnic.stall_ns").inc(int(duration_ns))
+            _metrics.METRICS.counter("rnic.stall_ns").inc(duration_ns)
 
-    def inbound_hold_ns(self, service_ns):
-        """Whole nanoseconds the inbound engine is held for an op arriving
-        now with a (fractional) ``service_ns``: stretched inside a gray
-        window, the sub-ns remainder carried so that aggregate throughput
-        matches the configured rate exactly."""
+    def inbound_admit(self, service_ns, opcode=None):
+        """Admit one op arriving now; returns the ``(start, end)`` of its
+        service.  The whole responder-occupancy model: the hold (stretched
+        inside a gray window, the sub-ns rest carried so aggregate
+        throughput matches the configured rate) is fixed on arrival and
+        service is FIFO, so departure is arithmetic and nothing is scheduled."""
         if self._degraded_until and self.sim.now < self._degraded_until:
             service_ns = service_ns * self._degrade_factor
         total = service_ns + self._service_carry
         whole = int(total)
         self._service_carry = total - whole
-        return whole
+        return self.inbound_readmit(whole, opcode)
 
-    def inbound_served(self, start, held_ns):
-        """Account one inbound op that held the engine over [start, now].
-
-        With :meth:`inbound_hold_ns`, this is the whole of the responder
-        model; :meth:`serve_inbound` and the READ/WRITE block inlined in
-        ``QueuePair._flight`` differ only in how they wait.
-        """
+    def inbound_readmit(self, hold_ns, opcode=None):
+        """:meth:`inbound_admit` for the re-serve of a duplicated request:
+        the whole-ns hold of the original, not sized a second time."""
+        start, end = self._inbound_occupy(hold_ns)
+        self._inbound_served()  # fold: the deque stays queue-sized
+        self._inbound_ends.append(end)
+        self._inbound_admitted += 1
         if _check.CHECKER is not None:
-            _check.CHECKER.rnic_busy(
-                self, "inbound", self.inbound_engine, start, self.sim.now
-            )
+            _check.CHECKER.rnic_busy(self, "inbound", start, end)
         if _trace.TRACER is not None:
-            _trace.TRACER.end(self.sim.now, f"rnic@{self.node.gid}", "rnic.inbound")
+            span_args = {} if opcode is None else {"opcode": opcode.value}
+            _trace.TRACER.begin(start, self._track("inbound"), "rnic.inbound", **span_args)
+            _trace.TRACER.end(end, self._track("inbound"), "rnic.inbound")
         if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("rnic.inbound_busy_ns").inc(held_ns)
-        self.stats_inbound_ops += 1
+            _metrics.METRICS.counter("rnic.inbound_busy_ns").inc(hold_ns)
+        return start, end
+
+    def _inbound_occupy(self, hold_ns):
+        """Advance the busy-until clock by one occupant (an op or a stall)."""
+        start = max(self.sim.now, self._inbound_free_at)
+        end = self._inbound_free_at = start + hold_ns
+        return start, end
+
+    def _inbound_served(self):
+        ends = self._inbound_ends
+        now = self.sim.now
+        while ends and ends[0] < now:
+            ends.popleft()
+        return self._inbound_admitted - len(ends)
+
+    @property
+    def stats_inbound_ops(self):
+        """Inbound ops served (benchmarks read this for unbiased rates): a
+        view, the ops admitted whose service ended before this instant.
+        One ending this very nanosecond is not in yet -- a reader's timer
+        runs ahead of the service-end wake-up there used to be."""
+        return self._inbound_served()
 
     def serve_inbound(self, service_ns):
-        """Process: occupy the inbound engine for ``service_ns`` (fractional
-        nanoseconds, see :meth:`inbound_hold_ns`)."""
-        whole = self.inbound_hold_ns(service_ns)
-        # Resource.serve inlined: this is the per-op responder hot path.
-        resource = self.inbound_engine
-        grant = resource.try_acquire()
-        if grant is None:
-            grant = yield resource.acquire()
-        start = self.sim.now
-        if _trace.TRACER is not None:
-            _trace.TRACER.begin(
-                self.sim.now, f"rnic@{self.node.gid}", "rnic.inbound"
-            )
-        try:
-            yield whole
-        finally:
-            resource.release(grant)
-        self.inbound_served(start, whole)
+        """Process: one op through the responder -- queue wait, service
+        (:meth:`inbound_admit`) and pipeline latency are one timer."""
+        _start, end = self.inbound_admit(service_ns)
+        yield end - self.sim.now + timing.NIC_RESPONDER_PIPELINE_NS

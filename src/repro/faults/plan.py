@@ -12,6 +12,7 @@ the plan) derives from the plan's seed, a chaos run is reproducible from
 import random
 
 from repro.cluster import timing
+from repro.cluster.rnic import ENGINES
 
 #: Fault kinds understood by the injector.
 LINK_FAULT = "link_fault"  # gid pair degraded for a window
@@ -107,6 +108,8 @@ class FaultPlan:
     def stall_rnic(self, at_ns, gid, duration_ns, engine="command"):
         """Wedge one of ``gid``'s RNIC engines (``"command"`` or
         ``"inbound"``) for ``duration_ns``; queued work backs up FIFO."""
+        if engine not in ENGINES:
+            raise ValueError(f"unknown RNIC engine {engine!r}: expected one of {ENGINES}")
         return self._add(
             FaultEvent(
                 at_ns, RNIC_STALL, gid=gid, duration_ns=int(duration_ns), engine=engine

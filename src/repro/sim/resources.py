@@ -43,19 +43,6 @@ class Resource:
             self._waiting.append(event)
         return event
 
-    def try_acquire(self):
-        """Non-blocking: the grant token if capacity is free right now,
-        else None (the caller then queues with :meth:`acquire`).
-
-        Free capacity implies an empty wait queue -- ``release`` hands a
-        held unit straight to the oldest waiter -- so taking it here never
-        overtakes a queued ``acquire()``.
-        """
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return _Grant(self)
-        return None
-
     def release(self, grant):
         if not isinstance(grant, _Grant) or grant.resource is not self:
             raise SimulationError("release() needs the grant from acquire()")

@@ -330,19 +330,17 @@ class QueuePair:
 
         Started inline by ``_sender_loop`` (through a start record while
         any link fault is installed) and resumed once per *timed* hop
-        only -- request wire, responder occupancy, responder pipeline,
-        response wire + RX completion (DESIGN.md §17 has the table).  A
-        step that would merely re-queue the generator at the same
-        nanosecond runs synchronously instead: the start, the grant of an
-        idle inbound engine, the in-order check when the predecessor has
-        already completed.
+        only -- request wire, responder (queue wait + occupancy +
+        pipeline, one timer: ``Rnic.inbound_admit`` tells the flight on
+        arrival when its service ends), response wire + RX completion
+        (DESIGN.md §17 has the table).  A step that would merely re-queue
+        the generator at the same nanosecond runs synchronously instead:
+        the start, the in-order check when the predecessor has already
+        completed.
 
         READ and WRITE are processed right here rather than through
-        ``_execute_remote`` + ``Rnic.serve_inbound``, so that no nested
-        ``yield from`` frame is traversed on their resumes; the
-        responder's service time and occupancy accounting are still the
-        RNIC's own (``inbound_hold_ns`` / ``inbound_served``), shared
-        with ``serve_inbound``, which the other opcodes go through.
+        ``_execute_remote`` + ``Rnic.serve_inbound`` (same occupancy model),
+        so that no nested ``yield from`` frame is traversed on their resumes.
 
         The attempt loop is the retransmission machinery: a lost packet or
         unreachable responder burns one ``timeout_ns`` wait per retry; an
@@ -437,35 +435,25 @@ class QueuePair:
                 if opcode is Opcode.READ or opcode is Opcode.WRITE:
                     rnic = remote_node.rnic
                     memory = remote_node.memory
-                    whole = rnic.inbound_hold_ns(
+                    start, end = rnic.inbound_admit(
                         timing.onesided_service_ns(
                             opcode is Opcode.READ, length, qp_type is QpType.DC
-                        )
+                        ),
+                        opcode,
                     )
-                    resource = rnic.inbound_engine
-                    while True:
-                        grant = resource.try_acquire()
-                        if grant is None:
-                            grant = yield resource.acquire()
-                        start = self.sim.now
-                        if _trace.TRACER is not None:
-                            _trace.TRACER.begin(
-                                start, f"rnic@{remote_gid}", "rnic.inbound",
-                                opcode=opcode.value,
-                            )
-                        try:
-                            yield whole
-                        finally:
-                            resource.release(grant)
-                        rnic.inbound_served(start, whole)
-                        if not duplicated:
-                            break
-                        # The duplicate arrives right behind the original;
-                        # the responder burns the same engine time
-                        # re-serving it, then discards it by PSN before
-                        # any memory op.
-                        duplicated = False
-                    yield timing.NIC_RESPONDER_PIPELINE_NS
+                    if duplicated:
+                        # The duplicate arrives right behind the original:
+                        # same engine time again once that is served, then
+                        # it is discarded by PSN before any memory op.  It
+                        # joins the queue behind a request arriving in that
+                        # nanosecond, as a timer set at service start does.
+                        if start > self.sim.now:
+                            yield start - self.sim.now
+                        yield end - self.sim.now
+                        start, end = rnic.inbound_readmit(end - start, opcode)
+                    # Queue wait, service and pipeline are one timer: a
+                    # contended WR costs what an idle one does.
+                    yield end - self.sim.now + timing.NIC_RESPONDER_PIPELINE_NS
                     if not remote_node.alive:
                         raise _Unreachable()
                     if executed:
@@ -495,14 +483,14 @@ class QueuePair:
                 elif executed:
                     # SEND/atomic retransmission after a lost response:
                     # engine time only, no re-execution (exactly-once).
-                    yield from self._serve_duplicate(remote_node, wr)
+                    yield from _serve_duplicate(remote_node, wr)
                     response_bytes = saved_response_bytes
                 else:
                     response_bytes = yield from self._execute_remote(remote_node, wr, payload)
                     executed = True
                     saved_response_bytes = response_bytes
                     if duplicated:
-                        yield from self._serve_duplicate(remote_node, wr)
+                        yield from _serve_duplicate(remote_node, wr)
                 # -- response --
                 rfault = None
                 if fabric.link_faults:
@@ -595,25 +583,19 @@ class QueuePair:
         """Responder-side processing of everything but READ and WRITE
         (those two run inline in :meth:`_flight`).  Returns the response
         payload size."""
-        rnic = remote_node.rnic
         memory = remote_node.memory
-        dc = self.qp_type is QpType.DC
+        opcode = wr.opcode
+        yield from remote_node.rnic.serve_inbound(
+            _responder_service_ns(wr, self.qp_type is QpType.DC)
+        )
+        if not remote_node.alive:
+            if opcode is Opcode.SEND and self.qp_type is QpType.UD:
+                raise _UdDrop()
+            raise _Unreachable()
         try:
-            if wr.opcode is Opcode.READ_V:
-                # Vectored gather: one request, one responder occupancy.
-                # The payload-size cost is charged once on the summed
-                # length; each discontiguous segment after the first adds
-                # a DMA-setup charge.  Segments are validated and gathered
-                # in order, scattering back-to-back into the local buffer.
-                service = timing.READ_RESPONDER_SERVICE_NS
-                service += timing.responder_payload_service_ns(wr.length)
-                service += timing.VECTORED_SGE_SERVICE_NS * (len(wr.sges) - 1)
-                if dc:
-                    service += timing.DC_READ_SERVICE_EXTRA_NS
-                yield from rnic.serve_inbound(service)
-                yield timing.NIC_RESPONDER_PIPELINE_NS
-                if not remote_node.alive:
-                    raise _Unreachable()
+            if opcode is Opcode.READ_V:
+                # Segments are validated and gathered in order, scattering
+                # back-to-back into the local buffer.
                 offset = 0
                 for raddr, rkey, seg_len in wr.sges:
                     memory.check_remote(rkey, raddr, seg_len, write=False)
@@ -626,13 +608,7 @@ class QueuePair:
                         )
                     offset += seg_len
                 return wr.length
-            if wr.opcode is Opcode.WRITE_IMM:
-                yield from rnic.serve_inbound(
-                    timing.onesided_service_ns(False, wr.length, dc)
-                )
-                yield timing.NIC_RESPONDER_PIPELINE_NS
-                if not remote_node.alive:
-                    raise _Unreachable()
+            if opcode is Opcode.WRITE_IMM:
                 memory.check_remote(wr.rkey, wr.raddr, wr.length, write=True)
                 memory.write(wr.raddr, payload)
                 # The immediate rides the last write packet and raises a
@@ -640,54 +616,22 @@ class QueuePair:
                 # RNR semantics apply just like a SEND.
                 yield from self._deliver_imm(remote_node, wr)
                 return 0
-            if wr.opcode in (Opcode.CAS, Opcode.FETCH_ADD):
-                yield from rnic.serve_inbound(timing.ATOMIC_RESPONDER_SERVICE_NS)
-                yield timing.NIC_RESPONDER_PIPELINE_NS
-                if not remote_node.alive:
-                    raise _Unreachable()
+            if opcode in (Opcode.CAS, Opcode.FETCH_ADD):
                 memory.check_remote(wr.rkey, wr.raddr, 8, write=True)
                 old = int.from_bytes(memory.read(wr.raddr, 8), "big")
-                if wr.opcode is Opcode.CAS:
+                if opcode is Opcode.CAS:
                     if old == wr.compare:
                         memory.write(wr.raddr, wr.swap.to_bytes(8, "big"))
                 else:
                     memory.write(wr.raddr, ((old + wr.compare) % (1 << 64)).to_bytes(8, "big"))
                 self.node.memory.write(wr.laddr, old.to_bytes(8, "big"))
                 return 8
-            # SEND
-            yield from rnic.serve_inbound(timing.SEND_RESPONDER_SERVICE_NS)
-            yield timing.NIC_RESPONDER_PIPELINE_NS
-            if not remote_node.alive:
-                if self.qp_type is QpType.UD:
-                    raise _UdDrop()
-                raise _Unreachable()
             yield from self._deliver_send(remote_node, wr, payload)
             return 0
         except MemoryError_ as err:
             if self.qp_type is QpType.UD:
                 raise _UdDrop() from err
             raise _Malformed(WcStatus.REM_ACCESS_ERR) from err
-
-    def _serve_duplicate(self, remote_node, wr):
-        """Charge the responder for a packet it will discard by PSN.
-
-        Used for duplicated requests and for retransmissions of an op whose
-        effects already applied (``executed``): the engine re-serves the
-        request, but no memory op or delivery happens (exactly-once).
-        """
-        rnic = remote_node.rnic
-        if wr.opcode in (Opcode.CAS, Opcode.FETCH_ADD):
-            service = timing.ATOMIC_RESPONDER_SERVICE_NS
-        elif wr.opcode is Opcode.WRITE_IMM:
-            service = timing.onesided_service_ns(False, wr.length, False)
-        elif wr.opcode is Opcode.READ_V:
-            service = timing.READ_RESPONDER_SERVICE_NS
-            service += timing.responder_payload_service_ns(wr.length)
-            service += timing.VECTORED_SGE_SERVICE_NS * (len(wr.sges) - 1)
-        else:
-            service = timing.SEND_RESPONDER_SERVICE_NS
-        yield from rnic.serve_inbound(service)
-        yield timing.NIC_RESPONDER_PIPELINE_NS
 
     def _deliver_send(self, remote_node, wr, payload):
         """Land an inbound SEND in the receiver's queue (or SRQ for DCT)."""
@@ -796,6 +740,32 @@ class QueuePair:
             if stale is None:
                 break
             self._complete(stale, WcStatus.FLUSH_ERR)
+
+
+def _serve_duplicate(remote_node, wr):
+    """Process: charge the responder for a duplicated request, or for the
+    retransmission of an op whose effects already applied: the engine
+    re-serves it (at the RC rate on every transport), then discards it by
+    PSN -- no memory op, no delivery (exactly-once)."""
+    return remote_node.rnic.serve_inbound(_responder_service_ns(wr, False))
+
+
+def _responder_service_ns(wr, dc):
+    """Inbound-engine service time of everything but READ and WRITE."""
+    opcode = wr.opcode
+    if opcode is Opcode.READ_V:
+        # Vectored gather: one request, one responder occupancy.  The
+        # payload-size cost is charged once on the summed length; each
+        # discontiguous segment after the first adds a DMA-setup charge.
+        service = timing.READ_RESPONDER_SERVICE_NS
+        service += timing.responder_payload_service_ns(wr.length)
+        service += timing.VECTORED_SGE_SERVICE_NS * (len(wr.sges) - 1)
+        return service + timing.DC_READ_SERVICE_EXTRA_NS if dc else service
+    if opcode is Opcode.WRITE_IMM:
+        return timing.onesided_service_ns(False, wr.length, dc)
+    if opcode in (Opcode.CAS, Opcode.FETCH_ADD):
+        return timing.ATOMIC_RESPONDER_SERVICE_NS
+    return timing.SEND_RESPONDER_SERVICE_NS
 
 
 class _Malformed(Exception):

@@ -189,21 +189,46 @@ def test_destroyed_vqp_still_indexed_flagged_at_finalize():
 
 
 def test_rnic_busy_overlap_is_flagged():
+    from repro.cluster import Cluster
+
+    rnic, other = (node.rnic for node in Cluster(Simulator(), num_nodes=2).nodes)
     checker = Checker()
-    rnic = SimpleNamespace(
-        sim=SimpleNamespace(now=300), node=SimpleNamespace(gid="nodeR")
-    )
-    resource = object()
-    checker.rnic_busy(rnic, "inbound", resource, 0, 100)
-    checker.rnic_busy(rnic, "inbound", resource, 100, 200)  # back-to-back: fine
+    checker.rnic_busy(rnic, "inbound", 0, 100)
+    checker.rnic_busy(rnic, "inbound", 100, 200)  # back-to-back: fine
     assert checker.ok
-    checker.rnic_busy(rnic, "inbound", resource, 150, 250)  # overlaps
+    checker.rnic_busy(rnic, "inbound", 150, 250)  # overlaps
     assert [v.invariant for v in checker.violations] == ["rnic-busy-conservation"]
-    # Distinct resources never interact.
+    assert "[150, 250]" in checker.violations[0].detail
+    # Distinct engines, and the same engine of distinct RNICs, never interact.
     checker2 = Checker()
-    checker2.rnic_busy(rnic, "inbound", object(), 0, 100)
-    checker2.rnic_busy(rnic, "command", object(), 50, 80)
+    checker2.rnic_busy(rnic, "inbound", 0, 100)
+    checker2.rnic_busy(rnic, "command", 50, 80)
+    checker2.rnic_busy(other, "inbound", 50, 80)
     assert checker2.ok
+
+
+def test_inbound_ops_and_stalls_share_one_busy_chain_and_drain():
+    """An inbound stall and the ops queued behind it are one interval
+    chain (there is no Resource object to key it by any more), and the
+    quiescence audit wants the busy-until clock caught up with."""
+    from repro.check import hooks
+    from repro.cluster import Cluster
+
+    sim = Simulator()
+    rnic = Cluster(sim, num_nodes=1).nodes[0].rnic
+    checker = Checker()
+    with hooks.checking(checker):
+        sim.process(rnic.stall(500, engine="inbound"))
+        sim.run(until=100)
+        assert rnic.inbound_admit(7.5) == (500, 507)
+        assert checker.observed["rnic.busy"] == 2
+        checker.finalize(now=sim.now)  # mid-flight: clock ahead, op unserved
+        assert [v.invariant for v in checker.violations] == ["rnic-busy-conservation"]
+        assert "busy until 507, 1 op(s) unserved" in checker.violations[0].detail
+        del checker.violations[:]
+        sim.run(until=508)
+        checker.finalize(now=sim.now)
+    assert checker.ok, checker.violations
 
 
 def test_checker_digest_is_deterministic():

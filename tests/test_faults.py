@@ -132,6 +132,39 @@ def test_rnic_stall_backs_up_command_work(sim, cluster):
     assert elapsed >= 50 * US
 
 
+def test_rnic_stall_backs_up_inbound_work(sim, cluster):
+    client, server = cluster.node(0), cluster.node(1)
+    qp, _ = quick_rc_pair(client, server)
+    laddr, lmr = register(client, 64)
+    raddr, rmr = register(server, 64)
+
+    def read():
+        start = sim.now
+        qp.post_send([WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey)])
+        yield from qp.send_cq.wait_poll()
+        return sim.now - start
+
+    idle = sim.run_process(read())
+    sim.process(server.rnic.stall(50 * US, engine="inbound"), name="stall")
+    stalled = sim.run_process(read())
+    # The READ reaches the responder mid-stall and is served right behind it.
+    assert 50 * US < stalled < 50 * US + idle
+    assert server.rnic.stats_inbound_ops == 2
+
+
+@pytest.mark.parametrize("typo", ["inbond", "cmd", "", None])
+def test_stall_rejects_an_unknown_engine_name(sim, cluster, typo):
+    """Regression: every name but "command" used to wedge the inbound
+    engine, so a typo silently stalled the wrong one."""
+    rnic = cluster.node(1).rnic
+    with pytest.raises(ValueError, match="command.*inbound"):
+        sim.run_process(rnic.stall(1 * US, engine=typo))
+    with pytest.raises(ValueError, match="command.*inbound"):
+        FaultPlan(seed=1).stall_rnic(1 * US, "node1", 1 * US, engine=typo)
+    sim.run()
+    assert rnic._inbound_free_at == 0 and rnic.command_processor.in_use == 0
+
+
 # ---------------------------------------------------------------------------
 # Retransmission: timeout/retry_cnt attributes on the QP
 # ---------------------------------------------------------------------------

@@ -283,65 +283,3 @@ def test_store_put_bypasses_queue_when_getter_waits(sim):
     assert len(store) == 0  # handed straight over, never enqueued
     sim.run()
     assert proc.done_event.value == "direct"
-
-
-# -- Resource.try_acquire ------------------------------------------------------
-
-
-def test_try_acquire_grants_free_capacity_or_none(sim):
-    resource = Resource(sim, capacity=2)
-    first, second = resource.try_acquire(), resource.try_acquire()
-    assert first is not None and second is not None
-    assert resource.in_use == 2
-    assert resource.try_acquire() is None
-    assert resource.queue_length == 0  # a refused try leaves no waiter behind
-    resource.release(first)
-    assert resource.in_use == 1
-    third = resource.try_acquire()
-    assert third is not None
-    resource.release(second)
-    resource.release(third)
-    assert resource.in_use == 0
-
-
-def test_try_acquire_never_overtakes_a_queued_acquire(sim):
-    """Capacity only reads as free when nobody waits: a release hands the
-    unit straight to the oldest ``acquire()``er, so a ``try_acquire`` at
-    that very instant is refused rather than jumping the queue."""
-    resource = Resource(sim, capacity=1)
-    order = []
-
-    def holder():
-        grant = resource.try_acquire()
-        assert grant is not None
-        yield 100
-        resource.release(grant)
-        # Same nanosecond as the release, ahead of the waiter's resume.
-        order.append(("try-at-release", resource.try_acquire()))
-
-    def waiter():
-        grant = yield resource.acquire()
-        order.append(("waiter", sim.now))
-        yield 50
-        resource.release(grant)
-        late = resource.try_acquire()
-        order.append(("try-after-drain", late is not None))
-        resource.release(late)
-
-    sim.process(holder())
-    sim.process(waiter())
-    sim.run()
-    assert order == [
-        ("try-at-release", None), ("waiter", 100), ("try-after-drain", True),
-    ]
-    assert resource.in_use == 0
-
-
-def test_try_acquire_grant_double_release_raises(sim):
-    resource = Resource(sim, capacity=1)
-    grant = resource.try_acquire()
-    resource.release(grant)
-    with pytest.raises(SimulationError):
-        resource.release(grant)
-    with pytest.raises(SimulationError):
-        Resource(sim, capacity=1).release(resource.try_acquire())

@@ -22,7 +22,7 @@ import sys
 
 import pytest
 
-from repro.cluster import Cluster
+from repro.cluster import Cluster, timing
 from repro.cluster.fabric import LinkFault
 from repro.sim import ENGINE, Simulator
 from repro.verbs import CompletionQueue, Opcode, QpType, RecvBuffer, WorkRequest
@@ -31,29 +31,31 @@ from tests.conftest import quick_dc_qp, quick_rc_pair, register
 WINDOW = 16
 
 #: (transport, opcode) -> (events_dispatched, timer_fires) for one signaled
-#: WR.  Before the PR 13 hop fusion every row cost 4 events and 1 timer
-#: fire more: (16, 6), and (18, 7) for the two opcodes that deliver a
-#: receiver-side CQE.
+#: WR.  Before the PR 13 hop fusion every row cost (16, 6), and (18, 7)
+#: for the two opcodes that deliver a receiver-side CQE; with the inbound
+#: engine a FIFO Resource (PR 13) it cost (12, 5) / (14, 6) -- the two
+#: records since gone were the service-end wake.
 SINGLE_WR_BUDGET = {
-    ("RC", "READ"): (12, 5),
-    ("RC", "WRITE"): (12, 5),
-    ("RC", "SEND"): (14, 6),
-    ("RC", "CAS"): (12, 5),
-    ("RC", "READ_V"): (12, 5),
-    ("RC", "WRITE_IMM"): (14, 6),
-    ("DC", "READ"): (12, 5),
-    ("DC", "WRITE"): (12, 5),
-    ("DC", "SEND"): (14, 6),
-    ("DC", "CAS"): (12, 5),
-    ("DC", "READ_V"): (12, 5),
-    ("DC", "WRITE_IMM"): (14, 6),
+    ("RC", "READ"): (10, 4),
+    ("RC", "WRITE"): (10, 4),
+    ("RC", "SEND"): (12, 5),
+    ("RC", "CAS"): (10, 4),
+    ("RC", "READ_V"): (10, 4),
+    ("RC", "WRITE_IMM"): (12, 5),
+    ("DC", "READ"): (10, 4),
+    ("DC", "WRITE"): (10, 4),
+    ("DC", "SEND"): (12, 5),
+    ("DC", "CAS"): (10, 4),
+    ("DC", "READ_V"): (10, 4),
+    ("DC", "WRITE_IMM"): (12, 5),
 }
 
 #: transport -> (events_dispatched, timer_fires) for the whole 16-READ
-#: window.  Before the fusion the RC window cost 241 events (15.06 per WR).
+#: window.  Before the fusion the RC window cost 241 events (15.06 per
+#: WR); with a Resource behind the inbound engine, 162 (10.12).
 WINDOW_BUDGET = {
-    "RC": (162, 80),
-    "DC": (162, 80),
+    "RC": (130, 64),
+    "DC": (130, 64),
 }
 
 
@@ -143,7 +145,6 @@ def test_single_wr_hop_budget():
     for (transport, opcode), (events, fires) in table.items():
         print(f"  {transport:<10}{opcode:<11}{events:>7}{fires:>13}")
     assert table == SINGLE_WR_BUDGET
-    assert table["RC", "READ"][0] <= 12  # was 16 before the hop fusion
 
 
 def test_window_hop_budget():
@@ -153,38 +154,44 @@ def test_window_hop_budget():
     for transport, (events, fires) in table.items():
         print(f"  {transport:<10}{events:>7}{events / WINDOW:>8.2f}{fires:>13}")
     assert table == WINDOW_BUDGET
-    assert table["RC"][0] / WINDOW < 10.5  # was 15.06 before the hop fusion
 
 
 @pytest.mark.parametrize("qp_type", [QpType.RC, QpType.DC])
-def test_contended_engine_costs_one_grant_record(qp_type):
-    """The synchronous engine grant only skips the hop when the inbound
-    engine is idle: a WR that arrives while it is busy still queues and
-    is granted through the scheduler (one more record, nothing lost)."""
+def test_hop_budget_is_the_same_at_a_busy_engine(qp_type):
+    """A WR that arrives while the inbound engine is busy costs the same
+    records as one that finds it idle: the engine is a busy-until clock,
+    so queue wait, service and pipeline are one timer.  It completes when
+    the FIFO server would have let it: stall end + service + pipeline +
+    response."""
     rig = _Rig(qp_type.value)
+    sim, rnic = rig.sim, rig.server.rnic
     idle = rig.run([rig.wr(Opcode.READ)])
 
-    def hog():
-        yield from rig.server.rnic.stall(3000, engine="inbound")
-
-    rig.sim.process(hog())
+    stall_end = sim.now + 3000
+    sim.process(rnic.stall(3000, engine="inbound"))
     busy = rig.run([rig.wr(Opcode.READ)])
-    # hog: start + grant + timer (2) = 4 records; the WR's queued grant
-    # is the one record the idle path saves.
-    assert busy[0] - 4 == idle[0] + 1
-    assert busy[1] - 1 == idle[1]
+    # The stall process itself: a start record and one timer.
+    assert (busy[0] - 3, busy[1] - 1) == idle
+    service = timing.onesided_service_ns(True, 8, qp_type is QpType.DC)
+    hold = rnic._inbound_free_at - stall_end
+    assert hold in (int(service), int(service) + 1)  # sub-ns carry
+    assert sim.now == (
+        stall_end + hold + timing.NIC_RESPONDER_PIPELINE_NS
+        + rig.client.fabric.one_way_ns(8) + timing.NIC_RX_COMPLETION_NS
+    )
 
 
 def test_hop_budget_keeps_the_flight_start_record_under_link_faults():
     """Link-fault draws come off one LCG per directed link, shared by
     every connection crossing it, so their order inside a nanosecond is
     an outcome.  While any fault is installed the flight therefore starts
-    through the scheduler, in the dispatch position it always had."""
+    through the scheduler, in the dispatch position it always had; the
+    responder wait is the one timer it is everywhere."""
     rig = _Rig("RC")
     idle = rig.run([rig.wr(Opcode.READ)])
     fabric = rig.client.fabric
     fabric.set_link_fault("elsewhere", "nowhere", LinkFault(extra_ns=1))
-    assert rig.run([rig.wr(Opcode.READ)]) == (idle[0] + 1, idle[1])
+    assert rig.run([rig.wr(Opcode.READ)]) == (idle[0] + 1, idle[1]) == (11, 4)
     fabric.clear_link_fault("elsewhere", "nowhere")
     assert rig.run([rig.wr(Opcode.READ)]) == idle
 

@@ -3,9 +3,10 @@
 ``tests/golden/wr_timeline.json`` was recorded on the commit *before* the
 WR-path hop fusion (PR 13) and is committed unchanged.  It holds, for a
 seeded mixed stream, every WR's ``(post_ns, cqe_ns, status, byte_len,
-covers)``, every receiver-side CQE, the simulated time of every
-``Rnic.stats_inbound_ops`` increment, and a digest of the memory the
-stream touched.  The stream covers what the figure CSVs never reach:
+covers)``, every receiver-side CQE, the simulated time every responder
+op left the inbound engine (each ``Rnic.stats_inbound_ops`` increment,
+when that was a stored counter), and a digest of the memory the stream
+touched.  The stream covers what the figure CSVs never reach:
 
 * RC, DC and UD side by side, two clients contending for one responder;
 * 8 B - 64 KiB, batched and unbatched posts, unsignaled runs;
@@ -68,21 +69,17 @@ SEND_SIZES = (0, 8, 64, 1024)
 
 
 class _RecordingRnic(Rnic):
-    """Logs the simulated time of every ``stats_inbound_ops`` increment."""
+    """Logs the service-end instant of every op the inbound engine admits
+    (the simulated time ``stats_inbound_ops`` counts it from)."""
 
-    @property
-    def stats_inbound_ops(self):
-        return self._inbound_ops
-
-    @stats_inbound_ops.setter
-    def stats_inbound_ops(self, value):
-        self._inbound_ops = value
-        self.inbound_log.append(self.sim.now)
+    def inbound_readmit(self, hold_ns, opcode=None):
+        start, end = super().inbound_readmit(hold_ns, opcode)
+        self.inbound_log.append(end)
+        return start, end
 
 
 def _record_inbound(node):
     rnic = node.rnic
-    rnic._inbound_ops = rnic.__dict__.pop("stats_inbound_ops")
     rnic.inbound_log = []
     rnic.__class__ = _RecordingRnic
     return rnic.inbound_log
