@@ -17,7 +17,8 @@ control/data planes:
 
 from repro.cluster import timing
 from repro.krcore import KrcoreLib
-from repro.verbs import DriverContext, Opcode, WorkRequest
+from repro.verbs import DriverContext, WorkRequest
+from repro.verbs.types import OP_FETCH_ADD
 from repro.verbs.connection import rc_connect
 from repro.apps.race.hashing import RaceError
 
@@ -101,7 +102,7 @@ class VerbsBackend:
 
     def fetch_add(self, gid, laddr, lkey, raddr, rkey, delta):
         wr = WorkRequest(
-            Opcode.FETCH_ADD, laddr=laddr, length=8, lkey=lkey, raddr=raddr, rkey=rkey,
+            OP_FETCH_ADD, laddr=laddr, length=8, lkey=lkey, raddr=raddr, rkey=rkey,
             compare=delta,
         )
         yield from self._sync(gid, wr)
@@ -216,7 +217,7 @@ class KrcoreBackend:
 
     def fetch_add(self, gid, laddr, lkey, raddr, rkey, delta):
         wr = WorkRequest(
-            Opcode.FETCH_ADD, laddr=laddr, length=8, lkey=lkey, raddr=raddr, rkey=rkey,
+            OP_FETCH_ADD, laddr=laddr, length=8, lkey=lkey, raddr=raddr, rkey=rkey,
             compare=delta,
         )
         entry = yield from self.lib.post_send_and_wait(self._vqps[gid], wr)

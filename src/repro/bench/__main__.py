@@ -7,7 +7,7 @@
     python -m repro.bench --save-dir out/     # export every table as CSV
     python -m repro.bench --perf-json benchmarks/BENCH_2026-08-07.json
     python -m repro.bench fig03 --trace /tmp/fig03.json --metrics -
-    python -m repro.bench fig10 --profile benchmarks/profiles/fig10.pstats.txt
+    python -m repro.bench fig10 --profile /tmp/fig10.pstats.txt
 
 Figures are independent simulations, so ``--jobs N`` runs them across a
 ``ProcessPoolExecutor``; results are printed in submission order and the

@@ -22,7 +22,8 @@ mode burns nothing (and is the default everywhere else).
 from repro.bench.harness import FigureResult
 from repro.cluster import Cluster, timing
 from repro.sim import Simulator, US
-from repro.verbs import CompletionQueue, DriverContext, QpType, WorkRequest
+from repro.verbs import CompletionQueue, DriverContext, WorkRequest
+from repro.verbs.types import QPT_RC
 
 #: 8-byte payloads: the small-message regime where polling mode dominates.
 MSG_BYTES = 8
@@ -65,8 +66,8 @@ def _sweep(mode, batch, fast):
     cq = CompletionQueue(sim, poll_mode=mode, rnic=node_a.rnic)
     ctx_a = DriverContext(node_a, kernel=True)
     ctx_b = DriverContext(node_b, kernel=True)
-    qp_a = ctx_a.create_qp_fast(QpType.RC, cq, sq_depth=max(64, 2 * batch))
-    qp_b = ctx_b.create_qp_fast(QpType.RC, CompletionQueue(sim))
+    qp_a = ctx_a.create_qp_fast(QPT_RC, cq, sq_depth=max(64, 2 * batch))
+    qp_b = ctx_b.create_qp_fast(QPT_RC, CompletionQueue(sim))
     qp_a.to_init()
     qp_a.to_rtr((node_b.gid, qp_b.qpn))
     qp_a.to_rts()

@@ -13,10 +13,10 @@ from repro.sim import LatencyRecorder, US
 from repro.verbs import (
     CompletionQueue,
     DriverContext,
-    QpType,
     RecvBuffer,
     WorkRequest,
 )
+from repro.verbs.types import QPT_RC
 
 WARMUP_NS = 40 * US
 MEASURE_NS = 200 * US
@@ -131,8 +131,8 @@ class _VerbsEcho:
         ctx_s = DriverContext(server, kernel=True)
         cq_c = CompletionQueue(sim)
         cq_s = CompletionQueue(sim)
-        qp_c = ctx_c.create_qp_fast(QpType.RC, cq_c, recv_cq=cq_c)
-        qp_s = ctx_s.create_qp_fast(QpType.RC, cq_s, recv_cq=cq_s)
+        qp_c = ctx_c.create_qp_fast(QPT_RC, cq_c, recv_cq=cq_c)
+        qp_s = ctx_s.create_qp_fast(QPT_RC, cq_s, recv_cq=cq_s)
         qp_c.to_init()
         qp_c.to_rtr((server.gid, qp_s.qpn))
         qp_c.to_rts()

@@ -12,7 +12,8 @@ from repro.bench.harness import FigureResult
 from repro.bench.setups import krcore_cluster, spread_clients
 from repro.cluster import timing
 from repro.sim import LatencyRecorder, US
-from repro.verbs import CompletionQueue, DriverContext, QpType, RecvBuffer, WorkRequest
+from repro.verbs import CompletionQueue, DriverContext, RecvBuffer, WorkRequest
+from repro.verbs.types import QPT_UD
 
 
 def run(fast=True):
@@ -107,7 +108,7 @@ def _rpc_query(num_clients, fast):
     # Server: one UD QP + one handler thread.
     server_ctx = DriverContext(server_node, kernel=True)
     server_cq = CompletionQueue(sim)
-    server_qp = server_ctx.create_qp_fast(QpType.UD, server_cq, recv_cq=server_cq)
+    server_qp = server_ctx.create_qp_fast(QPT_UD, server_cq, recv_cq=server_cq)
     server_qp.to_init()
     server_qp.to_rtr()
     server_qp.to_rts()
@@ -140,7 +141,7 @@ def _rpc_query(num_clients, fast):
     def client(index, node):
         ctx = DriverContext(node, kernel=True)
         cq = CompletionQueue(sim)
-        qp = ctx.create_qp_fast(QpType.UD, cq, recv_cq=cq)
+        qp = ctx.create_qp_fast(QPT_UD, cq, recv_cq=cq)
         qp.to_init()
         qp.to_rtr()
         qp.to_rts()

@@ -18,7 +18,8 @@ from repro.bench.setups import (
 from repro.cluster import timing
 from repro.krcore import KrcoreLib
 from repro.sim import LatencyRecorder, US
-from repro.verbs import CompletionQueue, DriverContext, QpType, WorkRequest
+from repro.verbs import CompletionQueue, DriverContext, WorkRequest
+from repro.verbs.types import QPT_RC
 
 #: Default measurement windows (ns).
 WARMUP_NS = 30 * US
@@ -196,9 +197,9 @@ class _Environment:
             context = DriverContext(node, kernel=True)
             qps = []
             for server in self.server_nodes:
-                qp = context.create_qp_fast(QpType.RC, cq, recv_cq=cq)
+                qp = context.create_qp_fast(QPT_RC, cq, recv_cq=cq)
                 peer = DriverContext(server, kernel=True).create_qp_fast(
-                    QpType.RC, CompletionQueue(self.sim)
+                    QPT_RC, CompletionQueue(self.sim)
                 )
                 qp.to_init()
                 qp.to_rtr((server.gid, peer.qpn))

@@ -4,7 +4,8 @@ from repro.cluster import Cluster
 from repro.krcore import KrcoreModule, MetaPlane, MetaServer
 from repro.lite import LiteModule
 from repro.sim import Simulator
-from repro.verbs import ConnectionManager, DriverContext
+from repro.verbs import CompletionQueue, ConnectionManager, DriverContext
+from repro.verbs.types import QPT_RC
 
 
 def verbs_cluster(num_nodes=10, memory_size=16 << 20, cores=24):
@@ -59,13 +60,11 @@ def krcore_cluster(
 def plant_rc(module, remote_module, cpu_id=0):
     """Wire a ready kernel RCQP pair into two modules' pools (boot-time,
     no cost): the state the background creator would eventually reach."""
-    from repro.verbs import CompletionQueue, QpType
-
     sim = module.sim
     cq_a = CompletionQueue(sim)
     cq_b = CompletionQueue(sim)
-    qp_a = module.context.create_qp_fast(QpType.RC, cq_a, recv_cq=None)
-    qp_b = remote_module.context.create_qp_fast(QpType.RC, cq_b, recv_cq=None)
+    qp_a = module.context.create_qp_fast(QPT_RC, cq_a, recv_cq=None)
+    qp_b = remote_module.context.create_qp_fast(QPT_RC, cq_b, recv_cq=None)
     qp_a.to_init()
     qp_a.to_rtr((remote_module.node.gid, qp_b.qpn))
     qp_a.to_rts()

@@ -29,7 +29,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.krcore import KrcoreLib, KrcoreModule, MetaPlane, MetaServer
 from repro.sim import Simulator
-from repro.verbs import WcStatus
+from repro.verbs.types import WC_REM_ACCESS_ERR
 from repro.verbs.errors import KrcoreError, MetaUnavailableError
 from repro.workloads.ycsb import YCSB_A, YcsbWorkload
 
@@ -304,7 +304,7 @@ class ChaosHarness:
             except KrcoreError as err:
                 code = err.code
                 last = getattr(code, "value", None) or type(err).__name__
-                if code is WcStatus.REM_ACCESS_ERR and vqp is not None:
+                if code is WC_REM_ACCESS_ERR and vqp is not None:
                     # Stale metadata is the likely culprit (the server
                     # restarted with a new DCT key, or its data region is
                     # not re-registered yet): refresh and try again.

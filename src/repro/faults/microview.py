@@ -38,7 +38,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.krcore import KrcoreModule, MetaPlane, MetaServer
 from repro.sim import Simulator
-from repro.verbs.types import QpState
+from repro.verbs.types import QPS_ERR
 
 #: Short MR lease so epochs roll over inside the chaos window.
 LEASE_NS = 200 * timing.US
@@ -211,7 +211,7 @@ class MicroViewChaosHarness:
             report.stale_accepts > 0 and report.stale_hits > 0
         )
         inv["shared_qp_healthy"] = all(
-            vqp.qp is None or vqp.qp.state is not QpState.ERR
+            vqp.qp is None or vqp.qp.state is not QPS_ERR
             for vqp in self.backend._vqps.values()
         )
         if checker is not None:

@@ -141,15 +141,19 @@ class KrcoreLib:
         """Process: post + wait in one blocking ioctl (the sync fast path).
 
         Returns the completion entry for the *last* signaled request.
+        A list with no signaled WR is rejected before anything is charged
+        or posted: there would be no completion to block on.
         """
+        wanted = 0
+        for wr in wr_list if isinstance(wr_list, (list, tuple)) else (wr_list,):
+            if wr.signaled:
+                wanted += 1
+        if not wanted:
+            raise KrcoreError("post_send_and_wait: no signaled WR to wait for")
         deadline = self.module.op_deadline(deadline_ns)
         yield from self._enter_kernel()
         yield from vqp.post_send(wr_list, deadline)
-        wanted = sum(
-            1 for wr in (wr_list if isinstance(wr_list, (list, tuple)) else [wr_list]) if wr.signaled
-        )
-        entry = None
-        for _ in range(max(wanted, 0)):
+        for _ in range(wanted):
             entry = yield from vqp.wait_send_completion()
         yield timing.POLL_CQ_CPU_NS
         return entry

@@ -25,7 +25,8 @@ from repro.kvs import DrtmKvClient, DrtmKvServer
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.sim import Resource
-from repro.verbs import CompletionQueue, DriverContext, QpType, WcStatus
+from repro.verbs import CompletionQueue, DriverContext
+from repro.verbs.types import QPT_RC, WC_RETRY_EXC_ERR
 from repro.verbs.errors import MetaUnavailableError, VerbsError
 
 _DCT_VALUE = struct.Struct(">IQ")  # DCT number (4B) + DCT key (8B) = 12 B
@@ -282,8 +283,8 @@ class MetaClient:
         remote_cq = CompletionQueue(self.sim)
         # Boot-time pre-connection (§4.2): costs are paid before any
         # measured window, so wire the pair directly.
-        self.qp = context.create_qp_fast(QpType.RC, cq, recv_cq=cq)
-        peer = remote_context.create_qp_fast(QpType.RC, remote_cq, recv_cq=remote_cq)
+        self.qp = context.create_qp_fast(QPT_RC, cq, recv_cq=cq)
+        peer = remote_context.create_qp_fast(QPT_RC, remote_cq, recv_cq=remote_cq)
         self.qp.to_init()
         self.qp.to_rtr((self.meta_node.gid, peer.qpn))
         self.qp.to_rts()
@@ -346,7 +347,7 @@ class MetaClient:
                     yield timing.META_OUTAGE_PROBE_NS
                     raise MetaUnavailableError(
                         f"meta server on {self.meta_node.gid} is unavailable",
-                        code=WcStatus.RETRY_EXC_ERR,
+                        code=WC_RETRY_EXC_ERR,
                     )
                 lag = self.meta_server.current_lag_ns
                 if lag:

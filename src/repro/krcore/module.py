@@ -19,16 +19,24 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.verbs.errors import DeadlineExceededError, MetaUnavailableError
 from repro.verbs import (
+    Completion,
     CompletionQueue,
     ConnectionManager,
     DriverContext,
-    QpType,
     RecvBuffer,
-    WcStatus,
     WorkRequest,
 )
 from repro.verbs.connection import rc_connect
-from repro.verbs.types import QpState
+from repro.verbs.types import (
+    OP_RECV,
+    OP_RECV_IMM,
+    QPS_ERR,
+    QPS_RTS,
+    QPT_DC,
+    WC_REM_ACCESS_ERR,
+    WC_RETRY_EXC_ERR,
+    WC_SUCCESS,
+)
 
 #: Reserved port for kernel-to-kernel control messages.
 KERNEL_PORT = 0
@@ -172,7 +180,7 @@ class KrcoreModule:
             dc_qps = []
             for _ in range(dc_per_cpu):
                 cq = CompletionQueue(self.sim)
-                qp = self.context.create_qp_fast(QpType.DC, cq, recv_cq=None)
+                qp = self.context.create_qp_fast(QPT_DC, cq, recv_cq=None)
                 qp.to_init()
                 qp.to_rtr()
                 qp.to_rts()
@@ -409,12 +417,12 @@ class KrcoreModule:
             )
         saw_error = False
         for wc in completions:
-            if wc.status is not WcStatus.SUCCESS:
+            if wc.status is not WC_SUCCESS:
                 saw_error = True
             token = self.decode_wr_id(wc.wr_id)
             if token is None:
                 continue  # forced-signal of a flushed chunk, or foreign
-            if wc.status is WcStatus.SUCCESS and token.covers != wc.covers:
+            if wc.status is WC_SUCCESS and token.covers != wc.covers:
                 raise AssertionError(
                     f"covers mismatch: encoded {token.covers}, hardware {wc.covers}"
                 )
@@ -423,7 +431,7 @@ class KrcoreModule:
                 token.entry.status = wc.status
             if token.event is not None and not token.event.triggered:
                 token.event.trigger(wc)
-        if saw_error and qp.state is QpState.ERR and qp not in self._repairing:
+        if saw_error and qp.state is QPS_ERR and qp not in self._repairing:
             self._repairing.add(qp)
             self.sim.process(self._repair_qp(qp), name=f"krcore-repair@{self.node.gid}")
         return len(completions)
@@ -467,8 +475,8 @@ class KrcoreModule:
             wr.dct_number, wr.dct_key = dct_meta
         wc = yield from self._issue_signaled(qp, wr)
         if (
-            wc.status is WcStatus.REM_ACCESS_ERR
-            and qp.qp_type is QpType.DC
+            wc.status is WC_REM_ACCESS_ERR
+            and qp.qp_type is QPT_DC
             and not piggybacked
         ):
             try:
@@ -485,8 +493,8 @@ class KrcoreModule:
     def _await_usable(self, qp):
         """Process: wait for a wrecked pool QP to be back at RTS, spawning
         the background repair if the error's poll didn't already."""
-        while qp.state is not QpState.RTS:
-            if qp.state is QpState.ERR and qp not in self._repairing:
+        while qp.state is not QPS_RTS:
+            if qp.state is QPS_ERR and qp not in self._repairing:
                 self._repairing.add(qp)
                 self.sim.process(
                     self._repair_qp(qp), name=f"krcore-repair@{self.node.gid}"
@@ -522,7 +530,7 @@ class KrcoreModule:
             meta = yield from self.lookup_dct_robust(cpu_id, gid)
             if meta is None:
                 raise KrcoreError(
-                    f"no DCT metadata for {gid}", code=WcStatus.REM_ACCESS_ERR
+                    f"no DCT metadata for {gid}", code=WC_REM_ACCESS_ERR
                 )
             if _check.CHECKER is not None:
                 _check.CHECKER.dc_cache_insert(self, gid, meta)
@@ -596,7 +604,7 @@ class KrcoreModule:
                 if deadline is not None and deadline.expired(self.sim.now):
                     raise DeadlineExceededError(
                         f"budget spent after {position} owner probe(s) of "
-                        f"{key!r}", code=WcStatus.RETRY_EXC_ERR,
+                        f"{key!r}", code=WC_RETRY_EXC_ERR,
                     )
                 if _trace.TRACER is not None:
                     _trace.TRACER.instant(
@@ -609,7 +617,7 @@ class KrcoreModule:
                 # META_OUTAGE_PROBE on a dependency known to be sick.
                 last_error = MetaUnavailableError(
                     f"meta shard {shard} breaker is {breaker.state}",
-                    code=WcStatus.RETRY_EXC_ERR,
+                    code=WC_RETRY_EXC_ERR,
                 )
                 if position + 1 < len(owners):
                     self.stats_meta_failovers += 1
@@ -669,7 +677,7 @@ class KrcoreModule:
                     raise DeadlineExceededError(
                         f"deadline cannot cover retry {attempt} backoff "
                         f"({pause} ns) for DCT lookup of {gid}",
-                        code=WcStatus.RETRY_EXC_ERR,
+                        code=WC_RETRY_EXC_ERR,
                     ) from err
                 yield pause
                 backoff = min(backoff * 2, timing.KRCORE_BACKOFF_MAX_NS)
@@ -701,22 +709,22 @@ class KrcoreModule:
             peer_module._buf_base,
             peer_module._buf_region.rkey,
         )
-        if qp.qp_type is QpType.DC:
+        if qp.qp_type is QPT_DC:
             meta = vqp.dct_meta
             if meta is None:
                 meta = yield from self._dct_meta_for(vqp.cpu_id, vqp.remote_gid)
             fence.dct_gid = vqp.remote_gid
             fence.dct_number, fence.dct_key = meta
         wc = yield from self._issue_signaled(qp, fence)
-        if wc.status is not WcStatus.SUCCESS:
+        if wc.status is not WC_SUCCESS:
             raise KrcoreError(f"transfer fence failed: {wc.status}", code=wc.status)
 
     def _peer_module(self, gid):
         if not self.node.fabric.has_node(gid):
-            raise KrcoreError(f"{gid} is unreachable", code=WcStatus.RETRY_EXC_ERR)
+            raise KrcoreError(f"{gid} is unreachable", code=WC_RETRY_EXC_ERR)
         peer = self.node.fabric.node(gid).services.get(self.SERVICE)
         if peer is None:
-            raise KrcoreError(f"{gid} runs no KRCORE module", code=WcStatus.RETRY_EXC_ERR)
+            raise KrcoreError(f"{gid} runs no KRCORE module", code=WC_RETRY_EXC_ERR)
         return peer
 
     # ------------------------------------------------------------ kernel msgs
@@ -747,7 +755,7 @@ class KrcoreModule:
                 yield qp.send_cq.wait()
         qp.post_send(wr)
         wc = yield from self._wait_token_event(qp, event)
-        if wc.status is not WcStatus.SUCCESS:
+        if wc.status is not WC_SUCCESS:
             raise KrcoreError(
                 f"kernel message to {gid} failed: {wc.status}", code=wc.status
             )
@@ -861,10 +869,7 @@ class KrcoreModule:
                 self._route_message(wc, replenisher)
 
     def _route_message(self, wc, replenisher):
-        from repro.verbs.cq import Completion
-        from repro.verbs.types import Opcode
-
-        if wc.opcode is Opcode.RECV_IMM:
+        if wc.opcode is OP_RECV_IMM:
             # WRITE_WITH_IMM: the payload already landed at ``raddr`` via
             # the write half; the consumed kernel buffer only carried the
             # CQE, so free its slot right away and restock.  The 32-bit
@@ -878,8 +883,8 @@ class KrcoreModule:
                 "recv_completions",
                 Completion(
                     0,
-                    WcStatus.SUCCESS,
-                    Opcode.RECV_IMM,
+                    WC_SUCCESS,
+                    OP_RECV_IMM,
                     byte_len=wc.byte_len,
                     src=wc.src,
                     imm=wc.imm,
@@ -948,9 +953,6 @@ class KrcoreModule:
     def deliver_vqp_msgs(self, vqp):
         """Process: move messages addressed to ``vqp`` into its posted user
         buffers, producing recv completions (copy or zero-copy)."""
-        from repro.verbs.cq import Completion
-        from repro.verbs.types import Opcode
-
         while vqp.pending_msgs and vqp.recv_queue:
             msg = vqp.pending_msgs.popleft()
             user_buf = vqp.recv_queue.popleft()
@@ -960,8 +962,8 @@ class KrcoreModule:
                 "recv_completions",
                 Completion(
                     user_buf.wr_id,
-                    WcStatus.SUCCESS,
-                    Opcode.RECV,
+                    WC_SUCCESS,
+                    OP_RECV,
                     byte_len=byte_len,
                     src=(header.get("src_gid"), header.get("src_vqp")),
                     header=header,
@@ -986,7 +988,7 @@ class KrcoreModule:
             wc = yield from self.kernel_one_sided(
                 vqp.cpu_id, header["src_gid"], header.get("src_dct_meta"), wr
             )
-            if wc.status is not WcStatus.SUCCESS:
+            if wc.status is not WC_SUCCESS:
                 raise KrcoreError(f"zero-copy READ failed: {wc.status}", code=wc.status)
             return zc["len"]
         length = min(msg["len"], user_buf.length)
@@ -1019,16 +1021,13 @@ class KrcoreModule:
             byte_len = yield from self._land_message(vqp, msg, user_buf)
             header = msg["header"]
             reply_vqp = yield from self._reply_vqp(vqp, header, cpu_id)
-            from repro.verbs.cq import Completion
-            from repro.verbs.types import Opcode
-
             results.append(
                 (
                     reply_vqp,
                     Completion(
                         user_buf.wr_id,
-                        WcStatus.SUCCESS,
-                        Opcode.RECV,
+                        WC_SUCCESS,
+                        OP_RECV,
                         byte_len=byte_len,
                         src=(header.get("src_gid"), header.get("src_vqp")),
                         header=header,

@@ -19,7 +19,20 @@ from repro.cluster import timing
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.verbs.errors import KrcoreError, MetaUnavailableError, VerbsError
-from repro.verbs.types import POSTABLE_OPCODES, Opcode, QpType, WcStatus
+from repro.verbs.types import (
+    ATOMIC_OPCODES,
+    OP_READ_V,
+    OP_SEND,
+    POSTABLE_OPCODES,
+    QPT_DC,
+    QPT_RC,
+    RKEY_OPCODES,
+    WC_BAD_OPCODE_ERR,
+    WC_LOC_PROT_ERR,
+    WC_REM_ACCESS_ERR,
+    WC_RETRY_EXC_ERR,
+    WC_SUCCESS,
+)
 
 __all__ = ["CompletionEntry", "KrcoreError", "Vqp"]
 
@@ -41,12 +54,12 @@ class CompletionEntry:
     def __init__(self, wr_id, opcode):
         self.ready = False
         self.wr_id = wr_id
-        self.status = WcStatus.SUCCESS
+        self.status = WC_SUCCESS
         self.opcode = opcode
 
     @property
     def ok(self):
-        return self.status is WcStatus.SUCCESS
+        return self.status is WC_SUCCESS
 
 
 class Vqp:
@@ -209,7 +222,7 @@ class Vqp:
             return None
         if meta is None:
             raise KrcoreError(
-                f"no DCT metadata for {gid}", code=WcStatus.REM_ACCESS_ERR
+                f"no DCT metadata for {gid}", code=WC_REM_ACCESS_ERR
             )
         if _check.CHECKER is not None:
             _check.CHECKER.dc_cache_insert(module, gid, meta)
@@ -219,7 +232,7 @@ class Vqp:
     def revalidate(self):
         """Process: refresh this VQP's DCT metadata after a remote-access
         failure (the target may have restarted with a new DCT key)."""
-        if self.qp is None or self.qp.qp_type is not QpType.DC:
+        if self.qp is None or self.qp.qp_type is not QPT_DC:
             return self.dct_meta
         meta = yield from self.module.revalidate_dct(
             self.cpu_id, self.remote_gid, stale_meta=self.dct_meta
@@ -229,7 +242,7 @@ class Vqp:
 
     @property
     def is_rc_backed(self):
-        return self.qp is not None and self.qp.qp_type is QpType.RC
+        return self.qp is not None and self.qp.qp_type is QPT_RC
 
     # ------------------------------------------------ Algorithm 2: post_send
 
@@ -275,17 +288,15 @@ class Vqp:
         for wr in wrs:
             if wr.opcode not in POSTABLE_OPCODES:
                 raise KrcoreError(
-                    f"invalid opcode {wr.opcode}", code=WcStatus.BAD_OPCODE_ERR
+                    f"invalid opcode {wr.opcode}", code=WC_BAD_OPCODE_ERR
                 )
-            skip_local = wr.opcode is Opcode.SEND and wr.length == 0
+            skip_local = wr.opcode is OP_SEND and wr.length == 0
             if not skip_local and not module.valid_mr.check_local(wr.lkey, wr.laddr, wr.length):
                 raise KrcoreError(
-                    f"invalid local MR (lkey={wr.lkey})", code=WcStatus.LOC_PROT_ERR
+                    f"invalid local MR (lkey={wr.lkey})", code=WC_LOC_PROT_ERR
                 )
-            if wr.opcode in (
-                Opcode.READ, Opcode.WRITE, Opcode.WRITE_IMM, Opcode.CAS, Opcode.FETCH_ADD
-            ):
-                span = 8 if wr.opcode in (Opcode.CAS, Opcode.FETCH_ADD) else wr.length
+            if wr.opcode in RKEY_OPCODES:
+                span = 8 if wr.opcode in ATOMIC_OPCODES else wr.length
                 ok = module.mr_store.check_cached(self.remote_gid, wr.rkey, wr.raddr, span)
                 if ok is None:  # cache miss: blocking meta-server path
                     ok = yield from module.mr_store.check(
@@ -295,9 +306,9 @@ class Vqp:
                 if not ok:
                     raise KrcoreError(
                         f"invalid remote MR (rkey={wr.rkey})",
-                        code=WcStatus.REM_ACCESS_ERR,
+                        code=WC_REM_ACCESS_ERR,
                     )
-            elif wr.opcode is Opcode.READ_V:
+            elif wr.opcode is OP_READ_V:
                 # Vectored gather: every remote segment must validate
                 # before anything is posted (one bad SGE would wreck the
                 # shared physical QP mid-gather).
@@ -305,7 +316,7 @@ class Vqp:
                     raise KrcoreError(
                         f"vectored READ carries {len(wr.sges or ())} SGEs "
                         f"(1..{timing.MAX_VECTORED_SGES} allowed)",
-                        code=WcStatus.BAD_OPCODE_ERR,
+                        code=WC_BAD_OPCODE_ERR,
                     )
                 for raddr, rkey, seg_len in wr.sges:
                     ok = module.mr_store.check_cached(
@@ -319,7 +330,7 @@ class Vqp:
                     if not ok:
                         raise KrcoreError(
                             f"invalid remote MR in gather list (rkey={rkey})",
-                            code=WcStatus.REM_ACCESS_ERR,
+                            code=WC_REM_ACCESS_ERR,
                         )
         if deadline is not None:
             # The blocking validation above is where one-sided posts burn
@@ -334,7 +345,7 @@ class Vqp:
             comp_queue = self.comp_queue = deque()
         for wr in wrs:
             pwr = wr.clone()
-            if pwr.opcode is Opcode.SEND:
+            if pwr.opcode is OP_SEND:
                 self._prepare_send(pwr)
             if wr.signaled:
                 entry = CompletionEntry(wr.wr_id, wr.opcode)
@@ -366,7 +377,7 @@ class Vqp:
                 yield qp.send_cq.wait()
         # No simulated time may pass between the gate, the capacity check
         # and the post: from here to the post is atomic in the event loop.
-        if qp.qp_type is QpType.DC:
+        if qp.qp_type is QPT_DC:
             for pwr in phys:
                 pwr.dct_gid = self.remote_gid
                 pwr.dct_number, pwr.dct_key = self.dct_meta
@@ -392,7 +403,7 @@ class Vqp:
                             pass
             raise KrcoreError(
                 f"physical QP unavailable ({err}); retry after repair",
-                code=getattr(err, "code", None) or WcStatus.RETRY_EXC_ERR,
+                code=getattr(err, "code", None) or WC_RETRY_EXC_ERR,
             ) from err
         self.stats_posted += len(phys)
         if _metrics.METRICS is not None:

@@ -5,12 +5,12 @@ from repro.verbs import (
     CompletionQueue,
     ConnectionManager,
     DriverContext,
-    QpType,
     RecvBuffer,
     WorkRequest,
 )
 from repro.verbs.connection import rc_connect
 from repro.verbs.errors import VerbsError
+from repro.verbs.types import OP_FETCH_ADD, OP_RECV, QPT_RC
 
 #: The well-known port LITE modules accept each other's connections on.
 LITE_PORT = 9
@@ -90,12 +90,10 @@ class LiteModule:
         )
 
     def _rpc_dispatcher(self, qp):
-        from repro.verbs import Opcode
-
         while True:
             completions = yield from qp.recv_cq.wait_poll(8)
             for completion in completions:
-                if completion.opcode is not Opcode.RECV:
+                if completion.opcode is not OP_RECV:
                     continue
                 self.sim.process(self._handle_rpc_message(qp, completion))
 
@@ -198,10 +196,10 @@ class LiteModule:
         local_cq = CompletionQueue(self.sim)
         remote_cq = CompletionQueue(remote_module.sim)
         local_qp = self.context.create_qp_fast(
-            QpType.RC, local_cq, recv_cq=CompletionQueue(self.sim)
+            QPT_RC, local_cq, recv_cq=CompletionQueue(self.sim)
         )
         remote_qp = remote_module.context.create_qp_fast(
-            QpType.RC, remote_cq, recv_cq=CompletionQueue(remote_module.sim)
+            QPT_RC, remote_cq, recv_cq=CompletionQueue(remote_module.sim)
         )
         local_qp.to_init()
         local_qp.to_rtr((remote_module.node.gid, remote_qp.qpn))
@@ -238,10 +236,8 @@ class LiteModule:
     def fetch_add(self, gid, laddr, lkey, raddr, rkey, delta):
         """Process: synchronous remote fetch-and-add; the old value lands
         in the local buffer."""
-        from repro.verbs import Opcode
-
         wr = WorkRequest(
-            Opcode.FETCH_ADD,
+            OP_FETCH_ADD,
             laddr=laddr,
             length=8,
             lkey=lkey,

@@ -15,8 +15,9 @@ RTR/RTS configuration concurrently with the client's.
 
 from repro.obs import trace as _trace
 from repro.sim import Store
+from repro.verbs.cq import CompletionQueue
 from repro.verbs.errors import VerbsError
-from repro.verbs.types import QpType
+from repro.verbs.types import QPT_RC
 
 
 class ConnectError(VerbsError):
@@ -59,8 +60,6 @@ class ConnectionManager:
         """The shared CQ used for daemon-accepted QPs (created lazily,
         boot-time cost not charged)."""
         if self._accept_cq is None:
-            from repro.verbs.cq import CompletionQueue
-
             self._accept_cq = CompletionQueue(self.sim)
         return self._accept_cq
 
@@ -71,7 +70,7 @@ class ConnectionManager:
             if port and port not in self._listeners:
                 reply_event.fail(ConnectError(f"nothing bound to port {port}"))
                 continue
-            qp = yield from self.context.create_qp(QpType.RC, self.accept_cq())
+            qp = yield from self.context.create_qp(QPT_RC, self.accept_cq())
             reply_event.trigger({"qpn": qp.qpn})
             self.sim.process(
                 self._finish_accept(qp, request), name=f"accept@{self.node.gid}"
@@ -107,7 +106,7 @@ def rc_connect(context, send_cq, server_gid, port=0, sq_depth=None):
             node.sim.now, f"verbs@{node.gid}", "rc_connect", server=server_gid
         )
     kwargs = {} if sq_depth is None else {"sq_depth": sq_depth}
-    qp = yield from context.create_qp(QpType.RC, send_cq, recv_cq=send_cq, **kwargs)
+    qp = yield from context.create_qp(QPT_RC, send_cq, recv_cq=send_cq, **kwargs)
     if not node.fabric.has_node(server_gid):
         raise ConnectError(f"no route to {server_gid}")
     server = node.fabric.node(server_gid)

@@ -24,7 +24,7 @@ from collections import deque
 from repro.cluster import timing
 from repro.obs import metrics as _metrics
 from repro.sim import AnyOf
-from repro.verbs.types import WcStatus
+from repro.verbs.types import WC_SUCCESS
 
 #: Recognized CQ polling modes.
 POLL_MODES = ("event", "busy", "adaptive")
@@ -58,7 +58,7 @@ class Completion:
 
     @property
     def ok(self):
-        return self.status is WcStatus.SUCCESS
+        return self.status is WC_SUCCESS
 
     def __repr__(self):
         return f"Completion(wr_id={self.wr_id}, status={self.status.value}, op={self.opcode.value})"

@@ -3,7 +3,8 @@
 Every layer's errors derive from :class:`RdmaError`, which carries an
 optional ``code`` -- a :class:`repro.verbs.types.WcStatus` member naming
 the transport-level condition behind the failure.  Callers branch on
-``err.code`` (e.g. ``err.code is WcStatus.RETRY_EXC_ERR``) instead of
+``err.code`` (e.g. ``err.code is WC_RETRY_EXC_ERR``, the module constant
+``repro.verbs.types`` binds to ``WcStatus.RETRY_EXC_ERR``) instead of
 string-matching messages; the message stays free-form for humans.
 """
 

@@ -33,7 +33,35 @@ from repro.obs import trace as _trace
 from repro.sim import Store
 from repro.verbs.cq import Completion
 from repro.verbs.errors import QpError, QpOverflowError, VerbsError
-from repro.verbs.types import POSTABLE_OPCODES, Opcode, QpState, QpType, WcStatus
+from repro.verbs.types import (
+    ATOMIC_OPCODES,
+    OP_CAS,
+    OP_READ,
+    OP_READ_V,
+    OP_RECV,
+    OP_RECV_IMM,
+    OP_SEND,
+    OP_WRITE,
+    OP_WRITE_IMM,
+    PAYLOAD_OPCODES,
+    POSTABLE_OPCODES,
+    QPS_ERR,
+    QPS_INIT,
+    QPS_RESET,
+    QPS_RTR,
+    QPS_RTS,
+    QPT_DC,
+    QPT_RC,
+    QPT_UD,
+    WC_BAD_OPCODE_ERR,
+    WC_FLUSH_ERR,
+    WC_LOC_PROT_ERR,
+    WC_REM_ACCESS_ERR,
+    WC_RETRY_EXC_ERR,
+    WC_RNR_ERR,
+    WC_RNR_RETRY_EXC_ERR,
+    WC_SUCCESS,
+)
 
 
 class DctTarget:
@@ -94,7 +122,7 @@ class QueuePair:
         # one on the wire; arrivals are clamped to this watermark.
         self._req_arrival_clock = 0
         self.qpn = node.rnic.register_qp(self)
-        self.state = QpState.RESET
+        self.state = QPS_RESET
         self.remote = None  # (gid, qpn) once RC-connected
         self._sq = Store(self.sim)
         self._posted = 0
@@ -125,22 +153,22 @@ class QueuePair:
             )
 
     def to_init(self):
-        self._require_state(QpState.RESET)
-        self.state = QpState.INIT
+        self._require_state(QPS_RESET)
+        self.state = QPS_INIT
         self._trace_state()
 
     def to_rtr(self, remote=None):
-        self._require_state(QpState.INIT)
-        if self.qp_type is QpType.RC:
+        self._require_state(QPS_INIT)
+        if self.qp_type is QPT_RC:
             if remote is None:
                 raise VerbsError("RC RTR requires the remote (gid, qpn)")
             self.remote = remote
-        self.state = QpState.RTR
+        self.state = QPS_RTR
         self._trace_state()
 
     def to_rts(self):
-        self._require_state(QpState.RTR)
-        self.state = QpState.RTS
+        self._require_state(QPS_RTR)
+        self.state = QPS_RTS
         self._trace_state()
 
     def _require_state(self, expected):
@@ -149,7 +177,7 @@ class QueuePair:
 
     def reset(self):
         """Drop back to RESET (software part of error recovery)."""
-        self.state = QpState.RESET
+        self.state = QPS_RESET
         self._trace_state()
         self.remote = None
         self._dc_current = None
@@ -169,7 +197,7 @@ class QueuePair:
         self.reset()
         yield from self.node.rnic.command(timing.MODIFY_RTR_NS + timing.MODIFY_RTS_NS)
         self.to_init()
-        self.to_rtr(remote if self.qp_type is QpType.RC else None)
+        self.to_rtr(remote if self.qp_type is QPT_RC else None)
         self.to_rts()
 
     @property
@@ -201,15 +229,15 @@ class QueuePair:
             wrs = [wr_list]
         if not wrs:
             return
-        if self.state is QpState.ERR:
-            raise QpError(f"QP {self.qpn} is in ERR", code=WcStatus.FLUSH_ERR)
-        if self.state is not QpState.RTS:
+        if self.state is QPS_ERR:
+            raise QpError(f"QP {self.qpn} is in ERR", code=WC_FLUSH_ERR)
+        if self.state is not QPS_RTS:
             raise VerbsError(f"QP {self.qpn}: post_send in state {self.state}")
         if len(wrs) > self.free_slots:
             self._enter_error()
             raise QpOverflowError(
                 f"QP {self.qpn}: posting {len(wrs)} WRs with {self.free_slots} free slots",
-                code=WcStatus.FLUSH_ERR,
+                code=WC_FLUSH_ERR,
             )
         self._posted += len(wrs)
         tracer = _trace.TRACER
@@ -269,15 +297,15 @@ class QueuePair:
         """
         sim = self.sim
         get, try_get = self._sq.get, self._sq.try_get
-        is_dc = self.qp_type is QpType.DC
+        is_dc = self.qp_type is QPT_DC
         link_faults = self.node.fabric.link_faults
         ticket = 0
         while True:
             wr = try_get()
             if wr is None:
                 wr = yield get()
-            if self.state is QpState.ERR:
-                self._complete(wr, WcStatus.FLUSH_ERR)
+            if self.state is QPS_ERR:
+                self._complete(wr, WC_FLUSH_ERR)
                 continue
             if is_dc and (wr.dct_gid, wr.dct_number) != self._dc_current:
                 yield self._dc_retarget(wr)
@@ -350,7 +378,7 @@ class QueuePair:
         The fault-free path runs the loop body exactly once and consults
         the fabric's fault table only when it is non-empty.
         """
-        status = WcStatus.SUCCESS
+        status = WC_SUCCESS
         byte_len = 0
         node = self.node
         fabric = node.fabric
@@ -364,44 +392,44 @@ class QueuePair:
                 opcode = wr.opcode
                 length = wr.length
                 if opcode not in POSTABLE_OPCODES:
-                    raise _Malformed(WcStatus.BAD_OPCODE_ERR)
+                    raise _Malformed(WC_BAD_OPCODE_ERR)
                 # -- local SGE validation --
-                if length == 0 and opcode is Opcode.SEND:
+                if length == 0 and opcode is OP_SEND:
                     payload = b""
                 else:
                     try:
                         node.memory.check_local(wr.lkey, wr.laddr, length)
                     except MemoryError_ as err:
-                        raise _Malformed(WcStatus.LOC_PROT_ERR) from err
-                    if opcode in (Opcode.WRITE, Opcode.WRITE_IMM, Opcode.SEND):
+                        raise _Malformed(WC_LOC_PROT_ERR) from err
+                    if opcode in PAYLOAD_OPCODES:
                         payload = node.memory.read(wr.laddr, length)
                     else:
                         payload = None
                 # -- remote addressing --
-                if qp_type is QpType.RC:
+                if qp_type is QPT_RC:
                     if self.remote is None:
-                        raise _Malformed(WcStatus.RETRY_EXC_ERR)
+                        raise _Malformed(WC_RETRY_EXC_ERR)
                     remote_gid = self.remote[0]
                 else:
                     remote_gid = wr.dct_gid
                     if remote_gid is None:
-                        raise _Malformed(WcStatus.BAD_OPCODE_ERR)
+                        raise _Malformed(WC_BAD_OPCODE_ERR)
                 request_bytes = timing.REQUEST_HEADER_BYTES
-                if opcode in (Opcode.WRITE, Opcode.WRITE_IMM, Opcode.SEND):
+                if opcode in PAYLOAD_OPCODES:
                     request_bytes += length
-                elif opcode is Opcode.READ_V:
+                elif opcode is OP_READ_V:
                     if not wr.sges:
-                        raise _Malformed(WcStatus.BAD_OPCODE_ERR)
+                        raise _Malformed(WC_BAD_OPCODE_ERR)
                     request_bytes += timing.VECTORED_SGE_WIRE_BYTES * len(wr.sges)
                 wire_out = fabric.one_way_ns(request_bytes)
-                if opcode is Opcode.WRITE or opcode is Opcode.WRITE_IMM:
+                if opcode is OP_WRITE or opcode is OP_WRITE_IMM:
                     wire_out += int(length * timing.WRITE_EXTRA_NS_PER_BYTE)
                 duplicated = False
                 if fabric.link_faults:
                     fault = fabric.link_faults.get((node.gid, remote_gid))
                     if fault is not None:
                         if fault.drops():
-                            if qp_type is QpType.UD:
+                            if qp_type is QPT_UD:
                                 raise _UdDrop()
                             raise _Unreachable()
                         duplicated = fault.duplicates()
@@ -410,7 +438,7 @@ class QueuePair:
                     _metrics.METRICS.counter(
                         f"fabric.link[{node.gid}->{remote_gid}]"
                     ).inc()
-                if qp_type is QpType.RC:
+                if qp_type is QPT_RC:
                     # PSN ordering: an RC request never lands before its
                     # predecessor on the same connection.  A no-op for
                     # uniform-size traffic (arrivals already monotone);
@@ -423,21 +451,21 @@ class QueuePair:
                 yield wire_out
                 # -- remote lookup --
                 if not fabric.has_node(remote_gid):
-                    if qp_type is QpType.UD:
+                    if qp_type is QPT_UD:
                         raise _UdDrop()
                     raise _Unreachable()
                 remote_node = fabric.node(remote_gid)
-                if qp_type is QpType.DC:
+                if qp_type is QPT_DC:
                     target = remote_node.rnic.dct_target(wr.dct_number)
                     if target is None or target.key != wr.dct_key:
-                        raise _Malformed(WcStatus.REM_ACCESS_ERR)
+                        raise _Malformed(WC_REM_ACCESS_ERR)
                 # -- responder processing --
-                if opcode is Opcode.READ or opcode is Opcode.WRITE:
+                if opcode is OP_READ or opcode is OP_WRITE:
                     rnic = remote_node.rnic
                     memory = remote_node.memory
                     start, end = rnic.inbound_admit(
                         timing.onesided_service_ns(
-                            opcode is Opcode.READ, length, qp_type is QpType.DC
+                            opcode is OP_READ, length, qp_type is QPT_DC
                         ),
                         opcode,
                     )
@@ -462,7 +490,7 @@ class QueuePair:
                         response_bytes = saved_response_bytes
                     else:
                         try:
-                            if opcode is Opcode.READ:
+                            if opcode is OP_READ:
                                 memory.check_remote(wr.rkey, wr.raddr, length, write=False)
                                 node.memory.write(wr.laddr, memory.read(wr.raddr, length))
                                 if _check.CHECKER is not None:
@@ -475,9 +503,9 @@ class QueuePair:
                                 memory.write(wr.raddr, payload)
                                 response_bytes = 0
                         except MemoryError_ as err:
-                            if qp_type is QpType.UD:
+                            if qp_type is QPT_UD:
                                 raise _UdDrop() from err
-                            raise _Malformed(WcStatus.REM_ACCESS_ERR) from err
+                            raise _Malformed(WC_REM_ACCESS_ERR) from err
                         executed = True
                         saved_response_bytes = response_bytes
                 elif executed:
@@ -496,7 +524,7 @@ class QueuePair:
                 if fabric.link_faults:
                     rfault = fabric.link_faults.get((remote_gid, node.gid))
                     if rfault is not None and rfault.drops():
-                        if qp_type is QpType.UD:
+                        if qp_type is QPT_UD:
                             raise _UdDrop()
                         raise _Unreachable()
                 if _metrics.METRICS is not None:
@@ -530,7 +558,7 @@ class QueuePair:
                         _metrics.METRICS.counter("verbs.retransmits").inc()
                     yield self.timeout_ns
                     continue
-                status = WcStatus.RETRY_EXC_ERR
+                status = WC_RETRY_EXC_ERR
                 yield fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS
                 break
             except _RnrNak:
@@ -547,7 +575,7 @@ class QueuePair:
                     yield self.rnr_timer_ns
                     continue
                 status = (
-                    WcStatus.RNR_ERR if self.rnr_retry == 0 else WcStatus.RNR_RETRY_EXC_ERR
+                    WC_RNR_ERR if self.rnr_retry == 0 else WC_RNR_RETRY_EXC_ERR
                 )
                 yield fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS
                 break
@@ -563,12 +591,12 @@ class QueuePair:
                 waits = self._order_waits = {}
             parked = waits[ticket] = self.sim.event()
             yield parked
-        if self.state is QpState.ERR and status is WcStatus.SUCCESS:
+        if self.state is QPS_ERR and status is WC_SUCCESS:
             # A preceding request wrecked the QP: this one's remote effects
             # stand, but it completes flushed, like outstanding WRs on a
             # real NIC after an error.
-            self._complete(wr, WcStatus.FLUSH_ERR)
-        elif status is WcStatus.SUCCESS:
+            self._complete(wr, WC_FLUSH_ERR)
+        elif status is WC_SUCCESS:
             self._complete(wr, status, byte_len)
         else:
             self._complete(wr, status)
@@ -586,14 +614,14 @@ class QueuePair:
         memory = remote_node.memory
         opcode = wr.opcode
         yield from remote_node.rnic.serve_inbound(
-            _responder_service_ns(wr, self.qp_type is QpType.DC)
+            _responder_service_ns(wr, self.qp_type is QPT_DC)
         )
         if not remote_node.alive:
-            if opcode is Opcode.SEND and self.qp_type is QpType.UD:
+            if opcode is OP_SEND and self.qp_type is QPT_UD:
                 raise _UdDrop()
             raise _Unreachable()
         try:
-            if opcode is Opcode.READ_V:
+            if opcode is OP_READ_V:
                 # Segments are validated and gathered in order, scattering
                 # back-to-back into the local buffer.
                 offset = 0
@@ -608,7 +636,7 @@ class QueuePair:
                         )
                     offset += seg_len
                 return wr.length
-            if opcode is Opcode.WRITE_IMM:
+            if opcode is OP_WRITE_IMM:
                 memory.check_remote(wr.rkey, wr.raddr, wr.length, write=True)
                 memory.write(wr.raddr, payload)
                 # The immediate rides the last write packet and raises a
@@ -616,10 +644,10 @@ class QueuePair:
                 # RNR semantics apply just like a SEND.
                 yield from self._deliver_imm(remote_node, wr)
                 return 0
-            if opcode in (Opcode.CAS, Opcode.FETCH_ADD):
+            if opcode in ATOMIC_OPCODES:
                 memory.check_remote(wr.rkey, wr.raddr, 8, write=True)
                 old = int.from_bytes(memory.read(wr.raddr, 8), "big")
-                if opcode is Opcode.CAS:
+                if opcode is OP_CAS:
                     if old == wr.compare:
                         memory.write(wr.raddr, wr.swap.to_bytes(8, "big"))
                 else:
@@ -629,27 +657,27 @@ class QueuePair:
             yield from self._deliver_send(remote_node, wr, payload)
             return 0
         except MemoryError_ as err:
-            if self.qp_type is QpType.UD:
+            if self.qp_type is QPT_UD:
                 raise _UdDrop() from err
-            raise _Malformed(WcStatus.REM_ACCESS_ERR) from err
+            raise _Malformed(WC_REM_ACCESS_ERR) from err
 
     def _deliver_send(self, remote_node, wr, payload):
         """Land an inbound SEND in the receiver's queue (or SRQ for DCT)."""
-        if self.qp_type is QpType.DC:
+        if self.qp_type is QPT_DC:
             target = remote_node.rnic.dct_target(wr.dct_number)
             buffers, cq, receiver_qp = target.srq, target.recv_cq, None
         else:
             receiver_qp = remote_node.rnic.qp(self._receiver_qpn(wr))
             if receiver_qp is None:
-                raise _Malformed(WcStatus.RETRY_EXC_ERR)
+                raise _Malformed(WC_RETRY_EXC_ERR)
             buffers, cq = receiver_qp._recv_buffers, receiver_qp.recv_cq
         if not buffers or cq is None:
-            if self.qp_type is QpType.UD:
+            if self.qp_type is QPT_UD:
                 raise _UdDrop()
             raise _RnrNak()
         recv_buffer = buffers[0]
         if len(payload) > recv_buffer.length:
-            if self.qp_type is QpType.UD:
+            if self.qp_type is QPT_UD:
                 raise _UdDrop()
             raise _RnrNak()
         buffers.popleft()
@@ -661,8 +689,8 @@ class QueuePair:
         cq.push(
             Completion(
                 recv_buffer.wr_id,
-                WcStatus.SUCCESS,
-                Opcode.RECV,
+                WC_SUCCESS,
+                OP_RECV,
                 byte_len=len(payload),
                 src=(self.node.gid, self.qpn),
                 header=wr.header,
@@ -677,13 +705,13 @@ class QueuePair:
         immediate consumes a recv buffer (or SRQ slot for DCT) purely to
         carry the CQE, without touching the buffer's memory.
         """
-        if self.qp_type is QpType.DC:
+        if self.qp_type is QPT_DC:
             target = remote_node.rnic.dct_target(wr.dct_number)
             buffers, cq, receiver_qp = target.srq, target.recv_cq, None
         else:
             receiver_qp = remote_node.rnic.qp(self._receiver_qpn(wr))
             if receiver_qp is None:
-                raise _Malformed(WcStatus.RETRY_EXC_ERR)
+                raise _Malformed(WC_RETRY_EXC_ERR)
             buffers, cq = receiver_qp._recv_buffers, receiver_qp.recv_cq
         if not buffers or cq is None:
             raise _RnrNak()
@@ -692,8 +720,8 @@ class QueuePair:
         cq.push(
             Completion(
                 recv_buffer.wr_id,
-                WcStatus.SUCCESS,
-                Opcode.RECV_IMM,
+                WC_SUCCESS,
+                OP_RECV_IMM,
                 byte_len=wr.length,
                 src=(self.node.gid, self.qpn),
                 header=wr.header,
@@ -703,7 +731,7 @@ class QueuePair:
         )
 
     def _receiver_qpn(self, wr):
-        if self.qp_type is QpType.RC:
+        if self.qp_type is QPT_RC:
             return self.remote[1]
         return wr.dct_number  # UD: dct_number doubles as the target QPN
 
@@ -718,7 +746,7 @@ class QueuePair:
             )
         if _check.CHECKER is not None:
             _check.CHECKER.wr_completed(self, wr, status)
-        if status is WcStatus.SUCCESS and not wr.signaled:
+        if status is WC_SUCCESS and not wr.signaled:
             self._pending_unsignaled += 1
             return
         covers = self._pending_unsignaled + 1
@@ -728,9 +756,9 @@ class QueuePair:
         )
 
     def _enter_error(self):
-        if self.state is QpState.ERR:
+        if self.state is QPS_ERR:
             return
-        self.state = QpState.ERR
+        self.state = QPS_ERR
         self._trace_state()
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("verbs.qp_errors").inc()
@@ -739,7 +767,7 @@ class QueuePair:
             stale = self._sq.try_get()
             if stale is None:
                 break
-            self._complete(stale, WcStatus.FLUSH_ERR)
+            self._complete(stale, WC_FLUSH_ERR)
 
 
 def _serve_duplicate(remote_node, wr):
@@ -753,7 +781,7 @@ def _serve_duplicate(remote_node, wr):
 def _responder_service_ns(wr, dc):
     """Inbound-engine service time of everything but READ and WRITE."""
     opcode = wr.opcode
-    if opcode is Opcode.READ_V:
+    if opcode is OP_READ_V:
         # Vectored gather: one request, one responder occupancy.  The
         # payload-size cost is charged once on the summed length; each
         # discontiguous segment after the first adds a DMA-setup charge.
@@ -761,9 +789,9 @@ def _responder_service_ns(wr, dc):
         service += timing.responder_payload_service_ns(wr.length)
         service += timing.VECTORED_SGE_SERVICE_NS * (len(wr.sges) - 1)
         return service + timing.DC_READ_SERVICE_EXTRA_NS if dc else service
-    if opcode is Opcode.WRITE_IMM:
+    if opcode is OP_WRITE_IMM:
         return timing.onesided_service_ns(False, wr.length, dc)
-    if opcode in (Opcode.CAS, Opcode.FETCH_ADD):
+    if opcode in ATOMIC_OPCODES:
         return timing.ATOMIC_RESPONDER_SERVICE_NS
     return timing.SEND_RESPONDER_SERVICE_NS
 

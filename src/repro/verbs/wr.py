@@ -1,6 +1,6 @@
 """Work requests and receive buffers."""
 
-from repro.verbs.types import Opcode
+from repro.verbs.types import OP_CAS, OP_READ, OP_READ_V, OP_SEND, OP_WRITE, OP_WRITE_IMM
 
 
 class WorkRequest:
@@ -86,7 +86,7 @@ class WorkRequest:
     @classmethod
     def read(cls, laddr, length, lkey, raddr, rkey, wr_id=0, signaled=True, **kwargs):
         return cls(
-            Opcode.READ,
+            OP_READ,
             wr_id=wr_id,
             signaled=signaled,
             laddr=laddr,
@@ -100,7 +100,7 @@ class WorkRequest:
     @classmethod
     def write(cls, laddr, length, lkey, raddr, rkey, wr_id=0, signaled=True, **kwargs):
         return cls(
-            Opcode.WRITE,
+            OP_WRITE,
             wr_id=wr_id,
             signaled=signaled,
             laddr=laddr,
@@ -122,7 +122,7 @@ class WorkRequest:
         """
         sges = [tuple(sge) for sge in sges]
         return cls(
-            Opcode.READ_V,
+            OP_READ_V,
             wr_id=wr_id,
             signaled=signaled,
             laddr=laddr,
@@ -137,7 +137,7 @@ class WorkRequest:
         cls, laddr, length, lkey, raddr, rkey, imm, wr_id=0, signaled=True, **kwargs
     ):
         return cls(
-            Opcode.WRITE_IMM,
+            OP_WRITE_IMM,
             wr_id=wr_id,
             signaled=signaled,
             laddr=laddr,
@@ -152,7 +152,7 @@ class WorkRequest:
     @classmethod
     def send(cls, laddr, length, lkey, wr_id=0, signaled=True, header=None, **kwargs):
         return cls(
-            Opcode.SEND,
+            OP_SEND,
             wr_id=wr_id,
             signaled=signaled,
             laddr=laddr,
@@ -165,7 +165,7 @@ class WorkRequest:
     @classmethod
     def cas(cls, laddr, lkey, raddr, rkey, compare, swap, wr_id=0, signaled=True, **kwargs):
         return cls(
-            Opcode.CAS,
+            OP_CAS,
             wr_id=wr_id,
             signaled=signaled,
             laddr=laddr,

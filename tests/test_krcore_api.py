@@ -137,6 +137,34 @@ def test_write_sync_and_send_sync(env):
     assert len(results) == 1
 
 
+def test_post_send_and_wait_rejects_a_list_with_no_signaled_wr(env):
+    """The blocking ioctl has nothing to block on: before the fix it
+    posted, waited for no completion and returned None."""
+    sim, cluster, meta, modules = env
+    lib_s = KrcoreLib(cluster.node(2))
+    raddr, rmr = _setup(sim, lib_s, cluster.node(2))
+    lib = KrcoreLib(cluster.node(1))
+    laddr, lmr = _setup(sim, lib, cluster.node(1))
+
+    def proc():
+        vqp = yield from lib.create_vqp()
+        yield from lib.qconnect(vqp, cluster.node(2).gid)
+        wrs = [
+            WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey, signaled=False)
+            for _ in range(2)
+        ]
+        start, posted = sim.now, vqp.qp._posted
+        with pytest.raises(KrcoreError, match="no signaled WR"):
+            yield from lib.post_send_and_wait(vqp, wrs)
+        # Rejected before the syscall was charged or anything was posted.
+        assert (sim.now, vqp.qp._posted) == (start, posted)
+        wrs[-1].signaled = True
+        entry = yield from lib.post_send_and_wait(vqp, wrs)
+        return entry
+
+    assert sim.run_process(proc()).ok
+
+
 def test_qpop_respects_max_msgs(env):
     sim, cluster, meta, modules = env
     lib_s = KrcoreLib(cluster.node(2))

@@ -22,6 +22,7 @@ import sys
 
 import pytest
 
+from repro import obs
 from repro.cluster import Cluster, timing
 from repro.cluster.fabric import LinkFault
 from repro.sim import ENGINE, Simulator
@@ -58,6 +59,25 @@ WINDOW_BUDGET = {
     "DC": (130, 64),
 }
 
+#: (transport, opcode) -> (CQE byte_len, post-to-poll ns, receiver-side CQE
+#: opcode, its immediate) for the same single WR: what it *does*, recorded
+#: at the commit before enum members became import-time constants (PR 15).
+#: Not to be regenerated for a change that moves no simulated timestamp.
+SINGLE_WR_BEHAVIOUR = {
+    ("RC", "READ"): (8, 1809, None, None),
+    ("RC", "WRITE"): (8, 1819, None, None),
+    ("RC", "SEND"): (8, 4260, "RECV", None),
+    ("RC", "CAS"): (8, 1823, None, None),
+    ("RC", "READ_V"): (16, 1814, None, None),
+    ("RC", "WRITE_IMM"): (8, 2319, "RECV_IMM", 9),
+    ("DC", "READ"): (8, 1810, None, None),
+    ("DC", "WRITE"): (8, 1820, None, None),
+    ("DC", "SEND"): (8, 4260, "RECV", None),
+    ("DC", "CAS"): (8, 1824, None, None),
+    ("DC", "READ_V"): (16, 1815, None, None),
+    ("DC", "WRITE_IMM"): (8, 2320, "RECV_IMM", 9),
+}
+
 
 class _Rig:
     """Two idle nodes, one warm requester QP of the given transport."""
@@ -73,10 +93,11 @@ class _Rig:
             self.qp, self.peer = quick_rc_pair(self.client, self.server)
             self.addressing = {}
             self.recv_queue = self.peer.post_recv
+            self.recv_cq = self.peer.recv_cq
         else:
             self.qp = quick_dc_qp(self.client)
             target = self.server.rnic.create_dct_target(dc_key=5)
-            target.recv_cq = CompletionQueue(sim)
+            target.recv_cq = self.recv_cq = CompletionQueue(sim)
             self.addressing = dict(
                 dct_gid=self.server.gid, dct_number=target.number, dct_key=target.key
             )
@@ -109,14 +130,23 @@ class _Rig:
         sim, qp = self.sim, self.qp
 
         def driver():
+            posted_at = sim.now
             qp.post_send(wrs)
             completions = yield from qp.send_cq.wait_poll()
             assert [c.ok for c in completions] == [True]
+            self.cqe = _cqe_row(completions[0]) + (sim.now - posted_at,)
 
         events, fires = sim.events_dispatched, sim.timer_fires
         sim.run_process(driver())
         # The driver process's own start record is not WR work.
         return sim.events_dispatched - events - 1, sim.timer_fires - fires
+
+
+def _cqe_row(completion):
+    return (
+        completion.wr_id, completion.status.name, completion.opcode.name,
+        completion.byte_len, completion.covers,
+    )
 
 
 def _single_wr_table():
@@ -136,6 +166,46 @@ def _window_table():
             for slot in range(WINDOW)
         ])
     return table
+
+
+def _single_wr_behaviour():
+    """Per row: the WR's CQE (+ post-to-poll ns), the receiver-side CQEs
+    it raised, and its ``wr.<opcode>`` span events if a tracer is on."""
+    rows = {}
+    tracer = obs.current_tracer()
+    for wr_id, (transport, opcode) in enumerate(SINGLE_WR_BUDGET, start=1):
+        rig = _Rig(transport)
+        wr = rig.wr(Opcode[opcode])
+        wr.wr_id = wr_id
+        mark = len(tracer.events) if tracer is not None else 0
+        rig.run([wr])
+        received = [_cqe_row(c) + (c.imm,) for c in rig.recv_cq.poll(4)]
+        spans = [
+            (event["ph"], event["name"], event.get("args", {}).get("status"))
+            for event in (tracer.events[mark:] if tracer is not None else ())
+            if event["name"].startswith("wr.")
+        ]
+        rows[transport, opcode] = (rig.cqe, received, spans)
+    return rows
+
+
+def test_single_wr_behaviour_matches_the_parent_recording():
+    """The budgets count records; this pins what the WRs did, traced and
+    untraced, so a mistyped opcode / status constant on the WR path
+    (``WRITE`` for ``WRITE_IMM``) cannot pass silently."""
+    expected = {}
+    for wr_id, (row, recorded) in enumerate(SINGLE_WR_BEHAVIOUR.items(), start=1):
+        byte_len, latency_ns, recv_opcode, imm = recorded
+        expected[row] = (
+            (wr_id, "SUCCESS", row[1], byte_len, 1, latency_ns),
+            [(0, "SUCCESS", recv_opcode, 8, 0, imm)] if recv_opcode else [],
+            [("b", f"wr.{row[1]}", None), ("e", f"wr.{row[1]}", "SUCCESS")],
+        )
+    untraced = _single_wr_behaviour()
+    with obs.observe():
+        traced = _single_wr_behaviour()
+    assert traced == expected
+    assert untraced == {row: (cqe, recv, []) for row, (cqe, recv, _) in expected.items()}
 
 
 def test_single_wr_hop_budget():
