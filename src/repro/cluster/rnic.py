@@ -18,7 +18,6 @@ block other ops.
 from collections import deque
 
 from repro.check import hooks as _check
-from repro.cluster import timing
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.sim import Resource
@@ -228,9 +227,3 @@ class Rnic:
         One ending this very nanosecond is not in yet -- a reader's timer
         runs ahead of the service-end wake-up there used to be."""
         return self._inbound_served()
-
-    def serve_inbound(self, service_ns):
-        """Process: one op through the responder -- queue wait, service
-        (:meth:`inbound_admit`) and pipeline latency are one timer."""
-        _start, end = self.inbound_admit(service_ns)
-        yield end - self.sim.now + timing.NIC_RESPONDER_PIPELINE_NS

@@ -177,9 +177,10 @@ class _TimerResume:
     int — and performs the same two hops inline.)
     """
 
-    __slots__ = ("process", "gen", "fired")
+    __slots__ = ("sim", "process", "gen", "fired")
 
-    def __init__(self, process, gen):
+    def __init__(self, sim, process, gen):
+        self.sim = sim
         self.process = process
         self.gen = gen
         self.fired = False
@@ -188,7 +189,7 @@ class _TimerResume:
         process = self.process
         if not self.fired:
             self.fired = True
-            sim = process.sim
+            sim = self.sim
             sim._seq += 1
             sim._ready.append((sim._seq, self, None))
             return
@@ -222,7 +223,7 @@ class Process:
         "sim", "name", "_gen", "_send", "_throw", "_done", "_interrupts", "_wait_gen",
     )
 
-    def __init__(self, sim, gen, name=None, inline=False):
+    def __init__(self, sim, gen, name=None):
         self.sim = sim
         self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
@@ -231,9 +232,6 @@ class Process:
         self._done = Event(sim)
         self._interrupts = None  # lazily a deque: most processes never see one
         self._wait_gen = 0
-        if inline:
-            self._resume(None, None)
-            return
         sim._seq += 1
         sim._ready.append((sim._seq, self._start, None))
 
@@ -288,7 +286,7 @@ class Process:
                     raise SimulationError("cannot schedule into the past")
                 self._wait_gen = gen = self._wait_gen + 1
                 sim._seq += 1
-                sim._ready.append((sim._seq, _TimerResume(self, gen), None))
+                sim._ready.append((sim._seq, _TimerResume(sim, self, gen), None))
                 return
             self._wait_gen = gen = self._wait_gen + 1
             sim._seq += 1
@@ -320,7 +318,7 @@ class Process:
                 raise SimulationError("cannot schedule into the past")
             sim._seq += 1
             if delay == 0:
-                sim._ready.append((sim._seq, _TimerResume(self, gen), None))
+                sim._ready.append((sim._seq, _TimerResume(sim, self, gen), None))
             else:
                 heappush(sim._heap, (sim.now + delay, sim._seq, self, gen))
             return
@@ -388,9 +386,6 @@ class Simulator:
         self._seq += 1
         self._ready.append((self._seq, callback, arg))
 
-    def _schedule_now(self, callback):
-        self._schedule_call(callback, None)
-
     def timeout(self, delay, value=None):
         """An event that triggers after ``delay`` nanoseconds."""
         event = Event(self)
@@ -400,17 +395,29 @@ class Simulator:
     def event(self):
         return Event(self)
 
-    def process(self, gen, name=None, inline=False):
-        """Start ``gen`` (a generator) as a simulated process.
-
-        ``inline=True`` runs it to its first yield right here, in the
-        caller's context, instead of through a start record at the same
-        timestamp: for a caller that would itself yield straight after,
-        that saves one dispatch and moves nothing in simulated time.
-        """
+    def process(self, gen, name=None):
+        """Start ``gen`` (a generator) as a simulated process."""
         if not hasattr(gen, "send"):
             raise SimulationError("process() expects a generator")
-        return Process(self, gen, name, inline)
+        return Process(self, gen, name)
+
+    def sleep(self, sleeper, delay_ns):
+        """Resume ``sleeper`` after ``delay_ns``, exactly as a process that
+        yields that delay is (``engine_flat.Simulator.sleep`` has the
+        sleeper contract)."""
+        if delay_ns.__class__ is not int or delay_ns < 0:
+            raise SimulationError(f"cannot sleep for {delay_ns!r} ns")
+        gen = sleeper._wait_gen
+        self._seq += 1
+        if delay_ns:
+            heappush(self._heap, (self.now + delay_ns, self._seq, sleeper, gen))
+        else:
+            self._ready.append((self._seq, _TimerResume(self, sleeper, gen), None))
+
+    def wake(self, sleeper):
+        """Resume ``sleeper`` at the current timestamp: one ready record."""
+        self._seq += 1
+        self._ready.append((self._seq, sleeper, sleeper._wait_gen))
 
     # -- awaitable coercion --------------------------------------------------
 

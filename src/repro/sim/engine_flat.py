@@ -152,7 +152,7 @@ class Process:
         "sim", "name", "_gen", "_send", "_throw", "_done", "_interrupts", "_wait_gen",
     )
 
-    def __init__(self, sim, gen, name=None, inline=False):
+    def __init__(self, sim, gen, name=None):
         self.sim = sim
         self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
@@ -161,9 +161,6 @@ class Process:
         self._done = Event(sim)
         self._interrupts = None  # lazily a deque: most processes never see one
         self._wait_gen = 0
-        if inline:
-            self._resume(None, None)
-            return
         slab = sim._rbuf
         slab.append(self._start)
         slab.append(None)
@@ -340,11 +337,6 @@ class Simulator:
         slab.append(callback)
         slab.append(arg)
 
-    def _schedule_now(self, callback):
-        slab = self._rbuf
-        slab.append(callback)
-        slab.append(None)
-
     def timeout(self, delay, value=None):
         """An event that triggers after ``delay`` nanoseconds."""
         event = Event(self)
@@ -354,17 +346,38 @@ class Simulator:
     def event(self):
         return Event(self)
 
-    def process(self, gen, name=None, inline=False):
-        """Start ``gen`` (a generator) as a simulated process.
-
-        ``inline=True`` runs it to its first yield right here, in the
-        caller's context, instead of through a start record at the same
-        timestamp: for a caller that would itself yield straight after,
-        that saves one dispatch and moves nothing in simulated time.
-        """
+    def process(self, gen, name=None):
+        """Start ``gen`` (a generator) as a simulated process."""
         if not hasattr(gen, "send"):
             raise SimulationError("process() expects a generator")
-        return Process(self, gen, name, inline)
+        return Process(self, gen, name)
+
+    def sleep(self, sleeper, delay_ns):
+        """Resume ``sleeper`` after ``delay_ns``: the timer record a process
+        pushes by yielding that delay (same counts and order, a zero delay
+        included), for a state machine with no generator to resume.  A
+        sleeper has a ``_resume(value, exc)`` method, called as
+        ``_resume(None, None)``, and a positive int ``_wait_gen``: the
+        record carries its current value and is dropped if the sleeper has
+        bumped it by the time it fires (DESIGN.md §11)."""
+        if delay_ns.__class__ is not int:
+            raise SimulationError(f"cannot sleep for {delay_ns!r} ns")
+        if delay_ns > 0:
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, (self.now + delay_ns, seq, sleeper, sleeper._wait_gen))
+        elif delay_ns == 0:
+            slab = self._rbuf
+            slab.append(sleeper)
+            slab.append(-sleeper._wait_gen)
+        else:
+            raise SimulationError(f"cannot sleep for {delay_ns!r} ns")
+
+    def wake(self, sleeper):
+        """Resume ``sleeper`` at the current timestamp, behind what is
+        queued there: one ready record, like an event wake or a start."""
+        slab = self._rbuf
+        slab.append(sleeper)
+        slab.append(sleeper._wait_gen)
 
     # -- awaitable coercion --------------------------------------------------
 

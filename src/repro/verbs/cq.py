@@ -124,6 +124,13 @@ class CompletionQueue:
             polled.append(completion)
         return polled
 
+    def disown(self, qp):
+        """``qp`` was reset: its CQEs still queued here are delivered, but
+        release no send-queue slot of its new incarnation when polled."""
+        for completion in self._entries:
+            if completion.qp is qp:
+                completion.covers = 0
+
     def wait(self):
         """Event that fires when the CQ is (or becomes) non-empty.
 

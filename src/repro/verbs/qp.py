@@ -129,18 +129,19 @@ class QueuePair:
         self._reclaimed = 0
         self._pending_unsignaled = 0
         self._recv_buffers = deque()
-        # In-order completion tickets: the sender numbers flights at issue
-        # and they complete in that order.  A flight that finishes ahead
-        # of its predecessor parks on an Event here (ticket -> Event); the
-        # common in-order finish allocates nothing.
+        # In-order completion tickets: the sender numbers WRs as it takes
+        # them off the send queue and their flights complete in that order
+        # (``_Flight._retire``; ``_order_waits`` is ticket -> parked flight).
+        self._issued = 0
         self._completed = 0
         self._order_waits = None
+        #: Last ticket taken before the latest reset(): flights up to it
+        #: belong to an earlier incarnation of the QP.
+        self._reset_ticket = 0
         self._dc_current = None  # (gid, dct_number) the DC QP is wired to
-        self._dc_retargets = 0
         self._dc_last_retarget_ns = -(10 ** 12)
         self._dc_lcg = self.qpn * 2654435761 % (1 << 64) or 1
         self.stats_reconnects = 0
-        self._flight_name = f"qp{self.qpn}-flight"
         self.sim.process(self._sender_loop(), name=f"qp{self.qpn}-sender")
 
     # ------------------------------------------------------------------ state
@@ -176,17 +177,20 @@ class QueuePair:
             raise VerbsError(f"QP {self.qpn}: expected {expected}, is {self.state}")
 
     def reset(self):
-        """Drop back to RESET (software part of error recovery)."""
+        """Drop back to RESET (software part of error recovery).  The slot
+        accounting restarts from zero: what the old incarnation still has
+        in flight completes FLUSH_ERR covering no slot, and its CQEs still
+        unpolled release none."""
         self.state = QPS_RESET
         self._trace_state()
         self.remote = None
         self._dc_current = None
-        while True:
-            stale = self._sq.try_get()
-            if stale is None:
-                break
+        while self._sq.try_get() is not None:
+            pass
         self._posted = self._reclaimed = 0
         self._pending_unsignaled = 0
+        self._reset_ticket = self._issued
+        self.send_cq.disown(self)
 
     def reconfigure(self, remote=None):
         """Process: full recovery from ERR -- reset + RTR + RTS through the
@@ -299,7 +303,6 @@ class QueuePair:
         get, try_get = self._sq.get, self._sq.try_get
         is_dc = self.qp_type is QPT_DC
         link_faults = self.node.fabric.link_faults
-        ticket = 0
         while True:
             wr = try_get()
             if wr is None:
@@ -307,23 +310,24 @@ class QueuePair:
             if self.state is QPS_ERR:
                 self._complete(wr, WC_FLUSH_ERR)
                 continue
+            self._issued = ticket = self._issued + 1
             if is_dc and (wr.dct_gid, wr.dct_number) != self._dc_current:
                 yield self._dc_retarget(wr)
             # A chained WQE rides the doorbell of its chain head: the NIC
             # already has the chain, so issue is a cheap descriptor fetch.
             yield timing.NIC_TX_CHAINED_NS if wr.chained else timing.NIC_TX_NS
-            # Started inline: the flight runs to its first yield (the
-            # request's wire time) right here, so local-SGE validation and
-            # payload fetch happen at issue time without a start record
-            # per WR.  Not while a link fault is installed: fault draws
-            # come off one LCG per directed link, shared with the
-            # responses of connections going the other way, so the order
-            # of two draws inside a nanosecond decides which packet is
-            # lost -- the start record keeps that order.
-            ticket += 1
-            sim.process(
-                self._flight(wr, ticket), self._flight_name, not link_faults
-            )
+            # Issued right here, in the sender's context: local-SGE
+            # validation and payload fetch happen at issue time without a
+            # start record per WR.  Not while a link fault is installed:
+            # fault draws come off one LCG per directed link, shared with
+            # the responses of connections going the other way, so the
+            # order of two draws inside a nanosecond decides which packet
+            # is lost -- the start record keeps that order.
+            flight = _Flight(self, wr, ticket)
+            if link_faults:
+                flight._issue_queued()
+            else:
+                flight._issue()
 
     def _dc_retarget(self, wr):
         """Hardware-offloaded DCT (re)connection before issuing ``wr``, to
@@ -335,7 +339,6 @@ class QueuePair:
         the source of DC's 99.9th-percentile tail (Fig 14b).
         """
         self._dc_current = (wr.dct_gid, wr.dct_number)
-        self._dc_retargets += 1
         self.stats_reconnects += 1
         if _trace.TRACER is not None:
             _trace.TRACER.instant(
@@ -353,392 +356,11 @@ class QueuePair:
             delay += timing.DCT_RECONNECT_TAIL_NS
         return delay
 
-    def _flight(self, wr, ticket):
-        """One WR's life on the network, ending with in-order completion.
-
-        Started inline by ``_sender_loop`` (through a start record while
-        any link fault is installed) and resumed once per *timed* hop
-        only -- request wire, responder (queue wait + occupancy +
-        pipeline, one timer: ``Rnic.inbound_admit`` tells the flight on
-        arrival when its service ends), response wire + RX completion
-        (DESIGN.md §17 has the table).  A step that would merely re-queue
-        the generator at the same nanosecond runs synchronously instead:
-        the start, the in-order check when the predecessor has already
-        completed.
-
-        READ and WRITE are processed right here rather than through
-        ``_execute_remote`` + ``Rnic.serve_inbound`` (same occupancy model),
-        so that no nested ``yield from`` frame is traversed on their resumes.
-
-        The attempt loop is the retransmission machinery: a lost packet or
-        unreachable responder burns one ``timeout_ns`` wait per retry; an
-        RNR NAK burns ``rnr_timer_ns`` per ``rnr_retry``.  Everything up
-        to the request's wire time -- local-SGE validation, payload
-        fetch, link-fault draws -- reruns at the start of every attempt.
-        The fault-free path runs the loop body exactly once and consults
-        the fabric's fault table only when it is non-empty.
-        """
-        status = WC_SUCCESS
-        byte_len = 0
-        node = self.node
-        fabric = node.fabric
-        qp_type = self.qp_type
-        attempts_left = self.retry_cnt
-        rnr_left = self.rnr_retry
-        executed = False  # remote side effects applied (exactly-once guard)
-        saved_response_bytes = 0
-        while True:
-            try:
-                opcode = wr.opcode
-                length = wr.length
-                if opcode not in POSTABLE_OPCODES:
-                    raise _Malformed(WC_BAD_OPCODE_ERR)
-                # -- local SGE validation --
-                if length == 0 and opcode is OP_SEND:
-                    payload = b""
-                else:
-                    try:
-                        node.memory.check_local(wr.lkey, wr.laddr, length)
-                    except MemoryError_ as err:
-                        raise _Malformed(WC_LOC_PROT_ERR) from err
-                    if opcode in PAYLOAD_OPCODES:
-                        payload = node.memory.read(wr.laddr, length)
-                    else:
-                        payload = None
-                # -- remote addressing --
-                if qp_type is QPT_RC:
-                    if self.remote is None:
-                        raise _Malformed(WC_RETRY_EXC_ERR)
-                    remote_gid = self.remote[0]
-                else:
-                    remote_gid = wr.dct_gid
-                    if remote_gid is None:
-                        raise _Malformed(WC_BAD_OPCODE_ERR)
-                request_bytes = timing.REQUEST_HEADER_BYTES
-                if opcode in PAYLOAD_OPCODES:
-                    request_bytes += length
-                elif opcode is OP_READ_V:
-                    if not wr.sges:
-                        raise _Malformed(WC_BAD_OPCODE_ERR)
-                    request_bytes += timing.VECTORED_SGE_WIRE_BYTES * len(wr.sges)
-                wire_out = fabric.one_way_ns(request_bytes)
-                if opcode is OP_WRITE or opcode is OP_WRITE_IMM:
-                    wire_out += int(length * timing.WRITE_EXTRA_NS_PER_BYTE)
-                duplicated = False
-                if fabric.link_faults:
-                    fault = fabric.link_faults.get((node.gid, remote_gid))
-                    if fault is not None:
-                        if fault.drops():
-                            if qp_type is QPT_UD:
-                                raise _UdDrop()
-                            raise _Unreachable()
-                        duplicated = fault.duplicates()
-                        wire_out = fault.delay_ns(wire_out)
-                if _metrics.METRICS is not None:
-                    _metrics.METRICS.counter(
-                        f"fabric.link[{node.gid}->{remote_gid}]"
-                    ).inc()
-                if qp_type is QPT_RC:
-                    # PSN ordering: an RC request never lands before its
-                    # predecessor on the same connection.  A no-op for
-                    # uniform-size traffic (arrivals already monotone);
-                    # it only bites when a small WR chases a large one.
-                    arrival = self.sim.now + wire_out
-                    if arrival < self._req_arrival_clock:
-                        wire_out = self._req_arrival_clock - self.sim.now
-                    else:
-                        self._req_arrival_clock = arrival
-                yield wire_out
-                # -- remote lookup --
-                if not fabric.has_node(remote_gid):
-                    if qp_type is QPT_UD:
-                        raise _UdDrop()
-                    raise _Unreachable()
-                remote_node = fabric.node(remote_gid)
-                if qp_type is QPT_DC:
-                    target = remote_node.rnic.dct_target(wr.dct_number)
-                    if target is None or target.key != wr.dct_key:
-                        raise _Malformed(WC_REM_ACCESS_ERR)
-                # -- responder processing --
-                if opcode is OP_READ or opcode is OP_WRITE:
-                    rnic = remote_node.rnic
-                    memory = remote_node.memory
-                    start, end = rnic.inbound_admit(
-                        timing.onesided_service_ns(
-                            opcode is OP_READ, length, qp_type is QPT_DC
-                        ),
-                        opcode,
-                    )
-                    if duplicated:
-                        # The duplicate arrives right behind the original:
-                        # same engine time again once that is served, then
-                        # it is discarded by PSN before any memory op.  It
-                        # joins the queue behind a request arriving in that
-                        # nanosecond, as a timer set at service start does.
-                        if start > self.sim.now:
-                            yield start - self.sim.now
-                        yield end - self.sim.now
-                        start, end = rnic.inbound_readmit(end - start, opcode)
-                    # Queue wait, service and pipeline are one timer: a
-                    # contended WR costs what an idle one does.
-                    yield end - self.sim.now + timing.NIC_RESPONDER_PIPELINE_NS
-                    if not remote_node.alive:
-                        raise _Unreachable()
-                    if executed:
-                        # Retransmission after a lost response: the
-                        # responder resends by PSN without re-executing.
-                        response_bytes = saved_response_bytes
-                    else:
-                        try:
-                            if opcode is OP_READ:
-                                memory.check_remote(wr.rkey, wr.raddr, length, write=False)
-                                node.memory.write(wr.laddr, memory.read(wr.raddr, length))
-                                if _check.CHECKER is not None:
-                                    _check.CHECKER.read_executed(
-                                        remote_gid, wr.rkey, self.sim.now
-                                    )
-                                response_bytes = length
-                            else:
-                                memory.check_remote(wr.rkey, wr.raddr, length, write=True)
-                                memory.write(wr.raddr, payload)
-                                response_bytes = 0
-                        except MemoryError_ as err:
-                            if qp_type is QPT_UD:
-                                raise _UdDrop() from err
-                            raise _Malformed(WC_REM_ACCESS_ERR) from err
-                        executed = True
-                        saved_response_bytes = response_bytes
-                elif executed:
-                    # SEND/atomic retransmission after a lost response:
-                    # engine time only, no re-execution (exactly-once).
-                    yield from _serve_duplicate(remote_node, wr)
-                    response_bytes = saved_response_bytes
-                else:
-                    response_bytes = yield from self._execute_remote(remote_node, wr, payload)
-                    executed = True
-                    saved_response_bytes = response_bytes
-                    if duplicated:
-                        yield from _serve_duplicate(remote_node, wr)
-                # -- response --
-                rfault = None
-                if fabric.link_faults:
-                    rfault = fabric.link_faults.get((remote_gid, node.gid))
-                    if rfault is not None and rfault.drops():
-                        if qp_type is QPT_UD:
-                            raise _UdDrop()
-                        raise _Unreachable()
-                if _metrics.METRICS is not None:
-                    _metrics.METRICS.counter(
-                        f"fabric.link[{remote_gid}->{node.gid}]"
-                    ).inc()
-                wire_back = fabric.one_way_ns(response_bytes)
-                if rfault is not None:
-                    wire_back = rfault.delay_ns(wire_back)
-                # Response wire and RX completion processing: one timer,
-                # nothing observes the instant between them.
-                yield wire_back + timing.NIC_RX_COMPLETION_NS
-                byte_len = length
-                break
-            except _UdDrop:
-                # Unreliable datagram: the packet vanished; the sender still
-                # completes successfully and never learns.
-                yield timing.NIC_RX_COMPLETION_NS
-                break
-            except _Unreachable:
-                # No response arrived: wait out the retransmission timer,
-                # then try again; RETRY_EXC_ERR only when the budget dies.
-                if attempts_left > 0:
-                    attempts_left -= 1
-                    if _trace.TRACER is not None:
-                        _trace.TRACER.instant(
-                            self.sim.now, f"qp{self.qpn}@{node.gid}",
-                            "qp.retransmit", wr_id=wr.wr_id, cause="timeout",
-                        )
-                    if _metrics.METRICS is not None:
-                        _metrics.METRICS.counter("verbs.retransmits").inc()
-                    yield self.timeout_ns
-                    continue
-                status = WC_RETRY_EXC_ERR
-                yield fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS
-                break
-            except _RnrNak:
-                # Receiver not ready: honor the RNR retry budget.
-                if rnr_left > 0:
-                    rnr_left -= 1
-                    if _trace.TRACER is not None:
-                        _trace.TRACER.instant(
-                            self.sim.now, f"qp{self.qpn}@{node.gid}",
-                            "qp.retransmit", wr_id=wr.wr_id, cause="rnr",
-                        )
-                    if _metrics.METRICS is not None:
-                        _metrics.METRICS.counter("verbs.retransmits").inc()
-                    yield self.rnr_timer_ns
-                    continue
-                status = (
-                    WC_RNR_ERR if self.rnr_retry == 0 else WC_RNR_RETRY_EXC_ERR
-                )
-                yield fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS
-                break
-            except _Malformed as malformed:
-                status = malformed.status
-                # The NAK still travels back before the requester learns of it.
-                yield fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS
-                break
-        # Deliver completions in posting order (RC FIFO, §4.6).
-        if self._completed != ticket - 1:
-            waits = self._order_waits
-            if waits is None:
-                waits = self._order_waits = {}
-            parked = waits[ticket] = self.sim.event()
-            yield parked
-        if self.state is QPS_ERR and status is WC_SUCCESS:
-            # A preceding request wrecked the QP: this one's remote effects
-            # stand, but it completes flushed, like outstanding WRs on a
-            # real NIC after an error.
-            self._complete(wr, WC_FLUSH_ERR)
-        elif status is WC_SUCCESS:
-            self._complete(wr, status, byte_len)
-        else:
-            self._complete(wr, status)
-            self._enter_error()
-        self._completed = ticket
-        if self._order_waits:
-            successor = self._order_waits.pop(ticket + 1, None)
-            if successor is not None:
-                successor.trigger(None)
-
-    def _execute_remote(self, remote_node, wr, payload):
-        """Responder-side processing of everything but READ and WRITE
-        (those two run inline in :meth:`_flight`).  Returns the response
-        payload size."""
-        memory = remote_node.memory
-        opcode = wr.opcode
-        yield from remote_node.rnic.serve_inbound(
-            _responder_service_ns(wr, self.qp_type is QPT_DC)
-        )
-        if not remote_node.alive:
-            if opcode is OP_SEND and self.qp_type is QPT_UD:
-                raise _UdDrop()
-            raise _Unreachable()
-        try:
-            if opcode is OP_READ_V:
-                # Segments are validated and gathered in order, scattering
-                # back-to-back into the local buffer.
-                offset = 0
-                for raddr, rkey, seg_len in wr.sges:
-                    memory.check_remote(rkey, raddr, seg_len, write=False)
-                    self.node.memory.write(
-                        wr.laddr + offset, memory.read(raddr, seg_len)
-                    )
-                    if _check.CHECKER is not None:
-                        _check.CHECKER.read_executed(
-                            remote_node.gid, rkey, self.sim.now
-                        )
-                    offset += seg_len
-                return wr.length
-            if opcode is OP_WRITE_IMM:
-                memory.check_remote(wr.rkey, wr.raddr, wr.length, write=True)
-                memory.write(wr.raddr, payload)
-                # The immediate rides the last write packet and raises a
-                # receiver-side CQE, consuming a posted recv buffer --
-                # RNR semantics apply just like a SEND.
-                yield from self._deliver_imm(remote_node, wr)
-                return 0
-            if opcode in ATOMIC_OPCODES:
-                memory.check_remote(wr.rkey, wr.raddr, 8, write=True)
-                old = int.from_bytes(memory.read(wr.raddr, 8), "big")
-                if opcode is OP_CAS:
-                    if old == wr.compare:
-                        memory.write(wr.raddr, wr.swap.to_bytes(8, "big"))
-                else:
-                    memory.write(wr.raddr, ((old + wr.compare) % (1 << 64)).to_bytes(8, "big"))
-                self.node.memory.write(wr.laddr, old.to_bytes(8, "big"))
-                return 8
-            yield from self._deliver_send(remote_node, wr, payload)
-            return 0
-        except MemoryError_ as err:
-            if self.qp_type is QPT_UD:
-                raise _UdDrop() from err
-            raise _Malformed(WC_REM_ACCESS_ERR) from err
-
-    def _deliver_send(self, remote_node, wr, payload):
-        """Land an inbound SEND in the receiver's queue (or SRQ for DCT)."""
-        if self.qp_type is QPT_DC:
-            target = remote_node.rnic.dct_target(wr.dct_number)
-            buffers, cq, receiver_qp = target.srq, target.recv_cq, None
-        else:
-            receiver_qp = remote_node.rnic.qp(self._receiver_qpn(wr))
-            if receiver_qp is None:
-                raise _Malformed(WC_RETRY_EXC_ERR)
-            buffers, cq = receiver_qp._recv_buffers, receiver_qp.recv_cq
-        if not buffers or cq is None:
-            if self.qp_type is QPT_UD:
-                raise _UdDrop()
-            raise _RnrNak()
-        recv_buffer = buffers[0]
-        if len(payload) > recv_buffer.length:
-            if self.qp_type is QPT_UD:
-                raise _UdDrop()
-            raise _RnrNak()
-        buffers.popleft()
-        if payload:
-            yield timing.SEND_DELIVERY_NS
-        else:
-            yield timing.SEND_DELIVERY_HEADER_NS
-        remote_node.memory.write(recv_buffer.addr, payload)
-        cq.push(
-            Completion(
-                recv_buffer.wr_id,
-                WC_SUCCESS,
-                OP_RECV,
-                byte_len=len(payload),
-                src=(self.node.gid, self.qpn),
-                header=wr.header,
-                qp=receiver_qp,
-            )
-        )
-
-    def _deliver_imm(self, remote_node, wr):
-        """Raise the receiver-side CQE for a WRITE_WITH_IMM.
-
-        The payload already landed at ``raddr`` via the write half; the
-        immediate consumes a recv buffer (or SRQ slot for DCT) purely to
-        carry the CQE, without touching the buffer's memory.
-        """
-        if self.qp_type is QPT_DC:
-            target = remote_node.rnic.dct_target(wr.dct_number)
-            buffers, cq, receiver_qp = target.srq, target.recv_cq, None
-        else:
-            receiver_qp = remote_node.rnic.qp(self._receiver_qpn(wr))
-            if receiver_qp is None:
-                raise _Malformed(WC_RETRY_EXC_ERR)
-            buffers, cq = receiver_qp._recv_buffers, receiver_qp.recv_cq
-        if not buffers or cq is None:
-            raise _RnrNak()
-        recv_buffer = buffers.popleft()
-        yield timing.WRITE_IMM_DELIVERY_NS
-        cq.push(
-            Completion(
-                recv_buffer.wr_id,
-                WC_SUCCESS,
-                OP_RECV_IMM,
-                byte_len=wr.length,
-                src=(self.node.gid, self.qpn),
-                header=wr.header,
-                qp=receiver_qp,
-                imm=wr.imm,
-            )
-        )
-
-    def _receiver_qpn(self, wr):
-        if self.qp_type is QPT_RC:
-            return self.remote[1]
-        return wr.dct_number  # UD: dct_number doubles as the target QPN
-
     # ------------------------------------------------------------ completion
 
-    def _complete(self, wr, status, byte_len=0):
-        """Generate (or account) the completion for a finished WR."""
+    def _complete(self, wr, status, byte_len=0, stale=False):
+        """Generate (or account) the completion for a finished WR; a
+        ``stale`` one (posted before the last reset) covers no slot."""
         if wr.trace_id is not None and _trace.TRACER is not None:
             _trace.TRACER.async_end(
                 self.sim.now, f"qp{self.qpn}@{self.node.gid}",
@@ -746,11 +368,14 @@ class QueuePair:
             )
         if _check.CHECKER is not None:
             _check.CHECKER.wr_completed(self, wr, status)
-        if status is WC_SUCCESS and not wr.signaled:
+        if stale:
+            covers = 0
+        elif status is WC_SUCCESS and not wr.signaled:
             self._pending_unsignaled += 1
             return
-        covers = self._pending_unsignaled + 1
-        self._pending_unsignaled = 0
+        else:
+            covers = self._pending_unsignaled + 1
+            self._pending_unsignaled = 0
         self.send_cq.push(
             Completion(wr.wr_id, status, wr.opcode, byte_len=byte_len, qp=self, covers=covers)
         )
@@ -763,19 +388,415 @@ class QueuePair:
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("verbs.qp_errors").inc()
         # Flush everything still queued in the send queue.
-        while True:
-            stale = self._sq.try_get()
-            if stale is None:
-                break
+        while (stale := self._sq.try_get()) is not None:
             self._complete(stale, WC_FLUSH_ERR)
 
 
-def _serve_duplicate(remote_node, wr):
-    """Process: charge the responder for a duplicated request, or for the
-    retransmission of an op whose effects already applied: the engine
-    re-serves it (at the RC rate on every transport), then discards it by
-    PSN -- no memory op, no delivery (exactly-once)."""
-    return remote_node.rnic.serve_inbound(_responder_service_ns(wr, False))
+class _Flight:
+    """One WR's life on the network, ending with in-order completion.
+
+    A record, not a process: the stages are plain methods and the flight
+    is the target of its own timer records (``Simulator.sleep``), resumed
+    once per *timed* hop only -- request wire, responder (queue wait +
+    occupancy + pipeline, one timer), response wire + RX completion
+    (DESIGN.md §17 has the table).  A stage that must wait names the next
+    in ``_stage`` and sleeps; one that need not calls it directly.
+
+    The arms are the retransmission machinery: a lost packet or
+    unreachable responder burns one ``timeout_ns`` wait per retry, an RNR
+    NAK ``rnr_timer_ns`` per ``rnr_retry``, and the flight issues again:
+    everything up to the request's wire time -- local-SGE validation,
+    payload fetch, link-fault draws -- reruns on every attempt.  The
+    fault table is consulted only when it is non-empty.
+    """
+
+    __slots__ = (
+        "qp", "wr", "ticket", "_stage", "status", "byte_len",
+        "attempts_left", "rnr_left", "executed", "response_bytes", "payload",
+        "remote_gid", "remote_node", "duplicated", "window", "recv",
+    )
+
+    #: Never two timer records pending, so none is ever cancelled.
+    _wait_gen = 1
+
+    def __init__(self, qp, wr, ticket):
+        self.qp = qp
+        self.wr = wr
+        self.ticket = ticket
+        self.status = WC_SUCCESS
+        self.byte_len = 0
+        self.attempts_left = qp.retry_cnt
+        self.rnr_left = qp.rnr_retry
+        self.executed = False  # remote side effects applied (exactly-once guard)
+
+    def _resume(self, _value, _exc):
+        self._stage(self)
+
+    def _issue_queued(self):
+        """Issue through a start record, behind what this instant holds."""
+        self._stage = _Flight._issue
+        self.qp.sim.wake(self)
+
+    # ------------------------------------------------------------ requester
+
+    def _issue(self):
+        """One attempt, up to the request's time on the wire."""
+        qp = self.qp
+        wr = self.wr
+        node = qp.node
+        fabric = node.fabric
+        opcode = wr.opcode
+        length = wr.length
+        if opcode not in POSTABLE_OPCODES:
+            return self._nak(WC_BAD_OPCODE_ERR)
+        # -- local SGE validation --
+        carries_payload = opcode in PAYLOAD_OPCODES
+        if length == 0 and opcode is OP_SEND:
+            self.payload = b""
+        else:
+            try:
+                node.memory.check_local(wr.lkey, wr.laddr, length)
+            except MemoryError_:
+                return self._nak(WC_LOC_PROT_ERR)
+            if carries_payload:
+                self.payload = node.memory.read(wr.laddr, length)
+        # -- remote addressing --
+        rc = qp.qp_type is QPT_RC
+        if rc:
+            if qp.remote is None:
+                return self._nak(WC_RETRY_EXC_ERR)
+            remote_gid = qp.remote[0]
+        else:
+            remote_gid = wr.dct_gid
+            if remote_gid is None:
+                return self._nak(WC_BAD_OPCODE_ERR)
+        self.remote_gid = remote_gid
+        request_bytes = timing.REQUEST_HEADER_BYTES
+        if carries_payload:
+            request_bytes += length
+        elif opcode is OP_READ_V:
+            if not wr.sges:
+                return self._nak(WC_BAD_OPCODE_ERR)
+            request_bytes += timing.VECTORED_SGE_WIRE_BYTES * len(wr.sges)
+        wire_out = fabric.one_way_ns(request_bytes)
+        if opcode is OP_WRITE or opcode is OP_WRITE_IMM:
+            wire_out += int(length * timing.WRITE_EXTRA_NS_PER_BYTE)
+        self.duplicated = False
+        if fabric.link_faults:
+            fault = fabric.link_faults.get((node.gid, remote_gid))
+            if fault is not None:
+                if fault.drops():
+                    return self._lost()
+                self.duplicated = fault.duplicates()
+                wire_out = fault.delay_ns(wire_out)
+        if _metrics.METRICS is not None:
+            _metrics.METRICS.counter(f"fabric.link[{node.gid}->{remote_gid}]").inc()
+        sim = qp.sim
+        if rc:
+            # PSN ordering: an RC request never lands before its
+            # predecessor on the same connection.  A no-op for
+            # uniform-size traffic (arrivals already monotone); it only
+            # bites when a small WR chases a large one.
+            arrival = sim.now + wire_out
+            if arrival < qp._req_arrival_clock:
+                wire_out = qp._req_arrival_clock - sim.now
+            else:
+                qp._req_arrival_clock = arrival
+        self._stage = _Flight._arrive
+        sim.sleep(self, wire_out)
+
+    def _lost(self):
+        """The packet vanished, or nobody is there to answer it."""
+        if self.qp.qp_type is QPT_UD:
+            # Unreliable datagram: the sender still completes
+            # successfully and never learns.
+            self._stage = _Flight._retire
+            self.qp.sim.sleep(self, timing.NIC_RX_COMPLETION_NS)
+        else:
+            self._unanswered()
+
+    def _unanswered(self):
+        """No response will arrive: wait out the retransmission timer,
+        then try again; RETRY_EXC_ERR only when the budget dies."""
+        if self.attempts_left > 0:
+            self.attempts_left -= 1
+            self._retransmit("timeout", self.qp.timeout_ns)
+        else:
+            self._nak(WC_RETRY_EXC_ERR)
+
+    def _rnr(self):
+        """Receiver not ready: honor the RNR retry budget."""
+        qp = self.qp
+        if self.rnr_left > 0:
+            self.rnr_left -= 1
+            self._retransmit("rnr", qp.rnr_timer_ns)
+        else:
+            self._nak(WC_RNR_ERR if qp.rnr_retry == 0 else WC_RNR_RETRY_EXC_ERR)
+
+    def _retransmit(self, cause, wait_ns):
+        qp = self.qp
+        if _trace.TRACER is not None:
+            _trace.TRACER.instant(
+                qp.sim.now, f"qp{qp.qpn}@{qp.node.gid}",
+                "qp.retransmit", wr_id=self.wr.wr_id, cause=cause,
+            )
+        if _metrics.METRICS is not None:
+            _metrics.METRICS.counter("verbs.retransmits").inc()
+        self._stage = _Flight._issue
+        qp.sim.sleep(self, wait_ns)
+
+    def _refused(self):
+        """The responder's memory check failed."""
+        return self._lost() if self.qp.qp_type is QPT_UD else self._nak(WC_REM_ACCESS_ERR)
+
+    def _nak(self, status):
+        """Fail with ``status``: the NAK still travels back before the
+        requester learns of it."""
+        qp = self.qp
+        self.status = status
+        self._stage = _Flight._retire
+        qp.sim.sleep(self, qp.node.fabric.one_way_ns(0) + timing.NIC_RX_COMPLETION_NS)
+
+    # ------------------------------------------------------------ responder
+
+    def _arrive(self):
+        """The request reaches the responder and is admitted to its
+        inbound engine: queue wait, service and pipeline are one timer, so
+        a contended WR costs what an idle one does."""
+        qp = self.qp
+        wr = self.wr
+        try:
+            remote_node = self.remote_node = qp.node.fabric.node(self.remote_gid)
+        except KeyError:
+            return self._lost()
+        rnic = remote_node.rnic
+        dc = qp.qp_type is QPT_DC
+        if dc:
+            target = rnic.dct_target(wr.dct_number)
+            if target is None or target.key != wr.dct_key:
+                return self._nak(WC_REM_ACCESS_ERR)
+        opcode = wr.opcode
+        sim = qp.sim
+        if opcode is OP_READ or opcode is OP_WRITE:
+            start, end = rnic.inbound_admit(
+                timing.onesided_service_ns(opcode is OP_READ, wr.length, dc), opcode
+            )
+            if self.duplicated:
+                # The duplicate arrives right behind the original: same
+                # engine time again once that is served, then it is
+                # discarded by PSN before any memory op.  It joins the
+                # queue behind a request arriving in that nanosecond, as
+                # a timer set at service start does.
+                self.window = (start, end)
+                if start > sim.now:
+                    self._stage = _Flight._duplicate_queued
+                    sim.sleep(self, start - sim.now)
+                else:
+                    self._duplicate_queued()
+                return
+        elif self.executed:
+            # SEND/atomic retransmission after a lost response: engine
+            # time only, no re-execution (exactly-once).
+            return self._serve_duplicate()
+        else:
+            _start, end = rnic.inbound_admit(_responder_service_ns(wr, dc))
+        self._stage = _Flight._execute
+        sim.sleep(self, end - sim.now + timing.NIC_RESPONDER_PIPELINE_NS)
+
+    def _duplicate_queued(self):
+        """The original's service starts; the duplicate's follows its end."""
+        self._stage = _Flight._duplicate_served
+        self.qp.sim.sleep(self, self.window[1] - self.qp.sim.now)
+
+    def _duplicate_served(self):
+        self.duplicated = False  # dealt with
+        start, end = self.window
+        _start, end = self.remote_node.rnic.inbound_readmit(end - start, self.wr.opcode)
+        self._stage = _Flight._execute
+        sim = self.qp.sim
+        sim.sleep(self, end - sim.now + timing.NIC_RESPONDER_PIPELINE_NS)
+
+    def _serve_duplicate(self):
+        """Charge the responder for a duplicated request, or for the
+        retransmission of an op whose effects already applied: the engine
+        re-serves it (at the RC rate on every transport), then discards it
+        by PSN -- no memory op, no delivery (exactly-once)."""
+        _start, end = self.remote_node.rnic.inbound_admit(
+            _responder_service_ns(self.wr, False)
+        )
+        self._stage = _Flight._respond
+        sim = self.qp.sim
+        sim.sleep(self, end - sim.now + timing.NIC_RESPONDER_PIPELINE_NS)
+
+    def _execute(self):
+        """The memory-op instant, at the end of the responder pipeline."""
+        qp = self.qp
+        wr = self.wr
+        memory = self.remote_node.memory
+        opcode = wr.opcode
+        if not self.remote_node.alive:
+            return self._lost() if opcode is OP_SEND else self._unanswered()
+        if self.executed:
+            # READ/WRITE retransmission after a lost response: the
+            # responder resends by PSN without re-executing.
+            return self._respond()
+        if opcode is OP_SEND:
+            return self._deliver()
+        response_bytes = 0
+        try:
+            if opcode is OP_READ:
+                memory.check_remote(wr.rkey, wr.raddr, wr.length, write=False)
+                qp.node.memory.write(wr.laddr, memory.read(wr.raddr, wr.length))
+                if _check.CHECKER is not None:
+                    _check.CHECKER.read_executed(self.remote_gid, wr.rkey, qp.sim.now)
+                response_bytes = wr.length
+            elif opcode is OP_WRITE or opcode is OP_WRITE_IMM:
+                memory.check_remote(wr.rkey, wr.raddr, wr.length, write=True)
+                memory.write(wr.raddr, self.payload)
+            elif opcode is OP_READ_V:
+                # Segments are validated and gathered in order, scattering
+                # back-to-back into the local buffer.
+                offset = 0
+                for raddr, rkey, seg_len in wr.sges:
+                    memory.check_remote(rkey, raddr, seg_len, write=False)
+                    qp.node.memory.write(wr.laddr + offset, memory.read(raddr, seg_len))
+                    if _check.CHECKER is not None:
+                        _check.CHECKER.read_executed(self.remote_gid, rkey, qp.sim.now)
+                    offset += seg_len
+                response_bytes = wr.length
+            else:  # CAS / FETCH_ADD
+                memory.check_remote(wr.rkey, wr.raddr, 8, write=True)
+                old = int.from_bytes(memory.read(wr.raddr, 8), "big")
+                if opcode is OP_CAS:
+                    if old == wr.compare:
+                        memory.write(wr.raddr, wr.swap.to_bytes(8, "big"))
+                else:
+                    memory.write(wr.raddr, ((old + wr.compare) % (1 << 64)).to_bytes(8, "big"))
+                qp.node.memory.write(wr.laddr, old.to_bytes(8, "big"))
+                response_bytes = 8
+        except MemoryError_:
+            return self._refused()
+        if opcode is OP_WRITE_IMM:
+            # The immediate rides the last write packet and raises a
+            # receiver-side CQE, consuming a posted recv buffer -- RNR
+            # semantics apply just like a SEND.
+            self._deliver()
+        else:
+            self._executed(response_bytes)
+
+    def _deliver(self):
+        """Claim the recv buffer (SRQ slot for DCT) an inbound SEND lands
+        in, or that carries the CQE of a WRITE_IMM's immediate."""
+        qp = self.qp
+        wr = self.wr
+        send = wr.opcode is OP_SEND
+        rnic = self.remote_node.rnic
+        if qp.qp_type is QPT_DC:
+            target = rnic.dct_target(wr.dct_number)
+            buffers, cq, receiver_qp = target.srq, target.recv_cq, None
+        else:
+            # UD: dct_number doubles as the target QPN.
+            receiver_qp = rnic.qp(qp.remote[1] if qp.qp_type is QPT_RC else wr.dct_number)
+            if receiver_qp is None:
+                return self._nak(WC_RETRY_EXC_ERR)
+            buffers, cq = receiver_qp._recv_buffers, receiver_qp.recv_cq
+        if not buffers or cq is None or (send and len(self.payload) > buffers[0].length):
+            return self._lost() if send and qp.qp_type is QPT_UD else self._rnr()
+        self.recv = (buffers.popleft(), cq, receiver_qp)
+        if not send:
+            delay = timing.WRITE_IMM_DELIVERY_NS
+        elif self.payload:
+            delay = timing.SEND_DELIVERY_NS
+        else:
+            delay = timing.SEND_DELIVERY_HEADER_NS
+        self._stage = _Flight._delivered
+        qp.sim.sleep(self, delay)
+
+    def _delivered(self):
+        """Raise the receiver-side CQE.  A WRITE_IMM's payload already
+        landed at ``raddr``: its buffer carries the CQE, untouched."""
+        qp = self.qp
+        wr = self.wr
+        recv_buffer, cq, receiver_qp = self.recv
+        if wr.opcode is OP_SEND:
+            try:
+                self.remote_node.memory.write(recv_buffer.addr, self.payload)
+            except MemoryError_:
+                return self._refused()
+            opcode, byte_len, imm = OP_RECV, len(self.payload), None
+        else:
+            opcode, byte_len, imm = OP_RECV_IMM, wr.length, wr.imm
+        cq.push(
+            Completion(
+                recv_buffer.wr_id, WC_SUCCESS, opcode, byte_len=byte_len,
+                src=(qp.node.gid, qp.qpn), header=wr.header, qp=receiver_qp, imm=imm,
+            )
+        )
+        self._executed(0)
+
+    def _executed(self, response_bytes):
+        """Remote effects applied -- once, whatever is retransmitted."""
+        self.executed = True
+        self.response_bytes = response_bytes
+        if self.duplicated:
+            self._serve_duplicate()
+        else:
+            self._respond()
+
+    def _respond(self):
+        """The response's time on the wire.  Wire and RX completion
+        processing are one timer: nothing observes the instant between."""
+        qp = self.qp
+        node = qp.node
+        fabric = node.fabric
+        rfault = None
+        if fabric.link_faults:
+            rfault = fabric.link_faults.get((self.remote_gid, node.gid))
+            if rfault is not None and rfault.drops():
+                return self._lost()
+        if _metrics.METRICS is not None:
+            _metrics.METRICS.counter(f"fabric.link[{self.remote_gid}->{node.gid}]").inc()
+        wire_back = fabric.one_way_ns(self.response_bytes)
+        if rfault is not None:
+            wire_back = rfault.delay_ns(wire_back)
+        self.byte_len = self.wr.length  # nothing can fail it from here on
+        self._stage = _Flight._retire
+        qp.sim.sleep(self, wire_back + timing.NIC_RX_COMPLETION_NS)
+
+    # ----------------------------------------------------------- completion
+
+    def _retire(self):
+        """Deliver completions in posting order (RC FIFO, §4.6): a flight
+        that finishes ahead of its predecessor parks under its ticket and
+        is woken by it; the common in-order finish allocates nothing."""
+        qp = self.qp
+        ticket = self.ticket
+        if qp._completed != ticket - 1:
+            if qp._order_waits is None:
+                qp._order_waits = {}
+            qp._order_waits[ticket] = self
+            self._stage = _Flight._retire
+            return
+        status = self.status
+        if ticket <= qp._reset_ticket:
+            # Posted before the last reset(): nothing of the new
+            # incarnation's accounting is this WR's to touch.
+            qp._complete(self.wr, WC_FLUSH_ERR, stale=True)
+        elif status is not WC_SUCCESS:
+            qp._complete(self.wr, status)
+            qp._enter_error()
+        elif qp.state is QPS_ERR:
+            # A preceding request wrecked the QP: this one's remote effects
+            # stand, but it completes flushed, like outstanding WRs on a
+            # real NIC after an error.
+            qp._complete(self.wr, WC_FLUSH_ERR)
+        else:
+            qp._complete(self.wr, status, self.byte_len)
+        qp._completed = ticket
+        if qp._order_waits:
+            successor = qp._order_waits.pop(ticket + 1, None)
+            if successor is not None:
+                qp.sim.wake(successor)
 
 
 def _responder_service_ns(wr, dc):
@@ -794,32 +815,3 @@ def _responder_service_ns(wr, dc):
     if opcode in ATOMIC_OPCODES:
         return timing.ATOMIC_RESPONDER_SERVICE_NS
     return timing.SEND_RESPONDER_SERVICE_NS
-
-
-class _Malformed(Exception):
-    """Internal: a WR failed validation; carries the completion status."""
-
-    def __init__(self, status):
-        super().__init__(status)
-        self.status = status
-
-
-class _UdDrop(Exception):
-    """Internal: a UD packet was silently dropped (unreliable transport)."""
-
-
-class _Unreachable(Exception):
-    """Internal: no response will arrive (lost packet or dead responder).
-
-    Retryable: the requester waits out its retransmission timer and tries
-    again until ``retry_cnt`` is exhausted, then completes RETRY_EXC_ERR.
-    """
-
-
-class _RnrNak(Exception):
-    """Internal: the responder NAKed receiver-not-ready.
-
-    Retryable against the ``rnr_retry`` budget with ``rnr_timer_ns`` waits;
-    exhaustion completes RNR_ERR (budget 0, the classic immediate error) or
-    RNR_RETRY_EXC_ERR (a non-zero budget ran dry).
-    """

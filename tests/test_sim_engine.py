@@ -265,7 +265,7 @@ def test_interleaved_interrupters_preserve_issue_order(sim):
     assert causes == ["a1", "a2", "a3", "b1", "b2", "b3"]
 
 
-# -- process(inline=True), on both cores ---------------------------------------
+# -- the sleeper seam: Simulator.sleep / wake, on both cores -------------------
 
 
 @pytest.fixture(params=[flat_engine, classic_engine], ids=["flat", "classic"])
@@ -273,145 +273,130 @@ def core(request):
     return request.param
 
 
-def test_inline_process_runs_to_its_first_yield_in_the_callers_context(core):
+class _Scripted:
+    """The smallest sleeper: logs, then sleeps the next delay of a script."""
+
+    def __init__(self, sim, tag, delays, log):
+        self.sim, self.tag, self.delays, self.log = sim, tag, list(delays), log
+        self.step = 0
+        self._wait_gen = 1
+
+    def _resume(self, value, exc):
+        assert value is None and exc is None
+        self.log.append((self.sim.now, self.tag, self.step))
+        if self.step < len(self.delays):
+            self.step += 1
+            self.sim.sleep(self, self.delays[self.step - 1])
+
+
+def _scripted_process(sim, tag, delays, log):
+    for step, delay in enumerate(delays):
+        log.append((sim.now, tag, step))
+        yield delay
+    log.append((sim.now, tag, len(delays)))
+
+
+#: Zero delays and equal sums, so timestamps collide across the scripts.
+_SCRIPTS = {
+    "a": (5, 0, 10, 0, 0, 3), "b": (0, 5, 5, 5, 3), "c": (15, 0, 3), "d": (0, 0, 0), "e": (),
+}
+
+
+def _run_scripts(engine, as_sleepers, controlled=False):
+    from repro.check import FifoStrategy, ScheduleController
+
+    sim = engine.Simulator()
+    controller = ScheduleController(FifoStrategy())
+    if controlled:
+        controller.attach(sim)
+    log = []
+    for tag, delays in _SCRIPTS.items():
+        if as_sleepers == "all" or (as_sleepers == "some" and tag in "bd"):
+            sim.wake(_Scripted(sim, tag, delays, log))
+        else:
+            sim.process(_scripted_process(sim, tag, delays, log))
+    sim.run()
+    return log, sim.events_dispatched, sim.timer_fires, sim.now, controller.points
+
+
+@pytest.mark.parametrize("as_sleepers", ["some", "all"])
+def test_sleep_and_wake_count_and_order_like_a_process(core, as_sleepers):
+    """``wake`` is the start record, ``sleep`` the ``yield delay`` (zero
+    delays included): same dispatch order, same counters, with sleepers
+    and processes interleaved in one run or sleepers alone (the flat
+    core's fused pure-timer pass)."""
+    processes = _run_scripts(core, None)
+    assert _run_scripts(core, as_sleepers) == processes
+    assert processes[1:4] == (39, 9, 18)  # 5 starts + 17 timers x 2; 9 are not zero-delay
+    other = classic_engine if core is flat_engine else flat_engine
+    assert _run_scripts(other, as_sleepers) == processes
+
+
+def test_sleepers_under_the_schedule_controller(core):
+    """FIFO-controlled == uncontrolled, and identical across the cores
+    (the pending lists the controller sees must line up one for one)."""
+    free = _run_scripts(core, "some")
+    driven = _run_scripts(core, "some", controlled=True)
+    assert free[:4] == driven[:4]
+    assert driven[4] and driven == _run_scripts(flat_engine, "some", True)
+    assert driven == _run_scripts(classic_engine, "some", True)
+
+
+def test_wake_queues_behind_what_is_already_ready(core):
     sim = core.Simulator()
     log = []
-
-    def child(tag):
-        log.append((tag, "started", sim.now))
-        yield 30
-        log.append((tag, "resumed", sim.now))
-        return tag
-
-    def parent(inline):
-        yield 5
-        proc = sim.process(child(inline), inline=inline)
-        log.append((inline, "spawned", sim.now))
-        value = yield proc
-        log.append((inline, "joined", value, sim.now))
-
-    def run(inline):
-        before = sim.events_dispatched
-        sim.run_process(parent(inline))
-        return sim.events_dispatched - before
-
-    queued, inline = run(False), run(True)
-    assert [entry[1] for entry in log if entry[0] is False] == [
-        "spawned", "started", "resumed", "joined"
-    ]
-    assert [entry[1] for entry in log if entry[0] is True] == [
-        "started", "spawned", "resumed", "joined"
-    ]
-    # Same simulated times either way; the start record is the one saving.
-    assert [entry[-1] for entry in log[:4]] == [5, 5, 35, 35]
-    assert [entry[-1] - 35 for entry in log[4:]] == [5, 5, 35, 35]
-    assert queued - inline == 1
-
-
-def test_inline_process_first_yield_may_be_an_event(core):
-    sim = core.Simulator()
-    gate = core.Event(sim)
-
-    def child():
-        value = yield gate
-        return (value, sim.now)
-
-    proc = sim.process(child(), inline=True)
-    assert proc.is_alive
-    sim.schedule(70, lambda: gate.trigger("open"))
+    sim.schedule(0, lambda: log.append("earlier"))
+    sim.wake(_Scripted(sim, "s", (), log))
+    sim.schedule(0, lambda: log.append("later"))
+    assert log == []  # one ready record, nothing runs in the caller
     sim.run()
-    assert proc.done_event.value == ("open", 70)
+    assert log == ["earlier", (0, "s", 0), "later"]
+    assert (sim.events_dispatched, sim.timer_fires) == (3, 0)
 
 
-def test_inline_process_may_return_without_yielding(core):
+@pytest.mark.parametrize("first", [0, 10])
+def test_a_sleeper_cancels_its_pending_record_by_bumping_its_wait_gen(core, first):
+    """As a process does on every wait: the older record finds a stale
+    wait generation when it fires."""
     sim = core.Simulator()
-
-    def child():
-        return "instant"
-        yield  # pragma: no cover - makes this a generator
-
-    def parent():
-        proc = sim.process(child(), inline=True)
-        assert not proc.is_alive
-        value = yield proc
-        return (value, sim.now)
-
-    assert sim.run_process(parent()) == ("instant", 0)
+    log = []
+    sleeper = _Scripted(sim, "s", (), log)
+    sim.sleep(sleeper, first)
+    sleeper._wait_gen += 1
+    sim.sleep(sleeper, 30)
+    sim.run()
+    assert log == [(30, "s", 0)]
 
 
-def test_inline_process_failure_before_first_yield_is_an_orphan_failure(core):
-    """Nobody can have joined it yet, so it follows the orphan rule:
-    re-raised from ``run()`` right after the spawning dispatch."""
+@pytest.mark.parametrize("delay", [-1, 2.0, None])
+def test_sleep_takes_whole_non_negative_nanoseconds(core, delay):
+    sim = core.Simulator()
+    with pytest.raises(SimulationError):
+        sim.sleep(_Scripted(sim, "s", (), []), delay)
+
+
+@pytest.mark.parametrize("delay", [0, 7])
+def test_a_sleeper_that_raises_ends_the_run_like_an_orphaned_process(core, delay):
     sim = core.Simulator()
     after = []
 
-    def bad():
-        raise ValueError("before the first yield")
-        yield  # pragma: no cover
+    class Bad:
+        _wait_gen = 1
 
-    def parent():
-        yield 10
-        sim.process(bad(), inline=True)
-        after.append(sim.now)  # the spawner itself is not interrupted
+        def _resume(self, value, exc):
+            raise ValueError("in a stage")
+
+    def bystander():
+        yield delay
+        after.append(sim.now)
         yield 10
         after.append(sim.now)
 
-    sim.process(parent())
-    with pytest.raises(ValueError, match="before the first yield"):
+    sim.sleep(Bad(), delay)
+    sim.process(bystander())
+    with pytest.raises(ValueError, match="in a stage"):
         sim.run()
-    assert after == [10]
+    events = sim.events_dispatched
     sim.run()  # the run resumes cleanly past the failure
-    assert after == [10, 20]
-
-
-def test_inline_process_can_be_interrupted_afterwards(core):
-    sim = core.Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield 1_000
-        except core.Interrupt as intr:
-            log.append((sim.now, intr.cause))
-            yield 5
-            log.append((sim.now, "recovered"))
-
-    proc = sim.process(sleeper(), inline=True)
-    sim.schedule(100, lambda: proc.interrupt("wake"))
-    sim.run()
-    assert log == [(100, "wake"), (105, "recovered")]
-    # The superseded 1000 ns timer fired into a stale wait generation.
-    assert sim.now == 1_000 and not proc.is_alive
-
-
-def test_inline_processes_under_the_schedule_controller(core):
-    """FIFO-controlled == uncontrolled, and identical across the cores
-    (the pending lists the controller sees must line up one for one)."""
-    from repro.check import FifoStrategy, ScheduleController
-
-    def run(engine, controlled):
-        sim = engine.Simulator()
-        controller = ScheduleController(FifoStrategy())
-        if controlled:
-            controller.attach(sim)
-        log = []
-
-        def leaf(tag):
-            log.append((sim.now, tag, "in"))
-            yield tag % 3  # zero delays collide timestamps
-            log.append((sim.now, tag, "out"))
-
-        def spawner(base):
-            for step in range(4):
-                sim.process(leaf(base + step), inline=(step % 2 == 0))
-                yield step % 2
-
-        for base in (0, 10, 20):
-            sim.process(spawner(base))
-        sim.run()
-        return log, sim.events_dispatched, sim.timer_fires, controller.points
-
-    free = run(core, False)
-    driven = run(core, True)
-    assert free[:3] == driven[:3]
-    assert driven == run(flat_engine, True) == run(classic_engine, True)
+    assert after == [delay, delay + 10]
+    assert sim.events_dispatched > events

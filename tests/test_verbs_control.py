@@ -9,10 +9,11 @@ from repro.verbs import (
     DriverContext,
     QpState,
     QpType,
+    WcStatus,
     WorkRequest,
 )
 from repro.verbs.connection import ConnectError, rc_connect
-from tests.conftest import register
+from tests.conftest import quick_rc_pair, register
 
 
 def _make_env(num_nodes=3):
@@ -201,3 +202,89 @@ def test_reg_mr_is_microsecond_scale():
     elapsed, region = sim.run_process(proc())
     assert elapsed < 2 * US  # §5.1: 1.4 us for 4 MB
     assert region.valid
+
+
+# -- reset() starts a new incarnation of the QP ---------------------------------
+
+
+def _reset_rig(depth=8):
+    sim = Simulator()
+    cluster = Cluster(sim, num_nodes=2)
+    client, server = cluster.nodes
+    qp, _ = quick_rc_pair(client, server, sq_depth=depth)
+    laddr, lmr = register(client, 64)
+    raddr, rmr = register(server, 64)
+
+    def read(signaled=True, rkey=rmr.rkey, wr_id=0):
+        return WorkRequest.read(laddr, 8, lmr.lkey, raddr, rkey, signaled=signaled, wr_id=wr_id)
+
+    return sim, qp, read
+
+
+def _next_window_is_accounted_from_zero(sim, qp, read):
+    """Two unsignaled WRs and a signaled one: one CQE covering three."""
+    assert (qp.outstanding, qp.free_slots) == (0, qp.sq_depth)
+    qp.post_send([read(False), read(False), read(wr_id=99)])
+    (cqe,) = yield from qp.send_cq.wait_poll(8)
+    assert (cqe.wr_id, cqe.ok, cqe.covers) == (99, True, 3)
+    assert qp.outstanding == 0
+
+
+def test_polling_after_reconfigure_a_cqe_of_a_wr_still_in_flight_at_the_reset():
+    """ERR recovery with WRs outstanding: their flushed completions arrive
+    after reset() zeroed the slot accounting, and used to make the poll
+    raise "reclaimed more slots than posted"."""
+    sim, qp, read = _reset_rig()
+
+    def proc():
+        qp.post_send([read(rkey=0xBAD, wr_id=1), read(wr_id=2), read(wr_id=3), read(wr_id=4)])
+        (first,) = yield from qp.send_cq.wait_poll(1)
+        assert (first.wr_id, first.status, first.covers) == (1, WcStatus.REM_ACCESS_ERR, 1)
+        assert qp.state is QpState.ERR and len(qp.send_cq) == 0
+        yield from qp.reconfigure()
+        rest = qp.send_cq.poll(8)
+        assert [(c.wr_id, c.status, c.covers) for c in rest] == [
+            (wr_id, WcStatus.FLUSH_ERR, 0) for wr_id in (2, 3, 4)
+        ]
+        yield from _next_window_is_accounted_from_zero(sim, qp, read)
+
+    sim.run_process(proc())
+
+
+def test_cqes_left_in_the_cq_across_a_reset_release_no_slot():
+    sim, qp, read = _reset_rig()
+
+    def proc():
+        qp.post_send([read(wr_id=wr_id) for wr_id in (1, 2, 3, 4)])
+        yield 10 * US
+        assert len(qp.send_cq) == 4
+        (first,) = qp.send_cq.poll(1)
+        assert (first.covers, qp.outstanding) == (1, 3)
+        yield from qp.reconfigure()
+        rest = qp.send_cq.poll(8)
+        assert [(c.wr_id, c.ok, c.covers) for c in rest] == [
+            (wr_id, True, 0) for wr_id in (2, 3, 4)
+        ]
+        yield from _next_window_is_accounted_from_zero(sim, qp, read)
+
+    sim.run_process(proc())
+
+
+def test_a_stale_unsignaled_success_does_not_pad_the_next_incarnations_covers():
+    """Unsignaled WRs on the wire at reset(): their successes used to
+    count into ``_pending_unsignaled`` of the reconfigured QP, so its
+    first CQE covered (and released) slots it never posted."""
+    sim, qp, read = _reset_rig()
+
+    def proc():
+        qp.post_send([read(False, wr_id=1), read(False, wr_id=2)])
+        yield 500  # both issued, neither back
+        yield from qp.reconfigure()
+        stale = qp.send_cq.poll(8)
+        assert [(c.wr_id, c.status, c.covers) for c in stale] == [
+            (1, WcStatus.FLUSH_ERR, 0), (2, WcStatus.FLUSH_ERR, 0)
+        ]
+        assert qp.state is QpState.RTS  # a stale flight cannot wreck the new incarnation
+        yield from _next_window_is_accounted_from_zero(sim, qp, read)
+
+    sim.run_process(proc())

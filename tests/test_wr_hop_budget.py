@@ -2,8 +2,9 @@
 
 One work request costs a fixed number of engine records (DESIGN.md §17
 lists them hop by hop).  The counts are exact and repeat on every run, so
-they are pinned here: a hop that creeps back into ``QueuePair._flight`` /
-``_sender_loop`` fails this file instead of waiting for a timing run.
+they are pinned here: a hop that creeps back into ``_Flight`` /
+``QueuePair._sender_loop`` fails this file instead of waiting for a timing
+run.
 
 Two shapes, idle two-node system, connection warm:
 
@@ -16,12 +17,14 @@ Two shapes, idle two-node system, connection warm:
 ``make hop-budget`` prints the table (``pytest -s -k hop_budget``).
 """
 
+import inspect
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import repro.sim
 from repro import obs
 from repro.cluster import Cluster, timing
 from repro.cluster.fabric import LinkFault
@@ -224,6 +227,38 @@ def test_window_hop_budget():
     for transport, (events, fires) in table.items():
         print(f"  {transport:<10}{events:>7}{events / WINDOW:>8.2f}{fires:>13}")
     assert table == WINDOW_BUDGET
+
+
+@pytest.mark.parametrize("transport", WINDOW_BUDGET)
+def test_window_hop_budget_builds_no_process_and_no_generator_per_wr(transport, monkeypatch):
+    """The host side of the budget: a flight is a record, so the window
+    constructs one ``Process`` (the driver below) and runs no generator
+    but the caller's own (the driver and the CQ wait it delegates to) and
+    the QP's sender loop, which was there before the window."""
+    rig = _Rig(transport)
+    wrs = [
+        rig.wr(Opcode.READ, signaled=(slot == WINDOW - 1), slot=slot)
+        for slot in range(WINDOW)
+    ]
+    processes, generators = [], set()
+    process_init = repro.sim.Process.__init__
+
+    def counted_init(self, sim, gen, name=None):
+        processes.append(gen.__name__)
+        process_init(self, sim, gen, name)
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_flags & inspect.CO_GENERATOR:
+            generators.add(frame.f_code.co_name)
+
+    monkeypatch.setattr(repro.sim.Process, "__init__", counted_init)
+    sys.setprofile(profile)
+    try:
+        rig.run(wrs)
+    finally:
+        sys.setprofile(None)
+    assert processes == ["driver"]
+    assert generators == {"driver", "wait_poll", "wait_notify", "_sender_loop"}
 
 
 @pytest.mark.parametrize("qp_type", [QpType.RC, QpType.DC])

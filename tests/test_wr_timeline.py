@@ -335,8 +335,9 @@ class _World:
 class _MixedWorld(_World):
     """Two clients, two servers; RC, DC and UD; every arm of ``_flight``."""
 
-    def __init__(self):
+    def __init__(self, seed=SEED):
         super().__init__(num_nodes=4, servers=(2, 3))
+        self.seed = seed
         self.c0, self.c1, self.s2, self.s3 = self.cluster.nodes
         recv_cq = self.recv_cq
         dct = {
@@ -418,10 +419,10 @@ class _MixedWorld(_World):
         yield from rc0.drain()
 
     def script(self):
-        sim, join = self.sim, self.join
+        sim, join, seed = self.sim, self.join, self.seed
         # 1. Everything at once, fault-free.
         yield join(
-            self.mixed(stream, SEED * 100 + index, rounds=24)
+            self.mixed(stream, seed * 100 + index, rounds=24)
             for index, stream in enumerate(self.streams)
         )
         # 2. Small chasing large.
@@ -433,17 +434,17 @@ class _MixedWorld(_World):
         fabric.set_link_fault(s2, c0, LinkFault(drop_prob=0.1, latency_mult=1.5, seed=8))
         fabric.set_link_fault(c0, s3, LinkFault(drop_prob=0.3, dup_prob=0.1, seed=9))
         yield join([
-            self.mixed(self.rc0, SEED * 100 + 31, rounds=16, window=(1, 2, 4)),
-            self.mixed(self.dc0, SEED * 100 + 32, rounds=16, target=0, window=(1, 2, 4)),
-            self.mixed(self.ud0, SEED * 100 + 33, rounds=12, window=(1, 2)),
-            self.mixed(self.rc1, SEED * 100 + 34, rounds=12, window=(1, 4, 8)),
+            self.mixed(self.rc0, seed * 100 + 31, rounds=16, window=(1, 2, 4)),
+            self.mixed(self.dc0, seed * 100 + 32, rounds=16, target=0, window=(1, 2, 4)),
+            self.mixed(self.ud0, seed * 100 + 33, rounds=12, window=(1, 2)),
+            self.mixed(self.rc1, seed * 100 + 34, rounds=12, window=(1, 4, 8)),
         ])
         for link in ((c0, s2), (s2, c0), (c0, s3)):
             fabric.clear_link_fault(*link)
         # 4. The responder dies 1.5 us into two windows.
         sim.schedule(1500, self.s3.fail)
-        yield join([self.crash_window(self.rc2, SEED * 100 + 41),
-                    self.crash_window(self.dc1, SEED * 100 + 42)])
+        yield join([self.crash_window(self.rc2, seed * 100 + 41),
+                    self.crash_window(self.dc1, seed * 100 + 42)])
         self.ud0.post([self.ud0.wr(Opcode.SEND, 8), self.ud0.wr(Opcode.SEND, 8)])
         yield from self.ud0.drain()
         # 5. The NAK arms, one by one.
@@ -455,23 +456,24 @@ class _FaultedLinksWorld(_World):
     link faulted: each link's LCG serves one connection's requests and
     the opposite connection's responses."""
 
-    def __init__(self):
+    def __init__(self, seed=FAULTED_SEED):
         super().__init__(num_nodes=3, servers=(0, 1, 2))
+        self.seed = seed
         nodes = self.cluster.nodes
         pairs = [(a, b) for a in nodes for b in nodes if a is not b]
         self.streams = [
             self._rc_stream(f"rc{a.gid[-1]}{b.gid[-1]}", a, b) for a, b in pairs
         ]
-        rng = random.Random(FAULTED_SEED)
+        rng = random.Random(seed)
         for index, (a, b) in enumerate(pairs):
             self.cluster.fabric.set_link_fault(a.gid, b.gid, LinkFault(
                 drop_prob=rng.choice((0.05, 0.1, 0.2)), dup_prob=rng.choice((0.0, 0.1, 0.2)),
-                extra_ns=rng.choice((0, 0, 100)), seed=FAULTED_SEED * 10 + index,
+                extra_ns=rng.choice((0, 0, 100)), seed=seed * 10 + index,
             ))
 
     def script(self):
         yield self.join(
-            self.mixed(stream, FAULTED_SEED * 100 + index, rounds=40, window=(1, 1, 2, 4, 8))
+            self.mixed(stream, self.seed * 100 + index, rounds=40, window=(1, 1, 2, 4, 8))
             for index, stream in enumerate(self.streams)
         )
 
