@@ -307,10 +307,10 @@ class QueuePair:
             wr = try_get()
             if wr is None:
                 wr = yield get()
-            if self.state is QPS_ERR:
-                self._complete(wr, WC_FLUSH_ERR)
-                continue
             self._issued = ticket = self._issued + 1
+            if self.state is QPS_ERR:
+                _Flight(self, wr, ticket)._flush()
+                continue
             if is_dc and (wr.dct_gid, wr.dct_number) != self._dc_current:
                 yield self._dc_retarget(wr)
             # A chained WQE rides the doorbell of its chain head: the NIC
@@ -387,9 +387,8 @@ class QueuePair:
         self._trace_state()
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("verbs.qp_errors").inc()
-        # Flush everything still queued in the send queue.
-        while (stale := self._sq.try_get()) is not None:
-            self._complete(stale, WC_FLUSH_ERR)
+        # What is still in the send queue is flushed by the sender as it
+        # gets there: behind the WRs already issued, in posting order.
 
 
 class _Flight:
@@ -436,6 +435,11 @@ class _Flight:
         """Issue through a start record, behind what this instant holds."""
         self._stage = _Flight._issue
         self.qp.sim.wake(self)
+
+    def _flush(self):
+        """Never issued: the QP is in ERR.  Straight to in-order completion."""
+        self.status = WC_FLUSH_ERR
+        self._retire()
 
     # ------------------------------------------------------------ requester
 

@@ -11,11 +11,11 @@ that claim: ``tests/test_flight_oracle.py`` swaps it in for ``_Flight``
 (``monkeypatch.setattr(repro.verbs.qp, "_Flight", GeneratorFlight)`` --
 there is no second path in ``src/``) and compares whole timelines.
 
-``GeneratorFlight`` is the adapter: the three things ``_sender_loop``
-asks of a flight (construct, ``_issue()`` in the sender's context,
-``_issue_queued()`` for the start record kept under link faults) and
-``_start_inline``, what ``Simulator.process(inline=True)`` did before it
-went with its one user.
+``GeneratorFlight`` is the adapter: what ``_sender_loop`` and
+``_enter_error`` ask of a flight (construct, ``_issue()`` in the sender's
+context, ``_issue_queued()`` for the start record kept under link faults,
+``_flush()`` for a WR that is never issued) and ``_start_inline``, what
+``Simulator.process(inline=True)`` did before it went with its one user.
 
 Do not modernize the generator; its value is that it does not change.
 """
@@ -75,6 +75,9 @@ class GeneratorFlight:
     def _resume(self, _value, _exc):
         self._issue()
 
+    def _flush(self):
+        _start_inline(self.qp.sim, _flushed(self.qp, self.wr, self.ticket))
+
 
 def _start_inline(sim, gen):
     """Run ``gen`` as a process to its first yield right here, with no
@@ -89,6 +92,26 @@ def _start_inline(sim, gen):
     process._interrupts = None
     process._wait_gen = 0
     process._resume(None, None)
+
+
+def _flushed(qp, wr, ticket):
+    """A WR flushed off the send queue of an ERR QP.  *Not* the parent's
+    behaviour: it completed such a WR at once, ahead of predecessors still
+    in flight (fixed in PR 16, its own commit).  This is the tail of
+    ``_flight`` below entered with FLUSH_ERR, so that the oracle goes on
+    comparing the flights themselves."""
+    if qp._completed != ticket - 1:
+        waits = qp._order_waits
+        if waits is None:
+            waits = qp._order_waits = {}
+        parked = waits[ticket] = qp.sim.event()
+        yield parked
+    qp._complete(wr, WC_FLUSH_ERR)
+    qp._completed = ticket
+    if qp._order_waits:
+        successor = qp._order_waits.pop(ticket + 1, None)
+        if successor is not None:
+            successor.trigger(None)
 
 
 def _receiver_qpn(qp, wr):

@@ -465,6 +465,59 @@ def test_queued_requests_flushed_after_error(sim, cluster):
     assert all(c.status is WcStatus.FLUSH_ERR for c in completions[1:])
 
 
+def test_error_flush_completes_in_posting_order(sim, cluster):
+    """RC completes in posting order (§4.6), an error flush included: the
+    WRs still in the send queue when #0's NAK wrecks the QP used to be
+    completed at once, ahead of #1-#9 already on the wire or being
+    issued (CQ order 0, 10-15, 1-9)."""
+    client, server = cluster.node(0), cluster.node(1)
+    qp, _ = quick_rc_pair(client, server)
+    laddr, lmr = register(client, 4096)
+    raddr, rmr = register(server, 4096)
+
+    def proc():
+        qp.post_send([
+            WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey if wr_id else 424242, wr_id=wr_id)
+            for wr_id in range(16)
+        ])
+        seen = []
+        while len(seen) < 16:
+            seen.extend((yield from qp.send_cq.wait_poll(16)))
+        return seen
+
+    completions = _run_one(sim, proc())
+    assert [c.wr_id for c in completions] == list(range(16))
+    assert completions[0].status is WcStatus.REM_ACCESS_ERR
+    assert all(c.status is WcStatus.FLUSH_ERR for c in completions[1:])
+    assert sum(c.covers for c in completions) == 16 and qp.outstanding == 0
+
+
+def test_overflow_flush_completes_in_posting_order(sim, cluster):
+    """The WR already handed to the idle sender when the overflowing post
+    wrecks the QP is the first posted, and completes first."""
+    client, server = cluster.node(0), cluster.node(1)
+    qp, _ = quick_rc_pair(client, server, sq_depth=8)
+    laddr, lmr = register(client, 4096)
+    raddr, rmr = register(server, 4096)
+
+    def read(wr_id):
+        return WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey, wr_id=wr_id)
+
+    def proc():
+        qp.post_send([read(wr_id) for wr_id in range(6)])
+        with pytest.raises(QpOverflowError):
+            qp.post_send([read(wr_id) for wr_id in range(6, 9)])
+        seen = []
+        while len(seen) < 6:
+            seen.extend((yield from qp.send_cq.wait_poll(8)))
+        return seen
+
+    completions = _run_one(sim, proc())
+    assert [(c.wr_id, c.status) for c in completions] == [
+        (wr_id, WcStatus.FLUSH_ERR) for wr_id in range(6)
+    ]
+
+
 def test_post_to_err_qp_raises(sim, cluster):
     client, server = cluster.node(0), cluster.node(1)
     qp, _ = quick_rc_pair(client, server)
