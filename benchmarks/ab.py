@@ -88,7 +88,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
     with tempfile.TemporaryDirectory(prefix="observatory-ab-") as scratch:
-        work = pathlib.Path(args.keep or scratch)
+        work = pathlib.Path(args.keep or scratch)  # the temporary one goes with its files
         work.mkdir(parents=True, exist_ok=True)
         parent = work / "parent"
         if not parent.exists():

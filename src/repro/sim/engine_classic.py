@@ -354,7 +354,6 @@ class Simulator:
         self._heap = []
         self._ready = deque()
         self._seq = 0
-        self._current = None
         self._orphan_failures = deque()
         #: Optional schedule controller (repro.check): when set, run()
         #: delegates to it so same-timestamp dispatch order can be

@@ -70,8 +70,8 @@ Record encodings (the ``arg`` slot, mirroring the classic engine):
 
 ========================  ====================================================
 ``None``                  plain callback, invoked as ``callback()``
-positive ``int``          timer resume (hop 2): ``callback`` is the process,
-                          ``arg`` its wait generation
+positive ``int``          timer resume (hop 2): ``callback`` is the process
+                          (or other sleeper), ``arg`` its wait generation
 negative ``int``          zero-delay timer maturing (hop 1): requeue hop 2
                           with the negated generation — replaces the classic
                           engine's per-yield ``_TimerResume`` allocation
@@ -302,7 +302,6 @@ class Simulator:
         #: dispatch raises mid-timestamp so a later run() resumes exactly.
         self._cohort = None
         self._cpos = 0
-        self._current = None
         self._orphan_failures = deque()
         #: Optional schedule controller (repro.check): when set, run()
         #: delegates to it so same-timestamp dispatch order can be
@@ -360,24 +359,18 @@ class Simulator:
         ``_resume(None, None)``, and a positive int ``_wait_gen``: the
         record carries its current value and is dropped if the sleeper has
         bumped it by the time it fires (DESIGN.md §11)."""
-        if delay_ns.__class__ is not int:
-            raise SimulationError(f"cannot sleep for {delay_ns!r} ns")
-        if delay_ns > 0:
+        if delay_ns.__class__ is int and delay_ns > 0:
             self._seq = seq = self._seq + 1
             heappush(self._heap, (self.now + delay_ns, seq, sleeper, sleeper._wait_gen))
-        elif delay_ns == 0:
-            slab = self._rbuf
-            slab.append(sleeper)
-            slab.append(-sleeper._wait_gen)
+        elif delay_ns.__class__ is int and delay_ns == 0:
+            self._rbuf.extend((sleeper, -sleeper._wait_gen))
         else:
             raise SimulationError(f"cannot sleep for {delay_ns!r} ns")
 
     def wake(self, sleeper):
         """Resume ``sleeper`` at the current timestamp, behind what is
         queued there: one ready record, like an event wake or a start."""
-        slab = self._rbuf
-        slab.append(sleeper)
-        slab.append(sleeper._wait_gen)
+        self._rbuf.extend((sleeper, sleeper._wait_gen))
 
     # -- awaitable coercion --------------------------------------------------
 

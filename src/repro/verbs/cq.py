@@ -125,8 +125,7 @@ class CompletionQueue:
         return polled
 
     def disown(self, qp):
-        """``qp`` was reset: its CQEs still queued here are delivered, but
-        release no send-queue slot of its new incarnation when polled."""
+        """``qp`` was reset: its CQEs still queued release no slot when polled."""
         for completion in self._entries:
             if completion.qp is qp:
                 completion.covers = 0

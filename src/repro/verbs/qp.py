@@ -135,8 +135,7 @@ class QueuePair:
         self._issued = 0
         self._completed = 0
         self._order_waits = None
-        #: Last ticket taken before the latest reset(): flights up to it
-        #: belong to an earlier incarnation of the QP.
+        #: Last ticket taken before the latest reset(), by an earlier incarnation.
         self._reset_ticket = 0
         self._dc_current = None  # (gid, dct_number) the DC QP is wired to
         self._dc_last_retarget_ns = -(10 ** 12)
@@ -316,13 +315,12 @@ class QueuePair:
             # A chained WQE rides the doorbell of its chain head: the NIC
             # already has the chain, so issue is a cheap descriptor fetch.
             yield timing.NIC_TX_CHAINED_NS if wr.chained else timing.NIC_TX_NS
-            # Issued right here, in the sender's context: local-SGE
-            # validation and payload fetch happen at issue time without a
-            # start record per WR.  Not while a link fault is installed:
-            # fault draws come off one LCG per directed link, shared with
-            # the responses of connections going the other way, so the
-            # order of two draws inside a nanosecond decides which packet
-            # is lost -- the start record keeps that order.
+            # Issued right here, in the sender's context, without a start
+            # record per WR.  Not while a link fault is installed: fault
+            # draws come off one LCG per directed link, shared with the
+            # responses of connections going the other way, so the order
+            # of two draws inside a nanosecond decides which packet is
+            # lost -- the start record keeps that order (DESIGN.md §17).
             flight = _Flight(self, wr, ticket)
             if link_faults:
                 flight._issue_queued()
@@ -410,22 +408,18 @@ class _Flight:
     """
 
     __slots__ = (
-        "qp", "wr", "ticket", "_stage", "status", "byte_len",
+        "qp", "wr", "ticket", "_wait_gen", "_stage", "status", "byte_len",
         "attempts_left", "rnr_left", "executed", "response_bytes", "payload",
         "remote_gid", "remote_node", "duplicated", "window", "recv",
     )
-
-    #: Never two timer records pending, so none is ever cancelled.
-    _wait_gen = 1
 
     def __init__(self, qp, wr, ticket):
         self.qp = qp
         self.wr = wr
         self.ticket = ticket
+        self._wait_gen = 1  # never two records pending, so none is ever cancelled
         self.status = WC_SUCCESS
         self.byte_len = 0
-        self.attempts_left = qp.retry_cnt
-        self.rnr_left = qp.rnr_retry
         self.executed = False  # remote side effects applied (exactly-once guard)
 
     def _resume(self, _value, _exc):
@@ -512,8 +506,7 @@ class _Flight:
     def _lost(self):
         """The packet vanished, or nobody is there to answer it."""
         if self.qp.qp_type is QPT_UD:
-            # Unreliable datagram: the sender still completes
-            # successfully and never learns.
+            # Unreliable datagram: the sender completes and never learns.
             self._stage = _Flight._retire
             self.qp.sim.sleep(self, timing.NIC_RX_COMPLETION_NS)
         else:
@@ -522,8 +515,9 @@ class _Flight:
     def _unanswered(self):
         """No response will arrive: wait out the retransmission timer,
         then try again; RETRY_EXC_ERR only when the budget dies."""
-        if self.attempts_left > 0:
-            self.attempts_left -= 1
+        left = getattr(self, "attempts_left", self.qp.retry_cnt)  # unset before the first
+        if left > 0:
+            self.attempts_left = left - 1
             self._retransmit("timeout", self.qp.timeout_ns)
         else:
             self._nak(WC_RETRY_EXC_ERR)
@@ -531,8 +525,9 @@ class _Flight:
     def _rnr(self):
         """Receiver not ready: honor the RNR retry budget."""
         qp = self.qp
-        if self.rnr_left > 0:
-            self.rnr_left -= 1
+        left = getattr(self, "rnr_left", qp.rnr_retry)
+        if left > 0:
+            self.rnr_left = left - 1
             self._retransmit("rnr", qp.rnr_timer_ns)
         else:
             self._nak(WC_RNR_ERR if qp.rnr_retry == 0 else WC_RNR_RETRY_EXC_ERR)
@@ -587,10 +582,9 @@ class _Flight:
             )
             if self.duplicated:
                 # The duplicate arrives right behind the original: same
-                # engine time again once that is served, then it is
-                # discarded by PSN before any memory op.  It joins the
-                # queue behind a request arriving in that nanosecond, as
-                # a timer set at service start does.
+                # engine time again once that is served (joining the queue
+                # behind a request arriving in that nanosecond, as a timer
+                # set at service start does), then discarded by PSN.
                 self.window = (start, end)
                 if start > sim.now:
                     self._stage = _Flight._duplicate_queued
@@ -684,9 +678,8 @@ class _Flight:
             # The immediate rides the last write packet and raises a
             # receiver-side CQE, consuming a posted recv buffer -- RNR
             # semantics apply just like a SEND.
-            self._deliver()
-        else:
-            self._executed(response_bytes)
+            return self._deliver()
+        self._executed(response_bytes)
 
     def _deliver(self):
         """Claim the recv buffer (SRQ slot for DCT) an inbound SEND lands
@@ -730,12 +723,10 @@ class _Flight:
             opcode, byte_len, imm = OP_RECV, len(self.payload), None
         else:
             opcode, byte_len, imm = OP_RECV_IMM, wr.length, wr.imm
-        cq.push(
-            Completion(
-                recv_buffer.wr_id, WC_SUCCESS, opcode, byte_len=byte_len,
-                src=(qp.node.gid, qp.qpn), header=wr.header, qp=receiver_qp, imm=imm,
-            )
-        )
+        cq.push(Completion(
+            recv_buffer.wr_id, WC_SUCCESS, opcode, byte_len=byte_len,
+            src=(qp.node.gid, qp.qpn), header=wr.header, qp=receiver_qp, imm=imm,
+        ))
         self._executed(0)
 
     def _executed(self, response_bytes):
@@ -783,8 +774,7 @@ class _Flight:
             return
         status = self.status
         if ticket <= qp._reset_ticket:
-            # Posted before the last reset(): nothing of the new
-            # incarnation's accounting is this WR's to touch.
+            # Posted before the last reset(): not the new incarnation's to count.
             qp._complete(self.wr, WC_FLUSH_ERR, stale=True)
         elif status is not WC_SUCCESS:
             qp._complete(self.wr, status)

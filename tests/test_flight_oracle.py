@@ -17,6 +17,7 @@ Tier-1 runs a slice of the seeds on the selected core; the whole sweep --
 ``python tests/test_flight_oracle.py`` (what CI runs on both engine legs).
 """
 
+import json
 import sys
 
 import pytest
@@ -24,7 +25,13 @@ import pytest
 import repro.verbs.qp as qp_module
 from repro.sim import ENGINE
 from tests._flight_reference import GeneratorFlight
-from tests.test_wr_timeline import _FaultedLinksWorld, _MixedWorld
+from tests.test_wr_timeline import (
+    GOLDEN,
+    RECORDINGS,
+    _FaultedLinksWorld,
+    _MixedWorld,
+    _to_json,
+)
 
 WORLDS = {"mixed": _MixedWorld, "faulted_links": _FaultedLinksWorld}
 TIER1_SEEDS = 12
@@ -63,10 +70,6 @@ def test_state_machine_timeline_equals_the_generator_flights(world):
 def test_the_reference_reproduces_the_parent_recordings():
     """The oracle is only an oracle while it still is the parent: the
     generator must give the timelines recorded before PR 13, too."""
-    import json
-
-    from tests.test_wr_timeline import GOLDEN, RECORDINGS, _to_json
-
     for name, world_cls in RECORDINGS.items():
         timeline = _run(world_cls, world_cls().seed, GeneratorFlight)
         del timeline["engine"]

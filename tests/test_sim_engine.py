@@ -4,6 +4,7 @@ import pytest
 
 import repro.sim.engine_classic as classic_engine
 import repro.sim.engine_flat as flat_engine
+from repro.check import FifoStrategy, ScheduleController
 from repro.sim import AllOf, AnyOf, Event, Interrupt, SimulationError, Simulator
 
 
@@ -303,8 +304,6 @@ _SCRIPTS = {
 
 
 def _run_scripts(engine, as_sleepers, controlled=False):
-    from repro.check import FifoStrategy, ScheduleController
-
     sim = engine.Simulator()
     controller = ScheduleController(FifoStrategy())
     if controlled:
