@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab hop-budget flight-oracle coverage trace check check-sweep
+.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab hop-budget rest-budget flight-oracle coverage trace check check-sweep
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -45,18 +45,25 @@ observatory-selftest:
 	$(PYTHON) -m pytest benchmarks/observatory/selftest.py -q
 
 # Paired A/B of the observatory against a parent commit (benchmarks/ab.py):
-#   make ab PARENT=<sha> [WORKLOAD=<w>] [PAIRS=10] [AB_ARGS="--seconds 2"]
+#   make ab PARENT=<sha> [WORKLOAD=<w>] [PAIRS=10] [METRIC=peak_rss_mb] [AB_ARGS="--seconds 2"]
 # alternates which side runs first, one fresh seed per pair, and prints the
-# pair table plus compare.py's verdicts.  Leave the host alone meanwhile.
+# pair table of METRIC (default wall_s) plus compare.py's verdicts.  Leave
+# the host alone meanwhile.
 PAIRS ?= 10
 ab:
-	$(PYTHON) benchmarks/ab.py --parent $(PARENT) --pairs $(PAIRS) $(if $(WORKLOAD),--workload $(WORKLOAD)) $(AB_ARGS)
+	$(PYTHON) benchmarks/ab.py --parent $(PARENT) --pairs $(PAIRS) $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(METRIC),--metric $(METRIC)) $(AB_ARGS)
 
 # WR hop budget (DESIGN.md §17): print the exact engine-record counts per
 # work request on the selected core (REPRO_ENGINE) and check them against
 # the pinned budget.
 hop-budget:
 	$(PYTHON) -m pytest -s -k hop_budget
+
+# Node rest budget (DESIGN.md §17 "A QP at rest"): print what a booted, idle
+# node holds on the host (KB, Process objects, boot records) on the selected
+# core and check the pins.
+rest-budget:
+	$(PYTHON) -m pytest -s -k rest_budget
 
 # Flight oracle (DESIGN.md §17): the WR state machine against the frozen
 # generator flight, whole timelines, 200 seeds per world on the selected

@@ -1,16 +1,17 @@
 """Paired A/B of the perf observatory: a parent commit against this tree.
 
     python3 benchmarks/ab.py --parent SHA [--workload W ...] [--pairs 10]
-                             [--seconds N] [--seed-base S] [--keep DIR]
-    make ab PARENT=<sha> WORKLOAD=<w> PAIRS=10
+                             [--metric NAME] [--seconds N] [--seed-base S]
+                             [--keep DIR]
+    make ab PARENT=<sha> WORKLOAD=<w> PAIRS=10 [METRIC=peak_rss_mb]
 
 Clones the parent into a temporary directory and runs the *unmodified*
 ``benchmarks/observatory/run.py`` of each side (``--trace 0``, one fresh
 process per run, one seed per pair, the side that runs first alternating
-from pair to pair), then prints per workload the pair table, each
-end-to-end metric's medians with quartiles and wins, how many pairs have
-bit-identical ``sim_ops_per_s`` and digests, and ``compare.py``'s verdicts
-over the same files.  Use seeds not used while the change was written.
+from pair to pair), then prints per workload the pair table of the claimed
+metric (``--metric``, default ``wall_s``), each end-to-end metric's medians
+with quartiles and wins, how many pairs have bit-identical ``sim_ops_per_s``
+and digests, and ``compare.py``'s verdicts over the same files.  Use seeds not used while the change was written.
 Exits non-zero when a run failed its checks or ``compare.py`` reports a
 row ``worse``.  Leave the host alone while it runs.
 """
@@ -40,13 +41,15 @@ def run_side(tree, workload, seed, seconds, out):
     return record
 
 
-def summarize(workload, pairs, metrics):
-    """Print the pair table and the per-metric rows of one workload."""
+def summarize(workload, pairs, metrics, claimed):
+    """Print the pair table of ``claimed`` and the per-metric rows of one workload."""
     print(f"\n## {workload}: {len(pairs)} pair(s)")
-    print(f"{'seed':>6s} {'ran first':>10s} {'parent wall_s':>14s} {'change wall_s':>14s} {'ratio':>7s}")
+    width = len(claimed) + 8
+    print(f"{'seed':>6s} {'ran first':>10s} {'parent ' + claimed:>{width}s} "
+          f"{'change ' + claimed:>{width}s} {'ratio':>7s}")
     for seed, first, base, new in pairs:
-        b, n = base["metrics"]["wall_s"]["value"], new["metrics"]["wall_s"]["value"]
-        print(f"{seed:6d} {first:>10s} {b:14.3f} {n:14.3f} {n / b:7.3f}")
+        b, n = base["metrics"][claimed]["value"], new["metrics"][claimed]["value"]
+        print(f"{seed:6d} {first:>10s} {b:{width}.3f} {n:{width}.3f} {n / b:7.3f}")
     for name, better in metrics:
         base = [p[2]["metrics"][name]["value"] for p in pairs]
         new = [p[3]["metrics"][name]["value"] for p in pairs]
@@ -81,6 +84,9 @@ def main(argv=None):
     parser.add_argument("--workload", action="append", choices=names,
                         help="repeatable; default: every workload")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--metric", default="wall_s",
+                        choices=[m["name"] for m in spec["end_to_end"]],
+                        help="end-to-end metric the pair table prints (the claimed one)")
     parser.add_argument("--seconds", type=float, default=None,
                         help="host seconds per run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--seed-base", type=int, default=1001, help="pair i runs seed base + i")
@@ -110,7 +116,7 @@ def main(argv=None):
                 pairs.append((seed, sides[0][0], records["parent"], records["change"]))
                 files += [str(work / f"{workload}-{seed}-parent.json"),
                           str(work / f"{workload}-{seed}-change.json")]
-            summarize(workload, pairs, metrics)
+            summarize(workload, pairs, metrics, args.metric)
             status |= subprocess.run(
                 [sys.executable, str(ROOT / OBSERVATORY / "compare.py"), *files]
             ).returncode

@@ -29,6 +29,10 @@ from repro.verbs.types import WC_SUCCESS
 #: Recognized CQ polling modes.
 POLL_MODES = ("event", "busy", "adaptive")
 
+#: What a queue nothing was ever appended to reads as: empty, falsy,
+#: iterable -- and shared, so an idle CQ or QP owns no queue storage.
+_EMPTY = ()
+
 
 class Completion:
     """A work completion (ibv_wc)."""
@@ -78,8 +82,8 @@ class CompletionQueue:
         #: without one, spin time is still tracked on ``stats_spin_ns`` and
         #: the ``verbs.cq_spin_ns`` metric.
         self.rnic = rnic
-        self._entries = deque()
-        self._waiters = deque()
+        self._entries = _EMPTY  # deques from the first append on
+        self._waiters = _EMPTY
         #: Nanoseconds of CPU burned spinning on this CQ (busy + the
         #: adaptive spin window) plus rearm cost; satellite-1's accounting.
         self.stats_spin_ns = 0
@@ -102,6 +106,8 @@ class CompletionQueue:
         return self
 
     def push(self, completion):
+        if self._entries is _EMPTY:
+            self._entries = deque()
         self._entries.append(completion)
         while self._waiters and self._entries:
             waiter = self._waiters.popleft()
@@ -139,6 +145,8 @@ class CompletionQueue:
         if self._entries:
             event.trigger(None)
         else:
+            if self._waiters is _EMPTY:
+                self._waiters = deque()
             self._waiters.append(event)
         return event
 

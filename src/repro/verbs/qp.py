@@ -30,8 +30,8 @@ from repro.cluster import timing
 from repro.cluster.memory import MemoryError_
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.sim import Store
-from repro.verbs.cq import Completion
+from repro.sim import Event
+from repro.verbs.cq import _EMPTY, Completion
 from repro.verbs.errors import QpError, QpOverflowError, VerbsError
 from repro.verbs.types import (
     ATOMIC_OPCODES,
@@ -124,11 +124,14 @@ class QueuePair:
         self.qpn = node.rnic.register_qp(self)
         self.state = QPS_RESET
         self.remote = None  # (gid, qpn) once RC-connected
-        self._sq = Store(self.sim)
+        # At rest a QP owns no queue storage and no NIC-side processor: the
+        # send queue and ``_sender_loop`` appear at the first doorbell.
+        self._sq = None
+        self._doorbell = None  # the Event a parked sender waits on
         self._posted = 0
         self._reclaimed = 0
         self._pending_unsignaled = 0
-        self._recv_buffers = deque()
+        self._recv_buffers = _EMPTY
         # In-order completion tickets: the sender numbers WRs as it takes
         # them off the send queue and their flights complete in that order
         # (``_Flight._retire``; ``_order_waits`` is ticket -> parked flight).
@@ -141,7 +144,6 @@ class QueuePair:
         self._dc_last_retarget_ns = -(10 ** 12)
         self._dc_lcg = self.qpn * 2654435761 % (1 << 64) or 1
         self.stats_reconnects = 0
-        self.sim.process(self._sender_loop(), name=f"qp{self.qpn}-sender")
 
     # ------------------------------------------------------------------ state
 
@@ -184,8 +186,8 @@ class QueuePair:
         self._trace_state()
         self.remote = None
         self._dc_current = None
-        while self._sq.try_get() is not None:
-            pass
+        if self._sq:
+            self._sq.clear()
         self._posted = self._reclaimed = 0
         self._pending_unsignaled = 0
         self._reset_ticket = self._issued
@@ -256,8 +258,17 @@ class QueuePair:
         registry = _metrics.METRICS
         if registry is not None:
             registry.counter("verbs.wr_posted").inc(len(wrs))
-        for wr in wrs:
-            self._sq.put(wr)
+        sq = self._sq
+        if sq is None:
+            # First doorbell.  The sender's start record stands in for the
+            # wake a parked sender gets: one ready record, same place.
+            sq = self._sq = deque()
+            self.sim.process(self._sender_loop(), name=f"qp{self.qpn}-sender")
+        sq.extend(wrs)
+        doorbell = self._doorbell
+        if doorbell is not None:
+            self._doorbell = None
+            doorbell.trigger(None)
 
     def post_send_batch(self, wr_list):
         """Post a WR chain with one doorbell (KRCORE §4.3 doorbell batching).
@@ -288,6 +299,8 @@ class QueuePair:
         self.post_send(wrs)
 
     def post_recv(self, recv_buffer):
+        if self._recv_buffers is _EMPTY:
+            self._recv_buffers = deque()
         self._recv_buffers.append(recv_buffer)
 
     # ------------------------------------------------------------- NIC side
@@ -295,17 +308,19 @@ class QueuePair:
     def _sender_loop(self):
         """The NIC's per-QP work-queue processor: issues WRs in order.
 
-        One doorbell wakes it once: it then drains the whole backlog with
-        ``try_get`` and only blocks again when the send queue is empty.
+        Started by the first doorbell.  One doorbell wakes it once: it
+        drains the whole backlog and parks on a one-shot ``_doorbell``
+        event only when the send queue is empty -- again, if ``reset()``
+        emptied the queue between the doorbell and the wake.
         """
-        sim = self.sim
-        get, try_get = self._sq.get, self._sq.try_get
+        sq = self._sq
         is_dc = self.qp_type is QPT_DC
         link_faults = self.node.fabric.link_faults
         while True:
-            wr = try_get()
-            if wr is None:
-                wr = yield get()
+            while not sq:
+                self._doorbell = doorbell = Event(self.sim)
+                yield doorbell
+            wr = sq.popleft()
             self._issued = ticket = self._issued + 1
             if self.state is QPS_ERR:
                 _Flight(self, wr, ticket)._flush()

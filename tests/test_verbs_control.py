@@ -288,3 +288,23 @@ def test_a_stale_unsignaled_success_does_not_pad_the_next_incarnations_covers():
         yield from _next_window_is_accounted_from_zero(sim, qp, read)
 
     sim.run_process(proc())
+
+
+def test_a_wr_handed_to_the_parked_sender_does_not_survive_the_reset():
+    """A doorbell rung on a parked sender and reset() in the same instant:
+    the first WR, already handed to the sender's wake, used to outlive the
+    reset, be issued on the RESET QP, NAK RETRY_EXC (no remote) and wreck
+    the new incarnation, so reconfigure() raised "expected RESET, is ERR"."""
+    sim, qp, read = _reset_rig()
+
+    def proc():
+        qp.post_send(read(wr_id=1))
+        (first,) = yield from qp.send_cq.wait_poll(1)
+        assert first.ok
+        yield 1 * US  # the sender is parked on an empty send queue
+        qp.post_send([read(wr_id=2), read(wr_id=3)])
+        yield from qp.reconfigure()
+        assert qp.state is QpState.RTS and qp.send_cq.poll(8) == []
+        yield from _next_window_is_accounted_from_zero(sim, qp, read)
+
+    sim.run_process(proc())
