@@ -12,7 +12,7 @@ alone).  Never-written addresses still read as zeros, exactly like the
 eager bytearray did.
 """
 
-_PAGE_SHIFT = 16  # 64 KiB pages
+_PAGE_SHIFT = 12  # 4 KiB pages: a touched 64 B slot should not cost 64 KiB
 _PAGE_SIZE = 1 << _PAGE_SHIFT
 _PAGE_MASK = _PAGE_SIZE - 1
 
