@@ -11,9 +11,10 @@ process per run, one seed per pair, the side that runs first alternating
 from pair to pair), then prints per workload the pair table of the claimed
 metric (``--metric``, default ``wall_s``), each end-to-end metric's medians
 with quartiles and wins, how many pairs have bit-identical ``sim_ops_per_s``
-and digests, and ``compare.py``'s verdicts over the same files.  Use seeds not used while the change was written.
-Exits non-zero when a run failed its checks or ``compare.py`` reports a
-row ``worse``.  Leave the host alone while it runs.
+and digests, and ``compare.py``'s verdicts over the same files.  Use seeds
+not used while the change was written.  Exits non-zero when a run failed its
+checks or ``compare.py`` reports a row ``worse``.  Leave the host alone while
+it runs.
 """
 
 import argparse
