@@ -59,9 +59,10 @@ ab:
 hop-budget:
 	$(PYTHON) -m pytest -s -k hop_budget
 
-# Node rest budget (DESIGN.md §17 "A QP at rest"): print what a booted, idle
-# node holds on the host (KB, Process objects, boot records) on the selected
-# core and check the pins.
+# Node rest budget (DESIGN.md §17 "A node at rest", "A QP at rest"): print
+# what a booted, idle node holds on the host (KB -- of a 4-node and of a
+# 2 000-node boot --, Process objects, boot records, per-CPU pools and kernel
+# RecvBuffers built: none) on the selected core and check the pins.
 rest-budget:
 	$(PYTHON) -m pytest -s -k rest_budget
 

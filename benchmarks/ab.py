@@ -50,7 +50,8 @@ def summarize(workload, pairs, metrics, claimed):
           f"{'change ' + claimed:>{width}s} {'ratio':>7s}")
     for seed, first, base, new in pairs:
         b, n = base["metrics"][claimed]["value"], new["metrics"][claimed]["value"]
-        print(f"{seed:6d} {first:>10s} {b:{width}.3f} {n:{width}.3f} {n / b:7.3f}")
+        # Four significant figures: a setup_s of 0.0185 s is not "0.018".
+        print(f"{seed:6d} {first:>10s} {b:{width}.4g} {n:{width}.4g} {n / b:7.3f}")
     for name, better in metrics:
         base = [p[2]["metrics"][name]["value"] for p in pairs]
         new = [p[3]["metrics"][name]["value"] for p in pairs]

@@ -92,7 +92,7 @@ class ExtendibleCatalog:
 
 
 class ExtendibleRaceStorage:
-    """The passive storage side: lays out and zeroes the region."""
+    """The passive storage side: lays out the region (fresh DRAM is zeroed)."""
 
     def __init__(self, node, initial_depth=1, heap_bytes=1 << 20, register=True):
         if initial_depth > MAX_DEPTH:
@@ -102,7 +102,6 @@ class ExtendibleRaceStorage:
         table_bytes = MAX_SUBTABLES * BUCKETS_PER_SUBTABLE * BUCKET_BYTES
         total = META_BYTES + DIR_ENTRIES * 8 + table_bytes + heap_bytes
         self.base = node.memory.alloc(total)
-        node.memory.write(self.base, bytes(META_BYTES + DIR_ENTRIES * 8 + table_bytes))
         self.heap_base = self.base + META_BYTES + DIR_ENTRIES * 8 + table_bytes
         # Initial subtables: 2^initial_depth, directory fully replicated.
         initial = 1 << initial_depth

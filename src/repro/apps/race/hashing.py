@@ -104,7 +104,6 @@ class RaceStorage:
         self.heap_bytes = heap_bytes
         total = META_BYTES + num_buckets * BUCKET_BYTES + heap_bytes
         self.base = node.memory.alloc(total)
-        node.memory.write(self.base, bytes(META_BYTES + num_buckets * BUCKET_BYTES))
         self.region = node.memory.register(self.base, total) if register else None
 
     @property

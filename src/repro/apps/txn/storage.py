@@ -51,7 +51,6 @@ class TxnStorage:
         self.value_bytes = value_bytes
         total = num_records * (HEADER_BYTES + value_bytes)
         self.base = node.memory.alloc(total)
-        node.memory.write(self.base, bytes(total))
         self.region = node.memory.register(self.base, total) if register else None
 
     def catalog(self, rkey=None):

@@ -104,8 +104,7 @@ def _shared_pool_throughput(threads, measure_ns):
     def patched(*args, **kwargs):
         sim, cluster, meta, modules = original(*args, **kwargs)
         for module in modules:
-            shared = module.pool(0)
-            module._pools = [shared] * len(module._pools)
+            module.pool = lambda cpu_id, shared=module.pool(0): shared
         return sim, cluster, meta, modules
 
     onesided.krcore_cluster = patched

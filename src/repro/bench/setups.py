@@ -35,7 +35,9 @@ def krcore_cluster(
     bare, with construction order identical to the pre-sharding builder.
     With ``meta_shards=N`` the shards live on nodes ``meta_index ..
     meta_index+N-1`` and a :class:`MetaPlane` is returned.  Shard hosts'
-    modules boot first (the boot-time broadcast).
+    modules boot first (the boot-time broadcast).  One meta server's table
+    takes the boot records of ~4 000 nodes before a probe window fills
+    (``StoreFullError``): larger clusters need ``meta_shards``.
     """
     sim = Simulator()
     cluster = Cluster(sim, num_nodes=num_nodes, cores=cores, memory_size=memory_size)

@@ -70,7 +70,9 @@ class PhysicalMemory:
     # -- allocation (bump allocator; regions are long-lived in our workloads)
 
     def alloc(self, nbytes, align=64):
-        """Reserve ``nbytes`` and return its start address."""
+        """Reserve ``nbytes`` and return its start address.  It reads as
+        zeros -- no address is handed out twice, untouched pages are zero --
+        so clear nothing: a zero-fill write materializes every page."""
         start = -(-self._alloc_cursor // align) * align
         if start + nbytes > self.size:
             raise MemoryError_(

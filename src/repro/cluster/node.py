@@ -56,8 +56,9 @@ class Node:
         """
         if self.alive:
             raise ValueError(f"{self.gid} is not down; call fail() first")
-        # Teardown: wreck the old RNIC's QPs so their pending WRs flush.
-        for qp in list(self.rnic._qps.values()):
+        # Teardown: wreck the old RNIC's QPs so their pending WRs flush (the
+        # reserved ones are built for it: never later, on the next RNIC).
+        for qp in self.rnic.all_qps():
             qp._enter_error()
         self.incarnation += 1
         self.cpu = Resource(self.sim, capacity=self.cores)

@@ -38,6 +38,7 @@ class Rnic:
         self._inbound_ends = deque()
         self._inbound_admitted = 0
         self._qps = {}
+        self._reserved = []  # one builder per reserved QPN block (reserve_qpns)
         self._dct_targets = {}
         self._next_qpn = 1
         self._next_dctn = 1
@@ -63,11 +64,28 @@ class Rnic:
 
     # -- registries -----------------------------------------------------------
 
-    def register_qp(self, qp):
-        qpn = self._next_qpn
-        self._next_qpn += 1
+    def reserve_qpns(self, count, build):
+        """Set aside ``count`` consecutive QPNs (returns the first) for QPs
+        this RNIC has from now on but whose objects appear on first use;
+        ``build()`` builds, and so registers, those still missing."""
+        base = self._next_qpn
+        self._next_qpn += count
+        self._reserved.append(build)
+        return base
+
+    def register_qp(self, qp, qpn=None):
+        """Register ``qp`` under the next QPN, or under a reserved one."""
+        if qpn is None:
+            qpn = self._next_qpn
+            self._next_qpn += 1
         self._qps[qpn] = qp
         return qpn
+
+    def all_qps(self):
+        """Every QP in QPN order, the reserved ones built if need be."""
+        for build in self._reserved:
+            build()
+        return [self._qps[qpn] for qpn in sorted(self._qps)]
 
     def unregister_qp(self, qp):
         self._qps.pop(qp.qpn, None)

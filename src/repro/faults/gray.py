@@ -332,7 +332,7 @@ class GrayChaosHarness:
         self.report.fault_log = list(self.injector.applied)
         gates = [
             pool.admission
-            for pool in self.modules[self.storm_node.gid]._pools
+            for pool in self.modules[self.storm_node.gid].built_pools()
             if pool.admission is not None
         ]
         contained = any(

@@ -21,7 +21,7 @@ import struct
 
 from repro.check import hooks as _check
 from repro.cluster import timing
-from repro.kvs import DrtmKvClient, DrtmKvServer
+from repro.kvs import DrtmKvClient, DrtmKvServer, StoreFullError
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.sim import Resource
@@ -75,6 +75,7 @@ class MetaServer:
         #: ``_lag_extra_ns`` extra (alive but slow); 0 means never.
         self._lag_until = 0
         self._lag_extra_ns = 0
+        self._plane = None  # this deployment as a one-shard plane (MetaPlane.ensure)
         node.services[self.SERVICE] = self
 
     @property
@@ -122,16 +123,21 @@ class MetaServer:
     # -- boot-time broadcast targets -------------------------------------------
 
     def publish_dct(self, gid, dct_number, dct_key_value):
-        value = _DCT_VALUE.pack(dct_number, dct_key_value)
-        if _check.CHECKER is not None:
-            _check.CHECKER.meta_write(self, dct_key(gid), value)
-        self.store.put(dct_key(gid), value)
+        self._put(dct_key(gid), _DCT_VALUE.pack(dct_number, dct_key_value))
 
     def publish_mr(self, gid, rkey, addr, length):
-        value = _MR_VALUE.pack(addr, length)
+        self._put(mr_key(gid, rkey), _MR_VALUE.pack(addr, length))
+
+    def _put(self, key, value):
         if _check.CHECKER is not None:
-            _check.CHECKER.meta_write(self, mr_key(gid, rkey), value)
-        self.store.put(mr_key(gid, rkey), value)
+            _check.CHECKER.meta_write(self, key, value)
+        try:
+            self.store.put(key, value)
+        except StoreFullError as err:
+            raise StoreFullError(
+                f"meta table on {self.node.gid}: {err}; a deployment this large "
+                "needs its records spread over more shards (meta_shards=N)"
+            ) from err
 
     def retract_mr(self, gid, rkey):
         if _check.CHECKER is not None:
@@ -170,19 +176,22 @@ class MetaPlane:
         self.shards = shards
         self.replication = max(1, min(int(replication), len(shards)))
         self._ring = []
-        for index in range(len(shards)):
-            for vnode in range(self.VNODES):
-                self._ring.append((_ring_hash(f"meta-shard-{index}#{vnode}"), index))
-        self._ring.sort()
+        if len(shards) > 1:  # one shard owns every key: no ring
+            for index in range(len(shards)):
+                for vnode in range(self.VNODES):
+                    self._ring.append((_ring_hash(f"meta-shard-{index}#{vnode}"), index))
+            self._ring.sort()
         self._points = [point for point, _ in self._ring]
         self._owner_cache = {}
 
     @classmethod
     def ensure(cls, meta):
-        """Wrap a bare :class:`MetaServer` into a one-shard plane."""
+        """A bare :class:`MetaServer` as its one-shard plane (one per server)."""
         if isinstance(meta, MetaPlane):
             return meta
-        return cls([meta], replication=1)
+        if meta._plane is None:
+            meta._plane = cls([meta], replication=1)
+        return meta._plane
 
     def __len__(self):
         return len(self.shards)
@@ -191,6 +200,8 @@ class MetaPlane:
 
     def owner_indices(self, key):
         """Shard indices owning ``key``: primary first, then replicas."""
+        if not self._ring:
+            return [0]
         owners = self._owner_cache.get(key)
         if owners is not None:
             return owners

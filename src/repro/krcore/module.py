@@ -161,31 +161,27 @@ class KrcoreModule:
         base = node.memory.alloc(kernel_buf_bytes * kernel_buf_count)
         self._buf_base = base
         self._buf_region = node.memory.register(base, kernel_buf_bytes * kernel_buf_count)
-        self._free_slots = deque(range(kernel_buf_count))
         # Stock the SRQ deep (keeping a small reserve for kernel RCQPs):
         # §4.4 assumes "the pre-posted buffers can always hold the
         # incoming message", so deployments size kernel_buf_count for
-        # their expected in-flight message burst.
-        reserve = min(64, kernel_buf_count // 4)
-        for _ in range(kernel_buf_count - reserve):
-            self._post_kernel_buffer(self.dct_target.post_srq)
+        # their expected in-flight message burst.  The stock is posted
+        # unbuilt: a slot becomes a RecvBuffer when a message claims it.
+        stocked = kernel_buf_count - min(64, kernel_buf_count // 4)
+        self.dct_target.stock_srq(range(stocked), self._kernel_buffer)
+        self._free_slots = deque(range(stocked, kernel_buf_count))
         self.sim.process(
             self._recv_dispatcher(self.dct_target.recv_cq, self.dct_target.post_srq),
             name=f"krcore-dispatch-dct@{node.gid}",
         )
 
-        # --- per-CPU hybrid pools (§4.2), DCQPs built at module load ---
-        self._pools = []
-        for cpu in range(node.cores):
-            dc_qps = []
-            for _ in range(dc_per_cpu):
-                cq = CompletionQueue(self.sim)
-                qp = self.context.create_qp_fast(QPT_DC, cq, recv_cq=None)
-                qp.to_init()
-                qp.to_rtr()
-                qp.to_rts()
-                dc_qps.append(qp)
-            self._pools.append(HybridQpPool(self.sim, cpu, dc_qps, max_rc=max_rc_per_cpu))
+        # --- per-CPU hybrid pools (§4.2): the DCQPs exist from module load
+        # on, so their QPNs are taken here; pool(cpu) builds the objects ---
+        self.dc_per_cpu = dc_per_cpu
+        self.max_rc_per_cpu = max_rc_per_cpu
+        self._pools = [None] * node.cores
+        self._pool_qpn_base = node.rnic.reserve_qpns(
+            node.cores * dc_per_cpu, lambda: [self.pool(cpu) for cpu in range(node.cores)]
+        )
 
         # --- meta plane wiring (boot-time broadcast + pre-connect) ---
         self._meta_clients = {}
@@ -247,7 +243,25 @@ class KrcoreModule:
         return self.meta_plane
 
     def pool(self, cpu_id):
-        return self._pools[cpu_id % len(self._pools)]
+        """The CPU's hybrid pool, built the first time the CPU is used.  Its
+        DCQPs take the QPNs reserved at load (cpu-major, whatever CPU came
+        first: the QPN seeds a DCQP's reconnect-tail draws) and are born
+        RTS, their bring-up having happened at module load."""
+        cpu = cpu_id % len(self._pools)
+        pool = self._pools[cpu]
+        if pool is None:
+            first = self._pool_qpn_base + cpu * self.dc_per_cpu
+            dc_qps = []
+            for qpn in range(first, first + self.dc_per_cpu):
+                qp = self.context.create_qp_fast(QPT_DC, CompletionQueue(self.sim), qpn=qpn)
+                qp.state = QPS_RTS
+                dc_qps.append(qp)
+            pool = self._pools[cpu] = HybridQpPool(self.sim, cpu, dc_qps, self.max_rc_per_cpu)
+        return pool
+
+    def built_pools(self):
+        """The pools built so far, in CPU order."""
+        return [pool for pool in self._pools if pool is not None]
 
     def meta_client(self, cpu_id, shard=0):
         """Per-(CPU, shard) pre-connected RCQP + DrTM-KV client."""
@@ -847,18 +861,18 @@ class KrcoreModule:
 
     # --------------------------------------------------------------- receive
 
+    def _kernel_buffer(self, slot):
+        return RecvBuffer(
+            self._buf_base + slot * self.kernel_buf_bytes,
+            self.kernel_buf_bytes,
+            self._buf_region.lkey,
+            wr_id=slot,
+        )
+
     def _post_kernel_buffer(self, replenisher):
         if not self._free_slots:
             return False
-        slot = self._free_slots.popleft()
-        replenisher(
-            RecvBuffer(
-                self._buf_base + slot * self.kernel_buf_bytes,
-                self.kernel_buf_bytes,
-                self._buf_region.lkey,
-                wr_id=slot,
-            )
-        )
+        replenisher(self._kernel_buffer(self._free_slots.popleft()))
         return True
 
     def _recv_dispatcher(self, cq, replenisher):
@@ -1181,7 +1195,7 @@ class KrcoreModule:
         invalidated only when the host is down)."""
         self.dc_cache.pop(gid, None)
         self.mr_store.invalidate(gid)
-        for pool in self._pools:
+        for pool in self.built_pools():
             qp = pool.drop_rc(gid)
             if qp is not None:
                 # An RCQP to a dead peer is useless; leaving it registered
@@ -1197,9 +1211,14 @@ class KrcoreModule:
 
     def connection_cache_bytes(self):
         """Memory for connection caching: the QP pools plus the 12-byte DCT
-        metadata entries (Fig 15a)."""
-        pools = sum(pool.memory_bytes() for pool in self._pools)
-        return pools + len(self.dc_cache) * timing.DCT_METADATA_BYTES
+        metadata entries (Fig 15a); an unbuilt pool's DCQPs count all the same."""
+        built = self.built_pools()
+        unbuilt_dc = (len(self._pools) - len(built)) * self.dc_per_cpu
+        return (
+            sum(pool.memory_bytes() for pool in built)
+            + unbuilt_dc * timing.dc_qp_memory_bytes()
+            + len(self.dc_cache) * timing.DCT_METADATA_BYTES
+        )
 
 
 def _stable_key(text):

@@ -1,9 +1,10 @@
 """The hybrid QP pool: static DCQPs plus on-the-fly RCQPs (§4.2).
 
 The pool is divided per CPU to avoid lock contention; each VQP only
-virtualizes QPs from its local CPU's pool.  DCQPs are created at module
-load; RCQPs appear in the background for frequently-contacted nodes and
-are reclaimed LRU when the pool overflows.
+virtualizes QPs from its local CPU's pool.  DCQPs exist from module load
+(``KrcoreModule.pool`` builds a CPU's share when it is first used); RCQPs
+appear in the background for frequently-contacted nodes and are reclaimed
+LRU when the pool overflows.
 """
 
 from repro.check import hooks as _check

@@ -3,6 +3,7 @@
 from repro.kvs.layout import (
     BUCKET_BYTES,
     Layout,
+    SLOTS_PER_BUCKET,
     StoreFullError,
     key_fingerprint,
 )
@@ -41,8 +42,7 @@ class DrtmKvServer:
         self.node = node
         base_addr = node.memory.alloc(bucket_count * BUCKET_BYTES + heap_bytes)
         self.layout = Layout(base_addr, bucket_count, heap_bytes)
-        # Zero the table region (empty fingerprints).
-        node.memory.write(base_addr, bytes(self.layout.table_bytes))
+        # Fresh DRAM reads as zeros: every fingerprint starts out empty.
         self.region = node.memory.register(base_addr, self.layout.total_bytes)
         self._heap_cursor = self.layout.heap_addr
         self.size = 0
@@ -76,7 +76,10 @@ class DrtmKvServer:
             if has_empty:
                 break  # an empty slot terminates every probe chain
         if free is None:
-            raise StoreFullError(f"no slot for key within {PROBE_WINDOW} buckets")
+            raise StoreFullError(
+                f"no slot for key within {PROBE_WINDOW} buckets: {self.size} of "
+                f"{self.layout.bucket_count * SLOTS_PER_BUCKET} slots are in use"
+            )
         self._write_slot(free[0], free[1], slot_bytes)
         self.size += 1
 

@@ -103,13 +103,18 @@ class DriverContext:
             _trace.TRACER.end(self.sim.now, f"verbs@{self.node.gid}", "create_qp")
         return QueuePair(self.node, qp_type, send_cq, recv_cq=recv_cq, sq_depth=sq_depth)
 
-    def create_qp_fast(self, qp_type, send_cq, recv_cq=None, sq_depth=timing.SQ_DEPTH_DEFAULT):
+    def create_qp_fast(
+        self, qp_type, send_cq, recv_cq=None, sq_depth=timing.SQ_DEPTH_DEFAULT, qpn=None
+    ):
         """Create a QP object without charging setup time.
 
         Only for boot-time construction (costs paid before the measured
-        window) -- never on a simulated critical path.
+        window) -- never on a simulated critical path.  ``qpn`` names a QPN
+        reserved at boot (``Rnic.reserve_qpns``) for a QP built later.
         """
-        return QueuePair(self.node, qp_type, send_cq, recv_cq=recv_cq, sq_depth=sq_depth)
+        return QueuePair(
+            self.node, qp_type, send_cq, recv_cq=recv_cq, sq_depth=sq_depth, qpn=qpn
+        )
 
     def modify_to_ready(self, qp, remote=None):
         """Process: INIT -> RTR -> RTS, charging the RNIC command processor."""

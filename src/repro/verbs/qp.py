@@ -72,22 +72,40 @@ class DctTarget:
     target's shared receive queue and complete into ``recv_cq``.
     """
 
-    __slots__ = ("node", "number", "key", "srq", "recv_cq")
+    __slots__ = ("node", "number", "key", "recv_cq", "_stock", "_build", "_head", "_posted")
 
     def __init__(self, node, number, key):
         self.node = node
         self.number = number
         self.key = key
-        self.srq = deque()
         self.recv_cq = None
+        self._stock = ()  # SRQ slots stocked and not built yet
+        self._head = deque()  # the stock's head once built: one entry at most
+        self._posted = deque()
 
     @property
     def metadata(self):
         """The 12-byte DCT metadata tuple stored at the meta server (§4.2)."""
         return (self.number, self.key)
 
+    def stock_srq(self, slots, build):
+        """Post ``build(slot)`` per slot to the still empty SRQ, built when claimed."""
+        self._stock, self._build = iter(slots), build
+
+    @property
+    def srq(self):
+        """The shared receive queue as the next claim sees it: a deque headed
+        by the next buffer, empty only if the SRQ is.  Claims come in the
+        order of one deque stocked up front: the stock, then what was posted."""
+        if not self._head:
+            for slot in self._stock:
+                self._head.append(self._build(slot))
+                return self._head
+            return self._posted
+        return self._head
+
     def post_srq(self, recv_buffer):
-        self.srq.append(recv_buffer)
+        self._posted.append(recv_buffer)
 
 
 class QueuePair:
@@ -104,6 +122,7 @@ class QueuePair:
         retry_cnt=timing.QP_RETRY_CNT,
         rnr_retry=timing.QP_RNR_RETRY,
         rnr_timer_ns=timing.QP_RNR_TIMER_NS,
+        qpn=None,
     ):
         self.node = node
         self.sim = node.sim
@@ -121,7 +140,7 @@ class QueuePair:
         # (smaller, faster-flying) request must not overtake an earlier
         # one on the wire; arrivals are clamped to this watermark.
         self._req_arrival_clock = 0
-        self.qpn = node.rnic.register_qp(self)
+        self.qpn = node.rnic.register_qp(self, qpn)
         self.state = QPS_RESET
         self.remote = None  # (gid, qpn) once RC-connected
         # At rest a QP owns no queue storage and no NIC-side processor: the

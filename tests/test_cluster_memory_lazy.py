@@ -75,3 +75,46 @@ def test_lazy_memory_matches_flat_bytearray(writes, read_addr, read_len):
         memory.write(addr, payload)
         flat[addr : addr + len(payload)] = payload
     assert memory.read(read_addr, read_len) == bytes(flat[read_addr : read_addr + read_len])
+
+
+# ---------------------------------------------------------------------------
+# Freshly allocated memory is zeroed: empty tables cost no page
+# ---------------------------------------------------------------------------
+
+
+def test_alloc_never_hands_an_address_out_twice_so_it_reads_as_zeros():
+    memory = PhysicalMemory(size=1 << 20)
+    first = memory.alloc(1000)
+    memory.write(first, b"\xff" * 1000)
+    second = memory.alloc(5000)
+    assert second >= first + 1000
+    assert memory.read(second, 5000) == bytes(5000)
+
+
+def test_empty_tables_materialize_no_page_and_lookups_miss():
+    """The four table builders used to zero-fill what ``alloc`` returned (a
+    4096-bucket meta table wrote 64 pages of zeros per ``MetaServer``)."""
+    from repro.apps.race import RaceStorage
+    from repro.apps.race.extendible import DIR_ENTRIES, META_BYTES, ExtendibleRaceStorage
+    from repro.apps.txn.storage import TxnStorage
+    from repro.cluster import Cluster
+    from repro.krcore import MetaServer
+    from repro.kvs import DrtmKvServer
+    from repro.sim import Simulator
+
+    nodes = Cluster(Simulator(), num_nodes=5, memory_size=64 << 20).nodes
+    kv = DrtmKvServer(nodes[0], bucket_count=4096)
+    assert kv.get_local(b"dct:node7") is None and kv.delete(b"dct:node7") is False
+    race = RaceStorage(nodes[1], num_buckets=4096)
+    assert race.get_local(b"missing") is None
+    txn = TxnStorage(nodes[2], num_records=1024)
+    assert txn.read_local(1023) == (0, False, bytes(64))
+    meta = MetaServer(nodes[3])
+    assert meta.store.get_local(b"dct:node7") is None
+    assert [node.memory.resident_bytes for node in nodes[:4]] == [0, 0, 0, 0]
+
+    # The extendible table writes its subtable count and directory, and
+    # nothing of the subtables behind them.
+    ExtendibleRaceStorage(nodes[4])
+    directory_pages = -(-(META_BYTES + DIR_ENTRIES * 8) // _PAGE_SIZE)
+    assert nodes[4].memory.resident_bytes == directory_pages * _PAGE_SIZE

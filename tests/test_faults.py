@@ -13,9 +13,10 @@ from repro.cluster.fabric import LinkFault
 from repro.cluster.node import Node
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import META_OUTAGE, NODE_CRASH, NODE_RESTART
+from repro.krcore import KrcoreModule
 from repro.sim import MS, US
 from repro.verbs import Opcode, QpState, WcStatus, WorkRequest
-from tests.conftest import quick_rc_pair, register
+from tests.conftest import krcore_cluster, quick_rc_pair, register
 
 
 def _await_completion(qp):
@@ -116,6 +117,34 @@ def test_restart_wrecks_the_old_qps(sim, cluster):
     # The client-side QP is untouched: its peer death surfaces through
     # retransmission timeouts, not through magic state changes.
     assert qp_c.state is QpState.RTS
+
+
+def test_reloaded_module_reserves_its_pool_block_on_the_new_rnic(sim):
+    """A module's pool QPNs are reserved at load and built on first use.
+    The restart builds the old module's unbuilt QPs to wreck them with the
+    rest (a straggler holding the old stack must get ERR QPs of the old
+    RNIC, never fresh ones registered on the new RNIC's numbers); the
+    re-loaded module takes QPNs 1..48 of the new RNIC."""
+    cluster, meta, modules = krcore_cluster(sim, num_nodes=3)
+    node, old = cluster.node(2), modules[2]
+    used = old.pool(3).dc
+    assert [qp.qpn for qp in used] == [7, 8]
+    old_rnic = node.rnic
+    node.fail()
+    node.restart()
+    old_qps = [qp for pool in old.built_pools() for qp in pool.dc]
+    assert [qp.qpn for qp in old_qps] == list(range(1, 49)) and old_qps[6:8] == used
+    assert {qp.state for qp in old_qps} == {QpState.ERR}
+    assert [old_rnic.qp(qp.qpn) for qp in old_qps] == old_qps
+    assert node.rnic._qps == {}
+
+    new = KrcoreModule(node, meta)
+    assert new.built_pools() == [] and node.rnic._qps == {}
+    fresh = new.pool(3).dc
+    assert [(qp.qpn, qp.state) for qp in fresh] == [(7, QpState.RTS), (8, QpState.RTS)]
+    assert [node.rnic.qp(qpn) for qpn in (7, 8)] == fresh
+    assert new.meta_client(0).qp.qpn == 49
+    assert old.pool(3).dc == used  # the old stack still finds its wrecked QPs
 
 
 def test_rnic_stall_backs_up_command_work(sim, cluster):

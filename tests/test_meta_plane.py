@@ -59,12 +59,48 @@ def test_single_shard_plane_routes_everything_to_shard_zero():
     assert plane.replication == 1
 
 
+def test_single_shard_plane_has_no_ring_and_hashes_nothing(monkeypatch):
+    import repro.krcore.meta as meta_module
+
+    def no_hashing(data):
+        raise AssertionError(f"one shard owns every key: {data!r} needs no ring point")
+
+    monkeypatch.setattr(meta_module, "_ring_hash", no_hashing)
+    plane = _bare_plane(1)
+    assert plane._ring == []
+    assert plane.owner_indices(mr_key("node3", 11)) == [0]
+    assert plane.primary_index(dct_key("node3")) == 0
+    assert plane.owner_gids(dct_key("node3")) == ["meta0"]
+
+
 def test_ensure_wraps_bare_server_and_passes_planes_through(sim):
     cluster = Cluster(sim, num_nodes=1)
     server = MetaServer(cluster.node(0))
     plane = MetaPlane.ensure(server)
     assert len(plane) == 1 and plane.shards[0] is server
     assert MetaPlane.ensure(plane) is plane
+
+
+def test_ensure_gives_one_plane_per_bare_server(sim):
+    cluster, server, modules = krcore_cluster(sim, num_nodes=3)
+    assert MetaPlane.ensure(server) is MetaPlane.ensure(server)
+    assert {id(module.meta_plane) for module in modules} == {id(MetaPlane.ensure(server))}
+    other = MetaServer(Cluster(sim, num_nodes=1).node(0))
+    assert MetaPlane.ensure(other) is not MetaPlane.ensure(server)
+
+
+def test_a_full_meta_table_names_its_load_and_the_way_out(sim):
+    """One deployment takes ~4 000 nodes' boot records (ROADMAP item 2); what
+    a bigger ``krcore_cluster`` dies of must say how full the table was and
+    that ``meta_shards`` spreads the records."""
+    from repro.kvs import StoreFullError
+
+    server = MetaServer(Cluster(sim, num_nodes=1).node(0), bucket_count=2)
+    with pytest.raises(StoreFullError) as full:
+        for index in range(9):
+            server.publish_dct(f"node{index}", index, 7)
+    assert "8 of 8 slots are in use" in str(full.value)
+    assert "meta table on node0" in str(full.value) and "meta_shards" in str(full.value)
 
 
 def test_writes_land_on_every_owner_shard(sim):

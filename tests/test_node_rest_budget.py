@@ -1,13 +1,16 @@
 """Node rest budget: what a booted, idle node holds on the host.
 
-KRCORE's pool is built at module load and then mostly idle (§4.2: two
-DCQPs per CPU plus the DCT target), so what an idle queue pair costs the
-simulator is what a node costs.  A QP at rest owns nothing (DESIGN.md §17
-"A QP at rest"): send queue, sender process and CQ storage appear at the
-first doorbell.  The counts are exact and repeat on every run, so they are
-pinned here, and the heap a node holds has a ceiling: a sender started at
-construction or a deque built per idle queue fails this file by name
-instead of waiting for a ``peak_rss_mb`` run.
+KRCORE's pool exists from module load and is then mostly idle (§4.2: two
+DCQPs per CPU plus the DCT target with a deep SRQ), so what idle pool
+entries cost the simulator is what a node costs.  A node at rest holds
+none of them (DESIGN.md §17 "A node at rest"): a CPU's pool and its DCQPs
+are built the first time the CPU is used, under QPNs reserved at load, and
+an SRQ slot becomes a ``RecvBuffer`` when a message claims it.  A QP that
+is built owns nothing either until its first doorbell ("A QP at rest").
+The counts are exact and repeat on every run, so they are pinned here, and
+the heap a node holds has a ceiling: a pool built at load, a sender started
+at construction or a deque per idle queue fails this file by name instead
+of waiting for a ``setup_s`` / ``peak_rss_mb`` run.
 
 ``make rest-budget`` prints the table (``pytest -s -k rest_budget``).
 """
@@ -19,13 +22,14 @@ import sys
 import tracemalloc
 from collections import deque
 
+import repro.krcore.module
 import repro.sim
 from repro.bench.setups import krcore_cluster
 from repro.krcore import KrcoreLib
 from repro.sim import ENGINE, US
-from repro.verbs import QueuePair
+from repro.verbs import QpState, QueuePair, RecvBuffer
 
-NODES = 4  # 24 cores each: 48 pooled DCQPs + 48 CQs per node
+NODES = 4  # 24 cores each: 48 pooled DCQPs + 48 CQs per node, once all are used
 
 #: The generators a booted node runs, one ``Process`` and one dispatched
 #: (start) record each: the DCT dispatcher, the kernel-message daemon and
@@ -34,32 +38,46 @@ REST_PROCESSES = ["_daemon", "_kernel_daemon", "_recv_dispatcher"]
 
 #: Host heap per node after boot + a 10 us run, simulated DRAM pages left
 #: out (they are what the meta server's tables wrote, not node weight).
-#: Measured 89 KB on 3.11 (317 before PR 18); the ceiling leaves room for
-#: other interpreters' object sizes, not for a deque per idle queue.
-NODE_KB_CEILING = 150
+#: Measured 19 KB on 3.11 (89 before PR 19, 317 before PR 18); the ceiling
+#: leaves room for other interpreters' object sizes, not for one built
+#: pool (48 QP + CQ pairs are 30 KB) or a stocked SRQ (192 buffers, 18 KB).
+NODE_KB_CEILING = 40
+
+#: A boot large enough that per-node cost must not grow with the cluster
+#: (a private ring per module did): nodes, meta shards.
+BIG_BOOT = (2000, 2)
 
 
-def _boot(monkeypatch):
-    """A booted 4-node cluster run for 10 us; returns it and the (generator,
-    process name) of every ``Process`` constructed since, appended live."""
-    started = []
+def _boot(monkeypatch, num_nodes=NODES, meta_shards=1):
+    """A booted cluster run for 10 us; returns it, the (generator, process
+    name) of every ``Process`` constructed since and the kernel
+    ``RecvBuffer``s built since, both appended live."""
+    started, buffers = [], []
     process_init = repro.sim.Process.__init__
 
     def counted_init(self, sim, gen, name=None):
         started.append((gen.__name__, name))
         process_init(self, sim, gen, name)
 
+    def counted_buffer(*args, **kwargs):
+        buffers.append(RecvBuffer(*args, **kwargs))
+        return buffers[-1]
+
     monkeypatch.setattr(repro.sim.Process, "__init__", counted_init)
-    sim, cluster, _meta, modules = krcore_cluster(num_nodes=NODES)
+    monkeypatch.setattr(repro.krcore.module, "RecvBuffer", counted_buffer)
+    sim, cluster, _meta, modules = krcore_cluster(num_nodes=num_nodes, meta_shards=meta_shards)
     sim.run(until=10 * US)
-    return sim, cluster, modules, started
+    return sim, cluster, modules, started, buffers
+
+
+def _built_cpus(modules):
+    """gid -> the CPUs whose pool exists, for the nodes that have any."""
+    built = {m.node.gid: [pool.cpu_id for pool in m.built_pools()] for m in modules}
+    return {gid: cpus for gid, cpus in built.items() if cpus}
 
 
 def _pool_qps(modules):
-    return [
-        qp for module in modules for cpu in range(module.node.cores)
-        for qp in module.pool(cpu).dc
-    ]
+    return [qp for module in modules for pool in module.built_pools() for qp in pool.dc]
 
 
 def _owns_storage(qp):
@@ -73,24 +91,26 @@ def _owns_storage(qp):
     )
 
 
-def _weigh():
+def _weigh(num_nodes=NODES, meta_shards=1):
     """(traced KB per node, the same without DRAM pages) of a booted cluster."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sim, cluster, _meta, _modules = krcore_cluster(num_nodes=NODES)
+        sim, cluster, _meta, _modules = krcore_cluster(
+            num_nodes=num_nodes, meta_shards=meta_shards
+        )
         sim.run(until=10 * US)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     pages = sum(len(page) for node in cluster.nodes for page in node.memory._pages.values())
-    return held / NODES / 1024, (held - pages) / NODES / 1024
+    return held / num_nodes / 1024, (held - pages) / num_nodes / 1024
 
 
 def test_rest_budget_three_processes_and_three_records_per_node(monkeypatch):
-    sim, cluster, _modules, started = _boot(monkeypatch)
+    sim, cluster, _modules, started, _buffers = _boot(monkeypatch)
     by_node = {}
     for generator, name in started:
         by_node.setdefault(name.rpartition("@")[2], []).append(generator)
@@ -101,18 +121,54 @@ def test_rest_budget_three_processes_and_three_records_per_node(monkeypatch):
     assert (sim.events_dispatched, sim.timer_fires) == (len(REST_PROCESSES) * NODES, 0)
 
 
+def test_rest_budget_no_pool_qp_or_kernel_buffer_exists(monkeypatch):
+    _sim, cluster, modules, _started, buffers = _boot(monkeypatch)
+    assert _built_cpus(modules) == {}
+    assert [node.rnic._qps for node in cluster.nodes] == [{}] * NODES
+    assert buffers == []
+    # The reserve is ready to post; the stock ahead of it is a range.
+    assert [list(module._free_slots) for module in modules] == [list(range(192, 256))] * NODES
+
+
 def test_rest_budget_no_pool_qp_or_cq_owns_storage(monkeypatch):
-    _sim, _cluster, modules, _started = _boot(monkeypatch)
+    """Built on every CPU, the pool is what it was when module load built
+    it -- 48 RTS DCQPs per node on QPNs 1..48 -- and still owns nothing."""
+    _sim, _cluster, modules, _started, _buffers = _boot(monkeypatch)
+    accounted = [module.connection_cache_bytes() for module in modules]
+    for module in modules:
+        for cpu in reversed(range(module.node.cores)):
+            module.pool(cpu)
+    # Fig 15a counts the DCQPs the hardware holds, built on the host or not.
+    assert [module.connection_cache_bytes() for module in modules] == accounted
     qps = _pool_qps(modules)
-    assert len(qps) == 2 * 24 * NODES
+    assert [qp.qpn for qp in qps] == list(range(1, 49)) * NODES
+    assert {qp.state for qp in qps} == {QpState.RTS}
     assert [qp.qpn for qp in qps if _owns_storage(qp)] == []
+
+
+def test_rest_budget_pool_qpns_do_not_depend_on_first_use_order(monkeypatch):
+    """QPN = block base + cpu * dc_per_cpu + i, and with it the seed of the
+    DCQP's reconnect-tail LCG, whichever CPU is used first; the QPN after
+    the block is the next one handed out, as when load built all 48."""
+    seen = []
+    for order in ([0, 5, 23], [23, 5, 0], [5]):
+        _sim, _cluster, modules, _started, _buffers = _boot(monkeypatch)
+        module = modules[1]
+        for cpu in order:
+            module.pool(cpu)
+        seen.append({
+            cpu: [(qp.qpn, qp._dc_lcg) for qp in module.pool(cpu).dc] for cpu in (0, 5, 23)
+        })
+        assert [qp.qpn for qp in module.pool(5).dc] == [11, 12]
+        assert module.meta_client(0).qp.qpn == 49
+    assert seen[0] == seen[1] == seen[2]
 
 
 def test_rest_budget_a_read_wakes_only_the_qps_it_posts_on(monkeypatch):
     """One connected ``read_sync`` from CPU 0: storage and a sender appear
     on the QPs that saw a doorbell (the VQP's DCQP and the two that carried
     the MR publications), one sender each, and nowhere else."""
-    sim, cluster, modules, started = _boot(monkeypatch)
+    sim, cluster, modules, started, buffers = _boot(monkeypatch)
     client, server = cluster.node(1), cluster.node(2)
     lib, server_lib = KrcoreLib(client), KrcoreLib(server)
     posted_on = {}
@@ -136,6 +192,12 @@ def test_rest_budget_a_read_wakes_only_the_qps_it_posts_on(monkeypatch):
 
     del started[:]
     vqp = sim.run_process(read())
+    # Pools: the client's CPU 0, and CPU 0 of the server for its publication
+    # (kernel messages leave from CPU 0).  The meta node only receives.
+    assert _built_cpus(modules) == {"node1": [0], "node2": [0]}
+    # Buffers: each of the two publications claimed one stocked slot of the
+    # meta node's SRQ and its dispatcher posted one from the reserve behind.
+    assert [buffer.wr_id for buffer in buffers] == [0, 192, 1, 193]
     pool = _pool_qps(modules)
     awake = [qp for qp in pool if _owns_storage(qp)]
     assert awake == [qp for qp in pool if qp in posted_on]
@@ -148,15 +210,28 @@ def test_rest_budget_a_read_wakes_only_the_qps_it_posts_on(monkeypatch):
 def test_rest_budget_node_weight_stays_under_the_ceiling(monkeypatch):
     _weigh()  # warm: import-time and per-size caches are not node weight
     with_pages, node_kb = _weigh()
-    sim, _cluster, _modules, started = _boot(monkeypatch)
+    _big_with_pages, big_kb = _weigh(*BIG_BOOT)
+    sim, _cluster, modules, started, buffers = _boot(monkeypatch)
+    pools = sum(len(module.built_pools()) for module in modules)
     print(f"\nNode rest budget, {NODES} booted 24-core nodes after 10 us (engine={ENGINE})")
     print(f"  {'per node':<34}{'measured':>9}{'ceiling':>9}")
     print(f"  {'host heap, KB (no DRAM pages)':<34}{node_kb:>9.1f}{NODE_KB_CEILING:>9}")
+    print(f"  {'  same, %d nodes on %d shards' % BIG_BOOT:<34}{big_kb:>9.1f}{NODE_KB_CEILING:>9}")
     print(f"  {'host heap, KB (with DRAM pages)':<34}{with_pages:>9.1f}{'':>9}")
     print(f"  {'Process objects':<34}{len(started) / NODES:>9.0f}{len(REST_PROCESSES):>9}")
     print(f"  {'boot records dispatched':<34}{sim.events_dispatched / NODES:>9.0f}"
           f"{len(REST_PROCESSES):>9}")
+    print(f"  {'per-CPU pools built':<34}{pools / NODES:>9.0f}{0:>9}")
+    print(f"  {'kernel RecvBuffers built':<34}{len(buffers) / NODES:>9.0f}{0:>9}")
     assert node_kb <= NODE_KB_CEILING
+    assert big_kb <= NODE_KB_CEILING
+
+
+def test_rest_budget_a_big_boot_is_three_processes_per_node(monkeypatch):
+    nodes, shards = BIG_BOOT
+    sim, _cluster, modules, started, buffers = _boot(monkeypatch, nodes, shards)
+    assert len(started) == sim.events_dispatched == len(REST_PROCESSES) * nodes
+    assert (_built_cpus(modules), buffers) == ({}, [])
 
 
 def test_rest_budget_holds_on_the_other_engine():
