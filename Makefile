@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab hop-budget rest-budget flight-oracle coverage trace check check-sweep
+.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab counts hop-budget rest-budget flight-oracle coverage trace check check-sweep
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -20,16 +20,14 @@ trace:
 chaos:
 	$(PYTHON) -m pytest tests/test_chaos.py -m chaos -q
 
-# Quick perf check: the perf smoke test (budgeted wall time, appends to
-# benchmarks/BENCH_<date>.json) plus two real figures with perf records
-# (fig10 for the data path, meta_scale for the sharded control plane).
+# Quick perf look: the observatory, short (every workload timed then traced,
+# ~2 min; `make observatory` is the same at 6 s per timed run).
 bench-fast:
-	$(PYTHON) -m pytest benchmarks/perf_smoke.py -m perf -q
-	$(PYTHON) -m repro.bench fig10 meta_scale --perf-json $$(test -n "$$REPRO_PERF_JSON" && echo "$$REPRO_PERF_JSON" || echo benchmarks/BENCH_$$(date +%Y-%m-%d).json) --perf-label bench-fast
+	$(PYTHON) benchmarks/observatory/run.py --seed 1 --seconds 2 --out observatory.json
 
-# Regenerate every figure (fast mode) with perf records.
+# Regenerate every figure (fast mode).
 bench:
-	$(PYTHON) -m repro.bench --perf-json $$(test -n "$$REPRO_PERF_JSON" && echo "$$REPRO_PERF_JSON" || echo benchmarks/BENCH_$$(date +%Y-%m-%d).json) --perf-label bench
+	$(PYTHON) -m repro.bench
 
 # Paper-scale regeneration (slow).
 bench-full:
@@ -53,22 +51,29 @@ PAIRS ?= 10
 ab:
 	$(PYTHON) benchmarks/ab.py --parent $(PARENT) --pairs $(PAIRS) $(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(METRIC),--metric $(METRIC)) $(AB_ARGS)
 
+# Exact-count gate (benchmarks/counts.py): one traced pass per workload of
+# the unmodified observatory at seed 1; attempted / failed and every metric
+# whose BENCHMARK.json unit is `count` must equal tests/observatory_counts.json
+# to the digit (~20 s per workload).  A count that is meant to move:
+#   python benchmarks/counts.py --update   and a sentence in the PR.
+counts:
+	$(PYTHON) benchmarks/counts.py
+
 # WR hop budget (DESIGN.md §17): print the exact engine-record counts per
-# work request on the selected core (REPRO_ENGINE) and check them against
-# the pinned budget.
+# work request and check them against the pinned budget.
 hop-budget:
 	$(PYTHON) -m pytest -s -k hop_budget
 
 # Node rest budget (DESIGN.md §17 "A node at rest", "A QP at rest"): print
 # what a booted, idle node holds on the host (KB -- of a 4-node and of a
 # 2 000-node boot --, Process objects, boot records, per-CPU pools and kernel
-# RecvBuffers built: none) on the selected core and check the pins.
+# RecvBuffers built: none) and check the pins.
 rest-budget:
 	$(PYTHON) -m pytest -s -k rest_budget
 
 # Flight oracle (DESIGN.md §17): the WR state machine against the frozen
-# generator flight, whole timelines, 200 seeds per world on the selected
-# core (tier-1 runs a 12-seed slice of the same comparison).
+# generator flight, whole timelines, 200 seeds per world (tier-1 runs a
+# 12-seed slice of the same comparison).
 flight-oracle:
 	PYTHONPATH=src:. $(PYTHON) tests/test_flight_oracle.py
 

@@ -29,15 +29,25 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 OBSERVATORY = pathlib.Path("benchmarks") / "observatory"
 
 
-def run_side(tree, workload, seed, seconds, out):
+def run_side(tree, workload, seed, seconds, out, trace=0):
+    """One fresh process of ``tree``'s own ``run.py``; returns its ``--out``
+    record plus ``exit``.  A run that leaves no record ends the tool with the
+    command, its exit code and its stderr."""
     command = [
         sys.executable, str(tree / OBSERVATORY / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--trace", "0", "--out", str(out),
+        "--seed", str(seed), "--trace", str(trace), "--out", str(out),
     ]
     if seconds is not None:
         command += ["--seconds", str(seconds)]
-    done = subprocess.run(command, cwd=tree, stdout=subprocess.DEVNULL)
-    record = json.loads(out.read_text())
+    out.unlink(missing_ok=True)  # never read a record an earlier run left
+    done = subprocess.run(command, cwd=tree, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    try:
+        record = json.loads(out.read_text())
+    except (OSError, ValueError):
+        sys.exit(f"{' '.join(command)}\nexit {done.returncode}, no result in {out}; "
+                 f"stderr:\n{done.stderr.rstrip() or '(empty)'}")
+    sys.stderr.write(done.stderr)
     record["exit"] = done.returncode
     return record
 

@@ -5,33 +5,23 @@
     python -m repro.bench --full              # paper-scale
     python -m repro.bench --jobs 4            # fan figures out over processes
     python -m repro.bench --save-dir out/     # export every table as CSV
-    python -m repro.bench --perf-json benchmarks/BENCH_2026-08-07.json
     python -m repro.bench fig03 --trace /tmp/fig03.json --metrics -
     python -m repro.bench fig10 --profile /tmp/fig10.pstats.txt
 
 Figures are independent simulations, so ``--jobs N`` runs them across a
 ``ProcessPoolExecutor``; results are printed in submission order and the
 tables/CSVs are identical to a serial run.  ``--save-dir DIR`` writes each
-table as ``<figure>-<n>.csv`` under DIR.  ``--perf-json PATH`` appends one
-record per figure -- wall seconds, events dispatched, simulated ns, and the
-derived events/sec and simulated-ns/sec -- to a ``BENCH_<date>.json``
-trajectory file (see ``repro.bench.perf``), building a perf history of the
-engine PR over PR.  ``--trace PATH`` / ``--metrics PATH`` install the
-``repro.obs`` observability layer for each figure and export a
-Perfetto-loadable Chrome trace / a flat metrics snapshot (``-`` prints to
-stdout; multiple figures write ``<stem>-<figure><suffix>`` each).
+table as ``<figure>-<n>.csv`` under DIR.  ``--trace PATH`` / ``--metrics
+PATH`` install the ``repro.obs`` observability layer for each figure and
+export a Perfetto-loadable Chrome trace / a flat metrics snapshot (``-``
+prints to stdout; multiple figures write ``<stem>-<figure><suffix>`` each).
 """
 
 import argparse
 import sys
 import time
 
-from repro.bench.perf import (
-    append_trajectory,
-    figure_output_path,
-    load_trajectory,
-    run_figure,
-)
+from repro.bench.perf import figure_output_path, run_figure
 
 ALL_FIGURES = [
     "fig01", "fig03", "fig08", "fig09", "fig10", "fig11",
@@ -81,15 +71,6 @@ def main(argv=None):
         help="write each figure's tables as <figure>-<n>.csv under DIR",
     )
     parser.add_argument(
-        "--perf-json", metavar="PATH",
-        help="append per-figure perf records (wall s, events/s, sim-ns/s) "
-             "to this BENCH_<date>.json trajectory file",
-    )
-    parser.add_argument(
-        "--perf-label", metavar="TEXT",
-        help="label stored with the run in the perf trajectory file",
-    )
-    parser.add_argument(
         "--trace", metavar="PATH",
         help="record a structured trace of each figure's simulation and "
              "export Chrome trace-event JSON (Perfetto-loadable) to PATH; "
@@ -106,9 +87,8 @@ def main(argv=None):
         help="run each figure under cProfile and write a pstats text "
              "report (top functions by cumulative and internal time) to "
              "PATH ('-' for stdout); with several figures, each writes "
-             "<stem>-<figure><suffix>.  Wall/rate numbers recorded for "
-             "profiled runs carry profiling overhead and are tagged "
-             "\"profiled\" in the perf trajectory",
+             "<stem>-<figure><suffix>.  The wall time printed for a "
+             "profiled run carries profiling overhead",
     )
     args = parser.parse_args(argv)
     for name in args.figures:
@@ -118,11 +98,6 @@ def main(argv=None):
         parser.error("--jobs must be >= 1")
     if args.partitions is not None and args.partitions < 1:
         parser.error("--partitions must be >= 1")
-    if args.perf_json:
-        try:  # fail fast, before the (possibly long) figure runs
-            load_trajectory(args.perf_json)
-        except ValueError as err:
-            parser.error(str(err))
 
     multiple = len(args.figures) > 1
     per_figure = [
@@ -134,7 +109,6 @@ def main(argv=None):
         )
         for name in args.figures
     ]
-    perf_records = []
     started = time.perf_counter()
     pool = None
     if args.jobs == 1 or len(args.figures) == 1:
@@ -170,10 +144,9 @@ def main(argv=None):
                             partitions=args.partitions)
             for name, tp, mp, pp in per_figure
         )
-    for name, (result, perf) in zip(args.figures, outcomes):
+    for name, (result, wall_s) in zip(args.figures, outcomes):
         result.show()
-        print(f"[{name} regenerated in {perf['wall_s']:.1f}s wall time]")
-        perf_records.append(perf)
+        print(f"[{name} regenerated in {wall_s:.1f}s wall time]")
         if args.save_dir:
             result.save_csv(args.save_dir, name)
     if pool is not None:
@@ -181,9 +154,6 @@ def main(argv=None):
     if args.jobs > 1 and len(args.figures) > 1:
         print(f"[{len(args.figures)} figures with --jobs {args.jobs}: "
               f"{time.perf_counter() - started:.1f}s wall time total]")
-    if args.perf_json:
-        path = append_trajectory(args.perf_json, perf_records, label=args.perf_label)
-        print(f"[perf trajectory appended to {path}]")
     return 0
 
 

@@ -1,21 +1,11 @@
-"""Perf instrumentation for figure runs: counters, timing, trajectory files.
+"""Running one figure: its wall time, its exports, its profile.
 
-The engine counts every callback it dispatches (`Simulator.events_dispatched`
-per instance, `Simulator.total_events_dispatched` / `total_sim_ns`
-process-wide).  :func:`run_figure` samples those totals around one figure
-reproduction and returns the figure's result together with a perf record:
-wall seconds, events dispatched, simulated nanoseconds, and the derived
-events/sec and simulated-ns/sec rates.
-
-:func:`append_trajectory` appends a run's records to a ``BENCH_<date>.json``
-trajectory file, so the repo accumulates a machine-readable perf history
-PR over PR (`python -m repro.bench --perf-json PATH`, and the perf smoke
-test in ``benchmarks/perf_smoke.py``).
+Perf *claims* are made with the observatory (``benchmarks/observatory/``);
+:func:`run_figure` only times the figure it runs.
 """
 
 import gc
 import importlib
-import json
 import pathlib
 import time
 
@@ -32,7 +22,7 @@ def partition_aware(module_or_name):
 
 def run_figure(name, full=False, trace_path=None, metrics_path=None,
                profile_path=None, partitions=None):
-    """Run one figure module and return ``(FigureResult, perf_record)``.
+    """Run one figure module and return ``(FigureResult, wall_seconds)``.
 
     ``partitions`` is forwarded to figure modules whose ``run()`` accepts
     it (the partition-aware figures, e.g. ``cluster_scale``); for every
@@ -53,18 +43,13 @@ def run_figure(name, full=False, trace_path=None, metrics_path=None,
 
     ``profile_path`` runs the figure under :mod:`cProfile` and writes a
     pstats text report (top functions by cumulative and by internal
-    time) there.  Profiling adds per-call overhead, so the record's
-    wall/rate numbers are *not* comparable to unprofiled runs; the
-    record is tagged ``"profiled": true`` to keep trajectories honest.
+    time) there.  Profiling adds per-call overhead, so the wall time of
+    a profiled run is *not* comparable to an unprofiled one.
     """
-    from repro.sim import ENGINE, Simulator
-
     module = importlib.import_module(f"repro.bench.{name}")
     run_kwargs = {}
     if partitions is not None and partition_aware(module):
         run_kwargs["partitions"] = partitions
-    events_before = Simulator.total_events_dispatched
-    sim_ns_before = Simulator.total_sim_ns
     profiler = None
     if profile_path is not None:
         import cProfile
@@ -84,8 +69,8 @@ def run_figure(name, full=False, trace_path=None, metrics_path=None,
 
                 with obs.observe() as (tracer, registry):
                     result = module.run(fast=not full, **run_kwargs)
-                _export(trace_path, tracer.to_json)
-                _export(metrics_path, registry.to_json)
+                export(trace_path, tracer.to_json)
+                export(metrics_path, registry.to_json)
         finally:
             if profiler is not None:
                 profiler.disable()
@@ -95,22 +80,8 @@ def run_figure(name, full=False, trace_path=None, metrics_path=None,
         gc.collect()
     wall_s = time.perf_counter() - started
     if profiler is not None:
-        _export(profile_path, lambda: _profile_report(profiler, name))
-    events = Simulator.total_events_dispatched - events_before
-    sim_ns = Simulator.total_sim_ns - sim_ns_before
-    perf = {
-        "figure": name,
-        "mode": "full" if full else "fast",
-        "engine": ENGINE,
-        "wall_s": round(wall_s, 3),
-        "events_dispatched": events,
-        "sim_ns": sim_ns,
-        "events_per_sec": round(events / wall_s) if wall_s > 0 else None,
-        "sim_ns_per_sec": round(sim_ns / wall_s) if wall_s > 0 else None,
-    }
-    if profiler is not None:
-        perf["profiled"] = True
-    return result, perf
+        export(profile_path, lambda: _profile_report(profiler, name))
+    return result, wall_s
 
 
 def _profile_report(profiler, name, top=40):
@@ -128,7 +99,7 @@ def _profile_report(profiler, name, top=40):
     return out.getvalue()
 
 
-def _export(path, to_json):
+def export(path, to_json):
     """Write ``to_json()`` to ``path`` (``"-"`` = stdout, None = skip)."""
     if path is None:
         return
@@ -149,48 +120,3 @@ def figure_output_path(path, name, multiple):
         return path
     p = pathlib.Path(path)
     return str(p.with_name(f"{p.stem}-{name}{p.suffix or '.json'}"))
-
-
-def default_trajectory_path(directory="benchmarks"):
-    """The conventional trajectory file for today: BENCH_<YYYY-MM-DD>.json."""
-    stamp = time.strftime("%Y-%m-%d")
-    return pathlib.Path(directory) / f"BENCH_{stamp}.json"
-
-
-def load_trajectory(path):
-    """Load ``path`` as a trajectory dict, or a fresh one if absent.
-
-    A corrupt or foreign file is never clobbered -- it raises ValueError
-    (call this *before* a long run to fail fast).
-    """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return {"schema": 1, "runs": []}
-    try:
-        data = json.loads(path.read_text())
-    except ValueError as err:
-        raise ValueError(f"{path} is not a BENCH trajectory file: {err}") from err
-    if not isinstance(data, dict) or "runs" not in data:
-        raise ValueError(f"{path} is not a BENCH trajectory file")
-    return data
-
-
-def append_trajectory(path, figure_records, label=None):
-    """Append one run (a list of per-figure perf records) to ``path``.
-
-    The file holds ``{"schema": 1, "runs": [...]}``; each run carries a
-    timestamp, an optional label, and its per-figure records.  A corrupt
-    or foreign file is not clobbered -- it raises instead.
-    """
-    path = pathlib.Path(path)
-    data = load_trajectory(path)
-    run = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "figures": list(figure_records),
-    }
-    if label:
-        run["label"] = label
-    data["runs"].append(run)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2) + "\n")
-    return path

@@ -8,23 +8,21 @@ would add, because everything else in the simulation is seeded.  A
 every currently-runnable callback in a ``pending`` list and asks a
 :class:`Strategy` which to dispatch next.
 
-The controller drives both engine cores (``repro.sim.engine_flat`` and
-``repro.sim.engine_classic``), keyed on ``Simulator.FLAT_CORE``: the
-classic drive consumes the ready deque and future heap, the flat drive
-consumes the ready slab and timestamp cohorts (the "cohort hook").  Both
-present the *same* pending lists in the same order at the same moments,
-so choice points, recorded decisions, and replays are interchangeable
-across engines — the committed schedule corpus replays byte-identically
-under either core (``tests/test_check_controller.py`` pins this).
+The drive loop consumes the engine's own structures (``repro.sim.engine``:
+the ready slab and the timestamp cohorts collected from the future heap)
+and hands undispatched work back to them on exit, so controlled and
+uncontrolled ``run()`` calls can alternate on one simulator.  The
+committed schedule corpus (``tests/schedules/``) pins the pending lists
+the loop presents: a replay must hit the same choice points in the same
+order (``tests/test_check_controller.py``, ``tests/test_check_corpus.py``).
 
 Semantics contract
 ------------------
 
 With :class:`FifoStrategy` (the default) the driven run is event-for-
-event identical to the engine's own loop: future entries mature under the
-same lazy rule (only while the next matured record predates the lowest
-pending one -- maturing eagerly past a matured plain callback would
-dispatch it late), timer maturation requeues in the same order, dispatch
+event identical to the engine's own loop: cohort records mature lazily
+(only while no earlier-scheduled matured plain callback is still
+pending), timer maturation requeues in the same order, dispatch
 decodes the same inline records, orphan failures re-raise at the same
 point, and the dispatch counters advance identically.
 ``tests/test_check_controller.py`` pins this down against golden traces
@@ -103,12 +101,8 @@ class PctStrategy:
     guarantee rests on.  References to priority holders are retained so
     CPython id() reuse cannot silently alias two actors within a run.
 
-    A pending entry is ``(seq, callback, arg)`` under the classic engine
-    and ``(callback, arg)`` under the flat one, so the actor is always
-    ``entry[-2]``.  Note the engines encode zero-delay timer actors
-    differently (a per-yield ``_TimerResume`` object vs the process
-    itself), so a PCT seed explores different-but-equally-valid schedules
-    per engine; recorded *decisions* replay identically on both.
+    A pending entry is ``(callback, arg)``; the actor is the callback
+    (for a timer or waiter record, the process itself).
     """
 
     name = "pct"
@@ -125,7 +119,7 @@ class PctStrategy:
         self._demotions = 0
 
     def _priority(self, entry):
-        actor = entry[-2]
+        actor = entry[0]
         record = self._prio.get(id(actor))
         if record is None:
             record = [self.rng.random(), actor]
@@ -195,122 +189,17 @@ class ScheduleController:
 
     def drive(self, sim, until=None):
         """The controller's run loop; see the module docstring for the
-        exact-equivalence contract with ``Simulator.run``.  Dispatches on
-        the engine core: the flat engine is driven through its timestamp
-        cohorts, the classic one through its ready deque and heap."""
-        if getattr(sim, "FLAT_CORE", False):
-            return self._drive_flat(sim, until)
-        return self._drive_classic(sim, until)
-
-    def _drive_classic(self, sim, until=None):
-        heap = sim._heap
-        ready = sim._ready
-        popheap = heapq.heappop
-        dispatched = 0
-        timer_fires = 0
-        start_ns = sim.now
-        orphans = sim._orphan_failures
-        strategy = self.strategy
-        record = self.record
-        #: Runnable entries at the current timestamp, ascending sequence
-        #: order (a strict superset view of the engine's ready deque).
-        pending = []
-        try:
-            while True:
-                while ready:
-                    pending.append(ready.popleft())
-                if pending and until is not None and sim.now > until:
-                    break
-                # Lazy heap maturation, exactly the engine's rule: only
-                # while the heap head matured at the current timestamp
-                # with a sequence number below the lowest pending one.
-                while heap and heap[0][0] == sim.now and (
-                    not pending or heap[0][1] < pending[0][0]
-                ):
-                    head = popheap(heap)
-                    if head[3].__class__ is int:
-                        # Timer maturing (hop 1 of 2): fresh sequence
-                        # number, appended like the engine's requeue.
-                        dispatched += 1
-                        timer_fires += 1
-                        sim._seq += 1
-                        pending.append((sim._seq, head[2], head[3]))
-                    else:
-                        # A plain scheduled callback: its (old, lowest)
-                        # sequence number puts it at the front.
-                        pending.insert(0, (head[1], head[2], head[3]))
-                if not pending:
-                    if not heap:
-                        break
-                    when = heap[0][0]
-                    if until is not None and when > until:
-                        break
-                    sim.now = when
-                    continue
-                if len(pending) == 1:
-                    index = 0
-                else:
-                    self.steps += 1
-                    index = strategy.choose(self.steps, pending)
-                    if index:
-                        index %= len(pending)
-                    if record:
-                        self.points.append((self.steps, len(pending), index))
-                        if index:
-                            self.decisions.append((self.steps, index))
-                _seq, callback, arg = pending.pop(index)
-                dispatched += 1
-                cls = arg.__class__
-                if cls is int:
-                    # Timer resume (hop 2 of 2).
-                    if callback._wait_gen == arg:
-                        callback._resume(None, None)
-                elif cls is tuple:
-                    # Event waiter resume: (wait generation, event).
-                    gen = arg[0]
-                    if callback._wait_gen == gen:
-                        event = arg[1]
-                        callback._resume(event.value, event._exc)
-                elif arg is None:
-                    callback()
-                else:
-                    callback(arg)
-                if orphans:
-                    _process, exc = orphans.popleft()
-                    raise exc
-        finally:
-            if pending:
-                # Hand undispatched work back to the engine's structures
-                # (an exception or an ``until`` bound mid-timestamp), so
-                # a later run() -- controlled or not -- continues cleanly.
-                pending.extend(ready)
-                ready.clear()
-                ready.extend(pending)
-            sim.events_dispatched += dispatched
-            sim.timer_fires += timer_fires
-            type(sim).total_events_dispatched += dispatched
-            type(sim).total_sim_ns += sim.now - start_ns
-            registry = _obs_metrics.METRICS
-            if registry is not None:
-                registry.counter("sim.dispatches").inc(dispatched)
-                registry.counter("sim.timer_fires").inc(timer_fires)
-                registry.counter("sim.runs").inc()
-                registry.counter("sim.elapsed_ns").inc(sim.now - start_ns)
-        if until is not None and sim.now < until:
-            sim.now = int(until)
-
-    def _drive_flat(self, sim, until=None):
-        """The cohort hook: drive the flat engine's slabs.
+        exact-equivalence contract with ``Simulator.run``.
 
         Pending entries are ``(callback, arg)`` pairs in dispatch order
-        (the flat engine's order is positional — no sequence numbers).
-        The one place the classic engine's sequence arbitration still
-        matters is cohort maturation: a plain callback matured out of the
-        current cohort predates every other pending entry, so it enters
-        at the *front* of ``pending`` and further maturation stalls until
-        it is dispatched (``front_matured``, mirroring the classic lazy
-        rule ``heap[0][1] < pending[0][0]``).  Timer records always
-        mature: their hop-2 requeue is newer than everything pending.
+        (the engine's order is positional — no sequence numbers at the
+        current timestamp).  The one place schedule order needs care is
+        cohort maturation: a plain callback matured out of the current
+        cohort predates every other pending entry, so it enters at the
+        *front* of ``pending`` and further maturation stalls until it is
+        dispatched (``front_matured``) — maturing eagerly past it would
+        dispatch it late.  Timer records always mature: their hop-2
+        requeue is newer than everything pending.
         """
         rbuf = sim._rbuf
         heap = sim._heap
@@ -341,9 +230,8 @@ class ScheduleController:
                 pos = 0
                 if pending and until is not None and sim.now > until:
                     break
-                # Lazy cohort maturation, exactly the classic rule: only
-                # while no earlier-scheduled matured plain callback is
-                # still pending at the front.
+                # Lazy cohort maturation: only while no earlier-scheduled
+                # matured plain callback is still pending at the front.
                 if cohort is not None and not front_matured:
                     n = len(cohort)
                     while cpos < n:

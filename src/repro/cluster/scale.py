@@ -8,9 +8,9 @@ tenants are open-loop request generators pinned to their home node.
 
 The model is built to be **provably partition-independent**: every op's
 completion timestamp is a pure function of the spec, regardless of how
-many engine partitions execute it, which engine core runs each
-partition, or whether partitions live in one process or many.  The
-rules that make that true (and that the equivalence suite enforces):
+many engine partitions execute it or whether partitions live in one
+process or many.  The rules that make that true (and that the
+equivalence suite enforces):
 
 * Nodes interact **only through messages** — requests and responses with
   deterministic wire latency (in-rack vs spine).  Cross-rack messages
@@ -20,7 +20,7 @@ rules that make that true (and that the equivalence suite enforces):
 * A node admits the requests arriving at one timestamp **in canonical
   order** ``(src_node, seq)``, not handler-dispatch order: arrivals
   buffer, and a single per-timestamp drain (scheduled behind every
-  same-timestamp arrival — both engines dispatch same-timestamp work in
+  same-timestamp arrival — the engine dispatches same-timestamp work in
   schedule order) sorts them before serializing service on the node's
   accumulator clock.
 * Per-tenant randomness comes from private integer LCG streams seeded
@@ -56,12 +56,12 @@ class ScaleSpec:
 
     __slots__ = ("racks", "nodes_per_rack", "tenants_per_node",
                  "ops_per_tenant", "mean_think_ns", "cross_rack_frac",
-                 "cached_frac", "seed", "engine", "faults")
+                 "cached_frac", "seed", "faults")
 
     def __init__(self, racks=4, nodes_per_rack=4, tenants_per_node=2,
                  ops_per_tenant=8, mean_think_ns=20_000,
                  cross_rack_frac=0.35, cached_frac=0.5, seed=1,
-                 engine="default", faults=()):
+                 faults=()):
         if racks * nodes_per_rack < 2:
             raise ValueError("the model needs at least two nodes")
         if ops_per_tenant < 1 or tenants_per_node < 1:
@@ -76,7 +76,6 @@ class ScaleSpec:
         self.cross_rack_frac = float(cross_rack_frac)
         self.cached_frac = float(cached_frac)
         self.seed = int(seed)
-        self.engine = engine
         self.faults = tuple(tuple(f) for f in faults)
 
     def topology(self):
@@ -92,13 +91,13 @@ class ScaleSpec:
             "cross_rack_frac": self.cross_rack_frac,
             "cached_frac": self.cached_frac,
             "seed": self.seed,
-            "engine": self.engine,
             "faults": [list(f) for f in self.faults],
         }
 
     @classmethod
     def from_dict(cls, data):
         data = dict(data)
+        data.pop("engine", None)  # schedule files from before PR 21 name an event core
         data["faults"] = [tuple(f) for f in data.pop("faults", [])]
         return cls(**data)
 
@@ -290,7 +289,7 @@ def _on_request(partition, msg):
     if not ns.drain_scheduled:
         ns.drain_scheduled = True
         # Runs at this same timestamp, after every arrival handler already
-        # scheduled for it (both engines dispatch same-ts work in schedule
+        # scheduled for it (the engine dispatches same-ts work in schedule
         # order, and all arrivals at t were scheduled strictly before t).
         partition.sim.schedule(0, _Drain(partition, state, ns))
 
@@ -332,8 +331,7 @@ def build_scale_partition(args, index):
     spec, num_partitions = args
     topology = spec.topology()
     assignment = plan_partitions(topology, num_partitions)
-    partition = Partition(index, num_partitions,
-                          timing.INTER_RACK_ONE_WAY_NS, engine=spec.engine)
+    partition = Partition(index, num_partitions, timing.INTER_RACK_ONE_WAY_NS)
     state = _ScaleState(spec, topology, assignment)
     partition.scale_state = state
     partition.register(REQ, _on_request)

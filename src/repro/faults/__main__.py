@@ -42,6 +42,8 @@ exports the flat metrics snapshot (``-`` prints to stdout).
 import argparse
 import sys
 
+from repro import obs
+from repro.bench.perf import export
 from repro.faults.harness import run_chaos
 
 
@@ -148,9 +150,6 @@ def main(argv=None):
             meta_shards=args.meta_shards,
         )
     else:
-        from repro import obs
-        from repro.bench.perf import _export
-
         with obs.observe() as (tracer, registry):
             report = run_chaos(
                 args.seed,
@@ -159,8 +158,8 @@ def main(argv=None):
                 ops_per_client=args.ops,
                 meta_shards=args.meta_shards,
             )
-        _export(args.trace, tracer.to_json)
-        _export(args.metrics, registry.to_json)
+        export(args.trace, tracer.to_json)
+        export(args.metrics, registry.to_json)
 
     print(report.summary())
     for at_ns, kind, summary in report.fault_log:

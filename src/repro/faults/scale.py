@@ -21,7 +21,7 @@ requested partition count (plus a clean P=1 control run), and checks:
   the clean mean (service multipliers only ever add time).
 
 Reports digest deterministically: one ``(seed, partitions)`` pair gives
-one byte sequence, on every engine and host.
+one byte sequence, on every host.
 """
 
 import hashlib
@@ -102,13 +102,12 @@ class ScaleChaosReport:
 
 def run_scale_chaos(seed, partitions=2, racks=6, nodes_per_rack=2,
                     tenants_per_node=2, ops_per_tenant=12,
-                    mean_think_ns=6_000, fault_events=4, engine="default",
-                    mode="inline"):
+                    mean_think_ns=6_000, fault_events=4, mode="inline"):
     """Prove fault-targeting equivalence for one seed; see module doc."""
     clean_spec = ScaleSpec(
         racks=racks, nodes_per_rack=nodes_per_rack,
         tenants_per_node=tenants_per_node, ops_per_tenant=ops_per_tenant,
-        mean_think_ns=mean_think_ns, seed=seed, engine=engine,
+        mean_think_ns=mean_think_ns, seed=seed,
     )
     topology = clean_spec.topology()
     # Horizon estimate: every tenant thinks ~mean between its ops.

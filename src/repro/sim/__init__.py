@@ -9,7 +9,6 @@ This is the substrate every simulated component (CPU, RNIC, fabric) runs on.
 """
 
 from repro.sim.engine import (
-    ENGINE,
     AllOf,
     AnyOf,
     Event,
@@ -28,7 +27,6 @@ SEC = 1_000_000_000  # nanoseconds per second
 __all__ = [
     "AllOf",
     "AnyOf",
-    "ENGINE",
     "Event",
     "Interrupt",
     "LatencyRecorder",

@@ -1,9 +1,8 @@
 """Partitioned parallel simulation: conservative lookahead over engine shards.
 
-The single-engine cores (:mod:`repro.sim.engine_flat` /
-``engine_classic``) dispatch every event of a run through one Python
-loop, which caps cluster size at whatever one interpreter can chew
-through.  This module splits a run into *partitions* — one independent
+The engine (:mod:`repro.sim.engine`) dispatches every event of a run
+through one Python loop, which caps cluster size at whatever one
+interpreter can chew through.  This module splits a run into *partitions* — one independent
 engine instance per rack group — and synchronizes them with the classic
 conservative (null-message / bounded-window) protocol:
 
@@ -28,8 +27,8 @@ conservative (null-message / bounded-window) protocol:
   ``t`` can only be produced in a window that ends before ``t``, every
   message for ``t`` is known (and injected, in canonical order) before
   any event at ``t`` runs — delivery order is a pure function of the
-  message set, independent of partition count, execution mode, and
-  engine.  This is the property the cross-partition equivalence suite
+  message set, independent of partition count and execution mode.
+  This is the property the cross-partition equivalence suite
   (``tests/test_partition_equivalence.py``) pins.
 
 Two execution modes share the window loop byte for byte:
@@ -42,16 +41,15 @@ Two execution modes share the window loop byte for byte:
   results; this is the mode that actually buys wall-clock speedup
   (``cluster_scale`` figure).
 
-A partition runs a completely ordinary engine internally — the flat or
-classic core, untouched.  ``partitions=1`` is the degenerate case: one
-partition, no cross-partition channels ever carry traffic, and the model
-code paths are identical to a plain single-engine run.
+A partition runs a completely ordinary engine internally, untouched.
+``partitions=1`` is the degenerate case: one partition, no
+cross-partition channels ever carry traffic, and the model code paths
+are identical to a plain single-engine run.
 """
 
 from time import perf_counter
 
-from repro.sim import engine as _engine
-from repro.sim.engine import SimulationError
+from repro.sim.engine import SimulationError, Simulator
 
 
 class PartitionError(SimulationError):
@@ -173,26 +171,6 @@ def merge_due(buffered, window_end):
     return due, remaining
 
 
-def _resolve_engine(engine):
-    """Map an engine name to its Simulator class.
-
-    ``"default"`` follows the process-wide ``REPRO_ENGINE`` selection;
-    naming ``"flat"``/``"classic"`` explicitly lets one process host a
-    cross-engine determinism matrix (both modules are always importable).
-    """
-    if engine in (None, "default"):
-        return _engine.Simulator
-    if engine == "flat":
-        from repro.sim import engine_flat
-
-        return engine_flat.Simulator
-    if engine == "classic":
-        from repro.sim import engine_classic
-
-        return engine_classic.Simulator
-    raise PartitionError(f"unknown engine {engine!r}")
-
-
 class Partition:
     """One engine shard: a private Simulator plus the channel endpoints.
 
@@ -202,7 +180,7 @@ class Partition:
     single-engine simulation code.
     """
 
-    def __init__(self, index, num_partitions, lookahead_ns, engine="default"):
+    def __init__(self, index, num_partitions, lookahead_ns):
         if not 0 <= index < num_partitions:
             raise PartitionError(
                 f"partition index {index} outside 0..{num_partitions - 1}"
@@ -210,7 +188,7 @@ class Partition:
         self.index = index
         self.num_partitions = num_partitions
         self.lookahead_ns = lookahead_ns
-        self.sim = _resolve_engine(engine)()
+        self.sim = Simulator()
         self._handlers = {}
         self._outboxes = {}
         self._node_seq = {}
@@ -295,11 +273,7 @@ class Partition:
     def next_event_ns(self):
         """The timestamp of this partition's earliest pending event, or None."""
         sim = self.sim
-        rbuf = getattr(sim, "_rbuf", None)
-        if rbuf is not None:  # flat core
-            if rbuf or sim._cohort is not None:
-                return sim.now
-        elif sim._ready:  # classic core
+        if sim._rbuf or sim._cohort is not None:
             return sim.now
         heap = sim._heap
         if heap:

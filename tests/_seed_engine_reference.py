@@ -1,12 +1,10 @@
 """A frozen copy of the seed (pre-optimization) simulation engine.
 
 This is the single-heap engine the repo shipped with, kept verbatim as an
-*ordering oracle*: ``test_sim_engine_perf.py`` runs randomly generated
-schedules against this engine and each production core -- the classic
-ready-deque/heap engine (``repro.sim.engine_classic``) and the default
-flat-record core (``repro.sim.engine_flat``) -- and asserts the callback
-execution traces are identical.  Both production engines are pure
-optimizations -- same-timestamp FIFO order by schedule sequence must be
+*ordering oracle*: ``tests/test_sim_engine.py`` runs randomly generated
+schedules against this engine and ``repro.sim.engine`` and asserts the
+callback execution traces are identical.  The production engine is a pure
+optimization -- same-timestamp FIFO order by schedule sequence must be
 preserved exactly, because the figure reproductions are bit-for-bit
 deterministic on it.
 

@@ -22,9 +22,6 @@ dwarfs the chain's issue span so retransmit draws stay ordered too.
 With *response-link* faults the two modes genuinely diverge -- see
 ``test_structural_invariants_under_bidirectional_faults`` -- so that leg
 asserts mode-independent structural invariants instead of equality.
-
-The suite runs on both engines: CI's tier-1 has a ``REPRO_ENGINE=flat``
-and a ``REPRO_ENGINE=classic`` leg.
 """
 
 from hypothesis import HealthCheck, given, settings

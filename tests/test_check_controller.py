@@ -22,17 +22,11 @@ from repro.faults.harness import ChaosHarness
 from repro.faults.plan import FaultPlan
 from repro.krcore import KrcoreLib
 from repro.sim import Simulator
-import repro.sim.engine_classic as classic_engine
-import repro.sim.engine_flat as flat_engine
 from tests.conftest import krcore_cluster
 
 import pytest
 
 MS = 1_000_000
-
-#: Both production cores, driven directly (bypassing the REPRO_ENGINE
-#: selector) so one test run covers the cross-engine contract.
-ENGINES = {"classic": classic_engine, "flat": flat_engine}
 
 
 def _smoke_plan(seed):
@@ -169,99 +163,6 @@ def test_controller_respects_until_bound():
         return mid, fired, sim.now
 
     assert run(True) == run(False)
-
-
-def _controlled_timer_run(engine_mod, strategy):
-    """A timer/event workload with heavy timestamp collisions, driven
-    under ``strategy`` on the given engine core; self-contained so it can
-    run on either core regardless of which one REPRO_ENGINE selected."""
-    sim = engine_mod.Simulator()
-    controller = ScheduleController(strategy)
-    controller.attach(sim)
-    log = []
-    done = sim.event()
-
-    def worker(wid):
-        rng = random.Random(wid * 7919 + 13)
-        for step in range(rng.randrange(3, 9)):
-            yield rng.randrange(0, 5)  # 0-delays collide timestamps
-            log.append((sim.now, wid, step))
-        if wid == 0:
-            done.trigger(wid)
-        else:
-            yield done
-            log.append((sim.now, wid, "joined"))
-
-    for wid in range(6):
-        sim.process(worker(wid), name=f"w{wid}")
-    sim.run()
-    state = (log, sim.now, sim.events_dispatched, sim.timer_fires)
-    return controller, state
-
-
-def test_decision_points_identical_across_engines():
-    """The controller enumerates the *same* choice points -- step number,
-    alternative count, chosen index -- whichever core it drives.  This is
-    the contract that keeps the committed schedule corpus portable."""
-    fifo_runs = {}
-    walk_runs = {}
-    for name, mod in ENGINES.items():
-        fifo_runs[name] = _controlled_timer_run(mod, FifoStrategy())
-        walk_runs[name] = _controlled_timer_run(mod, RandomWalkStrategy(23))
-
-    fifo_classic, fifo_flat = fifo_runs["classic"], fifo_runs["flat"]
-    assert fifo_classic[0].points == fifo_flat[0].points
-    assert fifo_classic[0].steps == fifo_flat[0].steps > 0
-    assert fifo_classic[1] == fifo_flat[1]
-
-    walk_classic, walk_flat = walk_runs["classic"], walk_runs["flat"]
-    assert walk_classic[0].decisions, "random walk never deviated"
-    assert walk_classic[0].points == walk_flat[0].points
-    assert walk_classic[0].decisions == walk_flat[0].decisions
-    assert walk_classic[1] == walk_flat[1]
-
-
-def test_recorded_decisions_replay_across_engines():
-    """Decisions recorded on one core replay to the identical execution
-    on the other (ReplayStrategy is index-based, engine-independent)."""
-    recorder, recorded_state = _controlled_timer_run(
-        ENGINES["classic"], RandomWalkStrategy(5)
-    )
-    assert recorder.decisions
-    for name, mod in ENGINES.items():
-        _, replayed = _controlled_timer_run(
-            mod, ReplayStrategy(recorder.decisions)
-        )
-        assert replayed == recorded_state, name
-
-
-def test_corpus_replays_identically_under_both_engines():
-    """The committed schedule corpus produces byte-identical replay
-    reports under the flat core's batched dispatch and the classic core."""
-    import pathlib
-    import subprocess
-    import sys
-
-    repo = pathlib.Path(__file__).resolve().parent.parent
-    corpus = sorted(
-        str(p.relative_to(repo)) for p in (repo / "tests" / "schedules").glob("*_fifo_clean.json")
-    ) + ["tests/schedules/racey_pipeline_underflow.json"]
-    outputs = {}
-    for engine in ("classic", "flat"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.check", "--replay", *corpus],
-            cwd=repo,
-            capture_output=True,
-            text=True,
-            env={
-                "PYTHONPATH": str(repo / "src"),
-                "REPRO_ENGINE": engine,
-                "PATH": "/usr/bin:/bin",
-            },
-        )
-        outputs[engine] = (proc.returncode, proc.stdout)
-    assert outputs["classic"] == outputs["flat"]
-    assert "racey_pipeline_underflow.json: reproduced" in outputs["flat"][1]
 
 
 def test_attach_rejects_second_controller():

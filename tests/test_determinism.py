@@ -71,19 +71,15 @@ def test_full_krcore_workload_replays_identically():
 # -- partitioned runs --------------------------------------------------------
 #
 # The partitioned engine must be deterministic along every axis at once:
-# repeated same-seed runs, every partition count, both engine cores, and
-# both execution modes.  ``engine`` here drives the Partition-level core
-# selection, which is what the process-wide ``REPRO_ENGINE`` value feeds
-# (CI runs this file under both env values, covering "default" too).
+# repeated same-seed runs, every partition count, and both execution modes.
 
 _SCALE_KWARGS = dict(racks=4, nodes_per_rack=2, tenants_per_node=2,
                      ops_per_tenant=6, mean_think_ns=5_000, seed=21)
 
 
-@pytest.mark.parametrize("engine", ["default", "flat", "classic"])
 @pytest.mark.parametrize("partitions", [1, 2, 4])
-def test_partitioned_same_seed_runs_are_identical(partitions, engine):
-    spec = ScaleSpec(engine=engine, **_SCALE_KWARGS)
+def test_partitioned_same_seed_runs_are_identical(partitions):
+    spec = ScaleSpec(**_SCALE_KWARGS)
     first = run_scale(spec, partitions=partitions)
     second = run_scale(spec, partitions=partitions)
     assert first.digest() == second.digest()

@@ -12,9 +12,9 @@ engine records, over the two ``tests/test_wr_timeline.py`` worlds (the
 mixed stream that reaches every error arm; every link faulted, where the
 order of two draws inside a nanosecond is an outcome) re-seeded.
 
-Tier-1 runs a slice of the seeds on the selected core; the whole sweep --
-``SWEEP_SEEDS`` per world, on this core and the other -- is
-``python tests/test_flight_oracle.py`` (what CI runs on both engine legs).
+Tier-1 runs a slice of the seeds; the whole sweep -- ``SWEEP_SEEDS`` per
+world -- is ``python tests/test_flight_oracle.py`` (``make flight-oracle``,
+what CI runs).
 """
 
 import json
@@ -23,7 +23,6 @@ import sys
 import pytest
 
 import repro.verbs.qp as qp_module
-from repro.sim import ENGINE
 from tests._flight_reference import GeneratorFlight
 from tests.test_wr_timeline import (
     GOLDEN,
@@ -80,6 +79,6 @@ if __name__ == "__main__":
     failures = 0
     for name, world_cls in WORLDS.items():
         difference = _first_difference(world_cls, range(1, SWEEP_SEEDS + 1))
-        print(f"engine={ENGINE} {name}: {SWEEP_SEEDS} seeds, {difference or 'identical'}")
+        print(f"{name}: {SWEEP_SEEDS} seeds, {difference or 'identical'}")
         failures += difference is not None
     sys.exit(1 if failures else 0)

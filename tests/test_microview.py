@@ -161,7 +161,7 @@ def test_krcore_harvest_survives_churn_storm():
 def test_churned_harvest_upholds_churn_window_invariant(seed, interval_us, strategy):
     """Property: under any churn seed/rate/strategy, no READ executes
     against an MR retracted more than one lease ago, and the full
-    invariant registry stays clean (both engines via the CI matrix)."""
+    invariant registry stays clean."""
     sim, cluster, meta, modules, backend, workers = _krcore_deploy(
         mr_lease_ns=200 * US
     )

@@ -16,9 +16,6 @@ of waiting for a ``setup_s`` / ``peak_rss_mb`` run.
 """
 
 import gc
-import pathlib
-import subprocess
-import sys
 import tracemalloc
 from collections import deque
 
@@ -26,7 +23,7 @@ import repro.krcore.module
 import repro.sim
 from repro.bench.setups import krcore_cluster
 from repro.krcore import KrcoreLib
-from repro.sim import ENGINE, US
+from repro.sim import US
 from repro.verbs import QpState, QueuePair, RecvBuffer
 
 NODES = 4  # 24 cores each: 48 pooled DCQPs + 48 CQs per node, once all are used
@@ -213,7 +210,7 @@ def test_rest_budget_node_weight_stays_under_the_ceiling(monkeypatch):
     _big_with_pages, big_kb = _weigh(*BIG_BOOT)
     sim, _cluster, modules, started, buffers = _boot(monkeypatch)
     pools = sum(len(module.built_pools()) for module in modules)
-    print(f"\nNode rest budget, {NODES} booted 24-core nodes after 10 us (engine={ENGINE})")
+    print(f"\nNode rest budget, {NODES} booted 24-core nodes after 10 us")
     print(f"  {'per node':<34}{'measured':>9}{'ceiling':>9}")
     print(f"  {'host heap, KB (no DRAM pages)':<34}{node_kb:>9.1f}{NODE_KB_CEILING:>9}")
     print(f"  {'  same, %d nodes on %d shards' % BIG_BOOT:<34}{big_kb:>9.1f}{NODE_KB_CEILING:>9}")
@@ -232,17 +229,3 @@ def test_rest_budget_a_big_boot_is_three_processes_per_node(monkeypatch):
     sim, _cluster, modules, started, buffers = _boot(monkeypatch, nodes, shards)
     assert len(started) == sim.events_dispatched == len(REST_PROCESSES) * nodes
     assert (_built_cpus(modules), buffers) == ({}, [])
-
-
-def test_rest_budget_holds_on_the_other_engine():
-    """tier-1 runs on one core; count on the other one too."""
-    other = "classic" if ENGINE == "flat" else "flat"
-    repo = pathlib.Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(pathlib.Path(__file__).resolve()), "-k", "rest_budget and not other_engine"],
-        cwd=repo, capture_output=True, text=True,
-        env={"PYTHONPATH": f"{repo / 'src'}:{repo}", "REPRO_ENGINE": other,
-             "PATH": "/usr/bin:/bin"},
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr

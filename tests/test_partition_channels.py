@@ -20,7 +20,7 @@ from repro.sim.partition import (
     merge_due,
     run_partitioned,
 )
-from repro.sim.partition import _next_window, _resolve_engine
+from repro.sim.partition import _next_window
 
 
 def _msg(deliver_ns, dst_part=0, src_node=0, seq=0, kind="k", payload=None):
@@ -175,9 +175,8 @@ def test_partition_inject_rejects_late_message():
         partition.inject(_msg(0, kind="k"))
 
 
-@pytest.mark.parametrize("engine", ["flat", "classic"])
-def test_partition_next_event_time_both_engines(engine):
-    partition = Partition(0, 1, lookahead_ns=10, engine=engine)
+def test_partition_next_event_time():
+    partition = Partition(0, 1, lookahead_ns=10)
     assert partition.next_event_ns() is None
     partition.sim.schedule(25, lambda: None)
     assert partition.next_event_ns() == 25
@@ -186,10 +185,9 @@ def test_partition_next_event_time_both_engines(engine):
     assert partition.sim.now == 30
 
 
-@pytest.mark.parametrize("engine", ["flat", "classic"])
-def test_partition_next_event_sees_ready_work(engine):
+def test_partition_next_event_sees_ready_work():
     hits = []
-    partition = Partition(0, 1, lookahead_ns=10, engine=engine)
+    partition = Partition(0, 1, lookahead_ns=10)
     partition.sim.schedule(5, lambda: partition.sim.schedule(0, lambda: hits.append(1)))
     partition.sim.run(until=5)
     # There may be same-timestamp work left in the ready stage; the
@@ -197,16 +195,6 @@ def test_partition_next_event_sees_ready_work(engine):
     assert partition.next_event_ns() in (5, None)
     partition.sim.run()
     assert hits == [1]
-
-
-def test_resolve_engine_names():
-    from repro.sim import engine_classic, engine_flat
-
-    assert _resolve_engine("flat") is engine_flat.Simulator
-    assert _resolve_engine("classic") is engine_classic.Simulator
-    assert _resolve_engine("default") is not None
-    with pytest.raises(PartitionError):
-        _resolve_engine("turbo")
 
 
 def test_drain_outboxes_visits_destinations_ascending():

@@ -2,13 +2,12 @@
 
 The partitioned engine's headline risk is *silent divergence* — a run
 that completes without error but whose completion times depend on the
-partition count, execution mode, or engine core.  This suite pins the
-equivalence claim from every side:
+partition count or execution mode.  This suite pins the equivalence
+claim from every side:
 
 * hypothesis properties over random seeded topologies/workloads:
   ``partitions=2`` and ``partitions=4`` produce the same workload digest
   (every op's completion time and outcome) as ``partitions=1``;
-* a cross-engine matrix: flat and classic cores agree at every P;
 * the ``mp`` execution mode agrees with ``inline``;
 * fault plans perturb the digest identically at every P;
 * committed replayable baselines under ``tests/schedules/cluster_scale/``
@@ -97,26 +96,6 @@ specs = st.builds(
 @given(spec=specs)
 def test_partitioned_runs_match_single_partition(spec):
     _assert_equivalent(spec, (2, 4))
-
-
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(spec=specs, engine=st.sampled_from(["flat", "classic"]))
-def test_equivalence_holds_on_both_engines(spec, engine):
-    pinned = ScaleSpec.from_dict({**spec.to_dict(), "engine": engine})
-    _assert_equivalent(pinned, (2,), name=f"divergence_{engine}")
-
-
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(spec=specs)
-def test_flat_and_classic_cores_agree_at_every_partition_count(spec):
-    digests = set()
-    for engine in ("flat", "classic"):
-        pinned = ScaleSpec.from_dict({**spec.to_dict(), "engine": engine})
-        for partitions in (1, 2):
-            digests.add(run_scale(pinned, partitions=partitions).digest())
-    assert len(digests) == 1, "engine cores disagree on the same spec"
 
 
 @settings(max_examples=8, deadline=None,

@@ -1,9 +1,21 @@
-"""Tests for the discrete-event engine core."""
+"""Tests for the discrete-event engine core.
+
+Its API, the sleeper seam, the dispatch counters, and the order-equivalence
+property every committed figure depends on: the engine must execute
+callbacks in *exactly* the order the seed engine would have (same-timestamp
+FIFO by schedule sequence).  ``tests/_seed_engine_reference.py`` is a
+verbatim copy of the seed engine, kept as the ordering oracle; the
+hypothesis test at the bottom generates random programs (processes that
+sleep, wait on events, trigger events, schedule bare callbacks, and spawn
+sub-processes), interprets each on both, and asserts equal traces.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import repro.sim.engine_classic as classic_engine
-import repro.sim.engine_flat as flat_engine
+import repro.sim.engine as engine
+import tests._seed_engine_reference as seed_engine
 from repro.check import FifoStrategy, ScheduleController
 from repro.sim import AllOf, AnyOf, Event, Interrupt, SimulationError, Simulator
 
@@ -266,12 +278,7 @@ def test_interleaved_interrupters_preserve_issue_order(sim):
     assert causes == ["a1", "a2", "a3", "b1", "b2", "b3"]
 
 
-# -- the sleeper seam: Simulator.sleep / wake, on both cores -------------------
-
-
-@pytest.fixture(params=[flat_engine, classic_engine], ids=["flat", "classic"])
-def core(request):
-    return request.param
+# -- the sleeper seam: Simulator.sleep / wake ----------------------------------
 
 
 class _Scripted:
@@ -303,8 +310,8 @@ _SCRIPTS = {
 }
 
 
-def _run_scripts(engine, as_sleepers, controlled=False):
-    sim = engine.Simulator()
+def _run_scripts(as_sleepers, controlled=False):
+    sim = Simulator()
     controller = ScheduleController(FifoStrategy())
     if controlled:
         controller.attach(sim)
@@ -319,30 +326,25 @@ def _run_scripts(engine, as_sleepers, controlled=False):
 
 
 @pytest.mark.parametrize("as_sleepers", ["some", "all"])
-def test_sleep_and_wake_count_and_order_like_a_process(core, as_sleepers):
+def test_sleep_and_wake_count_and_order_like_a_process(as_sleepers):
     """``wake`` is the start record, ``sleep`` the ``yield delay`` (zero
     delays included): same dispatch order, same counters, with sleepers
-    and processes interleaved in one run or sleepers alone (the flat
-    core's fused pure-timer pass)."""
-    processes = _run_scripts(core, None)
-    assert _run_scripts(core, as_sleepers) == processes
+    and processes interleaved in one run or sleepers alone (the fused
+    pure-timer pass)."""
+    processes = _run_scripts(None)
+    assert _run_scripts(as_sleepers) == processes
     assert processes[1:4] == (39, 9, 18)  # 5 starts + 17 timers x 2; 9 are not zero-delay
-    other = classic_engine if core is flat_engine else flat_engine
-    assert _run_scripts(other, as_sleepers) == processes
 
 
-def test_sleepers_under_the_schedule_controller(core):
-    """FIFO-controlled == uncontrolled, and identical across the cores
-    (the pending lists the controller sees must line up one for one)."""
-    free = _run_scripts(core, "some")
-    driven = _run_scripts(core, "some", controlled=True)
+def test_sleepers_under_the_schedule_controller():
+    """FIFO-controlled == uncontrolled, choice points aside."""
+    free = _run_scripts("some")
+    driven = _run_scripts("some", controlled=True)
     assert free[:4] == driven[:4]
-    assert driven[4] and driven == _run_scripts(flat_engine, "some", True)
-    assert driven == _run_scripts(classic_engine, "some", True)
+    assert driven[4]  # the controller did see choice points
 
 
-def test_wake_queues_behind_what_is_already_ready(core):
-    sim = core.Simulator()
+def test_wake_queues_behind_what_is_already_ready(sim):
     log = []
     sim.schedule(0, lambda: log.append("earlier"))
     sim.wake(_Scripted(sim, "s", (), log))
@@ -354,10 +356,9 @@ def test_wake_queues_behind_what_is_already_ready(core):
 
 
 @pytest.mark.parametrize("first", [0, 10])
-def test_a_sleeper_cancels_its_pending_record_by_bumping_its_wait_gen(core, first):
+def test_a_sleeper_cancels_its_pending_record_by_bumping_its_wait_gen(sim, first):
     """As a process does on every wait: the older record finds a stale
     wait generation when it fires."""
-    sim = core.Simulator()
     log = []
     sleeper = _Scripted(sim, "s", (), log)
     sim.sleep(sleeper, first)
@@ -368,15 +369,13 @@ def test_a_sleeper_cancels_its_pending_record_by_bumping_its_wait_gen(core, firs
 
 
 @pytest.mark.parametrize("delay", [-1, 2.0, None])
-def test_sleep_takes_whole_non_negative_nanoseconds(core, delay):
-    sim = core.Simulator()
+def test_sleep_takes_whole_non_negative_nanoseconds(sim, delay):
     with pytest.raises(SimulationError):
         sim.sleep(_Scripted(sim, "s", (), []), delay)
 
 
 @pytest.mark.parametrize("delay", [0, 7])
-def test_a_sleeper_that_raises_ends_the_run_like_an_orphaned_process(core, delay):
-    sim = core.Simulator()
+def test_a_sleeper_that_raises_ends_the_run_like_an_orphaned_process(sim, delay):
     after = []
 
     class Bad:
@@ -399,3 +398,127 @@ def test_a_sleeper_that_raises_ends_the_run_like_an_orphaned_process(core, delay
     sim.run()  # the run resumes cleanly past the failure
     assert after == [delay, delay + 10]
     assert sim.events_dispatched > events
+
+
+# -- order equivalence with the seed engine, dispatch counters -----------------
+
+NUM_EVENTS = 4
+
+# One step of a process script.  ``spawn`` targets only strictly-higher
+# script indices, so programs form a DAG and always terminate.
+_step = st.one_of(
+    st.tuples(st.just("sleep"), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("wait"), st.integers(min_value=0, max_value=NUM_EVENTS - 1)),
+    st.tuples(st.just("trigger"), st.integers(min_value=0, max_value=NUM_EVENTS - 1)),
+    st.tuples(st.just("sched"), st.integers(min_value=0, max_value=4)),
+    st.tuples(st.just("spawn"), st.integers(min_value=0, max_value=10 ** 6)),
+)
+
+_scripts = st.lists(
+    st.lists(_step, min_size=0, max_size=6), min_size=1, max_size=5
+)
+
+_roots = st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=4)
+
+
+def _interpret(engine, scripts, roots):
+    """Run the program on ``engine`` and return its execution trace.
+
+    The trace records (sim.now, which script, which instance, which step)
+    at every resume point, plus scheduled-callback firings -- a total
+    order over everything the engine dispatched.
+    """
+    sim = engine.Simulator()
+    events = [sim.event() for _ in range(NUM_EVENTS)]
+    trace = []
+    instances = [0]
+
+    def make(script_idx):
+        instances[0] += 1
+        inst = instances[0]
+
+        def body():
+            for step_no, (op, arg) in enumerate(scripts[script_idx]):
+                trace.append((sim.now, script_idx, inst, step_no, op))
+                if op == "sleep":
+                    yield arg
+                elif op == "wait":
+                    # Waiting on an already-triggered event resumes via the
+                    # queue as well; exercise both states.
+                    yield events[arg]
+                elif op == "trigger":
+                    if not events[arg].triggered:
+                        events[arg].trigger((script_idx, step_no))
+                elif op == "sched":
+                    label = (script_idx, inst, step_no)
+                    sim.schedule(arg, lambda label=label: trace.append((sim.now, "cb", label)))
+                elif op == "spawn":
+                    target = script_idx + 1 + arg % max(1, len(scripts) - script_idx - 1)
+                    if target < len(scripts):
+                        sim.process(make(target)())
+            trace.append((sim.now, script_idx, inst, "end", "end"))
+
+        return body
+
+    for root in roots:
+        sim.process(make(root % len(scripts))())
+    sim.run()
+    trace.append(("final-now", sim.now))
+    return trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripts=_scripts, roots=_roots)
+def test_execution_order_matches_seed_engine(scripts, roots):
+    assert _interpret(engine, scripts, roots) == _interpret(seed_engine, scripts, roots)
+
+
+def test_events_dispatched_counter_is_exact():
+    """N scheduled callbacks, nothing else: the counter reads exactly N."""
+    sim = Simulator()
+    fired = []
+    for i in range(10):
+        sim.schedule(i % 4, lambda i=i: fired.append(i))
+    assert sim.events_dispatched == 0
+    sim.run()
+    assert len(fired) == 10
+    assert sim.events_dispatched == 10
+
+
+def test_events_dispatched_counter_is_deterministic():
+    """The same program dispatches the same number of events every run."""
+
+    def program():
+        sim = Simulator()
+
+        def worker(n):
+            for _ in range(n):
+                yield 3
+            done.trigger(None)
+
+        def waiter():
+            yield done
+
+        done = sim.event()
+        sim.process(worker(5))
+        sim.process(waiter())
+        sim.run()
+        return sim.events_dispatched
+
+    first = program()
+    assert first > 0
+    assert all(program() == first for _ in range(3))
+
+
+def test_class_totals_accumulate_across_simulators():
+    before_events = Simulator.total_events_dispatched
+    before_ns = Simulator.total_sim_ns
+
+    def proc():
+        yield 7
+
+    sim = Simulator()
+    sim.process(proc())
+    sim.run()
+    assert Simulator.total_events_dispatched - before_events == sim.events_dispatched
+    assert Simulator.total_sim_ns - before_ns == sim.now == 7

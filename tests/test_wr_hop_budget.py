@@ -18,8 +18,6 @@ Two shapes, idle two-node system, connection warm:
 """
 
 import inspect
-import pathlib
-import subprocess
 import sys
 
 import pytest
@@ -28,7 +26,7 @@ import repro.sim
 from repro import obs
 from repro.cluster import Cluster, timing
 from repro.cluster.fabric import LinkFault
-from repro.sim import ENGINE, Simulator
+from repro.sim import Simulator
 from repro.verbs import CompletionQueue, Opcode, QpType, RecvBuffer, WorkRequest
 from tests.conftest import quick_dc_qp, quick_rc_pair, register
 
@@ -213,7 +211,7 @@ def test_single_wr_behaviour_matches_the_parent_recording():
 
 def test_single_wr_hop_budget():
     table = _single_wr_table()
-    print(f"\nWR hop budget, one signaled 8 B WR (engine={ENGINE})")
+    print(f"\nWR hop budget, one signaled 8 B WR")
     print(f"  {'transport':<10}{'opcode':<11}{'events':>7}{'timer_fires':>13}")
     for (transport, opcode), (events, fires) in table.items():
         print(f"  {transport:<10}{opcode:<11}{events:>7}{fires:>13}")
@@ -222,7 +220,7 @@ def test_single_wr_hop_budget():
 
 def test_window_hop_budget():
     table = _window_table()
-    print(f"\nWR hop budget, {WINDOW}-READ window, one post_send (engine={ENGINE})")
+    print(f"\nWR hop budget, {WINDOW}-READ window, one post_send")
     print(f"  {'transport':<10}{'events':>7}{'per WR':>8}{'timer_fires':>13}")
     for transport, (events, fires) in table.items():
         print(f"  {transport:<10}{events:>7}{events / WINDOW:>8.2f}{fires:>13}")
@@ -299,17 +297,3 @@ def test_hop_budget_keeps_the_flight_start_record_under_link_faults():
     assert rig.run([rig.wr(Opcode.READ)]) == (idle[0] + 1, idle[1]) == (11, 4)
     fabric.clear_link_fault("elsewhere", "nowhere")
     assert rig.run([rig.wr(Opcode.READ)]) == idle
-
-
-def test_hop_budget_holds_on_the_other_engine():
-    """tier-1 runs on one core; count on the other one too."""
-    other = "classic" if ENGINE == "flat" else "flat"
-    repo = pathlib.Path(__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(pathlib.Path(__file__).resolve()), "-k", "hop_budget and not other_engine"],
-        cwd=repo, capture_output=True, text=True,
-        env={"PYTHONPATH": f"{repo / 'src'}:{repo}", "REPRO_ENGINE": other,
-             "PATH": "/usr/bin:/bin"},
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
