@@ -4,7 +4,8 @@ Each scenario is a function ``fn(controller, checker, **kwargs)`` that
 builds its own :class:`~repro.sim.Simulator`, attaches the controller
 (so the strategy owns same-timestamp dispatch order), runs a workload
 exercising one slice of the control plane, calls
-``checker.finalize(...)``, and returns a small summary dict.  The
+``checker.finalize(...)`` (a chaos run does that itself, see
+:mod:`repro.faults.chaos`), and returns a small summary dict.  The
 runner (:mod:`repro.check.runner`) supplies the controller/checker and
 handles strategy sweeps, replay, and shrinking.
 
@@ -239,7 +240,6 @@ def chaos_small(controller, checker, seed=11, ops_per_client=12):
     """A shrunk chaos run (crash+restart+outage) under the registry."""
     from repro.faults.harness import ChaosHarness
     from repro.faults.plan import FaultPlan
-    from repro.krcore import MetaPlane
 
     plan = (
         FaultPlan(seed)
@@ -252,11 +252,6 @@ def chaos_small(controller, checker, seed=11, ops_per_client=12):
     )
     controller.attach(harness.sim)
     report = harness.run()
-    checker.finalize(
-        modules=harness.modules.values(),
-        plane=MetaPlane.ensure(harness.meta),
-        now=harness.sim.now,
-    )
     for name, holds in sorted(report.invariants.items()):
         if not holds:
             checker.custom(
@@ -498,12 +493,9 @@ def mr_churn(controller, checker, seed=5, cycles=14):
     """MicroView pod churn + meta outage under the churn-window invariant."""
     from repro.faults.microview import MicroViewChaosHarness
 
-    harness = MicroViewChaosHarness(seed, cycles=cycles, check=False)
+    harness = MicroViewChaosHarness(seed, cycles=cycles)
     controller.attach(harness.sim)
     report = harness.run()
-    checker.finalize(
-        modules=harness.modules.values(), plane=harness.meta, now=harness.sim.now
-    )
     # Fold in the harness's schedule-independent correctness invariants.
     # degraded_mode_engaged is deliberately left out: whether the outage
     # catches enough expired entries is scenario *effectiveness*, and a

@@ -1,35 +1,36 @@
 """Deterministic fault injection for the simulated KRCORE cluster.
 
-Three pieces:
+Four pieces:
 
 * :mod:`repro.faults.plan` -- a :class:`FaultPlan` is a seeded, fully
   deterministic schedule of faults (packet loss/duplication, latency
-  degradation, RNIC stalls, node crash + restart, meta-server outages)
-  pinned to simulated timestamps.
-* :mod:`repro.faults.injector` -- a :class:`FaultInjector` walks a plan
-  inside the simulation and applies each fault to the cluster.
-* :mod:`repro.faults.harness` -- :func:`run_chaos` drives YCSB traffic
-  over KRCORE while a plan fires, asserting the robustness invariants
-  (exactly-once completion, no byte corruption, metadata convergence,
-  lease safety) and returning a digest-able report.
-* :mod:`repro.faults.gray` -- :func:`run_gray_chaos` drives a two-tenant
-  workload under *gray* faults (slow-but-alive links, lagging meta
-  shards, throttling RNICs), asserting that the overload-protection
-  layer (:mod:`repro.degrade`) keeps the well-behaved tenant's goodput
-  and p99 bounded while a storm tenant saturates the control plane.
+  degradation, RNIC stalls, node crash + restart, meta-server outages
+  and lag, node slowdowns) pinned to simulated timestamps.
+* :mod:`repro.faults.injector` -- a :class:`FaultInjector` checks a plan
+  against the cluster and walks it inside the simulation, applying each
+  fault when it falls due.
+* :mod:`repro.faults.chaos` -- the chaos core: a :class:`ChaosRun`
+  builds a cluster, installs a plan, drives a scenario, audits it and
+  returns one digest-able :class:`ChaosReport`.  Its scenarios are
+  :class:`~repro.faults.harness.ChaosHarness` (YCSB under binary
+  faults), :class:`~repro.faults.gray.GrayChaosHarness` (two tenants
+  under gray faults, overload protection) and
+  :class:`~repro.faults.microview.MicroViewChaosHarness` (MR churn under
+  meta faults).
+* :mod:`repro.faults.scale` -- fault-targeting equivalence of the
+  partitioned cluster-scale model, across partition counts.
+
+``python -m repro.faults {ycsb,gray,microview,scale}`` runs one of them.
 """
 
-from repro.faults.gray import GrayChaosReport, run_gray_chaos
-from repro.faults.harness import ChaosReport, run_chaos
+from repro.faults.chaos import ChaosReport, ChaosRun
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
 
 __all__ = [
     "ChaosReport",
+    "ChaosRun",
     "FaultEvent",
     "FaultInjector",
     "FaultPlan",
-    "GrayChaosReport",
-    "run_chaos",
-    "run_gray_chaos",
 ]

@@ -1,10 +1,10 @@
 """Gray-failure chaos: two tenants, one sick meta shard, no outages.
 
-:func:`run_gray_chaos` is the overload-protection counterpart of
-:func:`repro.faults.harness.run_chaos`.  The binary harness proves the
-stack survives crashes and outages; this one proves it stays *useful*
-under gray failure -- every component alive, one of them slow -- which
-is the regime binary defenses (retry, RC fallback) cannot even see.
+:class:`GrayChaosHarness` is the overload-protection counterpart of the
+YCSB scenario (:mod:`repro.faults.harness`).  That one proves the stack
+survives crashes and outages; this one proves it stays *useful* under
+gray failure -- every component alive, one of them slow -- which is the
+regime binary defenses (retry, RC fallback) cannot even see.
 
 The scenario
 ------------
@@ -50,17 +50,12 @@ Invariants (asserted by tests on the protected run, and expected to
 Everything derives from the seed; ``report.digest()`` is byte-stable.
 """
 
-import hashlib
-
-from repro.check import hooks as _check_hooks
-from repro.check.invariants import Checker
-from repro.cluster import Cluster, timing
+from repro.cluster import timing
 from repro.degrade import DegradePolicy
-from repro.faults.injector import FaultInjector
+from repro.faults.chaos import ChaosRun
 from repro.faults.plan import FaultPlan
-from repro.krcore import KrcoreLib, KrcoreModule, MetaPlane, MetaServer
+from repro.krcore import KrcoreLib
 from repro.krcore.meta import dct_key
-from repro.sim import Simulator
 from repro.verbs.errors import (
     DeadlineExceededError,
     KrcoreError,
@@ -83,70 +78,12 @@ def _p99(latencies):
     return ordered[int(0.99 * (len(ordered) - 1))]
 
 
-class GrayChaosReport:
-    """What one gray-chaos run did; digest-able for determinism checks."""
+class GrayChaosHarness(ChaosRun):
+    """The gray-failure scenario (tests poke at breakers, gates, and the
+    plan through its attributes).  Layout: two meta shards, three
+    servers, the victim tenant's node, the storm tenant's node."""
 
-    def __init__(self, seed, protected):
-        self.seed = seed
-        self.protected = protected
-        self.op_log = []
-        self.fault_log = []
-        self.invariants = {}
-        #: Victim latencies (ns) of *successful* qconnects, in op order.
-        self.victim_latencies = []
-        self.victim_ops = 0
-        self.victim_good = 0  # completed within the SLO
-        self.victim_deadline_fails = 0
-        self.victim_other_fails = 0
-        self.storm_ops_ok = 0
-        self.storm_shed = 0  # OverloadRejectedError at the storm's gate
-        self.storm_deadline_fails = 0
-        self.storm_other_fails = 0
-        self.checker_summary = ""
-
-    def record(self, line):
-        self.op_log.append(line)
-
-    @property
-    def victim_goodput(self):
-        if not self.victim_ops:
-            return 0.0
-        return self.victim_good / self.victim_ops
-
-    @property
-    def victim_p99_ns(self):
-        return _p99(self.victim_latencies)
-
-    @property
-    def all_invariants_hold(self):
-        return bool(self.invariants) and all(self.invariants.values())
-
-    def digest(self):
-        hasher = hashlib.sha256()
-        for line in self.op_log:
-            hasher.update(line.encode())
-            hasher.update(b"\n")
-        for entry in self.fault_log:
-            hasher.update(repr(entry).encode())
-            hasher.update(b"\n")
-        for name in sorted(self.invariants):
-            hasher.update(f"{name}={self.invariants[name]}".encode())
-            hasher.update(b"\n")
-        return hasher.hexdigest()
-
-    def summary(self):
-        return (
-            f"seed={self.seed} protected={self.protected} "
-            f"goodput={self.victim_goodput:.2f} "
-            f"victim_p99={self.victim_p99_ns}ns "
-            f"storm ok={self.storm_ops_ok} shed={self.storm_shed} "
-            f"invariants={'PASS' if self.all_invariants_hold else 'FAIL'}"
-        )
-
-
-class GrayChaosHarness:
-    """One gray-failure run.  Use :func:`run_gray_chaos` unless you need
-    the pieces (tests poke at breakers, gates, and the plan)."""
+    checked = True
 
     def __init__(
         self,
@@ -158,55 +95,41 @@ class GrayChaosHarness:
         storm_workers=6,
         horizon_ns=4 * timing.MS,
         slo_ns=SLO_NS,
-        check=True,
     ):
-        self.seed = seed
         self.protected = protected
-        self.sim = Simulator()
-        self.report = GrayChaosReport(seed, protected)
         self.victim_ops = victim_ops
         self.victim_gap_ns = victim_gap_ns
         self.storm_workers = storm_workers
         self.horizon_ns = horizon_ns
         self.slo_ns = slo_ns
-        self.check = check
+        #: Victim latencies (ns) of *successful* qconnects, in op order.
+        self.victim_latencies = []
+        super().__init__(
+            seed, plan, 2, 5, protected=protected,
+            victim_ops=0, victim_good=0,  # completed within the SLO
+            storm_ops_ok=0, storm_shed=0,  # shed: rejected at the storm's gate
+        )
 
-        # Layout: nodes 0-1 host the two meta shards, 2-4 are servers,
-        # 5 is the victim tenant's node, 6 the storm tenant's.
-        self.cluster = Cluster(self.sim, num_nodes=7)
-        self.meta_nodes = [self.cluster.node(0), self.cluster.node(1)]
-        self.server_nodes = [self.cluster.node(2 + i) for i in range(3)]
-        self.victim_node = self.cluster.node(5)
-        self.storm_node = self.cluster.node(6)
-        self.meta = MetaPlane([MetaServer(node) for node in self.meta_nodes])
+    def place(self, nodes):
+        self.server_nodes = nodes[:3]
+        self.victim_node, self.storm_node = nodes[3:]
 
-        # Tenant policies.  The victim gets the full preset (its deadline
-        # comes per-op via qconnect); the storm gets the same plus a
-        # tight token-bucket quota, which is the knob a deployment
-        # actually turns on a tenant that hammers the control plane.
-        if protected:
-            victim_policy = DegradePolicy.protected()
-            storm_policy = DegradePolicy.protected(
+    def module_kwargs(self, node):
+        # The victim gets the full preset (its deadline comes per-op via
+        # qconnect); the storm gets the same plus a tight token-bucket
+        # quota, which is the knob a deployment actually turns on a
+        # tenant that hammers the control plane.
+        if self.protected and node is self.victim_node:
+            return {"degrade": DegradePolicy.protected()}
+        if self.protected and node is self.storm_node:
+            return {"degrade": DegradePolicy.protected(
                 admission_rate_per_sec=30_000.0,
                 admission_burst=2,
                 admission_max_pending=1,
-            )
-        else:
-            victim_policy = storm_policy = None
+            )}
+        return {}
 
-        kwargs = dict(background_rc=False)
-        self.modules = {}
-        for node in self.cluster.nodes:
-            if node is self.victim_node:
-                policy = victim_policy
-            elif node is self.storm_node:
-                policy = storm_policy
-            else:
-                policy = None
-            self.modules[node.gid] = KrcoreModule(
-                node, self.meta, degrade=policy, **kwargs
-            )
-
+    def setup(self):
         # Pick two server targets whose DCT keys share a primary shard
         # (three servers over two shards: the pigeonhole guarantees a
         # pair), so the storm's load and the victim's lookups meet on the
@@ -221,12 +144,7 @@ class GrayChaosHarness:
         )
         self.victim_target, self.storm_target = pair[0], pair[1]
 
-        if plan is None:
-            plan = self._default_plan()
-        self.plan = plan
-        self.injector = FaultInjector(self.cluster, self.meta, plan)
-
-    def _default_plan(self):
+    def default_plan(self):
         """The deterministic storm: one sick shard, three gray faults."""
         h = self.horizon_ns
         sick_gid = self.meta_nodes[self.sick_shard].gid
@@ -244,9 +162,44 @@ class GrayChaosHarness:
                           factor=8.0)
         )
 
+    def drive(self):
+        self.sim.process(self._victim_launcher(), name="gray-victim")
+        for worker in range(self.storm_workers):
+            self.sim.process(
+                self._storm_worker(worker), name=f"gray-storm-{worker}"
+            )
+
+    def audit(self, checker):
+        report = self.report
+        report.victim_goodput = (
+            report.victim_good / report.victim_ops if report.victim_ops else 0.0
+        )
+        report.victim_p99_ns = _p99(self.victim_latencies)
+        gates = [
+            pool.admission
+            for pool in self.modules[self.storm_node.gid].built_pools()
+            if pool.admission is not None
+        ]
+        contained = any(
+            gate.stats_shed + gate.stats_rejected for gate in gates
+        ) or report.storm_shed > 0
+        inv = report.invariants
+        inv["victim_goodput_floor"] = report.victim_goodput >= GOODPUT_FLOOR
+        inv["victim_p99_bounded"] = report.victim_p99_ns <= P99_BOUND_NS
+        inv["storm_contained"] = contained
+
+    def summary_fields(self):
+        report = self.report
+        return [
+            f"protected={self.protected}",
+            f"goodput={report.victim_goodput:.2f}",
+            f"victim_p99={report.victim_p99_ns}ns",
+            f"storm ok={report.storm_ops_ok}", f"shed={report.storm_shed}",
+        ]
+
     # ----------------------------------------------------------------- victim
 
-    def _victim_op(self, index, lib, done):
+    def _victim_op(self, index, lib):
         """One open-loop victim qconnect, forced through the uncached path."""
         module = self.modules[self.victim_node.gid]
         module.dc_cache.pop(self.victim_target, None)
@@ -261,38 +214,32 @@ class GrayChaosHarness:
             )
         except DeadlineExceededError:
             outcome = "deadline"
-            self.report.victim_deadline_fails += 1
         except KrcoreError as err:
             outcome = type(err).__name__
-            self.report.victim_other_fails += 1
         latency = self.sim.now - started
         self.report.victim_ops += 1
         if outcome == "ok":
-            self.report.victim_latencies.append(latency)
+            self.victim_latencies.append(latency)
             if latency <= self.slo_ns:
                 self.report.victim_good += 1
         self.report.record(
             f"victim op{index} start={started} lat={latency} {outcome}"
         )
-        done[0] += 1
-        if done[0] == self.victim_ops + self.storm_workers:
-            done[1].trigger(None)
 
-    def _victim_launcher(self, done):
+    def _victim_launcher(self):
         """Open-loop pacing: one op process per tick, no matter how the
         previous one is doing -- a slow control plane must not get to
         slow down its own offered load."""
         lib = KrcoreLib(self.victim_node, cpu_id=0)
         for index in range(self.victim_ops):
             self.sim.process(
-                self._victim_op(index, lib, done),
-                name=f"gray-victim-{index}",
+                self._victim_op(index, lib), name=f"gray-victim-{index}"
             )
             yield self.victim_gap_ns
 
     # ------------------------------------------------------------------ storm
 
-    def _storm_worker(self, worker, done):
+    def _storm_worker(self, worker):
         """Closed-loop uncached qconnect hammer.  Workers are packed onto
         two CPUs: enough distinct meta clients to pile onto the shard
         concurrently, while several workers share each per-CPU admission
@@ -308,10 +255,8 @@ class GrayChaosHarness:
                 yield from lib.qconnect(vqp, self.storm_target)
             except OverloadRejectedError:
                 self.report.storm_shed += 1
-            except DeadlineExceededError:
-                self.report.storm_deadline_fails += 1
             except KrcoreError:
-                self.report.storm_other_fails += 1
+                pass
             else:
                 self.report.storm_ops_ok += 1
                 attempt = 0
@@ -321,59 +266,3 @@ class GrayChaosHarness:
             attempt += 1
             backoff = timing.KRCORE_BACKOFF_BASE_NS
             yield backoff + timing.backoff_jitter_ns(backoff, salt, attempt)
-        done[0] += 1
-        if done[0] == self.victim_ops + self.storm_workers:
-            done[1].trigger(None)
-
-    # ------------------------------------------------------------------- run
-
-    def _controller(self, done):
-        yield done[1]
-        self.report.fault_log = list(self.injector.applied)
-        gates = [
-            pool.admission
-            for pool in self.modules[self.storm_node.gid].built_pools()
-            if pool.admission is not None
-        ]
-        contained = any(
-            gate.stats_shed + gate.stats_rejected for gate in gates
-        ) or self.report.storm_shed > 0
-        inv = self.report.invariants
-        inv["victim_goodput_floor"] = self.report.victim_goodput >= GOODPUT_FLOOR
-        inv["victim_p99_bounded"] = self.report.victim_p99_ns <= P99_BOUND_NS
-        inv["storm_contained"] = contained
-
-    def run(self):
-        # done = [completed process count, completion event]
-        done = [0, self.sim.event()]
-        checker = Checker() if self.check else None
-
-        def _drive():
-            self.injector.start()
-            self.sim.process(self._victim_launcher(done), name="gray-victim")
-            for worker in range(self.storm_workers):
-                self.sim.process(
-                    self._storm_worker(worker, done),
-                    name=f"gray-storm-{worker}",
-                )
-            self.sim.process(self._controller(done), name="gray-controller")
-            self.sim.run()
-
-        if checker is not None:
-            with _check_hooks.checking(checker):
-                _drive()
-                checker.finalize(
-                    modules=self.modules.values(),
-                    plane=self.meta,
-                    now=self.sim.now,
-                )
-            self.report.invariants["checker_clean"] = checker.ok
-            self.report.checker_summary = checker.summary()
-        else:
-            _drive()
-        return self.report
-
-
-def run_gray_chaos(seed, protected=True, plan=None, **kwargs):
-    """Run one seeded gray-failure experiment; returns its report."""
-    return GrayChaosHarness(seed, protected=protected, plan=plan, **kwargs).run()

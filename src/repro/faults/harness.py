@@ -1,8 +1,9 @@
-"""The chaos harness: YCSB over KRCORE under a seeded fault plan.
+"""The YCSB chaos scenario: YCSB over KRCORE under a seeded fault plan.
 
-:func:`run_chaos` boots a meta server + KRCORE cluster, starts client
-processes running a YCSB read/update mix as one-sided READ/WRITEs
-against server-resident value slots, lets a :class:`FaultPlan` fire
+:class:`ChaosHarness` boots a meta server (or a sharded plane) and a
+KRCORE cluster, starts client processes running a YCSB read/update mix
+as one-sided READ/WRITEs against server-resident value slots, lets a
+:class:`FaultPlan` (by default a random one over the servers) fire
 underneath, and checks the robustness invariants:
 
 * **exactly-once** -- every signaled WR completes or errors exactly
@@ -17,18 +18,16 @@ underneath, and checks the robustness invariants:
 * **lease safety** -- a retracted MR stops being readable at most one
   lease after retraction.
 
-Every random choice is seeded, so one ``(seed, workload)`` pair gives a
-byte-identical :class:`ChaosReport` -- ``report.digest()`` makes the
-determinism testable.
+It asserts no checker invariant, so it runs unchecked unless a checker
+is installed around it (see :mod:`repro.faults.chaos`).
 """
 
-import hashlib
+from collections import namedtuple
 
 from repro.cluster import timing
-from repro.faults.injector import FaultInjector
+from repro.faults.chaos import ChaosRun
 from repro.faults.plan import FaultPlan
-from repro.krcore import KrcoreLib, KrcoreModule, MetaPlane, MetaServer
-from repro.sim import Simulator
+from repro.krcore import KrcoreLib
 from repro.verbs.types import WC_REM_ACCESS_ERR
 from repro.verbs.errors import KrcoreError, MetaUnavailableError
 from repro.workloads.ycsb import YCSB_A, YcsbWorkload
@@ -56,66 +55,16 @@ def _verify_value(rank, data):
     )
 
 
-class _ServerInfo:
-    """Mutable handle to one server's data region (updated on restart)."""
-
-    __slots__ = ("gid", "base", "rkey")
-
-    def __init__(self, gid, base, rkey):
-        self.gid = gid
-        self.base = base
-        self.rkey = rkey
+#: One server's data region (replaced when the server restarts).
+_ServerInfo = namedtuple("_ServerInfo", "gid base rkey")
 
 
-class ChaosReport:
-    """What one chaos run did; digest-able for determinism checks."""
-
-    def __init__(self, seed):
-        self.seed = seed
-        self.op_log = []  # deterministic per-op lines
-        self.fault_log = []  # (t, kind, summary) from the injector
-        self.invariants = {}  # name -> bool
-        self.ops_ok = 0
-        self.ops_failed = 0
-        self.retried_ops = 0
-        self.stale_accepts = 0
-        #: Shard failovers observed across all modules (informational --
-        #: not part of the digest, like the other counters).
-        self.meta_failovers = 0
-        #: qconnects that degraded to a full RC handshake because every
-        #: owner shard was unreachable.
-        self.rc_fallbacks = 0
-
-    def record(self, line):
-        self.op_log.append(line)
-
-    @property
-    def all_invariants_hold(self):
-        return bool(self.invariants) and all(self.invariants.values())
-
-    def digest(self):
-        hasher = hashlib.sha256()
-        for line in self.op_log:
-            hasher.update(line.encode())
-            hasher.update(b"\n")
-        for entry in self.fault_log:
-            hasher.update(repr(entry).encode())
-            hasher.update(b"\n")
-        for name in sorted(self.invariants):
-            hasher.update(f"{name}={self.invariants[name]}".encode())
-            hasher.update(b"\n")
-        return hasher.hexdigest()
-
-    def summary(self):
-        return (
-            f"seed={self.seed} ok={self.ops_ok} failed={self.ops_failed} "
-            f"retried={self.retried_ops} faults={len(self.fault_log)} "
-            f"invariants={'PASS' if self.all_invariants_hold else 'FAIL'}"
-        )
-
-
-class ChaosHarness:
-    """One chaos run.  Use :func:`run_chaos` unless you need the pieces."""
+class ChaosHarness(ChaosRun):
+    """The YCSB scenario.  Layout: meta shards, then ``num_servers``
+    servers (the fault victims), then ``num_clients`` clients.  Meta and
+    client nodes are never crashed, so every client process runs to
+    completion and the meta QPs survive -- meta failures are injected as
+    (possibly per-shard) outage windows instead."""
 
     def __init__(
         self,
@@ -132,9 +81,7 @@ class ChaosHarness:
         op_gap_ns=None,
         meta_shards=1,
     ):
-        self.seed = seed
-        self.sim = Simulator()
-        self.report = ChaosReport(seed)
+        self.num_servers = num_servers
         self.num_keys = num_keys
         self.ops_per_client = ops_per_client
         self.mix = YCSB_A if mix is None else mix
@@ -147,69 +94,60 @@ class ChaosHarness:
             op_gap_ns = max(horizon_ns // max(ops_per_client, 1), 0)
         self.op_gap_ns = op_gap_ns
         self._robust_seq = 0  # distinct jitter salt per _robust call
-        self.module_kwargs = dict(background_rc=False, mr_lease_ns=mr_lease_ns)
-
-        # Layout: nodes 0..S-1 = meta shards, then servers (the fault
-        # victims), then clients.  Meta and client nodes are never
-        # crashed, so every client process runs to completion and the
-        # meta QPs survive -- meta failures are injected as (possibly
-        # per-shard) outage windows instead.
-        from repro.cluster import Cluster
-
-        num_nodes = meta_shards + num_servers + num_clients
-        self.cluster = Cluster(self.sim, num_nodes=num_nodes)
-        self.meta_nodes = [self.cluster.node(i) for i in range(meta_shards)]
-        self.meta_node = self.meta_nodes[0]
-        self.server_nodes = [
-            self.cluster.node(meta_shards + i) for i in range(num_servers)
-        ]
-        self.client_nodes = [
-            self.cluster.node(meta_shards + num_servers + i)
-            for i in range(num_clients)
-        ]
-        if meta_shards == 1:
-            self.meta = MetaServer(self.meta_node)
-        else:
-            self.meta = MetaPlane([MetaServer(node) for node in self.meta_nodes])
-        self.modules = {}
-        for node in self.cluster.nodes:
-            self.modules[node.gid] = KrcoreModule(node, self.meta, **self.module_kwargs)
-
-        # Server data regions: one VALUE_BYTES slot per key rank.
-        self.servers = {}
-        for node in self.server_nodes:
-            self.servers[node.gid] = self._register_data_region(node)
-
-        if plan is None:
-            plan = FaultPlan.random(
-                seed,
-                [n.gid for n in self.server_nodes],
-                horizon_ns,
-                meta_gid=self.meta_node.gid,
-            )
-        self.plan = plan
-        self.injector = FaultInjector(
-            self.cluster, self.meta, plan, on_restart=self._on_restart
-        )
         self._clients_done = 0
+        super().__init__(
+            seed, plan, meta_shards, num_servers + num_clients,
+            ops_ok=0, ops_failed=0, retried_ops=0, stale_accepts=0,
+            # Shard failovers, and qconnects that degraded to a full RC
+            # handshake because every owner shard was unreachable.
+            meta_failovers=0, rc_fallbacks=0,
+        )
         self._done_event = self.sim.event()
 
     # ------------------------------------------------------------------ setup
 
-    def _register_data_region(self, node):
+    def place(self, nodes):
+        self.server_nodes = nodes[: self.num_servers]
+        self.client_nodes = nodes[self.num_servers :]
+
+    def module_kwargs(self, node):
+        return {"mr_lease_ns": self.mr_lease_ns}
+
+    def setup(self):
+        # Server data regions: one VALUE_BYTES slot per key rank.
+        self.servers = {}
+        for node in self.server_nodes:
+            self.reload(node)
+
+    def reload(self, node):
         length = self.num_keys * VALUE_BYTES
         addr = node.memory.alloc(length)
         region = node.memory.register(addr, length)
-        module = self.modules[node.gid]
-        module.valid_mr.record(region)
+        self.modules[node.gid].valid_mr.record(region)
         self.meta.publish_mr(node.gid, region.rkey, region.addr, region.length)
-        return _ServerInfo(node.gid, addr, region.rkey)
+        self.servers[node.gid] = _ServerInfo(node.gid, addr, region.rkey)
 
-    def _on_restart(self, node):
-        """Reload the software stack on a rebooted node, operator-style:
-        a fresh KRCORE module (new DCT key) and the data region again."""
-        self.modules[node.gid] = KrcoreModule(node, self.meta, **self.module_kwargs)
-        self.servers[node.gid] = self._register_data_region(node)
+    def default_plan(self):
+        return FaultPlan.random(
+            self.seed,
+            [n.gid for n in self.server_nodes],
+            self.horizon_ns,
+            meta_gid=self.meta_nodes[0].gid,
+        )
+
+    def drive(self):
+        for cnum, node in enumerate(self.client_nodes):
+            self.sim.process(
+                self._client(cnum, node), name=f"chaos-client-{cnum}"
+            )
+        self.sim.process(self._controller(), name="chaos-controller")
+
+    def summary_fields(self):
+        report = self.report
+        return [
+            f"ok={report.ops_ok}", f"failed={report.ops_failed}",
+            f"retried={report.retried_ops}", f"faults={len(report.fault_log)}",
+        ]
 
     # ----------------------------------------------------------------- clients
 
@@ -321,7 +259,8 @@ class ChaosHarness:
 
     def _controller(self):
         """Process: wait for clients + the full fault schedule, then run
-        the convergence, lease, and exactly-once checks."""
+        the convergence, lease, and exactly-once checks (in simulated
+        time: they issue qconnects and reads of their own)."""
         yield self._done_event
         deadline = self._plan_end() + 500 * timing.US
         if self.sim.now < deadline:
@@ -329,16 +268,10 @@ class ChaosHarness:
         yield from self._check_convergence()
         yield from self._check_lease()
         self._check_exactly_once()
-        self.report.fault_log = list(self.injector.applied)
-        self.report.stale_accepts = sum(
-            m.mr_store.stats_stale_accepts for m in self.modules.values()
-        )
-        self.report.meta_failovers = sum(
-            m.stats_meta_failovers for m in self.modules.values()
-        )
-        self.report.rc_fallbacks = sum(
-            m.stats_rc_fallbacks for m in self.modules.values()
-        )
+        modules, report = self.modules.values(), self.report
+        report.stale_accepts = sum(m.mr_store.stats_stale_accepts for m in modules)
+        report.meta_failovers = sum(m.stats_meta_failovers for m in modules)
+        report.rc_fallbacks = sum(m.stats_rc_fallbacks for m in modules)
 
     def _plan_end(self):
         end = self.horizon_ns
@@ -434,20 +367,3 @@ class ChaosHarness:
         self.report.invariants["all_ops_resolved"] = self.report.ops_failed == 0
         if leftover:
             self.report.record(f"leftover_tokens={leftover}")
-
-    # --------------------------------------------------------------------- run
-
-    def run(self):
-        self.injector.start()
-        for cnum, node in enumerate(self.client_nodes):
-            self.sim.process(
-                self._client(cnum, node), name=f"chaos-client-{cnum}"
-            )
-        self.sim.process(self._controller(), name="chaos-controller")
-        self.sim.run()
-        return self.report
-
-
-def run_chaos(seed, plan=None, **kwargs):
-    """Run one seeded chaos experiment; returns its :class:`ChaosReport`."""
-    return ChaosHarness(seed, plan=plan, **kwargs).run()

@@ -19,6 +19,17 @@ from repro.faults import plan as plan_mod
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
+#: The fault kinds :meth:`FaultInjector.start` accepts (``node_slow`` is
+#: consumed by the cluster-scale model, :mod:`repro.faults.scale`).
+APPLIED_KINDS = frozenset((
+    plan_mod.LINK_FAULT, plan_mod.GRAY_LINK, plan_mod.RNIC_STALL,
+    plan_mod.NODE_CRASH, plan_mod.NODE_RESTART, plan_mod.META_OUTAGE,
+    plan_mod.META_LAG, plan_mod.RNIC_DEGRADE,
+))
+_LINK_KINDS = (plan_mod.LINK_FAULT, plan_mod.GRAY_LINK)
+#: Event parameters that name a node.
+_GID_PARAMS = ("gid", "src_gid", "dst_gid")
+
 
 class FaultInjector:
     """Applies a :class:`~repro.faults.plan.FaultPlan` to a cluster."""
@@ -30,24 +41,39 @@ class FaultInjector:
         self.meta_server = meta_server
         self.plan = plan
         self.on_restart = on_restart
+        self._nodes = {node.gid: node for node in cluster.nodes}
         #: Applied (timestamp, kind, summary) triples, for reports.
         self.applied = []
 
     def start(self):
-        """Spawn the driver process; returns self for chaining."""
-        self.sim.process(self._driver(), name="fault-injector")
+        """Check every event against the cluster, then spawn the driver
+        process; returns self for chaining.
+
+        A kind the injector cannot apply, or a gid that names no node,
+        raises ``ValueError`` here -- before simulated time passes, not
+        at the event's fire time.  (Not at construction: callers may
+        append events to the plan until the run starts.)
+        """
+        events = self.plan.sorted_events()
+        for event in events:
+            if event.kind not in APPLIED_KINDS:
+                raise ValueError(
+                    f"the injector cannot apply {event.kind!r} faults "
+                    f"(event at t={event.at_ns})"
+                )
+            for name in _GID_PARAMS:
+                if name in event.params and event.params[name] not in self._nodes:
+                    raise ValueError(
+                        f"{event.kind} at t={event.at_ns}: no node "
+                        f"{event.params[name]!r} in the cluster"
+                    )
+        self.sim.process(self._driver(events), name="fault-injector")
         return self
 
     # -------------------------------------------------------------- driver
 
-    def _node(self, gid):
-        for node in self.cluster.nodes:
-            if node.gid == gid:
-                return node
-        raise ValueError(f"no node {gid} in cluster")
-
-    def _driver(self):
-        for index, event in enumerate(self.plan.sorted_events()):
+    def _driver(self, events):
+        for index, event in enumerate(events):
             delay = event.at_ns - self.sim.now
             if delay > 0:
                 yield delay
@@ -57,29 +83,36 @@ class FaultInjector:
     def _apply(self, index, event):
         params = event.params
         kind = event.kind
-        if kind == plan_mod.LINK_FAULT:
+        if kind in _LINK_KINDS:
             src, dst = params["src_gid"], params["dst_gid"]
-            fault = LinkFault(
-                drop_prob=params["drop_prob"],
-                dup_prob=params["dup_prob"],
-                extra_ns=params["extra_ns"],
-                seed=self.plan.seed * 1_000_003 + index,
+            knobs = {
+                name: value for name, value in params.items()
+                if name not in ("src_gid", "dst_gid", "duration_ns")
+            }
+            self.fabric.set_link_fault(
+                src, dst,
+                LinkFault(seed=self.plan.seed * 1_000_003 + index, **knobs),
             )
-            self.fabric.set_link_fault(src, dst, fault)
             self.sim.schedule(
                 params["duration_ns"],
-                lambda s=src, d=dst: self.fabric.clear_link_fault(s, d),
+                lambda: self.fabric.clear_link_fault(src, dst),
             )
-            summary = f"{src}->{dst} drop={params['drop_prob']} dup={params['dup_prob']}"
+            if kind == plan_mod.GRAY_LINK:
+                summary = f"{src}->{dst} x{params['latency_mult']}"
+            else:
+                summary = (
+                    f"{src}->{dst} drop={params['drop_prob']} "
+                    f"dup={params['dup_prob']}"
+                )
         elif kind == plan_mod.RNIC_STALL:
-            node = self._node(params["gid"])
+            node = self._nodes[params["gid"]]
             self.sim.process(
                 node.rnic.stall(params["duration_ns"], engine=params["engine"]),
                 name=f"fault-stall@{node.gid}",
             )
             summary = f"{node.gid} {params['engine']} {params['duration_ns']}ns"
         elif kind == plan_mod.NODE_CRASH:
-            node = self._node(params["gid"])
+            node = self._nodes[params["gid"]]
             node.fail()
             # The failure detector: §4.2 invalidates a dead host's DCT
             # metadata at the meta server.  Remote DCCaches stay stale on
@@ -87,7 +120,7 @@ class FaultInjector:
             self.meta_server.retract_node(node.gid)
             summary = node.gid
         elif kind == plan_mod.NODE_RESTART:
-            node = self._node(params["gid"])
+            node = self._nodes[params["gid"]]
             node.restart()
             if self.on_restart is not None:
                 self.on_restart(node)
@@ -98,19 +131,6 @@ class FaultInjector:
             summary = f"{params['duration_ns']}ns"
             if shard is not None:
                 summary += f" shard={shard}"
-        elif kind == plan_mod.GRAY_LINK:
-            src, dst = params["src_gid"], params["dst_gid"]
-            fault = LinkFault(
-                extra_ns=params["extra_ns"],
-                latency_mult=params["latency_mult"],
-                seed=self.plan.seed * 1_000_003 + index,
-            )
-            self.fabric.set_link_fault(src, dst, fault)
-            self.sim.schedule(
-                params["duration_ns"],
-                lambda s=src, d=dst: self.fabric.clear_link_fault(s, d),
-            )
-            summary = f"{src}->{dst} x{params['latency_mult']}"
         elif kind == plan_mod.META_LAG:
             shard = params.get("shard")
             self.meta_server.set_lag(
@@ -119,12 +139,10 @@ class FaultInjector:
             summary = f"+{params['extra_ns']}ns for {params['duration_ns']}ns"
             if shard is not None:
                 summary += f" shard={shard}"
-        elif kind == plan_mod.RNIC_DEGRADE:
-            node = self._node(params["gid"])
+        else:  # RNIC_DEGRADE, the last kind start() accepts
+            node = self._nodes[params["gid"]]
             node.rnic.set_degraded(params["duration_ns"], params["factor"])
             summary = f"{node.gid} x{params['factor']} {params['duration_ns']}ns"
-        else:
-            raise ValueError(f"unknown fault kind {kind!r}")
         if _trace.TRACER is not None:
             _trace.TRACER.instant(
                 self.sim.now, "faults", f"fault.{kind}", summary=summary

@@ -67,43 +67,24 @@ class FaultPlan:
         self.events.append(event)
         return self
 
-    def degrade_link(
-        self,
-        at_ns,
-        src_gid,
-        dst_gid,
-        duration_ns,
-        drop_prob=0.0,
-        dup_prob=0.0,
-        extra_ns=0,
-        both_ways=False,
-    ):
+    def _link(self, kind, at_ns, src_gid, dst_gid, both_ways, **params):
+        """Add a ``kind`` window on src -> dst, then on dst -> src if
+        ``both_ways``."""
+        self._add(FaultEvent(at_ns, kind, src_gid=src_gid, dst_gid=dst_gid, **params))
+        if both_ways:
+            self._add(FaultEvent(at_ns, kind, src_gid=dst_gid, dst_gid=src_gid, **params))
+        return self
+
+    def degrade_link(self, at_ns, src_gid, dst_gid, duration_ns, drop_prob=0.0,
+                     dup_prob=0.0, extra_ns=0, both_ways=False):
         """Degrade the directed link src -> dst (and optionally the
         reverse) for ``duration_ns``: packets drop / duplicate with the
         given probabilities and every traversal gains ``extra_ns``."""
-        self._add(
-            FaultEvent(
-                at_ns,
-                LINK_FAULT,
-                src_gid=src_gid,
-                dst_gid=dst_gid,
-                duration_ns=int(duration_ns),
-                drop_prob=drop_prob,
-                dup_prob=dup_prob,
-                extra_ns=int(extra_ns),
-            )
+        return self._link(
+            LINK_FAULT, at_ns, src_gid, dst_gid, both_ways,
+            duration_ns=int(duration_ns), drop_prob=drop_prob,
+            dup_prob=dup_prob, extra_ns=int(extra_ns),
         )
-        if both_ways:
-            self.degrade_link(
-                at_ns,
-                dst_gid,
-                src_gid,
-                duration_ns,
-                drop_prob=drop_prob,
-                dup_prob=dup_prob,
-                extra_ns=extra_ns,
-            )
-        return self
 
     def stall_rnic(self, at_ns, gid, duration_ns, engine="command"):
         """Wedge one of ``gid``'s RNIC engines (``"command"`` or
@@ -136,40 +117,16 @@ class FaultPlan:
             FaultEvent(at_ns, META_OUTAGE, duration_ns=int(duration_ns), shard=shard)
         )
 
-    def gray_link(
-        self,
-        at_ns,
-        src_gid,
-        dst_gid,
-        duration_ns,
-        latency_mult=4.0,
-        extra_ns=0,
-        both_ways=False,
-    ):
+    def gray_link(self, at_ns, src_gid, dst_gid, duration_ns,
+                  latency_mult=4.0, extra_ns=0, both_ways=False):
         """Gray-degrade the directed link src -> dst for ``duration_ns``:
         no loss, but every traversal takes ``latency_mult`` times longer
         (plus ``extra_ns``) -- a congested or renegotiated-down link."""
-        self._add(
-            FaultEvent(
-                at_ns,
-                GRAY_LINK,
-                src_gid=src_gid,
-                dst_gid=dst_gid,
-                duration_ns=int(duration_ns),
-                latency_mult=float(latency_mult),
-                extra_ns=int(extra_ns),
-            )
+        return self._link(
+            GRAY_LINK, at_ns, src_gid, dst_gid, both_ways,
+            duration_ns=int(duration_ns), latency_mult=float(latency_mult),
+            extra_ns=int(extra_ns),
         )
-        if both_ways:
-            self.gray_link(
-                at_ns,
-                dst_gid,
-                src_gid,
-                duration_ns,
-                latency_mult=latency_mult,
-                extra_ns=extra_ns,
-            )
-        return self
 
     def lag_meta(self, at_ns, duration_ns, extra_ns, shard=None):
         """Lag the meta service: lookups keep *succeeding* but each takes
@@ -227,25 +184,6 @@ class FaultPlan:
     def crash_targets(self):
         return {e.params["gid"] for e in self.events if e.kind == NODE_CRASH}
 
-    def for_gids(self, gids):
-        """The sub-plan of events targeting ``gids`` (same seed).
-
-        Partition-local fault targeting: a partitioned runner hands each
-        partition the sub-plan for the gids it owns, and the union over
-        partitions is exactly the full plan — every event names at most
-        one gid, so no event is duplicated or dropped by the split.
-        Events without a ``gid``/``src_gid`` parameter (e.g. whole-plane
-        meta outages) are global and excluded; route those through
-        whichever entity owns the faulted service instead.
-        """
-        gids = set(gids)
-        sub = FaultPlan(seed=self.seed)
-        for event in self.events:
-            target = event.params.get("gid", event.params.get("src_gid"))
-            if target is not None and target in gids:
-                sub.events.append(event)
-        return sub
-
     def __len__(self):
         return len(self.events)
 
@@ -261,7 +199,6 @@ class FaultPlan:
         victim_gids,
         horizon_ns,
         meta_gid=None,
-        crash_ok=True,
         events=6,
     ):
         """A random-but-reproducible plan over ``victim_gids``.
@@ -303,7 +240,7 @@ class FaultPlan:
                     duration_ns=rng.randrange(10 * timing.US, 100 * timing.US),
                     engine=rng.choice(["command", "inbound"]),
                 )
-            elif kind == NODE_CRASH and crash_ok:
+            elif kind == NODE_CRASH:
                 candidates = [g for g in victims if g not in crashed]
                 if not candidates:
                     continue
@@ -316,49 +253,6 @@ class FaultPlan:
             elif kind == META_OUTAGE:
                 plan.meta_outage(
                     at, duration_ns=rng.randrange(horizon_ns // 20, horizon_ns // 8)
-                )
-        return plan
-
-    @classmethod
-    def random_gray(cls, seed, victim_gids, horizon_ns, meta_shards=1, events=6):
-        """A random-but-reproducible *gray* plan: latency multipliers
-        only, never a binary outage.  Everything stays reachable for the
-        whole run -- the storm the overload-protection layer has to ride
-        out rather than fail over from."""
-        rng = random.Random(seed)
-        victims = list(victim_gids)
-        if not victims:
-            raise ValueError("no victim gids to build a plan from")
-        plan = cls(seed=seed)
-        for _ in range(events):
-            kind = rng.choice([GRAY_LINK, GRAY_LINK, META_LAG, RNIC_DEGRADE])
-            at = rng.randrange(horizon_ns // 10, (horizon_ns * 6) // 10)
-            duration = rng.randrange(horizon_ns // 10, horizon_ns // 3)
-            if kind == GRAY_LINK:
-                src = rng.choice(victims)
-                dst = rng.choice([g for g in victims if g != src] or victims)
-                plan.gray_link(
-                    at,
-                    src,
-                    dst,
-                    duration_ns=duration,
-                    latency_mult=rng.choice([2.0, 4.0, 8.0]),
-                    extra_ns=rng.choice([0, 2 * timing.US]),
-                    both_ways=rng.random() < 0.5,
-                )
-            elif kind == META_LAG:
-                plan.lag_meta(
-                    at,
-                    duration_ns=duration,
-                    extra_ns=rng.choice([20, 50, 100]) * timing.US,
-                    shard=rng.choice([None] + list(range(meta_shards))),
-                )
-            else:
-                plan.degrade_rnic(
-                    at,
-                    rng.choice(victims),
-                    duration_ns=duration,
-                    factor=rng.choice([4.0, 8.0, 16.0]),
                 )
         return plan
 

@@ -102,7 +102,7 @@ class ScaleChaosReport:
 
 def run_scale_chaos(seed, partitions=2, racks=6, nodes_per_rack=2,
                     tenants_per_node=2, ops_per_tenant=12,
-                    mean_think_ns=6_000, fault_events=4, mode="inline"):
+                    mean_think_ns=6_000, fault_events=4):
     """Prove fault-targeting equivalence for one seed; see module doc."""
     clean_spec = ScaleSpec(
         racks=racks, nodes_per_rack=nodes_per_rack,
@@ -127,7 +127,7 @@ def run_scale_chaos(seed, partitions=2, racks=6, nodes_per_rack=2,
 
     clean = run_scale(clean_spec, partitions=1)
     base = run_scale(faulted_spec, partitions=1)
-    other = run_scale(faulted_spec, partitions=partitions, mode=mode)
+    other = run_scale(faulted_spec, partitions=partitions)
 
     report.clean_digest = clean.digest()
     report.digests = {1: base.digest(), partitions: other.digest()}

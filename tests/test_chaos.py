@@ -10,7 +10,8 @@ seed-determinism (two runs, byte-identical digests).
 import pytest
 
 from repro.cluster import timing
-from repro.faults import FaultPlan, run_chaos
+from repro.faults import FaultPlan
+from repro.faults.harness import ChaosHarness
 
 pytestmark = pytest.mark.chaos
 
@@ -59,22 +60,22 @@ SCHEDULES = [
 
 @pytest.mark.parametrize("name,make_plan,seed", SCHEDULES, ids=[s[0] for s in SCHEDULES])
 def test_named_schedule_invariants_and_determinism(name, make_plan, seed):
-    first = run_chaos(seed, plan=make_plan(seed))
+    first = ChaosHarness(seed, plan=make_plan(seed)).run()
     assert first.all_invariants_hold, (name, first.invariants, first.op_log[-10:])
     assert first.ops_failed == 0
-    second = run_chaos(seed, plan=make_plan(seed))
+    second = ChaosHarness(seed, plan=make_plan(seed)).run()
     assert first.digest() == second.digest(), f"{name}: nondeterministic"
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
 def test_random_plan_invariants(seed):
-    report = run_chaos(seed)
+    report = ChaosHarness(seed).run()
     assert report.all_invariants_hold, (seed, report.invariants, report.op_log[-10:])
     assert report.ops_failed == 0
 
 
 def test_meta_outage_exercises_degraded_paths():
-    report = run_chaos(33, plan=_plan_meta_outage(33))
+    report = ChaosHarness(33, plan=_plan_meta_outage(33)).run()
     # The outage window forces at least one degraded-mode decision
     # somewhere: a stale-lease acceptance or a client-level retry.
     assert report.stale_accepts + report.retried_ops > 0
@@ -94,12 +95,12 @@ def _plan_shard_outages(seed):
 
 
 def test_sharded_meta_outages_fail_over_and_degrade():
-    first = run_chaos(44, plan=_plan_shard_outages(44), meta_shards=2)
+    first = ChaosHarness(44, plan=_plan_shard_outages(44), meta_shards=2).run()
     assert first.all_invariants_hold, (first.invariants, first.op_log[-10:])
     assert first.ops_failed == 0
     # One dark owner -> lookups fail over to the replica shard.
     assert first.meta_failovers > 0
     # Every owner dark -> the paper's old control path takes over.
     assert first.rc_fallbacks > 0
-    second = run_chaos(44, plan=_plan_shard_outages(44), meta_shards=2)
+    second = ChaosHarness(44, plan=_plan_shard_outages(44), meta_shards=2).run()
     assert first.digest() == second.digest(), "sharded chaos: nondeterministic"

@@ -6,7 +6,8 @@ determinism guarantee) in every default test invocation.
 """
 
 from repro.cluster import timing
-from repro.faults import FaultPlan, run_chaos
+from repro.faults import FaultPlan
+from repro.faults.harness import ChaosHarness
 
 SEED = 5
 
@@ -21,7 +22,7 @@ def _smoke_plan():
 
 
 def test_chaos_smoke_invariants_hold():
-    report = run_chaos(SEED, plan=_smoke_plan(), ops_per_client=30)
+    report = ChaosHarness(SEED, plan=_smoke_plan(), ops_per_client=30).run()
     assert report.all_invariants_hold, report.invariants
     assert report.ops_failed == 0
     assert len(report.fault_log) == 3
@@ -31,15 +32,15 @@ def test_chaos_smoke_invariants_hold():
 
 
 def test_chaos_smoke_is_deterministic():
-    first = run_chaos(SEED, plan=_smoke_plan(), ops_per_client=30)
-    second = run_chaos(SEED, plan=_smoke_plan(), ops_per_client=30)
+    first = ChaosHarness(SEED, plan=_smoke_plan(), ops_per_client=30).run()
+    second = ChaosHarness(SEED, plan=_smoke_plan(), ops_per_client=30).run()
     assert first.digest() == second.digest()
     assert first.op_log == second.op_log
 
 
 def test_chaos_different_seeds_diverge():
-    a = run_chaos(5, ops_per_client=20)
-    b = run_chaos(6, ops_per_client=20)
+    a = ChaosHarness(5, ops_per_client=20).run()
+    b = ChaosHarness(6, ops_per_client=20).run()
     assert a.digest() != b.digest()
 
 
@@ -53,11 +54,11 @@ def _sharded_plan():
 
 
 def test_chaos_smoke_sharded_failover():
-    report = run_chaos(SEED, plan=_sharded_plan(), ops_per_client=30,
-                       meta_shards=2)
+    report = ChaosHarness(SEED, plan=_sharded_plan(), ops_per_client=30,
+                          meta_shards=2).run()
     assert report.all_invariants_hold, report.invariants
     assert report.ops_failed == 0
     assert report.meta_failovers > 0  # the replica actually served reads
-    second = run_chaos(SEED, plan=_sharded_plan(), ops_per_client=30,
-                       meta_shards=2)
+    second = ChaosHarness(SEED, plan=_sharded_plan(), ops_per_client=30,
+                          meta_shards=2).run()
     assert report.digest() == second.digest()

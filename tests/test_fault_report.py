@@ -8,7 +8,7 @@ a failing run.  These tests fail on that regression in either direction.
 
 import inspect
 
-from repro.faults.harness import ChaosReport
+from repro.faults import ChaosReport
 
 
 def test_all_invariants_hold_is_a_property_not_a_method():

@@ -408,28 +408,42 @@ def test_link_fault_install_and_clear_round_trip(sim, cluster):
     assert not fabric.link_faults  # cleared after the window
 
 
+@pytest.mark.parametrize(
+    "plan",
+    [
+        FaultPlan(1).crash_node(1 * MS, "node9"),
+        FaultPlan(1).degrade_link(1 * MS, "node1", "node9", duration_ns=1 * MS),
+        # node_slow is the scale model's kind; the injector cannot apply it.
+        FaultPlan(1).slow_node(1 * MS, "node1", duration_ns=1 * MS),
+    ],
+    ids=["unknown-gid", "unknown-link-end", "unapplied-kind"],
+)
+def test_a_bad_plan_fails_before_simulated_time_passes(plan):
+    """Regression: a plan naming a node the cluster lacks (or a kind the
+    injector cannot apply) used to fail at the event's fire time, 1 ms
+    into the run -- or, for a link end, never.  ``start()`` checks every
+    event first."""
+    from repro.faults.harness import ChaosHarness
+
+    harness = ChaosHarness(1, plan=plan, ops_per_client=20)
+    with pytest.raises(ValueError):
+        harness.run()
+    assert harness.sim.now == 0
+
+
 # -- partition-local fault targeting (repro.faults.scale) --------------------
 
 
-def test_slow_node_builder_and_for_gids_split():
+def test_slow_node_builder():
     from repro.faults.plan import NODE_SLOW
 
     plan = (
         FaultPlan(seed=3)
         .slow_node(1 * US, "rack0-n0", duration_ns=5 * US, factor=4.0)
         .slow_node(2 * US, "rack1-n2", duration_ns=5 * US, factor=2.0)
-        .degrade_link(3 * US, "rack0-n1", "rack1-n2", duration_ns=1 * US)
     )
     assert plan.events[0].kind == NODE_SLOW
     assert plan.events[0].params["factor"] == 4.0
-    sub = plan.for_gids({"rack0-n0", "rack0-n1"})
-    assert sub.seed == plan.seed
-    assert [e.params.get("gid", e.params.get("src_gid")) for e in sub.events] == [
-        "rack0-n0", "rack0-n1",
-    ]
-    # Ownership split covers the full plan: no event duplicated or lost.
-    other = plan.for_gids({"rack1-n2"})
-    assert len(sub.events) + len(other.events) == len(plan.events)
 
 
 def test_random_scale_plan_is_reproducible_and_in_bounds():

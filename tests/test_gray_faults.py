@@ -2,13 +2,11 @@
 
 from repro.cluster import timing
 from repro.cluster.fabric import LinkFault
-from repro.faults import FaultPlan, run_gray_chaos
 from repro.faults.gray import (
     GOODPUT_FLOOR,
     P99_BOUND_NS,
     GrayChaosHarness,
 )
-from repro.faults.plan import GRAY_LINK, META_LAG, RNIC_DEGRADE
 
 SEED = 5
 
@@ -91,29 +89,18 @@ def test_rnic_degrade_slows_one_sided_reads():
     assert sick_done - healthy_done == sick_busy - healthy_busy
 
 
-def test_random_gray_plans_are_gray_and_seeded():
-    gids = ["node0", "node1"]
-    plan = FaultPlan.random_gray(3, gids, 4 * timing.MS, meta_shards=2)
-    again = FaultPlan.random_gray(3, gids, 4 * timing.MS, meta_shards=2)
-    assert [repr(e) for e in plan.events] == [repr(e) for e in again.events]
-    assert plan.events
-    # Gray means gray: never a crash, outage, or packet loss.
-    assert {e.kind for e in plan.events} <= {GRAY_LINK, META_LAG, RNIC_DEGRADE}
-    assert not plan.crash_targets()
-
-
 # ------------------------------------------------------------------ harness
 
 
 def test_gray_chaos_is_deterministic():
-    first = run_gray_chaos(SEED)
-    second = run_gray_chaos(SEED)
+    first = GrayChaosHarness(SEED).run()
+    second = GrayChaosHarness(SEED).run()
     assert first.digest() == second.digest()
     assert first.op_log == second.op_log
 
 
 def test_gray_chaos_protected_rides_out_the_storm():
-    report = run_gray_chaos(SEED)
+    report = GrayChaosHarness(SEED).run()
     assert report.all_invariants_hold, report.invariants
     assert report.victim_goodput >= GOODPUT_FLOOR
     assert report.victim_p99_ns <= P99_BOUND_NS
@@ -127,8 +114,8 @@ def test_gray_chaos_unprotected_collapses():
     """The contrast run: same seed, same storm, no protection layer --
     the well-behaved tenant's goodput and p99 both blow through the
     bounds the protected run holds."""
-    protected = run_gray_chaos(SEED)
-    unprotected = run_gray_chaos(SEED, protected=False)
+    protected = GrayChaosHarness(SEED).run()
+    unprotected = GrayChaosHarness(SEED, protected=False).run()
     assert not unprotected.invariants["victim_goodput_floor"]
     assert not unprotected.invariants["victim_p99_bounded"]
     assert unprotected.victim_goodput < protected.victim_goodput

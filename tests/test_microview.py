@@ -192,12 +192,12 @@ def test_churned_harvest_upholds_churn_window_invariant(seed, interval_us, strat
 
 
 def test_microview_chaos_invariants_hold_and_run_is_deterministic():
-    from repro.faults.microview import run_microview_chaos
+    from repro.faults.microview import MicroViewChaosHarness
 
-    first = run_microview_chaos(1)
+    first = MicroViewChaosHarness(1).run()
     assert first.all_invariants_hold, first.invariants
     assert first.stale_accepts > 0 and first.stale_hits > 0
     assert first.churns > 0 and first.failed_reads >= 0
-    second = run_microview_chaos(1)
+    second = MicroViewChaosHarness(1).run()
     assert first.digest() == second.digest()
-    assert run_microview_chaos(2).digest() != first.digest()
+    assert MicroViewChaosHarness(2).run().digest() != first.digest()

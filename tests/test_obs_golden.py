@@ -19,7 +19,7 @@ import json
 import pathlib
 
 from repro import obs
-from repro.faults.harness import run_chaos
+from repro.faults.harness import ChaosHarness
 from repro.krcore import KrcoreLib
 from repro.sim import Simulator
 from repro.verbs import RecvBuffer, WorkRequest
@@ -116,8 +116,8 @@ def _two_sided_scenario():
 def _chaos_scenario():
     """A small seeded chaos slice under full observability."""
     with obs.observe() as (tracer, metrics):
-        report = run_chaos(seed=5, num_servers=2, num_clients=2,
-                           ops_per_client=30)
+        report = ChaosHarness(seed=5, num_servers=2, num_clients=2,
+                              ops_per_client=30).run()
     return tracer, metrics, report
 
 
