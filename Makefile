@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab counts hop-budget rest-budget flight-oracle coverage trace check check-sweep
+.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab counts heap hop-budget rest-budget flight-oracle coverage trace check check-sweep
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -59,6 +59,14 @@ ab:
 counts:
 	$(PYTHON) benchmarks/counts.py
 
+# Where a workload's heap goes (benchmarks/heap.py): one untimed pass of an
+# observatory workload under tracemalloc; prints the top file:line sites of
+# the live set at the end of the measured phase and the DRAM pages each
+# simulated node materialized.
+#   make heap WORKLOAD=<w> [HEAP_ARGS="--scale 0.1 --top 40"]
+heap:
+	$(PYTHON) benchmarks/heap.py --workload $(WORKLOAD) $(HEAP_ARGS)
+
 # WR hop budget (DESIGN.md §17): print the exact engine-record counts per
 # work request and check them against the pinned budget.
 hop-budget:
@@ -67,7 +75,8 @@ hop-budget:
 # Node rest budget (DESIGN.md §17 "A node at rest", "A QP at rest"): print
 # what a booted, idle node holds on the host (KB -- of a 4-node and of a
 # 2 000-node boot --, Process objects, boot records, per-CPU pools and kernel
-# RecvBuffers built: none) and check the pins.
+# RecvBuffers built: none), what used state holds once idle again (bytes per
+# connected VQP, per drained QP + CQ, per meta client) and check the pins.
 rest-budget:
 	$(PYTHON) -m pytest -s -k rest_budget
 

@@ -72,7 +72,14 @@ class PhysicalMemory:
     def alloc(self, nbytes, align=64):
         """Reserve ``nbytes`` and return its start address.  It reads as
         zeros -- no address is handed out twice, untouched pages are zero --
-        so clear nothing: a zero-fill write materializes every page."""
+        so clear nothing: a zero-fill write materializes every page.
+
+        A buffer of a page or more starts on a page boundary, as an RDMA
+        buffer from ``posix_memalign`` does, so small allocations before it
+        (a meta client's one-bucket scratch) do not split each of its pages
+        across two: a page-sized write stays one page copy."""
+        if nbytes >= _PAGE_SIZE:
+            align = max(align, _PAGE_SIZE)
         start = -(-self._alloc_cursor // align) * align
         if start + nbytes > self.size:
             raise MemoryError_(

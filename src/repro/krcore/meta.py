@@ -21,7 +21,8 @@ import struct
 
 from repro.check import hooks as _check
 from repro.cluster import timing
-from repro.kvs import DrtmKvClient, DrtmKvServer, StoreFullError
+from repro.kvs import DrtmKvClient, DrtmKvServer, RecordTooLargeError, StoreFullError
+from repro.kvs.layout import BUCKET_BYTES, Layout
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.sim import Resource
@@ -31,6 +32,16 @@ from repro.verbs.errors import MetaUnavailableError, VerbsError
 
 _DCT_VALUE = struct.Struct(">IQ")  # DCT number (4B) + DCT key (8B) = 12 B
 _MR_VALUE = struct.Struct(">QQ")  # addr (8B) + length (8B)
+
+#: The largest record -- header, key and value -- a meta shard accepts.  An
+#: ``mr:<gid>:<rkey>`` record of a 10 000-node cluster is about 40 B; a
+#: longer one is refused when it is published, so every client can read
+#: every record into a scratch buffer of ``SCRATCH_BYTES``.
+RECORD_MAX_BYTES = 64
+
+#: A meta client's scratch buffer: one bucket or one record, whichever is
+#: larger -- the most one READ of a lookup brings back.
+SCRATCH_BYTES = max(BUCKET_BYTES, RECORD_MAX_BYTES)
 
 
 def dct_key(gid):
@@ -76,6 +87,9 @@ class MetaServer:
         self._lag_until = 0
         self._lag_extra_ns = 0
         self._plane = None  # this deployment as a one-shard plane (MetaPlane.ensure)
+        #: DCT record bytes -> the one (number, key) tuple its readers share:
+        #: every VQP connected to one target incarnation holds the same one.
+        self.dct_metas = {}
         node.services[self.SERVICE] = self
 
     @property
@@ -129,6 +143,11 @@ class MetaServer:
         self._put(mr_key(gid, rkey), _MR_VALUE.pack(addr, length))
 
     def _put(self, key, value):
+        size = Layout.record_bytes_for(key, value)
+        if size > RECORD_MAX_BYTES:
+            raise RecordTooLargeError(
+                f"meta record {key!r} is {size} B; a shard accepts {RECORD_MAX_BYTES} B"
+            )
         if _check.CHECKER is not None:
             _check.CHECKER.meta_write(self, key, value)
         try:
@@ -282,7 +301,7 @@ class MetaClient:
     mutex because the DrTM-KV client supports one lookup at a time.
     """
 
-    def __init__(self, node, meta_server, scratch_bytes=4096, shard_index=0):
+    def __init__(self, node, meta_server, shard_index=0):
         self.node = node
         self.sim = node.sim
         self.meta_server = meta_server
@@ -302,10 +321,10 @@ class MetaClient:
         peer.to_init()
         peer.to_rtr((node.gid, self.qp.qpn))
         peer.to_rts()
-        scratch_addr = node.memory.alloc(scratch_bytes)
-        scratch_region = node.memory.register(scratch_addr, scratch_bytes)
+        scratch_addr = node.memory.alloc(SCRATCH_BYTES)
+        scratch_region = node.memory.register(scratch_addr, SCRATCH_BYTES)
         self.kv = DrtmKvClient(
-            meta_server.catalog, self.qp, scratch_addr, scratch_bytes, scratch_region.lkey
+            meta_server.catalog, self.qp, scratch_addr, SCRATCH_BYTES, scratch_region.lkey
         )
         self._mutex = Resource(self.sim, capacity=1)
 
@@ -314,8 +333,11 @@ class MetaClient:
         value = yield from self._lookup(dct_key(gid), deadline)
         if value is None:
             return None
-        number, key = _DCT_VALUE.unpack(value)
-        return (number, key)
+        metas = self.meta_server.dct_metas
+        meta = metas.get(value)
+        if meta is None:
+            meta = metas[value] = _DCT_VALUE.unpack(value)
+        return meta
 
     def lookup_mr(self, gid, rkey, deadline=None):
         """Process: fetch (addr, length) for a remote MR, or None."""

@@ -17,6 +17,7 @@ from repro.krcore.pool import HybridQpPool
 from repro.krcore.vqp import KrcoreError, Vqp
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
+from repro.sim import AnyOf
 from repro.verbs.errors import DeadlineExceededError, MetaUnavailableError
 from repro.verbs import (
     Completion,
@@ -46,11 +47,11 @@ KRCORE_RC_PORT = 17
 
 
 class _MsgQueue:
-    """A deque of routed messages with event-based waiting."""
+    """A FIFO list of routed messages with event-based waiting."""
 
     def __init__(self, sim):
         self.sim = sim
-        self.items = deque()
+        self.items = []
         self._waiters = []
 
     def __len__(self):
@@ -62,9 +63,6 @@ class _MsgQueue:
         for event in waiters:
             if not event.triggered:
                 event.trigger(None)
-
-    def popleft(self):
-        return self.items.popleft()
 
     def wait(self):
         event = self.sim.event()
@@ -312,12 +310,14 @@ class KrcoreModule:
             index.pop(vqp, None)
             if not index:
                 del self._connected_vqps[vqp.remote_gid]
-        if vqp.bound_port is not None:
-            self.unbind(vqp.bound_port)
-        if vqp.reply_key is not None:
-            del self._reply_vqps[vqp.reply_key]
-        for msg in vqp.pending_msgs:
-            self._release_slot(msg)  # undelivered: free the kernel buffers
+        state = vqp.two_sided
+        if state is not None:
+            if state.bound_port is not None:
+                self.unbind(state.bound_port)
+            if state.reply_key is not None:
+                del self._reply_vqps[state.reply_key]
+            for msg in state.pending_msgs:
+                self._release_slot(msg)  # undelivered: free the kernel buffers
 
     def indexed_vqps(self):
         """Every VQP some module table still reaches (quiescence audit)."""
@@ -334,13 +334,13 @@ class KrcoreModule:
         if port in self._bound:
             raise KrcoreError(f"port {port} already bound")
         self._bound[port] = vqp
-        vqp.bound_port = port
+        vqp.messaging().bound_port = port
 
     def unbind(self, port):
         """Release a bound port (the VQP keeps working for sends)."""
         vqp = self._bound.pop(port, None)
         if vqp is not None:
-            vqp.bound_port = None
+            vqp.two_sided.bound_port = None
 
     # ------------------------------------------------------------- MR handling
 
@@ -779,7 +779,7 @@ class KrcoreModule:
         while True:
             yield queue.wait()
             while len(queue):
-                msg = queue.popleft()
+                msg = queue.items.pop(0)
                 self._release_slot(msg)
                 self.sim.process(
                     self._handle_kernel_msg(msg["header"]),
@@ -819,9 +819,7 @@ class KrcoreModule:
         for the remote acknowledgments").  A dead peer cannot ack; after a
         timeout the transfer proceeds (its replies can never arrive on the
         old QP either)."""
-        from repro.sim import AnyOf
-
-        gid, peer_vqp_id = vqp.peer
+        gid, peer_vqp_id = vqp.two_sided.peer
         ack = self.sim.event()
         self._transfer_acks[(gid, vqp.id)] = ack
         try:
@@ -947,7 +945,7 @@ class KrcoreModule:
     # -- waiting hooks for VQP-addressed messages --
 
     def _vqp_msg_arrived(self, vqp):
-        waiters = vqp._msg_waiters
+        waiters = vqp.two_sided.msg_waiters
         if waiters:
             for event in waiters:
                 if not event.triggered:
@@ -956,20 +954,24 @@ class KrcoreModule:
 
     def vqp_msg_event(self, vqp):
         event = self.sim.event()
-        if vqp.pending_msgs:
+        state = vqp.messaging()
+        if state.pending_msgs:
             event.trigger(None)
         else:
-            if vqp._msg_waiters is None:
-                vqp._msg_waiters = []
-            vqp._msg_waiters.append(event)
+            if state.msg_waiters is None:
+                state.msg_waiters = []
+            state.msg_waiters.append(event)
         return event
 
     def deliver_vqp_msgs(self, vqp):
         """Process: move messages addressed to ``vqp`` into its posted user
         buffers, producing recv completions (copy or zero-copy)."""
-        while vqp.pending_msgs and vqp.recv_queue:
-            msg = vqp.pending_msgs.popleft()
-            user_buf = vqp.recv_queue.popleft()
+        state = vqp.two_sided
+        if state is None:
+            return
+        while state.pending_msgs and state.recv_queue:
+            msg = state.pending_msgs.pop(0)
+            user_buf = state.recv_queue.pop(0)
             byte_len = yield from self._land_message(vqp, msg, user_buf)
             header = msg["header"]
             vqp.enqueue(
@@ -1023,15 +1025,16 @@ class KrcoreModule:
         hybrid pool the reply VQPs virtualize from -- the calling thread's
         CPU, like the real per-CPU kernel handler (§4.2).
         """
-        if vqp.bound_port is None:
+        state = vqp.two_sided
+        if state is None or state.bound_port is None:
             raise KrcoreError(f"VQP {vqp.id} is not bound; call qbind first")
         if cpu_id is None:
             cpu_id = vqp.cpu_id
-        queue = self._port_queue(vqp.bound_port)
+        queue = self._port_queue(state.bound_port)
         results = []
-        while len(queue) and len(results) < max_msgs and vqp.recv_queue:
-            msg = queue.popleft()
-            user_buf = vqp.recv_queue.popleft()
+        while len(queue) and len(results) < max_msgs and state.recv_queue:
+            msg = queue.items.pop(0)
+            user_buf = state.recv_queue.pop(0)
             byte_len = yield from self._land_message(vqp, msg, user_buf)
             header = msg["header"]
             reply_vqp = yield from self._reply_vqp(vqp, header, cpu_id)
@@ -1052,10 +1055,10 @@ class KrcoreModule:
 
     def wait_port_msg(self, vqp):
         """Event that fires when the bound port has (or gets) a message."""
-        return self._port_queue(vqp.bound_port).wait()
+        return self._port_queue(vqp.two_sided.bound_port).wait()
 
     def _reply_vqp(self, bound_vqp, header, cpu_id):
-        key = (bound_vqp.bound_port, header["src_gid"], header["src_vqp"])
+        key = (bound_vqp.two_sided.bound_port, header["src_gid"], header["src_vqp"])
         vqp = self._reply_vqps.get(key)
         if vqp is not None:
             return vqp
@@ -1066,8 +1069,9 @@ class KrcoreModule:
             self.dc_cache.setdefault(header["src_gid"], tuple(meta))
         vqp = self.create_vqp(cpu_id=cpu_id)
         yield from vqp.connect(header["src_gid"])
-        vqp.peer = (header["src_gid"], header["src_vqp"])
-        vqp.reply_key = key
+        state = vqp.messaging()
+        state.peer = (header["src_gid"], header["src_vqp"])
+        state.reply_key = key
         self._reply_vqps[key] = vqp
         return vqp
 

@@ -9,6 +9,7 @@ LRU when the pool overflows.
 
 from repro.check import hooks as _check
 from repro.cluster import timing
+from repro.degrade import AdmissionGate
 from repro.obs import metrics as _metrics
 
 
@@ -33,8 +34,6 @@ class HybridQpPool:
         """The lazily-built qconnect admission gate for this CPU."""
         gate = self.admission
         if gate is None:
-            from repro.degrade import AdmissionGate
-
             gate = AdmissionGate(
                 sim,
                 rate_per_sec=policy.admission_rate_per_sec,

@@ -12,10 +12,9 @@ hinges on three duties the paper spells out (§4.4):
    send-queue slots a signaled request covers are encoded in ``wr_id``.
 """
 
-from collections import deque
-
 from repro.check import hooks as _check
 from repro.cluster import timing
+from repro.krcore.meta import dct_key
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.verbs.errors import KrcoreError, MetaUnavailableError, VerbsError
@@ -62,55 +61,102 @@ class CompletionEntry:
         return self.status is WC_SUCCESS
 
 
+class TwoSided:
+    """A VQP's two-sided messaging state (§4.4-4.5), built on its first
+    two-sided use: a receive posted, a port bound, a peering made or a
+    message routed to it.  A VQP that only ever posts one-sided verbs never
+    has one.  Its queues, like ``Vqp.comp_queue``, are the shared ``()``
+    until their first append (:meth:`Vqp.enqueue`), a list after."""
+
+    __slots__ = (
+        "recv_queue", "recv_completions", "pending_msgs", "msg_waiters",
+        "peer", "reply_key", "bound_port",
+    )
+
+    def __init__(self):
+        self.recv_queue = _EMPTY  # user-posted RecvBuffers (ibv_post_recv)
+        self.recv_completions = _EMPTY  # delivered two-sided completions
+        self.pending_msgs = _EMPTY  # messages addressed to this VQP
+        self.msg_waiters = None  # events of processes awaiting a message
+        self.peer = None  # (gid, vqp_id) once a two-sided peering exists
+        self.reply_key = None  # this VQP's key in the module's reply table
+        self.bound_port = None
+
+
 class Vqp:
     """A kernel-side virtual QP (vqp_create of Algorithm 1).
 
     An elastic burst holds thousands of these, most of them idle, so the
-    object is slotted and each software queue becomes a ``deque`` on its
-    first append (:meth:`enqueue`); until then it is the shared ``()``.
+    object is slotted and holds Algorithm 1's state only: the send
+    completion queue (the shared ``()`` until its first append, a list
+    after), the physical QP and the target.  What two-sided messaging needs
+    lives in one :class:`TwoSided` record, ``two_sided``, None until used.
     """
 
     __slots__ = (
-        "module", "node", "sim", "id", "cpu_id",
-        "comp_queue", "recv_queue", "recv_completions", "pending_msgs",
-        "qp", "dct_meta", "remote_gid", "remote_port", "bound_port", "peer",
-        "reply_key", "destroyed", "stats_posted", "_msg_waiters",
-        "_transfer_waiters",
+        "module", "id", "cpu_id", "comp_queue", "qp", "dct_meta",
+        "remote_gid", "remote_port", "destroyed", "stats_posted",
+        "two_sided", "_transfer_waiters",
     )
 
     def __init__(self, module, cpu_id, vqp_id):
         self.module = module
-        self.node = module.node
-        self.sim = module.sim
         self.id = vqp_id
         self.cpu_id = cpu_id
         # Algorithm 1 lines 3-5: software queues; physical QP bound later.
         self.comp_queue = _EMPTY
-        self.recv_queue = _EMPTY  # user-posted RecvBuffers (ibv_post_recv)
-        self.recv_completions = _EMPTY  # delivered two-sided completions
-        self.pending_msgs = _EMPTY  # messages addressed to this VQP
         self.qp = None
         self.dct_meta = None
         self.remote_gid = None
         self.remote_port = None
-        self.bound_port = None
-        self.peer = None  # (gid, vqp_id) once a two-sided peering exists
-        self.reply_key = None  # this VQP's key in the module's reply table
         self.destroyed = False
         self.stats_posted = 0
-        self._msg_waiters = None  # events of processes awaiting a message
+        self.two_sided = None
         #: None, or -- while a QP transfer runs -- the events of the posts
         #: it holds back (nothing may follow the fence on the old QP).
         self._transfer_waiters = None
 
+    def messaging(self):
+        """The :class:`TwoSided` record, built on first use."""
+        state = self.two_sided
+        if state is None:
+            state = self.two_sided = TwoSided()
+        return state
+
     def enqueue(self, queue_name, item):
-        """Append to one of the receive-side queues, creating it on first
-        use (``_post_chunk`` does the same for ``comp_queue`` inline)."""
-        queue = getattr(self, queue_name)
+        """Append to one of the receive-side queues of the two-sided record,
+        creating both on first use (``_post_chunk`` does the same for
+        ``comp_queue`` inline)."""
+        state = self.messaging()
+        queue = getattr(state, queue_name)
         if queue is _EMPTY:
-            queue = deque()
-            setattr(self, queue_name, queue)
+            queue = []
+            setattr(state, queue_name, queue)
         queue.append(item)
+
+    # Read-only views derived from the module and the two-sided record,
+    # for callers outside the kernel-messaging path (which reads
+    # ``two_sided`` once per call).
+
+    @property
+    def sim(self):
+        return self.module.sim
+
+    @property
+    def peer(self):
+        return None if self.two_sided is None else self.two_sided.peer
+
+    @property
+    def recv_queue(self):
+        return _EMPTY if self.two_sided is None else self.two_sided.recv_queue
+
+    @property
+    def recv_completions(self):
+        return _EMPTY if self.two_sided is None else self.two_sided.recv_completions
+
+    @property
+    def pending_msgs(self):
+        return _EMPTY if self.two_sided is None else self.two_sided.pending_msgs
 
     # ------------------------------------------------------------ Algorithm 1
 
@@ -131,20 +177,21 @@ class Vqp:
         """
         if self.remote_gid is not None and self.remote_gid != gid:
             raise KrcoreError(f"VQP {self.id} already connected to {self.remote_gid}")
+        module = self.module
         if self.qp is None:
-            pool = self.module.pool(self.cpu_id)
+            pool = module.pool(self.cpu_id)
             if pool.has_rc(gid):
                 self.qp = pool.select_rc(gid)
             else:
-                meta = self.module.dc_cache.get(gid)
+                meta = module.dc_cache.get(gid)
                 if meta is None:
                     if _trace.TRACER is not None:
                         _trace.TRACER.instant(
-                            self.sim.now, self.module.track, "dc_cache.miss", gid=gid
+                            module.sim.now, module.track, "dc_cache.miss", gid=gid
                         )
                     if _metrics.METRICS is not None:
                         _metrics.METRICS.counter("krcore.dc_cache_misses").inc()
-                    yield from self.module.admit_qconnect(self.cpu_id, deadline)
+                    yield from module.admit_qconnect(self.cpu_id, deadline)
                     meta = yield from self._fetch_dct_meta(gid, pool, deadline)
                     if deadline is not None:
                         # A gray-slow fetch can *succeed* past the budget
@@ -152,12 +199,12 @@ class Vqp:
                         # fail here rather than report a "success" the
                         # caller had already written off.
                         deadline.check(
-                            self.sim.now, f"fetched DCT metadata for {gid}"
+                            module.sim.now, f"fetched DCT metadata for {gid}"
                         )
                 else:
                     if _trace.TRACER is not None:
                         _trace.TRACER.instant(
-                            self.sim.now, self.module.track, "dc_cache.hit", gid=gid
+                            module.sim.now, module.track, "dc_cache.hit", gid=gid
                         )
                     if _metrics.METRICS is not None:
                         _metrics.METRICS.counter("krcore.dc_cache_hits").inc()
@@ -169,7 +216,7 @@ class Vqp:
             raise KrcoreError(f"VQP {self.id} was destroyed")
         self.remote_gid = gid
         self.remote_port = port
-        self.module.register_connected_vqp(self)
+        module.register_connected_vqp(self)
         return self
 
     def _fetch_dct_meta(self, gid, pool, deadline=None):
@@ -187,10 +234,8 @@ class Vqp:
         track = module.track
         try:
             if _trace.TRACER is not None:
-                from repro.krcore.meta import dct_key
-
                 _trace.TRACER.begin(
-                    self.sim.now, track, "meta.lookup_dct", gid=gid,
+                    module.sim.now, track, "meta.lookup_dct", gid=gid,
                     shard=module.meta_plane.primary_index(dct_key(gid)),
                 )
             try:
@@ -202,11 +247,11 @@ class Vqp:
                 # previously left it open, corrupting later span nesting
                 # on this track).
                 if _trace.TRACER is not None:
-                    _trace.TRACER.end(self.sim.now, track, "meta.lookup_dct")
+                    _trace.TRACER.end(module.sim.now, track, "meta.lookup_dct")
         except MetaUnavailableError as meta_err:
             module.stats_rc_fallbacks += 1
             if _trace.TRACER is not None:
-                _trace.TRACER.begin(self.sim.now, track, "rc_fallback", gid=gid)
+                _trace.TRACER.begin(module.sim.now, track, "rc_fallback", gid=gid)
             if _metrics.METRICS is not None:
                 _metrics.METRICS.counter("krcore.rc_fallbacks").inc()
             try:
@@ -218,7 +263,7 @@ class Vqp:
                     code=getattr(rc_err, "code", None),
                 ) from meta_err
             if _trace.TRACER is not None:
-                _trace.TRACER.end(self.sim.now, track, "rc_fallback")
+                _trace.TRACER.end(module.sim.now, track, "rc_fallback")
             return None
         if meta is None:
             raise KrcoreError(
@@ -336,13 +381,13 @@ class Vqp:
             # The blocking validation above is where one-sided posts burn
             # time; check here, before any CQ-entry/wr_id bookkeeping
             # exists that an abort would have to roll back.
-            deadline.check(self.sim.now, f"validated {len(wrs)} WR(s)")
+            deadline.check(module.sim.now, f"validated {len(wrs)} WR(s)")
         # --- build the physical requests (lines 4-17) ---
         phys = []
         unsignaled_cnt = 0
         comp_queue = self.comp_queue
         if comp_queue is _EMPTY:
-            comp_queue = self.comp_queue = deque()
+            comp_queue = self.comp_queue = []
         for wr in wrs:
             pwr = wr.clone()
             if pwr.opcode is OP_SEND:
@@ -414,10 +459,12 @@ class Vqp:
         """Attach the piggybacked header; switch to the zero-copy protocol
         for payloads the kernel buffers cannot (or should not) carry."""
         module = self.module
+        state = self.two_sided
+        peer = None if state is None else state.peer
         header = {
             "dst_port": self.remote_port,
-            "dst_vqp": self.peer[1] if self.peer else None,
-            "src_gid": self.node.gid,
+            "dst_vqp": peer[1] if peer else None,
+            "src_gid": module.node.gid,
             "src_vqp": self.id,
             "src_dct_meta": module.own_dct_meta,
         }
@@ -442,7 +489,7 @@ class Vqp:
         if self.qp is not None:
             self.module.poll_inner(self.qp)
         if self.comp_queue and self.comp_queue[0].ready:
-            return self.comp_queue.popleft()
+            return self.comp_queue.pop(0)
         return None
 
     def wait_send_completion(self):
@@ -467,8 +514,9 @@ class Vqp:
         """Process: deliver pending messages into user buffers, then pop one
         recv completion if available (non-blocking in the common case)."""
         yield from self.module.deliver_vqp_msgs(self)
-        if self.recv_completions:
-            return self.recv_completions.popleft()
+        state = self.two_sided
+        if state is not None and state.recv_completions:
+            return state.recv_completions.pop(0)
         return None
 
     def wait_recv_completion(self):
@@ -525,6 +573,6 @@ class Vqp:
 
     def _transfer_done(self):
         """Event that fires once the running transfer has switched QPs."""
-        event = self.sim.event()
+        event = self.module.sim.event()
         self._transfer_waiters.append(event)
         return event

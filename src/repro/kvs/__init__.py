@@ -8,7 +8,7 @@ the server's CPU.  That CPU-bypass is what gives KRCORE its 11.8x
 throughput edge over an RPC-based metadata service (Fig 9a).
 """
 
-from repro.kvs.layout import Layout, StoreFullError, key_fingerprint
+from repro.kvs.layout import Layout, RecordTooLargeError, StoreFullError, key_fingerprint
 from repro.kvs.store import Catalog, DrtmKvServer
 from repro.kvs.client import DrtmKvClient
 
@@ -17,6 +17,7 @@ __all__ = [
     "DrtmKvClient",
     "DrtmKvServer",
     "Layout",
+    "RecordTooLargeError",
     "StoreFullError",
     "key_fingerprint",
 ]

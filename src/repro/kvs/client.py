@@ -6,7 +6,7 @@ query path KRCORE uses for DCT metadata (§4.2) and MR validation.
 """
 
 from repro.cluster import timing
-from repro.kvs.layout import BUCKET_BYTES, Layout, key_fingerprint
+from repro.kvs.layout import BUCKET_BYTES, Layout, RecordTooLargeError, key_fingerprint
 from repro.kvs.store import PROBE_WINDOW, TOMBSTONE_FP
 from repro.verbs import WorkRequest
 from repro.verbs.errors import VerbsError
@@ -56,7 +56,9 @@ class DrtmKvClient:
 
     def _read(self, raddr, length):
         if length > self.scratch_len:
-            raise VerbsError(f"record of {length} bytes exceeds scratch buffer")
+            raise RecordTooLargeError(
+                f"record of {length} bytes exceeds the {self.scratch_len} B scratch buffer"
+            )
         if self.charge_cpu:
             yield timing.POST_SEND_CPU_NS
         self.qp.post_send(

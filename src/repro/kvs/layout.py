@@ -27,6 +27,11 @@ class StoreFullError(Exception):
     """No free slot within the probe window, or the record heap is full."""
 
 
+class RecordTooLargeError(ValueError):
+    """A record longer than its reader can take.  A sizing error, not an
+    outage: nothing retries it, and no transport failure wraps it."""
+
+
 def key_fingerprint(key):
     """A stable non-zero 8-byte fingerprint of ``key`` (bytes)."""
     digest = hashlib.blake2b(key, digest_size=8).digest()

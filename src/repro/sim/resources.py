@@ -1,7 +1,5 @@
 """Shared-resource primitives: counted resources and FIFO stores."""
 
-from collections import deque
-
 from repro.sim.engine import Event, SimulationError
 
 
@@ -23,7 +21,7 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self._in_use = 0
-        self._waiting = deque()
+        self._waiting = []
 
     @property
     def in_use(self):
@@ -50,7 +48,7 @@ class Resource:
             raise SimulationError("grant released twice")
         grant.released = True
         if self._waiting:
-            waiter = self._waiting.popleft()
+            waiter = self._waiting.pop(0)
             waiter.trigger(_Grant(self))
         else:
             self._in_use -= 1
@@ -77,15 +75,15 @@ class Store:
 
     def __init__(self, sim):
         self.sim = sim
-        self._items = deque()
-        self._getters = deque()
+        self._items = []
+        self._getters = []
 
     def __len__(self):
         return len(self._items)
 
     def put(self, item):
         if self._getters:
-            getter = self._getters.popleft()
+            getter = self._getters.pop(0)
             getter.trigger(item)
         else:
             self._items.append(item)
@@ -94,7 +92,7 @@ class Store:
         """Return an event that fires with the next item."""
         event = Event(self.sim)
         if self._items:
-            event.trigger(self._items.popleft())
+            event.trigger(self._items.pop(0))
         else:
             self._getters.append(event)
         return event
@@ -102,5 +100,5 @@ class Store:
     def try_get(self):
         """Non-blocking: pop and return an item, or None if empty."""
         if self._items:
-            return self._items.popleft()
+            return self._items.pop(0)
         return None

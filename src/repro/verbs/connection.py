@@ -13,6 +13,7 @@ replies with its QPN right after ``create_qp`` and performs its own
 RTR/RTS configuration concurrently with the client's.
 """
 
+from repro.cluster import timing
 from repro.obs import trace as _trace
 from repro.sim import Store
 from repro.verbs.cq import CompletionQueue
@@ -98,8 +99,6 @@ def rc_connect(context, send_cq, server_gid, port=0, sq_depth=None):
     ready-to-send QP.  The caller is responsible for having initialized the
     driver context (``ensure_init``) and created ``send_cq``.
     """
-    from repro.cluster import timing
-
     node = context.node
     if _trace.TRACER is not None:
         _trace.TRACER.begin(

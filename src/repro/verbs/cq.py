@@ -19,8 +19,6 @@ CPU/latency trade (ATR's transport design; RDMAbox):
   and rearm are accounted as CPU; the sleep is free.
 """
 
-from collections import deque
-
 from repro.cluster import timing
 from repro.obs import metrics as _metrics
 from repro.sim import AnyOf
@@ -82,7 +80,7 @@ class CompletionQueue:
         #: without one, spin time is still tracked on ``stats_spin_ns`` and
         #: the ``verbs.cq_spin_ns`` metric.
         self.rnic = rnic
-        self._entries = _EMPTY  # deques from the first append on
+        self._entries = _EMPTY  # lists from the first append on
         self._waiters = _EMPTY
         #: Nanoseconds of CPU burned spinning on this CQ (busy + the
         #: adaptive spin window) plus rearm cost; satellite-1's accounting.
@@ -107,10 +105,10 @@ class CompletionQueue:
 
     def push(self, completion):
         if self._entries is _EMPTY:
-            self._entries = deque()
+            self._entries = []
         self._entries.append(completion)
         while self._waiters and self._entries:
-            waiter = self._waiters.popleft()
+            waiter = self._waiters.pop(0)
             if not waiter.triggered:
                 waiter.trigger(None)
 
@@ -124,7 +122,7 @@ class CompletionQueue:
             return []
         polled = []
         while self._entries and len(polled) < num_entries:
-            completion = self._entries.popleft()
+            completion = self._entries.pop(0)
             if completion.qp is not None and completion.covers:
                 completion.qp._reclaim(completion.covers)
             polled.append(completion)
@@ -146,7 +144,7 @@ class CompletionQueue:
             event.trigger(None)
         else:
             if self._waiters is _EMPTY:
-                self._waiters = deque()
+                self._waiters = []
             self._waiters.append(event)
         return event
 

@@ -8,6 +8,7 @@ this cost (§2.3.2).
 """
 
 from repro.cluster import timing
+from repro.cluster.memory import AccessFlags
 from repro.obs import trace as _trace
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.errors import VerbsError
@@ -24,8 +25,6 @@ class ProtectionDomain:
 
     def reg_mr(self, addr, length, access=None):
         """Process: register memory (cheap: ~1.4 us for 4 MB, §5.1)."""
-        from repro.cluster.memory import AccessFlags
-
         yield timing.reg_mr_ns(length)
         region = self.node.memory.register(
             addr, length, AccessFlags.ALL if access is None else access

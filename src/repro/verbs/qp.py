@@ -23,8 +23,6 @@ re-executes remote side effects -- the responder recognizes the duplicate
 PSN and resends -- so atomics and SENDs stay exactly-once.
 """
 
-from collections import deque
-
 from repro.check import hooks as _check
 from repro.cluster import timing
 from repro.cluster.memory import MemoryError_
@@ -80,8 +78,8 @@ class DctTarget:
         self.key = key
         self.recv_cq = None
         self._stock = ()  # SRQ slots stocked and not built yet
-        self._head = deque()  # the stock's head once built: one entry at most
-        self._posted = deque()
+        self._head = []  # the stock's head once built: one entry at most
+        self._posted = []
 
     @property
     def metadata(self):
@@ -94,9 +92,9 @@ class DctTarget:
 
     @property
     def srq(self):
-        """The shared receive queue as the next claim sees it: a deque headed
+        """The shared receive queue as the next claim sees it: a list headed
         by the next buffer, empty only if the SRQ is.  Claims come in the
-        order of one deque stocked up front: the stock, then what was posted."""
+        order of one list stocked up front: the stock, then what was posted."""
         if not self._head:
             for slot in self._stock:
                 self._head.append(self._build(slot))
@@ -281,7 +279,7 @@ class QueuePair:
         if sq is None:
             # First doorbell.  The sender's start record stands in for the
             # wake a parked sender gets: one ready record, same place.
-            sq = self._sq = deque()
+            sq = self._sq = []
             self.sim.process(self._sender_loop(), name=f"qp{self.qpn}-sender")
         sq.extend(wrs)
         doorbell = self._doorbell
@@ -319,7 +317,7 @@ class QueuePair:
 
     def post_recv(self, recv_buffer):
         if self._recv_buffers is _EMPTY:
-            self._recv_buffers = deque()
+            self._recv_buffers = []
         self._recv_buffers.append(recv_buffer)
 
     # ------------------------------------------------------------- NIC side
@@ -339,7 +337,7 @@ class QueuePair:
             while not sq:
                 self._doorbell = doorbell = Event(self.sim)
                 yield doorbell
-            wr = sq.popleft()
+            wr = sq.pop(0)
             self._issued = ticket = self._issued + 1
             if self.state is QPS_ERR:
                 _Flight(self, wr, ticket)._flush()
@@ -733,7 +731,7 @@ class _Flight:
             buffers, cq = receiver_qp._recv_buffers, receiver_qp.recv_cq
         if not buffers or cq is None or (send and len(self.payload) > buffers[0].length):
             return self._lost() if send and qp.qp_type is QPT_UD else self._rnr()
-        self.recv = (buffers.popleft(), cq, receiver_qp)
+        self.recv = (buffers.pop(0), cq, receiver_qp)
         if not send:
             delay = timing.WRITE_IMM_DELIVERY_NS
         elif self.payload:

@@ -455,7 +455,7 @@ def _deliver_send(qp, remote_node, wr, payload):
         if qp.qp_type is QPT_UD:
             raise _UdDrop()
         raise _RnrNak()
-    buffers.popleft()
+    buffers.pop(0)
     if payload:
         yield timing.SEND_DELIVERY_NS
     else:
@@ -490,7 +490,7 @@ def _deliver_imm(qp, remote_node, wr):
         buffers, cq = receiver_qp._recv_buffers, receiver_qp.recv_cq
     if not buffers or cq is None:
         raise _RnrNak()
-    recv_buffer = buffers.popleft()
+    recv_buffer = buffers.pop(0)
     yield timing.WRITE_IMM_DELIVERY_NS
     cq.push(
         Completion(

@@ -18,6 +18,15 @@ def test_alloc_is_aligned_and_monotonic(memory):
     assert second >= first + 100
 
 
+def test_alloc_of_a_page_or_more_starts_on_a_page_boundary(memory):
+    memory.alloc(64)  # e.g. a meta client's one-bucket scratch buffer
+    page = memory.alloc(4096)
+    after = memory.alloc(64)
+    assert page % 4096 == 0 and after == page + 4096
+    memory.write(page, b"\x01" * 4096)
+    assert len(memory._pages) == 1  # one page copy, not two halves
+
+
 def test_alloc_out_of_memory(memory):
     with pytest.raises(MemoryError_):
         memory.alloc((1 << 16) + 1)

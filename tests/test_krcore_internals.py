@@ -8,10 +8,11 @@ import pytest
 
 from repro.cluster import Cluster, timing
 from repro.krcore import KrcoreError, KrcoreLib
-from repro.krcore.meta import MetaClient, MetaServer
+from repro.krcore.meta import MetaClient, MetaServer, dct_key
 from repro.krcore.mrstore import MrStore, ValidMr
 from repro.krcore.pool import HybridQpPool
 from repro.krcore.vqp import Vqp
+from repro.kvs import RecordTooLargeError
 from repro.sim import MS, Simulator
 from repro.verbs import RecvBuffer, WorkRequest
 from tests.conftest import krcore_cluster, quick_dc_qp, quick_rc_pair
@@ -154,6 +155,61 @@ def test_meta_client_serializes_concurrent_lookups(sim):
     # by at least one lookup's latency.
     times = sorted(r[2] for r in results)
     assert times[1] - times[0] >= 3_000
+
+
+def test_meta_client_reports_an_oversize_record_as_a_sizing_error(sim):
+    # A 100 B record past a 64 B scratch buffer used to read as an outage
+    # (MetaUnavailableError): retried with backoff, then an RC fallback.
+    cluster = Cluster(sim, num_nodes=2)
+    meta = MetaServer(cluster.node(0))
+    gid = "n" * 80  # header 4 + key 84 + value 12 = 100 B
+    meta.store.put(dct_key(gid), bytes(12))  # behind the shard's publish check
+    client = MetaClient(cluster.node(1), meta)  # a one-bucket (64 B) scratch buffer
+    with pytest.raises(RecordTooLargeError):
+        sim.run_process(client.lookup_dct(gid))
+
+
+def test_an_oversize_meta_record_fails_a_connect_without_retry_or_fallback():
+    sim = Simulator()
+    cluster, meta, modules = krcore_cluster(sim, num_nodes=3)
+    module = modules[1]
+    gid = "n" * 80
+    meta.store.put(dct_key(gid), bytes(12))
+    with pytest.raises(RecordTooLargeError):
+        sim.run_process(module.create_vqp().connect(gid))
+    assert (module.stats_meta_lookups, module.stats_rc_fallbacks) == (1, 0)
+
+
+def test_meta_server_refuses_a_record_longer_than_a_client_reads(sim):
+    cluster = Cluster(sim, num_nodes=2)
+    meta = MetaServer(cluster.node(0))
+    with pytest.raises(RecordTooLargeError):
+        meta.publish_dct("n" * 80, 7, 1234)
+    assert meta.store.get_local(dct_key("n" * 80)) is None
+    # The longest MR record of a 10 000-node cluster fits a one-bucket buffer.
+    meta.publish_mr("node9999", 2**32 - 1, 0x1000, 4096)
+    client = MetaClient(cluster.node(1), meta)
+    assert client.kv.scratch_len == 64
+    assert sim.run_process(client.lookup_mr("node9999", 2**32 - 1)) == (0x1000, 4096)
+
+
+def test_uncached_connects_to_one_incarnation_share_its_dct_tuple():
+    sim = Simulator()
+    cluster, meta, modules = krcore_cluster(sim, num_nodes=3)
+    module, gid = modules[1], cluster.node(2).gid
+    vqps = []
+
+    def proc():
+        for cpu in (0, 1, 0):  # two meta clients, one per CPU
+            module.dc_cache.pop(gid, None)  # each connect looks the target up
+            vqp = module.create_vqp(cpu_id=cpu)
+            yield from vqp.connect(gid)
+            vqps.append(vqp)
+
+    sim.run_process(proc())
+    assert module.stats_meta_lookups == 3
+    assert vqps[0].dct_meta == modules[2].own_dct_meta
+    assert all(vqp.dct_meta is vqps[0].dct_meta for vqp in vqps)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +516,7 @@ def test_idle_connected_vqp_is_small():
         after, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # Object, id-table slot and per-target index slot; four eager deques
-    # alone were 3 KB.
-    assert (after - before) / count < 600
+    # Object (Algorithm-1 state only, 12 slots), id-table slot and
+    # per-target index slot: 232 B on 3.11.  Four eager deques alone were
+    # 3 KB; 20 slots with the two-sided fields inline were 296 B.
+    assert (after - before) / count <= 256

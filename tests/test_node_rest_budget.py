@@ -1,4 +1,5 @@
-"""Node rest budget: what a booted, idle node holds on the host.
+"""Node rest budget: what a booted, idle node holds on the host, and what
+used state holds once it is idle again.
 
 KRCORE's pool exists from module load and is then mostly idle (§4.2: two
 DCQPs per CPU plus the DCT target with a deep SRQ), so what idle pool
@@ -7,12 +8,16 @@ none of them (DESIGN.md §17 "A node at rest"): a CPU's pool and its DCQPs
 are built the first time the CPU is used, under QPNs reserved at load, and
 an SRQ slot becomes a ``RecvBuffer`` when a message claims it.  A QP that
 is built owns nothing either until its first doorbell ("A QP at rest").
+Once used, a queue is a plain list, which an emptied queue leaves with no
+block behind it; a connected VQP holds Algorithm 1's state only; a meta
+client's scratch buffer is one bucket, not a DRAM page of its own.
 The counts are exact and repeat on every run, so they are pinned here, and
-the heap a node holds has a ceiling: a pool built at load, a sender started
-at construction or a deque per idle queue fails this file by name instead
-of waiting for a ``setup_s`` / ``peak_rss_mb`` run.
+the heap a node, a connected VQP, a drained QP + CQ and a meta client hold
+have ceilings: a pool built at load, a sender started at construction or a
+deque per idle or drained queue fails this file by name instead of waiting
+for a ``setup_s`` / ``peak_rss_mb`` run.
 
-``make rest-budget`` prints the table (``pytest -s -k rest_budget``).
+``make rest-budget`` prints the tables (``pytest -s -k rest_budget``).
 """
 
 import gc
@@ -23,8 +28,11 @@ import repro.krcore.module
 import repro.sim
 from repro.bench.setups import krcore_cluster
 from repro.krcore import KrcoreLib
+from repro.krcore.meta import MetaClient
 from repro.sim import US
-from repro.verbs import QpState, QueuePair, RecvBuffer
+from repro.verbs import CompletionQueue, QpState, QueuePair, RecvBuffer, WorkRequest
+from repro.verbs.cq import _EMPTY
+from repro.verbs.types import QPS_RTS, QPT_DC
 
 NODES = 4  # 24 cores each: 48 pooled DCQPs + 48 CQs per node, once all are used
 
@@ -35,14 +43,38 @@ REST_PROCESSES = ["_daemon", "_kernel_daemon", "_recv_dispatcher"]
 
 #: Host heap per node after boot + a 10 us run, simulated DRAM pages left
 #: out (they are what the meta server's tables wrote, not node weight).
-#: Measured 19 KB on 3.11 (89 before PR 19, 317 before PR 18); the ceiling
-#: leaves room for other interpreters' object sizes, not for one built
-#: pool (48 QP + CQ pairs are 30 KB) or a stocked SRQ (192 buffers, 18 KB).
+#: Measured 14 KB on 3.11 (19 while a node's short FIFOs -- the connection
+#: manager's inbox, the SRQ's posted buffers, the kernel port -- were
+#: deques, 89 with the pools built at load, 317 with a sender per pooled
+#: QP); the ceiling leaves room for other interpreters' object sizes, not
+#: for one built pool (48 QP + CQ pairs are 30 KB) or a stocked SRQ (192
+#: buffers, 18 KB).
 NODE_KB_CEILING = 40
 
 #: A boot large enough that per-node cost must not grow with the cluster
 #: (a private ring per module did): nodes, meta shards.
 BIG_BOOT = (2000, 2)
+
+#: A window of WRs posted at once and then completed and polled.
+WINDOW = 16
+
+#: Host bytes per connected idle VQP: the object, its id-table slot and its
+#: per-target index slot.  Measured 232 on 3.11 (296 with the two-sided
+#: fields inline, ~3 KB with four eager deques).
+VQP_BYTES_CEILING = 256
+
+#: Host bytes per QP + CQ left by one drained window: the objects, the
+#: parked sender and the emptied queues.  Measured 2.5 KB on 3.11 (4.0 KB
+#: while the send queue and the CQ's entries were deques: ~760 B a block).
+QP_CQ_BYTES_CEILING = 3072
+
+#: Host bytes per meta client after one lookup, DRAM pages included: both
+#: ends of its RCQP, the DrTM-KV client and the mutex.  Measured 4.0 KB on
+#: 3.11 (11 KB when each scratch buffer was a 4 KiB page of its own).
+META_CLIENT_BYTES_CEILING = 6144
+
+#: Meta clients a node builds: one per CPU (and meta shard).
+META_CLIENTS = 24
 
 
 def _boot(monkeypatch, num_nodes=NODES, meta_shards=1):
@@ -82,26 +114,37 @@ def _owns_storage(qp):
     cq = qp.send_cq
     return (
         qp._sq is not None
-        or isinstance(qp._recv_buffers, deque)
-        or isinstance(cq._entries, deque)
-        or isinstance(cq._waiters, deque)
+        or qp._recv_buffers is not _EMPTY
+        or cq._entries is not _EMPTY
+        or cq._waiters is not _EMPTY
     )
 
 
-def _weigh(num_nodes=NODES, meta_shards=1):
-    """(traced KB per node, the same without DRAM pages) of a booted cluster."""
+def _traced(build):
+    """(traced heap bytes ``build()`` leaves live, what it returned)."""
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sim, cluster, _meta, _modules = krcore_cluster(
-            num_nodes=num_nodes, meta_shards=meta_shards
-        )
-        sim.run(until=10 * US)
+        kept = build()
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
+    return held, kept
+
+
+def _weigh(num_nodes=NODES, meta_shards=1):
+    """(traced KB per node, the same without DRAM pages) of a booted cluster."""
+
+    def boot():
+        sim, cluster, _meta, _modules = krcore_cluster(
+            num_nodes=num_nodes, meta_shards=meta_shards
+        )
+        sim.run(until=10 * US)
+        return cluster
+
+    held, cluster = _traced(boot)
     pages = sum(len(page) for node in cluster.nodes for page in node.memory._pages.values())
     return held / num_nodes / 1024, (held - pages) / num_nodes / 1024
 
@@ -229,3 +272,124 @@ def test_rest_budget_a_big_boot_is_three_processes_per_node(monkeypatch):
     sim, _cluster, modules, started, buffers = _boot(monkeypatch, nodes, shards)
     assert len(started) == sim.events_dispatched == len(REST_PROCESSES) * nodes
     assert (_built_cpus(modules), buffers) == ({}, [])
+
+
+def _vqp_bytes(count=2000):
+    """Host bytes per VQP connected over a warm DCCache and left idle."""
+    sim, cluster, _meta, modules = krcore_cluster(num_nodes=NODES)
+    module, gid = modules[1], cluster.node(2).gid
+
+    def connect(how_many):
+        def proc():
+            for _ in range(how_many):
+                yield from module.create_vqp().connect(gid)
+
+        sim.run_process(proc())
+
+    connect(1)  # the DCCache entry and the CPU's pool are not per-VQP weight
+    held, _ = _traced(lambda: connect(count))
+    return held / count
+
+
+def _drained_qp_cq_bytes(count=48):
+    """Host bytes per DCQP + CQ built, sent one window of READs, drained
+    and polled."""
+    sim, _cluster, _meta, modules = krcore_cluster(num_nodes=NODES)
+    client, server = modules[1], modules[2]
+    laddr = client.node.memory.alloc(64)
+    lmr = client.node.memory.register(laddr, 64)
+    raddr = server.node.memory.alloc(64)
+    rmr = server.node.memory.register(raddr, 64)
+    target = server.dct_target
+
+    def build():
+        qps = []
+        for _ in range(count):
+            qp = client.context.create_qp_fast(QPT_DC, CompletionQueue(sim))
+            qp.state = QPS_RTS
+            wrs = [WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey) for _ in range(WINDOW)]
+            for wr in wrs:
+                wr.dct_gid, wr.dct_number, wr.dct_key = server.node.gid, target.number, target.key
+            qp.post_send(wrs)
+            qps.append(qp)
+        sim.run()
+        assert [len(qp.send_cq.poll(WINDOW)) for qp in qps] == [WINDOW] * count
+        return qps
+
+    held, _qps = _traced(build)
+    return held / count
+
+
+def _meta_client_weight(count=META_CLIENTS):
+    """(host bytes, DRAM pages materialized) per meta client built on one
+    node and used for one lookup."""
+    sim, cluster, meta, _modules = krcore_cluster(num_nodes=NODES)
+    node = cluster.node(1)
+
+    def build():
+        clients = [MetaClient(node, meta) for _ in range(count)]
+
+        def lookups():
+            for client in clients:
+                assert (yield from client.lookup_dct("node2")) is not None
+
+        sim.run_process(lookups())
+        return clients
+
+    pages = len(node.memory._pages)
+    held, _clients = _traced(build)
+    return held / count, (len(node.memory._pages) - pages) / count
+
+
+def test_rest_budget_a_drained_window_leaves_no_deque():
+    """A completed and polled 16-WR window through a VQP connected uncached
+    (so the meta client's mutex was taken) leaves every queue it used empty
+    and none of them a ``deque``: the QP's send queue, the CQ's entries and
+    waiters, the VQP's completion queue, the meta mutex's waiters."""
+    sim, cluster, _meta, modules = krcore_cluster(num_nodes=NODES)
+    client, server = cluster.node(1), cluster.node(2)
+    lib, server_lib = KrcoreLib(client), KrcoreLib(server)
+
+    def window():
+        vqp = yield from lib.create_vqp()
+        yield from lib.qconnect(vqp, server.gid)
+        raddr = server.memory.alloc(64)
+        rmr = yield from server_lib.reg_mr(raddr, 64)
+        laddr = client.memory.alloc(64)
+        lmr = yield from lib.reg_mr(laddr, 64)
+        wrs = [WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey) for _ in range(WINDOW)]
+        yield from lib.post_send(vqp, wrs)
+        for _ in range(WINDOW):
+            assert (yield from vqp.wait_send_completion()).ok
+        return vqp
+
+    vqp = sim.run_process(window())
+    cq = vqp.qp.send_cq
+    used = {
+        "send queue": vqp.qp._sq,
+        "CQ entries": cq._entries,
+        "CQ waiters": cq._waiters,
+        "VQP completion queue": vqp.comp_queue,
+        "meta mutex waiters": modules[1].meta_client(0)._mutex._waiting,
+    }
+    assert [name for name, queue in used.items() if isinstance(queue, deque)] == []
+    assert [name for name, queue in used.items() if queue] == []
+    assert vqp.two_sided is None  # one-sided traffic only: no two-sided record
+
+
+def test_rest_budget_used_state_weighs_under_the_ceilings():
+    vqp_bytes = _vqp_bytes()
+    qp_cq_bytes = _drained_qp_cq_bytes()
+    meta_bytes, meta_pages = _meta_client_weight()
+    print(f"\nUsed state at rest, host bytes per object ({WINDOW}-WR window)")
+    print(f"  {'per object':<34}{'measured':>9}{'ceiling':>9}")
+    print(f"  {'connected idle VQP':<34}{vqp_bytes:>9.0f}{VQP_BYTES_CEILING:>9}")
+    print(f"  {'drained QP + CQ':<34}{qp_cq_bytes:>9.0f}{QP_CQ_BYTES_CEILING:>9}")
+    print(f"  {'meta client, DRAM pages included':<34}{meta_bytes:>9.0f}"
+          f"{META_CLIENT_BYTES_CEILING:>9}")
+    print(f"  {'  DRAM pages it materialized':<34}{meta_pages:>9.2f}{'':>9}")
+    assert vqp_bytes <= VQP_BYTES_CEILING
+    assert qp_cq_bytes <= QP_CQ_BYTES_CEILING
+    assert meta_bytes <= META_CLIENT_BYTES_CEILING
+    # The scratch buffers, one bucket each, share at most two pages.
+    assert meta_pages * META_CLIENTS <= 2

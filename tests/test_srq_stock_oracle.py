@@ -4,7 +4,7 @@ A kernel module used to post its SRQ stock as 192 ``RecvBuffer``s built at
 load; ``DctTarget.stock_srq`` posts the same run unbuilt and builds each
 buffer when a claim reaches it (DESIGN.md §17 "A node at rest").  The claim
 is that an inbound message cannot tell: the slot it lands in, and whether it
-is RNR-NAKed instead, are those of one deque stocked up front -- the stock
+is RNR-NAKed instead, are those of one list stocked up front -- the stock
 first and in order, what was posted later behind it, an oversize message
 stuck at the head until something smaller takes the buffer.
 
@@ -15,8 +15,6 @@ one at its head.  A second test runs the module's own receive path dry
 with a pool small enough for the stock to end and re-posted slots to come
 round.
 """
-
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -40,11 +38,11 @@ def _build(built, slot):
 
 
 def _claim(buffers, payload_len):
-    """``_Flight._deliver``'s test and claim, on a deque or a target's SRQ:
+    """``_Flight._deliver``'s test and claim, on a list or a target's SRQ:
     the buffer the message lands in, or None for an RNR NAK."""
     if not buffers or payload_len > buffers[0].length:
         return None
-    return buffers.popleft()
+    return buffers.pop(0)
 
 
 OPS = st.lists(
@@ -64,7 +62,7 @@ def test_stocked_srq_claims_like_a_fully_stocked_deque(stock, ops):
     target = DctTarget(node=None, number=1, key=7)
     target.stock_srq(range(stock), lambda slot: _build(built, slot))
     stocked = [_build([], slot) for slot in range(stock)]
-    reference = deque(stocked)
+    reference = list(stocked)
     held = []  # slots claimed and not re-posted yet
     stock_claims = 0
     for kind, arg in ops:
