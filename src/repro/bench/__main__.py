@@ -27,16 +27,7 @@ ALL_FIGURES = [
     "fig01", "fig03", "fig08", "fig09", "fig10", "fig11",
     "fig12", "fig13", "fig14", "fig15", "fig16", "ablations",
     "discussion", "meta_scale", "overload", "dataplane", "microview",
-    "cluster_scale",
 ]
-
-#: Figures whose ``run()`` takes a ``partitions`` argument.  With
-#: ``--partitions > 1`` these may fork one OS process per partition
-#: (``mp`` mode in full runs), so ``--jobs`` must not also ship them to
-#: a pool worker: partitions take precedence, the figure runs in the
-#: parent, and only partition-unaware figures use the pool.  This is the
-#: no-double-fork/no-oversubscription rule (see ``--partitions`` help).
-PARTITION_AWARE = ["cluster_scale"]
 
 
 def main(argv=None):
@@ -56,15 +47,6 @@ def main(argv=None):
         "--jobs", type=int, default=1, metavar="N",
         help="run figures in N worker processes (figures are independent; "
              "output is identical to a serial run)",
-    )
-    parser.add_argument(
-        "--partitions", type=int, default=None, metavar="P",
-        help="run partition-aware figures (cluster_scale) over P engine "
-             "partitions plus the P=1 baseline.  Precedence over --jobs: "
-             "with P > 1 those figures run in the parent process — never "
-             "inside a --jobs pool worker — so partition workers are the "
-             "only forks and the host is not oversubscribed; the "
-             "remaining figures still use the pool",
     )
     parser.add_argument(
         "--save-dir", metavar="DIR",
@@ -96,8 +78,6 @@ def main(argv=None):
             parser.error(f"unknown figure {name!r}; choose from {ALL_FIGURES}")
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.partitions is not None and args.partitions < 1:
-        parser.error("--partitions must be >= 1")
 
     multiple = len(args.figures) > 1
     per_figure = [
@@ -114,36 +94,18 @@ def main(argv=None):
     if args.jobs == 1 or len(args.figures) == 1:
         outcomes = (
             run_figure(name, full=args.full, trace_path=tp, metrics_path=mp,
-                       profile_path=pp, partitions=args.partitions)
+                       profile_path=pp)
             for name, tp, mp, pp in per_figure
         )
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # Partition precedence: with --partitions > 1 a partition-aware
-        # figure may fork its own per-partition workers, so it must not
-        # ALSO run inside a pool worker (double fork, oversubscription).
-        # Those figures run in the parent; the rest use the pool.
-        in_parent = (
-            set(PARTITION_AWARE)
-            if args.partitions is not None and args.partitions > 1
-            else set()
-        )
-        pooled = [entry for entry in per_figure if entry[0] not in in_parent]
-        if pooled:
-            pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(pooled)))
-        futures = {
-            entry[0]: pool.submit(run_figure, entry[0], args.full, entry[1],
-                                  entry[2], entry[3], args.partitions)
-            for entry in pooled
-        }
-        outcomes = (
-            futures[name].result() if name in futures
-            else run_figure(name, full=args.full, trace_path=tp,
-                            metrics_path=mp, profile_path=pp,
-                            partitions=args.partitions)
+        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(per_figure)))
+        futures = [
+            pool.submit(run_figure, name, args.full, tp, mp, pp)
             for name, tp, mp, pp in per_figure
-        )
+        ]
+        outcomes = (future.result() for future in futures)
     for name, (result, wall_s) in zip(args.figures, outcomes):
         result.show()
         print(f"[{name} regenerated in {wall_s:.1f}s wall time]")

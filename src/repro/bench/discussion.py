@@ -1,4 +1,4 @@
-"""§6 "Discussion": the two quantitative claims, reproduced.
+"""The paper's §6 (Discussion): the two quantitative claims, reproduced.
 
 * **Other RNICs** -- "the cost is unlikely to reduce due to hardware
   upgrades ... on ConnectX-6 the user-space driver still takes 17ms for

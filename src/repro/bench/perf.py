@@ -10,24 +10,9 @@ import pathlib
 import time
 
 
-def partition_aware(module_or_name):
-    """Whether a figure's ``run()`` accepts a ``partitions`` argument."""
-    import inspect
-
-    module = module_or_name
-    if isinstance(module, str):
-        module = importlib.import_module(f"repro.bench.{module}")
-    return "partitions" in inspect.signature(module.run).parameters
-
-
 def run_figure(name, full=False, trace_path=None, metrics_path=None,
-               profile_path=None, partitions=None):
+               profile_path=None):
     """Run one figure module and return ``(FigureResult, wall_seconds)``.
-
-    ``partitions`` is forwarded to figure modules whose ``run()`` accepts
-    it (the partition-aware figures, e.g. ``cluster_scale``); for every
-    other figure the value is ignored — partition selection is a figure
-    property, not a global engine mode.
 
     The cyclic GC is paused for the duration of the run: the engine
     allocates millions of short-lived resume records and tuples per
@@ -47,9 +32,6 @@ def run_figure(name, full=False, trace_path=None, metrics_path=None,
     a profiled run is *not* comparable to an unprofiled one.
     """
     module = importlib.import_module(f"repro.bench.{name}")
-    run_kwargs = {}
-    if partitions is not None and partition_aware(module):
-        run_kwargs["partitions"] = partitions
     profiler = None
     if profile_path is not None:
         import cProfile
@@ -63,12 +45,12 @@ def run_figure(name, full=False, trace_path=None, metrics_path=None,
             profiler.enable()
         try:
             if trace_path is None and metrics_path is None:
-                result = module.run(fast=not full, **run_kwargs)
+                result = module.run(fast=not full)
             else:
                 from repro import obs
 
                 with obs.observe() as (tracer, registry):
-                    result = module.run(fast=not full, **run_kwargs)
+                    result = module.run(fast=not full)
                 export(trace_path, tracer.to_json)
                 export(metrics_path, registry.to_json)
         finally:

@@ -14,7 +14,9 @@ Examples::
 Exit status is 0 iff no invariant violation was found (for ``--replay``:
 iff every replayed schedule with a recorded ``invariant`` reproduces it
 and every one without stays clean -- so both regression polarities are
-checkable in CI).
+checkable in CI).  An unknown scenario name is a usage error (exit 2);
+a replayed schedule naming one fails that file, and the remaining files
+still replay.
 """
 
 import argparse
@@ -30,7 +32,7 @@ from repro.check.runner import (
     shrink_failure,
     sweep,
 )
-from repro.check.scenarios import SCENARIOS, get_scenario
+from repro.check.scenarios import SCENARIOS
 
 
 def _parse_kwargs(pairs):
@@ -95,11 +97,17 @@ def main(argv=None):
         return 0
 
     log = (lambda line: None) if args.quiet else print
+    known = ", ".join(sorted(SCENARIOS))
 
     if args.replay:
         failed = 0
         for path in args.replay:
             schedule = Schedule.load(path)
+            if schedule.scenario not in SCENARIOS:
+                print(f"{path}: UNKNOWN-SCENARIO {schedule.scenario!r} "
+                      f"(known: {known})")
+                failed += 1
+                continue
             result = replay_schedule(schedule)
             expected = schedule.invariant
             reproduced = [
@@ -119,7 +127,8 @@ def main(argv=None):
 
     if not args.scenario:
         parser.error("a scenario name (or --list / --replay) is required")
-    get_scenario(args.scenario)  # fail fast on typos
+    if args.scenario not in SCENARIOS:
+        parser.error(f"unknown scenario {args.scenario!r} (known: {known})")
     kwargs = _parse_kwargs(args.overrides)
 
     failure = None

@@ -49,15 +49,6 @@ Scenario catalogue
     meta outage + stale accepts) under the full registry, most notably
     ``mr-read-churn-window``: no schedule may let a READ execute
     against an MR retracted more than one lease ago.
-``cluster_scale``
-    The partitioned qconnect-storm model: a ``partitions=1`` run with
-    the controller attached to the single partition's engine, digest-
-    compared against a plain multi-partition run of the same spec.
-    FIFO replay is byte-identical to an uncontrolled run, so the clean
-    corpus baseline pins cross-partition equivalence; *reordering*
-    strategies may legally diverge (same-timestamp dispatch order moves
-    per-node drain-batch boundaries, which the equivalence claim — all
-    engines are FIFO — does not cover).
 """
 
 from collections import deque
@@ -513,49 +504,4 @@ def mr_churn(controller, checker, seed=5, cycles=14):
         "churns": report.churns,
         "stale_accepts": report.stale_accepts,
         "reads_after_retract": checker.observed.get("mr.read_after_retract", 0),
-    }
-
-
-# --------------------------------------------------------- partitioned scale
-
-
-@scenario("cluster_scale", seed=13, racks=4, nodes_per_rack=3,
-          tenants_per_node=2, ops_per_tenant=8, partitions=2)
-def cluster_scale(controller, checker, seed=13, racks=4, nodes_per_rack=3,
-                  tenants_per_node=2, ops_per_tenant=8, partitions=2):
-    """Partitioned qconnect storm: P-way run must match P=1 (FIFO only)."""
-    from repro.cluster import timing
-    from repro.cluster.scale import (
-        ScaleSpec, build_scale_partition, digest_records, run_scale,
-    )
-    from repro.sim.partition import run_partitioned
-
-    spec = ScaleSpec(
-        racks=racks, nodes_per_rack=nodes_per_rack,
-        tenants_per_node=tenants_per_node, ops_per_tenant=ops_per_tenant,
-        mean_think_ns=6 * US, seed=seed,
-    )
-    built = []
-
-    def build(args, index):
-        partition = build_scale_partition(args, index)
-        built.append(partition)
-        controller.attach(partition.sim)
-        return partition
-
-    base = run_partitioned(build, (spec, 1), 1, timing.INTER_RACK_ONE_WAY_NS)
-    base_digest = digest_records(base.harvests[0]["records"])
-    comparison = run_scale(spec, partitions=partitions)
-    if comparison.digest() != base_digest:
-        checker.custom(
-            "cluster-scale-equivalence", built[0].sim.now,
-            f"partitions={partitions} digest {comparison.digest()[:16]} != "
-            f"partitions=1 digest {base_digest[:16]} under this schedule",
-        )
-    checker.finalize(now=built[0].sim.now)
-    return {
-        "digest": base_digest,
-        "completed": len(base.harvests[0]["records"]),
-        "windows": base.windows,
-        "comparison_partitions": partitions,
     }

@@ -162,31 +162,6 @@ def onesided_service_ns(read, nbytes, dc):
 REQUEST_HEADER_BYTES = 30
 
 # ---------------------------------------------------------------------------
-# Multi-rack topology (repro.cluster.topology / repro.sim.partition).  The
-# single-switch fabric above models one rack; the partitioned engine
-# simulates many racks joined by a spine.  Inter-rack wire latency is the
-# *lookahead bound* of the conservative synchronization protocol: no
-# cross-rack (hence cross-partition) interaction can take effect sooner
-# than one spine traversal, so every partition may safely advance
-# ``INTER_RACK_ONE_WAY_NS`` past the global minimum next-event time.
-# ---------------------------------------------------------------------------
-
-#: One-way latency between nodes in *different* racks: NIC serdes + ToR +
-#: spine hop + ToR (vs WIRE_ONE_WAY_NS for the single in-rack switch).
-INTER_RACK_ONE_WAY_NS = 2_000
-
-#: Control-plane service occupancy for one uncached qconnect at the target
-#: (Fig 8: 5.4 us end-to-end uncached; minus two wire traversals and
-#: client-side issue cost, the target-side share is ~4 us of meta lookup +
-#: DCT attach work).
-QCONNECT_UNCACHED_SERVICE_NS = 4_000
-
-#: Target-side occupancy when the connecting client's metadata is already
-#: cached (Fig 8: 0.9 us cached end-to-end; the target only validates the
-#: lease and hands out the DCT key).
-QCONNECT_CACHED_SERVICE_NS = 550
-
-# ---------------------------------------------------------------------------
 # Vectored (multi-SGE) gather READ: one request that names several remote
 # segments and scatters them back into one contiguous local buffer.  The
 # request carries one descriptor per remote SGE; the responder pays a DMA

@@ -1,11 +1,11 @@
 """Deterministic fault injection for the simulated KRCORE cluster.
 
-Four pieces:
+Three pieces:
 
 * :mod:`repro.faults.plan` -- a :class:`FaultPlan` is a seeded, fully
   deterministic schedule of faults (packet loss/duplication, latency
-  degradation, RNIC stalls, node crash + restart, meta-server outages
-  and lag, node slowdowns) pinned to simulated timestamps.
+  degradation, RNIC stalls and slowdowns, node crash + restart,
+  meta-server outages and lag) pinned to simulated timestamps.
 * :mod:`repro.faults.injector` -- a :class:`FaultInjector` checks a plan
   against the cluster and walks it inside the simulation, applying each
   fault when it falls due.
@@ -17,10 +17,8 @@ Four pieces:
   under gray faults, overload protection) and
   :class:`~repro.faults.microview.MicroViewChaosHarness` (MR churn under
   meta faults).
-* :mod:`repro.faults.scale` -- fault-targeting equivalence of the
-  partitioned cluster-scale model, across partition counts.
 
-``python -m repro.faults {ycsb,gray,microview,scale}`` runs one of them.
+``python -m repro.faults {ycsb,gray,microview}`` runs one of them.
 """
 
 from repro.faults.chaos import ChaosReport, ChaosRun

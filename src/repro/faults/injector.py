@@ -19,8 +19,8 @@ from repro.faults import plan as plan_mod
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
-#: The fault kinds :meth:`FaultInjector.start` accepts (``node_slow`` is
-#: consumed by the cluster-scale model, :mod:`repro.faults.scale`).
+#: The fault kinds :meth:`FaultInjector.start` accepts: every kind
+#: :mod:`repro.faults.plan` builds.
 APPLIED_KINDS = frozenset((
     plan_mod.LINK_FAULT, plan_mod.GRAY_LINK, plan_mod.RNIC_STALL,
     plan_mod.NODE_CRASH, plan_mod.NODE_RESTART, plan_mod.META_OUTAGE,

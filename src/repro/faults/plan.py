@@ -25,7 +25,6 @@ META_OUTAGE = "meta_outage"  # meta service unreachable for a window
 GRAY_LINK = "gray_link"  # wire latency multiplied for a window
 META_LAG = "meta_lag"  # meta lookups serve with extra latency
 RNIC_DEGRADE = "rnic_degrade"  # RNIC engines run N times slower
-NODE_SLOW = "node_slow"  # node-local service times multiplied for a window
 
 
 class FaultEvent:
@@ -158,23 +157,6 @@ class FaultPlan:
             )
         )
 
-    def slow_node(self, at_ns, gid, duration_ns, factor=4.0):
-        """Gray-degrade ``gid``'s *local service times* by ``factor`` for
-        ``duration_ns`` — a sick host (CPU contention, page-cache storms)
-        rather than a sick NIC.  This is the fault kind the partitioned
-        cluster-scale model consumes: it is node-local by construction,
-        so the partition that owns the node applies it identically at
-        every partition count (see :mod:`repro.faults.scale`)."""
-        return self._add(
-            FaultEvent(
-                at_ns,
-                NODE_SLOW,
-                gid=gid,
-                duration_ns=int(duration_ns),
-                factor=float(factor),
-            )
-        )
-
     # -------------------------------------------------------------- queries
 
     def sorted_events(self):
@@ -254,25 +236,4 @@ class FaultPlan:
                 plan.meta_outage(
                     at, duration_ns=rng.randrange(horizon_ns // 20, horizon_ns // 8)
                 )
-        return plan
-
-    @classmethod
-    def random_scale(cls, seed, topology, horizon_ns, events=4):
-        """A random-but-reproducible plan of ``node_slow`` windows over a
-        :class:`repro.cluster.topology.RackTopology` — the fault family
-        the partitioned cluster-scale model applies partition-locally.
-        """
-        rng = random.Random(seed)
-        if topology.num_nodes < 1:
-            raise ValueError("no nodes to build a plan from")
-        plan = cls(seed=seed)
-        for _ in range(events):
-            node = rng.randrange(topology.num_nodes)
-            at = rng.randrange(horizon_ns // 10, (horizon_ns * 6) // 10)
-            plan.slow_node(
-                at,
-                topology.gid(node),
-                duration_ns=rng.randrange(horizon_ns // 10, horizon_ns // 3),
-                factor=rng.choice([2.0, 4.0, 8.0]),
-            )
         return plan

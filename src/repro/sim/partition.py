@@ -1,53 +1,34 @@
-"""Partitioned parallel simulation: conservative lookahead over engine shards.
+"""Conservative-lookahead windows over engine shards, run inline.
 
-The engine (:mod:`repro.sim.engine`) dispatches every event of a run
-through one Python loop, which caps cluster size at whatever one
-interpreter can chew through.  This module splits a run into *partitions* — one independent
-engine instance per rack group — and synchronizes them with the classic
-conservative (null-message / bounded-window) protocol:
+A run is split into *partitions*, each a private engine instance, that
+interact only through *channels*, synchronized by the classic
+conservative (bounded-window) protocol:
 
-* **Lookahead.**  Partitions only interact through *channels*, and every
-  channel message must be delivered at least ``lookahead_ns`` after it
-  was sent.  In the cluster model the lookahead is physical: a
-  cross-rack interaction cannot take effect sooner than one spine
-  traversal (:data:`repro.cluster.timing.INTER_RACK_ONE_WAY_NS`).
+* **Lookahead.**  Every channel message must be delivered at least
+  ``lookahead_ns`` after it was sent.
 
 * **Windows.**  Let ``T`` be the global minimum next-event time over
   all partitions and all undelivered messages.  Every partition may
   safely execute all events with timestamp ``<= T + lookahead - 1``:
   any message generated inside that window is sent at ``>= T`` and
   therefore delivers at ``>= T + lookahead``, strictly after the
-  window.  Each round therefore advances simulated time by at least
-  ``lookahead_ns`` — the run takes at most ``horizon / lookahead``
-  synchronization barriers.
+  window.  Each round advances simulated time by at least
+  ``lookahead_ns``.
 
 * **Deterministic merge.**  Messages buffered for a window are injected
   *before* the window runs, sorted by the canonical key
   ``(deliver_ns, src_node, seq)``.  Because a message for timestamp
   ``t`` can only be produced in a window that ends before ``t``, every
   message for ``t`` is known (and injected, in canonical order) before
-  any event at ``t`` runs — delivery order is a pure function of the
-  message set, independent of partition count and execution mode.
-  This is the property the cross-partition equivalence suite
-  (``tests/test_partition_equivalence.py``) pins.
+  any event at ``t`` runs -- delivery order is a pure function of the
+  message set, independent of partition visit order.
 
-Two execution modes share the window loop byte for byte:
-
-* ``inline`` — every partition lives in this process; rounds visit
-  partitions in index order.  Zero IPC, fully deterministic; this is
-  what the equivalence and determinism suites run.
-* ``mp`` — one OS process per partition (``multiprocessing``), windows
-  coordinated over pipes.  Same windows, same injection sets, same
-  results; this is the mode that actually buys wall-clock speedup
-  (``cluster_scale`` figure).
-
-A partition runs a completely ordinary engine internally, untouched.
-``partitions=1`` is the degenerate case: one partition, no
-cross-partition channels ever carry traffic, and the model code paths
-are identical to a plain single-engine run.
+Partitions run one after another in this process.  No model of the
+cluster runs on this layer (DESIGN.md §15 says why); it is kept for the
+``sim.partition_window_us`` microbenchmark of
+``benchmarks/observatory/micro.py``, which times one window of a
+two-partition ping-pong.
 """
-
-from time import perf_counter
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -59,11 +40,9 @@ class PartitionError(SimulationError):
 class Message:
     """One typed cross-partition event.
 
-    ``payload`` must be built from plain picklable values (the ``mp``
-    mode ships messages between processes).  ``src_node``/``seq`` make
-    the canonical merge key: per-sender sequence numbers are assigned in
-    deterministic send order, so ``(deliver_ns, src_node, seq)`` totally
-    orders any message set the same way at every partition count.
+    ``src_node``/``seq`` make the canonical merge key: per-sender
+    sequence numbers are assigned in deterministic send order, so
+    ``(deliver_ns, src_node, seq)`` totally orders any message set.
     """
 
     __slots__ = ("deliver_ns", "dst_part", "kind", "payload", "src_node", "seq")
@@ -85,14 +64,6 @@ class Message:
             f"Message(deliver={self.deliver_ns}, dst_part={self.dst_part}, "
             f"kind={self.kind!r}, src_node={self.src_node}, seq={self.seq})"
         )
-
-    def __getstate__(self):
-        return (self.deliver_ns, self.dst_part, self.kind, self.payload,
-                self.src_node, self.seq)
-
-    def __setstate__(self, state):
-        (self.deliver_ns, self.dst_part, self.kind, self.payload,
-         self.src_node, self.seq) = state
 
 
 class Channel:
@@ -161,7 +132,7 @@ def merge_due(buffered, window_end):
     Returns ``(due, remaining)``: ``due`` holds every message with
     ``deliver_ns <= window_end`` sorted by the canonical key — the order
     is a pure function of the message *set*, so any arrival order
-    (partition visit order, pipe scheduling) merges identically.
+    merges identically.
     """
     due = []
     remaining = []
@@ -174,10 +145,9 @@ def merge_due(buffered, window_end):
 class Partition:
     """One engine shard: a private Simulator plus the channel endpoints.
 
-    The model registers message handlers by kind and attaches a
-    ``harvest`` callable returning the partition's (picklable) results;
-    everything in between — local scheduling, per-node state — is plain
-    single-engine simulation code.
+    The model registers message handlers by kind; everything else --
+    local scheduling, per-node state -- is plain single-engine
+    simulation code on ``sim``.
     """
 
     def __init__(self, index, num_partitions, lookahead_ns):
@@ -192,10 +162,6 @@ class Partition:
         self._handlers = {}
         self._outboxes = {}
         self._node_seq = {}
-        self.messages_sent = 0
-        self.messages_injected = 0
-        #: Model-provided: () -> picklable partition result.
-        self.harvest = _no_harvest
 
     # -- model-facing API ---------------------------------------------------
 
@@ -208,21 +174,15 @@ class Partition:
     def next_seq(self, src_node):
         """The next per-sender sequence number (canonical-merge key part).
 
-        Senders draw one per message — channel *and* direct — in
-        deterministic send order, so the stream is identical at every
-        partition count.
+        Senders draw one per message in deterministic send order.
         """
         seq = self._node_seq.get(src_node, 0)
         self._node_seq[src_node] = seq + 1
         return seq
 
     def send(self, dst_part, kind, payload, src_node, deliver_ns):
-        """Send a cross-partition message (also used for self-traffic).
-
-        Every inter-rack interaction goes through a channel — including
-        when both racks currently share a partition — so buffering and
-        delivery timing are identical at every partition count.
-        """
+        """Send a message to partition ``dst_part`` (which may be this
+        one) through the channel, delivering at ``deliver_ns``."""
         msg = Message(int(deliver_ns), dst_part, kind, payload, src_node,
                       self.next_seq(src_node))
         outbox = self._outboxes.get(dst_part)
@@ -233,26 +193,6 @@ class Partition:
                 self.index, dst_part, self.lookahead_ns
             )
         outbox.push(msg, self.sim.now)
-        self.messages_sent += 1
-        return msg
-
-    def send_direct(self, kind, payload, src_node, deliver_ns):
-        """Deliver an *intra-rack* message by direct local scheduling.
-
-        Below-lookahead latencies are legal here because rack-mates are
-        co-partitioned at every partition count; the handler still runs
-        through the same dispatch shape as channel messages.
-        """
-        sim = self.sim
-        deliver_ns = int(deliver_ns)
-        if deliver_ns <= sim.now:
-            raise PartitionError(
-                f"direct delivery at {deliver_ns} not after now={sim.now}"
-            )
-        msg = Message(deliver_ns, self.index, kind, payload, src_node,
-                      self.next_seq(src_node))
-        handler = self._handlers[kind]
-        sim.schedule(deliver_ns - sim.now, _Dispatch(handler, self, msg))
         return msg
 
     # -- runner-facing API --------------------------------------------------
@@ -268,7 +208,6 @@ class Partition:
             )
         handler = self._handlers[msg.kind]
         sim.schedule(delay, _Dispatch(handler, self, msg))
-        self.messages_injected += 1
 
     def next_event_ns(self):
         """The timestamp of this partition's earliest pending event, or None."""
@@ -294,7 +233,7 @@ class Partition:
 
 
 class _Dispatch:
-    """A scheduled handler invocation (cheaper/picklier than a closure)."""
+    """A scheduled handler invocation (cheaper than a closure)."""
 
     __slots__ = ("handler", "partition", "msg")
 
@@ -307,84 +246,35 @@ class _Dispatch:
         self.handler(self.partition, self.msg)
 
 
-def _no_harvest():
-    return None
-
-
 class PartitionedResult:
-    """Everything a partitioned run produced.
+    """What a partitioned run counted: synchronization ``windows`` and
+    ``cross_messages`` between distinct partitions."""
 
-    ``partition_compute_s[i]`` is the CPU seconds partition ``i`` spent
-    building and executing its own events (measured inside the worker in
-    ``mp`` mode, around each partition's slice in ``inline`` mode);
-    ``coordinator_s`` is the synchronization overhead outside any
-    partition.  ``critical_path_s`` — the slowest partition plus the
-    coordinator — is the wall time the run would take given one core per
-    partition, which is the honest speedup measure on machines with
-    fewer cores than partitions.
-    """
+    __slots__ = ("windows", "cross_messages")
 
-    __slots__ = ("harvests", "windows", "cross_messages", "events_dispatched",
-                 "partitions", "mode", "partition_compute_s", "coordinator_s")
-
-    def __init__(self, harvests, windows, cross_messages, events_dispatched,
-                 partitions, mode, partition_compute_s, coordinator_s):
-        self.harvests = harvests
+    def __init__(self, windows, cross_messages):
         self.windows = windows
         self.cross_messages = cross_messages
-        self.events_dispatched = events_dispatched
-        self.partitions = partitions
-        self.mode = mode
-        self.partition_compute_s = partition_compute_s
-        self.coordinator_s = coordinator_s
-
-    @property
-    def critical_path_s(self):
-        peak = max(self.partition_compute_s) if self.partition_compute_s else 0.0
-        return peak + self.coordinator_s
 
 
 def run_partitioned(builder, spec, num_partitions, lookahead_ns,
-                    mode="inline", mp_context=None):
-    """Run a partitioned simulation to completion.
+                    mode="inline"):
+    """Run a partitioned simulation to completion, inline.
 
-    ``builder(spec, part_index)`` must be a module-level callable (the
-    ``mp`` mode imports it by reference in each worker) returning a
-    fully wired :class:`Partition`.  The run ends when no partition has
-    pending events and no message is undelivered; the result carries
-    each partition's ``harvest()``.
+    ``builder(spec, part_index)`` returns a fully wired
+    :class:`Partition`.  The run ends when no partition has pending
+    events and no message is undelivered.
+
+    ``mode`` accepts only ``"inline"``: the frozen microbenchmark passes
+    it, and the multi-process mode it once chose between is gone (one
+    core cannot run partitions in parallel).  Any other value raises
+    :class:`PartitionError`.
     """
     if num_partitions < 1:
         raise PartitionError("num_partitions must be >= 1")
-    if mode == "inline":
-        return _run_inline(builder, spec, num_partitions, lookahead_ns)
-    if mode == "mp":
-        return _run_mp(builder, spec, num_partitions, lookahead_ns, mp_context)
-    raise PartitionError(f"unknown mode {mode!r} (use 'inline' or 'mp')")
-
-
-def _next_window(nexts, buffered_heads, lookahead_ns):
-    """The next window bound ``U``, or None when the run is complete.
-
-    ``nexts`` are per-partition next-event times (None when idle);
-    ``buffered_heads`` the deliver times of undelivered messages.
-    """
-    candidates = [t for t in nexts if t is not None]
-    candidates.extend(buffered_heads)
-    if not candidates:
-        return None
-    return min(candidates) + lookahead_ns - 1
-
-
-def _run_inline(builder, spec, num_partitions, lookahead_ns):
-    clock = perf_counter
-    t_run = clock()
-    compute = [0.0] * num_partitions
-    partitions = []
-    for index in range(num_partitions):
-        t0 = clock()
-        partitions.append(builder(spec, index))
-        compute[index] += clock() - t0
+    if mode != "inline":
+        raise PartitionError(f"unknown mode {mode!r}: only 'inline' runs")
+    partitions = [builder(spec, index) for index in range(num_partitions)]
     buffered = []
     windows = 0
     cross = 0
@@ -406,209 +296,27 @@ def _run_inline(builder, spec, num_partitions, lookahead_ns):
             # A message drained this window delivers past window_end
             # (lookahead), so injecting/advancing partitions one at a
             # time cannot starve a later partition of due messages.
-            t0 = clock()
             for msg in mine:
                 partition.inject(msg)
             partition.advance(window_end)
-            drained = partition.drain_outboxes(barrier)
-            compute[partition.index] += clock() - t0
-            for msg in drained:
+            for msg in partition.drain_outboxes(barrier):
                 buffered.append(msg)
                 if msg.dst_part != partition.index:
                     cross += 1
-    coordinator = max(0.0, (clock() - t_run) - sum(compute))
-    return PartitionedResult(
-        harvests=[p.harvest() for p in partitions],
-        windows=windows,
-        cross_messages=cross,
-        events_dispatched=sum(p.sim.events_dispatched for p in partitions),
-        partitions=num_partitions,
-        mode="inline",
-        partition_compute_s=compute,
-        coordinator_s=coordinator,
-    )
+    return PartitionedResult(windows=windows, cross_messages=cross)
 
 
-# -- multiprocessing mode ----------------------------------------------------
+def _next_window(nexts, buffered_heads, lookahead_ns):
+    """The next window bound ``U``, or None when the run is complete.
 
-def _revive(states):
-    """Rebuild messages from the plain state tuples shipped over pipes.
-
-    Custom-object pickling costs several times a tuple's; at tens of
-    thousands of cross-partition messages per run the difference is the
-    bulk of the coordinator's overhead.
+    ``nexts`` are per-partition next-event times (None when idle);
+    ``buffered_heads`` the deliver times of undelivered messages.
     """
-    out = []
-    for state in states:
-        msg = Message.__new__(Message)
-        msg.__setstate__(state)
-        out.append(msg)
-    return out
-
-
-def _fold_next(next_ns, local):
-    """A partition's next relevant time: local events or buffered self-traffic."""
-    if not local:
-        return next_ns
-    head = min(m.deliver_ns for m in local)
-    if next_ns is None or head < next_ns:
-        return head
-    return next_ns
-
-
-def _partition_worker(conn, builder, spec, index):
-    """Worker-process main: build the partition, then serve window rounds.
-
-    Self-channel messages (cross-rack traffic between racks that share
-    this partition) never cross the pipe: the worker buffers them
-    locally, folds their earliest delivery into the next-event time it
-    reports, and merges them with the coordinator's incoming batch at
-    each window — the injection set and order are identical to the
-    inline runner's, without paying IPC for intra-partition traffic.
-    """
-    try:
-        t0 = perf_counter()
-        partition = builder(spec, index)
-        compute = perf_counter() - t0
-        local = []
-        conn.send(("ready", partition.next_event_ns()))
-        while True:
-            op = conn.recv()
-            if op[0] == "window":
-                t0 = perf_counter()
-                _tag, window_end, incoming = op
-                due, local = merge_due(local, window_end)
-                due.extend(_revive(incoming))
-                due.sort(key=lambda m: m.sort_key)
-                for msg in due:
-                    partition.inject(msg)
-                partition.advance(window_end)
-                ship = []
-                for msg in partition.drain_outboxes(window_end + 1):
-                    if msg.dst_part == index:
-                        local.append(msg)
-                    else:
-                        ship.append(msg.__getstate__())
-                compute += perf_counter() - t0
-                conn.send(("ok",
-                           _fold_next(partition.next_event_ns(), local),
-                           ship))
-            elif op[0] == "finish":
-                conn.send(("result", partition.harvest(),
-                           partition.sim.events_dispatched, compute))
-                return
-            else:  # pragma: no cover - protocol misuse
-                raise PartitionError(f"unknown op {op[0]!r}")
-    except BaseException as err:  # noqa: BLE001 - forwarded to the coordinator
-        import traceback
-
-        try:
-            conn.send(("error", f"{err!r}\n{traceback.format_exc()}"))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-        raise
-
-
-def _run_mp(builder, spec, num_partitions, lookahead_ns, mp_context):
-    import multiprocessing
-
-    if mp_context is None:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = multiprocessing.get_context("spawn")
-    else:
-        ctx = multiprocessing.get_context(mp_context)
-
-    conns = []
-    procs = []
-    t_run = perf_counter()
-    blocked = 0.0
-    try:
-        for index in range(num_partitions):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_partition_worker,
-                args=(child, builder, spec, index),
-                name=f"partition-{index}",
-            )
-            proc.start()
-            child.close()
-            conns.append(parent)
-            procs.append(proc)
-
-        nexts = []
-        for conn in conns:
-            t0 = perf_counter()
-            reply = _recv(conn)
-            blocked += perf_counter() - t0
-            nexts.append(reply[1])
-
-        buffered = []
-        windows = 0
-        cross = 0
-        while True:
-            window_end = _next_window(
-                nexts, [m.deliver_ns for m in buffered], lookahead_ns
-            )
-            if window_end is None:
-                break
-            windows += 1
-            due, buffered = merge_due(buffered, window_end)
-            per_part = [[] for _ in range(num_partitions)]
-            for msg in due:
-                per_part[msg.dst_part].append(msg.__getstate__())
-            for conn, states in zip(conns, per_part):
-                conn.send(("window", window_end, states))
-            for index, conn in enumerate(conns):
-                t0 = perf_counter()
-                reply = _recv(conn)
-                blocked += perf_counter() - t0
-                nexts[index] = reply[1]
-                buffered.extend(_revive(reply[2]))
-            cross += len(due)
-
-        harvests = []
-        events = 0
-        compute = []
-        for conn in conns:
-            conn.send(("finish",))
-        for conn in conns:
-            t0 = perf_counter()
-            reply = _recv(conn)
-            blocked += perf_counter() - t0
-            harvests.append(reply[1])
-            events += reply[2]
-            compute.append(reply[3])
-        # Coordinator overhead is the loop's wall time minus time spent
-        # blocked on worker pipes; with one core per partition that is
-        # the only serial component on top of the slowest partition.
-        coordinator = max(0.0, (perf_counter() - t_run) - blocked)
-        return PartitionedResult(
-            harvests=harvests,
-            windows=windows,
-            cross_messages=cross,
-            events_dispatched=events,
-            partitions=num_partitions,
-            mode="mp",
-            partition_compute_s=compute,
-            coordinator_s=coordinator,
-        )
-    finally:
-        for conn in conns:
-            conn.close()
-        for proc in procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join()
-
-
-def _recv(conn):
-    reply = conn.recv()
-    if reply[0] == "error":
-        raise PartitionError(f"partition worker failed:\n{reply[1]}")
-    return reply
+    candidates = [t for t in nexts if t is not None]
+    candidates.extend(buffered_heads)
+    if not candidates:
+        return None
+    return min(candidates) + lookahead_ns - 1
 
 
 __all__ = [

@@ -44,10 +44,10 @@ class WcStatus(enum.Enum):
 # function is an attribute lookup through Enum's metaclass on every
 # execution -- ~100 ns up to CPython 3.11 against a few ns for a module
 # global, ~25 times per 8 B work request -- and it is C-level time, so a
-# profiler bills it to the caller's self time (DESIGN.md §17 "Host cost
-# per WR").  Code under ``src/repro`` reads members through these names
-# (pinned by ``tests/test_hot_path_enums.py``); the enums above stay the
-# types.
+# profiler bills it to the caller's self time
+# (DESIGN.md §17 "Host cost per WR").  Code under ``src/repro`` reads
+# members through these names (pinned by
+# ``tests/test_hot_path_enums.py``); the enums above stay the types.
 QPT_RC, QPT_UD, QPT_DC = QpType.RC, QpType.UD, QpType.DC
 
 QPS_RESET, QPS_INIT, QPS_RTR = QpState.RESET, QpState.INIT, QpState.RTR

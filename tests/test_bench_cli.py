@@ -1,19 +1,14 @@
-"""CLI-level smoke for ``python -m repro.bench``: --partitions x --jobs.
+"""CLI-level smoke for ``python -m repro.bench --jobs``.
 
-The contract under test is the no-double-fork rule: a partition-aware
-figure (``cluster_scale``) may fork one OS process per engine partition,
-so with ``--partitions > 1`` it must run in the *parent* process even
-when ``--jobs`` fans the other figures out over a pool.  These tests
-drive :func:`repro.bench.__main__.main` with a fake executor that
-records exactly what gets submitted to the pool.
+Drives :func:`repro.bench.__main__.main` with a fake executor that
+records what is submitted to the pool and runs it inline.
 """
 
 import concurrent.futures
 
 import pytest
 
-from repro.bench.__main__ import ALL_FIGURES, PARTITION_AWARE, main
-from repro.bench.perf import partition_aware, run_figure
+from repro.bench.__main__ import main
 
 
 class _ImmediateFuture:
@@ -49,45 +44,8 @@ def recording_pool(monkeypatch):
     return _RecordingPool
 
 
-def test_partition_aware_registry_matches_signatures():
-    for name in ALL_FIGURES:
-        assert partition_aware(name) == (name in PARTITION_AWARE)
-
-
-def test_partitions_flag_rejects_nonpositive(capsys):
-    with pytest.raises(SystemExit):
-        main(["cluster_scale", "--partitions", "0"])
-    assert "--partitions must be >= 1" in capsys.readouterr().err
-
-
-def test_serial_run_forwards_partitions(capsys):
-    assert main(["cluster_scale", "--partitions", "2"]) == 0
+def test_jobs_pools_every_figure_and_prints_in_submission_order(recording_pool, capsys):
+    assert main(["fig01", "fig03", "--jobs", "2"]) == 0
+    assert recording_pool.submitted == ["fig01", "fig03"]
     out = capsys.readouterr().out
-    # --partitions 2 narrows the sweep to {1, 2}: no partitions=4 rows.
-    partition_col = [
-        int(line.split()[2]) for line in out.splitlines()
-        if line.strip() and line.split()[0] in ("4", "8")
-    ]
-    assert partition_col == [1, 2, 1, 2]  # both topologies, P in {1, 2}
-
-
-def test_jobs_keeps_partition_aware_figure_in_parent(recording_pool, capsys):
-    assert main(["fig01", "cluster_scale", "--jobs", "2",
-                 "--partitions", "2"]) == 0
-    assert recording_pool.submitted == ["fig01"]
-    out = capsys.readouterr().out
-    # Output order still matches submission order.
-    assert out.index("Fig 1") < out.index("Cluster scale")
-
-
-def test_jobs_pools_partition_aware_figure_without_partitions(recording_pool):
-    # Precedence only bites with P > 1: at P=1 (or unset) cluster_scale
-    # forks nothing, so the pool is the right place for it.
-    assert main(["fig01", "cluster_scale", "--jobs", "2",
-                 "--partitions", "1"]) == 0
-    assert recording_pool.submitted == ["fig01", "cluster_scale"]
-
-
-def test_run_figure_ignores_partitions_for_unaware_figures():
-    result, wall_s = run_figure("fig01", partitions=4)
-    assert result.tables and wall_s > 0
+    assert out.index("[fig01 regenerated") < out.index("[fig03 regenerated")

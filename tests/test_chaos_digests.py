@@ -1,13 +1,12 @@
 """Chaos report digests pinned across commits.
 
-``tests/golden/chaos_digests.json`` holds ``report.digest()`` of 31
+``tests/golden/chaos_digests.json`` holds ``report.digest()`` of 29
 seeded chaos runs: the YCSB scenario on random plans (seeds 1-10), the
 three named schedules of ``test_chaos.py`` and the 2-shard plan of
 ``test_chaos_smoke.py``; the gray scenario at seeds 1-5, protected and
-not; the MicroView scenario at seeds 1-5; the partitioned scale run at
-seed 5, P = 2 and 4.  The other chaos tests only compare two runs of one
-commit; this one fails when a change moves any op, fault or invariant
-of a run.  Regenerate (``python tests/test_chaos_digests.py --regen``)
+not; the MicroView scenario at seeds 1-5.  The other chaos tests only
+compare two runs of one commit; this one fails when a change moves any
+op, fault or invariant of a run.  Regenerate (``python tests/test_chaos_digests.py --regen``)
 only for a change meant to move them, and say which and why.
 """
 
@@ -17,7 +16,6 @@ import pathlib
 from repro.faults.gray import GrayChaosHarness
 from repro.faults.harness import ChaosHarness
 from repro.faults.microview import MicroViewChaosHarness
-from repro.faults.scale import run_scale_chaos
 from tests.test_chaos import SCHEDULES
 from tests.test_chaos_smoke import SEED, _sharded_plan
 
@@ -39,10 +37,6 @@ def _digests():
             seed, protected=False
         ).run().digest()
         out[f"microview/{seed}"] = MicroViewChaosHarness(seed).run().digest()
-    for partitions in (2, 4):
-        out[f"scale/5/P{partitions}"] = run_scale_chaos(
-            5, partitions=partitions
-        ).digest()
     return out
 
 

@@ -42,7 +42,6 @@ def test_corpus_files_are_canonical_json():
         "meta_failover_fifo_clean.json",
         "batch_fault_fifo_clean.json",
         "mr_churn_fifo_clean.json",
-        "cluster_scale_fifo_clean.json",
     ],
 )
 def test_clean_baselines_stay_clean(name):

@@ -4,11 +4,8 @@ Determinism is what makes the regenerated figures reproducible and the
 hypothesis failures replayable, so it gets its own tests.
 """
 
-import pytest
-
 from repro.bench.fig03 import run as run_fig03
 from repro.bench.onesided import run_onesided
-from repro.cluster.scale import ScaleSpec, run_scale
 from repro.sim import Simulator, US
 from repro.verbs import WorkRequest
 from tests.conftest import krcore_cluster
@@ -67,36 +64,3 @@ def test_full_krcore_workload_replays_identically():
 
     assert one_run() == one_run()
 
-
-# -- partitioned runs --------------------------------------------------------
-#
-# The partitioned engine must be deterministic along every axis at once:
-# repeated same-seed runs, every partition count, and both execution modes.
-
-_SCALE_KWARGS = dict(racks=4, nodes_per_rack=2, tenants_per_node=2,
-                     ops_per_tenant=6, mean_think_ns=5_000, seed=21)
-
-
-@pytest.mark.parametrize("partitions", [1, 2, 4])
-def test_partitioned_same_seed_runs_are_identical(partitions):
-    spec = ScaleSpec(**_SCALE_KWARGS)
-    first = run_scale(spec, partitions=partitions)
-    second = run_scale(spec, partitions=partitions)
-    assert first.digest() == second.digest()
-    assert first.records == second.records
-    assert first.windows == second.windows
-    assert first.events_dispatched == second.events_dispatched
-
-
-def test_partitioned_mp_mode_is_deterministic():
-    spec = ScaleSpec(**_SCALE_KWARGS)
-    first = run_scale(spec, partitions=2, mode="mp")
-    second = run_scale(spec, partitions=2, mode="mp")
-    assert first.digest() == second.digest()
-    assert first.windows == second.windows
-
-
-def test_partitioned_seed_changes_digest():
-    a = run_scale(ScaleSpec(**_SCALE_KWARGS), partitions=2)
-    b = run_scale(ScaleSpec(**{**_SCALE_KWARGS, "seed": 22}), partitions=2)
-    assert a.digest() != b.digest()

@@ -11,7 +11,7 @@ import pytest
 from repro.cluster import timing
 from repro.cluster.fabric import LinkFault
 from repro.cluster.node import Node
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.faults.plan import META_OUTAGE, NODE_CRASH, NODE_RESTART
 from repro.krcore import KrcoreModule
 from repro.sim import MS, US
@@ -408,13 +408,19 @@ def test_link_fault_install_and_clear_round_trip(sim, cluster):
     assert not fabric.link_faults  # cleared after the window
 
 
+def _plan_of(*events):
+    plan = FaultPlan(1)
+    plan.events.extend(events)
+    return plan
+
+
 @pytest.mark.parametrize(
     "plan",
     [
         FaultPlan(1).crash_node(1 * MS, "node9"),
         FaultPlan(1).degrade_link(1 * MS, "node1", "node9", duration_ns=1 * MS),
-        # node_slow is the scale model's kind; the injector cannot apply it.
-        FaultPlan(1).slow_node(1 * MS, "node1", duration_ns=1 * MS),
+        # No builder makes this kind, so the injector cannot apply it.
+        _plan_of(FaultEvent(1 * MS, "no_such_kind", gid="node1")),
     ],
     ids=["unknown-gid", "unknown-link-end", "unapplied-kind"],
 )
@@ -430,68 +436,3 @@ def test_a_bad_plan_fails_before_simulated_time_passes(plan):
         harness.run()
     assert harness.sim.now == 0
 
-
-# -- partition-local fault targeting (repro.faults.scale) --------------------
-
-
-def test_slow_node_builder():
-    from repro.faults.plan import NODE_SLOW
-
-    plan = (
-        FaultPlan(seed=3)
-        .slow_node(1 * US, "rack0-n0", duration_ns=5 * US, factor=4.0)
-        .slow_node(2 * US, "rack1-n2", duration_ns=5 * US, factor=2.0)
-    )
-    assert plan.events[0].kind == NODE_SLOW
-    assert plan.events[0].params["factor"] == 4.0
-
-
-def test_random_scale_plan_is_reproducible_and_in_bounds():
-    from repro.cluster.topology import RackTopology
-    from repro.faults.plan import NODE_SLOW
-
-    topo = RackTopology(racks=3, nodes_per_rack=2)
-    a = FaultPlan.random_scale(11, topo, horizon_ns=100 * US, events=5)
-    b = FaultPlan.random_scale(11, topo, horizon_ns=100 * US, events=5)
-    assert [repr(e) for e in a.events] == [repr(e) for e in b.events]
-    assert len(a.events) == 5
-    valid_gids = {topo.gid(n) for n in range(topo.num_nodes)}
-    for event in a.events:
-        assert event.kind == NODE_SLOW
-        assert event.params["gid"] in valid_gids
-        assert 0 <= event.at_ns < 100 * US
-
-
-def test_faults_from_plan_lowers_gids_to_nodes():
-    from repro.cluster.topology import RackTopology
-    from repro.faults.scale import faults_from_plan
-
-    topo = RackTopology(racks=2, nodes_per_rack=3)
-    plan = FaultPlan(seed=1).slow_node(5 * US, "rack1-n4",
-                                       duration_ns=2 * US, factor=8.0)
-    assert faults_from_plan(plan, topo) == [(4, 5 * US, 2 * US, 8.0)]
-    with pytest.raises(ValueError):
-        faults_from_plan(
-            FaultPlan(seed=1).crash_node(1 * US, "rack0-n0"), topo
-        )
-    with pytest.raises(ValueError):
-        faults_from_plan(
-            FaultPlan(seed=1).slow_node(1 * US, "rack9-n99",
-                                        duration_ns=1 * US), topo
-        )
-
-
-def test_scale_chaos_invariants_hold_and_digest_is_stable():
-    from repro.faults.scale import run_scale_chaos
-
-    first = run_scale_chaos(7, partitions=3, racks=6, nodes_per_rack=1,
-                            ops_per_tenant=8)
-    second = run_scale_chaos(7, partitions=3, racks=6, nodes_per_rack=1,
-                             ops_per_tenant=8)
-    assert first.all_invariants_hold, first.invariants
-    assert first.digest() == second.digest()
-    assert first.summary() == second.summary()
-    # A different seed must give a different storm.
-    third = run_scale_chaos(8, partitions=3, racks=6, nodes_per_rack=1,
-                            ops_per_tenant=8)
-    assert third.digest() != first.digest()

@@ -44,8 +44,8 @@ def test_each_traceable_scenario_writes_a_chrome_trace(argv, tmp_path, capsys):
         ["gray", "--seed", "5", "--ops", "3"],
         ["microview", "--unprotected"],
         ["ycsb", "--partitions", "4"],
-        ["scale", "--trace", "trace.json"],
-        ["scale", "--metrics", "-"],
+        ["gray", "--meta-shards", "2", "--trace", "trace.json"],
+        ["microview", "--ops", "3", "--trace", "trace.json"],
         ["--seed", "5"],
     ],
 )

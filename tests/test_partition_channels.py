@@ -1,17 +1,15 @@
-"""Unit tests for the inter-partition channel layer and topology placement.
+"""Unit tests for the inline partitioned engine and its channel layer.
 
-The partitioned engine's correctness rests on three local properties —
+The window loop's correctness rests on three local properties —
 per-message lookahead at ``push``, batch monotonicity at ``seal``, and
-the canonical ``(deliver_ns, src_node, seq)`` merge order — plus
-deterministic rack placement.  Each is pinned here directly, so an
-equivalence-suite failure points at the model, not the plumbing.
+the canonical ``(deliver_ns, src_node, seq)`` merge order.  Each is
+pinned here directly, plus a two-partition ping-pong end to end.
 """
 
 import itertools
 
 import pytest
 
-from repro.cluster.topology import RackTopology, plan_partitions
 from repro.sim.partition import (
     Channel,
     Message,
@@ -40,16 +38,6 @@ def test_message_sort_key_is_deliver_then_sender_then_seq():
     assert [(m.deliver_ns, m.src_node, m.seq) for m in ordered] == [
         (10, 9, 5), (20, 0, 1), (20, 0, 3), (20, 1, 0),
     ]
-
-
-def test_message_state_roundtrip():
-    original = _msg(42, dst_part=3, src_node=7, seq=11, kind="x", payload=(1, 2))
-    clone = Message.__new__(Message)
-    clone.__setstate__(original.__getstate__())
-    assert clone.sort_key == original.sort_key
-    assert clone.dst_part == original.dst_part
-    assert clone.kind == original.kind
-    assert clone.payload == original.payload
 
 
 # -- Channel ----------------------------------------------------------------
@@ -161,13 +149,6 @@ def test_partition_send_validates_destination():
         partition.send(2, "k", None, src_node=0, deliver_ns=10)
 
 
-def test_partition_send_direct_requires_future_delivery():
-    partition = Partition(0, 1, lookahead_ns=10)
-    partition.register("k", lambda p, m: None)
-    with pytest.raises(PartitionError):
-        partition.send_direct("k", None, src_node=0, deliver_ns=0)
-
-
 def test_partition_inject_rejects_late_message():
     partition = Partition(0, 1, lookahead_ns=10)
     partition.register("k", lambda p, m: None)
@@ -220,16 +201,17 @@ def test_run_partitioned_validates_arguments():
         run_partitioned(lambda spec, i: None, None, 0, 100)
     with pytest.raises(PartitionError):
         run_partitioned(lambda spec, i: None, None, 1, 100, mode="threads")
+    with pytest.raises(PartitionError):
+        run_partitioned(lambda spec, i: None, None, 1, 100, mode="mp")
 
 
 # -- a minimal two-partition model ------------------------------------------
 
 def _build_pingpong(spec, index):
-    """Two partitions volley one message back and forth ``spec`` times."""
-    rounds = spec
+    """Two partitions volley one message back and forth ``rounds`` times,
+    appending ``(now, ball)`` to the shared ``log`` at each delivery."""
+    rounds, log = spec
     partition = Partition(index, 2, lookahead_ns=100)
-    log = []
-    partition.trace = log
 
     def on_ball(part, msg):
         log.append((part.sim.now, msg.payload))
@@ -243,99 +225,16 @@ def _build_pingpong(spec, index):
             partition.send(1, "ball", 0, src_node=0,
                            deliver_ns=partition.sim.now + 100)
         partition.sim.schedule(1, serve)
-    partition.harvest = lambda: list(log)
     return partition
 
 
 def test_pingpong_inline_end_to_end():
-    result = run_partitioned(_build_pingpong, 6, 2, 100, mode="inline")
-    all_hits = sorted(result.harvests[0] + result.harvests[1])
-    assert [ball for _ts, ball in all_hits] == list(range(7))
-    # Strict alternation: every hop pays exactly one lookahead.
-    times = [ts for ts, _ball in all_hits]
-    assert times == [101 + 100 * i for i in range(7)]
+    log = []
+    result = run_partitioned(_build_pingpong, (6, log), 2, 100, mode="inline")
+    # Delivery order: strict alternation, every hop pays exactly one
+    # lookahead.
+    assert log == [(101 + 100 * i, i) for i in range(7)]
     assert result.cross_messages == 7
-    assert result.partitions == 2
-    assert len(result.partition_compute_s) == 2
-    assert result.critical_path_s >= result.coordinator_s
+    # The serve event's window, then one window per delivery.
+    assert result.windows == 8
 
-
-def _build_broken(spec, index):
-    partition = Partition(index, 2, lookahead_ns=100)
-
-    def boom(part, msg):
-        raise RuntimeError("model bug")
-
-    partition.register("ball", boom)
-    if index == 0:
-        partition.sim.schedule(
-            1, lambda: partition.send(1, "ball", None, src_node=0,
-                                      deliver_ns=partition.sim.now + 100)
-        )
-    return partition
-
-
-def test_mp_mode_forwards_worker_errors():
-    with pytest.raises(PartitionError, match="model bug"):
-        run_partitioned(_build_broken, None, 2, 100, mode="mp")
-
-
-def test_mp_mode_matches_inline_on_pingpong():
-    inline = run_partitioned(_build_pingpong, 6, 2, 100, mode="inline")
-    mp = run_partitioned(_build_pingpong, 6, 2, 100, mode="mp")
-    assert mp.harvests == inline.harvests
-    assert mp.windows == inline.windows
-    assert mp.cross_messages == inline.cross_messages
-    assert mp.events_dispatched == inline.events_dispatched
-
-
-# -- topology / placement ---------------------------------------------------
-
-def test_topology_rack_membership():
-    topo = RackTopology(racks=3, nodes_per_rack=4)
-    assert topo.num_nodes == 12
-    assert topo.rack_of(0) == 0
-    assert topo.rack_of(11) == 2
-    assert list(topo.nodes_in_rack(1)) == [4, 5, 6, 7]
-    assert topo.same_rack(4, 7)
-    assert not topo.same_rack(3, 4)
-    assert topo.gid(5) == "rack1-n5"
-    with pytest.raises(ValueError):
-        topo.rack_of(12)
-    with pytest.raises(ValueError):
-        topo.nodes_in_rack(3)
-    with pytest.raises(ValueError):
-        RackTopology(racks=0, nodes_per_rack=1)
-
-
-def test_plan_partitions_never_splits_a_rack():
-    topo = RackTopology(racks=6, nodes_per_rack=2)
-    for partitions in (1, 2, 3, 4, 6):
-        plan = plan_partitions(topo, partitions)
-        for rack in range(topo.racks):
-            owner = plan.partition_of_rack(rack)
-            for node in topo.nodes_in_rack(rack):
-                assert plan.partition_of_node(node) == owner
-        owned = [plan.racks_of_partition(p) for p in range(partitions)]
-        assert sorted(r for racks in owned for r in racks) == list(range(6))
-        # Balanced to within one rack, contiguous blocks.
-        sizes = [len(racks) for racks in owned]
-        assert max(sizes) - min(sizes) <= 1
-        for racks in owned:
-            assert racks == list(range(racks[0], racks[0] + len(racks)))
-
-
-def test_plan_partitions_bounds():
-    topo = RackTopology(racks=2, nodes_per_rack=2)
-    with pytest.raises(ValueError):
-        plan_partitions(topo, 0)
-    with pytest.raises(ValueError):
-        plan_partitions(topo, 3)
-
-
-def test_plan_partitions_is_deterministic():
-    topo = RackTopology(racks=16, nodes_per_rack=16)
-    a = plan_partitions(topo, 4)
-    b = plan_partitions(topo, 4)
-    assert [a.partition_of_rack(r) for r in range(16)] == \
-        [b.partition_of_rack(r) for r in range(16)]
