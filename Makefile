@@ -67,10 +67,11 @@ counts:
 heap:
 	$(PYTHON) benchmarks/heap.py --workload $(WORKLOAD) $(HEAP_ARGS)
 
-# WR hop budget (DESIGN.md §17): print the exact engine-record counts per
-# work request and check them against the pinned budget.
+# WR hop budget (DESIGN.md §17) and KRCORE frame budget (§8): print the
+# exact engine-record counts per work request and the generators started per
+# KRCORE op, and check them against the pinned budgets.
 hop-budget:
-	$(PYTHON) -m pytest -s -k hop_budget
+	$(PYTHON) -m pytest -s -k "hop_budget or frame_budget"
 
 # Node rest budget (DESIGN.md §17 "A node at rest", "A QP at rest"): print
 # what a booted, idle node holds on the host (KB -- of a 4-node and of a

@@ -32,6 +32,9 @@ class KrcoreLib:
         self.charge_syscall = charge_syscall
 
     def _enter_kernel(self):
+        """Process: one syscall, as a ``syscall`` span when traced.
+        ``create_vqp``, ``qconnect`` and ``post_send_and_wait`` yield the
+        untraced charge in their own frame instead."""
         if self.charge_syscall:
             if _trace.TRACER is not None:
                 track = self.module.track
@@ -47,7 +50,10 @@ class KrcoreLib:
 
     def create_vqp(self):
         """Process: ibv_create_qp with qp_type = KRCORE_VQP."""
-        yield from self._enter_kernel()
+        if _trace.TRACER is None:
+            yield timing.SYSCALL_NS if self.charge_syscall else 0
+        else:
+            yield from self._enter_kernel()
         return self.module.create_vqp(cpu_id=self.cpu_id)
 
     def qconnect(self, vqp, gid, port=0, deadline_ns=None):
@@ -72,7 +78,10 @@ class KrcoreLib:
             _metrics.METRICS.counter("krcore.qconnects").inc()
         deadline = self.module.op_deadline(deadline_ns)
         try:
-            yield from self._enter_kernel()
+            if tracer is None:
+                yield timing.SYSCALL_NS if self.charge_syscall else 0
+            else:
+                yield from self._enter_kernel()
             yield from vqp.connect(gid, port, deadline)
         finally:
             if tracer is not None:
@@ -151,7 +160,10 @@ class KrcoreLib:
         if not wanted:
             raise KrcoreError("post_send_and_wait: no signaled WR to wait for")
         deadline = self.module.op_deadline(deadline_ns)
-        yield from self._enter_kernel()
+        if _trace.TRACER is None:
+            yield timing.SYSCALL_NS if self.charge_syscall else 0
+        else:
+            yield from self._enter_kernel()
         yield from vqp.post_send(wr_list, deadline)
         for _ in range(wanted):
             entry = yield from vqp.wait_send_completion()

@@ -578,30 +578,22 @@ class KrcoreModule:
         return breaker
 
     def admit_qconnect(self, cpu_id, deadline=None):
-        """Process: pass the per-CPU qconnect admission gate.  A no-op
-        generator when admission control is off (the default)."""
-        policy = self.degrade
-        if policy is None or not policy.admission_enabled:
-            return
-        gate = self.pool(cpu_id).admission_gate(self.sim, policy)
-        yield from gate.admit(deadline)
+        """Process: pass the per-CPU qconnect admission gate.  Entered only
+        when the policy has admission enabled (off by default)."""
+        return self.pool(cpu_id).admission_gate(self.sim, self.degrade).admit(deadline)
 
     def plane_lookup_dct(self, cpu_id, gid, deadline=None):
         """Process: one DCT lookup via the plane, failing over across the
         key's owner shards (primary first).  Raises
         :class:`MetaUnavailableError` only when *every* owner is dark."""
-        return (
-            yield from self._plane_lookup(
-                cpu_id, dct_key(gid), deadline, MetaClient.lookup_dct, gid
-            )
+        return self._plane_lookup(
+            cpu_id, dct_key(gid), deadline, MetaClient.lookup_dct, gid
         )
 
     def plane_lookup_mr(self, cpu_id, gid, rkey, deadline=None):
         """Process: one MR-record lookup via the plane, with failover."""
-        return (
-            yield from self._plane_lookup(
-                cpu_id, mr_key(gid, rkey), deadline, MetaClient.lookup_mr, gid, rkey
-            )
+        return self._plane_lookup(
+            cpu_id, mr_key(gid, rkey), deadline, MetaClient.lookup_mr, gid, rkey
         )
 
     def _plane_lookup(self, cpu_id, key, deadline, lookup, *args):
@@ -1126,7 +1118,12 @@ class KrcoreModule:
                 gid=gid,
             )
         send_cq = CompletionQueue(self.sim)
-        qp = yield from rc_connect(self.context, send_cq, gid, port=KRCORE_RC_PORT)
+        try:
+            qp = yield from rc_connect(self.context, send_cq, gid, port=KRCORE_RC_PORT)
+        except Exception:
+            if _trace.TRACER is not None:
+                _trace.TRACER.end(self.sim.now, self.track, "krcore.establish_rc")
+            raise
         # Separate the recv CQ so the dispatcher never steals send
         # completions from poll_inner.
         qp.recv_cq = CompletionQueue(self.sim)

@@ -191,7 +191,9 @@ class Vqp:
                         )
                     if _metrics.METRICS is not None:
                         _metrics.METRICS.counter("krcore.dc_cache_misses").inc()
-                    yield from module.admit_qconnect(self.cpu_id, deadline)
+                    policy = module.degrade
+                    if policy is not None and policy.admission_enabled:
+                        yield from module.admit_qconnect(self.cpu_id, deadline)
                     meta = yield from self._fetch_dct_meta(gid, pool, deadline)
                     if deadline is not None:
                         # A gray-slow fetch can *succeed* past the budget
@@ -257,6 +259,8 @@ class Vqp:
             try:
                 self.qp = yield from module.establish_rc(gid, pool)
             except (VerbsError, KrcoreError) as rc_err:
+                if _trace.TRACER is not None:
+                    _trace.TRACER.end(module.sim.now, track, "rc_fallback")
                 raise KrcoreError(
                     f"meta server unreachable and RC fallback to {gid} "
                     f"failed ({rc_err})",
@@ -502,7 +506,11 @@ class Vqp:
             entry = self.poll_cq()
             if entry is not None:
                 return entry
-            yield from self.qp.send_cq.wait_notify()
+            cq = self.qp.send_cq
+            if cq.poll_mode == "event":
+                yield cq.wait()
+            else:
+                yield from cq.wait_notify()
 
     # ----------------------------------------------------------------- recv
 

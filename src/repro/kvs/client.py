@@ -66,7 +66,14 @@ class DrtmKvClient:
                 self.scratch_addr, length, self.scratch_lkey, raddr, self.catalog.rkey
             )
         )
-        completions = yield from self.qp.send_cq.wait_poll()
+        cq = self.qp.send_cq
+        if cq.poll_mode == "event":  # CompletionQueue.wait_poll, in this frame
+            completions = cq.poll()
+            while not completions:
+                yield cq.wait()
+                completions = cq.poll()
+        else:
+            completions = yield from cq.wait_poll()
         if self.charge_cpu:
             yield timing.POLL_CQ_CPU_NS
         completion = completions[0]

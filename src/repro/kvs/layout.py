@@ -70,9 +70,9 @@ class Layout:
 
     @staticmethod
     def unpack_slots(bucket_bytes):
-        """Yield (fingerprint, offset, length) for each slot of a bucket."""
-        for i in range(SLOTS_PER_BUCKET):
-            yield SLOT.unpack_from(bucket_bytes, i * SLOT_BYTES)
+        """Iterate (fingerprint, offset, length) over the slots of one
+        bucket (exactly ``BUCKET_BYTES`` long)."""
+        return SLOT.iter_unpack(bucket_bytes)
 
     @staticmethod
     def pack_record(key, value):

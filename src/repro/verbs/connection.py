@@ -100,30 +100,40 @@ def rc_connect(context, send_cq, server_gid, port=0, sq_depth=None):
     driver context (``ensure_init``) and created ``send_cq``.
     """
     node = context.node
+    track = f"verbs@{node.gid}"
     if _trace.TRACER is not None:
-        _trace.TRACER.begin(
-            node.sim.now, f"verbs@{node.gid}", "rc_connect", server=server_gid
-        )
-    kwargs = {} if sq_depth is None else {"sq_depth": sq_depth}
-    qp = yield from context.create_qp(QPT_RC, send_cq, recv_cq=send_cq, **kwargs)
-    if not node.fabric.has_node(server_gid):
-        raise ConnectError(f"no route to {server_gid}")
-    server = node.fabric.node(server_gid)
-    manager = server.services.get(ConnectionManager.SERVICE)
-    if manager is None:
-        raise ConnectError(f"{server_gid} runs no connection manager")
-    # Fixed protocol overhead of the UD handshake (both directions).
+        _trace.TRACER.begin(node.sim.now, track, "rc_connect", server=server_gid)
+    # A failed connect ends its open spans; not in a ``finally``, because a
+    # connect closed by GeneratorExit at teardown must not write into
+    # whatever tracer is installed then.
+    try:
+        kwargs = {} if sq_depth is None else {"sq_depth": sq_depth}
+        qp = yield from context.create_qp(QPT_RC, send_cq, recv_cq=send_cq, **kwargs)
+        if not node.fabric.has_node(server_gid):
+            raise ConnectError(f"no route to {server_gid}")
+        server = node.fabric.node(server_gid)
+        manager = server.services.get(ConnectionManager.SERVICE)
+        if manager is None:
+            raise ConnectError(f"{server_gid} runs no connection manager")
+        # Fixed protocol overhead of the UD handshake (both directions).
+        if _trace.TRACER is not None:
+            _trace.TRACER.begin(node.sim.now, track, "handshake")
+        try:
+            yield timing.HANDSHAKE_NS
+            yield node.fabric.one_way_ns(_HANDSHAKE_BYTES)
+            reply = yield manager.submit({"gid": node.gid, "qpn": qp.qpn, "port": port})
+            yield node.fabric.one_way_ns(_HANDSHAKE_BYTES)
+        except Exception:
+            if _trace.TRACER is not None:
+                _trace.TRACER.end(node.sim.now, track, "handshake")
+            raise
+        if _trace.TRACER is not None:
+            _trace.TRACER.end(node.sim.now, track, "handshake")
+        yield from context.modify_to_ready(qp, remote=(server_gid, reply["qpn"]))
+    except Exception:
+        if _trace.TRACER is not None:
+            _trace.TRACER.end(node.sim.now, track, "rc_connect")
+        raise
     if _trace.TRACER is not None:
-        _trace.TRACER.begin(node.sim.now, f"verbs@{node.gid}", "handshake")
-    yield timing.HANDSHAKE_NS
-    yield node.fabric.one_way_ns(_HANDSHAKE_BYTES)
-    reply = yield manager.submit({"gid": node.gid, "qpn": qp.qpn, "port": port})
-    yield node.fabric.one_way_ns(_HANDSHAKE_BYTES)
-    if _trace.TRACER is not None:
-        _trace.TRACER.end(node.sim.now, f"verbs@{node.gid}", "handshake")
-    yield from context.modify_to_ready(qp, remote=(server_gid, reply["qpn"]))
-    if _trace.TRACER is not None:
-        _trace.TRACER.end(
-            node.sim.now, f"verbs@{node.gid}", "rc_connect", qpn=qp.qpn
-        )
+        _trace.TRACER.end(node.sim.now, track, "rc_connect", qpn=qp.qpn)
     return qp

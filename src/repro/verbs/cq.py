@@ -160,6 +160,8 @@ class CompletionQueue:
 
     def wait_notify(self):
         """Process helper: block until the CQ signals, per the poll mode.
+        Event-mode callers on the hot path (:meth:`wait_poll`, the KRCORE
+        and DrTM-KV waits) yield :meth:`wait` themselves instead.
 
         * ``event``: wait on the CQ event; no cost accounted (legacy).
         * ``busy``: the spinning core discovers the CQE the instant it is
@@ -206,10 +208,13 @@ class CompletionQueue:
         Waiting follows the CQ's polling mode (see :meth:`wait_notify`):
         under ``busy``/``adaptive`` the time spent here is accounted as
         CPU burn on the attached RNIC's node rather than modelled as a
-        free sleep.
+        free sleep.  In ``event`` mode the wait is this frame's own.
         """
         while True:
             polled = self.poll(num_entries)
             if polled:
                 return polled
-            yield from self.wait_notify()
+            if self.poll_mode == "event":
+                yield self.wait()
+            else:
+                yield from self.wait_notify()

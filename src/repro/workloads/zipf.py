@@ -1,7 +1,20 @@
 """Zipfian key sampling (the distribution YCSB uses, theta = 0.99)."""
 
 import bisect
+import functools
 import random
+
+
+@functools.lru_cache(maxsize=16)
+def _zipf_cdf(n, theta):
+    """The normalized CDF over ranks 0..n-1, computed once per ``(n,
+    theta)`` and shared by every generator built with them."""
+    cdf = []
+    total = 0.0
+    for rank in range(n):
+        total += 1.0 / ((rank + 1) ** theta)
+        cdf.append(total)
+    return tuple(value / total for value in cdf)
 
 
 class ZipfGenerator:
@@ -17,12 +30,7 @@ class ZipfGenerator:
         self.n = n
         self.theta = theta
         self._rng = random.Random(seed)
-        cdf = []
-        total = 0.0
-        for rank in range(n):
-            total += 1.0 / ((rank + 1) ** theta)
-            cdf.append(total)
-        self._cdf = [value / total for value in cdf]
+        self._cdf = _zipf_cdf(n, theta)
 
     def sample(self):
         point = self._rng.random()

@@ -18,9 +18,11 @@ digest.  These tests pin that contract three ways:
 import json
 import pathlib
 
+import pytest
+
 from repro import obs
 from repro.faults.harness import ChaosHarness
-from repro.krcore import KrcoreLib
+from repro.krcore import KrcoreError, KrcoreLib
 from repro.sim import Simulator
 from repro.verbs import RecvBuffer, WorkRequest
 from tests.conftest import krcore_cluster
@@ -185,6 +187,28 @@ def _assert_spans_balanced(events):
             opens[key] -= 1
     leaked = {k: c for k, c in opens.items() if c}
     assert not leaked, f"unbalanced spans: {leaked}"
+
+
+def test_a_failed_rc_fallback_ends_every_span_it_began():
+    """Meta plane dark and the target dead: the qconnect's RC fallback
+    fails, and ``rc_fallback``, ``krcore.establish_rc`` and ``rc_connect``
+    each end on their track anyway."""
+    sim = Simulator()
+    cluster, meta, modules = krcore_cluster(sim, num_nodes=3, background_rc=False)
+    meta.set_outage(10**12)
+    cluster.node(1).fail()
+    lib = KrcoreLib(cluster.node(2))
+
+    def proc():
+        vqp = yield from lib.create_vqp()
+        with pytest.raises(KrcoreError, match="RC fallback to node1 failed"):
+            yield from lib.qconnect(vqp, cluster.node(1).gid)
+
+    with obs.observe() as (tracer, _metrics):
+        sim.run_process(proc())
+    began = {event["name"] for event in tracer.events if event["ph"] == "B"}
+    assert {"rc_fallback", "krcore.establish_rc", "rc_connect"} <= began
+    _assert_spans_balanced(tracer.events)
 
 
 def test_chaos_slice_trace_is_deterministic():

@@ -14,7 +14,11 @@ Two shapes, idle two-node system, connection warm:
   per-WR cost of a backlog, where the per-doorbell and per-CQE records
   amortize.
 
-``make hop-budget`` prints the table (``pytest -s -k hop_budget``).
+The host side of a KRCORE op is pinned too: the generators one
+``create_vqp`` + ``qconnect`` or ``read_sync`` starts (the frame budget).
+
+``make hop-budget`` prints both tables (``pytest -s -k "hop_budget or
+frame_budget"``).
 """
 
 import inspect
@@ -26,11 +30,47 @@ import repro.sim
 from repro import obs
 from repro.cluster import Cluster, timing
 from repro.cluster.fabric import LinkFault
+from repro.krcore import KrcoreLib
 from repro.sim import Simulator
 from repro.verbs import CompletionQueue, Opcode, QpType, RecvBuffer, WorkRequest
-from tests.conftest import quick_dc_qp, quick_rc_pair, register
+from tests.conftest import krcore_cluster, quick_dc_qp, quick_rc_pair, register
 
 WINDOW = 16
+
+_CONNECT = ["create_vqp", "qconnect", "connect"]
+
+#: op -> the generators one KRCORE op starts, in start order, its own
+#: process aside; warm meta client, pool and MR record.
+FRAME_BUDGET = {
+    "create_vqp + qconnect, DCCache miss": _CONNECT + [
+        "_fetch_dct_meta",
+        "lookup_dct_robust",
+        "_plane_lookup",
+        "lookup_dct",
+        "_lookup",
+        "lookup",
+        "_read",  # the bucket
+        "_read",  # the record
+    ],
+    "create_vqp + qconnect, DCCache hit": _CONNECT,
+    "read_sync, warm VQP": [
+        "read_sync",
+        "post_send_and_wait",
+        "post_send",
+        "_post_chunk",
+        "wait_send_completion",
+    ],
+}
+
+#: The same counts while the syscall charge (``_enter_kernel``), the
+#: admission check, the plane-lookup trampoline, the event-mode CQ waits
+#: (``wait_poll`` / ``wait_notify``) and the bucket reader
+#: (``unpack_slots``) were generators of their own.
+FRAME_BUDGET_BEFORE = {
+    "create_vqp + qconnect, DCCache miss": 20,
+    "create_vqp + qconnect, DCCache hit": 5,
+    "read_sync, warm VQP": 7,
+}
 
 #: (transport, opcode) -> (events_dispatched, timer_fires) for one signaled
 #: WR.  Before the PR 13 hop fusion every row cost (16, 6), and (18, 7)
@@ -231,8 +271,9 @@ def test_window_hop_budget():
 def test_window_hop_budget_builds_no_process_and_no_generator_per_wr(transport, monkeypatch):
     """The host side of the budget: a flight is a record, so the window
     constructs one ``Process`` (the driver below) and runs no generator
-    but the caller's own (the driver and the CQ wait it delegates to) and
-    the QP's sender loop, which was there before the window."""
+    but the caller's own (the driver and ``wait_poll``, which waits on an
+    event-mode CQ in its own frame) and the QP's sender loop, which was
+    there before the window."""
     rig = _Rig(transport)
     wrs = [
         rig.wr(Opcode.READ, signaled=(slot == WINDOW - 1), slot=slot)
@@ -256,7 +297,78 @@ def test_window_hop_budget_builds_no_process_and_no_generator_per_wr(transport, 
     finally:
         sys.setprofile(None)
     assert processes == ["driver"]
-    assert generators == {"driver", "wait_poll", "wait_notify", "_sender_loop"}
+    assert generators == {"driver", "wait_poll", "_sender_loop"}
+
+
+class _FrameLog:
+    """A profile hook recording each generator frame the first time it
+    runs, so a generator resumed by an op but started before it (a QP's
+    sender loop) is not counted."""
+
+    def __init__(self):
+        self._seen = {}  # id(frame) -> frame, kept alive so ids stay unique
+        self.started = []
+
+    def __call__(self, frame, event, _arg):
+        if (
+            event == "call" and frame.f_code.co_flags & inspect.CO_GENERATOR
+            and id(frame) not in self._seen
+        ):
+            self._seen[id(frame)] = frame
+            self.started.append(frame.f_code.co_name)
+
+
+def _frame_table():
+    """Four booted KRCORE nodes, node 1 the caller; the generators each op
+    starts, the op's own process aside."""
+    log = _FrameLog()
+    sys.setprofile(log)
+    try:
+        sim = Simulator()
+        cluster, _meta, _modules = krcore_cluster(sim, num_nodes=4)
+        nodes = cluster.nodes
+        lib = KrcoreLib(nodes[1])
+        laddr, raddr = nodes[1].memory.alloc(4096), nodes[2].memory.alloc(4096)
+        lmr = sim.run_process(lib.reg_mr(laddr, 4096))
+        rmr = sim.run_process(KrcoreLib(nodes[2]).reg_mr(raddr, 4096))
+        sim.run(until=sim.now + timing.MS)  # the MR publication lands
+
+        def connect(gid):
+            vqp = yield from lib.create_vqp()
+            yield from lib.qconnect(vqp, gid)
+            return vqp
+
+        def read():
+            yield from lib.read_sync(vqp, laddr, lmr.lkey, raddr, rmr.rkey, 8)
+
+        def op(gen):
+            mark = len(log.started)
+            sim.run_process(gen)
+            return log.started[mark + 1 :]
+
+        # Warm: the meta client's QP, node 1's pool and node 2's MR record.
+        vqp = sim.run_process(connect(nodes[2].gid))
+        sim.run_process(read())
+        return {
+            "create_vqp + qconnect, DCCache miss": op(connect(nodes[3].gid)),
+            "create_vqp + qconnect, DCCache hit": op(connect(nodes[2].gid)),
+            "read_sync, warm VQP": op(read()),
+        }
+    finally:
+        sys.setprofile(None)
+
+
+def test_krcore_frame_budget():
+    """Generators started per KRCORE op: an ioctl adds a generator only
+    where it must wait (DESIGN.md §8).  Each is one resume hop for every
+    event the op waits on, so a trampoline or a wrapper creeping back in
+    fails here."""
+    table = _frame_table()
+    print("\nKRCORE frame budget, generators started per op")
+    print(f"  {'op':<38}{'before':>7}{'now':>5}")
+    for op, names in table.items():
+        print(f"  {op:<38}{FRAME_BUDGET_BEFORE[op]:>7}{len(names):>5}")
+    assert table == FRAME_BUDGET
 
 
 @pytest.mark.parametrize("qp_type", [QpType.RC, QpType.DC])
