@@ -21,6 +21,7 @@ The host side of a KRCORE op is pinned too: the generators one
 frame_budget"``).
 """
 
+import gc
 import inspect
 import sys
 
@@ -183,6 +184,29 @@ class _Rig:
         return sim.events_dispatched - events - 1, sim.timer_fires - fires
 
 
+class _Profiled:
+    """Run the body under the profile hook ``hook`` with the cyclic
+    collector held off.  A collection closes the suspended generators an
+    earlier test left in reference cycles, and each close is a generator
+    "call" the hook would count against the op it happened to land in.
+    A class, not ``contextlib.contextmanager``: that would be a generator
+    resumed under the hook."""
+
+    def __init__(self, hook):
+        self.hook = hook
+
+    def __enter__(self):
+        gc.collect()
+        self.gc_was_enabled = gc.isenabled()
+        gc.disable()
+        sys.setprofile(self.hook)
+
+    def __exit__(self, *_exc):
+        sys.setprofile(None)
+        if self.gc_was_enabled:
+            gc.enable()
+
+
 def _cqe_row(completion):
     return (
         completion.wr_id, completion.status.name, completion.opcode.name,
@@ -291,11 +315,8 @@ def test_window_hop_budget_builds_no_process_and_no_generator_per_wr(transport, 
             generators.add(frame.f_code.co_name)
 
     monkeypatch.setattr(repro.sim.Process, "__init__", counted_init)
-    sys.setprofile(profile)
-    try:
+    with _Profiled(profile):
         rig.run(wrs)
-    finally:
-        sys.setprofile(None)
     assert processes == ["driver"]
     assert generators == {"driver", "wait_poll", "_sender_loop"}
 
@@ -322,8 +343,7 @@ def _frame_table():
     """Four booted KRCORE nodes, node 1 the caller; the generators each op
     starts, the op's own process aside."""
     log = _FrameLog()
-    sys.setprofile(log)
-    try:
+    with _Profiled(log):
         sim = Simulator()
         cluster, _meta, _modules = krcore_cluster(sim, num_nodes=4)
         nodes = cluster.nodes
@@ -354,8 +374,6 @@ def _frame_table():
             "create_vqp + qconnect, DCCache hit": op(connect(nodes[2].gid)),
             "read_sync, warm VQP": op(read()),
         }
-    finally:
-        sys.setprofile(None)
 
 
 def test_krcore_frame_budget():
