@@ -85,7 +85,7 @@ def _storm(shards, fast):
     sim.run(until=warmup_ns + window_ns)
 
     served = [0] * shards
-    for (_cpu, shard), handle in sorted(client_module._meta_clients.items()):
+    for (_cpu, shard), handle in sorted(client_module.meta_clients.items()):
         served[shard] += handle.kv.stats_reads // 2  # 2 READs per lookup
     rate_k = counts[0] / (window_ns / 1e9) / 1e3
     mean_us = recorder.mean() / 1000.0

@@ -182,7 +182,7 @@ class _Environment:
                 module = self.modules[server.gid]
                 region = server.memory.register(addr, size)
                 module.valid_mr.record(region)
-                module.meta_server.publish_mr(server.gid, region.rkey, addr, size)
+                module.meta_plane.publish_mr(server.gid, region.rkey, addr, size)
             else:
                 region = server.memory.register(addr, size)
             self.remote_regions.append((addr, region))
@@ -219,7 +219,7 @@ class _Environment:
         module = self.modules[node.gid]
         region = node.memory.register(laddr, local_size)
         module.valid_mr.record(region)
-        module.meta_server.publish_mr(node.gid, region.rkey, laddr, local_size)
+        module.meta_plane.publish_mr(node.gid, region.rkey, laddr, local_size)
         if self.system == "krcore_rc":
             for server in self.server_nodes:
                 if not module.pool(cpu_id).has_rc(server.gid):

@@ -73,14 +73,9 @@ def plant_rc(module, remote_module, cpu_id=0):
     qp_b.to_init()
     qp_b.to_rtr((module.node.gid, qp_a.qpn))
     qp_b.to_rts()
-    # Stock receive sides so two-sided traffic works over the pair.
-    qp_a.recv_cq = CompletionQueue(sim)
-    qp_b.recv_cq = CompletionQueue(sim)
-    for _ in range(8):
-        module._post_kernel_buffer(qp_a.post_recv)
-        remote_module._post_kernel_buffer(qp_b.post_recv)
-    sim.process(module._recv_dispatcher(qp_a.recv_cq, qp_a.post_recv))
-    sim.process(remote_module._recv_dispatcher(qp_b.recv_cq, qp_b.post_recv))
+    # Arm the receive sides so two-sided traffic works over the pair.
+    module.messaging.arm_rc(qp_a)
+    remote_module.messaging.arm_rc(qp_b)
     module.pool(cpu_id).insert_rc(remote_module.node.gid, qp_a)
     remote_module.pool(cpu_id).insert_rc(module.node.gid, qp_b)
     return qp_a, qp_b

@@ -410,11 +410,11 @@ class Checker:
         if plane is not None:
             self._finalize_meta(plane, now)
         for module in modules:
-            if module._wrid_tokens:
+            if module.wrid_tokens:
                 self.violate(
                     "wr-exactly-once",
                     now,
-                    f"{module.node.gid} left {len(module._wrid_tokens)} wr_id "
+                    f"{module.node.gid} left {len(module.wrid_tokens)} wr_id "
                     "token(s) undispatched at quiescence (lost completion)",
                 )
             stale = {vqp.id for vqp in module.indexed_vqps() if vqp.destroyed}

@@ -358,9 +358,9 @@ class ChaosHarness(ChaosRun):
         was dispatched exactly once (duplicates would KeyError / covers-
         mismatch during the run; leftovers would mean a lost one)."""
         leftover = {
-            gid: len(module._wrid_tokens)
+            gid: len(module.wrid_tokens)
             for gid, module in self.modules.items()
-            if module._wrid_tokens
+            if module.wrid_tokens
         }
         self.report.invariants["exactly_once"] = not leftover
         self.report.invariants["no_corruption"] = True  # reads assert inline

@@ -12,8 +12,12 @@ The package mirrors the paper's §4 design:
   connection) and Algorithm 2 (post_send / poll_cq virtualization, §4.3-4.4),
   the zero-copy protocol (§4.5), and the QP transfer protocol (§4.6);
 * :mod:`repro.krcore.module`     -- the per-node "loadable kernel module"
-  wiring it together: receive dispatch, kernel messaging, background RCQP
-  creation with LRU reclaim (§4.3), and boot-time broadcast;
+  wiring it together: the pools, the VQP and wr_id tables, meta-plane
+  lookups, background RCQP creation with LRU reclaim (§4.3), and
+  boot-time broadcast;
+* :mod:`repro.krcore.messaging`  -- the module's two-sided kernel messaging
+  (§4.4-4.6): kernel receive buffers and the SRQ, receive dispatch, ports,
+  control messages and zero-copy landing;
 * :mod:`repro.krcore.api`        -- the user-space shim: qconnect / qbind /
   qpop_msgs plus the verbs data-path calls (§4.1, Fig 7).
 """

@@ -98,7 +98,7 @@ class KrcoreLib:
     def qbind(self, vqp, port):
         """Process: bind the VQP to a port for incoming connections."""
         yield from self._enter_kernel()
-        self.module.bind(port, vqp)
+        self.module.messaging.bind(port, vqp)
         return vqp
 
     def reg_mr(self, addr, length):
@@ -221,11 +221,9 @@ class KrcoreLib:
         yield from self._enter_kernel()
         for reply_vqp, wr_list in replies:
             yield from reply_vqp.post_send(wr_list)
-        while True:
-            results = yield from self.module.qpop_msgs(vqp, max_msgs, cpu_id=self.cpu_id)
-            if results:
-                return results
-            yield self.module.wait_port_msg(vqp)
+        return (
+            yield from self.module.messaging.qpop_msgs(vqp, max_msgs, self.cpu_id, block=True)
+        )
 
     # -------------------------------------------------------------- receive
 
@@ -245,14 +243,11 @@ class KrcoreLib:
         """Process: Fig 7's qpop_msgs -- non-blocking drain of the bound
         port; returns a list of (src_vqp, completion) pairs."""
         yield from self._enter_kernel()
-        results = yield from self.module.qpop_msgs(vqp, max_msgs, cpu_id=self.cpu_id)
-        return results
+        return (yield from self.module.messaging.qpop_msgs(vqp, max_msgs, self.cpu_id))
 
     def qpop_msgs_wait(self, vqp, max_msgs=16):
         """Process: blocking qpop -- waits until at least one message."""
         yield from self._enter_kernel()
-        while True:
-            results = yield from self.module.qpop_msgs(vqp, max_msgs, cpu_id=self.cpu_id)
-            if results:
-                return results
-            yield self.module.wait_port_msg(vqp)
+        return (
+            yield from self.module.messaging.qpop_msgs(vqp, max_msgs, self.cpu_id, block=True)
+        )

@@ -1,36 +1,27 @@
 """The per-node KRCORE kernel module (§3.2 architecture).
 
-Owns the per-CPU hybrid QP pools, the DCCache, ValidMR/MRStore, the
-kernel receive machinery (buffer pool, dispatchers, port queues), the
-wr_id token table that Algorithm 2's dispatch relies on, and the kernel
-control channel used by the QP transfer protocol and MR publication.
+Owns the per-CPU hybrid QP pools, the DCCache, ValidMR/MRStore, the VQP
+table, the wr_id token table that Algorithm 2's dispatch relies on, the
+meta-plane lookup path and the RC lifecycle.  Two-sided kernel messaging
+-- the receive buffers, dispatchers, ports and control messages -- is its
+collaborator :class:`~repro.krcore.messaging.KernelMessaging`,
+``module.messaging``.
 """
-
-from collections import deque
 
 from repro.check import hooks as _check
 from repro.cluster import timing
 from repro.degrade import CircuitBreaker, Deadline
+from repro.krcore.messaging import KernelMessaging
 from repro.krcore.meta import MetaClient, MetaPlane, MetaServer, dct_key, mr_key
 from repro.krcore.mrstore import MrStore, ValidMr
 from repro.krcore.pool import HybridQpPool
 from repro.krcore.vqp import KrcoreError, Vqp
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.sim import AnyOf
 from repro.verbs.errors import DeadlineExceededError, MetaUnavailableError
-from repro.verbs import (
-    Completion,
-    CompletionQueue,
-    ConnectionManager,
-    DriverContext,
-    RecvBuffer,
-    WorkRequest,
-)
+from repro.verbs import CompletionQueue, ConnectionManager, DriverContext, WorkRequest
 from repro.verbs.connection import rc_connect
 from repro.verbs.types import (
-    OP_RECV,
-    OP_RECV_IMM,
     QPS_ERR,
     QPS_RTS,
     QPT_DC,
@@ -39,38 +30,8 @@ from repro.verbs.types import (
     WC_SUCCESS,
 )
 
-#: Reserved port for kernel-to-kernel control messages.
-KERNEL_PORT = 0
-
 #: Port the background RC creator connects to on the remote node.
 KRCORE_RC_PORT = 17
-
-
-class _MsgQueue:
-    """A FIFO list of routed messages with event-based waiting."""
-
-    def __init__(self, sim):
-        self.sim = sim
-        self.items = []
-        self._waiters = []
-
-    def __len__(self):
-        return len(self.items)
-
-    def append(self, item):
-        self.items.append(item)
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.trigger(None)
-
-    def wait(self):
-        event = self.sim.event()
-        if self.items:
-            event.trigger(None)
-        else:
-            self._waiters.append(event)
-        return event
 
 
 class _Token:
@@ -103,7 +64,6 @@ class KrcoreModule:
         background_rc=True,
         rc_traffic_threshold=64,
         mr_lease_ns=timing.MR_LEASE_NS,
-        charge_checks=True,
         degrade=None,
     ):
         self.node = node
@@ -122,17 +82,12 @@ class KrcoreModule:
         self.meta_plane = MetaPlane.ensure(meta_server)
         #: The meta shard hosted on *this* node, if any (publication kernel
         #: messages are only legal on shard hosts).
-        self._local_shard = node.services.get(MetaServer.SERVICE)
+        self.local_shard = node.services.get(MetaServer.SERVICE)
         self.context = DriverContext(node, kernel=True)
-        self.zero_copy = zero_copy
-        self.kernel_buf_bytes = kernel_buf_bytes
-        self.zero_copy_threshold = (
-            kernel_buf_bytes if zero_copy_threshold is None else zero_copy_threshold
-        )
         self.background_rc = background_rc
         self.rc_traffic_threshold = rc_traffic_threshold
         #: Ablation hook (Fig 12a): charge Algorithm 2's integrity checks?
-        self.charge_checks = charge_checks
+        self.charge_checks = True
 
         self.valid_mr = ValidMr(node)
         self.mr_store = MrStore(self, lease_ns=mr_lease_ns)
@@ -149,27 +104,9 @@ class KrcoreModule:
         self.dct_target = node.rnic.create_dct_target(dc_key=dc_key)
         self.dct_target.recv_cq = CompletionQueue(self.sim)
         if _check.CHECKER is not None:
-            _check.CHECKER.dct_published(
-                node.gid,
-                node.incarnation,
-                (self.dct_target.number, self.dct_target.key),
-            )
-
-        # --- kernel receive buffer pool ---
-        base = node.memory.alloc(kernel_buf_bytes * kernel_buf_count)
-        self._buf_base = base
-        self._buf_region = node.memory.register(base, kernel_buf_bytes * kernel_buf_count)
-        # Stock the SRQ deep (keeping a small reserve for kernel RCQPs):
-        # §4.4 assumes "the pre-posted buffers can always hold the
-        # incoming message", so deployments size kernel_buf_count for
-        # their expected in-flight message burst.  The stock is posted
-        # unbuilt: a slot becomes a RecvBuffer when a message claims it.
-        stocked = kernel_buf_count - min(64, kernel_buf_count // 4)
-        self.dct_target.stock_srq(range(stocked), self._kernel_buffer)
-        self._free_slots = deque(range(stocked, kernel_buf_count))
-        self.sim.process(
-            self._recv_dispatcher(self.dct_target.recv_cq, self.dct_target.post_srq),
-            name=f"krcore-dispatch-dct@{node.gid}",
+            _check.CHECKER.dct_published(node.gid, node.incarnation, self.own_dct_meta)
+        self.messaging = KernelMessaging(
+            self, kernel_buf_bytes, kernel_buf_count, zero_copy, zero_copy_threshold
         )
 
         # --- per-CPU hybrid pools (§4.2): the DCQPs exist from module load
@@ -182,14 +119,13 @@ class KrcoreModule:
         )
 
         # --- meta plane wiring (boot-time broadcast + pre-connect) ---
-        self._meta_clients = {}
-        self.meta_plane.publish_dct(
-            node.gid, self.dct_target.number, self.dct_target.key
-        )
+        self.meta_clients = {}  # (cpu, shard) -> MetaClient
+        self.meta_plane.publish_dct(node.gid, *self.own_dct_meta)
+        buf_region = self.messaging.buf_region
         self.meta_plane.publish_mr(
-            node.gid, self._buf_region.rkey, self._buf_region.addr, self._buf_region.length
+            node.gid, buf_region.rkey, buf_region.addr, buf_region.length
         )
-        self.valid_mr.record(self._buf_region)
+        self.valid_mr.record(buf_region)
         # Prime the DCCache with every shard host so kernel messaging to
         # the meta plane never needs a bootstrap lookup.
         for shard in self.meta_plane.shards:
@@ -197,15 +133,11 @@ class KrcoreModule:
             if meta_module is not None:
                 self.dc_cache.setdefault(shard.node.gid, meta_module.own_dct_meta)
 
-        # --- kernel messaging, transfers, ports ---
-        self._port_queues = {}
-        self._vqps_by_id = {}
-        self._bound = {}  # port -> Vqp
+        # --- the VQP table; kernel control messages ---
+        self.vqps_by_id = {}
         self._next_vqp_id = 1
-        self._reply_vqps = {}  # (port, src_gid, src_vqp) -> Vqp
-        self._transfer_acks = {}  # (gid, vqp_id) -> event
         self._connected_vqps = {}  # gid -> {Vqp: None}, in connect order
-        self.sim.process(self._kernel_daemon(), name=f"krcore-kerneld@{node.gid}")
+        self.sim.process(self.messaging.kernel_daemon(), name=f"krcore-kerneld@{node.gid}")
 
         # --- background RC machinery ---
         self._traffic = {}  # gid -> send count since RC decision
@@ -223,7 +155,7 @@ class KrcoreModule:
         # retractions since boot; sampled per harvest cycle by the app.
         self.stats_mrs_registered = 0
         self.stats_mrs_retracted = 0
-        self._wrid_tokens = {}
+        self.wrid_tokens = {}  # wr_id -> _Token, until its completion is dispatched
         self._next_token = 1
         self._repairing = set()
         node.services[self.SERVICE] = self
@@ -233,12 +165,6 @@ class KrcoreModule:
     @property
     def own_dct_meta(self):
         return (self.dct_target.number, self.dct_target.key)
-
-    @property
-    def meta_server(self):
-        """The meta plane (kept under the old name for existing callers;
-        a one-shard plane behaves exactly like the bare server did)."""
-        return self.meta_plane
 
     def pool(self, cpu_id):
         """The CPU's hybrid pool, built the first time the CPU is used.  Its
@@ -264,12 +190,12 @@ class KrcoreModule:
     def meta_client(self, cpu_id, shard=0):
         """Per-(CPU, shard) pre-connected RCQP + DrTM-KV client."""
         key = (cpu_id % len(self._pools), shard)
-        client = self._meta_clients.get(key)
+        client = self.meta_clients.get(key)
         if client is None:
             client = MetaClient(
                 self.node, self.meta_plane.shards[shard], shard_index=shard
             )
-            self._meta_clients[key] = client
+            self.meta_clients[key] = client
         return client
 
     def create_vqp(self, cpu_id=0):
@@ -277,7 +203,7 @@ class KrcoreModule:
         assignment deferred to qconnect."""
         vqp = Vqp(self, cpu_id, self._next_vqp_id)
         self._next_vqp_id += 1
-        self._vqps_by_id[vqp.id] = vqp
+        self.vqps_by_id[vqp.id] = vqp
         return vqp
 
     def register_connected_vqp(self, vqp):
@@ -304,43 +230,22 @@ class KrcoreModule:
             )
         vqp.destroyed = True
         vqp.qp = None
-        del self._vqps_by_id[vqp.id]
+        del self.vqps_by_id[vqp.id]
         index = self._connected_vqps.get(vqp.remote_gid)
         if index is not None:
             index.pop(vqp, None)
             if not index:
                 del self._connected_vqps[vqp.remote_gid]
-        state = vqp.two_sided
-        if state is not None:
-            if state.bound_port is not None:
-                self.unbind(state.bound_port)
-            if state.reply_key is not None:
-                del self._reply_vqps[state.reply_key]
-            for msg in state.pending_msgs:
-                self._release_slot(msg)  # undelivered: free the kernel buffers
+        if vqp.two_sided is not None:
+            self.messaging.forget(vqp.two_sided)
 
     def indexed_vqps(self):
         """Every VQP some module table still reaches (quiescence audit)."""
-        yield from self._vqps_by_id.values()
+        yield from self.vqps_by_id.values()
         for index in self._connected_vqps.values():
             yield from index
-        yield from self._bound.values()
-        yield from self._reply_vqps.values()
-
-    def bind(self, port, vqp):
-        """qbind: accept two-sided connections on ``port``."""
-        if port == KERNEL_PORT:
-            raise KrcoreError("port 0 is reserved for the kernel")
-        if port in self._bound:
-            raise KrcoreError(f"port {port} already bound")
-        self._bound[port] = vqp
-        vqp.messaging().bound_port = port
-
-    def unbind(self, port):
-        """Release a bound port (the VQP keeps working for sends)."""
-        vqp = self._bound.pop(port, None)
-        if vqp is not None:
-            vqp.two_sided.bound_port = None
+        yield from self.messaging.bound.values()
+        yield from self.messaging.reply_vqps.values()
 
     # ------------------------------------------------------------- MR handling
 
@@ -354,24 +259,9 @@ class KrcoreModule:
         if _check.CHECKER is not None:
             _check.CHECKER.mr_registered(self.node.gid, region.rkey, self.sim.now)
         self.sim.process(
-            self._publish_mr(region), name=f"krcore-publish-mr@{self.node.gid}"
+            self.messaging.announce_mr(region), name=f"krcore-publish-mr@{self.node.gid}"
         )
         return region
-
-    def _publish_mr(self, region):
-        # One kernel message per owning shard host (replication): each
-        # host applies the record to its local shard.
-        for gid in self.meta_plane.owner_gids(mr_key(self.node.gid, region.rkey)):
-            yield from self.send_kernel_msg(
-                gid,
-                {
-                    "type": "publish_mr",
-                    "gid": self.node.gid,
-                    "rkey": region.rkey,
-                    "addr": region.addr,
-                    "len": region.length,
-                },
-            )
 
     def dereg_mr(self, region):
         """Process: deregister -- but only free the MR after one lease
@@ -383,11 +273,7 @@ class KrcoreModule:
             _check.CHECKER.mr_retracted(
                 self.node.gid, region.rkey, self.sim.now, self.mr_store.lease_ns
             )
-        for gid in self.meta_plane.owner_gids(mr_key(self.node.gid, region.rkey)):
-            yield from self.send_kernel_msg(
-                gid,
-                {"type": "retract_mr", "gid": self.node.gid, "rkey": region.rkey},
-            )
+        yield from self.messaging.announce_mr(region, retract=True)
         self.sim.schedule(
             self.mr_store.lease_ns, lambda: self.node.memory.deregister(region)
         )
@@ -399,11 +285,8 @@ class KrcoreModule:
         (Algorithm 2 line 10/17)."""
         token = self._next_token
         self._next_token += 1
-        self._wrid_tokens[token] = _Token(vqp, covers, entry, event)
+        self.wrid_tokens[token] = _Token(vqp, covers, entry, event)
         return token
-
-    def decode_wr_id(self, token):
-        return self._wrid_tokens.pop(token, None)
 
     # ------------------------------------------------------------- poll_inner
 
@@ -433,7 +316,7 @@ class KrcoreModule:
         for wc in completions:
             if wc.status is not WC_SUCCESS:
                 saw_error = True
-            token = self.decode_wr_id(wc.wr_id)
+            token = self.wrid_tokens.pop(wc.wr_id, None)
             if token is None:
                 continue  # forced-signal of a flushed chunk, or foreign
             if wc.status is WC_SUCCESS and token.covers != wc.covers:
@@ -445,10 +328,15 @@ class KrcoreModule:
                 token.entry.status = wc.status
             if token.event is not None and not token.event.triggered:
                 token.event.trigger(wc)
-        if saw_error and qp.state is QPS_ERR and qp not in self._repairing:
+        if saw_error:
+            self._start_repair(qp)
+        return len(completions)
+
+    def _start_repair(self, qp):
+        """Spawn the background repair of a wrecked pool QP, once."""
+        if qp.state is QPS_ERR and qp not in self._repairing:
             self._repairing.add(qp)
             self.sim.process(self._repair_qp(qp), name=f"krcore-repair@{self.node.gid}")
-        return len(completions)
 
     def _repair_qp(self, qp):
         """Process: bring a wrecked pool QP back to RTS in the background
@@ -469,6 +357,41 @@ class KrcoreModule:
 
     # ----------------------------------------------------- kernel one-sided ops
 
+    def target_qp(self, cpu_id, gid, dct_meta=None):
+        """Process: the physical QP that reaches ``gid`` from ``cpu_id``'s
+        pool, and the DCT metadata it needs: the pooled RCQP and None, else
+        the next DCQP and ``dct_meta`` -- when not given, the DCCache's, or
+        the meta plane's on a miss."""
+        pool = self.pool(cpu_id)
+        if pool.has_rc(gid):
+            return pool.select_rc(gid), None
+        qp = pool.select_dc()
+        if dct_meta is None:
+            dct_meta = yield from self._dct_meta_for(cpu_id, gid)
+        return qp, dct_meta
+
+    def post_signaled(self, qp, wr, gid=None, dct_meta=None, cpu_ns=timing.POST_SEND_CPU_NS):
+        """Process: post ``wr`` signaled on ``qp`` -- DC-addressed to
+        ``gid`` when ``dct_meta`` is given -- after ``cpu_ns`` of posting
+        CPU, and wait for its completion (any other VQP polling the same
+        physical CQ may dispatch it)."""
+        if dct_meta is not None:
+            wr.dct_gid = gid
+            wr.dct_number, wr.dct_key = dct_meta
+        event = self.sim.event()
+        wr.signaled = True
+        wr.wr_id = self.encode_wr_id(None, 1, event=event)
+        if cpu_ns:
+            yield cpu_ns
+        while qp.free_slots < 1:
+            if self.poll_inner(qp) == 0:
+                yield qp.send_cq.wait()
+        qp.post_send(wr)
+        while not event.triggered:
+            if self.poll_inner(qp) == 0:
+                yield qp.send_cq.wait()
+        return event.value
+
     def kernel_one_sided(self, cpu_id, gid, dct_meta, wr):
         """Process: issue one signaled kernel-internal one-sided op through
         the hybrid pool and wait for its completion.
@@ -478,80 +401,78 @@ class KrcoreModule:
         revalidate once against the meta server and, if the metadata did
         change, re-issue.  Piggybacked metadata is never second-guessed."""
         piggybacked = dct_meta is not None
-        pool = self.pool(cpu_id)
-        if pool.has_rc(gid):
-            qp = pool.select_rc(gid)
-        else:
-            qp = pool.select_dc()
-            if dct_meta is None:
-                dct_meta = yield from self._dct_meta_for(cpu_id, gid)
-            wr.dct_gid = gid
-            wr.dct_number, wr.dct_key = dct_meta
-        wc = yield from self._issue_signaled(qp, wr)
-        if (
-            wc.status is WC_REM_ACCESS_ERR
-            and qp.qp_type is QPT_DC
-            and not piggybacked
-        ):
+        qp, dct_meta = yield from self.target_qp(cpu_id, gid, dct_meta)
+        wc = yield from self.post_signaled(qp, wr, gid, dct_meta)
+        if wc.status is WC_REM_ACCESS_ERR and qp.qp_type is QPT_DC and not piggybacked:
             try:
                 fresh = yield from self.revalidate_dct(cpu_id, gid, stale_meta=dct_meta)
             except KrcoreError:
                 return wc  # meta also unreachable: report the original error
             if fresh != tuple(dct_meta):
-                wr.dct_gid = gid
-                wr.dct_number, wr.dct_key = fresh
-                yield from self._await_usable(qp)
-                wc = yield from self._issue_signaled(qp, wr)
+                # Wait for the wrecked QP to be back at RTS.
+                while qp.state is not QPS_RTS:
+                    self._start_repair(qp)
+                    yield timing.KRCORE_BACKOFF_BASE_NS
+                wc = yield from self.post_signaled(qp, wr, gid, fresh)
         return wc
-
-    def _await_usable(self, qp):
-        """Process: wait for a wrecked pool QP to be back at RTS, spawning
-        the background repair if the error's poll didn't already."""
-        while qp.state is not QPS_RTS:
-            if qp.state is QPS_ERR and qp not in self._repairing:
-                self._repairing.add(qp)
-                self.sim.process(
-                    self._repair_qp(qp), name=f"krcore-repair@{self.node.gid}"
-                )
-            yield timing.KRCORE_BACKOFF_BASE_NS
-
-    def _issue_signaled(self, qp, wr):
-        """Process: post one signaled WR on ``qp`` and wait it out."""
-        event = self.sim.event()
-        wr.signaled = True
-        wr.wr_id = self.encode_wr_id(None, 1, event=event)
-        yield timing.POST_SEND_CPU_NS
-        while qp.free_slots < 1:
-            if self.poll_inner(qp) == 0:
-                yield qp.send_cq.wait()
-        qp.post_send(wr)
-        wc = yield from self._wait_token_event(qp, event)
-        return wc
-
-    def _wait_token_event(self, qp, event):
-        """Process: poll until the token's completion fires (it may also be
-        dispatched by any other VQP polling the same physical CQ)."""
-        while not event.triggered:
-            if self.poll_inner(qp) == 0:
-                yield qp.send_cq.wait()
-        return event.value
 
     def _dct_meta_for(self, cpu_id, gid):
         meta = self.dc_cache.get(gid)
         if meta is None:
             if _metrics.METRICS is not None:
                 _metrics.METRICS.counter("krcore.dc_cache_misses").inc()
-            meta = yield from self.lookup_dct_robust(cpu_id, gid)
-            if meta is None:
-                raise KrcoreError(
-                    f"no DCT metadata for {gid}", code=WC_REM_ACCESS_ERR
-                )
-            if _check.CHECKER is not None:
-                _check.CHECKER.dc_cache_insert(self, gid, meta)
-            self.dc_cache[gid] = meta
+            meta = self.cache_dct(gid, (yield from self.lookup_dct_robust(cpu_id, gid)))
         elif _metrics.METRICS is not None:
             _metrics.METRICS.counter("krcore.dc_cache_hits").inc()
         return meta
+
+    def cache_dct(self, gid, meta):
+        """Fill the DCCache with a lookup's answer and return it; no record
+        (None) fails the access REM_ACCESS."""
+        if meta is None:
+            raise KrcoreError(f"no DCT metadata for {gid}", code=WC_REM_ACCESS_ERR)
+        if _check.CHECKER is not None:
+            _check.CHECKER.dc_cache_insert(self, gid, meta)
+        self.dc_cache[gid] = meta
+        return meta
+
+    def fence_qp(self, vqp, qp):
+        """Process: the §4.6 fence -- a fake signaled request through the
+        old physical QP; its completion implies all prior requests on that
+        QP are complete (RC FIFO)."""
+        gid = vqp.remote_gid
+        if not self.node.fabric.has_node(gid):
+            raise KrcoreError(f"{gid} is unreachable", code=WC_RETRY_EXC_ERR)
+        peer_module = self.node.fabric.node(gid).services.get(self.SERVICE)
+        if peer_module is None:
+            raise KrcoreError(f"{gid} runs no KRCORE module", code=WC_RETRY_EXC_ERR)
+        peer = peer_module.messaging
+        fence = WorkRequest.read(
+            self.messaging.buf_base,
+            8,
+            self.messaging.buf_region.lkey,
+            peer.buf_base,
+            peer.buf_region.rkey,
+        )
+        meta = None
+        if qp.qp_type is QPT_DC:
+            meta = vqp.dct_meta
+            if meta is None:
+                meta = yield from self._dct_meta_for(vqp.cpu_id, vqp.remote_gid)
+        wc = yield from self.post_signaled(qp, fence, vqp.remote_gid, meta)
+        if wc.status is not WC_SUCCESS:
+            raise KrcoreError(f"transfer fence failed: {wc.status}", code=wc.status)
+
+    def migrate_vqp(self, vqp, new_cpu_id):
+        """Process: re-virtualize a VQP onto another CPU's pool (§4.2:
+        "In case of thread migrations, KRCORE also re-virtualizes QPs in
+        the background with a transparent QP transfer protocol")."""
+        if vqp.qp is not None:
+            qp, meta = yield from self.target_qp(new_cpu_id, vqp.remote_gid, vqp.dct_meta)
+            yield from vqp.transfer_to(qp, new_dct_meta=meta)
+        vqp.cpu_id = self.pool(new_cpu_id).cpu_id
+
+    # ------------------------------------------------------ meta-plane lookups
 
     def op_deadline(self, deadline_ns=None):
         """A :class:`Deadline` for one control-path op (explicit budget,
@@ -576,11 +497,6 @@ class KrcoreModule:
             )
             self._meta_breakers[shard] = breaker
         return breaker
-
-    def admit_qconnect(self, cpu_id, deadline=None):
-        """Process: pass the per-CPU qconnect admission gate.  Entered only
-        when the policy has admission enabled (off by default)."""
-        return self.pool(cpu_id).admission_gate(self.sim, self.degrade).admit(deadline)
 
     def plane_lookup_dct(self, cpu_id, gid, deadline=None):
         """Process: one DCT lookup via the plane, failing over across the
@@ -625,64 +541,68 @@ class KrcoreModule:
                     f"meta shard {shard} breaker is {breaker.state}",
                     code=WC_RETRY_EXC_ERR,
                 )
-                if position + 1 < len(owners):
-                    self.stats_meta_failovers += 1
-                    if _metrics.METRICS is not None:
-                        _metrics.METRICS.counter("krcore.meta_failovers").inc()
-                continue
-            started = self.sim.now
-            try:
-                value = yield from lookup(
-                    self.meta_client(cpu_id, shard), *args, deadline=deadline
-                )
-            except DeadlineExceededError:
-                # The budget died inside this shard's fetch (queued at the
-                # client mutex, or a lagging reply).  No failover -- the
-                # caller is out of time either way -- but the breaker
-                # learns the shard is slow, so the *next* caller skips it.
-                if breaker is not None:
-                    breaker.record_failure()
-                raise
-            except MetaUnavailableError as err:
-                if breaker is not None:
-                    breaker.record_failure()
-                last_error = err
-                if position + 1 < len(owners):
-                    self.stats_meta_failovers += 1
-                    if _metrics.METRICS is not None:
-                        _metrics.METRICS.counter("krcore.meta_failovers").inc()
             else:
-                if breaker is not None:
-                    breaker.record_success(self.sim.now - started)
-                return value
+                started = self.sim.now
+                try:
+                    value = yield from lookup(
+                        self.meta_client(cpu_id, shard), *args, deadline=deadline
+                    )
+                except DeadlineExceededError:
+                    # The budget died inside this shard's fetch (queued at
+                    # the client mutex, or a lagging reply).  No failover --
+                    # the caller is out of time either way -- but the
+                    # breaker learns the shard is slow, so the *next*
+                    # caller skips it.
+                    if breaker is not None:
+                        breaker.record_failure()
+                    raise
+                except MetaUnavailableError as err:
+                    if breaker is not None:
+                        breaker.record_failure()
+                    last_error = err
+                else:
+                    if breaker is not None:
+                        breaker.record_success(self.sim.now - started)
+                    return value
+            if position + 1 < len(owners):
+                self.stats_meta_failovers += 1
+                if _metrics.METRICS is not None:
+                    _metrics.METRICS.counter("krcore.meta_failovers").inc()
         raise last_error
 
     def lookup_dct_robust(self, cpu_id, gid, deadline=None):
-        """Process: DCT metadata lookup with bounded retry + exponential
-        backoff (seed-derived jitter desynchronizes concurrent herds),
-        each attempt failing over across the key's owner shards.  Raises
-        :class:`MetaUnavailableError` once the budget is spent, or
-        :class:`DeadlineExceededError` as soon as the caller's remaining
-        time cannot cover the next backoff sleep; returns None for a
-        *reachable* owner with no record (the node never booted or was
-        retracted)."""
+        """Process: DCT metadata lookup with :meth:`retry_meta`'s bounded
+        retry; returns None for a *reachable* owner with no record (the
+        node never booted or was retracted).  Counts every attempt in
+        ``stats_meta_lookups``."""
+        return self.retry_meta(
+            self.plane_lookup_dct, (cpu_id, gid, deadline), deadline,
+            f"{self.node.gid}->{gid}", f"DCT lookup of {gid}", counted=True,
+        )
+
+    def retry_meta(self, lookup, args, deadline, jitter_key, what, counted=False):
+        """Process: ``lookup(*args)`` (a plane lookup) with bounded retry +
+        exponential backoff (jitter seeded by ``jitter_key`` desynchronizes
+        concurrent herds), each attempt failing over across the record's
+        owner shards.  Raises :class:`MetaUnavailableError` once the budget
+        is spent, or :class:`DeadlineExceededError` as soon as the caller's
+        remaining time cannot cover the next backoff sleep."""
         backoff = timing.KRCORE_BACKOFF_BASE_NS
         attempt = 0
         while True:
-            self.stats_meta_lookups += 1
+            if counted:
+                self.stats_meta_lookups += 1
             try:
-                return (yield from self.plane_lookup_dct(cpu_id, gid, deadline))
+                return (yield from lookup(*args))
             except MetaUnavailableError as err:
                 attempt += 1
                 if attempt > timing.KRCORE_META_RETRIES:
                     raise
-                pause = backoff + timing.backoff_jitter_ns(
-                    backoff, f"{self.node.gid}->{gid}", attempt
-                )
+                pause = backoff + timing.backoff_jitter_ns(backoff, jitter_key, attempt)
                 if deadline is not None and deadline.remaining_ns(self.sim.now) <= pause:
                     raise DeadlineExceededError(
                         f"deadline cannot cover retry {attempt} backoff "
-                        f"({pause} ns) for DCT lookup of {gid}",
+                        f"({pause} ns) for {what}",
                         code=WC_RETRY_EXC_ERR,
                     ) from err
                 yield pause
@@ -702,386 +622,6 @@ class KrcoreModule:
         if stale_meta is None or cached is None or cached == tuple(stale_meta):
             self.dc_cache.pop(gid, None)
         return (yield from self._dct_meta_for(cpu_id, gid))
-
-    def fence_qp(self, vqp, qp):
-        """Process: the §4.6 fence -- a fake signaled request through the
-        old physical QP; its completion implies all prior requests on that
-        QP are complete (RC FIFO)."""
-        peer_module = self._peer_module(vqp.remote_gid)
-        fence = WorkRequest.read(
-            self._buf_base,
-            8,
-            self._buf_region.lkey,
-            peer_module._buf_base,
-            peer_module._buf_region.rkey,
-        )
-        if qp.qp_type is QPT_DC:
-            meta = vqp.dct_meta
-            if meta is None:
-                meta = yield from self._dct_meta_for(vqp.cpu_id, vqp.remote_gid)
-            fence.dct_gid = vqp.remote_gid
-            fence.dct_number, fence.dct_key = meta
-        wc = yield from self._issue_signaled(qp, fence)
-        if wc.status is not WC_SUCCESS:
-            raise KrcoreError(f"transfer fence failed: {wc.status}", code=wc.status)
-
-    def _peer_module(self, gid):
-        if not self.node.fabric.has_node(gid):
-            raise KrcoreError(f"{gid} is unreachable", code=WC_RETRY_EXC_ERR)
-        peer = self.node.fabric.node(gid).services.get(self.SERVICE)
-        if peer is None:
-            raise KrcoreError(f"{gid} runs no KRCORE module", code=WC_RETRY_EXC_ERR)
-        return peer
-
-    # ------------------------------------------------------------ kernel msgs
-
-    def send_kernel_msg(self, gid, header):
-        """Process: a zero-payload two-sided message to ``gid``'s kernel."""
-        header = dict(header)
-        header.setdefault("dst_port", KERNEL_PORT)
-        header.setdefault("src_gid", self.node.gid)
-        header.setdefault("src_dct_meta", self.own_dct_meta)
-        wr = WorkRequest.send(0, 0, 0, header=header)
-        yield from self.kernel_one_sided_send(gid, wr)
-
-    def kernel_one_sided_send(self, gid, wr):
-        pool = self.pool(0)
-        if pool.has_rc(gid):
-            qp = pool.select_rc(gid)
-        else:
-            qp = pool.select_dc()
-            meta = yield from self._dct_meta_for(0, gid)
-            wr.dct_gid = gid
-            wr.dct_number, wr.dct_key = meta
-        event = self.sim.event()
-        wr.signaled = True
-        wr.wr_id = self.encode_wr_id(None, 1, event=event)
-        while qp.free_slots < 1:
-            if self.poll_inner(qp) == 0:
-                yield qp.send_cq.wait()
-        qp.post_send(wr)
-        wc = yield from self._wait_token_event(qp, event)
-        if wc.status is not WC_SUCCESS:
-            raise KrcoreError(
-                f"kernel message to {gid} failed: {wc.status}", code=wc.status
-            )
-
-    def _kernel_daemon(self):
-        queue = self._port_queue(KERNEL_PORT)
-        while True:
-            yield queue.wait()
-            while len(queue):
-                msg = queue.items.pop(0)
-                self._release_slot(msg)
-                self.sim.process(
-                    self._handle_kernel_msg(msg["header"]),
-                    name=f"krcore-kmsg@{self.node.gid}",
-                )
-
-    def _handle_kernel_msg(self, header):
-        kind = header.get("type")
-        if kind == "publish_mr":
-            if self._local_shard is None:
-                raise KrcoreError("publish_mr sent to a non-meta node")
-            self._local_shard.publish_mr(
-                header["gid"], header["rkey"], header["addr"], header["len"]
-            )
-        elif kind == "retract_mr":
-            if self._local_shard is None:
-                raise KrcoreError("retract_mr sent to a non-meta node")
-            self._local_shard.retract_mr(header["gid"], header["rkey"])
-        elif kind == "transfer":
-            yield from self._handle_peer_transfer(header)
-            return
-        elif kind == "transfer_ack":
-            event = self._transfer_acks.pop(
-                (header["src_gid"], header["to_vqp"]), None
-            )
-            if event is not None and not event.triggered:
-                event.trigger(None)
-        yield 0  # all handlers are processes
-
-    #: How long to wait for a transfer acknowledgment before concluding
-    #: the peer is gone (no reply can ever arrive from a dead node).
-    TRANSFER_ACK_TIMEOUT_NS = 10 * 1_000_000
-
-    def notify_peer_transfer(self, vqp):
-        """Process: tell the two-sided peer to re-virtualize its side and
-        wait for the acknowledgment (§4.6: "For correctness, we must wait
-        for the remote acknowledgments").  A dead peer cannot ack; after a
-        timeout the transfer proceeds (its replies can never arrive on the
-        old QP either)."""
-        gid, peer_vqp_id = vqp.two_sided.peer
-        ack = self.sim.event()
-        self._transfer_acks[(gid, vqp.id)] = ack
-        try:
-            yield from self.send_kernel_msg(
-                gid,
-                {"type": "transfer", "to_vqp": peer_vqp_id, "from_vqp": vqp.id},
-            )
-        except KrcoreError:
-            # The notification itself failed (peer unreachable): give up
-            # on the ack and let the caller swap.
-            self._transfer_acks.pop((gid, vqp.id), None)
-            return
-        yield AnyOf([ack, self.sim.timeout(self.TRANSFER_ACK_TIMEOUT_NS)])
-        self._transfer_acks.pop((gid, vqp.id), None)
-
-    def _handle_peer_transfer(self, header):
-        vqp = self._vqps_by_id.get(header["to_vqp"])
-        if vqp is not None and vqp.qp is not None:
-            pool = self.pool(vqp.cpu_id)
-            if pool.has_rc(vqp.remote_gid):
-                new_qp = pool.select_rc(vqp.remote_gid)
-            else:
-                new_qp = pool.select_dc()
-                vqp.dct_meta = yield from self._dct_meta_for(vqp.cpu_id, vqp.remote_gid)
-            # A transfer already running re-virtualizes this side anyway
-            # (waiting for it here could deadlock two peers that promote
-            # at once: each holds its switch for the other's ack).
-            if not vqp.transferring:
-                yield from vqp.transfer_to(new_qp, notify_peer=False)
-        yield from self.send_kernel_msg(
-            header["src_gid"],
-            {
-                "type": "transfer_ack",
-                "to_vqp": header["from_vqp"],
-            },
-        )
-
-    # --------------------------------------------------------------- receive
-
-    def _kernel_buffer(self, slot):
-        return RecvBuffer(
-            self._buf_base + slot * self.kernel_buf_bytes,
-            self.kernel_buf_bytes,
-            self._buf_region.lkey,
-            wr_id=slot,
-        )
-
-    def _post_kernel_buffer(self, replenisher):
-        if not self._free_slots:
-            return False
-        replenisher(self._kernel_buffer(self._free_slots.popleft()))
-        return True
-
-    def _recv_dispatcher(self, cq, replenisher):
-        """Drain one physical receive CQ, routing messages to VQPs/ports."""
-        while True:
-            yield cq.wait()
-            for wc in cq.poll(128):
-                self._route_message(wc, replenisher)
-
-    def _route_message(self, wc, replenisher):
-        if wc.opcode is OP_RECV_IMM:
-            # WRITE_WITH_IMM: the payload already landed at ``raddr`` via
-            # the write half; the consumed kernel buffer only carried the
-            # CQE, so free its slot right away and restock.  The 32-bit
-            # immediate names the destination VQP.
-            self._free_slots.append(wc.wr_id)
-            self._post_kernel_buffer(replenisher)
-            vqp = self._vqps_by_id.get(wc.imm)
-            if vqp is None:
-                return  # no such VQP: the immediate is dropped
-            vqp.enqueue(
-                "recv_completions",
-                Completion(
-                    0,
-                    WC_SUCCESS,
-                    OP_RECV_IMM,
-                    byte_len=wc.byte_len,
-                    src=wc.src,
-                    imm=wc.imm,
-                ),
-            )
-            self._vqp_msg_arrived(vqp)
-            return
-        header = wc.header or {}
-        msg = {
-            "header": header,
-            "slot": wc.wr_id,
-            "len": wc.byte_len,
-            "replenisher": replenisher,
-            "released": False,
-        }
-        # Keep the receive queue stocked while the slot is in use.
-        self._post_kernel_buffer(replenisher)
-        dst_vqp = header.get("dst_vqp")
-        if dst_vqp is not None:
-            vqp = self._vqps_by_id.get(dst_vqp)
-            if vqp is None:
-                self._release_slot(msg)
-                return
-            vqp.enqueue("pending_msgs", msg)
-            self._vqp_msg_arrived(vqp)
-            return
-        port = header.get("dst_port")
-        if port is None or (port != KERNEL_PORT and port not in self._bound):
-            self._release_slot(msg)  # no receiver: drop
-            return
-        self._port_queue(port).append(msg)
-
-    def _release_slot(self, msg):
-        if msg["released"]:
-            return
-        msg["released"] = True
-        self._free_slots.append(msg["slot"])
-
-    def _port_queue(self, port):
-        queue = self._port_queues.get(port)
-        if queue is None:
-            queue = _MsgQueue(self.sim)
-            self._port_queues[port] = queue
-        return queue
-
-    # -- waiting hooks for VQP-addressed messages --
-
-    def _vqp_msg_arrived(self, vqp):
-        waiters = vqp.two_sided.msg_waiters
-        if waiters:
-            for event in waiters:
-                if not event.triggered:
-                    event.trigger(None)
-            waiters.clear()
-
-    def vqp_msg_event(self, vqp):
-        event = self.sim.event()
-        state = vqp.messaging()
-        if state.pending_msgs:
-            event.trigger(None)
-        else:
-            if state.msg_waiters is None:
-                state.msg_waiters = []
-            state.msg_waiters.append(event)
-        return event
-
-    def deliver_vqp_msgs(self, vqp):
-        """Process: move messages addressed to ``vqp`` into its posted user
-        buffers, producing recv completions (copy or zero-copy)."""
-        state = vqp.two_sided
-        if state is None:
-            return
-        while state.pending_msgs and state.recv_queue:
-            msg = state.pending_msgs.pop(0)
-            user_buf = state.recv_queue.pop(0)
-            byte_len = yield from self._land_message(vqp, msg, user_buf)
-            header = msg["header"]
-            vqp.enqueue(
-                "recv_completions",
-                Completion(
-                    user_buf.wr_id,
-                    WC_SUCCESS,
-                    OP_RECV,
-                    byte_len=byte_len,
-                    src=(header.get("src_gid"), header.get("src_vqp")),
-                    header=header,
-                ),
-            )
-
-    def _land_message(self, vqp, msg, user_buf):
-        """Process: copy path or zero-copy READ path (§4.5)."""
-        header = msg["header"]
-        zc = header.get("zc")
-        yield timing.TWO_SIDED_SERVER_CPU_KERNEL_NS - timing.TWO_SIDED_SERVER_CPU_NS
-        if zc is not None:
-            self._release_slot(msg)  # descriptor slot freed immediately
-            if zc["len"] > user_buf.length:
-                raise KrcoreError(
-                    f"zero-copy payload of {zc['len']}B exceeds the user's "
-                    f"{user_buf.length}B receive buffer"
-                )
-            wr = WorkRequest.read(
-                user_buf.addr, zc["len"], user_buf.lkey, zc["addr"], zc["rkey"]
-            )
-            wc = yield from self.kernel_one_sided(
-                vqp.cpu_id, header["src_gid"], header.get("src_dct_meta"), wr
-            )
-            if wc.status is not WC_SUCCESS:
-                raise KrcoreError(f"zero-copy READ failed: {wc.status}", code=wc.status)
-            return zc["len"]
-        length = min(msg["len"], user_buf.length)
-        yield int(length * timing.MEMCPY_NS_PER_BYTE)
-        payload = self.node.memory.read(
-            self._buf_base + msg["slot"] * self.kernel_buf_bytes, length
-        )
-        self.node.memory.write(user_buf.addr, payload)
-        self._release_slot(msg)
-        return length
-
-    def qpop_msgs(self, vqp, max_msgs=16, cpu_id=None):
-        """Process: §4.4 qpop_msgs -- drain the bound port's messages into
-        the VQP's user buffers and hand back (reply-VQP, completion) pairs.
-
-        The reply VQP is connected with the piggybacked DCT metadata, so no
-        additional network request is ever issued.  ``cpu_id`` selects the
-        hybrid pool the reply VQPs virtualize from -- the calling thread's
-        CPU, like the real per-CPU kernel handler (§4.2).
-        """
-        state = vqp.two_sided
-        if state is None or state.bound_port is None:
-            raise KrcoreError(f"VQP {vqp.id} is not bound; call qbind first")
-        if cpu_id is None:
-            cpu_id = vqp.cpu_id
-        queue = self._port_queue(state.bound_port)
-        results = []
-        while len(queue) and len(results) < max_msgs and state.recv_queue:
-            msg = queue.items.pop(0)
-            user_buf = state.recv_queue.pop(0)
-            byte_len = yield from self._land_message(vqp, msg, user_buf)
-            header = msg["header"]
-            reply_vqp = yield from self._reply_vqp(vqp, header, cpu_id)
-            results.append(
-                (
-                    reply_vqp,
-                    Completion(
-                        user_buf.wr_id,
-                        WC_SUCCESS,
-                        OP_RECV,
-                        byte_len=byte_len,
-                        src=(header.get("src_gid"), header.get("src_vqp")),
-                        header=header,
-                    ),
-                )
-            )
-        return results
-
-    def wait_port_msg(self, vqp):
-        """Event that fires when the bound port has (or gets) a message."""
-        return self._port_queue(vqp.two_sided.bound_port).wait()
-
-    def _reply_vqp(self, bound_vqp, header, cpu_id):
-        key = (bound_vqp.two_sided.bound_port, header["src_gid"], header["src_vqp"])
-        vqp = self._reply_vqps.get(key)
-        if vqp is not None:
-            return vqp
-        # Piggybacked metadata primes the DCCache: the connect below never
-        # queries the meta server.
-        meta = header.get("src_dct_meta")
-        if meta is not None:
-            self.dc_cache.setdefault(header["src_gid"], tuple(meta))
-        vqp = self.create_vqp(cpu_id=cpu_id)
-        yield from vqp.connect(header["src_gid"])
-        state = vqp.messaging()
-        state.peer = (header["src_gid"], header["src_vqp"])
-        state.reply_key = key
-        self._reply_vqps[key] = vqp
-        return vqp
-
-    def migrate_vqp(self, vqp, new_cpu_id):
-        """Process: re-virtualize a VQP onto another CPU's pool (§4.2:
-        "In case of thread migrations, KRCORE also re-virtualizes QPs in
-        the background with a transparent QP transfer protocol")."""
-        pool = self.pool(new_cpu_id)
-        if vqp.qp is not None:
-            if vqp.remote_gid is not None and pool.has_rc(vqp.remote_gid):
-                new_qp = pool.select_rc(vqp.remote_gid)
-                yield from vqp.transfer_to(new_qp)
-            else:
-                meta = vqp.dct_meta
-                if meta is None and vqp.remote_gid is not None:
-                    meta = yield from self._dct_meta_for(new_cpu_id, vqp.remote_gid)
-                yield from vqp.transfer_to(pool.select_dc(), new_dct_meta=meta)
-        vqp.cpu_id = pool.cpu_id
 
     # ------------------------------------------------------ background RCQPs
 
@@ -1113,34 +653,24 @@ class KrcoreModule:
         fallback when the meta service is unreachable (a handshake needs no
         DCT metadata).  Returns the RTS queue pair."""
         if _trace.TRACER is not None:
-            _trace.TRACER.begin(
-                self.sim.now, self.track, "krcore.establish_rc",
-                gid=gid,
-            )
-        send_cq = CompletionQueue(self.sim)
+            _trace.TRACER.begin(self.sim.now, self.track, "krcore.establish_rc", gid=gid)
         try:
-            qp = yield from rc_connect(self.context, send_cq, gid, port=KRCORE_RC_PORT)
-        except Exception:
+            qp = yield from rc_connect(
+                self.context, CompletionQueue(self.sim), gid, port=KRCORE_RC_PORT
+            )
+            self.messaging.arm_rc(qp)
+            self._insert_rc(pool, gid, qp)
+        finally:
             if _trace.TRACER is not None:
                 _trace.TRACER.end(self.sim.now, self.track, "krcore.establish_rc")
-            raise
-        # Separate the recv CQ so the dispatcher never steals send
-        # completions from poll_inner.
-        qp.recv_cq = CompletionQueue(self.sim)
-        for _ in range(8):
-            self._post_kernel_buffer(qp.post_recv)
-        self.sim.process(
-            self._recv_dispatcher(qp.recv_cq, qp.post_recv),
-            name=f"krcore-dispatch-rc@{self.node.gid}",
-        )
+        return qp
+
+    def _insert_rc(self, pool, gid, qp):
+        """Pool ``qp`` as the RCQP to ``gid``.  The LRU victim it evicts must
+        migrate its VQPs and leave the RNIC, or it leaks a registered QP."""
         evicted = pool.insert_rc(gid, qp)
         if evicted is not None:
-            self._retire_rc(*evicted, pool)
-        if _trace.TRACER is not None:
-            _trace.TRACER.end(
-                self.sim.now, self.track, "krcore.establish_rc"
-            )
-        return qp
+            self.sim.process(self._retire_rc(*evicted, pool))
 
     def _create_rc_background(self, gid, pool):
         """Process: create + configure an RCQP to ``gid`` in the background
@@ -1155,10 +685,8 @@ class KrcoreModule:
             self._rc_creating.discard((gid, pool.cpu_id))
 
     def _retire_rc(self, gid, qp, pool):
-        """An LRU-evicted RCQP: move its VQPs back onto DC before dropping."""
-        self.sim.process(self._retire_rc_proc(gid, qp, pool))
-
-    def _retire_rc_proc(self, gid, qp, pool):
+        """Process: an LRU-evicted RCQP moves its VQPs back onto DC, then
+        leaves the RNIC."""
         for vqp in list(self._connected_vqps.get(gid, ())):
             if vqp.qp is qp:
                 meta = yield from self._dct_meta_for(pool.cpu_id, gid)
@@ -1168,26 +696,15 @@ class KrcoreModule:
             _check.CHECKER.rc_retired(qp)
 
     def _on_rc_accept(self, qp, client_gid):
-        """The remote side of background RC creation: stock the accepted QP
-        with kernel buffers and start dispatching its receives."""
+        """The remote side of background RC creation: arm the accepted QP
+        for kernel receive and pool it for our own traffic back."""
         # Own both CQs: the daemon's shared accept CQ must not mix this
         # module's completions with other services' (LITE, apps).
         qp.send_cq = CompletionQueue(self.sim)
-        qp.recv_cq = CompletionQueue(self.sim)
-        for _ in range(8):
-            self._post_kernel_buffer(qp.post_recv)
-        self.sim.process(
-            self._recv_dispatcher(qp.recv_cq, qp.post_recv),
-            name=f"krcore-dispatch-acc@{self.node.gid}",
-        )
-        # The accepted QP is also useful for our own traffic back.
+        self.messaging.arm_rc(qp, "acc")
         pool = self.pool(_stable_key(client_gid) % len(self._pools))
         if not pool.has_rc(client_gid):
-            evicted = pool.insert_rc(client_gid, qp)
-            if evicted is not None:
-                # Same as establish_rc: the LRU victim must migrate its
-                # VQPs and leave the RNIC, or it leaks a registered QP.
-                self._retire_rc(*evicted, pool)
+            self._insert_rc(pool, client_gid, qp)
 
     # -------------------------------------------------------------- liveness
 
@@ -1205,8 +722,8 @@ class KrcoreModule:
                 self.node.rnic.unregister_qp(qp)
                 if _check.CHECKER is not None:
                     _check.CHECKER.rc_retired(qp)
-        if self._local_shard is not None:
-            self._local_shard.retract_node(gid)
+        if self.local_shard is not None:
+            self.local_shard.retract_node(gid)
 
     # ------------------------------------------------------------- accounting
 

@@ -20,7 +20,7 @@ from repro.cluster import timing
 from repro.krcore.meta import mr_key
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.verbs.errors import DeadlineExceededError, MetaUnavailableError
+from repro.verbs.errors import MetaUnavailableError
 
 
 class ValidMr:
@@ -180,7 +180,11 @@ class MrStore:
                 )
             accepted_stale = False
             try:
-                record = yield from self._lookup_robust(gid, rkey, cpu_id, deadline)
+                module = self.module
+                record = yield from module.retry_meta(
+                    module.plane_lookup_mr, (cpu_id, gid, rkey, deadline), deadline,
+                    f"{module.node.gid}:{gid}:{rkey}", f"MR ({gid}, {rkey})",
+                )
                 epoch = self._epoch()
                 self._stale_accepted.discard((gid, rkey))
             except MetaUnavailableError:
@@ -220,35 +224,6 @@ class MrStore:
                 _metrics.METRICS.counter("krcore.mrstore_hits").inc()
         base, span = record
         return base <= addr and addr + length <= base + span
-
-    def _lookup_robust(self, gid, rkey, cpu_id, deadline=None):
-        """Process: MR lookup with bounded retry + exponential backoff
-        (jittered, like :meth:`KrcoreModule.lookup_dct_robust`), each
-        attempt failing over across the record's owner shards.  A spent
-        deadline raises instead of sleeping on borrowed time."""
-        backoff = timing.KRCORE_BACKOFF_BASE_NS
-        attempt = 0
-        while True:
-            try:
-                return (
-                    yield from self.module.plane_lookup_mr(
-                        cpu_id, gid, rkey, deadline
-                    )
-                )
-            except MetaUnavailableError as err:
-                attempt += 1
-                if attempt > timing.KRCORE_META_RETRIES:
-                    raise
-                pause = backoff + timing.backoff_jitter_ns(
-                    backoff, f"{self.module.node.gid}:{gid}:{rkey}", attempt
-                )
-                if deadline is not None and deadline.remaining_ns(self.sim.now) <= pause:
-                    raise DeadlineExceededError(
-                        f"deadline cannot cover retry {attempt} backoff "
-                        f"({pause} ns) for MR ({gid}, {rkey})",
-                    ) from err
-                yield pause
-                backoff = min(backoff * 2, timing.KRCORE_BACKOFF_MAX_NS)
 
     def invalidate(self, gid, rkey=None):
         if rkey is not None:

@@ -12,7 +12,6 @@ hinges on three duties the paper spells out (§4.4):
    send-queue slots a signaled request covers are encoded in ``wr_id``.
 """
 
-from repro.check import hooks as _check
 from repro.cluster import timing
 from repro.krcore.meta import dct_key
 from repro.obs import metrics as _metrics
@@ -116,7 +115,7 @@ class Vqp:
         #: it holds back (nothing may follow the fence on the old QP).
         self._transfer_waiters = None
 
-    def messaging(self):
+    def ensure_two_sided(self):
         """The :class:`TwoSided` record, built on first use."""
         state = self.two_sided
         if state is None:
@@ -127,36 +126,12 @@ class Vqp:
         """Append to one of the receive-side queues of the two-sided record,
         creating both on first use (``_post_chunk`` does the same for
         ``comp_queue`` inline)."""
-        state = self.messaging()
+        state = self.ensure_two_sided()
         queue = getattr(state, queue_name)
         if queue is _EMPTY:
             queue = []
             setattr(state, queue_name, queue)
         queue.append(item)
-
-    # Read-only views derived from the module and the two-sided record,
-    # for callers outside the kernel-messaging path (which reads
-    # ``two_sided`` once per call).
-
-    @property
-    def sim(self):
-        return self.module.sim
-
-    @property
-    def peer(self):
-        return None if self.two_sided is None else self.two_sided.peer
-
-    @property
-    def recv_queue(self):
-        return _EMPTY if self.two_sided is None else self.two_sided.recv_queue
-
-    @property
-    def recv_completions(self):
-        return _EMPTY if self.two_sided is None else self.two_sided.recv_completions
-
-    @property
-    def pending_msgs(self):
-        return _EMPTY if self.two_sided is None else self.two_sided.pending_msgs
 
     # ------------------------------------------------------------ Algorithm 1
 
@@ -193,7 +168,7 @@ class Vqp:
                         _metrics.METRICS.counter("krcore.dc_cache_misses").inc()
                     policy = module.degrade
                     if policy is not None and policy.admission_enabled:
-                        yield from module.admit_qconnect(self.cpu_id, deadline)
+                        yield from pool.admission_gate(module.sim, policy).admit(deadline)
                     meta = yield from self._fetch_dct_meta(gid, pool, deadline)
                     if deadline is not None:
                         # A gray-slow fetch can *succeed* past the budget
@@ -269,14 +244,7 @@ class Vqp:
             if _trace.TRACER is not None:
                 _trace.TRACER.end(module.sim.now, track, "rc_fallback")
             return None
-        if meta is None:
-            raise KrcoreError(
-                f"no DCT metadata for {gid}", code=WC_REM_ACCESS_ERR
-            )
-        if _check.CHECKER is not None:
-            _check.CHECKER.dc_cache_insert(module, gid, meta)
-        module.dc_cache[gid] = meta
-        return meta
+        return module.cache_dct(gid, meta)
 
     def revalidate(self):
         """Process: refresh this VQP's DCT metadata after a remote-access
@@ -346,17 +314,7 @@ class Vqp:
                 )
             if wr.opcode in RKEY_OPCODES:
                 span = 8 if wr.opcode in ATOMIC_OPCODES else wr.length
-                ok = module.mr_store.check_cached(self.remote_gid, wr.rkey, wr.raddr, span)
-                if ok is None:  # cache miss: blocking meta-server path
-                    ok = yield from module.mr_store.check(
-                        self.remote_gid, wr.rkey, wr.raddr, span,
-                        cpu_id=self.cpu_id, deadline=deadline,
-                    )
-                if not ok:
-                    raise KrcoreError(
-                        f"invalid remote MR (rkey={wr.rkey})",
-                        code=WC_REM_ACCESS_ERR,
-                    )
+                segments = ((wr.raddr, wr.rkey, span),)
             elif wr.opcode is OP_READ_V:
                 # Vectored gather: every remote segment must validate
                 # before anything is posted (one bad SGE would wreck the
@@ -367,20 +325,22 @@ class Vqp:
                         f"(1..{timing.MAX_VECTORED_SGES} allowed)",
                         code=WC_BAD_OPCODE_ERR,
                     )
-                for raddr, rkey, seg_len in wr.sges:
-                    ok = module.mr_store.check_cached(
-                        self.remote_gid, rkey, raddr, seg_len
+                segments = wr.sges
+            else:
+                continue
+            for raddr, rkey, span in segments:
+                ok = module.mr_store.check_cached(self.remote_gid, rkey, raddr, span)
+                if ok is None:  # cache miss: blocking meta-server path
+                    ok = yield from module.mr_store.check(
+                        self.remote_gid, rkey, raddr, span,
+                        cpu_id=self.cpu_id, deadline=deadline,
                     )
-                    if ok is None:  # cache miss: blocking meta-server path
-                        ok = yield from module.mr_store.check(
-                            self.remote_gid, rkey, raddr, seg_len,
-                            cpu_id=self.cpu_id, deadline=deadline,
-                        )
-                    if not ok:
-                        raise KrcoreError(
-                            f"invalid remote MR in gather list (rkey={rkey})",
-                            code=WC_REM_ACCESS_ERR,
-                        )
+                if not ok:
+                    where = " in gather list" if wr.opcode is OP_READ_V else ""
+                    raise KrcoreError(
+                        f"invalid remote MR{where} (rkey={rkey})",
+                        code=WC_REM_ACCESS_ERR,
+                    )
         if deadline is not None:
             # The blocking validation above is where one-sided posts burn
             # time; check here, before any CQ-entry/wr_id bookkeeping
@@ -444,7 +404,7 @@ class Vqp:
             # completion -- then surface a clean error.
             for pwr in phys:
                 if pwr.wr_id:
-                    token = module._wrid_tokens.pop(pwr.wr_id, None)
+                    token = module.wrid_tokens.pop(pwr.wr_id, None)
                     if token is not None and token.entry is not None:
                         try:
                             self.comp_queue.remove(token.entry)
@@ -463,6 +423,7 @@ class Vqp:
         """Attach the piggybacked header; switch to the zero-copy protocol
         for payloads the kernel buffers cannot (or should not) carry."""
         module = self.module
+        messaging = module.messaging
         state = self.two_sided
         peer = None if state is None else state.peer
         header = {
@@ -472,8 +433,8 @@ class Vqp:
             "src_vqp": self.id,
             "src_dct_meta": module.own_dct_meta,
         }
-        if pwr.length > module.zero_copy_threshold:
-            if not module.zero_copy:
+        if pwr.length > messaging.zero_copy_threshold:
+            if not messaging.zero_copy:
                 raise KrcoreError(
                     f"{pwr.length}B message exceeds the kernel buffer and "
                     "the zero-copy protocol is disabled"
@@ -521,7 +482,7 @@ class Vqp:
     def poll_recv(self):
         """Process: deliver pending messages into user buffers, then pop one
         recv completion if available (non-blocking in the common case)."""
-        yield from self.module.deliver_vqp_msgs(self)
+        yield from self.module.messaging.deliver_vqp_msgs(self)
         state = self.two_sided
         if state is not None and state.recv_completions:
             return state.recv_completions.pop(0)
@@ -533,7 +494,7 @@ class Vqp:
             completion = yield from self.poll_recv()
             if completion is not None:
                 return completion
-            yield self.module.vqp_msg_event(self)
+            yield self.module.messaging.vqp_msg_event(self)
 
     # ------------------------------------------------------ transfer protocol
 
@@ -562,8 +523,8 @@ class Vqp:
                     # The remote died: the old QP's outstanding requests can
                     # only fail, so FIFO is vacuously preserved -- swap anyway.
                     pass
-                if notify_peer and self.peer is not None:
-                    yield from self.module.notify_peer_transfer(self)
+                if notify_peer and self.two_sided is not None and self.two_sided.peer is not None:
+                    yield from self.module.messaging.notify_peer_transfer(self)
             finally:
                 # Waiters resume through the scheduler, i.e. after the
                 # switch below (or, on an error, still on the old QP).

@@ -14,8 +14,7 @@ import pytest
 
 from repro.check import Schedule
 from repro.check.runner import replay_schedule
-from repro.krcore.module import KrcoreModule, _stable_key
-from repro.verbs import CompletionQueue
+from tests._mutants import accept_leak
 
 SCHEDULES = Path(__file__).parent / "schedules"
 
@@ -59,31 +58,11 @@ def test_racey_underflow_schedule_still_reproduces():
     )
 
 
-def _buggy_on_rc_accept(self, qp, client_gid):
-    """The accept path as it stood before PR 4: ``insert_rc``'s eviction
-    result is dropped, leaking the evicted QP on the RNIC."""
-    qp.send_cq = CompletionQueue(self.sim)
-    qp.recv_cq = CompletionQueue(self.sim)
-    for _ in range(8):
-        self._post_kernel_buffer(qp.post_recv)
-    self.sim.process(
-        self._recv_dispatcher(qp.recv_cq, qp.post_recv),
-        name=f"krcore-dispatch-acc@{self.node.gid}",
-    )
-    pool = self.pool(_stable_key(client_gid) % len(self._pools))
-    if not pool.has_rc(client_gid):
-        pool.insert_rc(client_gid, qp)
-
-
 def test_accept_leak_schedule_reproduces_pre_fix_bug():
     schedule = _load("pool_churn_accept_leak.json")
     assert schedule.invariant == "pool-qp-accounting"
-    original = KrcoreModule._on_rc_accept
-    KrcoreModule._on_rc_accept = _buggy_on_rc_accept
-    try:
+    with accept_leak():
         result = replay_schedule(schedule)
-    finally:
-        KrcoreModule._on_rc_accept = original
     assert any(v.invariant == schedule.invariant for v in result.violations), (
         "committed schedule no longer reproduces the pre-fix accept leak"
     )

@@ -16,9 +16,8 @@ from types import SimpleNamespace
 from repro.check import Checker, FifoStrategy
 from repro.check.runner import run_once
 from repro.krcore import KrcoreLib
-from repro.krcore.module import KrcoreModule, _stable_key
 from repro.sim import Simulator
-from repro.verbs import CompletionQueue
+from tests._mutants import accept_leak
 from tests.conftest import krcore_cluster
 
 
@@ -167,7 +166,7 @@ def test_wr_dispatched_twice_is_flagged():
 def test_leftover_wr_tokens_flagged_at_finalize():
     checker = Checker()
     module = SimpleNamespace(
-        _wrid_tokens={17: object()}, node=SimpleNamespace(gid="nodeZ"),
+        wrid_tokens={17: object()}, node=SimpleNamespace(gid="nodeZ"),
         indexed_vqps=lambda: (),
     )
     checker.finalize(modules=[module], now=99)
@@ -179,7 +178,7 @@ def test_destroyed_vqp_still_indexed_flagged_at_finalize():
     live = SimpleNamespace(id=1, destroyed=False)
     dead = SimpleNamespace(id=2, destroyed=True)
     module = SimpleNamespace(
-        _wrid_tokens={}, node=SimpleNamespace(gid="nodeZ"),
+        wrid_tokens={}, node=SimpleNamespace(gid="nodeZ"),
         indexed_vqps=lambda: (live, dead, dead),
     )
     checker = Checker()
@@ -255,9 +254,9 @@ def test_every_registry_hook_fires_in_pool_churn():
     assert result.ok, result.violations
     for kind in (
         "dct.publish",      # KrcoreModule.__init__
-        "dccache.insert",   # _dct_meta_for / vqp._fetch_dct_meta
+        "dccache.insert",   # KrcoreModule.cache_dct
         "pool.insert",      # HybridQpPool.insert_rc
-        "pool.retire",      # _retire_rc_proc
+        "pool.retire",      # KrcoreModule._retire_rc
         "mrstore.accept",   # MrStore.check
         "meta.write",       # MetaServer.publish_*
         "wr.dispatch",      # poll_inner
@@ -324,25 +323,8 @@ def test_registry_catches_pre_fix_accept_path_leak():
     the eviction result): pool-qp-accounting must fire; the fixed module
     must stay clean on the identical scenario."""
 
-    def buggy_on_rc_accept(self, qp, client_gid):
-        qp.send_cq = CompletionQueue(self.sim)
-        qp.recv_cq = CompletionQueue(self.sim)
-        for _ in range(8):
-            self._post_kernel_buffer(qp.post_recv)
-        self.sim.process(
-            self._recv_dispatcher(qp.recv_cq, qp.post_recv),
-            name=f"krcore-dispatch-acc@{self.node.gid}",
-        )
-        pool = self.pool(_stable_key(client_gid) % len(self._pools))
-        if not pool.has_rc(client_gid):
-            pool.insert_rc(client_gid, qp)  # bug: eviction result dropped
-
-    original = KrcoreModule._on_rc_accept
-    KrcoreModule._on_rc_accept = buggy_on_rc_accept
-    try:
+    with accept_leak():
         result = run_once("pool_churn", FifoStrategy())
-    finally:
-        KrcoreModule._on_rc_accept = original
     leaks = [v for v in result.violations if v.invariant == "pool-qp-accounting"]
     assert leaks, "registry missed the pre-fix accept-path RC leak"
     assert "still RNIC-registered" in leaks[0].detail

@@ -219,7 +219,7 @@ def test_failed_post_rolls_back_software_cq_and_tokens(env):
         yield from lib.qconnect(vqp, server.gid)
         yield from lib.read_sync(vqp, laddr, lmr.lkey, raddr, rmr.rkey, 8)
         server.fail()
-        baseline_tokens = len(modules[1]._wrid_tokens)
+        baseline_tokens = len(modules[1].wrid_tokens)
         # The in-flight op errors and wrecks the shared QP...
         with pytest.raises(KrcoreError) as exc:
             yield from lib.read_sync(vqp, laddr, lmr.lkey, raddr, rmr.rkey, 8)
@@ -230,6 +230,6 @@ def test_failed_post_rolls_back_software_cq_and_tokens(env):
         with pytest.raises(KrcoreError):
             yield from lib.read_sync(vqp, laddr, lmr.lkey, raddr, rmr.rkey, 8)
         assert not vqp.comp_queue
-        assert len(modules[1]._wrid_tokens) == baseline_tokens
+        assert len(modules[1].wrid_tokens) == baseline_tokens
 
     sim.run_process(proc())

@@ -429,7 +429,7 @@ def test_qpop_creates_reply_vqp_without_network(env):
     # metadata: no meta-server lookup happened (§4.4).
     assert after == before
     assert src_vqp.remote_gid == client_node.gid
-    assert src_vqp.peer == (client_node.gid, client_vqp.id)
+    assert src_vqp.two_sided.peer == (client_node.gid, client_vqp.id)
     assert completion.src == (client_node.gid, client_vqp.id)
 
 

@@ -273,12 +273,11 @@ def test_token_encode_decode_roundtrip():
     cluster, meta, modules = krcore_cluster(sim, num_nodes=3)
     module = modules[1]
     token = module.encode_wr_id("vqp-sentinel", 5)
-    decoded = module.decode_wr_id(token)
+    decoded = module.wrid_tokens.pop(token, None)
     assert decoded.vqp == "vqp-sentinel"
     assert decoded.covers == 5
     # Tokens are one-shot.
-    assert module.decode_wr_id(token) is None
-    assert module.decode_wr_id(987654321) is None
+    assert token not in module.wrid_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +333,7 @@ def test_transfer_paths_visit_vqps_in_connect_order(monkeypatch):
 
     def recording(self, new_qp, *args, **kwargs):
         yield from original(self, new_qp, *args, **kwargs)
-        switched.append((self.id, self.sim.now, self.is_rc_backed))
+        switched.append((self.id, self.module.sim.now, self.is_rc_backed))
 
     monkeypatch.setattr(Vqp, "transfer_to", recording)
     sim = Simulator()
@@ -381,16 +380,16 @@ def test_idle_vqp_allocates_no_queues_until_used():
     cluster, meta, modules = krcore_cluster(sim, num_nodes=3)
     module = modules[1]
     (vqp,) = _connect_many(sim, module, [cluster.node(2).gid])
-    queues = ("comp_queue", "recv_queue", "recv_completions", "pending_msgs")
-    assert all(getattr(vqp, name) == () for name in queues)
+    assert vqp.comp_queue == () and vqp.two_sided is None
     assert not hasattr(vqp, "__dict__")
     assert vqp.poll_cq() is None
-    assert sim.run_process(vqp.poll_recv()) is None
+    assert sim.run_process(vqp.poll_recv()) is None and vqp.two_sided is None
     # First two-sided use materializes exactly the queue it touches.
     buf = RecvBuffer(cluster.node(1).memory.alloc(64), 64, 0)
     vqp.post_recv(buf)
-    assert list(vqp.recv_queue) == [buf]
-    assert vqp.pending_msgs == () and vqp.recv_completions == ()
+    state = vqp.two_sided
+    assert list(state.recv_queue) == [buf]
+    assert state.pending_msgs == () and state.recv_completions == ()
 
 
 def test_destroy_vqp_unlinks_every_table_and_refuses_when_busy():
@@ -426,10 +425,38 @@ def test_destroy_vqp_unlinks_every_table_and_refuses_when_busy():
     keep, vqp = sim.run_process(proc())
     assert vqp.destroyed and vqp not in set(module.indexed_vqps())
     assert list(module._connected_vqps[gid]) == [keep]
-    assert 21 not in module._bound and vqp.id not in module._vqps_by_id
-    module.bind(21, keep)  # the port is free again
+    assert 21 not in module.messaging.bound and vqp.id not in module.vqps_by_id
+    module.messaging.bind(21, keep)  # the port is free again
     module.destroy_vqp(keep)
     assert gid not in module._connected_vqps and not list(module.indexed_vqps())
+
+
+def test_destroying_a_bound_vqp_frees_the_slots_of_its_queued_messages():
+    """Messages still queued on a bound port hold kernel buffers; destroying
+    the VQP (which unbinds the port) drops them and frees those buffers, as
+    routing does for a message to an unbound port."""
+    sim = Simulator()
+    cluster, meta, modules = krcore_cluster(sim, num_nodes=3)
+    server, client = cluster.node(2), cluster.node(1)
+    lib_s, lib_c = KrcoreLib(server), KrcoreLib(client)
+    messaging = modules[2].messaging
+
+    def proc():
+        caddr = client.memory.alloc(64)
+        cmr = yield from lib_c.reg_mr(caddr, 64)
+        bound = yield from lib_s.create_vqp()
+        yield from lib_s.qbind(bound, 13)
+        sender = yield from lib_c.create_vqp()
+        yield from lib_c.qconnect(sender, server.gid, 13)
+        wrs = [WorkRequest.send(caddr, 8, cmr.lkey, signaled=False) for _ in range(3)]
+        yield from lib_c.post_send(sender, wrs)
+        yield 100_000
+        assert len(messaging.port_queues[13]) == 3 and len(messaging.free_slots) == 61
+        yield from lib_s.destroy_vqp(bound)
+
+    sim.run_process(proc())
+    assert len(messaging.free_slots) == 64
+    assert len(messaging.port_queues[13]) == 0 and 13 not in messaging.bound
 
 
 def test_destroy_during_an_uncached_connect_fails_the_connect():
@@ -478,11 +505,11 @@ def test_destroying_a_reply_vqp_forgets_its_reply_slot():
 
     bound, replies = sim.run_process(proc())
     module = modules[2]
-    assert len(module._reply_vqps) == 2
+    assert len(module.messaging.reply_vqps) == 2
     module.destroy_vqp(replies[0])
-    assert list(module._reply_vqps.values()) == [replies[1]]
+    assert list(module.messaging.reply_vqps.values()) == [replies[1]]
     module.destroy_vqp(bound)  # the bound VQP goes; its other reply VQP stays usable
-    assert list(module._reply_vqps.values()) == [replies[1]] and not module._bound
+    assert list(module.messaging.reply_vqps.values()) == [replies[1]] and not module.messaging.bound
 
 
 def test_connect_cost_does_not_grow_with_the_table():

@@ -294,7 +294,7 @@ def test_post_during_transfer_waits_for_the_switch(env):
     vqp, dc, rc = sim.run_process(proc())
     assert vqp.qp is rc
     assert cluster.node(1).memory.read(laddr, 8) == b"in-fence"
-    assert not module._wrid_tokens and not vqp.comp_queue
+    assert not module.wrid_tokens and not vqp.comp_queue
     assert dc.outstanding == 0 and rc.outstanding == 0
 
 
@@ -342,5 +342,5 @@ def test_harvest_under_churn_survives_background_promotion():
     sim.run_process(collect())  # hung here: "process collect did not finish"
     sim.run()
     assert modules[1].stats_transfers == 3  # every VQP was promoted mid-run
-    assert not modules[1]._wrid_tokens
+    assert not modules[1].wrid_tokens
     assert all(not vqp.comp_queue for vqp in backend._vqps.values())

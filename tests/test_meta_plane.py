@@ -323,7 +323,7 @@ def test_retract_mr_on_non_meta_node_raises():
     cluster, meta, modules = krcore_cluster(sim, num_nodes=3, background_rc=False)
     header = {"type": "retract_mr", "gid": "node2", "rkey": 1}
     with pytest.raises(KrcoreError):
-        sim.run_process(modules[1]._handle_kernel_msg(dict(header)))
+        sim.run_process(modules[1].messaging._handle_kernel_msg(dict(header)))
     # The meta node itself still accepts it (and it must not throw even
     # for a record that was never published).
-    sim.run_process(modules[0]._handle_kernel_msg(dict(header)))
+    sim.run_process(modules[0].messaging._handle_kernel_msg(dict(header)))

@@ -39,7 +39,7 @@ NODES = 4  # 24 cores each: 48 pooled DCQPs + 48 CQs per node, once all are used
 #: The generators a booted node runs, one ``Process`` and one dispatched
 #: (start) record each: the DCT dispatcher, the kernel-message daemon and
 #: the connection manager's.  Before PR 18 every pooled QP added a sender.
-REST_PROCESSES = ["_daemon", "_kernel_daemon", "_recv_dispatcher"]
+REST_PROCESSES = ["_daemon", "_recv_dispatcher", "kernel_daemon"]
 
 #: Host heap per node after boot + a 10 us run, simulated DRAM pages left
 #: out (they are what the meta server's tables wrote, not node weight).
@@ -93,7 +93,7 @@ def _boot(monkeypatch, num_nodes=NODES, meta_shards=1):
         return buffers[-1]
 
     monkeypatch.setattr(repro.sim.Process, "__init__", counted_init)
-    monkeypatch.setattr(repro.krcore.module, "RecvBuffer", counted_buffer)
+    monkeypatch.setattr(repro.krcore.messaging, "RecvBuffer", counted_buffer)
     sim, cluster, _meta, modules = krcore_cluster(num_nodes=num_nodes, meta_shards=meta_shards)
     sim.run(until=10 * US)
     return sim, cluster, modules, started, buffers
@@ -167,7 +167,7 @@ def test_rest_budget_no_pool_qp_or_kernel_buffer_exists(monkeypatch):
     assert [node.rnic._qps for node in cluster.nodes] == [{}] * NODES
     assert buffers == []
     # The reserve is ready to post; the stock ahead of it is a range.
-    assert [list(module._free_slots) for module in modules] == [list(range(192, 256))] * NODES
+    assert [list(module.messaging.free_slots) for module in modules] == [list(range(192, 256))] * NODES
 
 
 def test_rest_budget_no_pool_qp_or_cq_owns_storage(monkeypatch):

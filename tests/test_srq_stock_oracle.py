@@ -13,16 +13,17 @@ and drains to RNR go through both; every outcome must be equal, and the
 stocked queue may only ever have built the buffers it handed out plus the
 one at its head.  A second test runs the module's own receive path dry
 with a pool small enough for the stock to end and re-posted slots to come
-round.
+round.  A third drains a burst larger than the reserve and requires the
+SRQ back at its stocked depth.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.krcore import KrcoreError
+from repro.krcore import KrcoreError, KrcoreLib
 from repro.sim import Simulator
-from repro.verbs import RecvBuffer
+from repro.verbs import RecvBuffer, WorkRequest
 from repro.verbs.qp import DctTarget
 from tests.conftest import krcore_cluster
 
@@ -98,17 +99,17 @@ def test_module_receive_path_runs_the_stock_out_and_rnrs_when_dry():
     cluster, _meta, modules = krcore_cluster(sim, num_nodes=3, kernel_buf_count=8)
     sender, receiver = modules[1], modules[2]
     claimed = []
-    route = receiver._route_message
+    route = receiver.messaging._route_message
 
-    def recording_route(wc, replenisher):
+    def recording_route(wc, qp):
         claimed.append(wc.wr_id)
-        route(wc, replenisher)
+        route(wc, qp)
 
-    receiver._route_message = recording_route
+    receiver.messaging._route_message = recording_route
 
     def stream(count, port):
         for _ in range(count):
-            yield from sender.send_kernel_msg(receiver.node.gid, {"dst_port": port})
+            yield from sender.messaging.send_kernel_msg(receiver.node.gid, {"dst_port": port})
 
     sim.run_process(stream(20, port=99))
     # Each arrival posts the oldest free slot behind the stock: the reserve
@@ -116,7 +117,53 @@ def test_module_receive_path_runs_the_stock_out_and_rnrs_when_dry():
     assert claimed == [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3]
 
     del claimed[:]
-    receiver.bind(7, receiver.create_vqp())
+    receiver.messaging.bind(7, receiver.create_vqp())
     with pytest.raises(KrcoreError, match="RNR"):
         sim.run_process(stream(9, port=7))
     assert claimed == [4, 5, 6, 7, 0, 1, 2, 3]
+
+
+def _srq_depth(target):
+    """How many claims the target's SRQ can still serve (drains it)."""
+    depth = 0
+    while target.srq:
+        target.srq.pop(0)
+        depth += 1
+    return depth
+
+
+def test_a_drained_burst_larger_than_the_reserve_restocks_the_srq():
+    """200 messages to a bound port outrun the 64-slot reserve: the last
+    136 arrivals find no free slot to restock the SRQ with, and it sinks
+    to 56.  Each slot qpop_msgs frees goes to the SRQ it is owed to before
+    the pool, so a drained burst leaves the SRQ at its stocked 192 and the
+    reserve whole (it used to stay 56 deep, with 200 slots idle)."""
+    burst = 200
+    sim = Simulator()
+    cluster, _meta, modules = krcore_cluster(sim, num_nodes=3, background_rc=False)
+    client, server = cluster.node(1), cluster.node(2)
+    lib_c, lib_s = KrcoreLib(client), KrcoreLib(server)
+
+    def proc():
+        saddr = server.memory.alloc(64 * burst)
+        smr = yield from lib_s.reg_mr(saddr, 64 * burst)
+        caddr = client.memory.alloc(64)
+        cmr = yield from lib_c.reg_mr(caddr, 64)
+        bound = yield from lib_s.create_vqp()
+        yield from lib_s.qbind(bound, 13)
+        for i in range(burst):
+            yield from lib_s.post_recv(bound, RecvBuffer(saddr + 64 * i, 64, smr.lkey))
+        sender = yield from lib_c.create_vqp()
+        yield from lib_c.qconnect(sender, server.gid, 13)
+        wrs = [WorkRequest.send(caddr, 8, cmr.lkey, signaled=False) for _ in range(burst)]
+        yield from lib_c.post_send(sender, wrs)
+        yield 1_000_000  # every message lands before the first pop
+        popped = 0
+        while popped < burst:
+            popped += len((yield from lib_s.qpop_msgs(bound, max_msgs=burst)))
+
+    sim.run_process(proc())
+    messaging = modules[2].messaging
+    assert list(messaging.owed) == []
+    assert len(messaging.free_slots) == 64
+    assert _srq_depth(modules[2].dct_target) == 192

@@ -45,7 +45,7 @@ _CONNECT = ["create_vqp", "qconnect", "connect"]
 FRAME_BUDGET = {
     "create_vqp + qconnect, DCCache miss": _CONNECT + [
         "_fetch_dct_meta",
-        "lookup_dct_robust",
+        "retry_meta",
         "_plane_lookup",
         "lookup_dct",
         "_lookup",
