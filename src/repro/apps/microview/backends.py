@@ -36,11 +36,10 @@ def _chunks(items, size):
 class VerbsBackend:
     """User-space verbs: the baseline control plane."""
 
-    def __init__(self, node, port=0):
+    def __init__(self, node):
         self.node = node
         self.sim = node.sim
         self.context = DriverContext(node)
-        self.port = port
         self.cq = None
         self._qps = {}  # gid -> QueuePair
 
@@ -51,9 +50,7 @@ class VerbsBackend:
             self.cq = yield from self.context.create_cq()
         for gid in gids:
             if gid not in self._qps:
-                self._qps[gid] = yield from rc_connect(
-                    self.context, self.cq, gid, port=self.port
-                )
+                self._qps[gid] = yield from rc_connect(self.context, self.cq, gid)
 
     def setup_buffer(self, nbytes):
         """Process: allocate + register the harvest scratch buffer."""
@@ -164,7 +161,7 @@ class KrcoreBackend:
     def __init__(self, node, cpu_id=0):
         self.node = node
         self.lib = KrcoreLib(node, cpu_id=cpu_id)
-        self._vqps = {}
+        self.vqps = {}  # gid -> the connected VQP
         #: Harvest READs lost to churn races (failed validation or
         #: completion); the shared QP survives them all.
         self.stats_failed = 0
@@ -172,16 +169,16 @@ class KrcoreBackend:
     def connect(self, gids):
         """Process: qconnect to each worker (us-scale, Fig 8a)."""
         for gid in gids:
-            if gid in self._vqps:
+            if gid in self.vqps:
                 continue
             vqp = yield from self.lib.create_vqp()
             yield from self.lib.qconnect(vqp, gid)
-            self._vqps[gid] = vqp
+            self.vqps[gid] = vqp
 
     def close(self):
         """Process: the worker exits -- destroy its VQPs (one syscall each)."""
-        while self._vqps:
-            _gid, vqp = self._vqps.popitem()
+        while self.vqps:
+            _gid, vqp = self.vqps.popitem()
             yield from self.lib.destroy_vqp(vqp)
 
     def setup_buffer(self, nbytes):
@@ -196,7 +193,7 @@ class KrcoreBackend:
         for gid, raddr, rkey, length in targets:
             try:
                 yield from self.lib.read_sync(
-                    self._vqps[gid], laddr + offset, lkey, raddr, rkey, length
+                    self.vqps[gid], laddr + offset, lkey, raddr, rkey, length
                 )
                 harvested += length
             except KrcoreError:
@@ -221,12 +218,12 @@ class KrcoreBackend:
         posted = []
         for gid, wrs in by_gid.items():
             try:
-                yield from self.lib.post_send_batch(self._vqps[gid], wrs)
+                yield from self.lib.post_send_batch(self.vqps[gid], wrs)
                 posted.append((gid, wrs))
             except KrcoreError:
                 failed += len(wrs)
         for gid, wrs in posted:
-            vqp = self._vqps[gid]
+            vqp = self.vqps[gid]
             for wr in wrs:
                 entry = yield from vqp.wait_send_completion()
                 if entry.ok:
@@ -250,7 +247,7 @@ class KrcoreBackend:
             for chunk in _chunks(entries, timing.MAX_VECTORED_SGES):
                 try:
                     yield from self.lib.read_vectored_sync(
-                        self._vqps[gid],
+                        self.vqps[gid],
                         laddr + chunk[0][0],
                         lkey,
                         [sge for _, sge in chunk],

@@ -36,10 +36,10 @@ class Pod:
 class PodDirectory:
     """Every pod MR across the worker nodes, plus the churn driver."""
 
-    def __init__(self, workers, pod_bytes=POD_BYTES):
+    def __init__(self, workers):
         #: ``workers`` is a list of (node, module-or-None) pairs.
         self.workers = list(workers)
-        self.pod_bytes = pod_bytes
+        self.pod_bytes = POD_BYTES
         self.sim = self.workers[0][0].sim
         self.pods = []
         #: Completed churn events (one dereg + one re-register each).

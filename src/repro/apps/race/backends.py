@@ -46,29 +46,21 @@ class VerbsBackend:
 
     supports_doorbell = True
 
-    def __init__(self, node, qps_per_target=1, port=0):
+    def __init__(self, node):
         self.node = node
         self.sim = node.sim
         self.context = DriverContext(node)
-        self.port = port
-        self.qps_per_target = qps_per_target
         self.cq = None
-        self._qps = {}  # gid -> [QueuePair]
-        self._rr = 0
+        self._qps = {}  # gid -> QueuePair
 
     def connect(self, gids):
-        """Process: driver init + one (or more) RC connections per node."""
+        """Process: driver init + one RC connection per node."""
         yield from self.context.ensure_init()
         if self.cq is None:
             self.cq = yield from self.context.create_cq()
         for gid in gids:
-            if gid in self._qps:
-                continue
-            qps = []
-            for _ in range(self.qps_per_target):
-                qp = yield from rc_connect(self.context, self.cq, gid, port=self.port)
-                qps.append(qp)
-            self._qps[gid] = qps
+            if gid not in self._qps:
+                self._qps[gid] = yield from rc_connect(self.context, self.cq, gid)
 
     def setup_buffer(self, nbytes):
         """Process: allocate + register a local scratch buffer."""
@@ -77,13 +69,8 @@ class VerbsBackend:
         region = self.node.memory.register(addr, nbytes)
         return addr, region.lkey
 
-    def _qp(self, gid):
-        qps = self._qps[gid]
-        self._rr += 1
-        return qps[self._rr % len(qps)]
-
     def _sync(self, gid, wr):
-        qp = self._qp(gid)
+        qp = self._qps[gid]
         yield timing.POST_SEND_CPU_NS
         qp.post_send(wr)
         completions = yield from qp.send_cq.wait_poll()
@@ -113,7 +100,7 @@ class VerbsBackend:
         completion."""
         chains = {}  # QueuePair -> WR chain, in first-use order
         for gid, laddr, lkey, raddr, rkey, length in requests:
-            qp = self._qp(gid)
+            qp = self._qps[gid]
             chains.setdefault(qp, []).append(
                 WorkRequest.read(laddr, length, lkey, raddr, rkey)
             )

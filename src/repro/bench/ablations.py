@@ -11,6 +11,7 @@
 """
 
 from repro.bench.echo import run_echo
+from repro.bench import onesided
 from repro.bench.harness import FigureResult
 from repro.bench.onesided import run_onesided
 from repro.bench.setups import krcore_cluster
@@ -97,8 +98,6 @@ def _dccache_ablation():
 def _shared_pool_throughput(threads, measure_ns):
     """Throughput when every CPU shares one global pool (ablating §4.2's
     per-CPU division)."""
-    import repro.bench.onesided as onesided
-
     original = onesided.krcore_cluster
 
     def patched(*args, **kwargs):

@@ -314,7 +314,7 @@ class _KrcoreEchoClient:
             for i in range(wanted)
         ]
         lib, vqp = self.lib, self.vqp
-        yield from lib._enter_kernel()
+        yield from lib.enter_kernel()
         yield from vqp.post_send(wrs)
         for _ in range(wanted):
             completion = yield from vqp.wait_recv_completion()

@@ -9,11 +9,13 @@ control path costs milliseconds.
 
 from repro.apps.race import RaceClient, RaceStorage, VerbsBackend
 from repro.apps.serverless import WARM_START_NS
+from repro.apps.txn import TxnClient, TxnStorage
 from repro.bench.harness import FigureResult
 from repro.bench.echo import run_echo
 from repro.bench.setups import verbs_cluster
 from repro.cluster import timing
 from repro.workloads import YcsbWorkload
+from repro.workloads.tpcc import TpccLayout, TpccWorkload
 
 
 def run(fast=True):
@@ -57,9 +59,6 @@ def run(fast=True):
 def _transaction_latency(num_txns):
     """Average latency of FaRM-style TPC-C transactions (New-Order and
     Payment, the Fig 1 'FaRM-v2 / TPC-C' workload)."""
-    from repro.apps.txn import TxnClient, TxnStorage
-    from repro.workloads.tpcc import TpccLayout, TpccWorkload
-
     sim, cluster = verbs_cluster(num_nodes=4, memory_size=32 << 20)
     layout = TpccLayout(num_warehouses=1)
     per_node = -(-layout.total_records // 2)

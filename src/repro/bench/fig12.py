@@ -66,22 +66,19 @@ def _krcore_point(measure, syscall, checks):
 
 def _patched_onesided(measure, syscall, checks):
     """run_onesided('krcore_dc', sync) with the ablation knobs applied."""
-    import repro.bench.onesided as onesided
-    from repro.krcore import KrcoreLib as RealLib
-
-    original_init = RealLib.__init__
+    original_init = KrcoreLib.__init__
 
     def patched_init(self, node, cpu_id=0, charge_syscall=True):
         original_init(self, node, cpu_id=cpu_id, charge_syscall=syscall)
         self.module.charge_checks = checks
 
-    RealLib.__init__ = patched_init
+    KrcoreLib.__init__ = patched_init
     try:
-        return onesided.run_onesided(
+        return run_onesided(
             "krcore_dc", "sync", num_clients=1, measure_ns=measure
         )
     finally:
-        RealLib.__init__ = original_init
+        KrcoreLib.__init__ = original_init
 
 
 def _mr_miss_point():

@@ -14,6 +14,7 @@ import random
 from repro.bench.harness import FigureResult
 from repro.bench.onesided import run_onesided
 from repro.bench.setups import krcore_cluster, plant_rc
+from repro.cluster import timing
 from repro.krcore import KrcoreLib
 from repro.sim import US
 from repro.verbs import WorkRequest
@@ -99,8 +100,6 @@ def _batch_to_many(kind, pool_size, fast, repeats=None):
         )
 
     def proc():
-        from repro.cluster import timing
-
         # Per-target VQPs (DC) or per-request VQPs (RC, 64 connections).
         target_vqps = []
         for node in targets:

@@ -4,10 +4,15 @@ Perf *claims* are made with the observatory (``benchmarks/observatory/``);
 :func:`run_figure` only times the figure it runs.
 """
 
+import cProfile
 import gc
 import importlib
+import io
 import pathlib
+import pstats
 import time
+
+from repro import obs
 
 
 def run_figure(name, full=False, trace_path=None, metrics_path=None,
@@ -34,8 +39,6 @@ def run_figure(name, full=False, trace_path=None, metrics_path=None,
     module = importlib.import_module(f"repro.bench.{name}")
     profiler = None
     if profile_path is not None:
-        import cProfile
-
         profiler = cProfile.Profile()
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -47,8 +50,6 @@ def run_figure(name, full=False, trace_path=None, metrics_path=None,
             if trace_path is None and metrics_path is None:
                 result = module.run(fast=not full)
             else:
-                from repro import obs
-
                 with obs.observe() as (tracer, registry):
                     result = module.run(fast=not full)
                 export(trace_path, tracer.to_json)
@@ -66,11 +67,13 @@ def run_figure(name, full=False, trace_path=None, metrics_path=None,
     return result, wall_s
 
 
-def _profile_report(profiler, name, top=40):
-    """Render a cProfile run as a two-section pstats text report."""
-    import io
-    import pstats
+#: Functions each section of a profile report lists.
+PROFILE_TOP = 40
 
+
+def _profile_report(profiler, name):
+    """Render a cProfile run as a two-section pstats text report."""
+    top = PROFILE_TOP
     out = io.StringIO()
     stats = pstats.Stats(profiler, stream=out)
     stats.strip_dirs()

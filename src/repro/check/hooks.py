@@ -26,23 +26,6 @@ from contextlib import contextmanager
 CHECKER = None
 
 
-def install(checker):
-    """Install ``checker`` as the process-wide invariant checker."""
-    global CHECKER
-    CHECKER = checker
-    return checker
-
-
-def uninstall():
-    """Remove the installed checker (idempotent)."""
-    global CHECKER
-    CHECKER = None
-
-
-def current():
-    return CHECKER
-
-
 @contextmanager
 def checking(checker):
     """Context manager: install ``checker``, restore the previous one on

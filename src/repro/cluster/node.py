@@ -59,7 +59,7 @@ class Node:
         # Teardown: wreck the old RNIC's QPs so their pending WRs flush (the
         # reserved ones are built for it: never later, on the next RNIC).
         for qp in self.rnic.all_qps():
-            qp._enter_error()
+            qp.enter_error()
         self.incarnation += 1
         self.cpu = Resource(self.sim, capacity=self.cores)
         self.memory = PhysicalMemory(self.memory_size)

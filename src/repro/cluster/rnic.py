@@ -45,16 +45,10 @@ class Rnic:
         #: Fractional-ns remainder so sub-ns service times still add up to
         #: the right aggregate rate (sim time is integer ns).
         self._service_carry = 0.0
-        #: Admission bound on the command queue (repro.degrade): when
-        #: this many ops already wait for the command processor, further
-        #: control-path work is rejected instead of queued.  None (the
-        #: default) keeps the queue unbounded.
-        self.command_queue_limit = None
         #: Gray-failure window: until this timestamp both engines serve
         #: ``_degrade_factor`` times slower (alive, just sick); 0 = never.
         self._degraded_until = 0
         self._degrade_factor = 1.0
-        self.stats_command_rejects = 0
         #: CPU nanoseconds burned by cores busy-polling CQs on this node
         #: (``CompletionQueue`` poll modes ``busy``/``adaptive``).  This is
         #: host CPU, not engine occupancy -- it never queues behind the
@@ -93,15 +87,12 @@ class Rnic:
     def qp(self, qpn):
         return self._qps.get(qpn)
 
-    def create_dct_target(self, dc_key):
-        """Create a DCT target (cheap: hardware context only, §3)."""
+    def register_dct_target(self, target):
+        """Register ``target`` under the next DCT number (returned)."""
         number = self._next_dctn
         self._next_dctn += 1
-        from repro.verbs.qp import DctTarget  # local import to avoid a cycle
-
-        target = DctTarget(self.node, number, dc_key)
         self._dct_targets[number] = target
-        return target
+        return number
 
     def dct_target(self, number):
         return self._dct_targets.get(number)
@@ -130,18 +121,6 @@ class Rnic:
 
     def command(self, service_ns):
         """Process: occupy the command processor for ``service_ns``."""
-        limit = self.command_queue_limit
-        if limit is not None and self.command_processor.queue_length >= limit:
-            # Bounded command queue: reject before joining a line that
-            # already guarantees a blown budget (EAGAIN, not a stall).
-            self.stats_command_rejects += 1
-            if _metrics.METRICS is not None:
-                _metrics.METRICS.counter("rnic.command_rejects").inc()
-            from repro.verbs.errors import OverloadRejectedError
-
-            raise OverloadRejectedError(
-                f"rnic@{self.node.gid}: command queue at its bound ({limit})"
-            )
         if self._degraded_until and self.sim.now < self._degraded_until:
             service_ns = int(service_ns * self._degrade_factor)
         # Resource.serve inlined: this runs per control-path op and the

@@ -381,8 +381,8 @@ def backoff_jitter_ns(backoff_ns, salt, attempt):
 
 
 # ---------------------------------------------------------------------------
-# Overload protection defaults (repro.degrade; all knobs off unless a
-# DegradePolicy is installed on the module)
+# Overload protection (repro.degrade; all off unless a DegradePolicy is
+# installed on the module)
 # ---------------------------------------------------------------------------
 
 #: Consecutive meta-lookup failures before a per-shard breaker opens.

@@ -23,10 +23,10 @@ the defense layer:
   is shed first), rejecting early with a typed
   :class:`~repro.verbs.errors.OverloadRejectedError` instead of letting
   a storm collapse everyone's latency.
-- :class:`DegradePolicy` -- the knob bundle.  Everything defaults off:
-  a module built without a policy (``KrcoreModule(degrade=None)``, the
-  default) takes exactly the same code paths as before, which is what
-  keeps every committed figure CSV byte-identical.
+- :class:`DegradePolicy` -- its presence turns breakers and admission
+  on for a module; a module built without one (``KrcoreModule(degrade=
+  None)``, the default) takes none of these paths, which is what keeps
+  every committed figure CSV byte-identical.
 
 All timing is simulated-clock based and fully deterministic; breaker
 transitions and admission lifecycle events report to ``repro.check``
@@ -344,64 +344,29 @@ class AdmissionGate:
 
 
 class DegradePolicy:
-    """The overload-protection knob bundle for one :class:`KrcoreModule`.
+    """The overload protection of one :class:`KrcoreModule`.
 
-    Everything defaults *off*; a policy object is pure configuration
-    (shareable across modules -- breaker and gate state live on the
-    module/pool).  ``DegradePolicy.protected()`` is the
-    everything-sensible-on preset used by the overload figure and the
-    gray chaos harness.
+    A module built with a policy has it all on: a circuit breaker per
+    meta shard (the ``timing.DEGRADE_BREAKER_*`` thresholds) and a
+    per-CPU admission gate on qconnect's DCCache-miss path; a module
+    built without one (``degrade=None``, the default) has neither.
+    Deadlines come per op from the caller (``deadline_ns``).  The policy
+    holds the gate's three settings -- pure configuration, shareable
+    across modules (breaker and gate state live on the module and pool).
     """
 
     def __init__(
         self,
-        deadline_ns=None,
-        breaker_enabled=False,
-        breaker_failure_threshold=None,
-        breaker_recovery_ns=None,
-        breaker_latency_ns=None,
-        admission_enabled=False,
-        admission_rate_per_sec=None,
-        admission_burst=None,
-        admission_max_pending=None,
-        rnic_command_queue_limit=None,
+        admission_rate_per_sec=timing.DEGRADE_ADMISSION_RATE_PER_SEC,
+        admission_burst=timing.DEGRADE_ADMISSION_BURST,
+        admission_max_pending=timing.DEGRADE_ADMISSION_MAX_PENDING,
     ):
-        self.deadline_ns = deadline_ns
-        self.breaker_enabled = bool(breaker_enabled)
-        self.breaker_failure_threshold = (
-            timing.DEGRADE_BREAKER_FAILURES
-            if breaker_failure_threshold is None else int(breaker_failure_threshold)
-        )
-        self.breaker_recovery_ns = (
-            timing.DEGRADE_BREAKER_RECOVERY_NS
-            if breaker_recovery_ns is None else int(breaker_recovery_ns)
-        )
-        self.breaker_latency_ns = (
-            timing.DEGRADE_BREAKER_LATENCY_NS
-            if breaker_latency_ns is None else int(breaker_latency_ns)
-        )
-        self.admission_enabled = bool(admission_enabled)
-        self.admission_rate_per_sec = (
-            timing.DEGRADE_ADMISSION_RATE_PER_SEC
-            if admission_rate_per_sec is None else float(admission_rate_per_sec)
-        )
-        self.admission_burst = (
-            timing.DEGRADE_ADMISSION_BURST
-            if admission_burst is None else int(admission_burst)
-        )
-        self.admission_max_pending = (
-            timing.DEGRADE_ADMISSION_MAX_PENDING
-            if admission_max_pending is None else int(admission_max_pending)
-        )
-        self.rnic_command_queue_limit = rnic_command_queue_limit
+        self.admission_rate_per_sec = admission_rate_per_sec
+        self.admission_burst = admission_burst
+        self.admission_max_pending = admission_max_pending
 
     @classmethod
-    def protected(cls, **overrides):
-        """Deadlines + breakers + admission on, with the timing defaults."""
-        config = dict(
-            deadline_ns=None,
-            breaker_enabled=True,
-            admission_enabled=True,
-        )
-        config.update(overrides)
-        return cls(**config)
+    def protected(cls, **admission):
+        """The policy the overload figure and the gray scenario install:
+        the timing defaults, or a tenant's own admission quota."""
+        return cls(**admission)

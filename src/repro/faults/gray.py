@@ -69,6 +69,13 @@ SLO_NS = 400 * timing.US
 P99_BOUND_NS = SLO_NS + 50 * timing.US
 #: Minimum fraction of victim ops that must complete within the SLO.
 GOODPUT_FLOOR = 0.70
+#: Victim qconnects, one launched every VICTIM_GAP_NS however the last does.
+VICTIM_OPS = 80
+VICTIM_GAP_NS = 40 * timing.US
+#: Closed-loop storm workers.
+STORM_WORKERS = 6
+#: The storm stops here; the gray plan's windows are fractions of it.
+HORIZON_NS = 4 * timing.MS
 
 
 def _p99(latencies):
@@ -85,27 +92,12 @@ class GrayChaosHarness(ChaosRun):
 
     checked = True
 
-    def __init__(
-        self,
-        seed,
-        protected=True,
-        plan=None,
-        victim_ops=80,
-        victim_gap_ns=40 * timing.US,
-        storm_workers=6,
-        horizon_ns=4 * timing.MS,
-        slo_ns=SLO_NS,
-    ):
+    def __init__(self, seed, protected=True):
         self.protected = protected
-        self.victim_ops = victim_ops
-        self.victim_gap_ns = victim_gap_ns
-        self.storm_workers = storm_workers
-        self.horizon_ns = horizon_ns
-        self.slo_ns = slo_ns
         #: Victim latencies (ns) of *successful* qconnects, in op order.
         self.victim_latencies = []
         super().__init__(
-            seed, plan, 2, 5, protected=protected,
+            seed, None, 2, 5, protected=protected,
             victim_ops=0, victim_good=0,  # completed within the SLO
             storm_ops_ok=0, storm_shed=0,  # shed: rejected at the storm's gate
         )
@@ -146,7 +138,7 @@ class GrayChaosHarness(ChaosRun):
 
     def default_plan(self):
         """The deterministic storm: one sick shard, three gray faults."""
-        h = self.horizon_ns
+        h = HORIZON_NS
         sick_gid = self.meta_nodes[self.sick_shard].gid
         return (
             FaultPlan(seed=self.seed)
@@ -164,7 +156,7 @@ class GrayChaosHarness(ChaosRun):
 
     def drive(self):
         self.sim.process(self._victim_launcher(), name="gray-victim")
-        for worker in range(self.storm_workers):
+        for worker in range(STORM_WORKERS):
             self.sim.process(
                 self._storm_worker(worker), name=f"gray-storm-{worker}"
             )
@@ -210,7 +202,7 @@ class GrayChaosHarness(ChaosRun):
             yield from lib.qconnect(
                 vqp,
                 self.victim_target,
-                deadline_ns=self.slo_ns if self.protected else None,
+                deadline_ns=SLO_NS if self.protected else None,
             )
         except DeadlineExceededError:
             outcome = "deadline"
@@ -220,7 +212,7 @@ class GrayChaosHarness(ChaosRun):
         self.report.victim_ops += 1
         if outcome == "ok":
             self.victim_latencies.append(latency)
-            if latency <= self.slo_ns:
+            if latency <= SLO_NS:
                 self.report.victim_good += 1
         self.report.record(
             f"victim op{index} start={started} lat={latency} {outcome}"
@@ -231,11 +223,11 @@ class GrayChaosHarness(ChaosRun):
         previous one is doing -- a slow control plane must not get to
         slow down its own offered load."""
         lib = KrcoreLib(self.victim_node, cpu_id=0)
-        for index in range(self.victim_ops):
+        for index in range(VICTIM_OPS):
             self.sim.process(
                 self._victim_op(index, lib), name=f"gray-victim-{index}"
             )
-            yield self.victim_gap_ns
+            yield VICTIM_GAP_NS
 
     # ------------------------------------------------------------------ storm
 
@@ -248,7 +240,7 @@ class GrayChaosHarness(ChaosRun):
         module = self.modules[self.storm_node.gid]
         attempt = 0
         salt = f"storm{self.seed}:{worker}"
-        while self.sim.now < self.horizon_ns:
+        while self.sim.now < HORIZON_NS:
             module.dc_cache.pop(self.storm_target, None)
             vqp = yield from lib.create_vqp()
             try:

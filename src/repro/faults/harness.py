@@ -35,6 +35,17 @@ from repro.workloads.ycsb import YCSB_A, YcsbWorkload
 #: Bytes per value slot; a multiple of the 8-byte tag word.
 VALUE_BYTES = 64
 _WORD = 8
+#: The servers (the fault victims) and the YCSB keys spread over them by
+#: rank, one VALUE_BYTES slot each.
+NUM_SERVERS = 2
+NUM_KEYS = 64
+#: Every module's MR lease: short, so the lease check's retraction lapses
+#: within the run.
+MR_LEASE_NS = 2 * timing.MS
+#: The window a random plan's faults start in; client ops pace across it.
+HORIZON_NS = 8 * timing.MS
+#: Attempts one op gets before it is recorded as failed.
+MAX_ATTEMPTS = 500
 
 
 def _value_word(rank, counter):
@@ -60,43 +71,22 @@ _ServerInfo = namedtuple("_ServerInfo", "gid base rkey")
 
 
 class ChaosHarness(ChaosRun):
-    """The YCSB scenario.  Layout: meta shards, then ``num_servers``
+    """The YCSB scenario.  Layout: meta shards, then ``NUM_SERVERS``
     servers (the fault victims), then ``num_clients`` clients.  Meta and
     client nodes are never crashed, so every client process runs to
     completion and the meta QPs survive -- meta failures are injected as
     (possibly per-shard) outage windows instead."""
 
-    def __init__(
-        self,
-        seed,
-        plan=None,
-        num_servers=2,
-        num_clients=2,
-        ops_per_client=150,
-        mix=None,
-        num_keys=64,
-        mr_lease_ns=2 * timing.MS,
-        horizon_ns=8 * timing.MS,
-        max_attempts=500,
-        op_gap_ns=None,
-        meta_shards=1,
-    ):
-        self.num_servers = num_servers
-        self.num_keys = num_keys
+    def __init__(self, seed, plan=None, num_clients=2, ops_per_client=150, meta_shards=1):
         self.ops_per_client = ops_per_client
-        self.mix = YCSB_A if mix is None else mix
-        self.mr_lease_ns = mr_lease_ns
-        self.horizon_ns = horizon_ns
-        self.max_attempts = max_attempts
+        self.horizon_ns = HORIZON_NS
         # Pace each client across the fault horizon: back-to-back sync ops
         # would finish in microseconds, long before the plan fires.
-        if op_gap_ns is None:
-            op_gap_ns = max(horizon_ns // max(ops_per_client, 1), 0)
-        self.op_gap_ns = op_gap_ns
+        self.op_gap_ns = HORIZON_NS // max(ops_per_client, 1)
         self._robust_seq = 0  # distinct jitter salt per _robust call
         self._clients_done = 0
         super().__init__(
-            seed, plan, meta_shards, num_servers + num_clients,
+            seed, plan, meta_shards, NUM_SERVERS + num_clients,
             ops_ok=0, ops_failed=0, retried_ops=0, stale_accepts=0,
             # Shard failovers, and qconnects that degraded to a full RC
             # handshake because every owner shard was unreachable.
@@ -107,11 +97,11 @@ class ChaosHarness(ChaosRun):
     # ------------------------------------------------------------------ setup
 
     def place(self, nodes):
-        self.server_nodes = nodes[: self.num_servers]
-        self.client_nodes = nodes[self.num_servers :]
+        self.server_nodes = nodes[:NUM_SERVERS]
+        self.client_nodes = nodes[NUM_SERVERS:]
 
     def module_kwargs(self, node):
-        return {"mr_lease_ns": self.mr_lease_ns}
+        return {"mr_lease_ns": MR_LEASE_NS}
 
     def setup(self):
         # Server data regions: one VALUE_BYTES slot per key rank.
@@ -120,7 +110,7 @@ class ChaosHarness(ChaosRun):
             self.reload(node)
 
     def reload(self, node):
-        length = self.num_keys * VALUE_BYTES
+        length = NUM_KEYS * VALUE_BYTES
         addr = node.memory.alloc(length)
         region = node.memory.register(addr, length)
         self.modules[node.gid].valid_mr.record(region)
@@ -154,8 +144,8 @@ class ChaosHarness(ChaosRun):
     def _client(self, client_id, node):
         lib = KrcoreLib(node, cpu_id=0)
         workload = YcsbWorkload(
-            mix=self.mix,
-            num_keys=self.num_keys,
+            mix=YCSB_A,
+            num_keys=NUM_KEYS,
             seed=self.seed * 7919 + client_id,
         )
         scratch = node.memory.alloc(VALUE_BYTES)
@@ -215,7 +205,7 @@ class ChaosHarness(ChaosRun):
         """Process: run ``make_process()`` with the recovery policy --
         revalidate ``vqp`` on REM_ACCESS (stale DCT key after a restart),
         back off exponentially on everything else, give up after
-        ``max_attempts``.
+        ``MAX_ATTEMPTS``.
 
         Returns ("ok"|"failed:<reason>", attempts).
         """
@@ -229,7 +219,7 @@ class ChaosHarness(ChaosRun):
         self._robust_seq += 1
         salt = f"{self.seed}:{self._robust_seq}"
         last = "unknown"
-        while attempts < self.max_attempts:
+        while attempts < MAX_ATTEMPTS:
             attempts += 1
             try:
                 yield from make_process()
@@ -339,7 +329,7 @@ class ChaosHarness(ChaosRun):
             readable = False
 
         yield from smod.dereg_mr(region)
-        yield self.mr_lease_ns + 200 * timing.US
+        yield MR_LEASE_NS + 200 * timing.US
         still_readable = True
         try:
             yield from lib.read_sync(

@@ -36,39 +36,33 @@ from repro.verbs.types import QPS_ERR
 
 #: Short MR lease so epochs roll over inside the chaos window.
 LEASE_NS = 200 * timing.US
+#: Worker nodes, and the pod MRs deployed on each.
+WORKERS = 2
+PODS_PER_WORKER = 4
+#: Idle time between two harvest cycles.
+CYCLE_GAP_NS = 150 * timing.US
+#: One pod churned per interval.  Slow enough that a good fraction of pods
+#: outlive the meta outage: stale accepts need entries that *expire* (epoch
+#: roll) rather than churn away (new rkey, no cached record).  One exhausted
+#: lookup costs ~0.8ms (failover probes + backoff), so the outage must
+#: outlast a whole validation-storm cycle (pods x 0.8ms) for the stale
+#: markers to get re-hit.
+CHURN_INTERVAL_NS = 1500 * timing.US
+#: The churn driver stops here; the plan's windows are fractions of it.
+HORIZON_NS = 16 * timing.MS
 
 
 class MicroViewChaosHarness(ChaosRun):
     """The MR-churn scenario (tests reach the directory, collector and
     plan through its attributes).  Layout: two meta shards, the
-    collector, then ``workers`` worker nodes."""
+    collector, then ``WORKERS`` worker nodes."""
 
     checked = True
 
-    def __init__(
-        self,
-        seed,
-        workers=2,
-        pods_per_worker=4,
-        cycles=14,
-        cycle_gap_ns=150 * timing.US,
-        # Slow enough that a good fraction of pods outlive the meta
-        # outage: stale accepts need entries that *expire* (epoch roll)
-        # rather than churn away (new rkey, no cached record).  One
-        # exhausted lookup costs ~0.8ms (failover probes + backoff), so
-        # the outage below must outlast a whole validation-storm cycle
-        # (pods x 0.8ms) for the stale markers to get re-hit.
-        churn_interval_ns=1500 * timing.US,
-        horizon_ns=16 * timing.MS,
-        plan=None,
-    ):
+    def __init__(self, seed, cycles=14):
         self.cycles = cycles
-        self.pods_per_worker = pods_per_worker
-        self.cycle_gap_ns = cycle_gap_ns
-        self.churn_interval_ns = churn_interval_ns
-        self.horizon_ns = horizon_ns
         super().__init__(
-            seed, plan, 2, 1 + workers, cycles=0, bytes_ok=0,
+            seed, None, 2, 1 + WORKERS, cycles=0, bytes_ok=0,
             failed_reads=0, churns=0, stale_accepts=0, stale_hits=0,
         )
 
@@ -90,7 +84,7 @@ class MicroViewChaosHarness(ChaosRun):
         """Deterministic faults: a full-plane meta outage spanning an
         epoch boundary (forcing stale accepts), then one lagging shard,
         plus a gray link under the harvest path."""
-        h = self.horizon_ns
+        h = HORIZON_NS
         return (
             FaultPlan(seed=self.seed)
             # Long enough to span several epoch rolls AND one whole
@@ -110,11 +104,11 @@ class MicroViewChaosHarness(ChaosRun):
         self.sim.process(self._harvest_loop(), name="microview-chaos-harvest")
 
     def _harvest_loop(self):
-        yield from self.directory.deploy(self.pods_per_worker)
+        yield from self.directory.deploy(PODS_PER_WORKER)
         yield from self.collector.setup()
         self.sim.process(
             self.directory.churn_driver(
-                self.churn_interval_ns, self.horizon_ns, seed=self.seed
+                CHURN_INTERVAL_NS, HORIZON_NS, seed=self.seed
             ),
             name="microview-chaos-churn",
         )
@@ -130,7 +124,7 @@ class MicroViewChaosHarness(ChaosRun):
                 f"ok={stats.bytes_ok - before_ok} "
                 f"failed={stats.failed_reads - before_failed}"
             )
-            yield self.cycle_gap_ns
+            yield CYCLE_GAP_NS
 
     def audit(self, checker):
         stats = self.collector.stats
@@ -156,7 +150,7 @@ class MicroViewChaosHarness(ChaosRun):
         )
         inv["shared_qp_healthy"] = all(
             vqp.qp is None or vqp.qp.state is not QPS_ERR
-            for vqp in self.backend._vqps.values()
+            for vqp in self.backend.vqps.values()
         )
         inv["no_dead_mr_read"] = not any(
             v.invariant == "mr-read-churn-window" for v in checker.violations

@@ -31,7 +31,7 @@ class KrcoreLib:
         self.cpu_id = cpu_id
         self.charge_syscall = charge_syscall
 
-    def _enter_kernel(self):
+    def enter_kernel(self):
         """Process: one syscall, as a ``syscall`` span when traced.
         ``create_vqp``, ``qconnect`` and ``post_send_and_wait`` yield the
         untraced charge in their own frame instead."""
@@ -53,7 +53,7 @@ class KrcoreLib:
         if _trace.TRACER is None:
             yield timing.SYSCALL_NS if self.charge_syscall else 0
         else:
-            yield from self._enter_kernel()
+            yield from self.enter_kernel()
         return self.module.create_vqp(cpu_id=self.cpu_id)
 
     def qconnect(self, vqp, gid, port=0, deadline_ns=None):
@@ -62,7 +62,7 @@ class KrcoreLib:
         Cached: ~0.9 us (just the syscall).  Uncached: ~5.4 us (syscall +
         two one-sided READs to the meta server) -- Fig 8a.
 
-        ``deadline_ns`` (or the module's DegradePolicy default) starts a
+        ``deadline_ns`` starts a
         time budget at the syscall boundary that every meta RPC hop below
         decrements and checks; a spent budget surfaces as a typed
         :class:`~repro.verbs.errors.DeadlineExceededError` instead of
@@ -81,7 +81,7 @@ class KrcoreLib:
             if tracer is None:
                 yield timing.SYSCALL_NS if self.charge_syscall else 0
             else:
-                yield from self._enter_kernel()
+                yield from self.enter_kernel()
             yield from vqp.connect(gid, port, deadline)
         finally:
             if tracer is not None:
@@ -92,25 +92,25 @@ class KrcoreLib:
         """Process: ibv_destroy_qp -- drop the VQP from the kernel's
         tables.  Raises :class:`KrcoreError` while it has un-polled
         completions or a QP transfer in flight."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         self.module.destroy_vqp(vqp)
 
     def qbind(self, vqp, port):
         """Process: bind the VQP to a port for incoming connections."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         self.module.messaging.bind(port, vqp)
         return vqp
 
     def reg_mr(self, addr, length):
         """Process: register memory; recorded in ValidMR and published to
         the meta server for remote validation."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         region = yield from self.module.reg_mr(addr, length)
         return region
 
     def dereg_mr(self, region):
         """Process: deregister; actually freed after one lease (§4.2)."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         yield from self.module.dereg_mr(region)
 
     # ----------------------------------------------------------- data path
@@ -118,7 +118,7 @@ class KrcoreLib:
     def post_send(self, vqp, wr_list, deadline_ns=None):
         """Process: ibv_post_send on a VQP (one syscall per batch)."""
         deadline = self.module.op_deadline(deadline_ns)
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         yield from vqp.post_send(wr_list, deadline)
 
     def post_send_batch(self, vqp, wr_list, deadline_ns=None):
@@ -130,20 +130,20 @@ class KrcoreLib:
         semantics.
         """
         deadline = self.module.op_deadline(deadline_ns)
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         yield from vqp.post_send_batch(wr_list, deadline)
 
     def post_send_multi(self, posts):
         """Process: post to several VQPs in one ioctl (``posts`` is a list
         of (vqp, wr_list) handled in order) -- the batched shim call that
         lets one syscall fan a request batch out to many targets."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         for vqp, wr_list in posts:
             yield from vqp.post_send(wr_list)
 
     def poll_cq(self, vqp):
         """Process: ibv_poll_cq -- non-blocking; returns an entry or None."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         return vqp.poll_cq()
 
     def post_send_and_wait(self, vqp, wr_list, deadline_ns=None):
@@ -163,7 +163,7 @@ class KrcoreLib:
         if _trace.TRACER is None:
             yield timing.SYSCALL_NS if self.charge_syscall else 0
         else:
-            yield from self._enter_kernel()
+            yield from self.enter_kernel()
         yield from vqp.post_send(wr_list, deadline)
         for _ in range(wanted):
             entry = yield from vqp.wait_send_completion()
@@ -208,7 +208,7 @@ class KrcoreLib:
         """Process: post a SEND and block for the response message, all in
         one ioctl -- the synchronous request/response fast path.  Returns
         the receive completion."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         yield from vqp.post_send(send_wr)
         completion = yield from vqp.wait_recv_completion()
         return completion
@@ -218,7 +218,7 @@ class KrcoreLib:
         ioctl (the server-side steady-state loop: one kernel crossing per
         served message).  ``replies`` is a list of (reply_vqp, wr_list).
         Blocks until at least one new message arrives."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         for reply_vqp, wr_list in replies:
             yield from reply_vqp.post_send(wr_list)
         return (
@@ -229,25 +229,25 @@ class KrcoreLib:
 
     def post_recv(self, vqp, recv_buffer):
         """Process: ibv_post_recv into the virtual receive queue."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         vqp.post_recv(recv_buffer)
 
     def recv_wait(self, vqp):
         """Process: block (one ioctl) until a message lands in this VQP's
         posted buffer; returns the receive completion."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         completion = yield from vqp.wait_recv_completion()
         return completion
 
     def qpop_msgs(self, vqp, max_msgs=16):
         """Process: Fig 7's qpop_msgs -- non-blocking drain of the bound
         port; returns a list of (src_vqp, completion) pairs."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         return (yield from self.module.messaging.qpop_msgs(vqp, max_msgs, self.cpu_id))
 
     def qpop_msgs_wait(self, vqp, max_msgs=16):
         """Process: blocking qpop -- waits until at least one message."""
-        yield from self._enter_kernel()
+        yield from self.enter_kernel()
         return (
             yield from self.module.messaging.qpop_msgs(vqp, max_msgs, self.cpu_id, block=True)
         )

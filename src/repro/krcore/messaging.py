@@ -406,9 +406,11 @@ class KernelMessaging:
             wr = WorkRequest.read(
                 user_buf.addr, zc["len"], user_buf.lkey, zc["addr"], zc["rkey"]
             )
-            wc = yield from self.module.kernel_one_sided(
-                vqp.cpu_id, header["src_gid"], header.get("src_dct_meta"), wr
-            )
+            # Addressed with the sender's DCT metadata, which every kernel
+            # message header carries: no lookup, nothing stale to re-post.
+            gid = header["src_gid"]
+            qp, meta = yield from self.module.target_qp(vqp.cpu_id, gid, header["src_dct_meta"])
+            wc = yield from self.module.post_signaled(qp, wr, gid, meta)
             if wc.status is not WC_SUCCESS:
                 raise KrcoreError(f"zero-copy READ failed: {wc.status}", code=wc.status)
             byte_len = zc["len"]

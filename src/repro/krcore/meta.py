@@ -75,10 +75,10 @@ class MetaServer:
 
     SERVICE = "krcore-meta"
 
-    def __init__(self, node, bucket_count=4096, heap_bytes=1 << 20):
+    def __init__(self, node, bucket_count=4096):
         self.node = node
         self.sim = node.sim
-        self.store = DrtmKvServer(node, bucket_count=bucket_count, heap_bytes=heap_bytes)
+        self.store = DrtmKvServer(node, bucket_count=bucket_count)
         #: Simulated timestamp until which the service is in an outage
         #: window (fault injection); 0 means never.
         self._outage_until = 0

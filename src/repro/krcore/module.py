@@ -19,7 +19,9 @@ from repro.krcore.vqp import KrcoreError, Vqp
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.verbs.errors import DeadlineExceededError, MetaUnavailableError
-from repro.verbs import CompletionQueue, ConnectionManager, DriverContext, WorkRequest
+from repro.verbs import (
+    CompletionQueue, ConnectionManager, DctTarget, DriverContext, WorkRequest,
+)
 from repro.verbs.connection import rc_connect
 from repro.verbs.types import (
     QPS_ERR,
@@ -74,8 +76,6 @@ class KrcoreModule:
         #: single falsy check and the control path is unchanged.
         self.degrade = degrade
         self._meta_breakers = {}  # shard index -> CircuitBreaker
-        if degrade is not None and degrade.rnic_command_queue_limit is not None:
-            node.rnic.command_queue_limit = degrade.rnic_command_queue_limit
         #: The meta plane this module talks to.  A bare MetaServer is
         #: wrapped into a one-shard plane, so ``meta_server`` accepts both
         #: and the single-deployment control path is unchanged.
@@ -101,7 +101,7 @@ class KrcoreModule:
             dc_key = _stable_key(f"{node.gid}#{node.incarnation}")
         else:
             dc_key = _stable_key(node.gid)
-        self.dct_target = node.rnic.create_dct_target(dc_key=dc_key)
+        self.dct_target = DctTarget(node, dc_key)
         self.dct_target.recv_cq = CompletionQueue(self.sim)
         if _check.CHECKER is not None:
             _check.CHECKER.dct_published(node.gid, node.incarnation, self.own_dct_meta)
@@ -392,30 +392,6 @@ class KrcoreModule:
                 yield qp.send_cq.wait()
         return event.value
 
-    def kernel_one_sided(self, cpu_id, gid, dct_meta, wr):
-        """Process: issue one signaled kernel-internal one-sided op through
-        the hybrid pool and wait for its completion.
-
-        A DC op that fails REM_ACCESS with metadata *we* looked up may be a
-        stale-cache casualty (the target restarted with a new DCT key):
-        revalidate once against the meta server and, if the metadata did
-        change, re-issue.  Piggybacked metadata is never second-guessed."""
-        piggybacked = dct_meta is not None
-        qp, dct_meta = yield from self.target_qp(cpu_id, gid, dct_meta)
-        wc = yield from self.post_signaled(qp, wr, gid, dct_meta)
-        if wc.status is WC_REM_ACCESS_ERR and qp.qp_type is QPT_DC and not piggybacked:
-            try:
-                fresh = yield from self.revalidate_dct(cpu_id, gid, stale_meta=dct_meta)
-            except KrcoreError:
-                return wc  # meta also unreachable: report the original error
-            if fresh != tuple(dct_meta):
-                # Wait for the wrecked QP to be back at RTS.
-                while qp.state is not QPS_RTS:
-                    self._start_repair(qp)
-                    yield timing.KRCORE_BACKOFF_BASE_NS
-                wc = yield from self.post_signaled(qp, wr, gid, fresh)
-        return wc
-
     def _dct_meta_for(self, cpu_id, gid):
         meta = self.dc_cache.get(gid)
         if meta is None:
@@ -475,26 +451,17 @@ class KrcoreModule:
     # ------------------------------------------------------ meta-plane lookups
 
     def op_deadline(self, deadline_ns=None):
-        """A :class:`Deadline` for one control-path op (explicit budget,
-        else the policy's default), or None when budgets are off."""
-        if deadline_ns is not None:
-            return Deadline.after(self.sim, deadline_ns)
-        if self.degrade is not None and self.degrade.deadline_ns is not None:
-            return Deadline.after(self.sim, self.degrade.deadline_ns)
-        return None
+        """A :class:`Deadline` ``deadline_ns`` from now for one control-path
+        op, or None when the caller gave no budget."""
+        if deadline_ns is None:
+            return None
+        return Deadline.after(self.sim, deadline_ns)
 
     def meta_breaker(self, shard):
         """The lazily-built circuit breaker guarding one meta shard."""
         breaker = self._meta_breakers.get(shard)
         if breaker is None:
-            policy = self.degrade
-            breaker = CircuitBreaker(
-                self.sim,
-                name=f"meta-shard{shard}@{self.node.gid}",
-                failure_threshold=policy.breaker_failure_threshold,
-                recovery_ns=policy.breaker_recovery_ns,
-                latency_threshold_ns=policy.breaker_latency_ns,
-            )
+            breaker = CircuitBreaker(self.sim, name=f"meta-shard{shard}@{self.node.gid}")
             self._meta_breakers[shard] = breaker
         return breaker
 
@@ -516,7 +483,7 @@ class KrcoreModule:
         """Process: ``lookup(client, *args)`` (a :class:`MetaClient` lookup
         method) against ``key``'s owner shards in turn."""
         owners = self.meta_plane.owner_indices(key)
-        breakers = self.degrade is not None and self.degrade.breaker_enabled
+        breakers = self.degrade is not None
         last_error = None
         for position, shard in enumerate(owners):
             if position:

@@ -25,9 +25,8 @@ class HybridQpPool:
         self.rc = {}  # gid -> QueuePair
         self._rc_last_use = {}  # gid -> sim time of last selection
         #: Admission gate guarding this CPU's share of the meta-lookup
-        #: capacity (repro.degrade); None until a DegradePolicy with
-        #: admission enabled asks for it, so the default pool pays
-        #: nothing.
+        #: capacity (repro.degrade); None until a DegradePolicy asks for
+        #: it, so the default pool pays nothing.
         self.admission = None
 
     def admission_gate(self, sim, policy):

@@ -166,9 +166,8 @@ class Vqp:
                         )
                     if _metrics.METRICS is not None:
                         _metrics.METRICS.counter("krcore.dc_cache_misses").inc()
-                    policy = module.degrade
-                    if policy is not None and policy.admission_enabled:
-                        yield from pool.admission_gate(module.sim, policy).admit(deadline)
+                    if module.degrade is not None:
+                        yield from pool.admission_gate(module.sim, module.degrade).admit(deadline)
                     meta = yield from self._fetch_dct_meta(gid, pool, deadline)
                     if deadline is not None:
                         # A gray-slow fetch can *succeed* past the budget

@@ -19,7 +19,7 @@ class DrtmKvClient:
     scratch buffer); use one client per concurrent caller.
     """
 
-    def __init__(self, catalog, qp, scratch_addr, scratch_len, scratch_lkey, charge_cpu=True):
+    def __init__(self, catalog, qp, scratch_addr, scratch_len, scratch_lkey):
         if scratch_len < BUCKET_BYTES:
             raise ValueError("scratch buffer smaller than one bucket")
         self.catalog = catalog
@@ -27,7 +27,6 @@ class DrtmKvClient:
         self.scratch_addr = scratch_addr
         self.scratch_len = scratch_len
         self.scratch_lkey = scratch_lkey
-        self.charge_cpu = charge_cpu
         self.heap_addr = catalog.base_addr + catalog.bucket_count * BUCKET_BYTES
         self.stats_reads = 0
 
@@ -59,8 +58,7 @@ class DrtmKvClient:
             raise RecordTooLargeError(
                 f"record of {length} bytes exceeds the {self.scratch_len} B scratch buffer"
             )
-        if self.charge_cpu:
-            yield timing.POST_SEND_CPU_NS
+        yield timing.POST_SEND_CPU_NS
         self.qp.post_send(
             WorkRequest.read(
                 self.scratch_addr, length, self.scratch_lkey, raddr, self.catalog.rkey
@@ -74,8 +72,7 @@ class DrtmKvClient:
                 completions = cq.poll()
         else:
             completions = yield from cq.wait_poll()
-        if self.charge_cpu:
-            yield timing.POLL_CQ_CPU_NS
+        yield timing.POLL_CQ_CPU_NS
         completion = completions[0]
         if not completion.ok:
             raise VerbsError(

@@ -15,6 +15,10 @@ from repro.verbs.types import OP_FETCH_ADD, OP_RECV, QPT_RC
 #: The well-known port LITE modules accept each other's connections on.
 LITE_PORT = 9
 
+#: Kernel RPC message buffers per module, and the bytes of each.
+RPC_BUFFERS = 64
+RPC_BUF_BYTES = 4096
+
 
 class LiteError(VerbsError):
     """A LITE operation failed (remote error, wrecked QP, ...)."""
@@ -29,7 +33,7 @@ class LiteModule:
 
     SERVICE = "lite"
 
-    def __init__(self, node, rpc_buffers=64, rpc_buf_bytes=4096):
+    def __init__(self, node):
         self.node = node
         self.sim = node.sim
         self.context = DriverContext(node, kernel=True)
@@ -40,10 +44,9 @@ class LiteModule:
         self.stats_cache_misses = 0
         #: Registered RPC handler: fn(request_bytes) -> response_bytes.
         self._rpc_handler = None
-        self._rpc_buf_bytes = rpc_buf_bytes
-        base = node.memory.alloc(rpc_buffers * rpc_buf_bytes)
-        self._rpc_region = node.memory.register(base, rpc_buffers * rpc_buf_bytes)
-        self._rpc_free = list(range(rpc_buffers))
+        base = node.memory.alloc(RPC_BUFFERS * RPC_BUF_BYTES)
+        self._rpc_region = node.memory.register(base, RPC_BUFFERS * RPC_BUF_BYTES)
+        self._rpc_free = list(range(RPC_BUFFERS))
         self._rpc_base = base
         self._reply_events = {}
         self._next_rpc_id = 1
@@ -82,8 +85,8 @@ class LiteModule:
         slot = self._rpc_free.pop()
         qp.post_recv(
             RecvBuffer(
-                self._rpc_base + slot * self._rpc_buf_bytes,
-                self._rpc_buf_bytes,
+                self._rpc_base + slot * RPC_BUF_BYTES,
+                RPC_BUF_BYTES,
                 self._rpc_region.lkey,
                 wr_id=slot,
             )
@@ -101,7 +104,7 @@ class LiteModule:
         header = completion.header or {}
         slot = completion.wr_id
         payload = self.node.memory.read(
-            self._rpc_base + slot * self._rpc_buf_bytes, completion.byte_len
+            self._rpc_base + slot * RPC_BUF_BYTES, completion.byte_len
         )
         self._rpc_free.append(slot)
         self._post_rpc_buffer(qp)
@@ -124,15 +127,15 @@ class LiteModule:
         )
 
     def _send_message(self, qp, payload, header):
-        if len(payload) > self._rpc_buf_bytes:
+        if len(payload) > RPC_BUF_BYTES:
             raise LiteError(
                 f"LITE RPC message of {len(payload)}B exceeds the "
-                f"{self._rpc_buf_bytes}B buffers"
+                f"{RPC_BUF_BYTES}B buffers"
             )
         if not self._rpc_free:
             raise LiteError("out of LITE RPC buffers")
         slot = self._rpc_free.pop()
-        addr = self._rpc_base + slot * self._rpc_buf_bytes
+        addr = self._rpc_base + slot * RPC_BUF_BYTES
         self.node.memory.write(addr, payload)
         yield timing.POST_SEND_CPU_NS
         qp.post_send(
@@ -272,12 +275,6 @@ class LiteModule:
             raise LiteError(f"no cached QP for {gid}; connect first")
         qp.post_send(wrs)
         return qp
-
-    def poll_async(self, gid, num_entries=1):
-        qp = self.pool.get(gid)
-        if qp is None:
-            raise LiteError(f"no cached QP for {gid}")
-        return qp.send_cq.poll(num_entries)
 
     # ------------------------------------------------------------------- memory
 

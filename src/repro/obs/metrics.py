@@ -9,6 +9,8 @@ deterministic as the run that produced it.
 
 import json
 
+from repro.sim.stats import percentile
+
 #: The process-wide registry consulted by instrumented call sites, or
 #: ``None`` (disabled).  Install via :func:`repro.obs.install`.
 METRICS = None
@@ -84,8 +86,6 @@ class Histogram:
         return len(self.samples)
 
     def percentile(self, fraction):
-        from repro.sim.stats import percentile
-
         return percentile(self.samples, fraction)
 
     def snapshot(self):

@@ -21,7 +21,6 @@ class ProtectionDomain:
     def __init__(self, context):
         self.context = context
         self.node = context.node
-        self.regions = []
 
     def reg_mr(self, addr, length, access=None):
         """Process: register memory (cheap: ~1.4 us for 4 MB, §5.1)."""
@@ -29,13 +28,7 @@ class ProtectionDomain:
         region = self.node.memory.register(
             addr, length, AccessFlags.ALL if access is None else access
         )
-        self.regions.append(region)
         return region
-
-    def dereg_mr(self, region):
-        self.node.memory.deregister(region)
-        if region in self.regions:
-            self.regions.remove(region)
 
 
 class DriverContext:

@@ -65,16 +65,17 @@ from repro.verbs.types import (
 class DctTarget:
     """A responder-side DCT context (identified by number + key, §3.1 C#1).
 
-    Creating one is cheap -- no per-connection hardware queues.  Inbound
+    Creating one is cheap -- no per-connection hardware queues; it takes
+    the node's next DCT number, as a QP takes its next QPN.  Inbound
     one-sided ops validate the key; inbound SENDs consume buffers from the
     target's shared receive queue and complete into ``recv_cq``.
     """
 
     __slots__ = ("node", "number", "key", "recv_cq", "_stock", "_build", "_head", "_posted")
 
-    def __init__(self, node, number, key):
+    def __init__(self, node, key):
         self.node = node
-        self.number = number
+        self.number = node.rnic.register_dct_target(self)
         self.key = key
         self.recv_cq = None
         self._stock = ()  # SRQ slots stocked and not built yet
@@ -256,7 +257,7 @@ class QueuePair:
         if self.state is not QPS_RTS:
             raise VerbsError(f"QP {self.qpn}: post_send in state {self.state}")
         if len(wrs) > self.free_slots:
-            self._enter_error()
+            self.enter_error()
             raise QpOverflowError(
                 f"QP {self.qpn}: posting {len(wrs)} WRs with {self.free_slots} free slots",
                 code=WC_FLUSH_ERR,
@@ -410,7 +411,8 @@ class QueuePair:
             Completion(wr.wr_id, status, wr.opcode, byte_len=byte_len, qp=self, covers=covers)
         )
 
-    def _enter_error(self):
+    def enter_error(self):
+        """Move to ERR (idempotent): a failed WR, an overflow, a reboot."""
         if self.state is QPS_ERR:
             return
         self.state = QPS_ERR
@@ -810,7 +812,7 @@ class _Flight:
             qp._complete(self.wr, WC_FLUSH_ERR, stale=True)
         elif status is not WC_SUCCESS:
             qp._complete(self.wr, status)
-            qp._enter_error()
+            qp.enter_error()
         elif qp.state is QPS_ERR:
             # A preceding request wrecked the QP: this one's remote effects
             # stand, but it completes flushed, like outstanding WRs on a

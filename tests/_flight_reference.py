@@ -12,7 +12,7 @@ that claim: ``tests/test_flight_oracle.py`` swaps it in for ``_Flight``
 there is no second path in ``src/``) and compares whole timelines.
 
 ``GeneratorFlight`` is the adapter: what ``_sender_loop`` and
-``_enter_error`` ask of a flight (construct, ``_issue()`` in the sender's
+``enter_error`` ask of a flight (construct, ``_issue()`` in the sender's
 context, ``_issue_queued()`` for the start record kept under link faults,
 ``_flush()`` for a WR that is never issued) and ``_start_inline``, what
 ``Simulator.process(inline=True)`` did before it went with its one user.
@@ -374,7 +374,7 @@ def _flight(qp, wr, ticket):
         qp._complete(wr, status, byte_len)
     else:
         qp._complete(wr, status)
-        qp._enter_error()
+        qp.enter_error()
     qp._completed = ticket
     if qp._order_waits:
         successor = qp._order_waits.pop(ticket + 1, None)

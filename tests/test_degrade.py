@@ -18,7 +18,6 @@ from repro.degrade import (
     AdmissionGate,
     CircuitBreaker,
     Deadline,
-    DegradePolicy,
     TokenBucket,
 )
 from repro.krcore.meta import dct_key
@@ -174,15 +173,6 @@ def test_admission_checker_flags_admitted_then_dropped():
     checker.admission_event(gate, 7, "shed", 5)
     assert not checker.ok
     assert checker.violations[0].invariant == "admission-no-drop"
-
-
-def test_degrade_policy_defaults_off():
-    policy = DegradePolicy()
-    assert not policy.breaker_enabled
-    assert not policy.admission_enabled
-    assert policy.deadline_ns is None
-    protected = DegradePolicy.protected()
-    assert protected.breaker_enabled and protected.admission_enabled
 
 
 # ------------------------------------------------------------- control path

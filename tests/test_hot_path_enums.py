@@ -7,14 +7,12 @@ global, about 25 times per 8 B work request.  It is C-level time, so
 cProfile bills it to the caller's self time and no profile names it
 (DESIGN.md §17 "Host cost per WR").  ``repro.verbs.types``
 binds every member to a module constant once; this file keeps function
-bodies under ``src/repro`` on those constants, and keeps ``repro.verbs``
-imports out of function bodies (one ran per routed message).
+bodies under ``src/repro`` on those constants
+(``tests/test_no_local_imports.py`` keeps imports out of them).
 
 One rule for the package.  Exempt: ``verbs/types.py`` (defines the
-constants), ``check/`` (scenario builders of the model checker, off
-every measured path) and ``cluster/`` (sits below ``verbs`` in the import
-graph: its two imports of it, on the DCT-target-creation and
-command-queue-reject paths, cannot be at module scope).
+constants) and ``check/`` (scenario builders of the model checker, off
+every measured path).
 """
 
 import ast
@@ -25,7 +23,7 @@ from repro.verbs import types
 
 PACKAGE = pathlib.Path(types.__file__).resolve().parent.parent
 ENUMS = ("Opcode", "WcStatus", "QpType", "QpState")
-EXEMPT = ("verbs/types.py", "check/", "cluster/")
+EXEMPT = ("verbs/types.py", "check/")
 
 
 def _violations(path):
@@ -40,17 +38,10 @@ def _violations(path):
                 and node.value.id in ENUMS
             ):
                 found.add(f"{node.lineno}: {node.value.id}.{node.attr}")
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                modules = (
-                    [node.module or ""] if isinstance(node, ast.ImportFrom)
-                    else [alias.name for alias in node.names]
-                )
-                if any(module.startswith("repro.verbs") for module in modules):
-                    found.add(f"{node.lineno}: import of repro.verbs")
     return sorted(found)
 
 
-def test_no_enum_member_loads_or_verbs_imports_inside_functions():
+def test_no_enum_member_loads_inside_functions():
     report = []
     for path in sorted(PACKAGE.rglob("*.py")):
         relative = path.relative_to(PACKAGE).as_posix()

@@ -343,4 +343,4 @@ def test_harvest_under_churn_survives_background_promotion():
     sim.run()
     assert modules[1].stats_transfers == 3  # every VQP was promoted mid-run
     assert not modules[1].wrid_tokens
-    assert all(not vqp.comp_queue for vqp in backend._vqps.values())
+    assert all(not vqp.comp_queue for vqp in backend.vqps.values())

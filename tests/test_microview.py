@@ -148,7 +148,7 @@ def test_krcore_harvest_survives_churn_storm():
 
     assert all(
         vqp.qp is None or vqp.qp.state is not QpState.ERR
-        for vqp in backend._vqps.values()
+        for vqp in backend.vqps.values()
     )
 
 

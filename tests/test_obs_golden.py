@@ -118,7 +118,7 @@ def _two_sided_scenario():
 def _chaos_scenario():
     """A small seeded chaos slice under full observability."""
     with obs.observe() as (tracer, metrics):
-        report = ChaosHarness(seed=5, num_servers=2, num_clients=2,
+        report = ChaosHarness(seed=5, num_clients=2,
                               ops_per_client=30).run()
     return tracer, metrics, report
 

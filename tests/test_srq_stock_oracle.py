@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster
 from repro.krcore import KrcoreError, KrcoreLib
 from repro.sim import Simulator
 from repro.verbs import RecvBuffer, WorkRequest
@@ -60,7 +61,7 @@ OPS = st.lists(
 @given(stock=st.integers(min_value=0, max_value=12), ops=OPS)
 def test_stocked_srq_claims_like_a_fully_stocked_deque(stock, ops):
     built = []
-    target = DctTarget(node=None, number=1, key=7)
+    target = DctTarget(Cluster(Simulator(), num_nodes=1).node(0), 7)
     target.stock_srq(range(stock), lambda slot: _build(built, slot))
     stocked = [_build([], slot) for slot in range(stock)]
     reference = list(stocked)

@@ -5,6 +5,7 @@ import pytest
 from repro.cluster import timing
 from repro.sim import US
 from repro.verbs import (
+    DctTarget,
     Opcode,
     QpError,
     QpOverflowError,
@@ -261,7 +262,7 @@ def test_ud_send_recv_roundtrip(sim, cluster):
 def test_dc_read_with_target_metadata(sim, cluster):
     client, server = cluster.node(0), cluster.node(1)
     qp = quick_dc_qp(client)
-    target = server.rnic.create_dct_target(dc_key=1234)
+    target = DctTarget(server, 1234)
     laddr, lmr = register(client, 64)
     raddr, rmr = register(server, 64)
     server.memory.write(raddr, b"dc-bytes")
@@ -289,7 +290,7 @@ def test_dc_read_with_target_metadata(sim, cluster):
 def test_dc_wrong_key_is_remote_access_error(sim, cluster):
     client, server = cluster.node(0), cluster.node(1)
     qp = quick_dc_qp(client)
-    target = server.rnic.create_dct_target(dc_key=1234)
+    target = DctTarget(server, 1234)
     laddr, lmr = register(client, 64)
     raddr, rmr = register(server, 64)
 
@@ -318,7 +319,7 @@ def test_dc_retarget_costs_reconnect(sim, cluster):
     client = cluster.node(0)
     servers = [cluster.node(1), cluster.node(2)]
     qp = quick_dc_qp(client)
-    targets = [s.rnic.create_dct_target(dc_key=1) for s in servers]
+    targets = [DctTarget(s, 1) for s in servers]
     laddr, lmr = register(client, 64)
     remote = [register(s, 64) for s in servers]
 
@@ -365,7 +366,7 @@ def test_dc_send_goes_to_srq(sim, cluster):
     from repro.verbs import CompletionQueue
 
     qp = quick_dc_qp(client)
-    target = server.rnic.create_dct_target(dc_key=7)
+    target = DctTarget(server, 7)
     target.recv_cq = CompletionQueue(sim)
     raddr, rmr = register(server, 4096)
     target.post_srq(RecvBuffer(raddr, 4096, rmr.lkey, wr_id=3))

@@ -7,6 +7,7 @@ from repro.cluster import Cluster, timing
 from repro.sim import Simulator, US
 from repro.verbs import (
     CompletionQueue,
+    DctTarget,
     DriverContext,
     Opcode,
     QpState,
@@ -204,7 +205,7 @@ def test_cq_poll_batches(sim, cluster):
 def test_dc_qp_single_target_has_one_reconnect(sim, cluster):
     client, server = cluster.node(0), cluster.node(1)
     qp = quick_dc_qp(client)
-    target = server.rnic.create_dct_target(dc_key=3)
+    target = DctTarget(server, 3)
     laddr, lmr = register(client, 4096)
     raddr, rmr = register(server, 4096)
 

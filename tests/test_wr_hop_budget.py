@@ -33,7 +33,7 @@ from repro.cluster import Cluster, timing
 from repro.cluster.fabric import LinkFault
 from repro.krcore import KrcoreLib
 from repro.sim import Simulator
-from repro.verbs import CompletionQueue, Opcode, QpType, RecvBuffer, WorkRequest
+from repro.verbs import CompletionQueue, DctTarget, Opcode, QpType, RecvBuffer, WorkRequest
 from tests.conftest import krcore_cluster, quick_dc_qp, quick_rc_pair, register
 
 WINDOW = 16
@@ -63,7 +63,7 @@ FRAME_BUDGET = {
     ],
 }
 
-#: The same counts while the syscall charge (``_enter_kernel``), the
+#: The same counts while the syscall charge (``enter_kernel``), the
 #: admission check, the plane-lookup trampoline, the event-mode CQ waits
 #: (``wait_poll`` / ``wait_notify``) and the bucket reader
 #: (``unpack_slots``) were generators of their own.
@@ -138,7 +138,7 @@ class _Rig:
             self.recv_cq = self.peer.recv_cq
         else:
             self.qp = quick_dc_qp(self.client)
-            target = self.server.rnic.create_dct_target(dc_key=5)
+            target = DctTarget(self.server, 5)
             target.recv_cq = self.recv_cq = CompletionQueue(sim)
             self.addressing = dict(
                 dct_gid=self.server.gid, dct_number=target.number, dct_key=target.key

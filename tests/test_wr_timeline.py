@@ -47,6 +47,7 @@ from repro.cluster.rnic import Rnic
 from repro.sim import AllOf, Simulator
 from repro.verbs import (
     CompletionQueue,
+    DctTarget,
     DriverContext,
     Opcode,
     QpError,
@@ -340,7 +341,7 @@ class _MixedWorld(_World):
         self.c0, self.c1, self.s2, self.s3 = self.cluster.nodes
         recv_cq = self.recv_cq
         dct = {
-            node.gid: node.rnic.create_dct_target(dc_key=77) for node in (self.s2, self.s3)
+            node.gid: DctTarget(node, 77) for node in (self.s2, self.s3)
         }
         dc_targets = {
             gid: _Target(node, recv_cq[gid], dct=dct[gid])
