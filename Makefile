@@ -1,15 +1,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab counts heap hop-budget rest-budget flight-oracle coverage trace check check-sweep
+.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab counts heap hop-budget rest-budget flight-oracle hitmap trace check check-sweep
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Coverage gate (needs the `cov` extra: pip install -e '.[test,cov]').
-# The floor only ratchets up: raise it when coverage rises, never lower it.
-coverage:
-	$(PYTHON) -m pytest --cov=repro --cov-report=term-missing:skip-covered --cov-fail-under=70
+# Hit map (benchmarks/hitmap.py, standard library only): tier-1, -m chaos and
+# `pytest benchmarks` under a line tracer that follows child processes; prints
+# the functions no run entered and the statements no run executed, per file.
+# The floor CI passes only ratchets up: the measured share minus 2.
+#   make hitmap [HITMAP_ARGS="--fail-under 95"]
+hitmap:
+	$(PYTHON) benchmarks/hitmap.py $(HITMAP_ARGS)
 
 # One Perfetto-loadable trace + metrics snapshot of the Fig 3 scenario
 # (open traces/fig03.json at https://ui.perfetto.dev).

@@ -94,7 +94,7 @@ class ExtendibleCatalog:
 class ExtendibleRaceStorage:
     """The passive storage side: lays out the region (fresh DRAM is zeroed)."""
 
-    def __init__(self, node, initial_depth=1, heap_bytes=1 << 20, register=True):
+    def __init__(self, node, initial_depth=1, heap_bytes=1 << 20):
         if initial_depth > MAX_DEPTH:
             raise RaceError(f"initial depth {initial_depth} exceeds {MAX_DEPTH}")
         self.node = node
@@ -112,7 +112,7 @@ class ExtendibleRaceStorage:
             node.memory.write(
                 self.base + META_BYTES + entry_index * 8, DIR_ENTRY.pack(word)
             )
-        self.region = node.memory.register(self.base, total) if register else None
+        self.region = node.memory.register(self.base, total)
 
     def catalog(self, rkey=None):
         return ExtendibleCatalog(

@@ -72,9 +72,6 @@ class ServerlessPlatform:
         result = yield from handler(ctx, payload)
         return result
 
-    def node_of(self, name):
-        return self._functions[name][1]
-
 
 class InvocationContext:
     """What a running function sees: its node, platform, and name."""

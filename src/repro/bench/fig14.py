@@ -57,7 +57,7 @@ def run(fast=True):
     return result
 
 
-def _batch_to_many(kind, pool_size, fast, repeats=None):
+def _batch_to_many(kind, pool_size, fast):
     """Average latency (us) of one 64-READ batch to random targets.
 
     The RC configuration mirrors the paper's: "RC needs 64 different
@@ -67,8 +67,7 @@ def _batch_to_many(kind, pool_size, fast, repeats=None):
     in arrival order through one batched ioctl, so consecutive requests
     to different targets force DCT reconnections on the shared DCQPs.
     """
-    if repeats is None:
-        repeats = 20 if fast else 100
+    repeats = 20 if fast else 100
     kwargs = {"background_rc": False}
     if kind == "dc":
         kwargs["dc_per_cpu"] = pool_size

@@ -29,7 +29,7 @@ def run(fast=True):
     for connections in (100, 1_000, 5_000, 10_000):
         lite_mb = LiteModule.cache_bytes_for(connections) / 1e6
         krcore_mb = (
-            KRCORE_DC_QPS * timing.dc_qp_memory_bytes()
+            KRCORE_DC_QPS * timing.DC_QP_MEMORY_BYTES
             + connections * timing.DCT_METADATA_BYTES
         ) / 1e6
         table.add_row(connections, lite_mb, krcore_mb, lite_mb / krcore_mb)

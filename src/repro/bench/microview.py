@@ -111,20 +111,20 @@ def _harvest_run(backend_name, strategy, pods_per_worker, cycles):
     return collector.stats
 
 
-def _churn_run(strategy, interval_us, cycles, pods_per_worker=8, seed=7):
-    """One churn cell on the KRCORE deployment: the storm and the
-    harvest loop share the clock; goodput and MRStore churn accounting
-    pick up the cost of pods dying mid-harvest."""
+def _churn_run(strategy, interval_us, cycles):
+    """One churn cell on the KRCORE deployment, 8 pods per worker: the
+    storm and the harvest loop share the clock; goodput and MRStore churn
+    accounting pick up the cost of pods dying mid-harvest."""
     sim, collector_node, backend, workers = _deploy("krcore")
     directory = PodDirectory(workers)
     collector = Collector(collector_node, backend, directory)
     horizon_ns = 20 * MS
 
     def drive():
-        yield from directory.deploy(pods_per_worker)
+        yield from directory.deploy(8)
         yield from collector.setup()
         sim.process(
-            directory.churn_driver(interval_us * US, horizon_ns, seed=seed),
+            directory.churn_driver(interval_us * US, horizon_ns, seed=7),
             name="microview-churn",
         )
         yield from collector.run_cycles(cycles, strategy, gap_ns=20 * US)

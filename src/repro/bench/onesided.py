@@ -29,27 +29,20 @@ MEASURE_NS = 150 * US
 class OneSidedResult:
     """Throughput + latency of one configuration.
 
-    Throughput is the sum of per-client steady-state rates, each measured
-    between that client's first and last post-warmup completion -- immune
-    to the in-flight-at-warmup bias of naive window counting.
+    Throughput counts the ops the server RNICs served inside the measured
+    window -- immune to the in-flight-at-warmup bias of counting client
+    completions.
     """
 
-    def __init__(self, recorder, client_windows, measure_ns, served=None):
+    def __init__(self, recorder, measure_ns, served):
         self.recorder = recorder
-        self.client_windows = client_windows
         self.measure_ns = measure_ns
         #: Ops served by the server RNICs inside the window (unbiased).
         self.served = served
 
     @property
     def throughput_mps(self):
-        if self.served is not None:
-            return self.served / (self.measure_ns / 1e9) / 1e6
-        total = 0.0
-        for start, count, last in self.client_windows.values():
-            if count and last > start:
-                total += count / ((last - start) / 1e9)
-        return total / 1e6
+        return self.served / (self.measure_ns / 1e9) / 1e6
 
     @property
     def avg_latency_us(self):
@@ -87,7 +80,6 @@ def run_onesided(
     rng = random.Random(seed)
     stop_at = warmup_ns + measure_ns
     recorder = LatencyRecorder()
-    client_windows = {}
     if single_node:
         node = env.client_nodes[0]
         placements = [(node, index % node.cores) for index in range(num_clients)]
@@ -96,15 +88,9 @@ def run_onesided(
     for index, (node, cpu_id) in enumerate(placements):
         issue = env.make_issuer(node, cpu_id, opcode, payload)
         if mode == "sync":
-            proc = _client_loop(
-                env, issue, target, rng, 1, client_windows, index,
-                warmup_ns, stop_at, recorder,
-            )
+            proc = _client_loop(env, issue, target, rng, 1, warmup_ns, stop_at, recorder)
         elif mode == "async":
-            proc = _client_loop(
-                env, issue, target, rng, batch, client_windows, index,
-                warmup_ns, stop_at, None,
-            )
+            proc = _client_loop(env, issue, target, rng, batch, warmup_ns, stop_at, None)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         env.sim.process(proc, name=f"client{index}")
@@ -122,29 +108,19 @@ def run_onesided(
     env.sim.schedule(stop_at + 1, snapshot)
     env.sim.run(until=stop_at + 1)
     served = counts[1] - counts[0]
-    return OneSidedResult(recorder, client_windows, measure_ns, served=served)
+    return OneSidedResult(recorder, measure_ns, served)
 
 
-def _client_loop(env, issue, target, rng, batch, windows, index, warmup_ns, stop_at, recorder):
+def _client_loop(env, issue, target, rng, batch, warmup_ns, stop_at, recorder):
     sync = recorder is not None
     while env.sim.now < stop_at:
         server_index = 0 if target == "fixed" else rng.randrange(env.num_servers)
         start = env.sim.now
         yield from issue(server_index, sync=sync, batch=batch)
-        now = env.sim.now
-        if start <= warmup_ns or now > stop_at:
-            # Ops *begun* during warmup (incl. setup) don't count, nor does
-            # one completing in the nanosecond the run overshoots by.
-            continue
-        if recorder is not None:
-            recorder.record(now - start)
-        entry = windows.get(index)
-        if entry is None:
-            # First post-warmup completion: the per-client time origin.
-            windows[index] = (now, 0, now)
-        else:
-            origin, count, _ = entry
-            windows[index] = (origin, count + batch, now)
+        # Ops *begun* during warmup (incl. setup) don't count, nor does one
+        # completing in the nanosecond the run overshoots by.
+        if sync and warmup_ns < start and env.sim.now <= stop_at:
+            recorder.record(env.sim.now - start)
 
 
 class _Environment:

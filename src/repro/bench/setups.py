@@ -8,19 +8,19 @@ from repro.verbs import CompletionQueue, ConnectionManager, DriverContext
 from repro.verbs.types import QPT_RC
 
 
-def verbs_cluster(num_nodes=10, memory_size=16 << 20, cores=24):
+def verbs_cluster(num_nodes=10, memory_size=16 << 20):
     """A cluster where every node runs a connection-manager daemon."""
     sim = Simulator()
-    cluster = Cluster(sim, num_nodes=num_nodes, cores=cores, memory_size=memory_size)
+    cluster = Cluster(sim, num_nodes=num_nodes, cores=24, memory_size=memory_size)
     for node in cluster.nodes:
         ConnectionManager(node, DriverContext(node, kernel=True))
     return sim, cluster
 
 
-def lite_cluster(num_nodes=10, memory_size=16 << 20, cores=24):
+def lite_cluster(num_nodes=10, memory_size=16 << 20):
     """A cluster with a LITE kernel module per node."""
     sim = Simulator()
-    cluster = Cluster(sim, num_nodes=num_nodes, cores=cores, memory_size=memory_size)
+    cluster = Cluster(sim, num_nodes=num_nodes, cores=24, memory_size=memory_size)
     modules = [LiteModule(node) for node in cluster.nodes]
     return sim, cluster, modules
 

@@ -44,7 +44,6 @@ _LAZY = {
     "result_schedule": "repro.check.runner",
     "replay_schedule": "repro.check.runner",
     "sweep": "repro.check.runner",
-    "dfs_explore": "repro.check.runner",
     "shrink_failure": "repro.check.runner",
     "CheckResult": "repro.check.runner",
     "SCENARIOS": "repro.check.scenarios",

@@ -5,8 +5,7 @@ Examples::
     python -m repro.check --list
     python -m repro.check pool_churn                      # one FIFO run
     python -m repro.check pool_churn --mode random --seeds 50
-    python -m repro.check kvs_lin --mode pct --seeds 20 --depth 3
-    python -m repro.check racey_pipeline --mode dfs --budget 200
+    python -m repro.check kvs_lin --mode pct --seeds 20
     python -m repro.check chaos_small --mode random --seeds 10 --shrink \\
         --out tests/schedules/found.json
     python -m repro.check --replay tests/schedules/*.json
@@ -20,12 +19,10 @@ still replay.
 """
 
 import argparse
-import json
 import sys
 
 from repro.check.controller import FifoStrategy, Schedule
 from repro.check.runner import (
-    dfs_explore,
     replay_schedule,
     result_schedule,
     run_once,
@@ -34,18 +31,8 @@ from repro.check.runner import (
 )
 from repro.check.scenarios import SCENARIOS
 
-
-def _parse_kwargs(pairs):
-    kwargs = {}
-    for pair in pairs or ():
-        key, _, raw = pair.partition("=")
-        if not _:
-            raise SystemExit(f"--set needs key=value, got {pair!r}")
-        try:
-            kwargs[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            kwargs[key] = raw
-    return kwargs
+#: Replays ``--shrink`` may spend delta-debugging a failure.
+SHRINK_BUDGET = 200
 
 
 def _print_violations(result):
@@ -66,25 +53,17 @@ def main(argv=None):
         help="replay serialized schedule JSON file(s) instead of exploring",
     )
     parser.add_argument(
-        "--mode", choices=("fifo", "random", "pct", "dfs"), default="fifo",
+        "--mode", choices=("fifo", "random", "pct"), default="fifo",
         help="exploration mode (default: one FIFO run)",
     )
     parser.add_argument("--seeds", type=int, default=20,
                         help="seeds per randomized sweep (default 20)")
     parser.add_argument("--seed-base", type=int, default=0,
                         help="first seed of the sweep (default 0)")
-    parser.add_argument("--budget", type=int, default=200,
-                        help="max runs for dfs / max replays for shrink")
-    parser.add_argument("--depth", type=int, default=3,
-                        help="PCT depth (bug depth to target, default 3)")
     parser.add_argument("--shrink", action="store_true",
                         help="delta-debug the first failing schedule")
     parser.add_argument("--out", metavar="FILE",
                         help="write the (shrunk) failing schedule JSON here")
-    parser.add_argument(
-        "--set", action="append", metavar="KEY=VALUE", dest="overrides",
-        help="override a scenario kwarg (JSON value), repeatable",
-    )
     parser.add_argument("--quiet", action="store_true",
                         help="suppress per-run progress lines")
     args = parser.parse_args(argv)
@@ -129,26 +108,18 @@ def main(argv=None):
         parser.error("a scenario name (or --list / --replay) is required")
     if args.scenario not in SCENARIOS:
         parser.error(f"unknown scenario {args.scenario!r} (known: {known})")
-    kwargs = _parse_kwargs(args.overrides)
 
     failure = None
     if args.mode == "fifo":
-        result = run_once(args.scenario, FifoStrategy(), kwargs)
+        result = run_once(args.scenario, FifoStrategy())
         log(result.describe())
         log(f"summary: {result.summary}")
         if not result.ok:
             failure = result
-    elif args.mode == "dfs":
-        results, failure = dfs_explore(
-            args.scenario, kwargs, max_runs=args.budget, log=log
-        )
-        log(f"dfs: {len(results)} runs, "
-            f"{'failure found' if failure else 'all clean'}")
     else:
         results, failure = sweep(
             args.scenario, mode=args.mode, seeds=args.seeds,
-            seed_base=args.seed_base, scenario_kwargs=kwargs,
-            depth=args.depth, log=log,
+            seed_base=args.seed_base, log=log,
         )
         log(f"sweep: {len(results)} runs, "
             f"{'failure found' if failure else 'all clean'}")
@@ -161,7 +132,7 @@ def main(argv=None):
     schedule = result_schedule(failure)
     if args.shrink:
         schedule, replay, runs = shrink_failure(
-            failure, max_runs=args.budget, log=log
+            failure, max_runs=SHRINK_BUDGET, log=log
         )
         print(
             f"shrunk to {len(schedule.decisions)} decision(s) "

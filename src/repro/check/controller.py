@@ -106,14 +106,14 @@ class PctStrategy:
     """
 
     name = "pct"
+    depth = 3  # the bug depth targeted: two change points
+    horizon = 2000  # change points fall in steps [1, horizon)
 
-    def __init__(self, seed, depth=3, horizon=2000):
+    def __init__(self, seed):
         self.seed = seed
-        self.depth = depth
-        self.horizon = horizon
         self.rng = random.Random(seed)
         self._change_points = sorted(
-            self.rng.randrange(1, max(horizon, 2)) for _ in range(max(depth - 1, 0))
+            self.rng.randrange(1, self.horizon) for _ in range(self.depth - 1)
         )
         self._prio = {}  # id(actor) -> [priority, actor]
         self._demotions = 0
@@ -180,10 +180,6 @@ class ScheduleController:
         sim._controller = self
         self.sim = sim
         return sim
-
-    def detach(self, sim):
-        if sim._controller is self:
-            sim._controller = None
 
     # ------------------------------------------------------------------ drive
 

@@ -47,15 +47,6 @@ class Op:
         self.response = None if response is None else int(response)
         self.uid = uid
 
-    def to_dict(self):
-        return {
-            "proc": self.proc,
-            "kind": self.kind,
-            "value": self.value,
-            "invoke": self.invoke,
-            "response": self.response,
-        }
-
     def __repr__(self):
         span = f"{self.invoke}..{'?' if self.response is None else self.response}"
         return f"Op({self.proc} {self.kind}{self.value!r} @{span})"

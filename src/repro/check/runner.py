@@ -1,4 +1,4 @@
-"""Run scenarios under schedule strategies: sweep, DFS, replay, shrink.
+"""Run scenarios under schedule strategies: sweep, replay, shrink.
 
 The runner owns the glue the CLI and the tests share:
 
@@ -7,8 +7,6 @@ The runner owns the glue the CLI and the tests share:
   layer capturing op histories for the linearizability pass;
 * :func:`sweep` -- a seed-budgeted randomized sweep (random-walk or PCT
   priorities);
-* :func:`dfs_explore` -- bounded exhaustive enumeration of decision
-  prefixes for small configs;
 * :func:`replay_schedule` -- deterministic re-execution of a serialized
   :class:`~repro.check.controller.Schedule`;
 * :func:`shrink_failure` -- delta-debug a failing schedule to a minimal
@@ -35,7 +33,6 @@ from repro.obs import observe
 
 __all__ = [
     "CheckResult",
-    "dfs_explore",
     "replay_schedule",
     "run_once",
     "shrink_failure",
@@ -144,62 +141,23 @@ def replay_schedule(schedule):
     )
 
 
-def sweep(scenario_name, mode="random", seeds=20, seed_base=0,
-          scenario_kwargs=None, depth=3, stop_on_failure=True, log=None):
-    """Budgeted randomized sweep; returns (results, first_failure)."""
+def sweep(scenario_name, mode="random", seeds=20, seed_base=0, log=None):
+    """Budgeted randomized sweep, stopped at the first failure; returns
+    (results, failure or None)."""
     results = []
-    failure = None
     for index in range(seeds):
         seed = seed_base + index
         if mode == "pct":
-            strategy = PctStrategy(seed, depth=depth)
+            strategy = PctStrategy(seed)
         else:
             strategy = RandomWalkStrategy(seed)
-        result = run_once(scenario_name, strategy, scenario_kwargs)
+        result = run_once(scenario_name, strategy)
         results.append(result)
         if log is not None:
             log(result.describe())
-        if not result.ok and failure is None:
-            failure = result
-            if stop_on_failure:
-                break
-    return results, failure
-
-
-def dfs_explore(scenario_name, scenario_kwargs=None, max_runs=200,
-                max_steps=None, log=None):
-    """Bounded DFS over decision prefixes (exhaustive for small configs).
-
-    Each run replays a fixed decision prefix with FIFO past it; the
-    choice points it records then seed child prefixes -- only for points
-    *after* the last fixed step, so no prefix is enumerated twice.
-    ``max_steps`` bounds how deep in the run new branches may open.
-    """
-    runs = 0
-    stack = [[]]
-    results = []
-    failure = None
-    while stack and runs < max_runs:
-        prefix = stack.pop()
-        runs += 1
-        result = run_once(
-            scenario_name, ReplayStrategy(prefix), scenario_kwargs
-        )
-        results.append(result)
-        if log is not None:
-            log(f"dfs prefix={prefix} -> {result.describe()}")
         if not result.ok:
-            failure = result
-            break
-        frontier = prefix[-1][0] if prefix else 0
-        for step, n_alts, _chosen in result.points:
-            if step <= frontier:
-                continue
-            if max_steps is not None and step > max_steps:
-                break
-            for choice in range(1, n_alts):
-                stack.append(prefix + [(step, choice)])
-    return results, failure
+            return results, result
+    return results, None
 
 
 def shrink_failure(result, max_runs=300, log=None):

@@ -89,10 +89,6 @@ class Fabric:
     def has_node(self, gid):
         return gid in self._nodes
 
-    @property
-    def nodes(self):
-        return list(self._nodes.values())
-
     # -- fault injection -------------------------------------------------------
 
     def set_link_fault(self, src_gid, dst_gid, fault):

@@ -69,7 +69,7 @@ class PhysicalMemory:
 
     # -- allocation (bump allocator; regions are long-lived in our workloads)
 
-    def alloc(self, nbytes, align=64):
+    def alloc(self, nbytes):
         """Reserve ``nbytes`` and return its start address.  It reads as
         zeros -- no address is handed out twice, untouched pages are zero --
         so clear nothing: a zero-fill write materializes every page.
@@ -78,8 +78,7 @@ class PhysicalMemory:
         buffer from ``posix_memalign`` does, so small allocations before it
         (a meta client's one-bucket scratch) do not split each of its pages
         across two: a page-sized write stays one page copy."""
-        if nbytes >= _PAGE_SIZE:
-            align = max(align, _PAGE_SIZE)
+        align = _PAGE_SIZE if nbytes >= _PAGE_SIZE else 64
         start = -(-self._alloc_cursor // align) * align
         if start + nbytes > self.size:
             raise MemoryError_(

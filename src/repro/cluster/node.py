@@ -86,6 +86,3 @@ class Cluster:
 
     def node(self, index):
         return self.nodes[index]
-
-    def __len__(self):
-        return len(self.nodes)

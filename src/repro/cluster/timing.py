@@ -466,14 +466,15 @@ def round_to_hw(nbytes):
     return size
 
 
-def rc_qp_memory_bytes(sq_depth=SQ_DEPTH_DEFAULT, cq_depth=CQ_DEPTH_DEFAULT):
-    """Driver memory for one RCQP: paper footnote 3 => >= 159 KB."""
-    return round_to_hw(sq_depth * SQ_ENTRY_BYTES) + round_to_hw(cq_depth * CQ_ENTRY_BYTES)
+#: Driver memory for one RCQP: paper footnote 3 => >= 159 KB.
+RC_QP_MEMORY_BYTES = (
+    round_to_hw(SQ_DEPTH_DEFAULT * SQ_ENTRY_BYTES) + round_to_hw(CQ_DEPTH_DEFAULT * CQ_ENTRY_BYTES)
+)
 
-
-def dc_qp_memory_bytes(sq_depth=SQ_DEPTH_DEFAULT, cq_depth=DC_CQ_DEPTH):
-    """Driver memory for one kernel DCQP (shallower CQ)."""
-    return round_to_hw(sq_depth * SQ_ENTRY_BYTES) + round_to_hw(cq_depth * CQ_ENTRY_BYTES)
+#: Driver memory for one kernel DCQP (shallower CQ).
+DC_QP_MEMORY_BYTES = (
+    round_to_hw(SQ_DEPTH_DEFAULT * SQ_ENTRY_BYTES) + round_to_hw(DC_CQ_DEPTH * CQ_ENTRY_BYTES)
+)
 
 
 def reg_mr_ns(nbytes):

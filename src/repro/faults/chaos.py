@@ -12,11 +12,14 @@ injector, the scenario's processes, the simulation to quiescence),
 invariants) and returns the :class:`ChaosReport`.
 
 A scenario subclass sets its parameters, calls ``super().__init__``
-with its node count and report counters, and defines the hooks below:
-node layout (:meth:`~ChaosRun.place`), per-node module kwargs, state
-built once the modules exist and rebuilt on restart, the default plan,
-the processes (spawned in a fixed order: moving one moves the digest),
-invariants read after the run and its summary fields.
+with its node count and report counters, and defines the hooks:
+``place(nodes)`` gives roles to every node after the meta shards,
+``module_kwargs(node)`` the kwargs of a node's module, ``setup()``
+builds scenario state once every module is loaded and ``reload(node)``
+rebuilds a node's after a restart, ``default_plan()`` is the plan,
+``drive()`` spawns the processes (after the injector's, in a fixed
+order: moving one moves the digest), :meth:`~ChaosRun.audit` reads
+invariants after the run and ``summary_fields()`` the summary.
 
 **Checker rule.**  A scenario that asserts checker invariants
 (``checked = True``) runs under the installed :mod:`repro.check`
@@ -113,34 +116,15 @@ class ChaosRun:
         self.modules[node.gid] = self._load(node)
         self.reload(node)
 
-    # --------------------------------------------------------- scenario hooks
-
-    def place(self, nodes):
-        """Give roles to ``nodes``, every node after the meta shards."""
-        raise NotImplementedError
-
-    def module_kwargs(self, node):
-        return {}
-
-    def setup(self):
-        """Build scenario state once every module is loaded."""
+    # ---------------------------------------------- scenario hooks (module doc)
 
     def reload(self, node):
-        """Rebuild ``node``'s scenario state after a restart."""
-
-    def default_plan(self):
-        raise NotImplementedError
-
-    def drive(self):
-        """Spawn the scenario's processes (after the injector's)."""
-        raise NotImplementedError
+        """Rebuild ``node``'s scenario state after a restart (the gray and
+        MicroView scenarios keep none)."""
 
     def audit(self, checker):
         """Set invariants and counters after the run (``checker``: the
         finalized checker, or None)."""
-
-    def summary_fields(self):
-        raise NotImplementedError
 
     # --------------------------------------------------------------------- run
 

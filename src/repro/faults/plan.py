@@ -116,15 +116,15 @@ class FaultPlan:
             FaultEvent(at_ns, META_OUTAGE, duration_ns=int(duration_ns), shard=shard)
         )
 
-    def gray_link(self, at_ns, src_gid, dst_gid, duration_ns,
-                  latency_mult=4.0, extra_ns=0, both_ways=False):
+    def gray_link(self, at_ns, src_gid, dst_gid, duration_ns, latency_mult=4.0):
         """Gray-degrade the directed link src -> dst for ``duration_ns``:
         no loss, but every traversal takes ``latency_mult`` times longer
-        (plus ``extra_ns``) -- a congested or renegotiated-down link."""
-        return self._link(
-            GRAY_LINK, at_ns, src_gid, dst_gid, both_ways,
-            duration_ns=int(duration_ns), latency_mult=float(latency_mult),
-            extra_ns=int(extra_ns),
+        -- a congested or renegotiated-down link."""
+        return self._add(
+            FaultEvent(
+                at_ns, GRAY_LINK, src_gid=src_gid, dst_gid=dst_gid,
+                duration_ns=int(duration_ns), latency_mult=float(latency_mult),
+            )
         )
 
     def lag_meta(self, at_ns, duration_ns, extra_ns, shard=None):
@@ -165,9 +165,6 @@ class FaultPlan:
 
     def crash_targets(self):
         return {e.params["gid"] for e in self.events if e.kind == NODE_CRASH}
-
-    def __len__(self):
-        return len(self.events)
 
     def __repr__(self):
         return f"FaultPlan(seed={self.seed}, events={len(self.events)})"

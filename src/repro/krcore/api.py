@@ -115,13 +115,12 @@ class KrcoreLib:
 
     # ----------------------------------------------------------- data path
 
-    def post_send(self, vqp, wr_list, deadline_ns=None):
+    def post_send(self, vqp, wr_list):
         """Process: ibv_post_send on a VQP (one syscall per batch)."""
-        deadline = self.module.op_deadline(deadline_ns)
         yield from self.enter_kernel()
-        yield from vqp.post_send(wr_list, deadline)
+        yield from vqp.post_send(wr_list)
 
-    def post_send_batch(self, vqp, wr_list, deadline_ns=None):
+    def post_send_batch(self, vqp, wr_list):
         """Process: doorbell-batched ibv_post_send on a VQP.
 
         One syscall, one virtualization pass, one doorbell: the WR chain
@@ -129,9 +128,8 @@ class KrcoreLib:
         QP as a single command (§4.3) while keeping per-WR completion
         semantics.
         """
-        deadline = self.module.op_deadline(deadline_ns)
         yield from self.enter_kernel()
-        yield from vqp.post_send_batch(wr_list, deadline)
+        yield from vqp.post_send_batch(wr_list)
 
     def post_send_multi(self, posts):
         """Process: post to several VQPs in one ioctl (``posts`` is a list
@@ -146,7 +144,7 @@ class KrcoreLib:
         yield from self.enter_kernel()
         return vqp.poll_cq()
 
-    def post_send_and_wait(self, vqp, wr_list, deadline_ns=None):
+    def post_send_and_wait(self, vqp, wr_list):
         """Process: post + wait in one blocking ioctl (the sync fast path).
 
         Returns the completion entry for the *last* signaled request.
@@ -159,12 +157,11 @@ class KrcoreLib:
                 wanted += 1
         if not wanted:
             raise KrcoreError("post_send_and_wait: no signaled WR to wait for")
-        deadline = self.module.op_deadline(deadline_ns)
         if _trace.TRACER is None:
             yield timing.SYSCALL_NS if self.charge_syscall else 0
         else:
             yield from self.enter_kernel()
-        yield from vqp.post_send(wr_list, deadline)
+        yield from vqp.post_send(wr_list)
         for _ in range(wanted):
             entry = yield from vqp.wait_send_completion()
         yield timing.POLL_CQ_CPU_NS
@@ -245,9 +242,8 @@ class KrcoreLib:
         yield from self.enter_kernel()
         return (yield from self.module.messaging.qpop_msgs(vqp, max_msgs, self.cpu_id))
 
-    def qpop_msgs_wait(self, vqp, max_msgs=16):
-        """Process: blocking qpop -- waits until at least one message."""
+    def qpop_msgs_wait(self, vqp):
+        """Process: blocking qpop -- waits until at least one message, and
+        pops up to 16."""
         yield from self.enter_kernel()
-        return (
-            yield from self.module.messaging.qpop_msgs(vqp, max_msgs, self.cpu_id, block=True)
-        )
+        return (yield from self.module.messaging.qpop_msgs(vqp, 16, self.cpu_id, block=True))

@@ -473,10 +473,10 @@ class KrcoreModule:
             cpu_id, dct_key(gid), deadline, MetaClient.lookup_dct, gid
         )
 
-    def plane_lookup_mr(self, cpu_id, gid, rkey, deadline=None):
+    def plane_lookup_mr(self, cpu_id, gid, rkey):
         """Process: one MR-record lookup via the plane, with failover."""
         return self._plane_lookup(
-            cpu_id, mr_key(gid, rkey), deadline, MetaClient.lookup_mr, gid, rkey
+            cpu_id, mr_key(gid, rkey), None, MetaClient.lookup_mr, gid, rkey
         )
 
     def _plane_lookup(self, cpu_id, key, deadline, lookup, *args):
@@ -701,7 +701,7 @@ class KrcoreModule:
         unbuilt_dc = (len(self._pools) - len(built)) * self.dc_per_cpu
         return (
             sum(pool.memory_bytes() for pool in built)
-            + unbuilt_dc * timing.dc_qp_memory_bytes()
+            + unbuilt_dc * timing.DC_QP_MEMORY_BYTES
             + len(self.dc_cache) * timing.DCT_METADATA_BYTES
         )
 

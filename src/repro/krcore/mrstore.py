@@ -119,16 +119,6 @@ class MrStore:
             return False
         return True
 
-    def cached(self, gid, rkey):
-        """The cached (addr, length) if present and within its lease (or
-        stale-accepted while its meta record's owners are all dark)."""
-        entry = self._cache.get((gid, rkey))
-        if entry is None:
-            return None
-        if entry[0] != self._epoch() and not self._stale_hit(gid, rkey):
-            return None
-        return entry[1]
-
     def check_cached(self, gid, rkey, addr, length):
         """Non-blocking :meth:`check` against the cache only.
 
@@ -155,7 +145,7 @@ class MrStore:
         base, span = entry[1]
         return base <= addr and addr + length <= base + span
 
-    def check(self, gid, rkey, addr, length, cpu_id=0, deadline=None):
+    def check(self, gid, rkey, addr, length, cpu_id=0):
         """Process: validate a remote access, querying ValidMR on a miss.
 
         Returns True iff the access falls inside a known-valid remote MR.
@@ -167,61 +157,59 @@ class MrStore:
         retraction, and the responder re-validates every access, so a
         wrong stale verdict surfaces as REM_ACCESS -- never as a read of
         freed memory).  With no cached entry at all, the error propagates.
+        A hit is :meth:`check_cached`'s, counted the same way.
         """
-        record = self.cached(gid, rkey)
-        if record is None:
-            self.stats_misses += 1
+        verdict = self.check_cached(gid, rkey, addr, length)
+        if verdict is not None:
+            return verdict
+        self.stats_misses += 1
+        if _metrics.METRICS is not None:
+            _metrics.METRICS.counter("krcore.mrstore_misses").inc()
+        if _trace.TRACER is not None:
+            _trace.TRACER.begin(
+                self.sim.now, self.module.track,
+                "mrstore.check", gid=gid, rkey=rkey,
+            )
+        accepted_stale = False
+        try:
+            module = self.module
+            record = yield from module.retry_meta(
+                module.plane_lookup_mr, (cpu_id, gid, rkey), None,
+                f"{module.node.gid}:{gid}:{rkey}", f"MR ({gid}, {rkey})",
+            )
+            epoch = self._epoch()
+            self._stale_accepted.discard((gid, rkey))
+        except MetaUnavailableError:
+            stale = self._cache.get((gid, rkey))
+            if stale is None:
+                raise
+            self.stats_stale_accepts += 1
             if _metrics.METRICS is not None:
-                _metrics.METRICS.counter("krcore.mrstore_misses").inc()
+                _metrics.METRICS.counter("krcore.mrstore_stale_accepts").inc()
+            # Keep the *original* epoch: a stale accept is a degraded-
+            # mode verdict, not a revalidation.  Re-stamping it with
+            # the current epoch would promote the entry to fully valid
+            # and suppress the real lookup after the meta plane
+            # recovers -- breaking the one-lease window dereg_mr's
+            # deferred free relies on.
+            epoch, record = stale
+            accepted_stale = True
+            if record is not None:
+                self._stale_accepted.add((gid, rkey))
+        finally:
             if _trace.TRACER is not None:
-                _trace.TRACER.begin(
+                _trace.TRACER.end(
                     self.sim.now, self.module.track,
-                    "mrstore.check", gid=gid, rkey=rkey,
+                    "mrstore.check",
                 )
-            accepted_stale = False
-            try:
-                module = self.module
-                record = yield from module.retry_meta(
-                    module.plane_lookup_mr, (cpu_id, gid, rkey, deadline), deadline,
-                    f"{module.node.gid}:{gid}:{rkey}", f"MR ({gid}, {rkey})",
-                )
-                epoch = self._epoch()
-                self._stale_accepted.discard((gid, rkey))
-            except MetaUnavailableError:
-                stale = self._cache.get((gid, rkey))
-                if stale is None:
-                    raise
-                self.stats_stale_accepts += 1
-                if _metrics.METRICS is not None:
-                    _metrics.METRICS.counter("krcore.mrstore_stale_accepts").inc()
-                # Keep the *original* epoch: a stale accept is a degraded-
-                # mode verdict, not a revalidation.  Re-stamping it with
-                # the current epoch would promote the entry to fully valid
-                # and suppress the real lookup after the meta plane
-                # recovers -- breaking the one-lease window dereg_mr's
-                # deferred free relies on.
-                epoch, record = stale
-                accepted_stale = True
-                if record is not None:
-                    self._stale_accepted.add((gid, rkey))
-            finally:
-                if _trace.TRACER is not None:
-                    _trace.TRACER.end(
-                        self.sim.now, self.module.track,
-                        "mrstore.check",
-                    )
-            if record is None:
-                return False
-            if _check.CHECKER is not None:
-                _check.CHECKER.mr_accept(
-                    self, gid, rkey, epoch, self._epoch(), accepted_stale
-                )
-            self._cache[(gid, rkey)] = (epoch, record)
-            self._by_gid.setdefault(gid, set()).add(rkey)
-        else:
-            self.stats_hits += 1
-            if _metrics.METRICS is not None:
-                _metrics.METRICS.counter("krcore.mrstore_hits").inc()
+        if record is None:
+            return False
+        if _check.CHECKER is not None:
+            _check.CHECKER.mr_accept(
+                self, gid, rkey, epoch, self._epoch(), accepted_stale
+            )
+        self._cache[(gid, rkey)] = (epoch, record)
+        self._by_gid.setdefault(gid, set()).add(rkey)
         base, span = record
         return base <= addr and addr + length <= base + span
 

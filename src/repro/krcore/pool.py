@@ -95,6 +95,6 @@ class HybridQpPool:
 
     def memory_bytes(self):
         """Driver memory held by this CPU's pool (for Fig 15a)."""
-        return len(self.dc) * timing.dc_qp_memory_bytes() + len(self.rc) * (
-            timing.rc_qp_memory_bytes()
+        return len(self.dc) * timing.DC_QP_MEMORY_BYTES + len(self.rc) * (
+            timing.RC_QP_MEMORY_BYTES
         )

@@ -262,14 +262,12 @@ class Vqp:
 
     # ------------------------------------------------ Algorithm 2: post_send
 
-    def post_send(self, wr_list, deadline=None, batched=False):
+    def post_send(self, wr_list, batched=False):
         """Process: post_send_virtualized.
 
         Validates every request, encodes dispatch info in wr_id, keeps the
         shared physical queue from overflowing, and posts.  A bad request
-        raises :class:`KrcoreError` *before anything is posted*; a spent
-        ``deadline`` likewise surfaces before any bookkeeping exists to
-        roll back.
+        raises :class:`KrcoreError` *before anything is posted*.
         """
         if self.qp is None:
             raise KrcoreError(f"VQP {self.id} is not connected")
@@ -281,10 +279,10 @@ class Vqp:
         depth = self.qp.sq_depth
         index = 0
         while index < len(wrs):
-            yield from self._post_chunk(wrs[index : index + depth], deadline, batched)
+            yield from self._post_chunk(wrs[index : index + depth], batched)
             index += depth
 
-    def post_send_batch(self, wr_list, deadline=None):
+    def post_send_batch(self, wr_list):
         """Process: post a doorbell-batched chain through the shared QP.
 
         Validation, wr_id encoding, and overflow prevention are identical
@@ -294,9 +292,9 @@ class Vqp:
         ``KrcoreLib.post_send_batch``, the full chain crosses the
         virtualized-QP boundary at one-command cost (§4.3).
         """
-        yield from self.post_send(wr_list, deadline, batched=True)
+        yield from self.post_send(wr_list, batched=True)
 
-    def _post_chunk(self, wrs, deadline=None, batched=False):
+    def _post_chunk(self, wrs, batched):
         module = self.module
         # --- request integrity (lines 5-7), before anything is posted ---
         if module.charge_checks:
@@ -331,8 +329,7 @@ class Vqp:
                 ok = module.mr_store.check_cached(self.remote_gid, rkey, raddr, span)
                 if ok is None:  # cache miss: blocking meta-server path
                     ok = yield from module.mr_store.check(
-                        self.remote_gid, rkey, raddr, span,
-                        cpu_id=self.cpu_id, deadline=deadline,
+                        self.remote_gid, rkey, raddr, span, cpu_id=self.cpu_id
                     )
                 if not ok:
                     where = " in gather list" if wr.opcode is OP_READ_V else ""
@@ -340,11 +337,6 @@ class Vqp:
                         f"invalid remote MR{where} (rkey={rkey})",
                         code=WC_REM_ACCESS_ERR,
                     )
-        if deadline is not None:
-            # The blocking validation above is where one-sided posts burn
-            # time; check here, before any CQ-entry/wr_id bookkeeping
-            # exists that an abort would have to roll back.
-            deadline.check(module.sim.now, f"validated {len(wrs)} WR(s)")
         # --- build the physical requests (lines 4-17) ---
         phys = []
         unsignaled_cnt = 0

@@ -278,12 +278,11 @@ class LiteModule:
 
     # ------------------------------------------------------------------- memory
 
-    def connection_cache_bytes(self, num_connections=None):
+    def connection_cache_bytes(self):
         """Driver memory held by the RCQP cache (Fig 15a / Issue #2)."""
-        count = len(self.pool) if num_connections is None else num_connections
-        return count * timing.rc_qp_memory_bytes()
+        return len(self.pool) * timing.RC_QP_MEMORY_BYTES
 
     @staticmethod
     def cache_bytes_for(num_connections):
         """Memory LITE needs to cache ``num_connections`` RCQPs."""
-        return num_connections * timing.rc_qp_memory_bytes()
+        return num_connections * timing.RC_QP_MEMORY_BYTES

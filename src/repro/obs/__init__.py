@@ -27,6 +27,7 @@ from repro.obs import metrics as _metrics_mod
 from repro.obs import trace as _trace_mod
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.sim import Simulator
 
 __all__ = [
     "Counter",
@@ -52,14 +53,21 @@ def install(tracer=None, metrics=None):
     if tracer is not None:
         _trace_mod.TRACER = tracer
     if metrics is not None:
-        _metrics_mod.METRICS = metrics
+        _install_metrics(metrics)
     return _trace_mod.TRACER, _metrics_mod.METRICS
 
 
 def uninstall():
     """Remove both the tracer and the metrics registry (idempotent)."""
     _trace_mod.TRACER = None
-    _metrics_mod.METRICS = None
+    _install_metrics(None)
+
+
+def _install_metrics(registry):
+    """Make ``registry`` (or None) the one the call sites and the
+    simulator's run-end hook report to."""
+    _metrics_mod.METRICS = registry
+    Simulator.on_run_end = None if registry is None else registry.record_run
 
 
 def current_tracer():
@@ -83,8 +91,9 @@ def observe(tracer=None, metrics=None):
         metrics = MetricsRegistry()
     previous = (_trace_mod.TRACER, _metrics_mod.METRICS)
     _trace_mod.TRACER = tracer
-    _metrics_mod.METRICS = metrics
+    _install_metrics(metrics)
     try:
         yield tracer, metrics
     finally:
-        _trace_mod.TRACER, _metrics_mod.METRICS = previous
+        _trace_mod.TRACER = previous[0]
+        _install_metrics(previous[1])

@@ -81,10 +81,6 @@ class Histogram:
     def record(self, value):
         self.samples.append(value)
 
-    @property
-    def count(self):
-        return len(self.samples)
-
     def percentile(self, fraction):
         return percentile(self.samples, fraction)
 
@@ -137,10 +133,17 @@ class MetricsRegistry:
         """The metric registered under ``name``, or None."""
         return self._metrics.get(name)
 
-    def value(self, name, default=0):
+    def record_run(self, dispatched, timer_fires, elapsed_ns):
+        """``Simulator.on_run_end`` while this registry is installed."""
+        self.counter("sim.dispatches").inc(dispatched)
+        self.counter("sim.timer_fires").inc(timer_fires)
+        self.counter("sim.runs").inc()
+        self.counter("sim.elapsed_ns").inc(elapsed_ns)
+
+    def value(self, name):
         """Shortcut: the snapshot value of ``name`` (0 if never touched)."""
         metric = self._metrics.get(name)
-        return default if metric is None else metric.snapshot()
+        return 0 if metric is None else metric.snapshot()
 
     def snapshot(self):
         """A flat, name-sorted dict of every metric's value."""

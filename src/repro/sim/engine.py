@@ -73,8 +73,6 @@ history: a deque+heap core and a per-timestamp bucket store came first).
 from collections import deque
 from heapq import heappop, heappush
 
-from repro.obs import metrics as _obs_metrics
-
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation kernel itself."""
@@ -113,11 +111,6 @@ class Event:
     @property
     def triggered(self):
         return self._triggered
-
-    @property
-    def ok(self):
-        """True once triggered successfully (not failed)."""
-        return self._triggered and self._exc is None
 
     def trigger(self, value=None):
         if self._triggered:
@@ -190,19 +183,6 @@ class AnyOf:
 
     def __init__(self, children):
         self.children = list(children)
-
-
-class _EventTrigger:
-    """Deferred ``event.trigger(value)`` without a lambda per timeout."""
-
-    __slots__ = ("event", "trigger_value")
-
-    def __init__(self, event, value):
-        self.event = event
-        self.trigger_value = value
-
-    def __call__(self):
-        self.event.trigger(self.trigger_value)
 
 
 class Process:
@@ -307,18 +287,6 @@ class Process:
             event = target
         elif isinstance(target, Process):
             event = target._done
-        elif isinstance(target, int):  # bool and other int subclasses
-            delay = int(target)
-            if delay < 0:
-                raise SimulationError("cannot schedule into the past")
-            if delay == 0:
-                slab = sim._rbuf
-                slab.append(self)
-                slab.append(-gen)
-            else:
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._heap, (sim.now + delay, seq, self, gen))
-            return
         else:
             event = sim._as_event(target)
         if event._triggered:
@@ -341,6 +309,10 @@ class Simulator:
     #: each ``run()`` returns (the observatory samples these around a pass).
     total_events_dispatched = 0
     total_sim_ns = 0
+    #: Called as ``on_run_end(dispatched, timer_fires, elapsed_ns)`` when a
+    #: ``run()`` returns; a metrics registry sets it while installed
+    #: (``repro.obs``), so the engine imports no layer above it.
+    on_run_end = None
 
     def __init__(self):
         self.now = 0
@@ -395,10 +367,10 @@ class Simulator:
         slab.append(callback)
         slab.append(arg)
 
-    def timeout(self, delay, value=None):
+    def timeout(self, delay):
         """An event that triggers after ``delay`` nanoseconds."""
         event = Event(self)
-        self.schedule(delay, _EventTrigger(event, value))
+        self.schedule(delay, event.trigger)
         return event
 
     def event(self):
@@ -734,19 +706,16 @@ class Simulator:
             self.timer_fires += timer_fires
             Simulator.total_events_dispatched += dispatched
             Simulator.total_sim_ns += self.now - start_ns
-            registry = _obs_metrics.METRICS
-            if registry is not None:
-                registry.counter("sim.dispatches").inc(dispatched)
-                registry.counter("sim.timer_fires").inc(timer_fires)
-                registry.counter("sim.runs").inc()
-                registry.counter("sim.elapsed_ns").inc(self.now - start_ns)
+            on_run_end = Simulator.on_run_end
+            if on_run_end is not None:
+                on_run_end(dispatched, timer_fires, self.now - start_ns)
         if until is not None and self.now < until:
             self.now = int(until)
 
-    def run_process(self, gen, name=None, until=None):
+    def run_process(self, gen):
         """Start ``gen``, run to completion, and return its value."""
-        proc = self.process(gen, name=name)
-        self.run(until=until)
+        proc = self.process(gen)
+        self.run()
         if not proc.done_event.triggered:
             raise SimulationError(f"process {proc.name} did not finish")
         if proc.done_event._exc is not None:

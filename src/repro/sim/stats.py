@@ -99,6 +99,3 @@ class RateMeter:
         if elapsed <= 0:
             raise ValueError("no elapsed simulated time")
         return self.count * 1_000_000_000 / elapsed
-
-    def rate_million_per_sec(self):
-        return self.rate_per_sec() / 1_000_000.0

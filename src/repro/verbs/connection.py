@@ -91,7 +91,7 @@ class ConnectionManager:
         return reply_event
 
 
-def rc_connect(context, send_cq, server_gid, port=0, sq_depth=None):
+def rc_connect(context, send_cq, server_gid, port=0):
     """Process: establish an RC connection from ``context``'s node.
 
     Creates the local QP, runs the UD-optimized handshake against the
@@ -107,8 +107,7 @@ def rc_connect(context, send_cq, server_gid, port=0, sq_depth=None):
     # connect closed by GeneratorExit at teardown must not write into
     # whatever tracer is installed then.
     try:
-        kwargs = {} if sq_depth is None else {"sq_depth": sq_depth}
-        qp = yield from context.create_qp(QPT_RC, send_cq, recv_cq=send_cq, **kwargs)
+        qp = yield from context.create_qp(QPT_RC, send_cq, recv_cq=send_cq)
         if not node.fabric.has_node(server_gid):
             raise ConnectError(f"no route to {server_gid}")
         server = node.fabric.node(server_gid)

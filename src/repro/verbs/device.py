@@ -22,13 +22,10 @@ class ProtectionDomain:
         self.context = context
         self.node = context.node
 
-    def reg_mr(self, addr, length, access=None):
+    def reg_mr(self, addr, length):
         """Process: register memory (cheap: ~1.4 us for 4 MB, §5.1)."""
         yield timing.reg_mr_ns(length)
-        region = self.node.memory.register(
-            addr, length, AccessFlags.ALL if access is None else access
-        )
-        return region
+        return self.node.memory.register(addr, length)
 
 
 class DriverContext:
@@ -65,7 +62,7 @@ class DriverContext:
             raise VerbsError("driver context not initialized")
         return ProtectionDomain(self)
 
-    def create_cq(self, depth=timing.CQ_DEPTH_DEFAULT, poll_mode="event"):
+    def create_cq(self):
         """Process: create a completion queue (hardware queue allocation)."""
         if not self._initialized:
             raise VerbsError("driver context not initialized")
@@ -75,11 +72,9 @@ class DriverContext:
         yield timing.CREATE_CQ_NS - timing.CREATE_CQ_HW_NS
         if _trace.TRACER is not None:
             _trace.TRACER.end(self.sim.now, f"verbs@{self.node.gid}", "create_cq")
-        return CompletionQueue(
-            self.sim, depth=depth, poll_mode=poll_mode, rnic=self.node.rnic
-        )
+        return CompletionQueue(self.sim, depth=timing.CQ_DEPTH_DEFAULT, rnic=self.node.rnic)
 
-    def create_qp(self, qp_type, send_cq, recv_cq=None, sq_depth=timing.SQ_DEPTH_DEFAULT):
+    def create_qp(self, qp_type, send_cq, recv_cq=None):
         """Process: create a QP; 87% of the time is the RNIC building the
         hardware queues (§2.3.1)."""
         if not self._initialized:
@@ -93,7 +88,7 @@ class DriverContext:
         yield timing.CREATE_QP_NS - timing.CREATE_QP_HW_NS
         if _trace.TRACER is not None:
             _trace.TRACER.end(self.sim.now, f"verbs@{self.node.gid}", "create_qp")
-        return QueuePair(self.node, qp_type, send_cq, recv_cq=recv_cq, sq_depth=sq_depth)
+        return QueuePair(self.node, qp_type, send_cq, recv_cq=recv_cq)
 
     def create_qp_fast(
         self, qp_type, send_cq, recv_cq=None, sq_depth=timing.SQ_DEPTH_DEFAULT, qpn=None

@@ -82,11 +82,6 @@ class DctTarget:
         self._head = []  # the stock's head once built: one entry at most
         self._posted = []
 
-    @property
-    def metadata(self):
-        """The 12-byte DCT metadata tuple stored at the meta server (§4.2)."""
-        return (self.number, self.key)
-
     def stock_srq(self, slots, build):
         """Post ``build(slot)`` per slot to the still empty SRQ, built when claimed."""
         self._stock, self._build = iter(slots), build
@@ -117,10 +112,6 @@ class QueuePair:
         send_cq,
         recv_cq=None,
         sq_depth=timing.SQ_DEPTH_DEFAULT,
-        timeout_ns=timing.QP_TIMEOUT_NS,
-        retry_cnt=timing.QP_RETRY_CNT,
-        rnr_retry=timing.QP_RNR_RETRY,
-        rnr_timer_ns=timing.QP_RNR_TIMER_NS,
         qpn=None,
     ):
         self.node = node
@@ -130,10 +121,10 @@ class QueuePair:
         self.recv_cq = recv_cq
         self.sq_depth = sq_depth
         # Retransmission attributes (the ibv_qp_attr timeout/retry knobs).
-        self.timeout_ns = timeout_ns
-        self.retry_cnt = retry_cnt
-        self.rnr_retry = rnr_retry
-        self.rnr_timer_ns = rnr_timer_ns
+        self.timeout_ns = timing.QP_TIMEOUT_NS
+        self.retry_cnt = timing.QP_RETRY_CNT
+        self.rnr_retry = timing.QP_RNR_RETRY
+        self.rnr_timer_ns = timing.QP_RNR_TIMER_NS
         # RC request-channel clock: latest request arrival time at the
         # responder.  RC processes requests in PSN order, so a later
         # (smaller, faster-flying) request must not overtake an earlier
@@ -211,12 +202,11 @@ class QueuePair:
         self._reset_ticket = self._issued
         self.send_cq.disown(self)
 
-    def reconfigure(self, remote=None):
+    def reconfigure(self):
         """Process: full recovery from ERR -- reset + RTR + RTS through the
-        RNIC command processor.  This is the cost KRCORE avoids by never
-        letting a shared QP enter ERR (§3.1 C#3)."""
-        if remote is None:
-            remote = self.remote
+        RNIC command processor, back to the same remote.  This is the cost
+        KRCORE avoids by never letting a shared QP enter ERR (§3.1 C#3)."""
+        remote = self.remote
         self.reset()
         yield from self.node.rnic.command(timing.MODIFY_RTR_NS + timing.MODIFY_RTS_NS)
         self.to_init()

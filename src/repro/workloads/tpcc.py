@@ -26,6 +26,8 @@ DISTRICTS = 10
 CUSTOMERS = 16
 ITEMS = 64
 ORDER_SLOTS = 64
+INITIAL_STOCK = 10_000  # quantity per (warehouse, item)
+INITIAL_BALANCE = 1_000_000  # per customer
 
 _U64 = struct.Struct(">Q")
 
@@ -65,14 +67,11 @@ class TpccLayout:
 class TpccWorkload:
     """Generates and executes the New-Order / Payment mix."""
 
-    def __init__(self, client, layout=None, seed=3, new_order_fraction=0.5,
-                 initial_stock=10_000, initial_balance=1_000_000):
+    def __init__(self, client, layout=None, seed=3, new_order_fraction=0.5):
         self.client = client
         self.layout = layout or TpccLayout()
         self.rng = random.Random(seed)
         self.new_order_fraction = new_order_fraction
-        self.initial_stock = initial_stock
-        self.initial_balance = initial_balance
         self.stats = {"new_order": 0, "payment": 0}
 
     # -------------------------------------------------------------- loading
@@ -95,9 +94,9 @@ class TpccWorkload:
             for d in range(DISTRICTS):
                 put(layout.district(w, d), 1 << 32)  # next_o_id=1, ytd=0
                 for c in range(CUSTOMERS):
-                    put(layout.customer(w, d, c), self.initial_balance)
+                    put(layout.customer(w, d, c), INITIAL_BALANCE)
             for item in range(ITEMS):
-                put(layout.stock(w, item), self.initial_stock)
+                put(layout.stock(w, item), INITIAL_STOCK)
 
     # ------------------------------------------------------------ execution
 

@@ -15,7 +15,7 @@ YCSB_C = {"read": 1.0, "update": 0.0}
 class YcsbWorkload:
     """Generates (op, key) pairs for a YCSB mix over ``num_keys`` keys."""
 
-    def __init__(self, mix=None, num_keys=10_000, theta=0.99, seed=7):
+    def __init__(self, mix=None, num_keys=10_000, seed=7):
         self.mix = dict(YCSB_C if mix is None else mix)
         read_fraction = self.mix.get("read", 0.0)
         update_fraction = self.mix.get("update", 0.0)
@@ -23,7 +23,7 @@ class YcsbWorkload:
             raise ValueError("mix fractions must sum to 1")
         self.read_fraction = read_fraction
         self.num_keys = num_keys
-        self._zipf = ZipfGenerator(num_keys, theta=theta, seed=seed)
+        self._zipf = ZipfGenerator(num_keys, seed=seed)
         self._rng = random.Random(seed + 1)
 
     @staticmethod

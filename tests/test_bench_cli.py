@@ -49,3 +49,12 @@ def test_jobs_pools_every_figure_and_prints_in_submission_order(recording_pool, 
     assert recording_pool.submitted == ["fig01", "fig03"]
     out = capsys.readouterr().out
     assert out.index("[fig01 regenerated") < out.index("[fig03 regenerated")
+
+
+def test_profile_writes_a_pstats_report(tmp_path):
+    path = tmp_path / "fig03.pstats.txt"
+    assert main(["fig03", "--profile", str(path)]) == 0
+    report = path.read_text()
+    assert report.startswith("# cProfile of figure fig03")
+    assert "== top 40 by cumulative time ==" in report
+    assert "== top 40 by internal time ==" in report

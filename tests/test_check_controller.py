@@ -13,10 +13,13 @@ import random
 from repro import obs
 from repro.check import (
     FifoStrategy,
+    PctStrategy,
     RandomWalkStrategy,
     ReplayStrategy,
     Schedule,
     ScheduleController,
+    run_once,
+    sweep,
 )
 from repro.faults.harness import ChaosHarness
 from repro.faults.plan import FaultPlan
@@ -125,6 +128,22 @@ def test_random_strategy_perturbs_and_replays_byte_identically():
     assert replay_digest == random_digest
     _, again = run(RandomWalkStrategy(2))
     assert again == random_digest
+
+
+def test_pct_strategy_is_seeded():
+    """PCT (the nightly sweep's mode for chaos_small) decides from its seed
+    alone: one seed, one decision list; another seed, another."""
+    first = run_once("pool_churn", PctStrategy(3))
+    assert first.decisions, "PCT never deviated from FIFO"
+    assert run_once("pool_churn", PctStrategy(3)).decisions == first.decisions
+    assert run_once("pool_churn", PctStrategy(4)).decisions != first.decisions
+    assert first.strategy == {"mode": "pct", "seed": 3, "depth": 3}
+
+
+def test_pct_sweep_of_pool_churn_is_clean():
+    results, failure = sweep("pool_churn", mode="pct", seeds=2)
+    assert failure is None
+    assert len(results) == 2
 
 
 def test_controller_records_choice_points():

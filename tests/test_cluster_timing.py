@@ -21,22 +21,22 @@ def test_server_qp_setup_rate_near_712_per_sec():
 
 def test_rc_qp_memory_at_least_159kb():
     # Footnote 3: each QP consumes at least 159 KB.
-    assert timing.rc_qp_memory_bytes() >= 159 * 1024
+    assert timing.RC_QP_MEMORY_BYTES >= 159 * 1024
 
 
 def test_dc_qp_memory_smaller_than_rc():
-    assert timing.dc_qp_memory_bytes() < timing.rc_qp_memory_bytes()
+    assert timing.DC_QP_MEMORY_BYTES < timing.RC_QP_MEMORY_BYTES
 
 
 def test_krcore_pool_memory_close_to_paper():
     # Fig 15a: 48 DCQPs = ~6.3 MB.
-    pool = 48 * timing.dc_qp_memory_bytes()
+    pool = 48 * timing.DC_QP_MEMORY_BYTES
     assert 5.5e6 <= pool <= 7.5e6
 
 
 def test_lite_5000_connections_memory_close_to_paper():
     # Fig 15a: 5,000 RCQPs = ~780 MB.
-    total = 5_000 * timing.rc_qp_memory_bytes()
+    total = 5_000 * timing.RC_QP_MEMORY_BYTES
     assert 700e6 <= total <= 860e6
 
 

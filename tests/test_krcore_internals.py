@@ -87,10 +87,10 @@ def test_pool_memory_accounting(sim):
     cluster = Cluster(sim, num_nodes=2)
     pool = _pool(sim, cluster, dc_count=2)
     base = pool.memory_bytes()
-    assert base == 2 * timing.dc_qp_memory_bytes()
+    assert base == 2 * timing.DC_QP_MEMORY_BYTES
     rc, _ = quick_rc_pair(cluster.node(0), cluster.node(1))
     pool.insert_rc("y", rc)
-    assert pool.memory_bytes() == base + timing.rc_qp_memory_bytes()
+    assert pool.memory_bytes() == base + timing.RC_QP_MEMORY_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +238,13 @@ def test_mrstore_epoch_expiry():
     cluster, meta, modules = krcore_cluster(sim, num_nodes=3)
     store = modules[1].mr_store
     store._cache[("g", 1)] = (store._epoch(), (0, 64))
-    assert store.cached("g", 1) == (0, 64)
+    assert store.check_cached("g", 1, 0, 64) is True
 
     def advance():
         yield store.lease_ns + 1
 
     sim.run_process(advance())
-    assert store.cached("g", 1) is None  # lease boundary crossed
+    assert store.check_cached("g", 1, 0, 64) is None  # lease boundary crossed
 
 
 def test_mrstore_invalidate_by_gid():
@@ -256,11 +256,11 @@ def test_mrstore_invalidate_by_gid():
     store._cache[("g", 2)] = (epoch, (64, 64))
     store._cache[("h", 1)] = (epoch, (0, 64))
     store.invalidate("g")
-    assert store.cached("g", 1) is None
-    assert store.cached("g", 2) is None
-    assert store.cached("h", 1) == (0, 64)
+    assert store.check_cached("g", 1, 0, 64) is None
+    assert store.check_cached("g", 2, 0, 64) is None
+    assert store.check_cached("h", 1, 0, 64) is True
     store.invalidate("h", 1)
-    assert store.cached("h", 1) is None
+    assert store.check_cached("h", 1, 0, 64) is None
 
 
 # ---------------------------------------------------------------------------

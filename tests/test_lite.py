@@ -183,7 +183,7 @@ def test_post_async_requires_cached_qp():
 
 def test_memory_grows_linearly_with_cluster():
     # Issue #2 / Fig 15a: 5,000 cached RCQPs cost ~780 MB.
-    per_qp = timing.rc_qp_memory_bytes()
+    per_qp = timing.RC_QP_MEMORY_BYTES
     assert LiteModule.cache_bytes_for(5_000) == 5_000 * per_qp
     assert 700e6 < LiteModule.cache_bytes_for(5_000) < 860e6
     assert LiteModule.cache_bytes_for(10_000) == 2 * LiteModule.cache_bytes_for(5_000)
@@ -193,4 +193,4 @@ def test_connection_cache_bytes_tracks_pool():
     sim, cluster, modules = _make_env()
     modules[0].prewarm(modules[1])
     modules[0].prewarm(modules[2])
-    assert modules[0].connection_cache_bytes() == 2 * timing.rc_qp_memory_bytes()
+    assert modules[0].connection_cache_bytes() == 2 * timing.RC_QP_MEMORY_BYTES

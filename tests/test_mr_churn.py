@@ -96,7 +96,7 @@ def test_check_cached_honors_stale_accept_during_outage():
     # Epoch rolls over, then the whole meta plane goes dark.
     _advance(sim, store.lease_ns + 1)
     meta.set_outage(50 * store.lease_ns)
-    assert store.cached(gid, region.rkey) is None  # expired, no marker yet
+    assert store.check_cached(gid, region.rkey, addr, 64) is None  # expired, no marker yet
 
     # Slow path: lookup exhausts its retries, stale-accepts the entry.
     assert sim.run_process(store.check(gid, region.rkey, addr, 64))
@@ -113,7 +113,29 @@ def test_check_cached_honors_stale_accept_during_outage():
     assert store.stats_stale_hits == 1
     assert store.stats_hits == hits_before + 1
     assert store.check_cached(gid, region.rkey, addr + 64, 64) is False  # bounds
-    assert store.cached(gid, region.rkey) is not None
+    assert store.check_cached(gid, region.rkey, addr, 64) is True
+
+
+def test_check_counts_a_stale_hit_as_stale():
+    """Pre-fix failure: check() found hits through its own cache probe,
+    which counted every hit as fresh, so a stale-accepted entry served
+    through check() during an outage never reached stats_stale_hits."""
+    sim, meta, collector, worker = _store_pair()
+    store = collector.mr_store
+    addr, region = _publish_region(sim, worker)
+    gid = worker.node.gid
+    assert sim.run_process(store.check(gid, region.rkey, addr, 64))
+
+    _advance(sim, store.lease_ns + 1)
+    meta.set_outage(50 * store.lease_ns)
+    assert sim.run_process(store.check(gid, region.rkey, addr, 64))
+    assert store.stats_stale_accepts == 1
+    hits_before = store.stats_hits
+
+    assert sim.run_process(store.check(gid, region.rkey, addr, 64))
+    assert store.stats_stale_hits == 1
+    assert store.stats_hits == hits_before + 1
+    assert store.stats_stale_accepts == 1
 
 
 def test_stale_accept_does_not_outlive_meta_recovery():
@@ -159,7 +181,7 @@ def test_invalidate_gid_uses_index_from_production_inserts():
     assert store.stats_invalidated == 3
     assert gid not in store._by_gid
     for region in regions:
-        assert store.cached(gid, region.rkey) is None
+        assert store.check_cached(gid, region.rkey, region.addr, 64) is None
 
 
 def test_invalidate_single_rkey_prunes_index_and_marker():
@@ -173,7 +195,7 @@ def test_invalidate_single_rkey_prunes_index_and_marker():
     # entry or a later outage would serve a verdict for evicted state.
     store._stale_accepted.add((gid, region.rkey))
     store.invalidate(gid, region.rkey)
-    assert store.cached(gid, region.rkey) is None
+    assert store.check_cached(gid, region.rkey, addr, 64) is None
     assert (gid, region.rkey) not in store._stale_accepted
     assert gid not in store._by_gid
     assert store.stats_invalidated == 1

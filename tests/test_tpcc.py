@@ -12,6 +12,8 @@ from repro.verbs import ConnectionManager, DriverContext
 from repro.workloads.tpcc import (
     CUSTOMERS,
     DISTRICTS,
+    INITIAL_BALANCE,
+    INITIAL_STOCK,
     ITEMS,
     ORDER_SLOTS,
     TpccLayout,
@@ -91,7 +93,7 @@ def test_new_order_decrements_stock():
 
     sim.run_process(proc())
     total_stock = sum(_read(storages, layout.stock(0, i)) for i in range(ITEMS))
-    assert total_stock < ITEMS * workload.initial_stock  # something sold
+    assert total_stock < ITEMS * INITIAL_STOCK  # something sold
 
 
 def test_payment_conserves_money():
@@ -110,7 +112,7 @@ def test_payment_conserves_money():
         _read(storages, layout.district(0, d)) & 0xFFFFFFFF for d in range(DISTRICTS)
     )
     spent = sum(
-        workload.initial_balance - _read(storages, layout.customer(0, d, c))
+        INITIAL_BALANCE - _read(storages, layout.customer(0, d, c))
         for d in range(DISTRICTS)
         for c in range(CUSTOMERS)
     )
@@ -151,7 +153,7 @@ def test_concurrent_clients_money_conserved():
     sim.run()
     warehouse_ytd = _read(storages, layout.warehouse(0))
     spent = sum(
-        workload_a.initial_balance - _read(storages, layout.customer(0, d, c))
+        INITIAL_BALANCE - _read(storages, layout.customer(0, d, c))
         for d in range(DISTRICTS)
         for c in range(CUSTOMERS)
     )
