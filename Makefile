@@ -9,10 +9,9 @@ test:
 # Hit map (benchmarks/hitmap.py, standard library only): tier-1, -m chaos and
 # `pytest benchmarks` under a line tracer that follows child processes; prints
 # the functions no run entered and the statements no run executed, per file.
-# The floor CI passes only ratchets up: the measured share minus 2.
-#   make hitmap [HITMAP_ARGS="--fail-under 95"]
+# The floor only ratchets up: the measured share minus 2.
 hitmap:
-	$(PYTHON) benchmarks/hitmap.py $(HITMAP_ARGS)
+	$(PYTHON) benchmarks/hitmap.py --fail-under 95
 
 # One Perfetto-loadable trace + metrics snapshot of the Fig 3 scenario
 # (open traces/fig03.json at https://ui.perfetto.dev).

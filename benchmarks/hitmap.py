@@ -1,11 +1,10 @@
 """Which code in ``src/repro`` the test runs execute: a standard-library hit map.
 
-    python3 benchmarks/hitmap.py [--fail-under PCT] [-- PYTEST_ARGS...]
+    python3 benchmarks/hitmap.py [--fail-under PCT]
     make hitmap
 
-Runs tier-1, ``-m chaos`` and ``pytest benchmarks`` (or one pytest run of
-``PYTEST_ARGS`` instead) with a ``sys.settrace`` line tracer on, then
-prints, per file of ``src/repro``, the functions no run entered and the
+Runs tier-1, ``-m chaos`` and ``pytest benchmarks`` with a
+``sys.settrace`` line tracer on, then prints, per file of ``src/repro``, the functions no run entered and the
 statements no run executed, and the executed share of all statements.
 The tracer starts from a ``sitecustomize.py`` placed first on
 ``PYTHONPATH``, so it is on before ``repro`` is imported and in every
@@ -207,10 +206,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--fail-under", type=float, metavar="PCT",
                         help="exit non-zero when under PCT %% of the statements ran")
-    parser.add_argument("pytest_args", nargs="*",
-                        help="one pytest run of these arguments instead of the three default runs")
     args = parser.parse_args(argv)
-    runs = [args.pytest_args] if args.pytest_args else RUNS
     status = 0
     with tempfile.TemporaryDirectory(prefix="hitmap-") as scratch:
         site = pathlib.Path(scratch, "site")
@@ -221,7 +217,7 @@ def main(argv=None):
             SITECUSTOMIZE.format(source=str(pathlib.Path(__file__).resolve())))
         env = dict(os.environ, HITMAP_OUT=str(out),
                    PYTHONPATH=os.pathsep.join([str(site), str(ROOT / "src")]))
-        for run in runs:
+        for run in RUNS:
             command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *run]
             print("+", " ".join(command[1:]), flush=True)
             status |= subprocess.run(command, cwd=ROOT, env=env).returncode

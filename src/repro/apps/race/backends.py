@@ -154,6 +154,11 @@ class LiteBackend:
     def fetch_add(self, gid, laddr, lkey, raddr, rkey, delta):
         yield from self.module.fetch_add(gid, laddr, lkey, raddr, rkey, delta)
 
+    def read_batch(self, requests):
+        """Process: LITE's API has no doorbell batching -- serial reads."""
+        for gid, laddr, lkey, raddr, rkey, length in requests:
+            yield from self.module.read(gid, laddr, lkey, raddr, rkey, length)
+
 
 class KrcoreBackend:
     """KRCORE VQPs: microsecond control plane, low-level data plane."""

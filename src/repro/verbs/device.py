@@ -8,7 +8,6 @@ this cost (§2.3.2).
 """
 
 from repro.cluster import timing
-from repro.cluster.memory import AccessFlags
 from repro.obs import trace as _trace
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.errors import VerbsError

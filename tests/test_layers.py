@@ -49,31 +49,39 @@ def rank(module):
     return RANKS.get(parts[0], TOP)
 
 
+def _is_module(module):
+    """Whether ``module`` (dotted, no prefix) is a file or package of ``repro``."""
+    path = PACKAGE.joinpath(*module.split("."))
+    return path.with_suffix(".py").exists() or (path / "__init__.py").exists()
+
+
 def _imported(node, package):
     """The ``repro`` modules (dotted, no prefix) an import statement names."""
     if isinstance(node, ast.Import):
-        names = [alias.name for alias in node.names]
-    elif node.level:
-        base = package.split(".")[: len(package.split(".")) - node.level + 1]
-        names = [".".join(["repro", *base, *([node.module] if node.module else [])])]
+        return [
+            alias.name[len("repro."):]
+            for alias in node.names
+            if alias.name.startswith("repro.")
+        ]
+    if node.level:
+        parts = package.split(".")
+        source = ".".join(
+            ["repro", *parts[: len(parts) - node.level + 1], *([node.module] if node.module else [])]
+        )
     else:
-        names = [node.module]
+        source = node.module
+    if source != "repro" and not source.startswith("repro."):
+        return []
+    module = source[len("repro."):]
+    # ``from repro.check import hooks, runner`` imports both submodules;
+    # ``from repro import obs`` imports ``obs``.
     found = []
-    for name in names:
-        if not name.startswith("repro."):
-            continue
-        module = name[len("repro."):]
-        if isinstance(node, ast.ImportFrom):
-            # ``from repro.check import hooks`` imports the submodule.
-            for alias in node.names:
-                sub = f"{module}.{alias.name}"
-                if (PACKAGE / (sub.replace(".", "/") + ".py")).exists():
-                    found.append(sub)
-                    break
-            else:
-                found.append(module)
-        else:
-            found.append(module)
+    for alias in node.names:
+        sub = f"{module}.{alias.name}" if module else alias.name
+        if _is_module(sub):
+            found.append(sub)
+    if module and len(found) < len(node.names):
+        found.append(module)  # a name defined in ``module`` itself
     return found
 
 
@@ -113,3 +121,25 @@ def test_rank_reads_check_modules_apart():
     assert rank("check.hooks") == rank("obs") == rank("check")
     assert rank("check.runner") == rank("check.scenarios") == TOP
     assert rank("krcore.module") == rank("lite") > rank("kvs.store")
+
+
+def _names(source, package="sim"):
+    return _imported(ast.parse(source).body[0], package)
+
+
+def test_imported_reads_every_import_form():
+    assert _names("import repro.obs.metrics, os") == ["obs.metrics"]
+    assert _names("from repro import obs") == ["obs"]
+    assert _names("from repro.check import hooks, runner") == ["check.hooks", "check.runner"]
+    assert _names("from repro.verbs import qp, QueuePair") == ["verbs.qp", "verbs"]
+    assert _names("from repro.obs.metrics import MetricsRegistry") == ["obs.metrics"]
+    assert _names("from ..obs import metrics", package="sim") == ["obs.metrics"]
+    assert _names("from os import path") == []
+
+
+def test_an_upward_import_in_either_from_form_ranks_upward():
+    # ``sim/engine.py`` importing ``obs``, and ``cluster`` importing ``check.runner``.
+    assert max(rank(target) for target in _names("from repro import obs")) > rank("sim")
+    assert max(rank(target) for target in _names("from repro.check import hooks, runner")) > rank(
+        "cluster"
+    )

@@ -156,7 +156,7 @@ def test_update_over_backend(make_env):
     assert sim.run_process(proc()) == b"v2"
 
 
-@pytest.mark.parametrize("make_env", [_verbs_env, _krcore_env])
+@pytest.mark.parametrize("make_env", [_verbs_env, _lite_env, _krcore_env])
 def test_batched_get_over_backend(make_env):
     sim, cluster, storage, client = make_env()
     keys = [b"user%04d" % i for i in range(16)]

@@ -14,9 +14,12 @@ unused setting, never invent one.  A ``Name(...)`` call of a class
 resolves to the ``__init__`` it has or inherits from a ``src/repro``
 class, ``cls(...)`` inside a class to that class's, and
 ``super().__init__(...)`` to the next one up.  Dunder methods other than
-``__init__`` are called by syntax, not by name, and are not scanned;
-neither are functions nested in functions, whose defaults bind loop
-variables.  ``ALLOWED`` holds the only sites the AST cannot resolve.
+``__init__`` are called by syntax, not by name, and are not scanned.
+Definitions are found among the statements of a module, class or
+function body, so a function nested in a function is scanned (``fig12``'s
+``patched_init`` is one); one defined under an ``if``, ``for`` or
+``with`` is not.  ``ALLOWED`` holds the only sites the AST cannot
+resolve.
 """
 
 import ast
