@@ -162,9 +162,6 @@ class KrcoreBackend:
         self.node = node
         self.lib = KrcoreLib(node, cpu_id=cpu_id)
         self.vqps = {}  # gid -> the connected VQP
-        #: Harvest READs lost to churn races (failed validation or
-        #: completion); the shared QP survives them all.
-        self.stats_failed = 0
 
     def connect(self, gids):
         """Process: qconnect to each worker (us-scale, Fig 8a)."""
@@ -199,7 +196,6 @@ class KrcoreBackend:
             except KrcoreError:
                 failed += 1
             offset += length
-        self.stats_failed += failed
         return harvested, failed
 
     def harvest_batched(self, targets, laddr, lkey):
@@ -230,7 +226,6 @@ class KrcoreBackend:
                     harvested += wr.length
                 else:
                     failed += 1
-        self.stats_failed += failed
         return harvested, failed
 
     def harvest_vectored(self, targets, laddr, lkey):
@@ -255,5 +250,4 @@ class KrcoreBackend:
                     harvested += sum(sge[2] for _, sge in chunk)
                 except KrcoreError:
                     failed += len(chunk)
-        self.stats_failed += failed
         return harvested, failed

@@ -40,8 +40,6 @@ class RaceClient:
         self.catalogs = list(catalogs)
         self.scratch_addr = None
         self.scratch_lkey = None
-        self.stats_gets = 0
-        self.stats_puts = 0
 
     # -------------------------------------------------------------- lifecycle
 
@@ -65,7 +63,6 @@ class RaceClient:
 
     def get(self, key):
         """Process: fetch ``key``'s value (bytes) or None."""
-        self.stats_gets += 1
         fp12, spread = fingerprint(key)
         catalog = self._catalog_for(spread)
         home = spread % catalog.num_buckets
@@ -103,7 +100,6 @@ class RaceClient:
         optimization that gives KRCORE its Fig 16 edge over LITE)."""
         if len(keys) > self.max_batch:
             raise RaceError(f"batch of {len(keys)} exceeds max_batch={self.max_batch}")
-        self.stats_gets += len(keys)
         plans = []
         for index, key in enumerate(keys):
             fp12, spread = fingerprint(key)
@@ -169,7 +165,6 @@ class RaceClient:
 
     def put(self, key, value):
         """Process: insert/update via remote alloc + WRITE + slot CAS."""
-        self.stats_puts += 1
         fp12, spread = fingerprint(key)
         catalog = self._catalog_for(spread)
         scratch = self.scratch_addr

@@ -22,7 +22,6 @@ class TxnClient:
         self.catalogs = list(catalogs)
         self.scratch_addr = None
         self.scratch_lkey = None
-        self.stats_commits = 0
         self.stats_aborts = 0
 
     def setup(self):
@@ -135,7 +134,6 @@ class Transaction:
         """Process: FaRM's lock -> validate -> install -> unlock."""
         client = self.client
         if not self._writes:
-            self.client.stats_commits += 1
             return  # read-only: validation happened at read time
         atomic_scratch = client.scratch_addr
         locked = []  # (record_id, old_header)
@@ -190,7 +188,6 @@ class Transaction:
                     catalog.gid, atomic_scratch + 16, client.scratch_lkey,
                     catalog.header_addr(local_id), catalog.rkey, HEADER_BYTES,
                 )
-            self.client.stats_commits += 1
         except TxnAborted:
             self.client.stats_aborts += 1
             # Roll back any locks we hold (values untouched before step 3).

@@ -52,7 +52,6 @@ import heapq
 import json
 import random
 
-from repro.obs import metrics as _obs_metrics
 
 __all__ = [
     "FifoStrategy",
@@ -329,16 +328,7 @@ class ScheduleController:
             sim._rpos = 0
             sim._cohort = cohort
             sim._cpos = cpos
-            sim.events_dispatched += dispatched
-            sim.timer_fires += timer_fires
-            type(sim).total_events_dispatched += dispatched
-            type(sim).total_sim_ns += sim.now - start_ns
-            registry = _obs_metrics.METRICS
-            if registry is not None:
-                registry.counter("sim.dispatches").inc(dispatched)
-                registry.counter("sim.timer_fires").inc(timer_fires)
-                registry.counter("sim.runs").inc()
-                registry.counter("sim.elapsed_ns").inc(sim.now - start_ns)
+            sim.end_run(dispatched, timer_fires, start_ns)
         if until is not None and sim.now < until:
             sim.now = int(until)
 

@@ -112,8 +112,6 @@ class Rnic:
     def account_cq_poll(self, spent_ns):
         """Charge ``spent_ns`` of host CPU burned spinning on a CQ."""
         self.stats_cq_poll_busy_ns += int(spent_ns)
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("rnic.cq_poll_busy_ns").inc(int(spent_ns))
 
     def _track(self, engine):
         # One per engine: inbound spans are stamped ahead; no track runs backwards.
@@ -171,8 +169,6 @@ class Rnic:
         finally:
             if grant is not None:
                 self.command_processor.release(grant)
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("rnic.stall_ns").inc(duration_ns)
 
     def inbound_admit(self, service_ns, opcode=None):
         """Admit one op arriving now; returns the ``(start, end)`` of its

@@ -148,8 +148,6 @@ class CircuitBreaker:
                 self.sim.now, f"degrade/{self.name}", f"breaker.{new_state}",
                 prev=old_state,
             )
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter(f"degrade.breaker_to_{new_state}").inc()
 
     def allow(self):
         """May a request go downstream right now?  False = fast-fail."""

@@ -149,5 +149,4 @@ class FaultInjector:
             )
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("faults.injected").inc()
-            _metrics.METRICS.counter(f"faults.{kind}").inc()
         self.applied.append((self.sim.now, kind, summary))

@@ -355,9 +355,6 @@ class MetaClient:
             )
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("krcore.meta_rpcs").inc()
-            _metrics.METRICS.counter(
-                f"krcore.meta.shard{self.shard_index}.rpcs"
-            ).inc()
         value = None
         # The span must close on *every* exit -- a MetaUnavailableError
         # escaping with the begin un-ended would corrupt the nesting of

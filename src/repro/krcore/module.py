@@ -148,7 +148,6 @@ class KrcoreModule:
         manager.listen(KRCORE_RC_PORT, self._on_rc_accept)
 
         self.stats_transfers = 0
-        self.stats_meta_lookups = 0
         self.stats_meta_failovers = 0
         self.stats_rc_fallbacks = 0
         # Lease-churn accounting (MicroView pod churn): registrations and
@@ -540,14 +539,13 @@ class KrcoreModule:
     def lookup_dct_robust(self, cpu_id, gid, deadline=None):
         """Process: DCT metadata lookup with :meth:`retry_meta`'s bounded
         retry; returns None for a *reachable* owner with no record (the
-        node never booted or was retracted).  Counts every attempt in
-        ``stats_meta_lookups``."""
+        node never booted or was retracted)."""
         return self.retry_meta(
             self.plane_lookup_dct, (cpu_id, gid, deadline), deadline,
-            f"{self.node.gid}->{gid}", f"DCT lookup of {gid}", counted=True,
+            f"{self.node.gid}->{gid}", f"DCT lookup of {gid}",
         )
 
-    def retry_meta(self, lookup, args, deadline, jitter_key, what, counted=False):
+    def retry_meta(self, lookup, args, deadline, jitter_key, what):
         """Process: ``lookup(*args)`` (a plane lookup) with bounded retry +
         exponential backoff (jitter seeded by ``jitter_key`` desynchronizes
         concurrent herds), each attempt failing over across the record's
@@ -557,8 +555,6 @@ class KrcoreModule:
         backoff = timing.KRCORE_BACKOFF_BASE_NS
         attempt = 0
         while True:
-            if counted:
-                self.stats_meta_lookups += 1
             try:
                 return (yield from lookup(*args))
             except MetaUnavailableError as err:
@@ -583,8 +579,6 @@ class KrcoreModule:
             _trace.TRACER.instant(
                 self.sim.now, self.track, "dct.revalidate", gid=gid
             )
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("krcore.dct_revalidations").inc()
         cached = self.dc_cache.get(gid)
         if stale_meta is None or cached is None or cached == tuple(stale_meta):
             self.dc_cache.pop(gid, None)

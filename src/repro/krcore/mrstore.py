@@ -54,8 +54,6 @@ class ValidMr:
             mismatch = True
         if mismatch:
             self.stats_forget_mismatches += 1
-            if _metrics.METRICS is not None:
-                _metrics.METRICS.counter("krcore.validmr_forget_mismatches").inc()
 
     def check_local(self, lkey, addr, length):
         """True iff [addr, addr+length) lies in a valid local region."""
@@ -93,8 +91,6 @@ class MrStore:
         #: gid -> set(rkey) over cache keys, so invalidate(gid) during a
         #: churn storm is O(entries for that gid), not O(whole cache).
         self._by_gid = {}
-        self.stats_hits = 0
-        self.stats_misses = 0
         #: Lease-expired entries accepted because the meta server was
         #: unreachable (degraded mode).
         self.stats_stale_accepts = 0
@@ -139,7 +135,6 @@ class MrStore:
             self.stats_stale_hits += 1
             if _metrics.METRICS is not None:
                 _metrics.METRICS.counter("krcore.mrstore_stale_hits").inc()
-        self.stats_hits += 1
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("krcore.mrstore_hits").inc()
         base, span = entry[1]
@@ -162,7 +157,6 @@ class MrStore:
         verdict = self.check_cached(gid, rkey, addr, length)
         if verdict is not None:
             return verdict
-        self.stats_misses += 1
         if _metrics.METRICS is not None:
             _metrics.METRICS.counter("krcore.mrstore_misses").inc()
         if _trace.TRACER is not None:

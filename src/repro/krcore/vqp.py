@@ -406,8 +406,6 @@ class Vqp:
                 code=getattr(err, "code", None) or WC_RETRY_EXC_ERR,
             ) from err
         self.stats_posted += len(phys)
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("krcore.wr_posted").inc(len(phys))
         module.note_traffic(self.remote_gid, self.cpu_id, len(phys))
 
     def _prepare_send(self, pwr):

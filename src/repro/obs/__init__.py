@@ -5,8 +5,8 @@ The control plane's argument is *where the time goes* (Fig 3's 413 us
 that visible inside the reproduction.  A :class:`Tracer` records
 span/instant events stamped with simulated nanoseconds and exports
 Chrome trace-event JSON (Perfetto / ``about://tracing``); a
-:class:`MetricsRegistry` holds counters/gauges/histograms and exports a
-flat snapshot.
+:class:`MetricsRegistry` holds named counters and exports a flat
+snapshot.
 
 Both are *globally installed* and consulted by instrumented call sites
 throughout the simulator (engine, verbs, KRCORE, cluster, faults) behind
@@ -25,14 +25,12 @@ from contextlib import contextmanager
 
 from repro.obs import metrics as _metrics_mod
 from repro.obs import trace as _trace_mod
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.sim import Simulator
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Tracer",
     "current_metrics",

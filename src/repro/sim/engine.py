@@ -309,8 +309,8 @@ class Simulator:
     #: each ``run()`` returns (the observatory samples these around a pass).
     total_events_dispatched = 0
     total_sim_ns = 0
-    #: Called as ``on_run_end(dispatched, timer_fires, elapsed_ns)`` when a
-    #: ``run()`` returns; a metrics registry sets it while installed
+    #: Called as ``on_run_end(timer_fires)`` when a run returns (see
+    #: :meth:`end_run`); a metrics registry sets it while installed
     #: (``repro.obs``), so the engine imports no layer above it.
     on_run_end = None
 
@@ -702,15 +702,21 @@ class Simulator:
             self._rpos = pos
             self._cohort = cohort
             self._cpos = cpos
-            self.events_dispatched += dispatched
-            self.timer_fires += timer_fires
-            Simulator.total_events_dispatched += dispatched
-            Simulator.total_sim_ns += self.now - start_ns
-            on_run_end = Simulator.on_run_end
-            if on_run_end is not None:
-                on_run_end(dispatched, timer_fires, self.now - start_ns)
+            self.end_run(dispatched, timer_fires, start_ns)
         if until is not None and self.now < until:
             self.now = int(until)
+
+    def end_run(self, dispatched, timer_fires, start_ns):
+        """Fold one run's counts into the instance and process totals and
+        pass its timer fires to ``on_run_end``.  Every run ends here:
+        :meth:`run`'s and the model checker's controlled one."""
+        self.events_dispatched += dispatched
+        self.timer_fires += timer_fires
+        Simulator.total_events_dispatched += dispatched
+        Simulator.total_sim_ns += self.now - start_ns
+        on_run_end = Simulator.on_run_end
+        if on_run_end is not None:
+            on_run_end(timer_fires)
 
     def run_process(self, gen):
         """Start ``gen``, run to completion, and return its value."""

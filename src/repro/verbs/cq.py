@@ -10,8 +10,8 @@ CPU/latency trade (ATR's transport design; RDMAbox):
 * ``busy``     -- a dedicated core spins on the CQ.  The spin discovers
   the CQE the instant it is pushed (no wake latency), but every
   nanosecond spent waiting is CPU burned: the elapsed wait is accounted
-  as ``cq_poll`` busy-ns on the owning RNIC's node (and in the
-  ``verbs.cq_spin_ns`` metric).
+  as ``cq_poll`` busy-ns on the owning RNIC's node (and on the CQ's
+  ``stats_spin_ns``).
 * ``adaptive`` -- spin for ``timing.CQ_ADAPTIVE_SPIN_NS``; if nothing
   completes, arm the CQ event (``ibv_req_notify_cq``, costing
   ``CQ_NOTIFY_REARM_NS`` of CPU *and* latency) and sleep.  Waking out of
@@ -20,7 +20,6 @@ CPU/latency trade (ATR's transport design; RDMAbox):
 """
 
 from repro.cluster import timing
-from repro.obs import metrics as _metrics
 from repro.sim import AnyOf
 from repro.verbs.types import WC_SUCCESS
 
@@ -77,8 +76,7 @@ class CompletionQueue:
         #: Polling-mode model used by :meth:`wait_notify` / :meth:`wait_poll`.
         self.poll_mode = poll_mode
         #: The RNIC whose node's CPU burns the busy-poll cycles; optional --
-        #: without one, spin time is still tracked on ``stats_spin_ns`` and
-        #: the ``verbs.cq_spin_ns`` metric.
+        #: without one, spin time is still tracked on ``stats_spin_ns``.
         self.rnic = rnic
         self._entries = _EMPTY  # lists from the first append on
         self._waiters = _EMPTY
@@ -153,8 +151,6 @@ class CompletionQueue:
         if spent_ns <= 0:
             return
         self.stats_spin_ns += spent_ns
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("verbs.cq_spin_ns").inc(spent_ns)
         if self.rnic is not None:
             self.rnic.account_cq_poll(spent_ns)
 
@@ -191,8 +187,6 @@ class CompletionQueue:
             # Spin budget exhausted: arm the notification and sleep.
             self.stats_rearms += 1
             self._account_spin(timing.CQ_ADAPTIVE_SPIN_NS + timing.CQ_NOTIFY_REARM_NS)
-            if _metrics.METRICS is not None:
-                _metrics.METRICS.counter("verbs.cq_rearms").inc()
             yield timing.CQ_NOTIFY_REARM_NS
             # Re-check after the rearm gap (the mandatory post-arm poll):
             # a CQE that landed while rearming still fires the notify.

@@ -152,7 +152,6 @@ class QueuePair:
         self._dc_current = None  # (gid, dct_number) the DC QP is wired to
         self._dc_last_retarget_ns = -(10 ** 12)
         self._dc_lcg = self.qpn * 2654435761 % (1 << 64) or 1
-        self.stats_reconnects = 0
 
     # ------------------------------------------------------------------ state
 
@@ -360,7 +359,6 @@ class QueuePair:
         the source of DC's 99.9th-percentile tail (Fig 14b).
         """
         self._dc_current = (wr.dct_gid, wr.dct_number)
-        self.stats_reconnects += 1
         if _trace.TRACER is not None:
             _trace.TRACER.instant(
                 self.sim.now, f"qp{self.qpn}@{self.node.gid}",
@@ -511,8 +509,6 @@ class _Flight:
                     return self._lost()
                 self.duplicated = fault.duplicates()
                 wire_out = fault.delay_ns(wire_out)
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter(f"fabric.link[{node.gid}->{remote_gid}]").inc()
         sim = qp.sim
         if rc:
             # PSN ordering: an RC request never lands before its
@@ -773,8 +769,6 @@ class _Flight:
             rfault = fabric.link_faults.get((self.remote_gid, node.gid))
             if rfault is not None and rfault.drops():
                 return self._lost()
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter(f"fabric.link[{self.remote_gid}->{node.gid}]").inc()
         wire_back = fabric.one_way_ns(self.response_bytes)
         if rfault is not None:
             wire_back = rfault.delay_ns(wire_back)

@@ -9,6 +9,7 @@ seed-determinism (two runs, byte-identical digests).
 
 import pytest
 
+from repro import obs
 from repro.cluster import timing
 from repro.faults import FaultPlan
 from repro.faults.harness import ChaosHarness
@@ -74,11 +75,24 @@ def test_random_plan_invariants(seed):
     assert report.ops_failed == 0
 
 
+def _assert_double_counts_agree(report, metrics):
+    """The report's sums of the kept double counts (each a ``stats_*``
+    attribute and a metric, tests/test_counts_are_read.py) equal the
+    registry's."""
+    assert (report.stale_accepts, report.meta_failovers, report.rc_fallbacks) == (
+        metrics.value("krcore.mrstore_stale_accepts"),
+        metrics.value("krcore.meta_failovers"),
+        metrics.value("krcore.rc_fallbacks"),
+    )
+
+
 def test_meta_outage_exercises_degraded_paths():
-    report = ChaosHarness(33, plan=_plan_meta_outage(33)).run()
+    with obs.observe() as (_tracer, metrics):
+        report = ChaosHarness(33, plan=_plan_meta_outage(33)).run()
     # The outage window forces at least one degraded-mode decision
     # somewhere: a stale-lease acceptance or a client-level retry.
     assert report.stale_accepts + report.retried_ops > 0
+    _assert_double_counts_agree(report, metrics)
 
 
 def _plan_shard_outages(seed):
@@ -95,8 +109,10 @@ def _plan_shard_outages(seed):
 
 
 def test_sharded_meta_outages_fail_over_and_degrade():
-    first = ChaosHarness(44, plan=_plan_shard_outages(44), meta_shards=2).run()
+    with obs.observe() as (_tracer, metrics):
+        first = ChaosHarness(44, plan=_plan_shard_outages(44), meta_shards=2).run()
     assert first.all_invariants_hold, (first.invariants, first.op_log[-10:])
+    _assert_double_counts_agree(first, metrics)
     assert first.ops_failed == 0
     # One dark owner -> lookups fail over to the replica shard.
     assert first.meta_failovers > 0

@@ -43,7 +43,7 @@ def _smoke_plan(seed):
 
 def _qconnect_digest(controlled):
     """The golden-trace scenario of test_obs_golden, optionally driven
-    by a FIFO controller; returns (trace digest, sim)."""
+    by a FIFO controller; returns (trace digest, sim, metrics snapshot)."""
     sim = Simulator()
     if controlled:
         ScheduleController(FifoStrategy()).attach(sim)
@@ -57,13 +57,15 @@ def _qconnect_digest(controlled):
 
     with obs.observe() as (tracer, metrics):
         sim.run_process(proc())
-    return tracer.digest(), sim
+    return tracer.digest(), sim, metrics.snapshot()
 
 
 def test_fifo_controller_is_trace_identical_to_engine():
-    vanilla_digest, vanilla_sim = _qconnect_digest(controlled=False)
-    fifo_digest, fifo_sim = _qconnect_digest(controlled=True)
+    vanilla_digest, vanilla_sim, vanilla_metrics = _qconnect_digest(controlled=False)
+    fifo_digest, fifo_sim, fifo_metrics = _qconnect_digest(controlled=True)
     assert fifo_digest == vanilla_digest
+    # Both runs end through Simulator.end_run: one registry view.
+    assert fifo_metrics == vanilla_metrics
     # The accounting counters advance identically too.
     assert fifo_sim.events_dispatched == vanilla_sim.events_dispatched
     assert fifo_sim.timer_fires == vanilla_sim.timer_fires

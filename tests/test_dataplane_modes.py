@@ -67,16 +67,11 @@ def test_busy_poll_charges_spin_ns_on_rnic():
         waited["ns"] = sim.now - start
         return wcs
 
-    with obs.observe() as (_tracer, metrics):
-        wcs = sim.run_process(proc())
-        spin_metric = metrics.counter("verbs.cq_spin_ns").value
-        rnic_metric = metrics.counter("rnic.cq_poll_busy_ns").value
+    wcs = sim.run_process(proc())
     assert wcs[0].ok
     assert waited["ns"] > 0
     assert cq.stats_spin_ns == waited["ns"]
     assert node_a.rnic.stats_cq_poll_busy_ns == waited["ns"]
-    assert spin_metric == waited["ns"]
-    assert rnic_metric == waited["ns"]
 
 
 def test_event_poll_charges_nothing():

@@ -3,6 +3,7 @@ messaging, zero-copy, and the shared-QP protection of Algorithm 2."""
 
 import pytest
 
+from repro import obs
 from repro.cluster import timing
 from repro.krcore import KrcoreError, KrcoreLib
 from repro.sim import Simulator, US
@@ -109,11 +110,12 @@ def test_mr_validation_miss_costs_4_5us(env):
         yield from lib_c.read_sync(vqp, laddr, lmr.lkey, raddr, rmr.rkey, 8)
         return sim.now - start
 
-    cold = sim.run_process(timed_read())
-    warm = sim.run_process(timed_read())
+    with obs.observe() as (_tracer, metrics):
+        cold = sim.run_process(timed_read())
+        warm = sim.run_process(timed_read())
     assert abs((cold - warm) - timing.MR_CHECK_MISS_NS) < 1_200
-    assert modules[1].mr_store.stats_misses == 1
-    assert modules[1].mr_store.stats_hits >= 1
+    assert metrics.value("krcore.mrstore_misses") == 1
+    assert metrics.value("krcore.mrstore_hits") >= 1
 
 
 def test_mr_lease_expiry_forces_revalidation(env):
@@ -129,8 +131,9 @@ def test_mr_lease_expiry_forces_revalidation(env):
         yield timing.MR_LEASE_NS + 1  # cross a lease boundary
         yield from lib_c.read_sync(vqp, laddr, lmr.lkey, raddr, rmr.rkey, 8)
 
-    sim.run_process(proc())
-    assert modules[1].mr_store.stats_misses == 2
+    with obs.observe() as (_tracer, metrics):
+        sim.run_process(proc())
+    assert metrics.value("krcore.mrstore_misses") == 2
 
 
 def test_deregistered_mr_rejected_after_lease(env):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from repro import obs
 from repro.cluster import Cluster, timing
 from repro.krcore import KrcoreError, KrcoreLib
 from repro.krcore.meta import MetaClient, MetaServer, dct_key
@@ -175,9 +176,9 @@ def test_an_oversize_meta_record_fails_a_connect_without_retry_or_fallback():
     module = modules[1]
     gid = "n" * 80
     meta.store.put(dct_key(gid), bytes(12))
-    with pytest.raises(RecordTooLargeError):
+    with obs.observe() as (_tracer, metrics), pytest.raises(RecordTooLargeError):
         sim.run_process(module.create_vqp().connect(gid))
-    assert (module.stats_meta_lookups, module.stats_rc_fallbacks) == (1, 0)
+    assert (metrics.value("krcore.meta_rpcs"), module.stats_rc_fallbacks) == (1, 0)
 
 
 def test_meta_server_refuses_a_record_longer_than_a_client_reads(sim):
@@ -206,8 +207,9 @@ def test_uncached_connects_to_one_incarnation_share_its_dct_tuple():
             yield from vqp.connect(gid)
             vqps.append(vqp)
 
-    sim.run_process(proc())
-    assert module.stats_meta_lookups == 3
+    with obs.observe() as (_tracer, metrics):
+        sim.run_process(proc())
+    assert metrics.value("krcore.meta_rpcs") == 3
     assert vqps[0].dct_meta == modules[2].own_dct_meta
     assert all(vqp.dct_meta is vqps[0].dct_meta for vqp in vqps)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.apps.microview import (
     Collector,
     KrcoreBackend,
@@ -194,9 +195,13 @@ def test_churned_harvest_upholds_churn_window_invariant(seed, interval_us, strat
 def test_microview_chaos_invariants_hold_and_run_is_deterministic():
     from repro.faults.microview import MicroViewChaosHarness
 
-    first = MicroViewChaosHarness(1).run()
+    with obs.observe() as (_tracer, metrics):
+        first = MicroViewChaosHarness(1).run()
     assert first.all_invariants_hold, first.invariants
     assert first.stale_accepts > 0 and first.stale_hits > 0
+    # Both sides of a kept double count agree (tests/test_counts_are_read.py).
+    assert first.stale_hits == metrics.value("krcore.mrstore_stale_hits")
+    assert first.stale_accepts == metrics.value("krcore.mrstore_stale_accepts")
     assert first.churns > 0 and first.failed_reads >= 0
     second = MicroViewChaosHarness(1).run()
     assert first.digest() == second.digest()

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.cluster import Cluster
 from repro.krcore.mrstore import ValidMr
 from repro.sim import US, Simulator
@@ -108,10 +109,10 @@ def test_check_cached_honors_stale_accept_during_outage():
 
     # Fast path: while the owners stay dark, check_cached serves the
     # stale verdict without another slow-path lookup.
-    hits_before = store.stats_hits
-    assert store.check_cached(gid, region.rkey, addr, 64) is True
+    with obs.observe() as (_tracer, metrics):
+        assert store.check_cached(gid, region.rkey, addr, 64) is True
     assert store.stats_stale_hits == 1
-    assert store.stats_hits == hits_before + 1
+    assert metrics.value("krcore.mrstore_hits") == 1
     assert store.check_cached(gid, region.rkey, addr + 64, 64) is False  # bounds
     assert store.check_cached(gid, region.rkey, addr, 64) is True
 
@@ -130,11 +131,11 @@ def test_check_counts_a_stale_hit_as_stale():
     meta.set_outage(50 * store.lease_ns)
     assert sim.run_process(store.check(gid, region.rkey, addr, 64))
     assert store.stats_stale_accepts == 1
-    hits_before = store.stats_hits
 
-    assert sim.run_process(store.check(gid, region.rkey, addr, 64))
+    with obs.observe() as (_tracer, metrics):
+        assert sim.run_process(store.check(gid, region.rkey, addr, 64))
     assert store.stats_stale_hits == 1
-    assert store.stats_hits == hits_before + 1
+    assert metrics.value("krcore.mrstore_hits") == 1
     assert store.stats_stale_accepts == 1
 
 

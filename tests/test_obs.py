@@ -1,8 +1,7 @@
 """Unit and property tests for ``repro.obs`` (tracing + metrics).
 
-Covers the metric primitives (counter monotonicity, histogram percentile
-agreement with ``repro.sim.stats``), registry semantics (get-or-create,
-kind mismatch, name-sorted deterministic snapshots), the tracer's event
+Covers the counter (monotonicity), registry semantics (get-or-create,
+name-sorted deterministic snapshots and JSON), the tracer's event
 model (span pairing, tid interning and clock-restart forking, Chrome
 export schema), and the install/observe global plumbing.
 """
@@ -14,8 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, Tracer
-from repro.sim.stats import percentile
+from repro.obs import Counter, MetricsRegistry, Tracer
 
 # ---------------------------------------------------------------------------
 # Metrics primitives
@@ -24,13 +22,13 @@ from repro.sim.stats import percentile
 
 def test_counter_accumulates_and_rejects_negative():
     counter = Counter("ops")
-    assert counter.snapshot() == 0
+    assert counter.value == 0
     counter.inc()
     counter.inc(41)
-    assert counter.snapshot() == 42
+    assert counter.value == 42
     with pytest.raises(ValueError):
         counter.inc(-1)
-    assert counter.snapshot() == 42  # the failed inc changed nothing
+    assert counter.value == 42  # the failed inc changed nothing
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10**9), max_size=50))
@@ -41,43 +39,7 @@ def test_counter_is_monotonic(increments):
         value = counter.inc(n)
         assert value >= previous
         previous = value
-    assert counter.snapshot() == sum(increments)
-
-
-def test_gauge_moves_both_ways():
-    gauge = Gauge("depth")
-    gauge.set(7)
-    gauge.add(-3)
-    assert gauge.snapshot() == 4
-
-
-def test_histogram_empty_snapshot():
-    assert Histogram("lat").snapshot() == {"count": 0}
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=200),
-    st.floats(min_value=0.0, max_value=1.0),
-)
-@settings(max_examples=50)
-def test_histogram_percentile_matches_sim_stats(samples, fraction):
-    histogram = Histogram("lat")
-    for sample in samples:
-        histogram.record(sample)
-    assert histogram.percentile(fraction) == percentile(samples, fraction)
-
-
-def test_histogram_snapshot_summary():
-    histogram = Histogram("lat")
-    for sample in [10, 20, 30, 40]:
-        histogram.record(sample)
-    snap = histogram.snapshot()
-    assert snap["count"] == 4
-    assert snap["sum"] == 100
-    assert snap["min"] == 10
-    assert snap["max"] == 40
-    assert snap["p50"] == percentile([10, 20, 30, 40], 0.5)
-    assert snap["p99"] == percentile([10, 20, 30, 40], 0.99)
+    assert counter.value == sum(increments)
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +48,13 @@ def test_histogram_snapshot_summary():
 
 
 def test_registry_get_or_create_and_kind_mismatch():
+    # The registry holds counters only, so no name can be asked for as
+    # two kinds; what stays to check is get-or-create and value().
     registry = MetricsRegistry()
     counter = registry.counter("x")
     assert registry.counter("x") is counter
-    assert "x" in registry
-    assert len(registry) == 1
-    with pytest.raises(TypeError):
-        registry.gauge("x")
-    assert registry.get("missing") is None
     assert registry.value("missing") == 0
+    assert "missing" not in registry.snapshot()  # value() creates nothing
     counter.inc(5)
     assert registry.value("x") == 5
 
@@ -103,7 +63,7 @@ def test_registry_snapshot_is_name_sorted():
     registry = MetricsRegistry()
     registry.counter("zulu").inc()
     registry.counter("alpha").inc(2)
-    registry.histogram("mid").record(7)
+    registry.counter("mid").inc(7)
     assert list(registry.snapshot()) == ["alpha", "mid", "zulu"]
 
 
@@ -140,13 +100,13 @@ def test_registry_snapshot_deterministic(ops):
     assert pre_touched.snapshot() == build(ops).snapshot()
 
 
-def test_registry_export_json(tmp_path):
+def test_registry_export_json():
     registry = MetricsRegistry()
+    registry.counter("zulu").inc()
     registry.counter("ops").inc(3)
-    path = tmp_path / "metrics.json"
-    text = registry.export_json(path)
-    assert path.read_text() == text
-    assert json.loads(text) == {"ops": 3}
+    text = registry.to_json()
+    assert json.loads(text) == {"ops": 3, "zulu": 1}
+    assert text.index('"ops"') < text.index('"zulu"')
     assert text.endswith("\n")
 
 

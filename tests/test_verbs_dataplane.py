@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.cluster import timing
 from repro.sim import US
 from repro.verbs import (
@@ -354,10 +355,11 @@ def test_dc_retarget_costs_reconnect(sim, cluster):
         yield from qp.send_cq.wait_poll()
         return sim.now - start
 
-    same = _run_one(sim, same_target())
-    sim2_cluster = cluster  # same sim reused; measure switch on a fresh QP
-    switch = _run_one(sim, switch_target())
-    assert qp.stats_reconnects >= 2
+    with obs.observe() as (_tracer, metrics):
+        same = _run_one(sim, same_target())
+        sim2_cluster = cluster  # same sim reused; measure switch on a fresh QP
+        switch = _run_one(sim, switch_target())
+    assert metrics.value("verbs.dc_retargets") >= 2
     assert switch - same >= timing.DCT_RECONNECT_NS - 50
 
 

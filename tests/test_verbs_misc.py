@@ -3,6 +3,7 @@ CQ edge cases, fabric behaviour."""
 
 import pytest
 
+from repro import obs
 from repro.cluster import Cluster, timing
 from repro.sim import Simulator, US
 from repro.verbs import (
@@ -219,8 +220,9 @@ def test_dc_qp_single_target_has_one_reconnect(sim, cluster):
             )
             yield from qp.send_cq.wait_poll()
 
-    sim.run_process(proc())
-    assert qp.stats_reconnects == 1  # connected once, reused 9 times
+    with obs.observe() as (_tracer, metrics):
+        sim.run_process(proc())
+    assert metrics.value("verbs.dc_retargets") == 1  # connected once, reused 9 times
 
 
 def test_fabric_latency_model():
