@@ -1,30 +1,26 @@
 """MicroView: a SmartNIC-style collector harvesting per-pod metric MRs.
 
-The scenario from ROADMAP item 5: one collector node READs thousands of
-tiny (4 KB) per-pod memory regions off the worker nodes every cycle,
-while pods churn -- each pod death retracts its MR and each pod start
-registers a fresh one.  Registration/validation cost, not connection
-setup, dominates (KRCORE §4.2), which is exactly the MRStore lease/epoch
-machinery this app stresses.
+One collector node READs thousands of tiny (4 KB) per-pod memory regions
+off the worker nodes every cycle, while pods churn -- each pod death
+retracts its MR and each pod start registers a fresh one.
+Registration/validation cost, not connection setup, dominates (KRCORE
+§4.2), which is exactly the MRStore lease/epoch machinery this app
+stresses.
 
-Three harvest strategies ride three control planes:
+Three harvest strategies, written once over the app transport of each
+stack (verbs / LITE / KRCORE, :mod:`repro.apps.race.backends`):
 
 * ``serial``   -- N small one-sided READs, one per pod;
-* ``batched``  -- doorbell-batched READ chains (PR 8's
-  ``post_send_batch``): one doorbell per worker;
+* ``batched``  -- the transport's doorbell-batched ``read_batch``: one
+  READ chain per worker;
 * ``vectored`` -- multi-SGE gather READs (``Opcode.READ_V``): one WR
   names up to ``timing.MAX_VECTORED_SGES`` pod segments.
 
-across the verbs / LITE / KRCORE backends (LITE's high-level API can
-only harvest serially).
+LITE's high-level API can only harvest serially.  A failed READ counts
+in the harvest's ``failed`` on every stack; it never aborts the cycle.
 """
 
-from repro.apps.microview.backends import (
-    KrcoreBackend,
-    LiteBackend,
-    MicroViewError,
-    VerbsBackend,
-)
+from repro.apps.microview.backends import KrcoreBackend, LiteBackend, VerbsBackend
 from repro.apps.microview.collector import STRATEGIES, Collector, HarvestStats
 from repro.apps.microview.pods import POD_BYTES, Pod, PodDirectory
 
@@ -33,7 +29,6 @@ __all__ = [
     "HarvestStats",
     "KrcoreBackend",
     "LiteBackend",
-    "MicroViewError",
     "POD_BYTES",
     "Pod",
     "PodDirectory",

@@ -1,23 +1,29 @@
-"""Interchangeable RDMA transports for the RACE client.
+"""Interchangeable RDMA transports for the apps (§5.3.1).
 
-The paper implements its simplified RACE "atop of verbs, LITE and KRCORE,
-respectively" (§5.3.1) -- the same application code driven through three
-control/data planes:
+The paper runs the same application code "atop of verbs, LITE and
+KRCORE, respectively": RACE, the transaction client and the MicroView
+collector all drive one of these three classes, one per stack:
 
 * :class:`VerbsBackend`  -- user-space verbs: per-process driver init
   (~13.3 ms), one RC connection per storage node (~2 ms each, plus the
   server-side 712 QP/s ceiling), but full low-level access (doorbell
-  batching).
+  batching, gather READs).
 * :class:`LiteBackend`   -- LITE's high-level kernel API: no driver init,
   cached connections, but only synchronous one-op-at-a-time calls
   (Issue #3: no RDMA-aware optimizations).
 * :class:`KrcoreBackend` -- VQPs: microsecond connections *and* the
   low-level interface, so doorbell batching still works.
+
+``read_batch(requests)`` takes ``(gid, laddr, lkey, raddr, rkey,
+length)`` tuples, posts one chain per target and reaps the completion
+of every WR it posted before returning ``(bytes_ok, failed)``: a refused
+post fails its whole chain, a bad completion fails one request.
 """
 
 from repro.cluster import timing
 from repro.krcore import KrcoreLib
 from repro.verbs import DriverContext, WorkRequest
+from repro.verbs.errors import KrcoreError, VerbsError
 from repro.verbs.types import OP_FETCH_ADD
 from repro.verbs.connection import rc_connect
 from repro.apps.race.hashing import RaceError
@@ -41,14 +47,26 @@ def register_storage(storage, krcore_module=None):
     return region
 
 
+def _read_chains(requests):
+    """``{gid: READ WR chain}`` over ``requests``, in first-use order."""
+    chains = {}
+    for gid, laddr, lkey, raddr, rkey, length in requests:
+        chains.setdefault(gid, []).append(WorkRequest.read(laddr, length, lkey, raddr, rkey))
+    return chains
+
+
+def _fetch_add_wr(laddr, lkey, raddr, rkey, delta):
+    return WorkRequest(
+        OP_FETCH_ADD, laddr=laddr, length=8, lkey=lkey, raddr=raddr, rkey=rkey,
+        compare=delta,
+    )
+
+
 class VerbsBackend:
     """User-space verbs: the baseline control plane."""
 
-    supports_doorbell = True
-
     def __init__(self, node):
         self.node = node
-        self.sim = node.sim
         self.context = DriverContext(node)
         self.cq = None
         self._qps = {}  # gid -> QueuePair
@@ -81,6 +99,9 @@ class VerbsBackend:
     def read(self, gid, laddr, lkey, raddr, rkey, length):
         yield from self._sync(gid, WorkRequest.read(laddr, length, lkey, raddr, rkey))
 
+    def read_vectored(self, gid, laddr, lkey, sges):
+        yield from self._sync(gid, WorkRequest.read_vectored(laddr, lkey, sges))
+
     def write(self, gid, laddr, lkey, raddr, rkey, length):
         yield from self._sync(gid, WorkRequest.write(laddr, length, lkey, raddr, rkey))
 
@@ -88,41 +109,37 @@ class VerbsBackend:
         yield from self._sync(gid, WorkRequest.cas(laddr, lkey, raddr, rkey, compare, swap))
 
     def fetch_add(self, gid, laddr, lkey, raddr, rkey, delta):
-        wr = WorkRequest(
-            OP_FETCH_ADD, laddr=laddr, length=8, lkey=lkey, raddr=raddr, rkey=rkey,
-            compare=delta,
-        )
-        yield from self._sync(gid, wr)
+        yield from self._sync(gid, _fetch_add_wr(laddr, lkey, raddr, rkey, delta))
 
     def read_batch(self, requests):
         """Process: doorbell-batch READs -- one WR chain (and one doorbell)
-        per target QP via ``post_send_batch`` -- then wait for every
-        completion."""
-        chains = {}  # QueuePair -> WR chain, in first-use order
-        for gid, laddr, lkey, raddr, rkey, length in requests:
-            qp = self._qps[gid]
-            chains.setdefault(qp, []).append(
-                WorkRequest.read(laddr, length, lkey, raddr, rkey)
-            )
+        per target QP via ``post_send_batch`` -- then reap every posted
+        WR's completion off the shared CQ."""
+        failed = 0
         expected = 0
-        for qp, wrs in chains.items():
+        for gid, wrs in _read_chains(requests).items():
             yield timing.doorbell_batch_cpu_ns(len(wrs))
-            qp.post_send_batch(wrs)
-            expected += len(wrs)
+            try:
+                self._qps[gid].post_send_batch(wrs)
+                expected += len(wrs)
+            except VerbsError:
+                failed += len(wrs)
+        bytes_ok = 0
         seen = 0
         while seen < expected:
             completions = yield from self.cq.wait_poll(expected)
             for completion in completions:
-                if not completion.ok:
-                    raise RaceError(f"batched READ failed: {completion.status}")
+                if completion.ok:
+                    bytes_ok += completion.byte_len
+                else:
+                    failed += 1
             seen += len(completions)
         yield timing.POLL_CQ_CPU_NS
+        return bytes_ok, failed
 
 
 class LiteBackend:
     """LITE's high-level kernel API (synchronous only)."""
-
-    supports_doorbell = False
 
     def __init__(self, node):
         module = node.services.get("lite")
@@ -136,11 +153,7 @@ class LiteBackend:
         for gid in gids:
             yield from self.module.ensure_qp(gid)
 
-    def setup_buffer(self, nbytes):
-        addr = self.node.memory.alloc(nbytes)
-        yield timing.reg_mr_ns(nbytes)
-        region = self.node.memory.register(addr, nbytes)
-        return addr, region.lkey
+    setup_buffer = VerbsBackend.setup_buffer
 
     def read(self, gid, laddr, lkey, raddr, rkey, length):
         yield from self.module.read(gid, laddr, lkey, raddr, rkey, length)
@@ -156,33 +169,38 @@ class LiteBackend:
 
     def read_batch(self, requests):
         """Process: LITE's API has no doorbell batching -- serial reads."""
+        bytes_ok = 0
+        failed = 0
         for gid, laddr, lkey, raddr, rkey, length in requests:
-            yield from self.module.read(gid, laddr, lkey, raddr, rkey, length)
+            try:
+                yield from self.module.read(gid, laddr, lkey, raddr, rkey, length)
+                bytes_ok += length
+            except VerbsError:
+                failed += 1
+        return bytes_ok, failed
 
 
 class KrcoreBackend:
     """KRCORE VQPs: microsecond control plane, low-level data plane."""
 
-    supports_doorbell = True
-
     def __init__(self, node, cpu_id=0):
         self.node = node
         self.lib = KrcoreLib(node, cpu_id=cpu_id)
-        self._vqps = {}
+        self.vqps = {}  # gid -> the connected VQP
 
     def connect(self, gids):
         """Process: qconnect to each storage node (us-scale, Fig 8a)."""
         for gid in gids:
-            if gid in self._vqps:
+            if gid in self.vqps:
                 continue
             vqp = yield from self.lib.create_vqp()
             yield from self.lib.qconnect(vqp, gid)
-            self._vqps[gid] = vqp
+            self.vqps[gid] = vqp
 
     def close(self):
         """Process: the worker exits -- destroy its VQPs (one syscall each)."""
-        while self._vqps:
-            _gid, vqp = self._vqps.popitem()
+        while self.vqps:
+            _gid, vqp = self.vqps.popitem()
             yield from self.lib.destroy_vqp(vqp)
 
     def setup_buffer(self, nbytes):
@@ -191,39 +209,52 @@ class KrcoreBackend:
         return addr, region.lkey
 
     def read(self, gid, laddr, lkey, raddr, rkey, length):
-        yield from self.lib.read_sync(self._vqps[gid], laddr, lkey, raddr, rkey, length)
+        yield from self.lib.read_sync(self.vqps[gid], laddr, lkey, raddr, rkey, length)
+
+    def read_vectored(self, gid, laddr, lkey, sges):
+        yield from self.lib.read_vectored_sync(self.vqps[gid], laddr, lkey, sges)
 
     def write(self, gid, laddr, lkey, raddr, rkey, length):
-        yield from self.lib.write_sync(self._vqps[gid], laddr, lkey, raddr, rkey, length)
+        yield from self.lib.write_sync(self.vqps[gid], laddr, lkey, raddr, rkey, length)
 
     def cas(self, gid, laddr, lkey, raddr, rkey, compare, swap):
         wr = WorkRequest.cas(laddr, lkey, raddr, rkey, compare, swap)
-        entry = yield from self.lib.post_send_and_wait(self._vqps[gid], wr)
+        entry = yield from self.lib.post_send_and_wait(self.vqps[gid], wr)
         if not entry.ok:
             raise RaceError(f"KRCORE CAS failed: {entry.status}")
 
     def fetch_add(self, gid, laddr, lkey, raddr, rkey, delta):
-        wr = WorkRequest(
-            OP_FETCH_ADD, laddr=laddr, length=8, lkey=lkey, raddr=raddr, rkey=rkey,
-            compare=delta,
-        )
-        entry = yield from self.lib.post_send_and_wait(self._vqps[gid], wr)
+        wr = _fetch_add_wr(laddr, lkey, raddr, rkey, delta)
+        entry = yield from self.lib.post_send_and_wait(self.vqps[gid], wr)
         if not entry.ok:
             raise RaceError(f"KRCORE FETCH_ADD failed: {entry.status}")
 
     def read_batch(self, requests):
         """Process: doorbell batching through the VQPs (one syscall per
-        target batch -- the low-level optimization LITE cannot express)."""
-        by_gid = {}
-        for gid, laddr, lkey, raddr, rkey, length in requests:
-            by_gid.setdefault(gid, []).append(
-                WorkRequest.read(laddr, length, lkey, raddr, rkey)
-            )
-        for gid, wrs in by_gid.items():
-            yield from self.lib.post_send_batch(self._vqps[gid], wrs)
-        for gid, wrs in by_gid.items():
-            vqp = self._vqps[gid]
-            for _ in range(len(wrs)):
+        target chain -- the low-level optimization LITE cannot express).
+        Validation runs before a chain posts, so a bad request fails its
+        chain cleanly instead of wrecking the shared physical QP."""
+        failed = 0
+        posted = []  # (vqp, WRs whose completions count)
+        for gid, wrs in _read_chains(requests).items():
+            vqp = self.vqps[gid]
+            queued = len(vqp.comp_queue)
+            try:
+                yield from self.lib.post_send_batch(vqp, wrs)
+            except KrcoreError:
+                failed += len(wrs)
+                # A chain longer than the send queue posts in chunks: the
+                # chunks out before the refused one are reaped, not counted.
+                wrs = [None] * (len(vqp.comp_queue) - queued)
+            posted.append((vqp, wrs))
+        bytes_ok = 0
+        for vqp, wrs in posted:
+            for wr in wrs:
                 entry = yield from vqp.wait_send_completion()
-                if not entry.ok:
-                    raise RaceError(f"batched READ failed: {entry.status}")
+                if wr is None:
+                    continue
+                if entry.ok:
+                    bytes_ok += wr.length
+                else:
+                    failed += 1
+        return bytes_ok, failed

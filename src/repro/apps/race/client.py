@@ -119,7 +119,7 @@ class RaceClient:
                     BUCKET_BYTES,
                 )
             )
-        yield from self.backend.read_batch(requests)
+        yield from self._read_batch(requests)
         # Round 2: the matching blocks.
         block_requests = []
         pending = []
@@ -149,7 +149,7 @@ class RaceClient:
             )
             pending.append((key, block_addr, (klen, vlen)))
         if block_requests:
-            yield from self.backend.read_batch(block_requests)
+            yield from self._read_batch(block_requests)
         results = {}
         for key, block_addr, shape in pending:
             if block_addr is None:
@@ -160,6 +160,11 @@ class RaceClient:
             stored_key, stored_value = unpack_block(block, klen, vlen)
             results[key] = stored_value if stored_key == key else None
         return results
+
+    def _read_batch(self, requests):
+        _bytes_ok, failed = yield from self.backend.read_batch(requests)
+        if failed:
+            raise RaceError(f"{failed} of {len(requests)} batched READs failed")
 
     # ------------------------------------------------------------------- PUT
 

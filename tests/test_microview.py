@@ -10,7 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.apps import microview, race
 from repro.apps.microview import (
+    STRATEGIES,
     Collector,
     KrcoreBackend,
     LiteBackend,
@@ -38,12 +40,16 @@ def _krcore_deploy(mr_lease_ns=None):
 
 
 def _run_harvest(sim, backend, workers, pods_per_worker, cycles, strategy,
-                 directory=None, gap_ns=0):
+                 directory=None, gap_ns=0, dead=0):
+    """Deploy, then harvest; ``dead`` pods (the first ones, plain verbs
+    MRs) lose their region before the first cycle."""
     directory = directory or PodDirectory(workers)
     collector = Collector(backend.node, backend, directory)
 
     def drive():
         yield from directory.deploy(pods_per_worker)
+        for pod in directory.pods[:dead]:
+            pod.node.memory.deregister(pod.region)
         yield from collector.setup()
         yield from collector.run_cycles(cycles, strategy, gap_ns=gap_ns)
 
@@ -54,15 +60,33 @@ def _run_harvest(sim, backend, workers, pods_per_worker, cycles, strategy,
 # ------------------------------------------------------------ backends
 
 
+@pytest.mark.parametrize("stack", ["VerbsBackend", "LiteBackend", "KrcoreBackend"])
+def test_each_backend_is_the_app_transport_of_its_stack(stack):
+    """One transport per stack: a MicroView backend is the class RACE and
+    the transaction client drive, plus the harvest strategies only."""
+    backend, transport = getattr(microview, stack), getattr(race, stack)
+    assert issubclass(backend, transport)
+    mro = backend.__mro__
+    added = {
+        name
+        for klass in mro[: mro.index(transport)]
+        for name in vars(klass)
+        if not name.startswith("__")
+    }
+    assert added <= {f"harvest_{strategy}" for strategy in STRATEGIES}
+
+
 @pytest.mark.parametrize("strategy", ["serial", "batched", "vectored"])
 def test_verbs_harvest_collects_every_pod(strategy):
-    sim, cluster = verbs_cluster(num_nodes=3)
-    backend = VerbsBackend(cluster.node(0))
-    workers = [(cluster.node(1), None), (cluster.node(2), None)]
-    stats, _ = _run_harvest(sim, backend, workers, 2, 3, strategy)
-    assert stats.cycles == 3
-    assert stats.bytes_ok == 3 * 4 * POD
-    assert stats.failed_reads == 0
+    # A dead pod fails its READ and wrecks its worker's RC QP: the rest
+    # of that worker's pods fail with it, the other worker's are read.
+    for dead, (read, failed) in ((0, (4, 0)), (1, (2, 2))):
+        sim, cluster = verbs_cluster(num_nodes=3)
+        backend = VerbsBackend(cluster.node(0))
+        workers = [(cluster.node(1), None), (cluster.node(2), None)]
+        stats, _ = _run_harvest(sim, backend, workers, 2, 3, strategy, dead=dead)
+        assert stats.cycles == 3
+        assert (stats.bytes_ok, stats.failed_reads) == (3 * read * POD, 3 * failed)
 
 
 @pytest.mark.parametrize("strategy", ["serial", "batched", "vectored"])
@@ -76,15 +100,20 @@ def test_krcore_harvest_collects_every_pod(strategy):
 
 def test_lite_batched_and_vectored_degrade_to_serial():
     """LITE's kernel API has no doorbell chains and no gather WRs: every
-    strategy must cost exactly the serial loop (that *is* the figure)."""
-    latencies = {}
-    for strategy in ("serial", "batched", "vectored"):
-        sim, cluster, _modules = lite_cluster(num_nodes=3)
-        backend = LiteBackend(cluster.node(0))
-        workers = [(cluster.node(1), None), (cluster.node(2), None)]
-        stats, _ = _run_harvest(sim, backend, workers, 2, 2, strategy)
-        latencies[strategy] = stats.total_ns
-    assert latencies["serial"] == latencies["batched"] == latencies["vectored"]
+    strategy must cost exactly the serial loop (that *is* the figure),
+    and count a dead pod's failed READ exactly as it does."""
+    for dead in (0, 1):
+        outcomes = {}
+        for strategy in ("serial", "batched", "vectored"):
+            sim, cluster, _modules = lite_cluster(num_nodes=3)
+            backend = LiteBackend(cluster.node(0))
+            workers = [(cluster.node(1), None), (cluster.node(2), None)]
+            stats, _ = _run_harvest(sim, backend, workers, 2, 2, strategy, dead=dead)
+            outcomes[strategy] = (stats.total_ns, stats.bytes_ok, stats.failed_reads)
+        assert outcomes["serial"] == outcomes["batched"] == outcomes["vectored"]
+        _, bytes_ok, failed = outcomes["serial"]
+        assert bytes_ok + failed * POD == 2 * 4 * POD
+        assert (failed > 0) == bool(dead)
 
 
 def test_verbs_batched_and_vectored_beat_serial():
@@ -128,29 +157,32 @@ def test_churn_driver_swaps_pods_deterministically():
 
 
 def test_krcore_harvest_survives_churn_storm():
-    """Churn races may fail individual READs; they must never abort the
-    harvest or wreck the shared physical QP."""
-    sim, cluster, meta, modules, backend, workers = _krcore_deploy()
-    directory = PodDirectory(workers)
-    collector = Collector(backend.node, backend, directory)
-
-    def drive():
-        yield from directory.deploy(4)
-        yield from collector.setup()
-        sim.process(directory.churn_driver(20 * US, 2 * MS, seed=5), name="churn")
-        yield from collector.run_cycles(10, "serial", gap_ns=20 * US)
-
-    sim.run_process(drive())
-    stats = collector.stats
-    assert stats.cycles == 10
-    assert stats.bytes_ok > 0
-    assert directory.stats_churns > 0
+    """Churn races may fail individual READs under any strategy; they must
+    never abort the harvest, wreck the shared physical QP or leave a
+    completion unreaped."""
     from repro.verbs.types import QpState
 
-    assert all(
-        vqp.qp is None or vqp.qp.state is not QpState.ERR
-        for vqp in backend.vqps.values()
-    )
+    for strategy in STRATEGIES:
+        sim, cluster, meta, modules, backend, workers = _krcore_deploy()
+        directory = PodDirectory(workers)
+        collector = Collector(backend.node, backend, directory)
+
+        def drive():
+            yield from directory.deploy(4)
+            yield from collector.setup()
+            sim.process(directory.churn_driver(20 * US, 2 * MS, seed=5), name="churn")
+            yield from collector.run_cycles(10, strategy, gap_ns=20 * US)
+
+        sim.run_process(drive())
+        stats = collector.stats
+        assert stats.cycles == 10
+        assert stats.bytes_ok > 0
+        assert directory.stats_churns > 0
+        assert all(
+            vqp.qp is None or vqp.qp.state is not QpState.ERR
+            for vqp in backend.vqps.values()
+        )
+        assert not any(vqp.comp_queue for vqp in backend.vqps.values())
 
 
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])

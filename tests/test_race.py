@@ -174,6 +174,83 @@ def test_batched_get_over_backend(make_env):
     assert results[b"missing-key"] is None
 
 
+def _two_storage_env(stack):
+    """A client on one node and storages A and B on two others, over
+    ``stack``; both heaps start with the same known pattern."""
+    sim = Simulator()
+    if stack == "verbs":
+        cluster = Cluster(sim, num_nodes=3, memory_size=32 << 20)
+        for node in cluster.nodes:
+            ConnectionManager(node, DriverContext(node, kernel=True))
+        client_node, nodes = cluster.node(0), cluster.nodes[1:]
+        storages = [RaceStorage(node, num_buckets=64, heap_bytes=1 << 16) for node in nodes]
+        backend = VerbsBackend(client_node)
+    else:
+        cluster, meta, modules = krcore_cluster(sim, num_nodes=4)
+        client_node, nodes = cluster.node(1), cluster.nodes[2:]
+        storages = [
+            RaceStorage(node, num_buckets=64, heap_bytes=1 << 16, register=False)
+            for node in nodes
+        ]
+        for storage, module in zip(storages, modules[2:]):
+            sim.run_process(register_storage(storage, krcore_module=module))
+        backend = KrcoreBackend(client_node)
+    pattern = bytes(range(256)) * 8
+    for storage in storages:
+        storage.node.memory.write(storage.heap_base, pattern)
+    return sim, backend, storages, pattern
+
+
+@pytest.mark.parametrize("stack, chain", [
+    ("verbs", "one"), ("krcore", "one"), ("krcore", "past-sq-depth"),
+])
+def test_failed_batch_reaps_every_completion(stack, chain):
+    """Four good READs to A, then a chain to B whose last READ names an
+    unregistered rkey.  ``read_batch`` must reap every completion it
+    posted before it returns: a stale one left behind would end the next
+    synchronous READ before its bytes land.  ``past-sq-depth`` makes B's
+    chain longer than the send queue, so KRCORE posts its first chunk
+    before the pre-check refuses the second."""
+    sim, backend, (a, b), pattern = _two_storage_env(stack)
+    gids = [a.node.gid, b.node.gid]
+    bad_rkey = b.region.rkey + 0x1000
+
+    def proc():
+        yield from backend.connect(gids)
+        b_reads = 1
+        if chain == "past-sq-depth":
+            b_reads = backend.vqps[b.node.gid].qp.sq_depth + 8
+        laddr, lkey = yield from backend.setup_buffer(64 * (6 + b_reads))
+        requests = [
+            (a.node.gid, laddr + 64 * i, lkey, a.heap_base + 64 * i, a.region.rkey, 64)
+            for i in range(4)
+        ]
+        for i in range(b_reads):
+            rkey = bad_rkey if i == b_reads - 1 else b.region.rkey
+            requests.append(
+                (b.node.gid, laddr + 64 * (6 + i), lkey, b.heap_base, rkey, 64)
+            )
+        outcome = yield from backend.read_batch(requests)
+        # The next READ on each target still reachable returns its own bytes.
+        landed = []
+        for storage, slot in [(a, 4), (b, 5)][: 2 if chain == "past-sq-depth" else 1]:
+            local, remote = laddr + 64 * slot, storage.heap_base + 64 * slot
+            yield from backend.read(
+                storage.node.gid, local, lkey, remote, storage.region.rkey, 64
+            )
+            landed.append(backend.node.memory.read(local, 64))
+        client = RaceClient(backend, [b.catalog(rkey=bad_rkey)])
+        yield from client.setup()
+        with pytest.raises(RaceError):
+            yield from client.get_batch([b"k0", b"k1"])
+        return outcome, landed, b_reads
+
+    (bytes_ok, failed), landed, b_reads = sim.run_process(proc())
+    assert bytes_ok == 4 * 64
+    assert failed == b_reads  # a refused KRCORE chain fails whole
+    assert landed == [pattern[64 * slot : 64 * (slot + 1)] for slot in range(4, 4 + len(landed))]
+
+
 def test_many_keys_roundtrip_verbs():
     sim, cluster, storage, client = _verbs_env()
 

@@ -13,7 +13,8 @@ methods called ``run`` share their callers) and so can only hide an
 unused setting, never invent one.  A ``Name(...)`` call of a class
 resolves to the ``__init__`` it has or inherits from a ``src/repro``
 class, ``cls(...)`` inside a class to that class's, and
-``super().__init__(...)`` to the next one up.  Dunder methods other than
+``super().__init__(...)`` to the next one up; classes sharing a name (a
+subclass named after its base in another module) merge into one.  Dunder methods other than
 ``__init__`` are called by syntax, not by name, and are not scanned.
 Definitions are found among the statements of a module, class or
 function body, so a function nested in a function is scanned (``fig12``'s
@@ -82,16 +83,17 @@ def _definitions():
 
 
 def _classes():
-    """``{class: [base names]}`` and ``{class: has own __init__}``."""
+    """``{class: [base names]}`` and ``{class: has own __init__}``, the
+    definitions of one name merged."""
     bases, own_init = {}, {}
     for path in _caller_files():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ClassDef):
-                bases[node.name] = [
+                bases.setdefault(node.name, []).extend(
                     b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
                     for b in node.bases
-                ]
-                own_init[node.name] = any(
+                )
+                own_init[node.name] = own_init.get(node.name, False) or any(
                     isinstance(c, ast.FunctionDef) and c.name == "__init__" for c in node.body
                 )
     return bases, own_init
