@@ -12,7 +12,10 @@ everything the pass built is still alive:
   counts, the traced total and the traced peak;
 * the DRAM pages each simulated node materialized (``PhysicalMemory``
   backs a node's memory with 4 KiB pages on first touch): per node on
-  average and at most, and the nodes holding the most.
+  average and at most, and the nodes holding the most;
+* what parks: the live ``Process`` objects and the suspended generator
+  frames, by generator name (a drain loop written as a generator shows
+  here once per queue it serves).
 
 The pass is untimed: tracemalloc slows it several-fold and adds its own
 bookkeeping, so nothing here is a wall-time or RSS number.  The
@@ -22,9 +25,11 @@ observatory's ``peak_rss_mb`` says how much; this says where.
 import argparse
 import gc
 import importlib
+import inspect
 import pathlib
 import sys
 import tracemalloc
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OBSERVATORY = ROOT / "benchmarks" / "observatory"
@@ -48,9 +53,11 @@ def _site(frame):
 
 def measured_pass(workload, seed, scale):
     """One pass; returns (snapshot and traced (current, peak) bytes at the
-    end of the measured phase, every simulated node then alive)."""
+    end of the measured phase, every simulated node then alive, and the
+    generator names of the live processes and of the suspended generators)."""
     import passes
     from repro.cluster.node import Node
+    from repro.sim import Process
     from tally import Tally
 
     with passes.gc_paused():
@@ -63,11 +70,25 @@ def measured_pass(workload, seed, scale):
             traced = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        nodes = [obj for obj in gc.get_objects() if isinstance(obj, Node)]
-    return snapshot, traced, nodes
+        gc.collect()  # count what is reachable, not what awaits the cycle GC
+        live = gc.get_objects()
+        nodes = [obj for obj in live if isinstance(obj, Node)]
+        processes = [obj._gen.__name__ for obj in live if isinstance(obj, Process)]
+        frames = [
+            obj.__name__ for obj in live
+            if inspect.isgenerator(obj)
+            and inspect.getgeneratorstate(obj) == inspect.GEN_SUSPENDED
+        ]
+    return snapshot, traced, nodes, processes, frames
 
 
-def report(name, seed, scale, top, snapshot, traced, nodes):
+def _print_counts(title, names, top):
+    print(f"\n{title}: {len(names)}")
+    for name, count in Counter(names).most_common(top):
+        print(f"{count:>12,d}  {name}")
+
+
+def report(name, seed, scale, top, snapshot, traced, nodes, processes, frames):
     current, peak = traced
     stats = snapshot.filter_traces(
         [tracemalloc.Filter(False, tracemalloc.__file__)]
@@ -79,6 +100,8 @@ def report(name, seed, scale, top, snapshot, traced, nodes):
     for stat in stats[:top]:
         print(f"{stat.size:>12,d} {stat.count:>9,d} {stat.size / current:>6.1%}  "
               f"{_site(stat.traceback[0])}")
+    _print_counts("live Process objects, by generator", processes, top)
+    _print_counts("suspended generator frames, by generator", frames, top)
     pages = sorted(((len(node.memory._pages), node.gid) for node in nodes), reverse=True)
     if not pages:
         print("\nno simulated node alive at the end of the measured phase")
@@ -102,8 +125,8 @@ def main(argv=None):
     if not (OBSERVATORY / f"wl_{args.workload}.py").exists():
         parser.error(f"no observatory workload {args.workload!r}")
     workload = importlib.import_module(f"wl_{args.workload}")
-    snapshot, traced, nodes = measured_pass(workload, args.seed, args.scale)
-    report(args.workload, args.seed, args.scale, args.top, snapshot, traced, nodes)
+    report(args.workload, args.seed, args.scale, args.top,
+           *measured_pass(workload, args.seed, args.scale))
     return 0
 
 

@@ -7,7 +7,8 @@ two-sided traffic for its VQPs and for kernel-to-kernel control:
   ``buf_base + s * buf_bytes`` -- the DCT target's stocked SRQ, and the
   receive queues of kernel RC QPs (:meth:`arm_rc`);
 * one dispatcher per physical receive CQ, routing each message to the VQP
-  it names, to a bound port, or to the kernel port;
+  it names, to a bound port, or to the kernel port, and the kernel
+  daemon serving that port -- sleepers, not processes (DESIGN.md §11);
 * port queues, ``bind`` / ``unbind`` and the reply VQPs of ``qpop_msgs``;
 * the control messages: MR publish / retract and the §4.6 transfer
   notification and its acknowledgment;
@@ -35,7 +36,8 @@ RC_RECV_BUFFERS = 8
 
 
 class _MsgQueue:
-    """A FIFO list of routed messages with event-based waiting."""
+    """A FIFO list of routed messages; a process waits on it, a sleeper
+    parks on it."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -47,18 +49,41 @@ class _MsgQueue:
 
     def append(self, item):
         self.items.append(item)
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            if not event.triggered:
-                event.trigger(None)
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            for waiter in waiters:
+                self.sim.notify(waiter)
 
     def wait(self):
         event = self.sim.event()
-        if self.items:
-            event.trigger(None)
-        else:
-            self._waiters.append(event)
+        self.park(event)
         return event
+
+    def park(self, waiter):
+        """Notify ``waiter`` (an ``Event`` or a sleeper) when the queue is
+        (or becomes) non-empty."""
+        if self.items:
+            self.sim.notify(waiter)
+        else:
+            self._waiters.append(waiter)
+
+
+class _Dispatcher:
+    """One physical receive CQ's dispatcher, a sleeper (DESIGN.md §11):
+    its start record parks it on the CQ; each wake routes what one poll
+    returns and parks it again."""
+
+    __slots__ = ("messaging", "cq", "qp")
+    _wait_gen = 1  # parked or woken, never both: one record pending at most
+
+    def __init__(self, messaging, cq, qp):
+        self.messaging, self.cq, self.qp = messaging, cq, qp
+        messaging.sim.schedule(0, lambda: cq.park(self))
+
+    def _resume(self, _value, _exc):
+        for wc in self.cq.poll(128):
+            self.messaging._route_message(wc, self.qp)
+        self.cq.park(self)
 
 
 class KernelMessaging:
@@ -66,8 +91,11 @@ class KernelMessaging:
 
     Built at module load, after the DCT target: it allocates and registers
     the buffer pool, stocks the SRQ and starts the DCT target's dispatcher.
-    The module starts :meth:`kernel_daemon` once its meta records are out.
+    The module starts the kernel daemon (:meth:`serve_kernel_port`) once
+    its meta records are out.
     """
+
+    _wait_gen = 1  # the kernel daemon: one record pending at most
 
     #: How long to wait for a transfer acknowledgment before concluding
     #: the peer is gone (no reply can ever arrive from a dead node).
@@ -97,10 +125,7 @@ class KernelMessaging:
         #: None for the DCT target's SRQ.  Non-empty only while
         #: ``free_slots`` is empty.
         self.owed = deque()
-        self.sim.process(
-            self._recv_dispatcher(target.recv_cq, None),
-            name=f"krcore-dispatch-dct@{node.gid}",
-        )
+        _Dispatcher(self, target.recv_cq, None)
         self.port_queues = {}
         self.bound = {}  # port -> Vqp
         self.reply_vqps = {}  # (port, src_gid, src_vqp) -> Vqp
@@ -149,26 +174,16 @@ class KernelMessaging:
         msg["released"] = True
         self._recycle(msg["slot"])
 
-    def arm_rc(self, qp, kind="rc"):
+    def arm_rc(self, qp):
         """Wire a kernel RC QP for receive: its own receive CQ (so the
         dispatcher never steals send completions from ``poll_inner``),
         :data:`RC_RECV_BUFFERS` kernel buffers and a dispatcher."""
         qp.recv_cq = CompletionQueue(self.sim)
         for _ in range(RC_RECV_BUFFERS):
             self._restock(qp)
-        self.sim.process(
-            self._recv_dispatcher(qp.recv_cq, qp),
-            name=f"krcore-dispatch-{kind}@{self.node.gid}",
-        )
+        _Dispatcher(self, qp.recv_cq, qp)
 
     # ------------------------------------------------------------- routing
-
-    def _recv_dispatcher(self, cq, qp):
-        """Drain one physical receive CQ, routing messages to VQPs/ports."""
-        while True:
-            yield cq.wait()
-            for wc in cq.poll(128):
-                self._route_message(wc, qp)
 
     def _route_message(self, wc, qp):
         if wc.opcode is OP_RECV_IMM:
@@ -287,18 +302,22 @@ class KernelMessaging:
                 }
             yield from self.send_kernel_msg(owner, header)
 
-    def kernel_daemon(self):
-        """Process: serve the kernel port, one handler process a message."""
-        queue = self._port_queue(KERNEL_PORT)
-        while True:
-            yield queue.wait()
-            while len(queue):
-                msg = queue.items.pop(0)
-                self.release(msg)
-                self.sim.process(
-                    self._handle_kernel_msg(msg["header"]),
-                    name=f"krcore-kmsg@{self.node.gid}",
-                )
+    def serve_kernel_port(self):
+        """Start the kernel daemon (this object): its start record parks it
+        on the kernel port."""
+        self.sim.schedule(0, lambda: self._port_queue(KERNEL_PORT).park(self))
+
+    def _resume(self, _value, _exc):
+        """The kernel daemon's wake: a handler process a message, then park."""
+        queue = self.port_queues[KERNEL_PORT]
+        while queue.items:
+            msg = queue.items.pop(0)
+            self.release(msg)
+            self.sim.process(
+                self._handle_kernel_msg(msg["header"]),
+                name=f"krcore-kmsg@{self.node.gid}",
+            )
+        queue.park(self)
 
     def _handle_kernel_msg(self, header):
         kind = header.get("type")

@@ -137,7 +137,7 @@ class KrcoreModule:
         self.vqps_by_id = {}
         self._next_vqp_id = 1
         self._connected_vqps = {}  # gid -> {Vqp: None}, in connect order
-        self.sim.process(self.messaging.kernel_daemon(), name=f"krcore-kerneld@{node.gid}")
+        self.messaging.serve_kernel_port()
 
         # --- background RC machinery ---
         self._traffic = {}  # gid -> send count since RC decision
@@ -662,7 +662,7 @@ class KrcoreModule:
         # Own both CQs: the daemon's shared accept CQ must not mix this
         # module's completions with other services' (LITE, apps).
         qp.send_cq = CompletionQueue(self.sim)
-        self.messaging.arm_rc(qp, "acc")
+        self.messaging.arm_rc(qp)
         pool = self.pool(_stable_key(client_gid) % len(self._pools))
         if not pool.has_rc(client_gid):
             self._insert_rc(pool, client_gid, qp)

@@ -24,6 +24,29 @@ class LiteError(VerbsError):
     """A LITE operation failed (remote error, wrecked QP, ...)."""
 
 
+class _RpcDispatcher:
+    """One QP's RPC message dispatcher, a sleeper (DESIGN.md §11): it
+    stocks the QP's receive side, then from its start record on each wake
+    polls the receive CQ dry, one handler process a message, and parks."""
+
+    __slots__ = ("module", "qp")
+    _wait_gen = 1  # parked or woken, never both: one record pending at most
+
+    def __init__(self, module, qp):
+        self.module, self.qp = module, qp
+        for _ in range(16):
+            module._post_rpc_buffer(qp)
+        module.sim.wake(self)
+
+    def _resume(self, _value, _exc):
+        cq = self.qp.recv_cq
+        while completions := cq.poll(8):
+            for completion in completions:
+                if completion.opcode is OP_RECV:
+                    self.module.sim.process(self.module._handle_rpc_message(self.qp, completion))
+        cq.park(self)
+
+
 class LiteModule:
     """Per-node LITE kernel module.
 
@@ -64,7 +87,7 @@ class LiteModule:
         # reuses it.
         qp.send_cq = CompletionQueue(self.sim)
         qp.recv_cq = CompletionQueue(self.sim)
-        self._arm_rpc(qp)
+        _RpcDispatcher(self, qp)
         self.pool.setdefault(client_gid, qp)
 
     # --------------------------------------------------------------- LITE RPC
@@ -72,12 +95,6 @@ class LiteModule:
     def rpc_register(self, handler):
         """Register the node's RPC handler: fn(request_bytes) -> bytes."""
         self._rpc_handler = handler
-
-    def _arm_rpc(self, qp):
-        """Stock a QP's receive side and start its message dispatcher."""
-        for _ in range(16):
-            self._post_rpc_buffer(qp)
-        self.sim.process(self._rpc_dispatcher(qp), name=f"lite-rpc@{self.node.gid}")
 
     def _post_rpc_buffer(self, qp):
         if not self._rpc_free:
@@ -91,14 +108,6 @@ class LiteModule:
                 wr_id=slot,
             )
         )
-
-    def _rpc_dispatcher(self, qp):
-        while True:
-            completions = yield from qp.recv_cq.wait_poll(8)
-            for completion in completions:
-                if completion.opcode is not OP_RECV:
-                    continue
-                self.sim.process(self._handle_rpc_message(qp, completion))
 
     def _handle_rpc_message(self, qp, completion):
         header = completion.header or {}
@@ -184,7 +193,7 @@ class LiteModule:
             qp = yield from rc_connect(self.context, cq, gid, port=LITE_PORT)
             # Separate receive CQ + dispatcher so RPC replies can land.
             qp.recv_cq = CompletionQueue(self.sim)
-            self._arm_rpc(qp)
+            _RpcDispatcher(self, qp)
             self.pool[gid] = qp
         finally:
             del self._connecting[gid]
@@ -210,8 +219,8 @@ class LiteModule:
         remote_qp.to_init()
         remote_qp.to_rtr((self.node.gid, local_qp.qpn))
         remote_qp.to_rts()
-        self._arm_rpc(local_qp)
-        remote_module._arm_rpc(remote_qp)
+        _RpcDispatcher(self, local_qp)
+        _RpcDispatcher(remote_module, remote_qp)
         self.pool[remote_module.node.gid] = local_qp
         remote_module.pool[self.node.gid] = remote_qp
 

@@ -403,6 +403,14 @@ class Simulator:
         queued there: one ready record, like an event wake or a start."""
         self._rbuf.extend((sleeper, sleeper._wait_gen))
 
+    def notify(self, waiter):
+        """Resume a queue's waiter: trigger an ``Event`` not yet fired, or
+        wake a sleeper -- the one ready record each costs whoever waits."""
+        if waiter.__class__ is not Event:
+            self.wake(waiter)
+        elif not waiter._triggered:
+            waiter.trigger(None)
+
     # -- awaitable coercion --------------------------------------------------
 
     def _as_event(self, target):

@@ -106,9 +106,7 @@ class CompletionQueue:
             self._entries = []
         self._entries.append(completion)
         while self._waiters and self._entries:
-            waiter = self._waiters.pop(0)
-            if not waiter.triggered:
-                waiter.trigger(None)
+            self.sim.notify(self._waiters.pop(0))
 
     def poll(self, num_entries=1):
         """Pop up to ``num_entries`` completions (non-blocking, like ibv_poll_cq).
@@ -138,13 +136,19 @@ class CompletionQueue:
         The event does not consume entries; callers must still poll().
         """
         event = self.sim.event()
+        self.park(event)
+        return event
+
+    def park(self, waiter):
+        """Notify ``waiter`` (``Simulator.notify``: an ``Event`` or a
+        sleeper) when the CQ is (or becomes) non-empty: a drain loop with
+        no generator parks here for the record a process waits for."""
         if self._entries:
-            event.trigger(None)
+            self.sim.notify(waiter)
         else:
             if self._waiters is _EMPTY:
                 self._waiters = []
-            self._waiters.append(event)
-        return event
+            self._waiters.append(waiter)
 
     def _account_spin(self, spent_ns):
         """Charge ``spent_ns`` of CPU burned waiting on this CQ."""

@@ -28,7 +28,6 @@ from repro.cluster import timing
 from repro.cluster.memory import MemoryError_
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.sim import Event
 from repro.verbs.cq import _EMPTY, Completion
 from repro.verbs.errors import QpError, QpOverflowError, VerbsError
 from repro.verbs.types import (
@@ -133,10 +132,11 @@ class QueuePair:
         self.qpn = node.rnic.register_qp(self, qpn)
         self.state = QPS_RESET
         self.remote = None  # (gid, qpn) once RC-connected
-        # At rest a QP owns no queue storage and no NIC-side processor: the
-        # send queue and ``_sender_loop`` appear at the first doorbell.
+        # At rest a QP owns no queue storage: the send queue appears at the
+        # first doorbell.  The sender's next stage is None while it is idle.
         self._sq = None
-        self._doorbell = None  # the Event a parked sender waits on
+        self._stage = None
+        self._tx_wr = None  # the WR between its take and its issue
         self._posted = 0
         self._reclaimed = 0
         self._pending_unsignaled = 0
@@ -265,17 +265,13 @@ class QueuePair:
         registry = _metrics.METRICS
         if registry is not None:
             registry.counter("verbs.wr_posted").inc(len(wrs))
-        sq = self._sq
-        if sq is None:
-            # First doorbell.  The sender's start record stands in for the
-            # wake a parked sender gets: one ready record, same place.
-            sq = self._sq = []
-            self.sim.process(self._sender_loop(), name=f"qp{self.qpn}-sender")
-        sq.extend(wrs)
-        doorbell = self._doorbell
-        if doorbell is not None:
-            self._doorbell = None
-            doorbell.trigger(None)
+        if self._sq is None:
+            self._sq = []
+        self._sq.extend(wrs)
+        if self._stage is None:
+            # One doorbell, one ready record: the idle sender's wake.
+            self._stage = QueuePair._drain
+            self.sim.wake(self)
 
     def post_send_batch(self, wr_list):
         """Post a WR chain with one doorbell (KRCORE §4.3 doorbell batching).
@@ -312,42 +308,50 @@ class QueuePair:
 
     # ------------------------------------------------------------- NIC side
 
-    def _sender_loop(self):
-        """The NIC's per-QP work-queue processor: issues WRs in order.
+    _wait_gen = 1  # the sender: woken only while idle, one record pending at most
 
-        Started by the first doorbell.  One doorbell wakes it once: it
-        drains the whole backlog and parks on a one-shot ``_doorbell``
-        event only when the send queue is empty -- again, if ``reset()``
-        emptied the queue between the doorbell and the wake.
-        """
+    def _resume(self, _value, _exc):
+        self._stage(self)
+
+    def _drain(self):
+        """The NIC's per-QP work-queue processor, a sleeper (DESIGN.md §11)
+        that a doorbell wakes while idle: it issues WRs in order and goes
+        idle, holding nothing, only on an empty send queue -- again if
+        ``reset()`` emptied it between the doorbell and the wake."""
         sq = self._sq
-        is_dc = self.qp_type is QPT_DC
-        link_faults = self.node.fabric.link_faults
-        while True:
-            while not sq:
-                self._doorbell = doorbell = Event(self.sim)
-                yield doorbell
+        while sq:
             wr = sq.pop(0)
-            self._issued = ticket = self._issued + 1
+            self._issued += 1
             if self.state is QPS_ERR:
-                _Flight(self, wr, ticket)._flush()
+                _Flight(self, wr, self._issued)._flush()
                 continue
-            if is_dc and (wr.dct_gid, wr.dct_number) != self._dc_current:
-                yield self._dc_retarget(wr)
-            # A chained WQE rides the doorbell of its chain head: the NIC
-            # already has the chain, so issue is a cheap descriptor fetch.
-            yield timing.NIC_TX_CHAINED_NS if wr.chained else timing.NIC_TX_NS
-            # Issued right here, in the sender's context, without a start
-            # record per WR.  Not while a link fault is installed: fault
-            # draws come off one LCG per directed link, shared with the
-            # responses of connections going the other way, so the order
-            # of two draws inside a nanosecond decides which packet is
-            # lost -- the start record keeps that order (DESIGN.md §17).
-            flight = _Flight(self, wr, ticket)
-            if link_faults:
-                flight._issue_queued()
-            else:
-                flight._issue()
+            self._tx_wr = wr
+            if self.qp_type is QPT_DC and (wr.dct_gid, wr.dct_number) != self._dc_current:
+                self._stage = QueuePair._fetch
+                return self.sim.sleep(self, self._dc_retarget(wr))
+            return self._fetch()
+        self._stage = None
+
+    def _fetch(self):
+        # A chained WQE rides the doorbell of its chain head: the NIC
+        # already has the chain, so issue is a cheap descriptor fetch.
+        self._stage = QueuePair._launch
+        self.sim.sleep(self, timing.NIC_TX_CHAINED_NS if self._tx_wr.chained else timing.NIC_TX_NS)
+
+    def _launch(self):
+        # Issued right here, in the sender's context, without a start
+        # record per WR.  Not while a link fault is installed: fault
+        # draws come off one LCG per directed link, shared with the
+        # responses of connections going the other way, so the order
+        # of two draws inside a nanosecond decides which packet is
+        # lost -- the start record keeps that order (DESIGN.md §17).
+        flight = _Flight(self, self._tx_wr, self._issued)
+        self._tx_wr = None
+        if self.node.fabric.link_faults:
+            flight._issue_queued()
+        else:
+            flight._issue()
+        self._drain()
 
     def _dc_retarget(self, wr):
         """Hardware-offloaded DCT (re)connection before issuing ``wr``, to

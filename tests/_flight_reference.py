@@ -11,11 +11,12 @@ that claim: ``tests/test_flight_oracle.py`` swaps it in for ``_Flight``
 (``monkeypatch.setattr(repro.verbs.qp, "_Flight", GeneratorFlight)`` --
 there is no second path in ``src/``) and compares whole timelines.
 
-``GeneratorFlight`` is the adapter: what ``_sender_loop`` and
-``enter_error`` ask of a flight (construct, ``_issue()`` in the sender's
-context, ``_issue_queued()`` for the start record kept under link faults,
-``_flush()`` for a WR that is never issued) and ``_start_inline``, what
-``Simulator.process(inline=True)`` did before it went with its one user.
+``GeneratorFlight`` is the adapter: what the QP's sender (the sleeper
+stages ``QueuePair._drain`` and ``_launch``) asks of a flight (construct,
+``_issue()`` in the sender's context, ``_issue_queued()`` for the start
+record kept under link faults, ``_flush()`` for a WR that is never
+issued) and ``_start_inline``, what ``Simulator.process(inline=True)``
+did before it went with its one user.
 
 Do not modernize the generator; its value is that it does not change.
 """
@@ -130,7 +131,7 @@ def _serve_inbound(rnic, service_ns):
 def _flight(qp, wr, ticket):
     """One WR's life on the network, ending with in-order completion.
 
-    Started inline by ``_sender_loop`` (through a start record while
+    Started inline by the QP's sender (through a start record while
     any link fault is installed) and resumed once per *timed* hop
     only -- request wire, responder (queue wait + occupancy +
     pipeline, one timer: ``Rnic.inbound_admit`` tells the flight on

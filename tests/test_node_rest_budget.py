@@ -7,15 +7,19 @@ entries cost the simulator is what a node costs.  A node at rest holds
 none of them (DESIGN.md §17 "A node at rest"): a CPU's pool and its DCQPs
 are built the first time the CPU is used, under QPNs reserved at load, and
 an SRQ slot becomes a ``RecvBuffer`` when a message claims it.  A QP that
-is built owns nothing either until its first doorbell ("A QP at rest").
+is built owns nothing either until its first doorbell ("A QP at rest"),
+and its sender, like the kernel's receive dispatchers and daemon, is a
+sleeper record (DESIGN.md §11), not a ``Process``: an idle one holds no
+frame, no ``Event`` and none of the work it last did.
 Once used, a queue is a plain list, which an emptied queue leaves with no
 block behind it; a connected VQP holds Algorithm 1's state only; a meta
 client's scratch buffer is one bucket, not a DRAM page of its own.
 The counts are exact and repeat on every run, so they are pinned here, and
 the heap a node, a connected VQP, a drained QP + CQ and a meta client hold
-have ceilings: a pool built at load, a sender started at construction or a
-deque per idle or drained queue fails this file by name instead of waiting
-for a ``setup_s`` / ``peak_rss_mb`` run.
+have ceilings: a pool built at load, a drain loop back as a ``Process``,
+a flight or WR pinned by an idle sender or a deque per idle or drained
+queue fails this file by name instead of waiting for a ``setup_s`` /
+``peak_rss_mb`` run.
 
 ``make rest-budget`` prints the tables (``pytest -s -k rest_budget``).
 """
@@ -32,23 +36,28 @@ from repro.krcore.meta import MetaClient
 from repro.sim import US
 from repro.verbs import CompletionQueue, QpState, QueuePair, RecvBuffer, WorkRequest
 from repro.verbs.cq import _EMPTY
+from repro.verbs.qp import _Flight
 from repro.verbs.types import QPS_RTS, QPT_DC
 
 NODES = 4  # 24 cores each: 48 pooled DCQPs + 48 CQs per node, once all are used
 
-#: The generators a booted node runs, one ``Process`` and one dispatched
-#: (start) record each: the DCT dispatcher, the kernel-message daemon and
-#: the connection manager's.  Before PR 18 every pooled QP added a sender.
-REST_PROCESSES = ["_daemon", "_recv_dispatcher", "kernel_daemon"]
+#: The generators a booted node runs: the connection manager's, which runs
+#: RNIC commands between its waits.  The DCT dispatcher and the kernel
+#: daemon are sleepers; a pooled QP has no sender before its first doorbell.
+REST_PROCESSES = ["_daemon"]
+
+#: Start records a booted node dispatches: the connection manager's, the
+#: DCT dispatcher's and the kernel daemon's (the last two are sleepers).
+BOOT_RECORDS = 3
 
 #: Host heap per node after boot + a 10 us run, simulated DRAM pages left
 #: out (they are what the meta server's tables wrote, not node weight).
-#: Measured 14 KB on 3.11 (19 while a node's short FIFOs -- the connection
-#: manager's inbox, the SRQ's posted buffers, the kernel port -- were
-#: deques, 89 with the pools built at load, 317 with a sender per pooled
-#: QP); the ceiling leaves room for other interpreters' object sizes, not
-#: for one built pool (48 QP + CQ pairs are 30 KB) or a stocked SRQ (192
-#: buffers, 18 KB).
+#: Measured 13 KB on 3.11 (15 with its two drain loops as processes, 19
+#: while a node's short FIFOs -- the connection manager's inbox, the SRQ's
+#: posted buffers, the kernel port -- were deques, 89 with the pools built
+#: at load, 317 with a sender per pooled QP); the ceiling leaves room for
+#: other interpreters' object sizes, not for one built pool (48 QP + CQ
+#: pairs are 30 KB) or a stocked SRQ (192 buffers, 18 KB).
 NODE_KB_CEILING = 40
 
 #: A boot large enough that per-node cost must not grow with the cluster
@@ -63,15 +72,17 @@ WINDOW = 16
 #: fields inline, ~3 KB with four eager deques).
 VQP_BYTES_CEILING = 256
 
-#: Host bytes per QP + CQ left by one drained window: the objects, the
-#: parked sender and the emptied queues.  Measured 2.5 KB on 3.11 (4.0 KB
-#: while the send queue and the CQ's entries were deques: ~760 B a block).
-QP_CQ_BYTES_CEILING = 3072
+#: Host bytes per QP + CQ left by one drained window: the objects and the
+#: emptied queues.  Measured 1.2 KB on 3.11 (2.5 KB while the idle sender
+#: was a parked generator pinning its last WR and flight, 4.0 KB while the
+#: send queue and the CQ's entries were deques: ~760 B a block).
+QP_CQ_BYTES_CEILING = 1536
 
 #: Host bytes per meta client after one lookup, DRAM pages included: both
-#: ends of its RCQP, the DrTM-KV client and the mutex.  Measured 4.0 KB on
-#: 3.11 (11 KB when each scratch buffer was a 4 KiB page of its own).
-META_CLIENT_BYTES_CEILING = 6144
+#: ends of its RCQP, the DrTM-KV client and the mutex.  Measured 2.6 KB on
+#: 3.11 (4.0 KB with a parked sender generator per end, 11 KB when each
+#: scratch buffer was a 4 KiB page of its own).
+META_CLIENT_BYTES_CEILING = 4096
 
 #: Meta clients a node builds: one per CPU (and meta shard).
 META_CLIENTS = 24
@@ -149,7 +160,7 @@ def _weigh(num_nodes=NODES, meta_shards=1):
     return held / num_nodes / 1024, (held - pages) / num_nodes / 1024
 
 
-def test_rest_budget_three_processes_and_three_records_per_node(monkeypatch):
+def test_rest_budget_one_process_and_three_records_per_node(monkeypatch):
     sim, cluster, _modules, started, _buffers = _boot(monkeypatch)
     by_node = {}
     for generator, name in started:
@@ -158,7 +169,7 @@ def test_rest_budget_three_processes_and_three_records_per_node(monkeypatch):
         node.gid: REST_PROCESSES for node in cluster.nodes
     }
     # Each ran to its first wait and nothing else was ever scheduled.
-    assert (sim.events_dispatched, sim.timer_fires) == (len(REST_PROCESSES) * NODES, 0)
+    assert (sim.events_dispatched, sim.timer_fires) == (BOOT_RECORDS * NODES, 0)
 
 
 def test_rest_budget_no_pool_qp_or_kernel_buffer_exists(monkeypatch):
@@ -205,10 +216,11 @@ def test_rest_budget_pool_qpns_do_not_depend_on_first_use_order(monkeypatch):
 
 
 def test_rest_budget_a_read_wakes_only_the_qps_it_posts_on(monkeypatch):
-    """One connected ``read_sync`` from CPU 0: storage and a sender appear
-    on the QPs that saw a doorbell (the VQP's DCQP and the two that carried
-    the MR publications), one sender each, and nowhere else."""
-    sim, cluster, modules, started, buffers = _boot(monkeypatch)
+    """One connected ``read_sync`` from CPU 0: storage appears on the QPs
+    that saw a doorbell (the VQP's DCQP and the two that carried the MR
+    publications) and nowhere else: of every QP the nodes have, exactly
+    those own a send queue."""
+    sim, cluster, modules, _started, buffers = _boot(monkeypatch)
     client, server = cluster.node(1), cluster.node(2)
     lib, server_lib = KrcoreLib(client), KrcoreLib(server)
     posted_on = {}
@@ -230,7 +242,6 @@ def test_rest_budget_a_read_wakes_only_the_qps_it_posts_on(monkeypatch):
         yield from lib.read_sync(vqp, laddr, lmr.lkey, raddr, rmr.rkey, 8)
         return vqp
 
-    del started[:]
     vqp = sim.run_process(read())
     # Pools: the client's CPU 0, and CPU 0 of the server for its publication
     # (kernel messages leave from CPU 0).  The meta node only receives.
@@ -243,8 +254,11 @@ def test_rest_budget_a_read_wakes_only_the_qps_it_posts_on(monkeypatch):
     assert awake == [qp for qp in pool if qp in posted_on]
     assert [(qp.node.gid, qp.qpn) for qp in awake] == [("node1", 1), ("node1", 2), ("node2", 1)]
     assert vqp.qp is awake[0]
-    senders = sorted(name for generator, name in started if generator == "_sender_loop")
-    assert senders == sorted(f"qp{qp.qpn}-sender" for qp in posted_on)
+    every_qp = [qp for node in cluster.nodes for qp in node.rnic.all_qps()]
+    assert set(posted_on) <= set(every_qp)
+    assert [qp for qp in every_qp if qp._sq is not None] == [
+        qp for qp in every_qp if qp in posted_on
+    ]
 
 
 def test_rest_budget_node_weight_stays_under_the_ceiling(monkeypatch):
@@ -260,17 +274,18 @@ def test_rest_budget_node_weight_stays_under_the_ceiling(monkeypatch):
     print(f"  {'host heap, KB (with DRAM pages)':<34}{with_pages:>9.1f}{'':>9}")
     print(f"  {'Process objects':<34}{len(started) / NODES:>9.0f}{len(REST_PROCESSES):>9}")
     print(f"  {'boot records dispatched':<34}{sim.events_dispatched / NODES:>9.0f}"
-          f"{len(REST_PROCESSES):>9}")
+          f"{BOOT_RECORDS:>9}")
     print(f"  {'per-CPU pools built':<34}{pools / NODES:>9.0f}{0:>9}")
     print(f"  {'kernel RecvBuffers built':<34}{len(buffers) / NODES:>9.0f}{0:>9}")
     assert node_kb <= NODE_KB_CEILING
     assert big_kb <= NODE_KB_CEILING
 
 
-def test_rest_budget_a_big_boot_is_three_processes_per_node(monkeypatch):
+def test_rest_budget_a_big_boot_is_one_process_and_three_records_per_node(monkeypatch):
     nodes, shards = BIG_BOOT
     sim, _cluster, modules, started, buffers = _boot(monkeypatch, nodes, shards)
-    assert len(started) == sim.events_dispatched == len(REST_PROCESSES) * nodes
+    assert len(started) == len(REST_PROCESSES) * nodes
+    assert sim.events_dispatched == BOOT_RECORDS * nodes
     assert (_built_cpus(modules), buffers) == ({}, [])
 
 
@@ -375,6 +390,61 @@ def test_rest_budget_a_drained_window_leaves_no_deque():
     assert [name for name, queue in used.items() if isinstance(queue, deque)] == []
     assert [name for name, queue in used.items() if queue] == []
     assert vqp.two_sided is None  # one-sided traffic only: no two-sided record
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through ``gc.get_referents``."""
+    seen = {id(root): root}
+    frontier = [root]
+    while frontier:
+        for ref in gc.get_referents(frontier.pop()):
+            if id(ref) not in seen:
+                seen[id(ref)] = ref
+                frontier.append(ref)
+    return seen.values()
+
+
+def test_rest_budget_a_drained_window_pins_no_flight_and_no_wr(monkeypatch):
+    """A completed and polled 16-WR window leaves no ``_Flight`` alive and
+    none of the WRs it posted reachable from the QP: an idle sender holds
+    nothing.  (A parked sender generator pinned the last WR and flight,
+    and through the flight its payload and remote node.)"""
+    sim, cluster, _meta, _modules = krcore_cluster(num_nodes=NODES)
+    client, server = cluster.node(1), cluster.node(2)
+    lib, server_lib = KrcoreLib(client), KrcoreLib(server)
+    posted = {}  # id -> QP, ids only: a strong reference would pin the WRs
+    post_send = QueuePair.post_send
+
+    def recorded_post_send(self, wr_list):
+        wrs = wr_list if isinstance(wr_list, (list, tuple)) else [wr_list]
+        posted.update((id(wr), self) for wr in wrs)
+        post_send(self, wr_list)
+
+    monkeypatch.setattr(QueuePair, "post_send", recorded_post_send)
+
+    def window():
+        vqp = yield from lib.create_vqp()
+        yield from lib.qconnect(vqp, server.gid)
+        raddr = server.memory.alloc(64)
+        rmr = yield from server_lib.reg_mr(raddr, 64)
+        laddr = client.memory.alloc(64)
+        lmr = yield from lib.reg_mr(laddr, 64)
+        yield from lib.post_send(
+            vqp, [WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey) for _ in range(WINDOW)]
+        )
+        for _ in range(WINDOW):
+            assert (yield from vqp.wait_send_completion()).ok
+        return vqp.qp
+
+    qp = sim.run_process(window())
+    assert sum(owner is qp for owner in posted.values()) == WINDOW
+    gc.collect()
+    assert [obj for obj in gc.get_objects() if type(obj) is _Flight] == []
+    pinned = [
+        obj for obj in _reachable(qp)
+        if type(obj) is WorkRequest and posted.get(id(obj)) is qp
+    ]
+    assert pinned == []
 
 
 def test_rest_budget_used_state_weighs_under_the_ceilings():

@@ -7,6 +7,7 @@ from repro import obs
 from repro.cluster import Cluster, timing
 from repro.sim import Simulator, US
 from repro.verbs import (
+    Completion,
     CompletionQueue,
     DctTarget,
     DriverContext,
@@ -279,3 +280,38 @@ def test_onesided_service_matches_its_terms():
             timing.WRITE_RESPONDER_SERVICE_NS + payload(nbytes)
             + timing.DC_WRITE_SERVICE_EXTRA_NS
         )
+
+
+def test_cq_park_wakes_a_sleeper_in_line_with_event_waiters(sim):
+    """``CompletionQueue.park``: a parked sleeper is woken by the push that
+    fills the CQ, with one ready record, in the order it waited among the
+    processes yielding ``wait()``; on a non-empty CQ it is woken at once,
+    and neither consumes an entry."""
+    cq = CompletionQueue(sim)
+    log = []
+
+    class Sleeper:
+        _wait_gen = 1
+
+        def _resume(self, _value, _exc):
+            log.append(("sleeper", sim.now))
+
+    def waiter(name):
+        yield cq.wait()
+        log.append((name, sim.now))
+
+    sleeper = Sleeper()
+    sim.process(waiter("a"))
+    sim.run()
+    cq.park(sleeper)
+    sim.process(waiter("b"))
+    sim.run()
+    sim.schedule(5, lambda: cq.push(Completion(1, WcStatus.SUCCESS, Opcode.READ)))
+    dispatched = sim.events_dispatched
+    sim.run()
+    assert log == [("a", 5), ("sleeper", 5), ("b", 5)]
+    assert sim.events_dispatched - dispatched == 4  # the push, three wakes
+    cq.park(sleeper)
+    sim.run()
+    assert log[-1] == ("sleeper", 5) and sim.events_dispatched - dispatched == 5
+    assert len(cq) == 1

@@ -3,7 +3,7 @@
 One work request costs a fixed number of engine records (DESIGN.md §17
 lists them hop by hop).  The counts are exact and repeat on every run, so
 they are pinned here: a hop that creeps back into ``_Flight`` /
-``QueuePair._sender_loop`` fails this file instead of waiting for a timing
+the ``QueuePair`` sender fails this file instead of waiting for a timing
 run.
 
 Two shapes, idle two-node system, connection warm:
@@ -293,11 +293,10 @@ def test_window_hop_budget():
 
 @pytest.mark.parametrize("transport", WINDOW_BUDGET)
 def test_window_hop_budget_builds_no_process_and_no_generator_per_wr(transport, monkeypatch):
-    """The host side of the budget: a flight is a record, so the window
-    constructs one ``Process`` (the driver below) and runs no generator
-    but the caller's own (the driver and ``wait_poll``, which waits on an
-    event-mode CQ in its own frame) and the QP's sender loop, which was
-    there before the window."""
+    """The host side of the budget: a flight and the QP's sender are
+    records, so the window constructs one ``Process`` (the driver below)
+    and runs no generator but the caller's own (the driver and
+    ``wait_poll``, which waits on an event-mode CQ in its own frame)."""
     rig = _Rig(transport)
     wrs = [
         rig.wr(Opcode.READ, signaled=(slot == WINDOW - 1), slot=slot)
@@ -318,13 +317,13 @@ def test_window_hop_budget_builds_no_process_and_no_generator_per_wr(transport, 
     with _Profiled(profile):
         rig.run(wrs)
     assert processes == ["driver"]
-    assert generators == {"driver", "wait_poll", "_sender_loop"}
+    assert generators == {"driver", "wait_poll"}
 
 
 class _FrameLog:
     """A profile hook recording each generator frame the first time it
-    runs, so a generator resumed by an op but started before it (a QP's
-    sender loop) is not counted."""
+    runs, so a generator resumed by an op but started before it (a
+    daemon started at boot) is not counted."""
 
     def __init__(self):
         self._seen = {}  # id(frame) -> frame, kept alive so ids stay unique
