@@ -3,14 +3,26 @@
     python3 benchmarks/hitmap.py [--fail-under PCT]
     make hitmap
 
-Runs tier-1, ``-m chaos`` and ``pytest benchmarks`` with a
-``sys.settrace`` line tracer on, then prints, per file of ``src/repro``, the functions no run entered and the
-statements no run executed, and the executed share of all statements.
-The tracer starts from a ``sitecustomize.py`` placed first on
-``PYTHONPATH``, so it is on before ``repro`` is imported and in every
-child Python process a test starts (``tests/test_examples.py``, ``python
--m repro.bench``).  Each process writes its hits to a scratch directory
-at exit; the report is their union.
+Runs tier-1, ``-m chaos``, ``pytest benchmarks`` and ``make check``'s
+corpus replay with a ``sys.settrace`` line tracer on, then prints, per
+file of ``src/repro``, the functions no run entered and the statements no
+run executed, and the executed share of all statements.  The tracer
+starts from a ``sitecustomize.py`` placed first on ``PYTHONPATH``, so it
+is on before ``repro`` is imported and in every child Python process a
+test starts (``tests/test_examples.py``, ``python -m repro.bench``).
+Each process writes its hits to a scratch directory at exit; the map is
+their union.
+
+Each run has an origin, which ``HITMAP_ORIGIN`` carries into every
+process it starts and each dump records.  A *system* run is one that
+runs whole scenarios: ``-m chaos``, ``pytest benchmarks``, the tier-1
+files in ``SYSTEM_FILES`` (figures, examples, the checker corpus, the
+chaos digests, the obs goldens, the chaos CLI) and the checker CLI's
+corpus replay.  The rest of tier-1 is the *unit* run.  The report lists
+the modules of ``src/repro`` that define functions and none of whose
+functions a system run entered: a feature only its own unit tests reach.
+Each must be in ``UNIT_ONLY`` with the reason it stays, and each entry
+there must still be such a module.
 
 A statement is what ``ast`` calls one, docstrings excepted; it counts as
 executed when a line of its own (for a compound statement, its header)
@@ -19,8 +31,9 @@ body's first statement.  A function counts as entered when its code
 object was called.  Work done in ``ProcessPoolExecutor`` workers is not
 seen (they leave through ``os._exit``, past ``atexit``).
 
-Exits non-zero when a pytest run fails or, under ``--fail-under``, when
-the executed share is below ``PCT``.
+Exits non-zero when a run fails, when the unit-only modules and
+``UNIT_ONLY`` differ or, under ``--fail-under``, when the executed share
+is below ``PCT``.
 """
 
 import argparse
@@ -36,25 +49,50 @@ import threading
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
+SYSTEM_FILES = [
+    "tests/test_bench_figures.py",
+    "tests/test_examples.py",
+    "tests/test_check_corpus.py",
+    "tests/test_chaos_digests.py",
+    "tests/test_obs_golden.py",
+    "tests/test_faults_cli.py",
+]
+PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
+# (origin, arguments of the interpreter); the last is `make check`'s replay.
 RUNS = (
-    [],
-    ["-m", "chaos", "tests/test_chaos.py"],
-    ["--benchmark-disable", "benchmarks"],
+    ("unit", [*PYTEST, *(f"--ignore={name}" for name in SYSTEM_FILES)]),
+    ("system", [*PYTEST, "-m", "chaos", "tests/test_chaos.py"]),
+    ("system", [*PYTEST, "--benchmark-disable", "benchmarks", *SYSTEM_FILES]),
+    ("system", ["-m", "repro.check", "--replay", *sorted(
+        str(path.relative_to(ROOT)) for path in ROOT.glob("tests/schedules/*_fifo_clean.json")),
+        "tests/schedules/racey_pipeline_underflow.json"]),
 )
 
+# Module of src/repro (relative to it) -> why it stays though no system run
+# enters it.
+UNIT_ONLY = {
+    "check/shrink.py": "the schedule shrinker: the nightly `make check-sweep` runs it (--shrink)",
+    "sim/partition.py": (
+        "frozen: benchmarks/observatory imports Partition and run_partitioned, "
+        "and only the observatory's microbenchmark enters it"
+    ),
+}
+
 # Loaded by every Python process started with the scratch directory first on
-# PYTHONPATH; HITMAP_OUT names the directory each process writes its hits to.
+# PYTHONPATH; HITMAP_OUT names the directory each process writes its hits to,
+# HITMAP_ORIGIN the origin of the run that started it.
 SITECUSTOMIZE = """\
 import importlib.util, os
 _spec = importlib.util.spec_from_file_location("_hitmap", {source!r})
 _hitmap = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(_hitmap)
-_hitmap.start(os.environ["HITMAP_OUT"])
+_hitmap.start(os.environ["HITMAP_OUT"], os.environ["HITMAP_ORIGIN"])
 """
 
 
-def start(out_dir):
-    """Trace this process's ``src/repro`` lines; dump them at exit."""
+def start(out_dir, origin):
+    """Trace this process's ``src/repro`` lines; dump them at exit, tagged
+    with ``origin``."""
     prefix = str(PACKAGE) + os.sep
     lines = {}      # filename -> {lineno}, package files only
     entered = {}    # filename -> {co_firstlineno}
@@ -86,11 +124,11 @@ def start(out_dir):
 
     def dump():
         sys.settrace(None)
-        record = {
+        record = {"origin": origin, "files": {
             os.path.realpath(name): {"lines": sorted(lines[name]),
                                      "entered": sorted(entered[name])}
             for name in lines
-        }
+        }}
         handle, path = tempfile.mkstemp(dir=out_dir, suffix=".json")
         with os.fdopen(handle, "w") as out:
             json.dump(record, out)
@@ -101,13 +139,16 @@ def start(out_dir):
 
 
 def merge(out_dir):
-    """``{path: (lines, entered)}``, the union of every process's dump."""
+    """``{origin: {path: (lines, entered)}}``, the union of the dumps of
+    each origin."""
     merged = {}
     for dump in pathlib.Path(out_dir).glob("*.json"):
-        for name, record in json.loads(dump.read_text()).items():
-            lines, entered = merged.setdefault(name, (set(), set()))
-            lines.update(record["lines"])
-            entered.update(record["entered"])
+        record = json.loads(dump.read_text())
+        hits = merged.setdefault(record["origin"], {})
+        for name, file_hits in record["files"].items():
+            lines, entered = hits.setdefault(name, (set(), set()))
+            lines.update(file_hits["lines"])
+            entered.update(file_hits["entered"])
     return merged
 
 
@@ -180,16 +221,33 @@ def _ranges(numbers):
     return ", ".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
 
 
-def report(merged):
-    """Print the per-file map and the totals; return the executed percent."""
+def report(merged, package, unit_only):
+    """Print the per-file map, the totals and the modules only unit runs
+    enter; return ``(executed percent, gate failures)``.
+
+    ``merged`` is what :func:`merge` returns, ``package`` the directory of
+    ``repro`` and ``unit_only`` a ``UNIT_ONLY``-shaped dict.
+    """
+    empty = (set(), set())
+    union = {}
+    for hits in merged.values():
+        for name, (lines, entered) in hits.items():
+            union_lines, union_entered = union.setdefault(name, (set(), set()))
+            union_lines.update(lines)
+            union_entered.update(entered)
+    system = merged.get("system", {})
     totals = [0, 0, 0, 0]
-    for path in sorted(PACKAGE.rglob("*.py")):
-        lines, entered = merged.get(str(path), (set(), set()))
-        statements, missed, functions, never = file_report(path.read_text(), lines, entered)
+    unreached = []
+    for path in sorted(package.rglob("*.py")):
+        source = path.read_text()
+        statements, missed, functions, never = file_report(
+            source, *union.get(str(path), empty))
         for i, value in enumerate((statements, len(missed), functions, len(never))):
             totals[i] += value
+        if functions and len(file_report(source, *system.get(str(path), empty))[3]) == functions:
+            unreached.append(path.relative_to(package).as_posix())
         if missed or never:
-            relative = path.relative_to(ROOT).as_posix()
+            relative = path.relative_to(package.parents[1]).as_posix()
             print(f"{relative}: {statements - len(missed)}/{statements} statements")
             for line, name in never:
                 print(f"  never entered: {name} (line {line})")
@@ -199,7 +257,17 @@ def report(merged):
     percent = 100.0 * (statements - missed) / statements
     print(f"TOTAL: {statements - missed}/{statements} statements executed ({percent:.1f} %), "
           f"{functions - never}/{functions} functions entered ({never} never)")
-    return percent
+    print("Modules only unit runs enter:")
+    for module in unreached:
+        print(f"  {module}: {unit_only.get(module, 'no reason in UNIT_ONLY')}")
+    failures = [f"{module}: only unit runs enter it; delete it, or say in UNIT_ONLY why "
+                "it stays" for module in unreached if module not in unit_only]
+    for module in unit_only:
+        if not (package / module).is_file():
+            failures.append(f"{module}: in UNIT_ONLY, but there is no such module")
+        elif module not in unreached:
+            failures.append(f"{module}: in UNIT_ONLY, but a system run enters it")
+    return percent, failures
 
 
 def main(argv=None):
@@ -217,13 +285,16 @@ def main(argv=None):
             SITECUSTOMIZE.format(source=str(pathlib.Path(__file__).resolve())))
         env = dict(os.environ, HITMAP_OUT=str(out),
                    PYTHONPATH=os.pathsep.join([str(site), str(ROOT / "src")]))
-        for run in RUNS:
-            command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *run]
-            print("+", " ".join(command[1:]), flush=True)
-            status |= subprocess.run(command, cwd=ROOT, env=env).returncode
-        percent = report(merge(out))
+        for origin, run in RUNS:
+            print(f"+ [{origin}]", " ".join(run), flush=True)
+            status |= subprocess.run([sys.executable, *run], cwd=ROOT,
+                                     env=dict(env, HITMAP_ORIGIN=origin)).returncode
+        percent, failures = report(merge(out), PACKAGE, UNIT_ONLY)
     if status:
-        print("hitmap.py: a pytest run failed", file=sys.stderr)
+        print("hitmap.py: a run failed", file=sys.stderr)
+        return 1
+    if failures:
+        print("hitmap.py: " + "\nhitmap.py: ".join(failures), file=sys.stderr)
         return 1
     if args.fail_under is not None and percent < args.fail_under:
         print(f"hitmap.py: {percent:.1f} % executed, under --fail-under {args.fail_under}",

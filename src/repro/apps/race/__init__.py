@@ -10,11 +10,8 @@ simplified version") -- we build a simplified one-sided hash table:
   slot CAS (retried on contention);
 * all slots are 8 bytes so a single RDMA CAS updates them atomically.
 
-The default table (:mod:`repro.apps.race.hashing`) pre-sizes its
-subtables -- all the paper's load-spike experiment needs.  The full
-one-sided *extendible* variant, with online lock-free splits via remote
-CAS (RACE's headline feature), lives in
-:mod:`repro.apps.race.extendible`.
+The table (:mod:`repro.apps.race.hashing`) pre-sizes its subtables --
+all the paper's load-spike experiment needs.
 
 The same client runs over three interchangeable backends (verbs, LITE,
 KRCORE), which is exactly how the paper compares them in Fig 16.
@@ -23,11 +20,8 @@ KRCORE), which is exactly how the paper compares them in Fig 16.
 from repro.apps.race.hashing import RaceError, RaceStorage
 from repro.apps.race.backends import KrcoreBackend, LiteBackend, VerbsBackend
 from repro.apps.race.client import RaceClient
-from repro.apps.race.extendible import ExtendibleRaceClient, ExtendibleRaceStorage
 
 __all__ = [
-    "ExtendibleRaceClient",
-    "ExtendibleRaceStorage",
     "KrcoreBackend",
     "LiteBackend",
     "RaceClient",

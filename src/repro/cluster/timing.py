@@ -310,11 +310,6 @@ LITE_CONTROL_PATH_NS = (
     CREATE_QP_NS + HANDSHAKE_NS + CREATE_QP_NS + MODIFY_RTR_NS + MODIFY_RTS_NS
 )
 
-#: Serialized RNIC command-processor occupancy per accepted connection
-#: (hardware part of create_qp + both modify_qp calls): the server-side
-#: ceiling of Fig 8a (paper: 712 QP/s; model: ~722 QP/s).
-QP_SETUP_HW_SERVICE_NS = CREATE_QP_HW_NS + MODIFY_RTR_NS + MODIFY_RTS_NS
-
 #: Registering memory is cheap: "registering 4MB only takes 1.4us" (§5.1).
 REG_MR_BASE_NS = 400
 REG_MR_NS_PER_MB = 250
@@ -331,15 +326,8 @@ SYSCALL_NS = 900
 META_KV_READS_PER_LOOKUP = 2
 META_KV_READ_RTT_NS = 2_250
 
-#: Responder occupancy at the meta server per KV READ.  Calibrated to the
-#: 22M conn/s ceiling at 240 clients (2 READs per connect => 44M READ/s).
-META_KV_READ_SERVICE_NS = 22.5
-
 #: Algorithm-2 integrity checks per request ("+Checks ... trivial, <0.5us").
 VIRTUALIZATION_CHECK_NS = 120
-
-#: Remote MR validation on an MRStore miss: +4.5 us (Fig 12a).
-MR_CHECK_MISS_NS = 4_500
 
 #: MRStore/DCCache lease period: cached MRs flushed every second (§4.2).
 MR_LEASE_NS = 1_000 * MS

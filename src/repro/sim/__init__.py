@@ -12,13 +12,12 @@ from repro.sim.engine import (
     AllOf,
     AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
 )
 from repro.sim.resources import Resource, Store
-from repro.sim.stats import LatencyRecorder, RateMeter, percentile
+from repro.sim.stats import LatencyRecorder, percentile
 
 US = 1_000  # nanoseconds per microsecond
 MS = 1_000_000  # nanoseconds per millisecond
@@ -28,11 +27,9 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Interrupt",
     "LatencyRecorder",
     "MS",
     "Process",
-    "RateMeter",
     "Resource",
     "SEC",
     "SimulationError",

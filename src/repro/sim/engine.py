@@ -78,18 +78,6 @@ class SimulationError(Exception):
     """Raised for misuse of the simulation kernel itself."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence processes can wait on.
 
@@ -158,7 +146,7 @@ class Event:
     def add_callback(self, callback):
         """Invoke ``callback(event)`` when the event fires (or now if fired)."""
         if self._triggered:
-            self.sim._schedule_call(callback, self)
+            self.sim._rbuf.extend((callback, self))
         elif self._waiters is None:
             self._waiters = [callback]
         else:
@@ -195,7 +183,7 @@ class Process:
     """
 
     __slots__ = (
-        "sim", "name", "_gen", "_send", "_throw", "_done", "_interrupts", "_wait_gen",
+        "sim", "name", "_gen", "_send", "_throw", "_done", "_wait_gen",
     )
 
     def __init__(self, sim, gen, name=None):
@@ -205,7 +193,6 @@ class Process:
         self._send = gen.send
         self._throw = gen.throw
         self._done = Event(sim)
-        self._interrupts = None  # lazily a deque: most processes never see one
         self._wait_gen = 0
         slab = sim._rbuf
         slab.append(self._start)
@@ -217,26 +204,6 @@ class Process:
     @property
     def done_event(self):
         return self._done
-
-    @property
-    def is_alive(self):
-        return not self._done.triggered
-
-    def interrupt(self, cause=None):
-        """Throw :class:`Interrupt` into the process at its current yield."""
-        if not self.is_alive:
-            return
-        if self._interrupts is None:
-            self._interrupts = deque()
-        self._interrupts.append(Interrupt(cause))
-        self.sim._schedule_call(self._deliver_interrupt, None)
-
-    def _deliver_interrupt(self):
-        if not self.is_alive or not self._interrupts:
-            return
-        exc = self._interrupts.popleft()
-        self._wait_gen += 1  # invalidate whatever the process was waiting on
-        self._resume(None, exc)
 
     def _resume(self, value, exc):
         if self._done._triggered:
@@ -359,13 +326,6 @@ class Simulator:
         else:
             self._seq = seq = self._seq + 1
             heappush(self._heap, (self.now + delay, seq, callback, None))
-
-    def _schedule_call(self, callback, arg):
-        """Enqueue ``callback(arg)`` (or ``callback()`` if arg is None) at
-        the current timestamp, in FIFO order with everything else."""
-        slab = self._rbuf
-        slab.append(callback)
-        slab.append(arg)
 
     def timeout(self, delay):
         """An event that triggers after ``delay`` nanoseconds."""
@@ -616,8 +576,8 @@ class Simulator:
                                 if arg > 0:
                                     # Timer resume (hop 2): cb is the
                                     # process, arg its wait generation.
-                                    # Stale means an interrupt superseded
-                                    # the wait.
+                                    # A record whose generation is not
+                                    # the current one is dropped.
                                     if cb._wait_gen == arg:
                                         cb._resume(None, None)
                                     if orphans:

@@ -1,12 +1,10 @@
-"""Workload generators: YCSB mixes, Zipf key popularity, load spikes."""
+"""Workload generators: YCSB mixes, Zipf key popularity, TPC-C."""
 
 from repro.workloads.zipf import ZipfGenerator
 from repro.workloads.ycsb import YcsbWorkload, YCSB_A, YCSB_B, YCSB_C
-from repro.workloads.spike import LoadSpikeTrace
 from repro.workloads.tpcc import TpccLayout, TpccWorkload
 
 __all__ = [
-    "LoadSpikeTrace",
     "TpccLayout",
     "TpccWorkload",
     "YCSB_A",

@@ -90,7 +90,6 @@ def _start_inline(sim, gen):
     process._send = gen.send
     process._throw = gen.throw
     process._done = Event(sim)
-    process._interrupts = None
     process._wait_gen = 0
     process._resume(None, None)
 

@@ -67,7 +67,7 @@ def test_run_onesided_rejects_unknown_inputs():
 def test_run_onesided_sync_latency_sane():
     result = run_onesided("verbs", "sync", num_clients=1, measure_ns=60 * US)
     assert 2.0 < result.avg_latency_us < 2.4
-    assert result.recorder.count > 10
+    assert len(result.recorder) > 10
 
 
 def test_run_onesided_async_throughput_counts_served_ops():
@@ -83,7 +83,7 @@ def test_run_onesided_single_node_placement():
     result = run_onesided(
         "lite", "sync", num_clients=3, single_node=True, measure_ns=60 * US
     )
-    assert result.recorder.count > 0
+    assert len(result.recorder) > 0
 
 
 def test_krcore_cluster_boots_meta_first():

@@ -92,17 +92,16 @@ def test_alloc_never_hands_an_address_out_twice_so_it_reads_as_zeros():
 
 
 def test_empty_tables_materialize_no_page_and_lookups_miss():
-    """The four table builders used to zero-fill what ``alloc`` returned (a
-    4096-bucket meta table wrote 64 pages of zeros per ``MetaServer``)."""
+    """The table builders do not zero-fill what ``alloc`` returns (a
+    4096-bucket meta table would write 64 pages of zeros per ``MetaServer``)."""
     from repro.apps.race import RaceStorage
-    from repro.apps.race.extendible import DIR_ENTRIES, META_BYTES, ExtendibleRaceStorage
     from repro.apps.txn.storage import TxnStorage
     from repro.cluster import Cluster
     from repro.krcore import MetaServer
     from repro.kvs import DrtmKvServer
     from repro.sim import Simulator
 
-    nodes = Cluster(Simulator(), num_nodes=5, memory_size=64 << 20).nodes
+    nodes = Cluster(Simulator(), num_nodes=4, memory_size=64 << 20).nodes
     kv = DrtmKvServer(nodes[0], bucket_count=4096)
     assert kv.get_local(b"dct:node7") is None and kv.delete(b"dct:node7") is False
     race = RaceStorage(nodes[1], num_buckets=4096)
@@ -111,10 +110,4 @@ def test_empty_tables_materialize_no_page_and_lookups_miss():
     assert txn.read_local(1023) == (0, False, bytes(64))
     meta = MetaServer(nodes[3])
     assert meta.store.get_local(b"dct:node7") is None
-    assert [node.memory.resident_bytes for node in nodes[:4]] == [0, 0, 0, 0]
-
-    # The extendible table writes its subtable count and directory, and
-    # nothing of the subtables behind them.
-    ExtendibleRaceStorage(nodes[4])
-    directory_pages = -(-(META_BYTES + DIR_ENTRIES * 8) // _PAGE_SIZE)
-    assert nodes[4].memory.resident_bytes == directory_pages * _PAGE_SIZE
+    assert [node.memory.resident_bytes for node in nodes] == [0, 0, 0, 0]

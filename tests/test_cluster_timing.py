@@ -15,7 +15,11 @@ def test_lite_control_path_near_2ms():
 
 
 def test_server_qp_setup_rate_near_712_per_sec():
-    rate = 1e9 / timing.QP_SETUP_HW_SERVICE_NS
+    # Fig 8a's server-side ceiling: the RNIC command processor serializes
+    # the hardware part of create_qp and both modify_qp calls per accepted
+    # connection (model: ~722 QP/s).
+    service_ns = timing.CREATE_QP_HW_NS + timing.MODIFY_RTR_NS + timing.MODIFY_RTS_NS
+    rate = 1e9 / service_ns
     assert 650 <= rate <= 780  # paper: 712 QP/s
 
 

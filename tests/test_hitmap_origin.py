@@ -1,0 +1,79 @@
+"""The hit map's origin gate (``benchmarks/hitmap.py``), fed by hand.
+
+``make hitmap`` fails on a module of ``src/repro`` that only unit runs
+enter unless ``UNIT_ONLY`` says why it stays, and on a ``UNIT_ONLY``
+entry that a system run enters or that names no module, so the
+allow-list cannot rot.  These tests drive ``report`` with merged hit maps
+built by hand over a two-module package; nothing runs under the tracer.
+"""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+HITMAP = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "hitmap.py"
+
+
+@pytest.fixture(scope="module")
+def hitmap():
+    spec = importlib.util.spec_from_file_location("hitmap", HITMAP)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def package(tmp_path):
+    """``src/repro`` with ``core.py`` (a system run enters ``serve``) and
+    ``extra.py`` (only a unit run enters ``helper``)."""
+    root = tmp_path.resolve() / "src" / "repro"
+    (root / "sub").mkdir(parents=True)
+    (root / "__init__.py").write_text("VERSION = 1\n")
+    (root / "core.py").write_text("def serve():\n    return 1\n")
+    (root / "sub" / "extra.py").write_text("def helper():\n    return 2\n")
+    return root
+
+
+def _merged(package):
+    return {
+        "system": {str(package / "core.py"): ({1, 2}, {1})},
+        "unit": {str(package / "__init__.py"): ({1}, {1}),
+                 str(package / "core.py"): ({1, 2}, {1}),
+                 str(package / "sub" / "extra.py"): ({1, 2}, {1})},
+    }
+
+
+def test_a_module_only_unit_runs_enter_fails_the_gate(hitmap, package, capsys):
+    percent, failures = hitmap.report(_merged(package), package, {})
+    assert percent == 100.0
+    assert failures == [
+        "sub/extra.py: only unit runs enter it; delete it, or say in UNIT_ONLY why it stays"]
+    assert "  sub/extra.py: no reason in UNIT_ONLY" in capsys.readouterr().out
+
+
+def test_a_reason_in_unit_only_passes_the_gate(hitmap, package, capsys):
+    _, failures = hitmap.report(_merged(package), package, {"sub/extra.py": "a reason"})
+    assert failures == []
+    assert "  sub/extra.py: a reason" in capsys.readouterr().out
+
+
+def test_a_unit_only_entry_a_system_run_enters_fails_the_gate(hitmap, package):
+    unit_only = {"sub/extra.py": "a reason", "core.py": "stale"}
+    _, failures = hitmap.report(_merged(package), package, unit_only)
+    assert failures == ["core.py: in UNIT_ONLY, but a system run enters it"]
+
+
+def test_a_unit_only_entry_with_no_module_fails_the_gate(hitmap, package):
+    unit_only = {"sub/extra.py": "a reason", "sub/gone.py": "deleted since"}
+    _, failures = hitmap.report(_merged(package), package, unit_only)
+    assert failures == ["sub/gone.py: in UNIT_ONLY, but there is no such module"]
+
+
+def test_a_module_no_run_enters_is_unit_only_too(hitmap, package):
+    merged = _merged(package)
+    del merged["unit"][str(package / "sub" / "extra.py")]
+    percent, failures = hitmap.report(merged, package, {"sub/extra.py": "a reason"})
+    assert failures == []
+    assert percent < 100.0
+

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import repro.sim.engine as engine
 import tests._seed_engine_reference as seed_engine
 from repro.check import FifoStrategy, ScheduleController
-from repro.sim import AllOf, AnyOf, Event, Interrupt, SimulationError, Simulator
+from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
 
 
 @pytest.fixture
@@ -145,36 +145,6 @@ def test_any_of_fires_on_first_child(sim):
     assert sim.run_process(parent()) == (10, 1, "fast")
 
 
-def test_interrupt_is_raised_at_current_yield(sim):
-    log = []
-
-    def sleeper():
-        try:
-            yield 1_000
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-
-    def interrupter(target):
-        yield 100
-        target.interrupt("wake")
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run()
-    assert log == [(100, "wake")]
-
-
-def test_interrupting_finished_process_is_noop(sim):
-    def quick():
-        yield 1
-
-    proc = sim.process(quick())
-    sim.run()
-    proc.interrupt("late")
-    sim.run()
-    assert not proc.is_alive
-
-
 def test_run_until_stops_clock_at_bound(sim):
     def proc():
         yield 1_000
@@ -224,61 +194,6 @@ def test_nested_process_spawning(sim):
         return (sim.now, value)
 
     assert sim.run_process(parent()) == (10, "gc-c")
-
-
-def test_many_pending_interrupts_delivered_fifo(sim):
-    """Queued interrupts drain strictly first-in-first-out.
-
-    Regression test for the interrupt queue: deliveries must pop from the
-    head (the seed used ``list.pop(0)``; the deque must preserve that
-    order), so a burst of interrupts reaches the target in the order the
-    interrupters issued them.
-    """
-    causes = []
-
-    def sleeper():
-        while len(causes) < 8:
-            try:
-                yield 1000
-            except Interrupt as intr:
-                causes.append(intr.cause)
-
-    def interrupter(target):
-        yield 1
-        for i in range(8):
-            target.interrupt(i)
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run()
-    assert causes == list(range(8))
-
-
-def test_interleaved_interrupters_preserve_issue_order(sim):
-    causes = []
-
-    def sleeper():
-        while len(causes) < 6:
-            try:
-                yield 1000
-            except Interrupt as intr:
-                causes.append(intr.cause)
-
-    def interrupter(target, tags):
-        yield 5
-        for tag in tags:
-            target.interrupt(tag)
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target, ["a1", "a2", "a3"]))
-    sim.process(interrupter(target, ["b1", "b2", "b3"]))
-    sim.run()
-    # Both interrupters wake at t=5; the first-spawned runs first and
-    # issues its whole burst, so delivery follows issue order exactly.
-    assert causes == ["a1", "a2", "a3", "b1", "b2", "b3"]
-
-
-# -- the sleeper seam: Simulator.sleep / wake ----------------------------------
 
 
 class _Scripted:

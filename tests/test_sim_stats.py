@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import LatencyRecorder, RateMeter, Simulator, percentile
+from repro.sim import LatencyRecorder, percentile
 
 
 def test_percentile_endpoints():
@@ -30,66 +30,15 @@ def test_latency_recorder_summary():
     recorder = LatencyRecorder()
     for value in (1_000, 2_000, 3_000):
         recorder.record(value)
-    assert recorder.count == 3
+    assert len(recorder) == 3
     assert recorder.mean() == 2_000
-    assert recorder.mean_us() == 2.0
-    assert recorder.min() == 1_000
-    assert recorder.max() == 3_000
+    assert recorder.p(0.5) == 2_000
 
 
 def test_latency_recorder_rejects_negative():
     recorder = LatencyRecorder()
     with pytest.raises(ValueError):
         recorder.record(-1)
-
-
-def test_latency_recorder_cdf_monotonic():
-    recorder = LatencyRecorder()
-    for value in range(100, 0, -1):
-        recorder.record(value)
-    curve = recorder.cdf(points=10)
-    latencies = [point[0] for point in curve]
-    fractions = [point[1] for point in curve]
-    assert latencies == sorted(latencies)
-    assert fractions[-1] == 1.0
-    assert all(0 < f <= 1.0 for f in fractions)
-
-
-def test_rate_meter_counts_per_simulated_second():
-    sim = Simulator()
-    meter = RateMeter(sim)
-
-    def proc():
-        for _ in range(10):
-            yield 100
-            meter.tick()
-
-    sim.run_process(proc())
-    assert meter.rate_per_sec() == pytest.approx(10 * 1_000_000_000 / 1_000)
-
-
-def test_rate_meter_requires_elapsed_time():
-    sim = Simulator()
-    meter = RateMeter(sim)
-    meter.tick()
-    with pytest.raises(ValueError):
-        meter.rate_per_sec()
-
-
-def test_rate_meter_reset():
-    sim = Simulator()
-    meter = RateMeter(sim)
-
-    def proc():
-        yield 500
-        meter.tick(5)
-        meter.reset()
-        yield 1_000
-        meter.tick(2)
-
-    sim.run_process(proc())
-    assert meter.count == 2
-    assert meter.rate_per_sec() == pytest.approx(2 * 1_000_000_000 / 1_000)
 
 
 def test_percentile_exact_integer_rank_skips_interpolation():
@@ -104,25 +53,6 @@ def test_percentile_single_sample_any_fraction():
     assert percentile([42], 1.0) == 42
 
 
-def test_cdf_single_sample_is_one_point():
-    recorder = LatencyRecorder()
-    recorder.record(5_000)
-    assert recorder.cdf() == [(5_000, 1.0)]
-
-
-def test_cdf_empty_recorder_is_empty_curve():
-    assert LatencyRecorder().cdf() == []
-
-
-def test_cdf_more_points_than_samples_keeps_every_sample():
-    recorder = LatencyRecorder()
-    for value in (3, 1, 2):
-        recorder.record(value)
-    assert recorder.cdf(points=100) == [
-        (1, 1 / 3), (2, 2 / 3), (3, 1.0),
-    ]
-
-
 def test_empty_recorder_summaries_raise():
     recorder = LatencyRecorder()
     with pytest.raises(ValueError):
@@ -130,32 +60,3 @@ def test_empty_recorder_summaries_raise():
     with pytest.raises(ValueError):
         recorder.p(0.5)
     assert len(recorder) == 0
-
-
-def test_rate_meter_window_starts_at_creation_time():
-    sim = Simulator()
-    observed = []
-
-    def proc():
-        yield 500
-        meter = RateMeter(sim)
-        yield 250
-        meter.tick(3)
-        observed.append((meter.elapsed_ns, meter.rate_per_sec()))
-
-    sim.run_process(proc())
-    assert observed == [(250, pytest.approx(3 * 1_000_000_000 / 250))]
-
-
-def test_rate_meter_reset_requires_fresh_elapsed_time():
-    sim = Simulator()
-    meter = RateMeter(sim)
-
-    def proc():
-        yield 100
-        meter.tick()
-
-    sim.run_process(proc())
-    meter.reset()
-    with pytest.raises(ValueError):
-        meter.rate_per_sec()

@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import SEC
 from repro.workloads import (
-    LoadSpikeTrace,
     YCSB_A,
     YCSB_B,
     YCSB_C,
@@ -90,27 +88,3 @@ def test_ycsb_load_keys_covers_keyspace():
     keys = workload.load_keys()
     assert len(keys) == 10
     assert len(set(keys)) == 10
-
-
-def test_spike_trace_rates():
-    trace = LoadSpikeTrace(base_rate=1e6, spike_rate=5e6, spike_at_ns=SEC, end_ns=3 * SEC)
-    assert trace.rate_at(0) == 1e6
-    assert trace.rate_at(SEC) == 5e6
-    assert trace.rate_at(3 * SEC) == 1e6  # after the trace ends
-
-
-def test_spike_trace_rejects_downward_spike():
-    with pytest.raises(ValueError):
-        LoadSpikeTrace(base_rate=10, spike_rate=5)
-
-
-def test_spike_offered_integrates_across_boundary():
-    trace = LoadSpikeTrace(base_rate=100, spike_rate=300, spike_at_ns=SEC, end_ns=10 * SEC)
-    # Half a second at 100/s + half a second at 300/s.
-    offered = trace.offered_in_window(SEC // 2, 3 * SEC // 2)
-    assert offered == pytest.approx(50 + 150)
-
-
-def test_spike_offered_empty_window():
-    trace = LoadSpikeTrace(base_rate=100, spike_rate=300)
-    assert trace.offered_in_window(5, 5) == 0.0
