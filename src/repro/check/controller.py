@@ -9,7 +9,7 @@ every currently-runnable callback in a ``pending`` list and asks a
 :class:`Strategy` which to dispatch next.
 
 The drive loop consumes the engine's own structures (``repro.sim.engine``:
-the ready slab and the timestamp cohorts collected from the future heap)
+the ready slab and the per-timestamp buckets of future work)
 and hands undispatched work back to them on exit, so controlled and
 uncontrolled ``run()`` calls can alternate on one simulator.  The
 committed schedule corpus (``tests/schedules/``) pins the pending lists
@@ -64,7 +64,7 @@ __all__ = [
 
 
 class FifoStrategy:
-    """The engine's own order: always dispatch the lowest sequence number."""
+    """The engine's own order: always dispatch the first pending entry."""
 
     name = "fifo"
 
@@ -198,8 +198,7 @@ class ScheduleController:
         """
         rbuf = sim._rbuf
         heap = sim._heap
-        free = sim._free
-        popheap = heapq.heappop
+        buckets = sim._buckets
         dispatched = 0
         timer_fires = 0
         start_ns = sim.now
@@ -231,7 +230,7 @@ class ScheduleController:
                     n = len(cohort)
                     while cpos < n:
                         arg = cohort[cpos + 1]
-                        if arg.__class__ is int:
+                        if arg is not None:
                             # Timer maturing (hop 1): requeued behind
                             # everything pending, like the engine's.
                             dispatched += 1
@@ -247,25 +246,20 @@ class ScheduleController:
                             front_matured = True
                             break
                     if cpos >= n:
-                        cohort.clear()
-                        free.append(cohort)
                         cohort = None
                 if not pending:
                     if not heap:
+                        buckets.clear()
                         break
-                    when = heap[0][0]
+                    when = heap[0]
                     if until is not None and when > until:
                         break
+                    # The bucket at this timestamp is its cohort, in
+                    # schedule order -- exactly the engine's clock advance.
+                    heapq.heappop(heap)
                     sim.now = when
-                    # Collect the whole cohort at this timestamp into a
-                    # recycled stride-2 slab, in sequence (FIFO) order —
-                    # exactly the engine's clock advance.
-                    cohort = free.pop() if free else []
+                    cohort = buckets.pop(when)
                     cpos = 0
-                    while heap and heap[0][0] == when:
-                        entry = popheap(heap)
-                        cohort.append(entry[2])
-                        cohort.append(entry[3])
                     continue
                 if len(pending) == 1:
                     index = 0
@@ -282,28 +276,21 @@ class ScheduleController:
                 if index == 0:
                     front_matured = False
                 dispatched += 1
-                cls = arg.__class__
-                if cls is int:
-                    if arg > 0:
-                        # Timer resume (hop 2).
-                        if callback._wait_gen == arg:
-                            callback._resume(None, None)
-                    else:
+                if arg is None:
+                    callback()
+                elif arg.__class__ is int:
+                    if not arg:
                         # Zero-delay timer maturing (hop 1): requeue the
                         # hop-2 record where a ready-slab append would
                         # land it (the slab is empty right now, so the
                         # pending tail is the slab tail).
-                        pending.append((callback, -arg))
+                        pending.append((callback, 1))
                         continue
-                elif cls is tuple:
-                    # Event waiter resume: (wait generation, event).
-                    if callback._wait_gen == arg[0]:
-                        event = arg[1]
-                        callback._resume(event.value, event._exc)
-                elif arg is None:
-                    callback()
+                    # Timer resume (hop 2).
+                    callback._resume(None, None)
                 else:
-                    callback(arg)
+                    # Event waiter resume.
+                    callback._resume(arg.value, arg._exc)
                 if orphans:
                     _process, exc = orphans.popleft()
                     raise exc

@@ -74,7 +74,6 @@ class _Dispatcher:
     returns and parks it again."""
 
     __slots__ = ("messaging", "cq", "qp")
-    _wait_gen = 1  # parked or woken, never both: one record pending at most
 
     def __init__(self, messaging, cq, qp):
         self.messaging, self.cq, self.qp = messaging, cq, qp
@@ -94,8 +93,6 @@ class KernelMessaging:
     The module starts the kernel daemon (:meth:`serve_kernel_port`) once
     its meta records are out.
     """
-
-    _wait_gen = 1  # the kernel daemon: one record pending at most
 
     #: How long to wait for a transfer acknowledgment before concluding
     #: the peer is gone (no reply can ever arrive from a dead node).

@@ -30,7 +30,6 @@ class _RpcDispatcher:
     polls the receive CQ dry, one handler process a message, and parks."""
 
     __slots__ = ("module", "qp")
-    _wait_gen = 1  # parked or woken, never both: one record pending at most
 
     def __init__(self, module, qp):
         self.module, self.qp = module, qp

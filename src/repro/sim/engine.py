@@ -19,55 +19,54 @@ bookkeeping is what the layout removes:
   Enqueue is two ``list.append`` calls; dispatch is two indexed loads.
   The slab is emptied in place (``del slab[:]``) once a timestamp drains.
 
-* **Future heap, collected by cohort.**  Future work lives in one
-  ``(when, seq, callback, arg)`` min-heap (one C ``heappush`` per entry;
-  ``seq`` only makes same-timestamp heap order FIFO).  Heap entries are
-  always strictly in the future -- zero delays go to the ready slab -- so
-  when the clock advances, every record at the new timestamp is drained
-  into a stride-2 cohort slab in one pass, every cohort record predates
-  every ready record, and nothing new can arrive at the current timestamp
-  from the future side: same-timestamp dispatch never touches the heap or
-  the ``until`` bound again.
+* **Future work in per-timestamp buckets.**  ``_heap`` holds one plain
+  ``int`` per distinct future timestamp; ``_buckets`` maps each to a flat
+  stride-2 ``callback, arg`` list in push order, which *is* schedule
+  order, so no record carries a sequence number.  Only the first record
+  at a timestamp pushes onto the heap; the rest are two appends.  Bucket
+  timestamps are strictly in the future -- zero delays go to the ready
+  slab -- so when the clock advances, the popped bucket *is* the
+  timestamp's cohort: every cohort record predates every ready record,
+  and nothing new can arrive at the current timestamp from the future
+  side.  ``_buckets`` is cleared once the heap drains (a dict keeps its
+  table after it empties).
 
-* **Arena free-lists.**  Drained cohort slabs are cleared and parked on
-  ``_free``; the next timestamp reuses one.  After warm-up the hot loop
-  allocates nothing per event beyond the heap entry itself.
-
-* **Batched same-timestamp dispatch.**  A timestamp with a single record
-  (the dominant shape: the figure workloads average ~1.5 records per
-  distinct timestamp) dispatches straight off the heap entry.  A
-  pure-timer cohort takes a *fused* pass: hop-1 maturation and hop-2
-  resume collapse into one gen-checked resume per record, order-exact
-  because hop-1 records run no user code and all of them precede the
-  first resume.  A mixed cohort takes the two-phase pass: timers requeue
+* **Three dispatch shapes per timestamp.**  A one-record bucket (a 2-slot
+  list; the observatory's workloads average 1.01 to 1.86 records per
+  distinct timestamp) dispatches straight off the list.  A pure-timer
+  bucket (no ``None`` in it) takes a *fused* pass: hop-1 maturation and
+  hop-2 resume collapse into one resume per record, order-exact because
+  hop-1 records run no user code and all of them precede the first
+  resume.  A mixed cohort takes the two-phase pass: timers requeue
   (hop 1) onto the ready slab, plain callbacks dispatch inline in
   schedule order.  Then the ready slab drains by a tight cursor loop.
 
-Waiter wake-ups are encoded inline in the records instead of per-event
-lambdas and per-yield closures; the ``arg`` slot says what a record is:
+A record is a bare ``(target, arg)`` pair, and ``arg`` says its kind:
 
 ========================  ====================================================
-``None``                  plain callback, invoked as ``callback()``
-positive ``int``          timer resume (hop 2): ``callback`` is the process
-                          (or other sleeper), ``arg`` its wait generation
-negative ``int``          zero-delay timer maturing (hop 1): requeue hop 2
-                          with the negated generation
-``tuple``                 event-waiter resume: ``(generation, event)``
-anything else             argument callback, invoked as ``callback(arg)``
+``None``                  plain callback, invoked as ``target()``
+``1``                     timer: in a bucket it matures (hop 1) by requeueing
+                          itself; on the ready slab it resumes (hop 2),
+                          ``target._resume(None, None)``
+``0``                     zero-delay timer maturing (hop 1): requeue as ``1``
+an ``Event``              waiter resume:
+                          ``target._resume(event.value, event._exc)``
 ========================  ====================================================
 
-Wait generations are always >= 1, so the sign carries the hop for free.
-A timer takes two hops through the queue because the timeout ``Event`` it
-replaces did (trigger, then waiter dispatch); ``Process._wait_on`` skips
-the ``Event`` for its two common yield targets -- an integer timeout and
-an already-triggered event -- while landing the resume in the same place.
+Every resumed target -- a ``Process``, a sleeper, a child of an
+``AllOf`` / ``AnyOf`` -- has one ``_resume(value, exc)`` method and at most
+one record pending, so no record is ever stale.  A timer takes two hops
+through the queue because the timeout ``Event`` it replaces did (trigger,
+then waiter dispatch); ``Process._resume`` skips the ``Event`` for its two
+common yield targets -- an integer timeout and an already-triggered event
+-- while landing the resume in the same place.
 
 The engine counts work as it goes: ``Simulator.events_dispatched`` /
 ``timer_fires`` per instance, ``Simulator.total_events_dispatched`` /
 ``total_sim_ns`` across all instances in the process.  The schedule
 controller (``repro.check``) replaces the run loop with one that consumes
-the same slab and cohorts in the same order (DESIGN.md §11 has the
-history: a deque+heap core and a per-timestamp bucket store came first).
+the same slab and buckets in the same order (DESIGN.md §11 has the
+history).
 """
 
 from collections import deque
@@ -124,33 +123,14 @@ class Event:
 
     def _dispatch(self, waiters):
         """Run waiters through the scheduler (same timestamp) rather than
-        synchronously, so triggering code never reenters waiter code.
-
-        A waiter is either a ``(process, gen)`` tuple (a suspended
-        process, see ``Process._wait_on``) — re-encoded so the run loop
-        resumes it without any intermediate call — or a plain callable
-        from ``add_callback``, invoked as ``callback(event)``.  Append
-        order is dispatch order.
-        """
+        synchronously, so triggering code never reenters waiter code: one
+        ``(waiter, self)`` ready record each, in the order they waited."""
         self._waiters = None
         slab = self.sim._rbuf
         append = slab.append
         for waiter in waiters:
-            if waiter.__class__ is tuple:
-                append(waiter[0])
-                append((waiter[1], self))
-            else:
-                append(waiter)
-                append(self)
-
-    def add_callback(self, callback):
-        """Invoke ``callback(event)`` when the event fires (or now if fired)."""
-        if self._triggered:
-            self.sim._rbuf.extend((callback, self))
-        elif self._waiters is None:
-            self._waiters = [callback]
-        else:
-            self._waiters.append(callback)
+            append(waiter)
+            append(self)
 
 
 class AllOf:
@@ -173,6 +153,37 @@ class AnyOf:
         self.children = list(children)
 
 
+class _Child:
+    """The waiter on one child of an ``AllOf`` / ``AnyOf``.  The first
+    error fails the combined event; otherwise an ``AnyOf`` child
+    (``values`` is None) settles it with ``(index, value)``, and an
+    ``AllOf`` child stores its value in ``values``, whose last slot counts
+    the children still pending, so the last to fire settles it with every
+    value in order."""
+
+    __slots__ = ("combined", "index", "values")
+
+    def __init__(self, combined, index, values):
+        self.combined = combined
+        self.index = index
+        self.values = values
+
+    def _resume(self, value, exc):
+        combined = self.combined
+        if combined._triggered:
+            return
+        values = self.values
+        if exc is not None:
+            combined.fail(exc)
+        elif values is None:
+            combined.trigger((self.index, value))
+        else:
+            values[self.index] = value
+            values[-1] -= 1
+            if not values[-1]:
+                combined.trigger(values[:-1])
+
+
 class Process:
     """A running generator, driven by the simulator.
 
@@ -182,9 +193,7 @@ class Process:
     from :meth:`Simulator.run` so failures never pass silently.
     """
 
-    __slots__ = (
-        "sim", "name", "_gen", "_send", "_throw", "_done", "_wait_gen",
-    )
+    __slots__ = ("sim", "name", "_gen", "_send", "_throw", "_done")
 
     def __init__(self, sim, gen, name=None):
         self.sim = sim
@@ -193,7 +202,6 @@ class Process:
         self._send = gen.send
         self._throw = gen.throw
         self._done = Event(sim)
-        self._wait_gen = 0
         slab = sim._rbuf
         slab.append(self._start)
         slab.append(None)
@@ -206,8 +214,6 @@ class Process:
         return self._done
 
     def _resume(self, value, exc):
-        if self._done._triggered:
-            return
         sim = self.sim
         try:
             if exc is not None:
@@ -222,21 +228,41 @@ class Process:
             return
         if target.__class__ is int:
             # Fast path, inlined: a plain timeout needs no Event at all.
-            # Zero delays go to the ready slab as a hop-1 record (negative
-            # generation) — the heap holds only strictly-future work.
-            if target <= 0:
-                if target < 0:
-                    raise SimulationError("cannot schedule into the past")
-                self._wait_gen = gen = self._wait_gen + 1
-                slab = sim._rbuf
-                slab.append(self)
-                slab.append(-gen)
+            # Zero delays go to the ready slab as a hop-1 record -- the
+            # buckets hold only strictly-future work.
+            if target > 0:
+                when = sim.now + target
+                buckets = sim._buckets
+                bucket = buckets.get(when)
+                if bucket is None:
+                    buckets[when] = [self, 1]
+                    heappush(sim._heap, when)
+                else:
+                    bucket.append(self)
+                    bucket.append(1)
                 return
-            self._wait_gen = gen = self._wait_gen + 1
-            sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (sim.now + target, seq, self, gen))
+            if target < 0:
+                raise SimulationError("cannot schedule into the past")
+            slab = sim._rbuf
+            slab.append(self)
+            slab.append(0)
             return
-        self._wait_on(target)
+        cls = target.__class__
+        if cls is Event:
+            event = target
+        elif cls is Process:
+            event = target._done
+        else:
+            event = sim._as_event(target)
+        if event._triggered:
+            # Already fired: resume through the ready slab directly.
+            slab = sim._rbuf
+            slab.append(self)
+            slab.append(event)
+        elif event._waiters is None:
+            event._waiters = [self]
+        else:
+            event._waiters.append(self)
 
     def _finish(self, value, exc):
         if exc is None:
@@ -246,31 +272,11 @@ class Process:
                 self.sim._record_orphan_failure(self, exc)
             self._done.fail(exc)
 
-    def _wait_on(self, target):
-        sim = self.sim
-        self._wait_gen = gen = self._wait_gen + 1
-        cls = target.__class__
-        if cls is Event:
-            event = target
-        elif isinstance(target, Process):
-            event = target._done
-        else:
-            event = sim._as_event(target)
-        if event._triggered:
-            # Already fired: resume through the ready slab directly, in
-            # the inline encoding the run loop understands.
-            slab = sim._rbuf
-            slab.append(self)
-            slab.append((gen, event))
-        elif event._waiters is None:
-            event._waiters = [(self, gen)]
-        else:
-            event._waiters.append((self, gen))
-
 
 class Simulator:
     """The event loop: a clock, a flat ready slab for the current
-    timestamp, and a heap of future records collected by timestamp cohort."""
+    timestamp, and future records in per-timestamp buckets ordered by a
+    heap of their timestamps."""
 
     #: Process-wide totals across every Simulator instance, folded in when
     #: each ``run()`` returns (the observatory samples these around a pass).
@@ -287,16 +293,12 @@ class Simulator:
         #: timestamp, in schedule (dispatch) order from ``_rpos`` on.
         self._rbuf = []
         self._rpos = 0
-        #: Future side: min-heap of ``(when, seq, callback, arg)`` records
-        #: (timer args are positive int wait generations, plain schedule
-        #: callbacks carry None).  ``_seq`` makes same-timestamp heap
-        #: order FIFO; only future entries need one.
+        #: Future side: a min-heap of distinct future timestamps, and per
+        #: timestamp a flat ``callback, arg`` bucket in schedule order
+        #: (timer records carry ``1``, plain callbacks ``None``).
         self._heap = []
-        self._seq = 0
-        #: Arena free-list of drained cohort slabs, reused at the next
-        #: clock advance.
-        self._free = []
-        #: Cohort being matured, with cursor — persisted only when a
+        self._buckets = {}
+        #: Bucket being matured, with cursor — persisted only when a
         #: dispatch raises mid-timestamp so a later run() resumes exactly.
         self._cohort = None
         self._cpos = 0
@@ -319,13 +321,20 @@ class Simulator:
             raise SimulationError("cannot schedule into the past")
         delay = int(delay)
         if delay == 0:
-            # The heap holds only strictly-future work.
+            # The buckets hold only strictly-future work.
             slab = self._rbuf
             slab.append(callback)
             slab.append(None)
+            return
+        when = self.now + delay
+        buckets = self._buckets
+        bucket = buckets.get(when)
+        if bucket is None:
+            buckets[when] = [callback, None]
+            heappush(self._heap, when)
         else:
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (self.now + delay, seq, callback, None))
+            bucket.append(callback)
+            bucket.append(None)
 
     def timeout(self, delay):
         """An event that triggers after ``delay`` nanoseconds."""
@@ -347,21 +356,27 @@ class Simulator:
         pushes by yielding that delay (same counts and order, a zero delay
         included), for a state machine with no generator to resume.  A
         sleeper has a ``_resume(value, exc)`` method, called as
-        ``_resume(None, None)``, and a positive int ``_wait_gen``: the
-        record carries its current value and is dropped if the sleeper has
-        bumped it by the time it fires (DESIGN.md §11)."""
-        if delay_ns.__class__ is int and delay_ns > 0:
-            self._seq = seq = self._seq + 1
-            heappush(self._heap, (self.now + delay_ns, seq, sleeper, sleeper._wait_gen))
-        elif delay_ns.__class__ is int and delay_ns == 0:
-            self._rbuf.extend((sleeper, -sleeper._wait_gen))
-        else:
+        ``_resume(None, None)``, and never two records pending
+        (DESIGN.md §11)."""
+        if delay_ns.__class__ is not int or delay_ns < 0:
             raise SimulationError(f"cannot sleep for {delay_ns!r} ns")
+        if delay_ns:
+            when = self.now + delay_ns
+            buckets = self._buckets
+            bucket = buckets.get(when)
+            if bucket is None:
+                buckets[when] = [sleeper, 1]
+                heappush(self._heap, when)
+            else:
+                bucket.append(sleeper)
+                bucket.append(1)
+        else:
+            self._rbuf.extend((sleeper, 0))
 
     def wake(self, sleeper):
         """Resume ``sleeper`` at the current timestamp, behind what is
         queued there: one ready record, like an event wake or a start."""
-        self._rbuf.extend((sleeper, sleeper._wait_gen))
+        self._rbuf.extend((sleeper, 1))
 
     def notify(self, waiter):
         """Resume a queue's waiter: trigger an ``Event`` not yet fired, or
@@ -381,57 +396,29 @@ class Simulator:
         if isinstance(target, int):
             return self.timeout(target)
         if isinstance(target, AllOf):
-            return self._all_of(target.children)
+            if not target.children:
+                return Event(self).trigger([])
+            count = len(target.children)
+            return self._join(target.children, [None] * count + [count])
         if isinstance(target, AnyOf):
-            return self._any_of(target.children)
+            if not target.children:
+                raise SimulationError("AnyOf requires at least one child")
+            return self._join(target.children, None)
         raise SimulationError(f"cannot wait on {target!r}")
 
-    def _all_of(self, children):
+    def _join(self, children, values):
+        """The event an ``AllOf`` / ``AnyOf`` over ``children`` fires: one
+        :class:`_Child` waiter per child, in order."""
         events = [self._as_event(child) for child in children]
         combined = Event(self)
-        remaining = [len(events)]
-        values = [None] * len(events)
-        if not events:
-            combined.trigger([])
-            return combined
-
-        def on_child(index):
-            def callback(event):
-                if combined.triggered:
-                    return
-                if event._exc is not None:
-                    combined.fail(event._exc)
-                    return
-                values[index] = event.value
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    combined.trigger(list(values))
-
-            return callback
-
         for index, event in enumerate(events):
-            event.add_callback(on_child(index))
-        return combined
-
-    def _any_of(self, children):
-        events = [self._as_event(child) for child in children]
-        combined = Event(self)
-        if not events:
-            raise SimulationError("AnyOf requires at least one child")
-
-        def on_child(index):
-            def callback(event):
-                if combined.triggered:
-                    return
-                if event._exc is not None:
-                    combined.fail(event._exc)
-                    return
-                combined.trigger((index, event.value))
-
-            return callback
-
-        for index, event in enumerate(events):
-            event.add_callback(on_child(index))
+            waiter = _Child(combined, index, values)
+            if event._triggered:
+                self._rbuf.extend((waiter, event))
+            elif event._waiters is None:
+                event._waiters = [waiter]
+            else:
+                event._waiters.append(waiter)
         return combined
 
     # -- running -------------------------------------------------------------
@@ -440,18 +427,18 @@ class Simulator:
         """Drain the event queue, stopping after simulated time ``until``.
 
         Dispatch order is by (timestamp, schedule order), identical to the
-        seed engine.  Per timestamp: the whole cohort matures
-        in one batched pass (every cohort record predates every ready-slab
-        record — the slab is empty when the clock advances and only fills
-        at the current timestamp), then the ready slab drains by cursor
-        with no per-event heap or ``until`` checks (future entries are
-        strictly future, so neither can change mid-timestamp).
+        seed engine.  Per timestamp: the bucket matures in one batched
+        pass (every bucket record predates every ready-slab record — the
+        slab is empty when the clock advances and only fills at the
+        current timestamp), then the ready slab drains by cursor with no
+        per-event heap or ``until`` checks (buckets are strictly future,
+        so neither can change mid-timestamp).
         """
         if self._controller is not None:
             return self._controller.drive(self, until)
         rbuf = self._rbuf
         heap = self._heap
-        free = self._free
+        buckets = self._buckets
         orphans = self._orphan_failures
         dispatched = 0
         timer_fires = 0
@@ -462,10 +449,6 @@ class Simulator:
         #: One comparison per check instead of two: +inf compares greater
         #: than any timestamp, so "no bound" needs no None test.
         limit = float("inf") if until is None else until
-        #: True when the current cohort is known to be pure timer records.
-        #: A cohort persisted by an earlier (interrupted) run is treated
-        #: as mixed — the two-phase path is always order-exact.
-        pure = False
         if pos:
             # Normalize a mid-drain cursor persisted by an interrupted
             # run: shift the undrained tail to the slab head.  With the
@@ -479,36 +462,7 @@ class Simulator:
                 if cohort is not None or rbuf:
                     if self.now > limit:
                         break
-                    if cohort is not None and pure and not rbuf:
-                        # Fused maturation fast path: a pure-timer cohort
-                        # with nothing already on the ready slab.  Hop-1
-                        # requeue and hop-2 resume collapse into a direct
-                        # resume per record -- user-visible order is
-                        # unchanged (hop-1s run no user code and all
-                        # precede the first resume), so this equals the
-                        # two-phase path record for record.  Counters are
-                        # settled per batch in the finally: each record
-                        # still accounts for both hops.
-                        n = len(cohort)
-                        cbase = cpos
-                        try:
-                            while cpos < n:
-                                cb = cohort[cpos]
-                                gen = cohort[cpos + 1]
-                                cpos += 2
-                                if cb._wait_gen == gen:
-                                    cb._resume(None, None)
-                                if orphans:
-                                    _process, exc = orphans.popleft()
-                                    raise exc
-                        finally:
-                            matured = (cpos - cbase) >> 1
-                            dispatched += matured << 1
-                            timer_fires += matured
-                        cohort.clear()
-                        free.append(cohort)
-                        cohort = None
-                    elif cohort is not None:
+                    if cohort is not None:
                         # Order-exact two-phase maturation: timers requeue
                         # (hop 1) onto the ready slab, plain callbacks
                         # dispatch inline.  Required when the cohort holds
@@ -531,24 +485,19 @@ class Simulator:
                                 cb = cohort[cpos]
                                 arg = cohort[cpos + 1]
                                 cpos += 2
-                                if arg.__class__ is int:
-                                    rappend(cb)
-                                    rappend(arg)
-                                else:
+                                if arg is None:
                                     plain += 1
-                                    if arg is None:
-                                        cb()
-                                    else:
-                                        cb(arg)
+                                    cb()
                                     if orphans:
                                         _process, exc = orphans.popleft()
                                         raise exc
+                                else:
+                                    rappend(cb)
+                                    rappend(arg)
                         finally:
                             matured = (cpos - cbase) >> 1
                             dispatched += matured
                             timer_fires += matured - plain
-                        cohort.clear()
-                        free.append(cohort)
                         cohort = None
                     # Batched ready drain: appends during dispatch extend
                     # the slab past the cursor and run in schedule order.
@@ -571,100 +520,89 @@ class Simulator:
                                 break
                             cb = rbuf[pos]
                             pos += 2
-                            cls = arg.__class__
-                            if cls is int:
-                                if arg > 0:
-                                    # Timer resume (hop 2): cb is the
-                                    # process, arg its wait generation.
-                                    # A record whose generation is not
-                                    # the current one is dropped.
-                                    if cb._wait_gen == arg:
-                                        cb._resume(None, None)
-                                    if orphans:
-                                        _process, exc = orphans.popleft()
-                                        raise exc
-                                else:
+                            if arg is None:
+                                cb()
+                            elif arg.__class__ is int:
+                                if not arg:
                                     # Zero-delay timer maturing (hop 1):
                                     # requeue the resume at the slab tail,
                                     # where a timeout event's waiter
                                     # dispatch would land it.
                                     rappend(cb)
-                                    rappend(-arg)
-                            elif cls is tuple:
-                                # Event waiter resume: (generation, event).
-                                if cb._wait_gen == arg[0]:
-                                    event = arg[1]
-                                    cb._resume(event.value, event._exc)
-                                if orphans:
-                                    _process, exc = orphans.popleft()
-                                    raise exc
-                            elif arg is None:
-                                cb()
-                                if orphans:
-                                    _process, exc = orphans.popleft()
-                                    raise exc
+                                    rappend(1)
+                                    continue
+                                # Timer resume (hop 2).
+                                cb._resume(None, None)
                             else:
-                                cb(arg)
-                                if orphans:
-                                    _process, exc = orphans.popleft()
-                                    raise exc
+                                # Event waiter resume.
+                                cb._resume(arg.value, arg._exc)
+                            if orphans:
+                                _process, exc = orphans.popleft()
+                                raise exc
                     finally:
                         dispatched += (pos - base) >> 1
                     # Timestamp fully drained: recycle the slab in place.
                     del rbuf[:]
                     pos = 0
                 elif heap:
-                    when = heap[0][0]
+                    when = heap[0]
                     if when > limit:
                         break
+                    heappop(heap)
                     self.now = when
-                    entry = heappop(heap)
-                    if not heap or heap[0][0] != when:
+                    bucket = buckets.pop(when)
+                    if len(bucket) == 2:
                         # Singleton fast path: exactly one record matures
-                        # at this timestamp.  The ready slab is empty by
-                        # the loop-top condition (this arm is reached only
-                        # once the slab is drained), so order is trivially
-                        # exact.  This is the dominant shape in open-loop
-                        # workloads (fig10 averages 1.5 records per
-                        # distinct timestamp).
-                        # Dispatch straight off the heap entry: no cohort
-                        # slab, no free-list round-trip, no drain pass.
-                        # Counters are bumped before the fire so the
-                        # finally persists exact totals if it raises.
-                        arg = entry[3]
-                        cb = entry[2]
-                        if arg.__class__ is int:
-                            dispatched += 2
-                            timer_fires += 1
-                            if cb._wait_gen == arg:
-                                cb._resume(None, None)
-                        elif arg is None:
+                        # at this timestamp, onto an empty ready slab (this
+                        # arm is reached only once the slab is drained), so
+                        # order is trivially exact.  Counters are bumped
+                        # before the fire so the finally persists exact
+                        # totals if it raises.
+                        cb, arg = bucket
+                        if arg is None:
                             dispatched += 1
                             cb()
                         else:
-                            dispatched += 1
-                            cb(arg)
+                            dispatched += 2
+                            timer_fires += 1
+                            cb._resume(None, None)
                         if orphans:
                             _process, exc = orphans.popleft()
                             raise exc
-                    else:
-                        # Collect the whole cohort at this timestamp into
-                        # a recycled stride-2 slab, in sequence (FIFO)
-                        # order.
-                        cohort = free.pop() if free else []
+                    elif None in bucket:
+                        # A mixed cohort: the two-phase pass above.
+                        cohort = bucket
                         cpos = 0
-                        arg = entry[3]
-                        cohort.append(entry[2])
-                        cohort.append(arg)
-                        pure = arg.__class__ is int
-                        while heap and heap[0][0] == when:
-                            entry = heappop(heap)
-                            arg = entry[3]
-                            cohort.append(entry[2])
-                            cohort.append(arg)
-                            if arg.__class__ is not int:
-                                pure = False
+                    else:
+                        # Fused maturation fast path: a pure-timer cohort
+                        # onto an empty ready slab.  Hop-1 requeue and
+                        # hop-2 resume collapse into a direct resume per
+                        # record -- user-visible order is unchanged (hop-1s
+                        # run no user code and all precede the first
+                        # resume), so this equals the two-phase pass record
+                        # for record.  Counters are settled per batch in
+                        # the finally: each record still accounts for both
+                        # hops.  A raise leaves the rest as ``cohort``,
+                        # which a later run matures by the two-phase pass.
+                        cohort = bucket
+                        cpos = 0
+                        n = len(bucket)
+                        try:
+                            while cpos < n:
+                                cb = bucket[cpos]
+                                cpos += 2
+                                cb._resume(None, None)
+                                if orphans:
+                                    _process, exc = orphans.popleft()
+                                    raise exc
+                        finally:
+                            matured = cpos >> 1
+                            dispatched += matured << 1
+                            timer_fires += matured
+                        cohort = None
                 else:
+                    # Drained: drop the table the dict keeps after it empties.
+                    buckets.clear()
                     break
         finally:
             self._rpos = pos

@@ -216,7 +216,7 @@ class Partition:
             return sim.now
         heap = sim._heap
         if heap:
-            return heap[0][0]
+            return heap[0]
         return None
 
     def advance(self, until_ns):

@@ -308,8 +308,6 @@ class QueuePair:
 
     # ------------------------------------------------------------- NIC side
 
-    _wait_gen = 1  # the sender: woken only while idle, one record pending at most
-
     def _resume(self, _value, _exc):
         self._stage(self)
 
@@ -434,7 +432,7 @@ class _Flight:
     """
 
     __slots__ = (
-        "qp", "wr", "ticket", "_wait_gen", "_stage", "status", "byte_len",
+        "qp", "wr", "ticket", "_stage", "status", "byte_len",
         "attempts_left", "rnr_left", "executed", "response_bytes", "payload",
         "remote_gid", "remote_node", "duplicated", "window", "recv",
     )
@@ -443,7 +441,6 @@ class _Flight:
         self.qp = qp
         self.wr = wr
         self.ticket = ticket
-        self._wait_gen = 1  # never two records pending, so none is ever cancelled
         self.status = WC_SUCCESS
         self.byte_len = 0
         self.executed = False  # remote side effects applied (exactly-once guard)

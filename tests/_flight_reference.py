@@ -60,7 +60,6 @@ class GeneratorFlight:
     """Drop-in for ``repro.verbs.qp._Flight``, driven by the generator."""
 
     __slots__ = ("qp", "wr", "ticket")
-    _wait_gen = 1
 
     def __init__(self, qp, wr, ticket):
         self.qp = qp
@@ -90,7 +89,6 @@ def _start_inline(sim, gen):
     process._send = gen.send
     process._throw = gen.throw
     process._done = Event(sim)
-    process._wait_gen = 0
     process._resume(None, None)
 
 

@@ -13,8 +13,8 @@ caller calls the object that owns a mechanism.  Two rules:
    one-underscore name that a class of *another* top-level package
    defines (a method, or an attribute it stores on ``self``).  Such a
    reader gets a public name.  A name the reader's own package defines
-   too is its own: the engine's sleeper protocol (``_resume``,
-   ``_wait_gen``) has implementations in ``verbs``.  The allow-list holds
+   too is its own: the engine's sleeper seam, ``_resume``, has
+   implementations in ``verbs``.  The allow-list holds
    two readers whose job is another layer's internals: the model
    checker's schedule controller, which replaces the engine's run loop,
    and the checker's quiescence audit of the RNIC's inbound busy-until

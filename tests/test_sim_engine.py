@@ -10,6 +10,8 @@ sleep, wait on events, trigger events, schedule bare callbacks, and spawn
 sub-processes), interprets each on both, and asserts equal traces.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -202,7 +204,6 @@ class _Scripted:
     def __init__(self, sim, tag, delays, log):
         self.sim, self.tag, self.delays, self.log = sim, tag, list(delays), log
         self.step = 0
-        self._wait_gen = 1
 
     def _resume(self, value, exc):
         assert value is None and exc is None
@@ -270,19 +271,6 @@ def test_wake_queues_behind_what_is_already_ready(sim):
     assert (sim.events_dispatched, sim.timer_fires) == (3, 0)
 
 
-@pytest.mark.parametrize("first", [0, 10])
-def test_a_sleeper_cancels_its_pending_record_by_bumping_its_wait_gen(sim, first):
-    """As a process does on every wait: the older record finds a stale
-    wait generation when it fires."""
-    log = []
-    sleeper = _Scripted(sim, "s", (), log)
-    sim.sleep(sleeper, first)
-    sleeper._wait_gen += 1
-    sim.sleep(sleeper, 30)
-    sim.run()
-    assert log == [(30, "s", 0)]
-
-
 @pytest.mark.parametrize("delay", [-1, 2.0, None])
 def test_sleep_takes_whole_non_negative_nanoseconds(sim, delay):
     with pytest.raises(SimulationError):
@@ -294,8 +282,6 @@ def test_a_sleeper_that_raises_ends_the_run_like_an_orphaned_process(sim, delay)
     after = []
 
     class Bad:
-        _wait_gen = 1
-
         def _resume(self, value, exc):
             raise ValueError("in a stage")
 
@@ -386,6 +372,156 @@ def _interpret(engine, scripts, roots):
 @given(scripts=_scripts, roots=_roots)
 def test_execution_order_matches_seed_engine(scripts, roots):
     assert _interpret(engine, scripts, roots) == _interpret(seed_engine, scripts, roots)
+
+
+def _on_both(program):
+    """``program(module, sim, trace)`` on this engine and on the seed
+    engine; returns the two traces."""
+    traces = []
+    for module in (engine, seed_engine):
+        sim = module.Simulator()
+        trace = []
+        program(module, sim, trace)
+        traces.append(trace)
+    return traces
+
+
+def test_one_timestamp_keeps_push_order_across_a_run_that_stops_short():
+    """Callbacks, process timers and timeout events pushed to t=100 before
+    a ``run(until=60)`` and after it run in push order, as on the seed."""
+
+    def program(module, sim, trace):
+        def sleeper(tag, delay):
+            yield delay
+            trace.append((sim.now, tag))
+
+        def waiter(tag, event):
+            value = yield event
+            trace.append((sim.now, tag, value))
+
+        def push(phase):
+            delay = 100 - sim.now
+            sim.schedule(delay, lambda: trace.append((sim.now, phase, "cb")))
+            sim.process(sleeper((phase, "process"), delay))
+            sim.process(waiter((phase, "timeout"), sim.timeout(delay)))
+            sim.schedule(delay, lambda: trace.append((sim.now, phase, "cb2")))
+
+        push("before")
+        sim.run(until=60)
+        trace.append(("stopped", sim.now))
+        push("after")
+        sim.run()
+        trace.append(("end", sim.now))
+
+    ours, seed = _on_both(program)
+    assert ours == seed
+    assert ("stopped", 60) in ours and len(ours) == 10
+
+
+@pytest.mark.parametrize("shape", ["mixed", "pure", "ready"])
+def test_a_raise_mid_cohort_then_a_second_run_keeps_the_seed_order(shape):
+    """A raise out of the middle of a timestamp -- a plain callback in a
+    mixed cohort, a process in a pure-timer cohort, a callback on the
+    ready slab -- and a second ``run()`` dispatch what is left in the
+    seed's order."""
+
+    def program(module, sim, trace):
+        def proc(tag, boom=False):
+            yield 10
+            trace.append((sim.now, tag))
+            if boom:
+                raise ValueError(tag)
+            yield 0
+            trace.append((sim.now, tag, "again"))
+
+        def bad():
+            trace.append((sim.now, "bad"))
+            raise ValueError("callback")
+
+        sim.process(proc("a"))
+        if shape == "mixed":
+            sim.schedule(10, lambda: trace.append((sim.now, "cb")))
+            sim.schedule(10, bad)
+        elif shape == "pure":
+            sim.process(proc("boom", boom=True))
+        else:
+            sim.schedule(10, lambda: sim.schedule(0, bad))
+        sim.process(proc("b"))
+        if shape != "pure":
+            sim.schedule(10, lambda: trace.append((sim.now, "cb last")))
+        for _ in range(2):
+            try:
+                sim.run()
+            except ValueError as err:
+                trace.append(("raised", str(err), sim.now))
+        trace.append(("end", sim.now))
+
+    ours, seed = _on_both(program)
+    assert ours == seed
+    assert sum(entry[0] == "raised" for entry in ours) == 1
+
+
+def test_all_of_and_any_of_over_timers_and_events_match_the_seed():
+    """Values, failures and resume order of ``AllOf`` / ``AnyOf`` over
+    mixed children: events fired and failed at the same instants as
+    timers, integer delays, timeout events, a joined process, children
+    that fired before the wait, and an empty ``AllOf``."""
+
+    def program(module, sim, trace):
+        events = [sim.event() for _ in range(3)]
+
+        def child(tag, delay):
+            yield delay
+            trace.append((sim.now, "child", tag))
+            return tag
+
+        def firer():
+            yield 5
+            events[0].trigger("e0")
+            yield 5
+            events[1].trigger("e1")
+            events[2].fail(KeyError("e2"))
+
+        def joiner(tag, start, make):
+            yield start
+            try:
+                value = yield make()
+            except KeyError as err:
+                value = ("failed", str(err))
+            trace.append((sim.now, tag, value))
+
+        sim.process(firer())
+        sim.process(joiner("all", 0, lambda: module.AllOf(
+            [events[0], 10, sim.process(child("c", 7)), sim.timeout(3)])))
+        sim.process(joiner("any-event", 0, lambda: module.AnyOf([events[1], 4, sim.timeout(12)])))
+        sim.process(joiner("any-first", 0, lambda: module.AnyOf([sim.timeout(5), events[0]])))
+        sim.process(joiner("all-fails", 0, lambda: module.AllOf([events[0], events[2], 20])))
+        sim.process(joiner("all-empty", 5, lambda: module.AllOf([])))
+        sim.process(joiner("all-fired", 10, lambda: module.AllOf([events[1], events[0], 0])))
+        sim.process(joiner("any-fired", 10, lambda: module.AnyOf([events[2], events[1]])))
+        sim.run()
+        trace.append(("end", sim.now))
+
+    ours, seed = _on_both(program)
+    assert ours == seed
+    assert (10, "all", ["e0", None, "c", None]) in ours
+    assert (10, "all-fails", ("failed", "'e2'")) in ours
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+def test_buckets_hold_nothing_once_the_heap_drains(controlled):
+    """A dict keeps its table after it empties, so both run loops drop
+    the buckets' table once the last future timestamp has matured."""
+    sim = Simulator()
+    if controlled:
+        ScheduleController(FifoStrategy()).attach(sim)
+    fired = []
+    for delay in range(1, 2_501):
+        sim.schedule(delay, lambda: fired.append(sim.now))
+    assert sys.getsizeof(sim._buckets) > sys.getsizeof({})
+    sim.run()
+    assert len(fired) == 2_500 and not sim._heap
+    assert sys.getsizeof(sim._buckets) == sys.getsizeof({})
 
 
 def test_events_dispatched_counter_is_exact():

@@ -291,8 +291,6 @@ def test_cq_park_wakes_a_sleeper_in_line_with_event_waiters(sim):
     log = []
 
     class Sleeper:
-        _wait_gen = 1
-
         def _resume(self, _value, _exc):
             log.append(("sleeper", sim.now))
 
