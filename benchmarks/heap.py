@@ -15,7 +15,10 @@ everything the pass built is still alive:
   average and at most, and the nodes holding the most;
 * what parks: the live ``Process`` objects and the suspended generator
   frames, by generator name (a drain loop written as a generator shows
-  here once per queue it serves).
+  here once per queue it serves);
+* what keeps VQPs alive: the live ``Vqp`` objects, by what holds them --
+  pinned by their module because their id was published, named by an
+  in-flight wr_id token, or else held by their users.
 
 The pass is untimed: tracemalloc slows it several-fold and adds its own
 bookkeeping, so nothing here is a wall-time or RSS number.  The
@@ -51,12 +54,29 @@ def _site(frame):
     return f"{path}:{frame.lineno}"
 
 
+def _vqp_holders(vqps):
+    """What keeps each live VQP alive, one name per VQP: its module's pin
+    of a published id first, then an in-flight wr_id token, else its user."""
+    pinned, tokens = set(), set()
+    for module in {vqp.module for vqp in vqps}:
+        pinned.update(map(id, module.published_vqps.values()))
+        tokens.update(id(token.vqp) for token in module.wrid_tokens.values())
+    return [
+        "pinned: id published" if id(vqp) in pinned
+        else "named by an in-flight wr_id token" if id(vqp) in tokens
+        else "held by users"
+        for vqp in vqps
+    ]
+
+
 def measured_pass(workload, seed, scale):
     """One pass; returns (snapshot and traced (current, peak) bytes at the
-    end of the measured phase, every simulated node then alive, and the
-    generator names of the live processes and of the suspended generators)."""
+    end of the measured phase, every simulated node then alive, the
+    generator names of the live processes and of the suspended generators,
+    and the holder of each live VQP)."""
     import passes
     from repro.cluster.node import Node
+    from repro.krcore.vqp import Vqp
     from repro.sim import Process
     from tally import Tally
 
@@ -79,7 +99,8 @@ def measured_pass(workload, seed, scale):
             if inspect.isgenerator(obj)
             and inspect.getgeneratorstate(obj) == inspect.GEN_SUSPENDED
         ]
-    return snapshot, traced, nodes, processes, frames
+        vqps = _vqp_holders([obj for obj in live if isinstance(obj, Vqp)])
+    return snapshot, traced, nodes, processes, frames, vqps
 
 
 def _print_counts(title, names, top):
@@ -88,7 +109,7 @@ def _print_counts(title, names, top):
         print(f"{count:>12,d}  {name}")
 
 
-def report(name, seed, scale, top, snapshot, traced, nodes, processes, frames):
+def report(name, seed, scale, top, snapshot, traced, nodes, processes, frames, vqps):
     current, peak = traced
     stats = snapshot.filter_traces(
         [tracemalloc.Filter(False, tracemalloc.__file__)]
@@ -102,6 +123,7 @@ def report(name, seed, scale, top, snapshot, traced, nodes, processes, frames):
               f"{_site(stat.traceback[0])}")
     _print_counts("live Process objects, by generator", processes, top)
     _print_counts("suspended generator frames, by generator", frames, top)
+    _print_counts("live Vqp objects, by holder", vqps, top)
     pages = sorted(((len(node.memory._pages), node.gid) for node in nodes), reverse=True)
     if not pages:
         print("\nno simulated node alive at the end of the measured phase")

@@ -41,7 +41,7 @@ Invariants
     module's ``poll_inner`` (Algorithm 2's wr_id token table), and no
     token is left undispatched at quiescence.
 ``vqp-table-accounting``
-    At quiescence no module table (by id, connected-per-target, bound
+    At quiescence no module table (by id, published pins, bound
     port, reply) still reaches a VQP that ``destroy_vqp`` dropped (a
     ``qconnect`` in flight across the destroy must fail, not re-index it).
 ``batch-exactly-once``

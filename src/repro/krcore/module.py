@@ -8,6 +8,8 @@ collaborator :class:`~repro.krcore.messaging.KernelMessaging`,
 ``module.messaging``.
 """
 
+import weakref
+
 from repro.check import hooks as _check
 from repro.cluster import timing
 from repro.degrade import CircuitBreaker, Deadline
@@ -133,10 +135,12 @@ class KrcoreModule:
             if meta_module is not None:
                 self.dc_cache.setdefault(shard.node.gid, meta_module.own_dct_meta)
 
-        # --- the VQP table; kernel control messages ---
-        self.vqps_by_id = {}
+        # --- the VQP tables; kernel control messages ---
+        #: VQP id -> live VQP, weakly; connected ones in first-connect order.
+        self.vqps_by_id = weakref.WeakValueDictionary()
+        #: VQP id -> VQP with a two-sided record: a peer may name it.
+        self.published_vqps = {}
         self._next_vqp_id = 1
-        self._connected_vqps = {}  # gid -> {Vqp: None}, in connect order
         self.messaging.serve_kernel_port()
 
         # --- background RC machinery ---
@@ -205,14 +209,6 @@ class KrcoreModule:
         self.vqps_by_id[vqp.id] = vqp
         return vqp
 
-    def register_connected_vqp(self, vqp):
-        """Index a connected VQP under its target (idempotent; a dict keeps
-        connect order, which is the order the transfer paths visit in)."""
-        index = self._connected_vqps.get(vqp.remote_gid)
-        if index is None:
-            index = self._connected_vqps[vqp.remote_gid] = {}
-        index[vqp] = None
-
     def destroy_vqp(self, vqp):
         """ibv_destroy_qp on a VQP: unlink it from every module table.
 
@@ -230,21 +226,20 @@ class KrcoreModule:
         vqp.destroyed = True
         vqp.qp = None
         del self.vqps_by_id[vqp.id]
-        index = self._connected_vqps.get(vqp.remote_gid)
-        if index is not None:
-            index.pop(vqp, None)
-            if not index:
-                del self._connected_vqps[vqp.remote_gid]
         if vqp.two_sided is not None:
+            del self.published_vqps[vqp.id]
             self.messaging.forget(vqp.two_sided)
 
     def indexed_vqps(self):
-        """Every VQP some module table still reaches (quiescence audit)."""
+        """Every VQP a table reaches: by id, pinned, bound or replying (the audit)."""
         yield from self.vqps_by_id.values()
-        for index in self._connected_vqps.values():
-            yield from index
+        yield from self.published_vqps.values()
         yield from self.messaging.bound.values()
         yield from self.messaging.reply_vqps.values()
+
+    def connected_vqps(self, gid):
+        """The live VQPs connected to ``gid``, in connect order (a snapshot)."""
+        return [vqp for vqp in self.vqps_by_id.values() if vqp.remote_gid == gid]
 
     # ------------------------------------------------------------- MR handling
 
@@ -639,7 +634,7 @@ class KrcoreModule:
         transparently transfer this CPU's VQPs onto it."""
         try:
             qp = yield from self.establish_rc(gid, pool)
-            for vqp in list(self._connected_vqps.get(gid, ())):
+            for vqp in self.connected_vqps(gid):
                 if vqp.cpu_id == pool.cpu_id and vqp.qp is not qp:
                     yield from vqp.transfer_to(qp)
         finally:
@@ -648,7 +643,7 @@ class KrcoreModule:
     def _retire_rc(self, gid, qp, pool):
         """Process: an LRU-evicted RCQP moves its VQPs back onto DC, then
         leaves the RNIC."""
-        for vqp in list(self._connected_vqps.get(gid, ())):
+        for vqp in self.connected_vqps(gid):
             if vqp.qp is qp:
                 meta = yield from self._dct_meta_for(pool.cpu_id, gid)
                 yield from vqp.transfer_to(pool.select_dc(), new_dct_meta=meta)

@@ -62,9 +62,9 @@ class CompletionEntry:
 
 class TwoSided:
     """A VQP's two-sided messaging state (§4.4-4.5), built on its first
-    two-sided use: a receive posted, a port bound, a peering made or a
-    message routed to it.  A VQP that only ever posts one-sided verbs never
-    has one.  Its queues, like ``Vqp.comp_queue``, are the shared ``()``
+    two-sided use: a SEND or a receive posted, a port bound, a peering made
+    or a message routed to it.  A VQP that only ever posts one-sided verbs
+    never has one.  Its queues, like ``Vqp.comp_queue``, are the shared ``()``
     until their first append (:meth:`Vqp.enqueue`), a list after."""
 
     __slots__ = (
@@ -90,12 +90,16 @@ class Vqp:
     completion queue (the shared ``()`` until its first append, a list
     after), the physical QP and the target.  What two-sided messaging needs
     lives in one :class:`TwoSided` record, ``two_sided``, None until used.
+    Building it -- a SEND builds it too -- publishes the VQP's id, and the
+    module pins the VQP until ``destroy_vqp``; otherwise reference counting
+    frees it once its user, in-flight wr_id tokens and ports drop it, like a
+    file descriptor (DESIGN.md §16 "VQP lifetime").
     """
 
     __slots__ = (
         "module", "id", "cpu_id", "comp_queue", "qp", "dct_meta",
-        "remote_gid", "remote_port", "destroyed", "stats_posted",
-        "two_sided", "_transfer_waiters",
+        "remote_gid", "remote_port", "destroyed", "two_sided",
+        "_transfer_waiters", "__weakref__",
     )
 
     def __init__(self, module, cpu_id, vqp_id):
@@ -109,17 +113,17 @@ class Vqp:
         self.remote_gid = None
         self.remote_port = None
         self.destroyed = False
-        self.stats_posted = 0
         self.two_sided = None
         #: None, or -- while a QP transfer runs -- the events of the posts
         #: it holds back (nothing may follow the fence on the old QP).
         self._transfer_waiters = None
 
     def ensure_two_sided(self):
-        """The :class:`TwoSided` record, built on first use."""
+        """The :class:`TwoSided` record, built (and the VQP pinned) on first use."""
         state = self.two_sided
         if state is None:
             state = self.two_sided = TwoSided()
+            self.module.published_vqps[self.id] = self
         return state
 
     def enqueue(self, queue_name, item):
@@ -190,9 +194,11 @@ class Vqp:
         if self.destroyed:  # before the call, or while it waited on the meta plane
             self.qp = None
             raise KrcoreError(f"VQP {self.id} was destroyed")
+        if self.remote_gid is None:  # first connect: to the id table's end
+            table = module.vqps_by_id.data
+            table[self.id] = table.pop(self.id)
         self.remote_gid = gid
         self.remote_port = port
-        module.register_connected_vqp(self)
         return self
 
     def _fetch_dct_meta(self, gid, pool, deadline=None):
@@ -405,7 +411,6 @@ class Vqp:
                 f"physical QP unavailable ({err}); retry after repair",
                 code=getattr(err, "code", None) or WC_RETRY_EXC_ERR,
             ) from err
-        self.stats_posted += len(phys)
         module.note_traffic(self.remote_gid, self.cpu_id, len(phys))
 
     def _prepare_send(self, pwr):
@@ -413,8 +418,7 @@ class Vqp:
         for payloads the kernel buffers cannot (or should not) carry."""
         module = self.module
         messaging = module.messaging
-        state = self.two_sided
-        peer = None if state is None else state.peer
+        peer = self.ensure_two_sided().peer  # the header publishes the id
         header = {
             "dst_port": self.remote_port,
             "dst_vqp": peer[1] if peer else None,

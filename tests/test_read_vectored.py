@@ -143,11 +143,11 @@ def test_krcore_read_vectored_rejects_oversized_gather_list():
         raddr = worker.memory.alloc(64)
         rmr = yield from modules[2].reg_mr(raddr, 64)
         sges = [(raddr, rmr.rkey, 64)] * (timing.MAX_VECTORED_SGES + 1)
-        posted_before = vqp.stats_posted
         with pytest.raises(KrcoreError) as err:
             yield from lib.read_vectored_sync(vqp, laddr, lmr.lkey, sges)
         # The cap is enforced before anything reaches the physical QP.
-        assert vqp.stats_posted == posted_before
+        assert vqp.comp_queue == ()
+        assert not any(token.vqp is vqp for token in modules[1].wrid_tokens.values())
         return err.value.code
 
     code = sim.run_process(drive())
