@@ -22,7 +22,12 @@ corpus replay.  The rest of tier-1 is the *unit* run.  The report lists
 the modules of ``src/repro`` that define functions and none of whose
 functions a system run entered: a feature only its own unit tests reach.
 Each must be in ``UNIT_ONLY`` with the reason it stays, and each entry
-there must still be such a module.
+there must still be such a module.  Last come the leads, a report with
+no gate: the functions a unit run entered and no system run did, in the
+modules a system run enters -- a dead feature inside a live module, which
+the module gate misses.  The observatory's workloads are not a hit-map
+run, so what only they enter (``RaceClient.put``, LITE's ``write``,
+``cas`` and ``fetch_add``) is listed there too.
 
 A statement is what ``ast`` calls one, docstrings excepted; it counts as
 executed when a line of its own (for a compound statement, its header)
@@ -222,8 +227,8 @@ def _ranges(numbers):
 
 
 def report(merged, package, unit_only):
-    """Print the per-file map, the totals and the modules only unit runs
-    enter; return ``(executed percent, gate failures)``.
+    """Print the per-file map, the totals, the modules only unit runs
+    enter and the leads; return ``(executed percent, gate failures)``.
 
     ``merged`` is what :func:`merge` returns, ``package`` the directory of
     ``repro`` and ``unit_only`` a ``UNIT_ONLY``-shaped dict.
@@ -238,14 +243,20 @@ def report(merged, package, unit_only):
     system = merged.get("system", {})
     totals = [0, 0, 0, 0]
     unreached = []
+    leads = []
     for path in sorted(package.rglob("*.py")):
         source = path.read_text()
         statements, missed, functions, never = file_report(
             source, *union.get(str(path), empty))
         for i, value in enumerate((statements, len(missed), functions, len(never))):
             totals[i] += value
-        if functions and len(file_report(source, *system.get(str(path), empty))[3]) == functions:
-            unreached.append(path.relative_to(package).as_posix())
+        module = path.relative_to(package).as_posix()
+        system_never = file_report(source, *system.get(str(path), empty))[3]
+        if functions and len(system_never) == functions:
+            unreached.append(module)
+        else:
+            leads += [(module, line, name) for line, name in system_never
+                      if (line, name) not in never]
         if missed or never:
             relative = path.relative_to(package.parents[1]).as_posix()
             print(f"{relative}: {statements - len(missed)}/{statements} statements")
@@ -260,6 +271,10 @@ def report(merged, package, unit_only):
     print("Modules only unit runs enter:")
     for module in unreached:
         print(f"  {module}: {unit_only.get(module, 'no reason in UNIT_ONLY')}")
+    print("Leads -- functions only unit runs enter, in modules a system run enters "
+          "(the observatory is not a hit-map run):")
+    for module, line, name in leads:
+        print(f"  {module}: {name} (line {line})")
     failures = [f"{module}: only unit runs enter it; delete it, or say in UNIT_ONLY why "
                 "it stays" for module in unreached if module not in unit_only]
     for module in unit_only:

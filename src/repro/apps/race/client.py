@@ -4,12 +4,12 @@ from repro.apps.race.hashing import (
     BUCKET_BYTES,
     PROBE_WINDOW,
     RaceError,
-    SLOTS_PER_BUCKET,
     SLOT_BYTES,
     block_bytes,
     fingerprint,
     pack_block,
     pack_slot,
+    scan_bucket,
     unpack_block,
     unpack_slot,
 )
@@ -59,106 +59,92 @@ class RaceClient:
     def _catalog_for(self, spread):
         return self.catalogs[(spread >> 20) % len(self.catalogs)]
 
+    # ------------------------------------------------------------------ scan
+
+    def _find(self, catalog, fp12, key, home):
+        """Process: scan ``key``'s whole probe window -- a delete leaves
+        holes, so no empty slot ends a chain.  Returns ``(slot_addr, word,
+        value)`` of the slot holding ``key``, else ``(None, first empty
+        slot or None, None)``."""
+        backend = self.backend
+        memory = self.node.memory
+        lkey = self.scratch_lkey
+        bucket_scratch = self.scratch_addr + _SCRATCH_BUCKET
+        block_scratch = self.scratch_addr + _SCRATCH_BLOCK
+        empty_at = None
+        for probe in range(PROBE_WINDOW):
+            bucket_addr = catalog.bucket_addr(home + probe)
+            yield from backend.read(
+                catalog.gid, bucket_scratch, lkey, bucket_addr, catalog.rkey, BUCKET_BYTES
+            )
+            matches, empty = scan_bucket(memory.read(bucket_scratch, BUCKET_BYTES), fp12)
+            for index, word in matches:
+                _, klen, vlen, offset = unpack_slot(word)
+                length = 2 + klen + vlen
+                yield from backend.read(
+                    catalog.gid, block_scratch, lkey,
+                    catalog.heap_base + offset, catalog.rkey, length,
+                )
+                stored_key, value = unpack_block(memory.read(block_scratch, length), klen, vlen)
+                if stored_key == key:
+                    return bucket_addr + index * SLOT_BYTES, word, value
+            if empty_at is None and empty is not None:
+                empty_at = bucket_addr + empty * SLOT_BYTES
+        return None, empty_at, None
+
     # ------------------------------------------------------------------- GET
 
     def get(self, key):
         """Process: fetch ``key``'s value (bytes) or None."""
         fp12, spread = fingerprint(key)
         catalog = self._catalog_for(spread)
-        home = spread % catalog.num_buckets
-        scratch = self.scratch_addr
-        for probe in range(PROBE_WINDOW):
-            bucket_addr = catalog.bucket_addr(home + probe)
-            yield from self.backend.read(
-                catalog.gid, scratch + _SCRATCH_BUCKET, self.scratch_lkey,
-                bucket_addr, catalog.rkey, BUCKET_BYTES,
-            )
-            bucket = self.node.memory.read(scratch + _SCRATCH_BUCKET, BUCKET_BYTES)
-            for slot_index in range(SLOTS_PER_BUCKET):
-                word = int.from_bytes(
-                    bucket[slot_index * SLOT_BYTES : (slot_index + 1) * SLOT_BYTES], "big"
-                )
-                if word == 0:
-                    continue
-                fp, klen, vlen, offset = unpack_slot(word)
-                if fp != fp12:
-                    continue
-                length = 2 + klen + vlen
-                yield from self.backend.read(
-                    catalog.gid, scratch + _SCRATCH_BLOCK, self.scratch_lkey,
-                    catalog.heap_base + offset, catalog.rkey, length,
-                )
-                block = self.node.memory.read(scratch + _SCRATCH_BLOCK, length)
-                stored_key, stored_value = unpack_block(block, klen, vlen)
-                if stored_key == key:
-                    return stored_value
-        return None
+        found = yield from self._find(catalog, fp12, key, spread % catalog.num_buckets)
+        return found[2]
 
     def get_batch(self, keys):
         """Process: doorbell-batched GETs -- one READ round for all the
-        buckets, then one for all the candidate blocks (the RDMA-aware
-        optimization that gives KRCORE its Fig 16 edge over LITE)."""
+        home buckets, then one for each key's first candidate block (the
+        RDMA-aware optimization that gives KRCORE its Fig 16 edge over
+        LITE).  A key the two rounds leave unresolved -- a miss, a key
+        past its home bucket, a fingerprint twin -- goes through the scan."""
         if len(keys) > self.max_batch:
             raise RaceError(f"batch of {len(keys)} exceeds max_batch={self.max_batch}")
         plans = []
+        requests = []
         for index, key in enumerate(keys):
             fp12, spread = fingerprint(key)
             catalog = self._catalog_for(spread)
-            plans.append((key, fp12, catalog, spread % catalog.num_buckets))
+            home = spread % catalog.num_buckets
+            slice_addr = self._batch_base + index * _BATCH_SLICE
+            plans.append((key, fp12, catalog, home, slice_addr))
+            requests.append((catalog.gid, slice_addr, self.scratch_lkey,
+                             catalog.bucket_addr(home), catalog.rkey, BUCKET_BYTES))
         # Round 1: every home bucket.
-        base = self._batch_base
-        requests = []
-        for index, (key, fp12, catalog, home) in enumerate(plans):
-            requests.append(
-                (
-                    catalog.gid,
-                    base + index * _BATCH_SLICE,
-                    self.scratch_lkey,
-                    catalog.bucket_addr(home),
-                    catalog.rkey,
-                    BUCKET_BYTES,
-                )
-            )
         yield from self._read_batch(requests)
-        # Round 2: the matching blocks.
-        block_requests = []
-        pending = []
-        for index, (key, fp12, catalog, home) in enumerate(plans):
-            slice_addr = base + index * _BATCH_SLICE
-            bucket = self.node.memory.read(slice_addr, BUCKET_BYTES)
-            hit = None
-            for slot_index in range(SLOTS_PER_BUCKET):
-                word = int.from_bytes(
-                    bucket[slot_index * SLOT_BYTES : (slot_index + 1) * SLOT_BYTES], "big"
-                )
-                if word == 0:
-                    continue
-                fp, klen, vlen, offset = unpack_slot(word)
-                if fp == fp12:
-                    hit = (klen, vlen, offset)
-                    break
-            if hit is None:
-                pending.append((key, None, None))
+        # Round 2: each key's first fingerprint match.
+        requests = []
+        candidates = []
+        for key, fp12, catalog, home, slice_addr in plans:
+            matches, _ = scan_bucket(self.node.memory.read(slice_addr, BUCKET_BYTES), fp12)
+            if not matches:
                 continue
-            klen, vlen, offset = hit
-            length = 2 + klen + vlen
+            _, klen, vlen, offset = unpack_slot(matches[0][1])
             block_addr = slice_addr + BUCKET_BYTES
-            block_requests.append(
-                (catalog.gid, block_addr, self.scratch_lkey,
-                 catalog.heap_base + offset, catalog.rkey, length)
-            )
-            pending.append((key, block_addr, (klen, vlen)))
-        if block_requests:
-            yield from self._read_batch(block_requests)
+            requests.append((catalog.gid, block_addr, self.scratch_lkey,
+                             catalog.heap_base + offset, catalog.rkey, 2 + klen + vlen))
+            candidates.append((key, block_addr, klen, vlen))
+        if requests:
+            yield from self._read_batch(requests)
         results = {}
-        for key, block_addr, shape in pending:
-            if block_addr is None:
-                results[key] = None
-                continue
-            klen, vlen = shape
+        for key, block_addr, klen, vlen in candidates:
             block = self.node.memory.read(block_addr, 2 + klen + vlen)
             stored_key, stored_value = unpack_block(block, klen, vlen)
-            results[key] = stored_value if stored_key == key else None
+            if stored_key == key:
+                results[key] = stored_value
+        for key, fp12, catalog, home, _ in plans:
+            if key not in results:
+                found = yield from self._find(catalog, fp12, key, home)
+                results[key] = found[2]
         return results
 
     def _read_batch(self, requests):
@@ -169,7 +155,8 @@ class RaceClient:
     # ------------------------------------------------------------------- PUT
 
     def put(self, key, value):
-        """Process: insert/update via remote alloc + WRITE + slot CAS."""
+        """Process: insert/update via remote alloc + WRITE + slot CAS into
+        the key's own slot, else the first hole of its window."""
         fp12, spread = fingerprint(key)
         catalog = self._catalog_for(spread)
         scratch = self.scratch_addr
@@ -189,107 +176,34 @@ class RaceClient:
             catalog.heap_base + offset, catalog.rkey, size,
         )
         new_slot = pack_slot(fp12, len(key), len(value), offset)
-        # 3. Install the slot with CAS (update in place if the key exists).
+        # 3. Install the slot with CAS; a lost CAS re-scans.
         home = spread % catalog.num_buckets
         for _ in range(_MAX_RETRIES):
-            installed = yield from self._try_install(catalog, fp12, key, home, new_slot)
-            if installed:
+            slot_addr, word, _ = yield from self._find(catalog, fp12, key, home)
+            if slot_addr is None:
+                if word is None:
+                    raise RaceError(f"no free slot within {PROBE_WINDOW} buckets")
+                slot_addr, word = word, 0
+            won = yield from self._cas_slot(catalog, slot_addr, word, new_slot)
+            if won:
                 return
         raise RaceError(f"slot CAS kept failing for {key!r}")
-
-    def _try_install(self, catalog, fp12, key, home, new_slot):
-        scratch = self.scratch_addr
-        for probe in range(PROBE_WINDOW):
-            bucket_addr = catalog.bucket_addr(home + probe)
-            yield from self.backend.read(
-                catalog.gid, scratch + _SCRATCH_BUCKET, self.scratch_lkey,
-                bucket_addr, catalog.rkey, BUCKET_BYTES,
-            )
-            bucket = self.node.memory.read(scratch + _SCRATCH_BUCKET, BUCKET_BYTES)
-            empty_at = None
-            for slot_index in range(SLOTS_PER_BUCKET):
-                word = int.from_bytes(
-                    bucket[slot_index * SLOT_BYTES : (slot_index + 1) * SLOT_BYTES], "big"
-                )
-                if word == 0:
-                    if empty_at is None:
-                        empty_at = (bucket_addr + slot_index * SLOT_BYTES, 0)
-                    continue
-                fp, klen, vlen, offset = unpack_slot(word)
-                if fp != fp12:
-                    continue
-                length = 2 + klen + vlen
-                yield from self.backend.read(
-                    catalog.gid, scratch + _SCRATCH_BLOCK, self.scratch_lkey,
-                    catalog.heap_base + offset, catalog.rkey, length,
-                )
-                block = self.node.memory.read(scratch + _SCRATCH_BLOCK, length)
-                stored_key, _ = unpack_block(block, klen, vlen)
-                if stored_key == key:
-                    # Update in place: CAS old slot word -> new.
-                    won = yield from self._cas_slot(
-                        catalog, bucket_addr + slot_index * SLOT_BYTES, word, new_slot
-                    )
-                    return won
-            if empty_at is not None:
-                slot_addr, expected = empty_at
-                won = yield from self._cas_slot(catalog, slot_addr, expected, new_slot)
-                if won:
-                    return True
-                return False  # lost the race: re-read and retry
-        raise RaceError(f"no free slot within {PROBE_WINDOW} buckets")
 
     # ---------------------------------------------------------------- DELETE
 
     def delete(self, key):
-        """Process: remove ``key`` by CAS-ing its slot to zero.
-
-        Safe with linear probing because lookups always scan the full
-        probe window (they never early-stop on an empty slot).  Returns
-        True if the key was present.
-        """
+        """Process: remove ``key`` by CAS-ing its slot to zero; a lost CAS
+        re-scans.  Returns True if the key was present."""
         fp12, spread = fingerprint(key)
         catalog = self._catalog_for(spread)
-        scratch = self.scratch_addr
         home = spread % catalog.num_buckets
         for _ in range(_MAX_RETRIES):
-            for probe in range(PROBE_WINDOW):
-                bucket_addr = catalog.bucket_addr(home + probe)
-                yield from self.backend.read(
-                    catalog.gid, scratch + _SCRATCH_BUCKET, self.scratch_lkey,
-                    bucket_addr, catalog.rkey, BUCKET_BYTES,
-                )
-                bucket = self.node.memory.read(scratch + _SCRATCH_BUCKET, BUCKET_BYTES)
-                for slot_index in range(SLOTS_PER_BUCKET):
-                    word = int.from_bytes(
-                        bucket[slot_index * SLOT_BYTES : (slot_index + 1) * SLOT_BYTES],
-                        "big",
-                    )
-                    if word == 0:
-                        continue
-                    fp, klen, vlen, offset = unpack_slot(word)
-                    if fp != fp12:
-                        continue
-                    length = 2 + klen + vlen
-                    yield from self.backend.read(
-                        catalog.gid, scratch + _SCRATCH_BLOCK, self.scratch_lkey,
-                        catalog.heap_base + offset, catalog.rkey, length,
-                    )
-                    block = self.node.memory.read(scratch + _SCRATCH_BLOCK, length)
-                    stored_key, _ = unpack_block(block, klen, vlen)
-                    if stored_key != key:
-                        continue
-                    won = yield from self._cas_slot(
-                        catalog, bucket_addr + slot_index * SLOT_BYTES, word, 0
-                    )
-                    if won:
-                        return True
-                    break  # slot changed under us: retry the whole scan
-                else:
-                    continue
-                break
-            else:
-                return False  # full window scanned, key absent
+            slot_addr, word, _ = yield from self._find(catalog, fp12, key, home)
+            if slot_addr is None:
+                return False
+            won = yield from self._cas_slot(catalog, slot_addr, word, 0)
+            if won:
+                return True
         raise RaceError(f"delete kept losing CAS races for {key!r}")
 
     def _cas_slot(self, catalog, slot_addr, expected, new_slot):

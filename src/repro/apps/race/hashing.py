@@ -25,6 +25,8 @@ SLOTS_PER_BUCKET = BUCKET_BYTES // SLOT_BYTES
 PROBE_WINDOW = 4
 
 _BLOCK_HDR = struct.Struct(">H")
+_BUCKET_WORDS = struct.Struct(f">{SLOTS_PER_BUCKET}Q")
+_EMPTY_WINDOW = bytes(BUCKET_BYTES * PROBE_WINDOW)
 
 MAX_KLEN = (1 << 8) - 1
 MAX_VLEN = (1 << 12) - 1
@@ -75,6 +77,23 @@ def block_bytes(key, value):
     return _BLOCK_HDR.size + len(key) + len(value)
 
 
+def scan_bucket(bucket, fp12):
+    """Decode a 64 B bucket image for ``fp12``: ``(matches, empty)``, the
+    ``(slot index, word)`` of every slot whose fingerprint is ``fp12`` in
+    slot order, and the index of the first empty slot (None if full)."""
+    words = _BUCKET_WORDS.unpack(bucket)
+    matches = []
+    empty = None
+    for index in range(SLOTS_PER_BUCKET):
+        word = words[index]
+        if word == 0:
+            if empty is None:
+                empty = index
+        elif word >> 52 == fp12:
+            matches.append((index, word))
+    return matches, empty
+
+
 class Catalog:
     """Everything a computing node needs to drive one storage node."""
 
@@ -103,20 +122,10 @@ class RaceStorage:
         self.num_buckets = num_buckets
         self.heap_bytes = heap_bytes
         total = META_BYTES + num_buckets * BUCKET_BYTES + heap_bytes
-        self.base = node.memory.alloc(total)
+        self.base = self.alloc_addr = node.memory.alloc(total)
+        self.bucket_base = self.base + META_BYTES
+        self.heap_base = self.bucket_base + num_buckets * BUCKET_BYTES
         self.region = node.memory.register(self.base, total) if register else None
-
-    @property
-    def alloc_addr(self):
-        return self.base
-
-    @property
-    def bucket_base(self):
-        return self.base + META_BYTES
-
-    @property
-    def heap_base(self):
-        return self.bucket_base + self.num_buckets * BUCKET_BYTES
 
     def catalog(self, rkey=None):
         return Catalog(
@@ -132,48 +141,55 @@ class RaceStorage:
     # -- local (load-phase / test) helpers -------------------------------------
 
     def load(self, key, value):
-        """Insert locally, without the network (the bulk load phase)."""
+        """Insert or update locally, without the network (the bulk load
+        phase): the key's own slot if it has one, else the first hole."""
         fp12, spread = fingerprint(key)
         offset = self._alloc_local(block_bytes(key, value))
         self.node.memory.write(self.heap_base + offset, pack_block(key, value))
         new_slot = pack_slot(fp12, len(key), len(value), offset)
-        home = spread % self.num_buckets
-        for probe in range(PROBE_WINDOW):
-            bucket = (home + probe) % self.num_buckets
-            for slot_index in range(SLOTS_PER_BUCKET):
-                addr = self.bucket_base + bucket * BUCKET_BYTES + slot_index * SLOT_BYTES
-                word = int.from_bytes(self.node.memory.read(addr, 8), "big")
-                if word == 0:
-                    self.node.memory.write(addr, new_slot.to_bytes(8, "big"))
-                    return
-                fp, klen, vlen, off = unpack_slot(word)
-                if fp == fp12:
-                    block = self.node.memory.read(self.heap_base + off, block_bytes(b"x" * klen, b"y" * vlen))
-                    stored_key, _ = unpack_block(block, klen, vlen)
-                    if stored_key == key:
-                        self.node.memory.write(addr, new_slot.to_bytes(8, "big"))
-                        return
-        raise RaceError(f"no free slot within {PROBE_WINDOW} buckets")
+        slot_addr, empty_at, _ = self._find_local(fp12, key, spread % self.num_buckets)
+        if slot_addr is None:
+            if empty_at is None:
+                raise RaceError(f"no free slot within {PROBE_WINDOW} buckets")
+            slot_addr = empty_at
+        self.node.memory.write(slot_addr, new_slot.to_bytes(8, "big"))
 
     def get_local(self, key):
         """Local lookup (tests); returns value bytes or None."""
         fp12, spread = fingerprint(key)
-        home = spread % self.num_buckets
+        return self._find_local(fp12, key, spread % self.num_buckets)[2]
+
+    def _find_local(self, fp12, key, home):
+        """``RaceClient._find`` over local memory: ``(slot_addr, word,
+        value)`` of the slot holding ``key``, else ``(None, first empty
+        slot or None, None)``."""
+        # The bulk load meets mostly empty windows (its cost is the set-up
+        # time of every RACE run): one read of the window, and no decode
+        # when it is all holes.
+        memory = self.node.memory
+        if home + PROBE_WINDOW <= self.num_buckets:
+            window = memory.read(self.bucket_base + home * BUCKET_BYTES, PROBE_WINDOW * BUCKET_BYTES)
+        else:
+            window = b"".join(memory.read(self._bucket_addr(home + probe), BUCKET_BYTES)
+                              for probe in range(PROBE_WINDOW))
+        if window == _EMPTY_WINDOW:
+            return None, self.bucket_base + home * BUCKET_BYTES, None
+        empty_at = None
         for probe in range(PROBE_WINDOW):
-            bucket = (home + probe) % self.num_buckets
-            for slot_index in range(SLOTS_PER_BUCKET):
-                addr = self.bucket_base + bucket * BUCKET_BYTES + slot_index * SLOT_BYTES
-                word = int.from_bytes(self.node.memory.read(addr, 8), "big")
-                if word == 0:
-                    continue
-                fp, klen, vlen, off = unpack_slot(word)
-                if fp != fp12:
-                    continue
-                block = self.node.memory.read(self.heap_base + off, _BLOCK_HDR.size + klen + vlen)
-                stored_key, stored_value = unpack_block(block, klen, vlen)
+            bucket = window[probe * BUCKET_BYTES : (probe + 1) * BUCKET_BYTES]
+            matches, empty = scan_bucket(bucket, fp12)
+            for index, word in matches:
+                _, klen, vlen, offset = unpack_slot(word)
+                block = memory.read(self.heap_base + offset, _BLOCK_HDR.size + klen + vlen)
+                stored_key, value = unpack_block(block, klen, vlen)
                 if stored_key == key:
-                    return stored_value
-        return None
+                    return self._bucket_addr(home + probe) + index * SLOT_BYTES, word, value
+            if empty_at is None and empty is not None:
+                empty_at = self._bucket_addr(home + probe) + empty * SLOT_BYTES
+        return None, empty_at, None
+
+    def _bucket_addr(self, index):
+        return self.bucket_base + (index % self.num_buckets) * BUCKET_BYTES
 
     def _alloc_local(self, nbytes):
         cursor = int.from_bytes(self.node.memory.read(self.alloc_addr, 8), "big")

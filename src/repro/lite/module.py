@@ -5,45 +5,18 @@ from repro.verbs import (
     CompletionQueue,
     ConnectionManager,
     DriverContext,
-    RecvBuffer,
     WorkRequest,
 )
 from repro.verbs.connection import rc_connect
 from repro.verbs.errors import VerbsError
-from repro.verbs.types import OP_FETCH_ADD, OP_RECV, QPT_RC
+from repro.verbs.types import OP_FETCH_ADD, QPT_RC
 
 #: The well-known port LITE modules accept each other's connections on.
 LITE_PORT = 9
 
-#: Kernel RPC message buffers per module, and the bytes of each.
-RPC_BUFFERS = 64
-RPC_BUF_BYTES = 4096
-
 
 class LiteError(VerbsError):
     """A LITE operation failed (remote error, wrecked QP, ...)."""
-
-
-class _RpcDispatcher:
-    """One QP's RPC message dispatcher, a sleeper (DESIGN.md §11): it
-    stocks the QP's receive side, then from its start record on each wake
-    polls the receive CQ dry, one handler process a message, and parks."""
-
-    __slots__ = ("module", "qp")
-
-    def __init__(self, module, qp):
-        self.module, self.qp = module, qp
-        for _ in range(16):
-            module._post_rpc_buffer(qp)
-        module.sim.wake(self)
-
-    def _resume(self, _value, _exc):
-        cq = self.qp.recv_cq
-        while completions := cq.poll(8):
-            for completion in completions:
-                if completion.opcode is OP_RECV:
-                    self.module.sim.process(self.module._handle_rpc_message(self.qp, completion))
-        cq.park(self)
 
 
 class LiteModule:
@@ -64,14 +37,6 @@ class LiteModule:
         #: gid -> in-progress connection event, to dedupe concurrent misses.
         self._connecting = {}
         self.stats_cache_misses = 0
-        #: Registered RPC handler: fn(request_bytes) -> response_bytes.
-        self._rpc_handler = None
-        base = node.memory.alloc(RPC_BUFFERS * RPC_BUF_BYTES)
-        self._rpc_region = node.memory.register(base, RPC_BUFFERS * RPC_BUF_BYTES)
-        self._rpc_free = list(range(RPC_BUFFERS))
-        self._rpc_base = base
-        self._reply_events = {}
-        self._next_rpc_id = 1
         node.services[self.SERVICE] = self
         manager = node.services.get(ConnectionManager.SERVICE)
         if manager is None:
@@ -85,91 +50,7 @@ class LiteModule:
         # services), then keep the QP so traffic back to the client
         # reuses it.
         qp.send_cq = CompletionQueue(self.sim)
-        qp.recv_cq = CompletionQueue(self.sim)
-        _RpcDispatcher(self, qp)
         self.pool.setdefault(client_gid, qp)
-
-    # --------------------------------------------------------------- LITE RPC
-
-    def rpc_register(self, handler):
-        """Register the node's RPC handler: fn(request_bytes) -> bytes."""
-        self._rpc_handler = handler
-
-    def _post_rpc_buffer(self, qp):
-        if not self._rpc_free:
-            return
-        slot = self._rpc_free.pop()
-        qp.post_recv(
-            RecvBuffer(
-                self._rpc_base + slot * RPC_BUF_BYTES,
-                RPC_BUF_BYTES,
-                self._rpc_region.lkey,
-                wr_id=slot,
-            )
-        )
-
-    def _handle_rpc_message(self, qp, completion):
-        header = completion.header or {}
-        slot = completion.wr_id
-        payload = self.node.memory.read(
-            self._rpc_base + slot * RPC_BUF_BYTES, completion.byte_len
-        )
-        self._rpc_free.append(slot)
-        self._post_rpc_buffer(qp)
-        kind = header.get("lite")
-        if kind == "reply":
-            event = self._reply_events.pop(header["rpc_id"], None)
-            if event is not None and not event.triggered:
-                event.trigger(payload)
-            yield 0
-            return
-        if kind != "request":
-            yield 0
-            return
-        if self._rpc_handler is None:
-            raise LiteError(f"{self.node.gid}: RPC request but no handler registered")
-        yield timing.TWO_SIDED_SERVER_CPU_NS  # handler thread cost
-        response = self._rpc_handler(payload)
-        yield from self._send_message(
-            qp, response, {"lite": "reply", "rpc_id": header["rpc_id"]}
-        )
-
-    def _send_message(self, qp, payload, header):
-        if len(payload) > RPC_BUF_BYTES:
-            raise LiteError(
-                f"LITE RPC message of {len(payload)}B exceeds the "
-                f"{RPC_BUF_BYTES}B buffers"
-            )
-        if not self._rpc_free:
-            raise LiteError("out of LITE RPC buffers")
-        slot = self._rpc_free.pop()
-        addr = self._rpc_base + slot * RPC_BUF_BYTES
-        self.node.memory.write(addr, payload)
-        yield timing.POST_SEND_CPU_NS
-        qp.post_send(
-            WorkRequest.send(addr, len(payload), self._rpc_region.lkey, header=header)
-        )
-        completions = yield from qp.send_cq.wait_poll()
-        if not completions[0].ok:
-            raise LiteError(
-                f"RPC send failed: {completions[0].status}",
-                code=completions[0].status,
-            )
-        self._rpc_free.append(slot)
-
-    def rpc_call(self, gid, request):
-        """Process: LITE's synchronous RPC -- send ``request`` bytes to the
-        remote node's registered handler, return its response bytes."""
-        yield timing.SYSCALL_NS
-        qp = yield from self.ensure_qp(gid)
-        rpc_id = (self.node.gid, self._next_rpc_id)
-        self._next_rpc_id += 1
-        event = self.sim.event()
-        self._reply_events[rpc_id] = event
-        yield from self._send_message(qp, request, {"lite": "request", "rpc_id": rpc_id})
-        response = yield event
-        yield timing.POLL_CQ_CPU_NS
-        return response
 
     def ensure_qp(self, gid):
         """Process: return the cached QP for ``gid``, connecting on a miss.
@@ -190,9 +71,6 @@ class LiteModule:
         try:
             cq = CompletionQueue(self.sim)
             qp = yield from rc_connect(self.context, cq, gid, port=LITE_PORT)
-            # Separate receive CQ + dispatcher so RPC replies can land.
-            qp.recv_cq = CompletionQueue(self.sim)
-            _RpcDispatcher(self, qp)
             self.pool[gid] = qp
         finally:
             del self._connecting[gid]
@@ -206,20 +84,14 @@ class LiteModule:
         """
         local_cq = CompletionQueue(self.sim)
         remote_cq = CompletionQueue(remote_module.sim)
-        local_qp = self.context.create_qp_fast(
-            QPT_RC, local_cq, recv_cq=CompletionQueue(self.sim)
-        )
-        remote_qp = remote_module.context.create_qp_fast(
-            QPT_RC, remote_cq, recv_cq=CompletionQueue(remote_module.sim)
-        )
+        local_qp = self.context.create_qp_fast(QPT_RC, local_cq)
+        remote_qp = remote_module.context.create_qp_fast(QPT_RC, remote_cq)
         local_qp.to_init()
         local_qp.to_rtr((remote_module.node.gid, remote_qp.qpn))
         local_qp.to_rts()
         remote_qp.to_init()
         remote_qp.to_rtr((self.node.gid, local_qp.qpn))
         remote_qp.to_rts()
-        _RpcDispatcher(self, local_qp)
-        _RpcDispatcher(remote_module, remote_qp)
         self.pool[remote_module.node.gid] = local_qp
         remote_module.pool[self.node.gid] = remote_qp
 

@@ -3,7 +3,9 @@
 ``make hitmap`` fails on a module of ``src/repro`` that only unit runs
 enter unless ``UNIT_ONLY`` says why it stays, and on a ``UNIT_ONLY``
 entry that a system run enters or that names no module, so the
-allow-list cannot rot.  These tests drive ``report`` with merged hit maps
+allow-list cannot rot.  After the gate it lists, as leads with no gate,
+the functions only unit runs enter inside modules a system run enters.
+These tests drive ``report`` with merged hit maps
 built by hand over a two-module package; nothing runs under the tracer.
 """
 
@@ -77,3 +79,16 @@ def test_a_module_no_run_enters_is_unit_only_too(hitmap, package):
     assert failures == []
     assert percent < 100.0
 
+
+
+def test_a_function_only_unit_runs_enter_in_a_live_module_is_a_lead(hitmap, package, capsys):
+    (package / "core.py").write_text(
+        "def serve():\n    return 1\n\n\ndef spare():\n    return 3\n\n\ndef dead():\n    return 4\n")
+    merged = _merged(package)
+    merged["unit"][str(package / "core.py")] = ({1, 2, 5, 6}, {1, 5})
+    _, failures = hitmap.report(merged, package, {"sub/extra.py": "a reason"})
+    assert failures == []  # a report, no gate
+    out = capsys.readouterr().out
+    leads = out[out.index("Leads"):].splitlines()[1:]
+    assert leads == ["  core.py: spare (line 5)"]
+    assert "  never entered: dead (line 9)" in out

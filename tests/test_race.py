@@ -399,3 +399,97 @@ def test_put_after_delete_reuses_slot():
         return (yield from client.get(b"cycled"))
 
     assert sim.run_process(proc()) == b"v2"
+
+
+# ---------------------------------------------------------------------------
+# One probe-window scan: a key past its home bucket, holes, fingerprint twins
+# ---------------------------------------------------------------------------
+
+
+def _colliders(storage, count, prefix=b"h"):
+    """``count`` keys that share one home bucket of ``storage``."""
+    target = fingerprint(prefix)[1] % storage.num_buckets
+    keys = [prefix]
+    i = 0
+    while len(keys) < count:
+        key = b"%s%05d" % (prefix, i)
+        if fingerprint(key)[1] % storage.num_buckets == target:
+            keys.append(key)
+        i += 1
+    return keys
+
+
+def _fingerprint_twins(storage):
+    """Two keys with one home bucket and one fingerprint."""
+    seen = {}
+    i = 0
+    while True:
+        key = b"t%06d" % i
+        fp12, spread = fingerprint(key)
+        twin = seen.setdefault((fp12, spread % storage.num_buckets), key)
+        if twin != key:
+            return twin, key
+        i += 1
+
+
+@pytest.mark.parametrize("make_env", [_verbs_env, _lite_env, _krcore_env])
+def test_update_of_an_overflowed_key_after_a_hole_keeps_one_slot(make_env):
+    """Eight keys fill the home bucket and a ninth overflows to home+1.  A
+    delete opens a hole at home; the ninth is updated, then deleted: its
+    update went into its own slot, so nothing of it is left behind."""
+    sim, cluster, storage, client = make_env()
+    *home_keys, overflowed = _colliders(storage, 9)
+
+    def proc():
+        yield from client.setup()
+        for key in home_keys + [overflowed]:
+            yield from client.put(key, b"v1")
+        yield from client.delete(home_keys[0])
+        yield from client.put(overflowed, b"v2")
+        updated = yield from client.get(overflowed)
+        present = yield from client.delete(overflowed)
+        return updated, present, (yield from client.get(overflowed))
+
+    assert sim.run_process(proc()) == (b"v2", True, None)
+    assert storage.get_local(overflowed) is None
+
+
+@pytest.mark.parametrize("make_env", [_verbs_env, _lite_env, _krcore_env])
+def test_batched_get_finds_overflowed_keys_and_fingerprint_twins(make_env):
+    sim, cluster, storage, client = make_env()
+    *home_keys, overflowed = _colliders(storage, 9)
+    twin, key = _fingerprint_twins(storage)
+    for index, stored in enumerate(home_keys + [overflowed, twin, key]):
+        storage.load(stored, b"value%d" % index)
+
+    def proc():
+        yield from client.setup()
+        return (yield from client.get_batch([overflowed, key, twin, home_keys[3], b"absent"]))
+
+    assert sim.run_process(proc()) == {
+        overflowed: b"value8", key: b"value10", twin: b"value9",
+        home_keys[3]: b"value3", b"absent": None,
+    }
+
+
+@pytest.mark.parametrize("make_env", [_verbs_env, _lite_env, _krcore_env])
+def test_local_load_after_a_hole_updates_in_place(make_env):
+    """``load`` of a key that overflowed to home+1, after a delete opened
+    a hole at home, overwrites the key's own slot: ``get_local`` and a
+    later client delete agree that the key is gone."""
+    sim, cluster, storage, client = make_env()
+    *home_keys, overflowed = _colliders(storage, 9)
+    for key in home_keys + [overflowed]:
+        storage.load(key, b"v1")
+
+    def delete(key):
+        def proc():
+            yield from client.setup()
+            return (yield from client.delete(key))
+        return sim.run_process(proc())
+
+    assert delete(home_keys[0]) is True
+    storage.load(overflowed, b"v2")
+    assert storage.get_local(overflowed) == b"v2"
+    assert delete(overflowed) is True
+    assert storage.get_local(overflowed) is None
