@@ -3,31 +3,31 @@
     python3 benchmarks/hitmap.py [--fail-under PCT]
     make hitmap
 
-Runs tier-1, ``-m chaos``, ``pytest benchmarks`` and ``make check``'s
-corpus replay with a ``sys.settrace`` line tracer on, then prints, per
-file of ``src/repro``, the functions no run entered and the statements no
-run executed, and the executed share of all statements.  The tracer
-starts from a ``sitecustomize.py`` placed first on ``PYTHONPATH``, so it
-is on before ``repro`` is imported and in every child Python process a
-test starts (``tests/test_examples.py``, ``python -m repro.bench``).
-Each process writes its hits to a scratch directory at exit; the map is
-their union.
+Runs tier-1, ``-m chaos``, ``pytest benchmarks``, ``make check``'s
+corpus replay and random run and the observatory's traced passes with a
+``sys.settrace`` line tracer on, then prints, per file of
+``src/repro``, the functions no run entered and the statements no run
+executed, and the executed share of all statements.  The tracer starts
+from a ``sitecustomize.py`` placed first on ``PYTHONPATH``, so it is on
+before ``repro`` is imported and in every child Python process a test
+starts (``tests/test_examples.py``, ``python -m repro.bench``).  Each
+process writes its hits to a scratch directory at exit; the map is their
+union.
 
 Each run has an origin, which ``HITMAP_ORIGIN`` carries into every
 process it starts and each dump records.  A *system* run is one that
 runs whole scenarios: ``-m chaos``, ``pytest benchmarks``, the tier-1
 files in ``SYSTEM_FILES`` (figures, examples, the checker corpus, the
-chaos digests, the obs goldens, the chaos CLI) and the checker CLI's
-corpus replay.  The rest of tier-1 is the *unit* run.  The report lists
-the modules of ``src/repro`` that define functions and none of whose
-functions a system run entered: a feature only its own unit tests reach.
-Each must be in ``UNIT_ONLY`` with the reason it stays, and each entry
-there must still be such a module.  Last come the leads, a report with
-no gate: the functions a unit run entered and no system run did, in the
-modules a system run enters -- a dead feature inside a live module, which
-the module gate misses.  The observatory's workloads are not a hit-map
-run, so what only they enter (``RaceClient.put``, LITE's ``write``,
-``cas`` and ``fetch_add``) is listed there too.
+chaos digests, the obs goldens, the chaos CLI), the checker CLI's corpus
+replay and random run, and one short ``--trace 1`` pass of each
+observatory workload.  The rest of tier-1 is the *unit* run.  The report
+lists the modules of ``src/repro`` that define functions and none of
+whose functions a system run entered, then the leads: the functions a
+unit run entered and no system run did, in the modules a system run
+enters -- a feature only its own unit tests reach.  Each must be in
+``UNIT_ONLY`` with the reason it stays, keyed by module
+(``"check/shrink.py"``) or by function (``"module:Qualname"``), and each
+entry there must still name such a module or function.
 
 A statement is what ``ast`` calls one, docstrings excepted; it counts as
 executed when a line of its own (for a compound statement, its header)
@@ -36,9 +36,9 @@ body's first statement.  A function counts as entered when its code
 object was called.  Work done in ``ProcessPoolExecutor`` workers is not
 seen (they leave through ``os._exit``, past ``atexit``).
 
-Exits non-zero when a run fails, when the unit-only modules and
-``UNIT_ONLY`` differ or, under ``--fail-under``, when the executed share
-is below ``PCT``.
+Exits non-zero when a run fails, when the unit-only modules and leads
+and ``UNIT_ONLY`` differ or, under ``--fail-under``, when the executed
+share is below ``PCT``.
 """
 
 import argparse
@@ -63,7 +63,10 @@ SYSTEM_FILES = [
     "tests/test_faults_cli.py",
 ]
 PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
-# (origin, arguments of the interpreter); the last is `make check`'s replay.
+OBSERVATORY = [workload["name"] for workload in
+               json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+# (origin, arguments of the interpreter); then `make check`'s replay and
+# random run, and one short traced pass of each observatory workload.
 RUNS = (
     ("unit", [*PYTEST, *(f"--ignore={name}" for name in SYSTEM_FILES)]),
     ("system", [*PYTEST, "-m", "chaos", "tests/test_chaos.py"]),
@@ -71,16 +74,62 @@ RUNS = (
     ("system", ["-m", "repro.check", "--replay", *sorted(
         str(path.relative_to(ROOT)) for path in ROOT.glob("tests/schedules/*_fifo_clean.json")),
         "tests/schedules/racey_pipeline_underflow.json"]),
+    ("system", ["-m", "repro.check", "pool_churn", "--mode", "random", "--seeds", "5", "--quiet"]),
+    *(("system", ["benchmarks/observatory/run.py", "--workload", workload, "--seed", "1",
+                  "--seconds", "0.05", "--scale", "0.02", "--trace", "1"])
+      for workload in OBSERVATORY),
 )
 
-# Module of src/repro (relative to it) -> why it stays though no system run
-# enters it.
+# A module of src/repro (relative to it) that no system run enters, or a
+# function ("module:Qualname") only unit runs enter in a module a system
+# run enters -> why it stays.
+_RACE_OPS = "ROADMAP item 11: Fig 16's sampled windows call it; the RACE oracle does today"
+_TRANSFER_PEER = "ROADMAP item 1(a): the QP transfer's peer protocol gets a scenario"
+_RECOVERY = "ROADMAP item 1(a): verbs recovery (RNR retry, ERR flush, duplicates) gets a scenario"
+_HOST_DOWN = "ROADMAP item 6: wire section 4.2's host-down invalidation, or delete it"
+_SEARCH = "ROADMAP item 4(a): a verdict per search mode decides whether it stays"
+_VERDICT = ("ROADMAP item 4(a): the checker's verdict record; tests pin a check's "
+            "determinism with it today")
+_ORACLE_READ = ("ROADMAP item 5: the differential oracle compares final storage; tests read "
+                "it back through this today")
 UNIT_ONLY = {
     "check/shrink.py": "the schedule shrinker: the nightly `make check-sweep` runs it (--shrink)",
-    "sim/partition.py": (
-        "frozen: benchmarks/observatory imports Partition and run_partitioned, "
-        "and only the observatory's microbenchmark enters it"
-    ),
+    "apps/race/client.py:RaceClient.get_batch": _RACE_OPS,
+    "apps/race/client.py:RaceClient._read_batch": _RACE_OPS,
+    "apps/race/client.py:RaceClient.delete": _RACE_OPS,
+    "apps/race/hashing.py:RaceStorage.get_local": _ORACLE_READ,
+    "apps/txn/storage.py:TxnStorage.read_local": _ORACLE_READ,
+    "bench/perf.py:_profile_report": "`python -m repro.bench --profile` writes it; no system run profiles",
+    "check/__main__.py:_print_violations": "the checker CLI's failure report; a clean corpus prints none",
+    "check/controller.py:FifoStrategy.choose": _SEARCH,
+    "check/controller.py:FifoStrategy.describe": _SEARCH,
+    "check/controller.py:PctStrategy.__init__": _SEARCH,
+    "check/controller.py:PctStrategy._priority": _SEARCH,
+    "check/controller.py:PctStrategy.choose": _SEARCH,
+    "check/controller.py:PctStrategy.describe": _SEARCH,
+    "check/controller.py:Schedule.save": _SEARCH,
+    "check/invariants.py:Violation.to_dict": _VERDICT,
+    "check/invariants.py:Checker.pool_rc_drop": _HOST_DOWN,
+    "check/invariants.py:Checker.to_dict": _VERDICT,
+    "check/invariants.py:Checker.digest": _VERDICT,
+    "check/runner.py:CheckResult.to_dict": _VERDICT,
+    "check/runner.py:CheckResult.digest": _VERDICT,
+    "check/runner.py:result_schedule": _SEARCH,
+    "check/runner.py:shrink_failure": _SEARCH,
+    "check/runner.py:shrink_failure.<locals>.still_fails": _SEARCH,
+    "degrade/__init__.py:Deadline.remaining_ns": (
+        "ROADMAP item 1(a): `KrcoreModule.retry_meta`'s deadline cut, in the meta-plane degrade "
+        "path, gets a scenario"),
+    "krcore/messaging.py:KernelMessaging.notify_peer_transfer": _TRANSFER_PEER,
+    "krcore/messaging.py:KernelMessaging._handle_peer_transfer": _TRANSFER_PEER,
+    "krcore/meta.py:MetaPlane.retract_mr": (
+        "ROADMAP item 1(a): MR deregistration after one lease gets a chaos scenario"),
+    "krcore/module.py:KrcoreModule.invalidate_node": _HOST_DOWN,
+    "krcore/pool.py:HybridQpPool.drop_rc": _HOST_DOWN,
+    "krcore/vqp.py:Vqp._transfer_done": _TRANSFER_PEER,
+    "verbs/qp.py:_Flight._flush": _RECOVERY,
+    "verbs/qp.py:_Flight._rnr": _RECOVERY,
+    "verbs/qp.py:_Flight._serve_duplicate": _RECOVERY,
 }
 
 # Loaded by every Python process started with the scratch directory first on
@@ -186,13 +235,14 @@ def _is_docstring(node, parent):
 def file_report(source, lines, entered):
     """``(statements, missed_lines, functions, never_entered)`` of one file.
 
-    ``never_entered`` is ``[(line, name)]``; ``missed_lines`` the first line
-    of each statement that never ran.
+    ``functions`` and ``never_entered`` are ``[(line, qualname)]``, the
+    qualname as Python spells it (``Class.method``,
+    ``outer.<locals>.inner``); ``missed_lines`` is the first line of each
+    statement that never ran.
     """
-    tree = ast.parse(source)
     statements = 0
     missed = []
-    functions = 0
+    functions = []
     never_entered = []
 
     def ran(node):
@@ -201,18 +251,25 @@ def file_report(source, lines, entered):
             return ran(node.body[0])
         return any(line in lines for line in span)
 
-    for parent in ast.walk(tree):
+    def scan(parent, prefix):
+        nonlocal statements
         for node in ast.iter_child_nodes(parent):
-            if not isinstance(node, ast.stmt) or _is_docstring(node, parent):
-                continue
-            statements += 1
-            if not ran(node):
-                missed.append(node.lineno)
+            inner = prefix
+            if isinstance(node, ast.stmt) and not _is_docstring(node, parent):
+                statements += 1
+                if not ran(node):
+                    missed.append(node.lineno)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                functions += 1
+                functions.append((node.lineno, prefix + node.name))
                 if _first_line(node) not in entered:
-                    never_entered.append((node.lineno, node.name))
-    return statements, sorted(missed), functions, sorted(never_entered)
+                    never_entered.append(functions[-1])
+                inner = f"{prefix}{node.name}.<locals>."
+            elif isinstance(node, ast.ClassDef):
+                inner = f"{prefix}{node.name}."
+            scan(node, inner)
+
+    scan(ast.parse(source), "")
+    return statements, sorted(missed), sorted(functions), sorted(never_entered)
 
 
 def _ranges(numbers):
@@ -244,18 +301,21 @@ def report(merged, package, unit_only):
     totals = [0, 0, 0, 0]
     unreached = []
     leads = []
+    defined = {}    # module -> (its qualnames, those some run entered)
     for path in sorted(package.rglob("*.py")):
         source = path.read_text()
         statements, missed, functions, never = file_report(
             source, *union.get(str(path), empty))
-        for i, value in enumerate((statements, len(missed), functions, len(never))):
+        for i, value in enumerate((statements, len(missed), len(functions), len(never))):
             totals[i] += value
         module = path.relative_to(package).as_posix()
+        defined[module] = ({name for _, name in functions},
+                           {name for line, name in functions if (line, name) not in never})
         system_never = file_report(source, *system.get(str(path), empty))[3]
-        if functions and len(system_never) == functions:
+        if functions and len(system_never) == len(functions):
             unreached.append(module)
         else:
-            leads += [(module, line, name) for line, name in system_never
+            leads += [(f"{module}:{name}", line) for line, name in system_never
                       if (line, name) not in never]
         if missed or never:
             relative = path.relative_to(package.parents[1]).as_posix()
@@ -271,17 +331,22 @@ def report(merged, package, unit_only):
     print("Modules only unit runs enter:")
     for module in unreached:
         print(f"  {module}: {unit_only.get(module, 'no reason in UNIT_ONLY')}")
-    print("Leads -- functions only unit runs enter, in modules a system run enters "
-          "(the observatory is not a hit-map run):")
-    for module, line, name in leads:
-        print(f"  {module}: {name} (line {line})")
-    failures = [f"{module}: only unit runs enter it; delete it, or say in UNIT_ONLY why "
-                "it stays" for module in unreached if module not in unit_only]
-    for module in unit_only:
-        if not (package / module).is_file():
-            failures.append(f"{module}: in UNIT_ONLY, but there is no such module")
-        elif module not in unreached:
-            failures.append(f"{module}: in UNIT_ONLY, but a system run enters it")
+    print(f"Leads -- functions only unit runs enter, in modules a system run enters ({len(leads)}):")
+    for key, line in leads:
+        print(f"  {key} (line {line}): {unit_only.get(key, 'no reason in UNIT_ONLY')}")
+    flagged = unreached + [key for key, _ in leads]
+    failures = [f"{key}: only unit runs enter it; delete it, or say in UNIT_ONLY why it stays"
+                for key in flagged if key not in unit_only]
+    for key in unit_only:
+        module, _, name = key.partition(":")
+        if module not in defined:
+            failures.append(f"{key}: in UNIT_ONLY, but there is no such module")
+        elif name and name not in defined[module][0]:
+            failures.append(f"{key}: in UNIT_ONLY, but there is no such function")
+        elif name and name not in defined[module][1]:
+            failures.append(f"{key}: in UNIT_ONLY, but no run enters it")
+        elif key not in flagged:
+            failures.append(f"{key}: in UNIT_ONLY, but a system run enters it")
     return percent, failures
 
 

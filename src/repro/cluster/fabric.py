@@ -99,11 +99,6 @@ class Fabric:
         """Remove the fault on src -> dst (idempotent)."""
         self.link_faults.pop((src_gid, dst_gid), None)
 
-    def link_fault(self, src_gid, dst_gid):
-        """The LinkFault on src -> dst, or None (callers pre-check
-        ``link_faults`` truthiness so fault-free runs never get here)."""
-        return self.link_faults.get((src_gid, dst_gid))
-
     # -- latency model ---------------------------------------------------------
 
     def one_way_ns(self, nbytes):

@@ -106,12 +106,6 @@ class PhysicalMemory:
         self._regions_by_lkey.pop(region.lkey, None)
         self._regions_by_rkey.pop(region.rkey, None)
 
-    def region_by_rkey(self, rkey):
-        return self._regions_by_rkey.get(rkey)
-
-    def region_by_lkey(self, lkey):
-        return self._regions_by_lkey.get(lkey)
-
     # -- checked access (what the RNIC does using its cached MR state) --------
 
     def check_remote(self, rkey, addr, length, write):
@@ -200,8 +194,3 @@ class PhysicalMemory:
             page[offset : offset + chunk] = view[consumed : consumed + chunk]
             cursor += chunk
             consumed += chunk
-
-    @property
-    def resident_bytes(self):
-        """Bytes of backing store actually materialized (page-granular)."""
-        return len(self._pages) * _PAGE_SIZE

@@ -74,12 +74,6 @@ DOORBELL_WQE_CPU_NS = 40
 #: ride the same chain fetch and only pay per-WQE processing.
 NIC_TX_CHAINED_NS = 60
 
-#: Receiver-side cost of landing a WRITE_WITH_IMM completion: the payload
-#: already DMA-ed straight to the target address, so only the recv WQE is
-#: consumed and a CQE carrying the immediate is generated (no payload
-#: copy, cheaper than SEND_DELIVERY_HEADER_NS's host notification path).
-WRITE_IMM_DELIVERY_NS = 500
-
 #: Adaptive CQ polling: how long the caller spins before arming the CQ
 #: event (ibv_req_notify_cq) and sleeping.
 CQ_ADAPTIVE_SPIN_NS = 1_000

@@ -37,10 +37,6 @@ class FaultEvent:
         self.kind = kind
         self.params = params
 
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.params.items()))
-        return f"FaultEvent(at={self.at_ns}, kind={self.kind!r}, {inner})"
-
 
 class FaultPlan:
     """A deterministic fault schedule.

@@ -139,11 +139,6 @@ class KrcoreLib:
         for vqp, wr_list in posts:
             yield from vqp.post_send(wr_list)
 
-    def poll_cq(self, vqp):
-        """Process: ibv_poll_cq -- non-blocking; returns an entry or None."""
-        yield from self.enter_kernel()
-        return vqp.poll_cq()
-
     def post_send_and_wait(self, vqp, wr_list):
         """Process: post + wait in one blocking ioctl (the sync fast path).
 
@@ -193,14 +188,6 @@ class KrcoreLib:
             raise KrcoreError(f"WRITE failed: {entry.status}", code=entry.status)
         return entry
 
-    def send_sync(self, vqp, laddr, lkey, length):
-        """Process: one synchronous two-sided SEND; returns the entry."""
-        wr = WorkRequest.send(laddr, length, lkey)
-        entry = yield from self.post_send_and_wait(vqp, wr)
-        if not entry.ok:
-            raise KrcoreError(f"SEND failed: {entry.status}", code=entry.status)
-        return entry
-
     def send_and_recv(self, vqp, send_wr):
         """Process: post a SEND and block for the response message, all in
         one ioctl -- the synchronous request/response fast path.  Returns
@@ -219,7 +206,7 @@ class KrcoreLib:
         for reply_vqp, wr_list in replies:
             yield from reply_vqp.post_send(wr_list)
         return (
-            yield from self.module.messaging.qpop_msgs(vqp, max_msgs, self.cpu_id, block=True)
+            yield from self.module.messaging.qpop_msgs(vqp, max_msgs, self.cpu_id)
         )
 
     # -------------------------------------------------------------- receive
@@ -229,21 +216,8 @@ class KrcoreLib:
         yield from self.enter_kernel()
         vqp.post_recv(recv_buffer)
 
-    def recv_wait(self, vqp):
-        """Process: block (one ioctl) until a message lands in this VQP's
-        posted buffer; returns the receive completion."""
-        yield from self.enter_kernel()
-        completion = yield from vqp.wait_recv_completion()
-        return completion
-
-    def qpop_msgs(self, vqp, max_msgs=16):
-        """Process: Fig 7's qpop_msgs -- non-blocking drain of the bound
-        port; returns a list of (src_vqp, completion) pairs."""
-        yield from self.enter_kernel()
-        return (yield from self.module.messaging.qpop_msgs(vqp, max_msgs, self.cpu_id))
-
     def qpop_msgs_wait(self, vqp):
         """Process: blocking qpop -- waits until at least one message, and
         pops up to 16."""
         yield from self.enter_kernel()
-        return (yield from self.module.messaging.qpop_msgs(vqp, 16, self.cpu_id, block=True))
+        return (yield from self.module.messaging.qpop_msgs(vqp, 16, self.cpu_id))

@@ -26,7 +26,7 @@ from repro.krcore.meta import mr_key
 from repro.krcore.vqp import KrcoreError
 from repro.sim import AnyOf
 from repro.verbs import Completion, CompletionQueue, RecvBuffer, WorkRequest
-from repro.verbs.types import OP_RECV, OP_RECV_IMM, QPS_ERR, WC_SUCCESS
+from repro.verbs.types import OP_RECV, QPS_ERR, WC_SUCCESS
 
 #: Reserved port for kernel-to-kernel control messages.
 KERNEL_PORT = 0
@@ -183,29 +183,6 @@ class KernelMessaging:
     # ------------------------------------------------------------- routing
 
     def _route_message(self, wc, qp):
-        if wc.opcode is OP_RECV_IMM:
-            # WRITE_WITH_IMM: the payload already landed at ``raddr`` via
-            # the write half; the consumed kernel buffer only carried the
-            # CQE, so free its slot right away and restock.  The 32-bit
-            # immediate names the destination VQP.
-            self._recycle(wc.wr_id)
-            self._restock(qp)
-            vqp = self.module.vqps_by_id.get(wc.imm)
-            if vqp is None:
-                return  # no such VQP: the immediate is dropped
-            vqp.enqueue(
-                "recv_completions",
-                Completion(
-                    0,
-                    WC_SUCCESS,
-                    OP_RECV_IMM,
-                    byte_len=wc.byte_len,
-                    src=wc.src,
-                    imm=wc.imm,
-                ),
-            )
-            self._vqp_msg_arrived(vqp)
-            return
         header = wc.header or {}
         msg = {"header": header, "slot": wc.wr_id, "len": wc.byte_len, "released": False}
         # Keep the receive queue stocked while the slot is in use.
@@ -447,18 +424,16 @@ class KernelMessaging:
             header=header,
         )
 
-    def qpop_msgs(self, vqp, max_msgs=16, cpu_id=None, block=False):
+    def qpop_msgs(self, vqp, max_msgs, cpu_id):
         """Process: §4.4 qpop_msgs -- drain the bound port's messages into
         the VQP's user buffers and hand back (reply-VQP, completion) pairs;
-        with ``block``, wait until there is at least one.
+        wait until there is at least one.
 
         The reply VQP is connected with the piggybacked DCT metadata, so no
         additional network request is ever issued.  ``cpu_id`` selects the
         hybrid pool the reply VQPs virtualize from -- the calling thread's
         CPU, like the real per-CPU kernel handler (§4.2).
         """
-        if cpu_id is None:
-            cpu_id = vqp.cpu_id
         results = []
         while True:
             state = vqp.two_sided
@@ -470,7 +445,7 @@ class KernelMessaging:
                 completion = yield from self._land(vqp, msg, state.recv_queue.pop(0))
                 reply_vqp = yield from self._reply_vqp(vqp, msg["header"], cpu_id)
                 results.append((reply_vqp, completion))
-            if results or not block:
+            if results:
                 return results
             yield queue.wait()
 

@@ -212,9 +212,6 @@ class MetaPlane:
             meta._plane = cls([meta], replication=1)
         return meta._plane
 
-    def __len__(self):
-        return len(self.shards)
-
     # -- routing ---------------------------------------------------------------
 
     def owner_indices(self, key):
@@ -287,11 +284,6 @@ class MetaPlane:
                 entry.set_lag(duration_ns, extra_ns)
         else:
             self.shards[shard].set_lag(duration_ns, extra_ns)
-
-    @property
-    def available(self):
-        """True iff every shard is serving (all owners reachable)."""
-        return all(shard.available for shard in self.shards)
 
 
 class MetaClient:

@@ -681,19 +681,6 @@ class KrcoreModule:
         if self.local_shard is not None:
             self.local_shard.retract_node(gid)
 
-    # ------------------------------------------------------------- accounting
-
-    def connection_cache_bytes(self):
-        """Memory for connection caching: the QP pools plus the 12-byte DCT
-        metadata entries (Fig 15a); an unbuilt pool's DCQPs count all the same."""
-        built = self.built_pools()
-        unbuilt_dc = (len(self._pools) - len(built)) * self.dc_per_cpu
-        return (
-            sum(pool.memory_bytes() for pool in built)
-            + unbuilt_dc * timing.DC_QP_MEMORY_BYTES
-            + len(self.dc_cache) * timing.DCT_METADATA_BYTES
-        )
-
 
 def _stable_key(text):
     """A deterministic small hash (Python's hash() is salted per process)."""

@@ -60,12 +60,6 @@ class ValidMr:
         region = self._by_lkey.get(lkey)
         return region is not None and region.valid and region.contains(addr, length)
 
-    def lookup_rkey(self, rkey):
-        region = self._by_rkey.get(rkey)
-        if region is None or not region.valid:
-            return None
-        return (region.addr, region.length)
-
     def lookup_region_by_lkey(self, lkey):
         region = self._by_lkey.get(lkey)
         if region is None or not region.valid:
@@ -218,13 +212,8 @@ class MrStore:
                 if not rkeys:
                     del self._by_gid[gid]
             return
-        # The index covers every entry inserted through check(); fall back
-        # to a scan only when the gid was never indexed (entries seeded
-        # directly into _cache, as some tests do).
-        rkeys = self._by_gid.pop(gid, None)
-        if rkeys is None:
-            rkeys = {k[1] for k in self._cache if k[0] == gid}
-        for rk in rkeys:
+        # check(), the only insert, indexes every entry under its gid.
+        for rk in self._by_gid.pop(gid, ()):
             if self._cache.pop((gid, rk), None) is not None:
                 self.stats_invalidated += 1
             self._stale_accepted.discard((gid, rk))

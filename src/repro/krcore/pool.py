@@ -8,7 +8,6 @@ LRU when the pool overflows.
 """
 
 from repro.check import hooks as _check
-from repro.cluster import timing
 from repro.degrade import AdmissionGate
 from repro.obs import metrics as _metrics
 
@@ -90,11 +89,3 @@ class HybridQpPool:
         if qp is not None and _check.CHECKER is not None:
             _check.CHECKER.pool_rc_drop(self, gid, qp)
         return qp
-
-    # -- accounting ----------------------------------------------------------------
-
-    def memory_bytes(self):
-        """Driver memory held by this CPU's pool (for Fig 15a)."""
-        return len(self.dc) * timing.DC_QP_MEMORY_BYTES + len(self.rc) * (
-            timing.RC_QP_MEMORY_BYTES
-        )

@@ -158,10 +158,6 @@ class LiteModule:
 
     # ------------------------------------------------------------------- memory
 
-    def connection_cache_bytes(self):
-        """Driver memory held by the RCQP cache (Fig 15a / Issue #2)."""
-        return len(self.pool) * timing.RC_QP_MEMORY_BYTES
-
     @staticmethod
     def cache_bytes_for(num_connections):
         """Memory LITE needs to cache ``num_connections`` RCQPs."""

@@ -15,7 +15,7 @@ module-attribute load::
 
     with obs.observe() as (tracer, metrics):
         sim.run_process(...)
-    tracer.export_chrome("trace.json")
+    pathlib.Path("trace.json").write_text(tracer.to_json())
 
 Because the simulation is deterministic, a fixed seed produces a
 byte-identical trace export -- see ``tests/test_obs_golden.py``.

@@ -47,7 +47,7 @@ _PID = 1
 
 
 class Tracer:
-    """Collects structured trace events; export with :meth:`export_chrome`.
+    """Collects structured trace events; export with :meth:`to_json`.
 
     All record methods take the simulated timestamp explicitly (call
     sites pass their own ``sim.now``), so one tracer can observe any
@@ -178,13 +178,6 @@ class Tracer:
         determinism contract the golden-trace tests pin down.
         """
         return json.dumps(self.to_chrome(), sort_keys=True, indent=1) + "\n"
-
-    def export_chrome(self, path):
-        """Write the Perfetto-loadable JSON to ``path``; returns the text."""
-        text = self.to_json()
-        with open(path, "w") as handle:
-            handle.write(text)
-        return text
 
     def digest(self):
         """SHA-256 of the canonical JSON export (fixed seed => fixed digest)."""

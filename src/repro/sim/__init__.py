@@ -2,14 +2,13 @@
 
 Time is measured in integer nanoseconds for determinism.  Processes are
 plain Python generators that ``yield`` awaitables: an integer delay, an
-:class:`Event`, another :class:`Process` (join), or the combinators
-:class:`AllOf` / :class:`AnyOf`.
+:class:`Event`, another :class:`Process` (join), or the combinator
+:class:`AnyOf`.
 
 This is the substrate every simulated component (CPU, RNIC, fabric) runs on.
 """
 
 from repro.sim.engine import (
-    AllOf,
     AnyOf,
     Event,
     Process,
@@ -24,7 +23,6 @@ MS = 1_000_000  # nanoseconds per millisecond
 SEC = 1_000_000_000  # nanoseconds per second
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Event",
     "LatencyRecorder",

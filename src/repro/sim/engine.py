@@ -54,7 +54,7 @@ an ``Event``              waiter resume:
 ========================  ====================================================
 
 Every resumed target -- a ``Process``, a sleeper, a child of an
-``AllOf`` / ``AnyOf`` -- has one ``_resume(value, exc)`` method and at most
+``AnyOf`` -- has one ``_resume(value, exc)`` method and at most
 one record pending, so no record is ever stale.  A timer takes two hops
 through the queue because the timeout ``Event`` it replaces did (trigger,
 then waiter dispatch); ``Process._resume`` skips the ``Event`` for its two
@@ -133,16 +133,6 @@ class Event:
             append(self)
 
 
-class AllOf:
-    """Awaitable that fires when every child event/process has fired.
-
-    The resumed value is a list of the children's values in order.
-    """
-
-    def __init__(self, children):
-        self.children = list(children)
-
-
 class AnyOf:
     """Awaitable that fires when the first child fires.
 
@@ -154,34 +144,23 @@ class AnyOf:
 
 
 class _Child:
-    """The waiter on one child of an ``AllOf`` / ``AnyOf``.  The first
-    error fails the combined event; otherwise an ``AnyOf`` child
-    (``values`` is None) settles it with ``(index, value)``, and an
-    ``AllOf`` child stores its value in ``values``, whose last slot counts
-    the children still pending, so the last to fire settles it with every
-    value in order."""
+    """The waiter on one child of an ``AnyOf``: the first child to fire
+    settles the combined event, with ``(index, value)`` or its error."""
 
-    __slots__ = ("combined", "index", "values")
+    __slots__ = ("combined", "index")
 
-    def __init__(self, combined, index, values):
+    def __init__(self, combined, index):
         self.combined = combined
         self.index = index
-        self.values = values
 
     def _resume(self, value, exc):
         combined = self.combined
         if combined._triggered:
             return
-        values = self.values
         if exc is not None:
             combined.fail(exc)
-        elif values is None:
-            combined.trigger((self.index, value))
         else:
-            values[self.index] = value
-            values[-1] -= 1
-            if not values[-1]:
-                combined.trigger(values[:-1])
+            combined.trigger((self.index, value))
 
 
 class Process:
@@ -395,24 +374,19 @@ class Simulator:
             return target.done_event
         if isinstance(target, int):
             return self.timeout(target)
-        if isinstance(target, AllOf):
-            if not target.children:
-                return Event(self).trigger([])
-            count = len(target.children)
-            return self._join(target.children, [None] * count + [count])
         if isinstance(target, AnyOf):
             if not target.children:
                 raise SimulationError("AnyOf requires at least one child")
-            return self._join(target.children, None)
+            return self._join(target.children)
         raise SimulationError(f"cannot wait on {target!r}")
 
-    def _join(self, children, values):
-        """The event an ``AllOf`` / ``AnyOf`` over ``children`` fires: one
+    def _join(self, children):
+        """The event an ``AnyOf`` over ``children`` fires: one
         :class:`_Child` waiter per child, in order."""
         events = [self._as_event(child) for child in children]
         combined = Event(self)
         for index, event in enumerate(events):
-            waiter = _Child(combined, index, values)
+            waiter = _Child(combined, index)
             if event._triggered:
                 self._rbuf.extend((waiter, event))
             elif event._waiters is None:

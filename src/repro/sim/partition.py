@@ -59,12 +59,6 @@ class Message:
     def sort_key(self):
         return (self.deliver_ns, self.src_node, self.seq)
 
-    def __repr__(self):
-        return (
-            f"Message(deliver={self.deliver_ns}, dst_part={self.dst_part}, "
-            f"kind={self.kind!r}, src_node={self.src_node}, seq={self.seq})"
-        )
-
 
 class Channel:
     """A directed inter-partition message queue with monotonic batches.
@@ -89,19 +83,17 @@ class Channel:
         self._pending = []
         self._floor = 0
 
-    def __len__(self):
-        return len(self._pending)
-
     def push(self, msg, send_ns):
         """Queue ``msg``, validating the lookahead bound at send time."""
         if msg.deliver_ns < send_ns + self.lookahead_ns:
             raise PartitionError(
-                f"message {msg!r} sent at {send_ns} delivers before the "
-                f"lookahead bound {send_ns + self.lookahead_ns}"
+                f"a {msg.kind!r} message sent at {send_ns} delivers at {msg.deliver_ns}, "
+                f"before the lookahead bound {send_ns + self.lookahead_ns}"
             )
         if msg.dst_part != self.dst_part:
             raise PartitionError(
-                f"message {msg!r} pushed onto channel to partition {self.dst_part}"
+                f"a message for partition {msg.dst_part} pushed onto channel to "
+                f"partition {self.dst_part}"
             )
         self._pending.append(msg)
 
@@ -120,8 +112,8 @@ class Channel:
         for msg in batch:
             if msg.deliver_ns < barrier_ns:
                 raise PartitionError(
-                    f"sealed batch at barrier {barrier_ns} contains early "
-                    f"message {msg!r}"
+                    f"sealed batch at barrier {barrier_ns} contains a message "
+                    f"delivering at {msg.deliver_ns}"
                 )
         return batch
 
@@ -204,7 +196,8 @@ class Partition:
         delay = msg.deliver_ns - sim.now
         if delay <= 0:
             raise PartitionError(
-                f"late injection: {msg!r} at partition now={sim.now}"
+                f"late injection: a message delivering at {msg.deliver_ns} at "
+                f"partition now={sim.now}"
             )
         handler = self._handlers[msg.kind]
         sim.schedule(delay, _Dispatch(handler, self, msg))

@@ -23,14 +23,6 @@ class Resource:
         self._in_use = 0
         self._waiting = []
 
-    @property
-    def in_use(self):
-        return self._in_use
-
-    @property
-    def queue_length(self):
-        return len(self._waiting)
-
     def acquire(self):
         """Return an event that fires (with a grant token) once capacity frees."""
         event = Event(self.sim)
@@ -78,9 +70,6 @@ class Store:
         self._items = []
         self._getters = []
 
-    def __len__(self):
-        return len(self._items)
-
     def put(self, item):
         if self._getters:
             getter = self._getters.pop(0)
@@ -96,9 +85,3 @@ class Store:
         else:
             self._getters.append(event)
         return event
-
-    def try_get(self):
-        """Non-blocking: pop and return an item, or None if empty."""
-        if self._items:
-            return self._items.pop(0)
-        return None

@@ -35,12 +35,12 @@ class Completion:
     """A work completion (ibv_wc)."""
 
     __slots__ = (
-        "wr_id", "status", "opcode", "byte_len", "src", "header", "qp", "covers", "imm"
+        "wr_id", "status", "opcode", "byte_len", "src", "header", "qp", "covers"
     )
 
     def __init__(
         self, wr_id, status, opcode, byte_len=0, src=None, header=None, qp=None,
-        covers=0, imm=None,
+        covers=0,
     ):
         self.wr_id = wr_id
         self.status = status
@@ -54,8 +54,6 @@ class Completion:
         #: driver only learns that ring slots are reusable by polling -- the
         #: accounting KRCORE's Algorithm 2 replicates in software.
         self.covers = covers
-        #: The 32-bit immediate, for RECV_IMM completions (WRITE_WITH_IMM).
-        self.imm = imm
 
     @property
     def ok(self):
@@ -87,19 +85,6 @@ class CompletionQueue:
         #: CQ event (ibv_req_notify_cq), and how often it woke from it.
         self.stats_rearms = 0
         self.stats_wakes = 0
-
-    def __len__(self):
-        return len(self._entries)
-
-    def set_poll_mode(self, mode, rnic=None):
-        """Switch the polling-mode model (and optionally attach the RNIC
-        that accounts the CPU burn)."""
-        if mode not in POLL_MODES:
-            raise ValueError(f"unknown CQ poll mode {mode!r} (known: {POLL_MODES})")
-        self.poll_mode = mode
-        if rnic is not None:
-            self.rnic = rnic
-        return self
 
     def push(self, completion):
         if self._entries is _EMPTY:

@@ -38,10 +38,6 @@ class DriverContext:
         self._initialized = kernel
         self.kernel = kernel
 
-    @property
-    def initialized(self):
-        return self._initialized
-
     def ensure_init(self):
         """Process: pay the one-time driver initialization if needed."""
         if not self._initialized:

@@ -36,10 +36,8 @@ from repro.verbs.types import (
     OP_READ,
     OP_READ_V,
     OP_RECV,
-    OP_RECV_IMM,
     OP_SEND,
     OP_WRITE,
-    OP_WRITE_IMM,
     PAYLOAD_OPCODES,
     POSTABLE_OPCODES,
     QPS_ERR,
@@ -500,7 +498,7 @@ class _Flight:
                 return self._nak(WC_BAD_OPCODE_ERR)
             request_bytes += timing.VECTORED_SGE_WIRE_BYTES * len(wr.sges)
         wire_out = fabric.one_way_ns(request_bytes)
-        if opcode is OP_WRITE or opcode is OP_WRITE_IMM:
+        if opcode is OP_WRITE:
             wire_out += int(length * timing.WRITE_EXTRA_NS_PER_BYTE)
         self.duplicated = False
         if fabric.link_faults:
@@ -669,7 +667,7 @@ class _Flight:
                 if _check.CHECKER is not None:
                     _check.CHECKER.read_executed(self.remote_gid, wr.rkey, qp.sim.now)
                 response_bytes = wr.length
-            elif opcode is OP_WRITE or opcode is OP_WRITE_IMM:
+            elif opcode is OP_WRITE:
                 memory.check_remote(wr.rkey, wr.raddr, wr.length, write=True)
                 memory.write(wr.raddr, self.payload)
             elif opcode is OP_READ_V:
@@ -695,19 +693,13 @@ class _Flight:
                 response_bytes = 8
         except MemoryError_:
             return self._refused()
-        if opcode is OP_WRITE_IMM:
-            # The immediate rides the last write packet and raises a
-            # receiver-side CQE, consuming a posted recv buffer -- RNR
-            # semantics apply just like a SEND.
-            return self._deliver()
         self._executed(response_bytes)
 
     def _deliver(self):
         """Claim the recv buffer (SRQ slot for DCT) an inbound SEND lands
-        in, or that carries the CQE of a WRITE_IMM's immediate."""
+        in."""
         qp = self.qp
         wr = self.wr
-        send = wr.opcode is OP_SEND
         rnic = self.remote_node.rnic
         if qp.qp_type is QPT_DC:
             target = rnic.dct_target(wr.dct_number)
@@ -718,35 +710,25 @@ class _Flight:
             if receiver_qp is None:
                 return self._nak(WC_RETRY_EXC_ERR)
             buffers, cq = receiver_qp._recv_buffers, receiver_qp.recv_cq
-        if not buffers or cq is None or (send and len(self.payload) > buffers[0].length):
-            return self._lost() if send and qp.qp_type is QPT_UD else self._rnr()
+        if not buffers or cq is None or len(self.payload) > buffers[0].length:
+            return self._lost() if qp.qp_type is QPT_UD else self._rnr()
         self.recv = (buffers.pop(0), cq, receiver_qp)
-        if not send:
-            delay = timing.WRITE_IMM_DELIVERY_NS
-        elif self.payload:
-            delay = timing.SEND_DELIVERY_NS
-        else:
-            delay = timing.SEND_DELIVERY_HEADER_NS
         self._stage = _Flight._delivered
-        qp.sim.sleep(self, delay)
+        qp.sim.sleep(
+            self, timing.SEND_DELIVERY_NS if self.payload else timing.SEND_DELIVERY_HEADER_NS)
 
     def _delivered(self):
-        """Raise the receiver-side CQE.  A WRITE_IMM's payload already
-        landed at ``raddr``: its buffer carries the CQE, untouched."""
+        """Copy the payload into the claimed buffer; raise the receiver-side
+        CQE."""
         qp = self.qp
-        wr = self.wr
         recv_buffer, cq, receiver_qp = self.recv
-        if wr.opcode is OP_SEND:
-            try:
-                self.remote_node.memory.write(recv_buffer.addr, self.payload)
-            except MemoryError_:
-                return self._refused()
-            opcode, byte_len, imm = OP_RECV, len(self.payload), None
-        else:
-            opcode, byte_len, imm = OP_RECV_IMM, wr.length, wr.imm
+        try:
+            self.remote_node.memory.write(recv_buffer.addr, self.payload)
+        except MemoryError_:
+            return self._refused()
         cq.push(Completion(
-            recv_buffer.wr_id, WC_SUCCESS, opcode, byte_len=byte_len,
-            src=(qp.node.gid, qp.qpn), header=wr.header, qp=receiver_qp, imm=imm,
+            recv_buffer.wr_id, WC_SUCCESS, OP_RECV, byte_len=len(self.payload),
+            src=(qp.node.gid, qp.qpn), header=self.wr.header, qp=receiver_qp,
         ))
         self._executed(0)
 
@@ -823,8 +805,6 @@ def _responder_service_ns(wr, dc):
         service += timing.responder_payload_service_ns(wr.length)
         service += timing.VECTORED_SGE_SERVICE_NS * (len(wr.sges) - 1)
         return service + timing.DC_READ_SERVICE_EXTRA_NS if dc else service
-    if opcode is OP_WRITE_IMM:
-        return timing.onesided_service_ns(False, wr.length, dc)
     if opcode in ATOMIC_OPCODES:
         return timing.ATOMIC_RESPONDER_SERVICE_NS
     return timing.SEND_RESPONDER_SERVICE_NS

@@ -21,12 +21,10 @@ class Opcode(enum.Enum):
     READ = "READ"
     READ_V = "READ_V"  # vectored gather READ: one WR, many remote SGEs
     WRITE = "WRITE"
-    WRITE_IMM = "WRITE_IMM"  # RDMA write with immediate (receiver CQE)
     SEND = "SEND"
     CAS = "CAS"  # compare-and-swap, 8 bytes
     FETCH_ADD = "FETCH_ADD"  # fetch-and-add, 8 bytes
     RECV = "RECV"  # appears only in completions
-    RECV_IMM = "RECV_IMM"  # receiver side of WRITE_IMM (completion-only)
 
 
 class WcStatus(enum.Enum):
@@ -54,10 +52,9 @@ QPS_RESET, QPS_INIT, QPS_RTR = QpState.RESET, QpState.INIT, QpState.RTR
 QPS_RTS, QPS_ERR = QpState.RTS, QpState.ERR
 
 OP_READ, OP_READ_V = Opcode.READ, Opcode.READ_V
-OP_WRITE, OP_WRITE_IMM = Opcode.WRITE, Opcode.WRITE_IMM
-OP_SEND = Opcode.SEND
+OP_WRITE, OP_SEND = Opcode.WRITE, Opcode.SEND
 OP_CAS, OP_FETCH_ADD = Opcode.CAS, Opcode.FETCH_ADD
-OP_RECV, OP_RECV_IMM = Opcode.RECV, Opcode.RECV_IMM
+OP_RECV = Opcode.RECV
 
 WC_SUCCESS = WcStatus.SUCCESS
 WC_LOC_PROT_ERR = WcStatus.LOC_PROT_ERR
@@ -72,15 +69,13 @@ WC_RETRY_EXC_ERR = WcStatus.RETRY_EXC_ERR
 # then compares by identity in C, where a set would hash the member
 # through Enum's Python ``__hash__``.
 
-#: Opcodes a requester may post (RECV/RECV_IMM are completion-only), most
-#: frequent first.
-POSTABLE_OPCODES = (
-    OP_READ, OP_WRITE, OP_SEND, OP_READ_V, OP_WRITE_IMM, OP_CAS, OP_FETCH_ADD
-)
+#: Opcodes a requester may post (RECV is completion-only), most frequent
+#: first.
+POSTABLE_OPCODES = (OP_READ, OP_WRITE, OP_SEND, OP_READ_V, OP_CAS, OP_FETCH_ADD)
 #: The request carries the local buffer's bytes.
-PAYLOAD_OPCODES = (OP_WRITE, OP_WRITE_IMM, OP_SEND)
+PAYLOAD_OPCODES = (OP_WRITE, OP_SEND)
 #: 8-byte remote atomics.
 ATOMIC_OPCODES = (OP_CAS, OP_FETCH_ADD)
 #: One-sided on a single remote ``(raddr, rkey)`` segment (READ_V names a
 #: gather list instead).
-RKEY_OPCODES = (OP_READ, OP_WRITE, OP_WRITE_IMM, OP_CAS, OP_FETCH_ADD)
+RKEY_OPCODES = (OP_READ, OP_WRITE, OP_CAS, OP_FETCH_ADD)

@@ -1,6 +1,6 @@
 """Work requests and receive buffers."""
 
-from repro.verbs.types import OP_CAS, OP_READ, OP_READ_V, OP_SEND, OP_WRITE, OP_WRITE_IMM
+from repro.verbs.types import OP_CAS, OP_READ, OP_READ_V, OP_SEND, OP_WRITE
 
 
 class WorkRequest:
@@ -31,7 +31,6 @@ class WorkRequest:
         "dct_gid",
         "dct_number",
         "dct_key",
-        "imm",
         "sges",
         "chained",
         "trace_id",
@@ -53,7 +52,6 @@ class WorkRequest:
         dct_gid=None,
         dct_number=None,
         dct_key=None,
-        imm=None,
         sges=None,
     ):
         self.opcode = opcode
@@ -70,8 +68,6 @@ class WorkRequest:
         self.dct_gid = dct_gid
         self.dct_number = dct_number
         self.dct_key = dct_key
-        #: 32-bit immediate delivered in the receiver's CQE (WRITE_IMM).
-        self.imm = imm
         #: Remote gather list for READ_V: ``[(raddr, rkey, length), ...]``.
         #: Segments land back-to-back at ``laddr``; ``length`` is the sum.
         self.sges = sges
@@ -133,23 +129,6 @@ class WorkRequest:
         )
 
     @classmethod
-    def write_imm(
-        cls, laddr, length, lkey, raddr, rkey, imm, wr_id=0, signaled=True, **kwargs
-    ):
-        return cls(
-            OP_WRITE_IMM,
-            wr_id=wr_id,
-            signaled=signaled,
-            laddr=laddr,
-            length=length,
-            lkey=lkey,
-            raddr=raddr,
-            rkey=rkey,
-            imm=imm,
-            **kwargs,
-        )
-
-    @classmethod
     def send(cls, laddr, length, lkey, wr_id=0, signaled=True, header=None, **kwargs):
         return cls(
             OP_SEND,
@@ -196,7 +175,6 @@ class WorkRequest:
         clone.dct_gid = self.dct_gid
         clone.dct_number = self.dct_number
         clone.dct_key = self.dct_key
-        clone.imm = self.imm
         clone.sges = self.sges
         clone.chained = self.chained
         clone.trace_id = None

@@ -35,6 +35,3 @@ class ZipfGenerator:
     def sample(self):
         point = self._rng.random()
         return bisect.bisect_left(self._cdf, point)
-
-    def sample_many(self, count):
-        return [self.sample() for _ in range(count)]

@@ -2,7 +2,7 @@
 
 Until PR 16 one work request's life on the network was a ``Process``
 driving the generator ``QueuePair._flight`` (nesting ``_execute_remote``,
-``_deliver_send`` / ``_deliver_imm``, ``_serve_duplicate`` and
+``_deliver_send``, ``_serve_duplicate`` and
 ``Rnic.serve_inbound``).  ``repro.verbs.qp._Flight`` replaced it with a
 state machine on timer records that must push every record at the instant
 and in the order the generator did.  This file keeps the generator, copied
@@ -35,10 +35,8 @@ from repro.verbs.types import (
     OP_READ,
     OP_READ_V,
     OP_RECV,
-    OP_RECV_IMM,
     OP_SEND,
     OP_WRITE,
-    OP_WRITE_IMM,
     PAYLOAD_OPCODES,
     POSTABLE_OPCODES,
     QPS_ERR,
@@ -194,7 +192,7 @@ def _flight(qp, wr, ticket):
                     raise _Malformed(WC_BAD_OPCODE_ERR)
                 request_bytes += timing.VECTORED_SGE_WIRE_BYTES * len(wr.sges)
             wire_out = fabric.one_way_ns(request_bytes)
-            if opcode is OP_WRITE or opcode is OP_WRITE_IMM:
+            if opcode is OP_WRITE:
                 wire_out += int(length * timing.WRITE_EXTRA_NS_PER_BYTE)
             duplicated = False
             if fabric.link_faults:
@@ -409,14 +407,6 @@ def _execute_remote(qp, remote_node, wr, payload):
                     )
                 offset += seg_len
             return wr.length
-        if opcode is OP_WRITE_IMM:
-            memory.check_remote(wr.rkey, wr.raddr, wr.length, write=True)
-            memory.write(wr.raddr, payload)
-            # The immediate rides the last write packet and raises a
-            # receiver-side CQE, consuming a posted recv buffer --
-            # RNR semantics apply just like a SEND.
-            yield from _deliver_imm(qp, remote_node, wr)
-            return 0
         if opcode in ATOMIC_OPCODES:
             memory.check_remote(wr.rkey, wr.raddr, 8, write=True)
             old = int.from_bytes(memory.read(wr.raddr, 8), "big")
@@ -468,38 +458,6 @@ def _deliver_send(qp, remote_node, wr, payload):
             src=(qp.node.gid, qp.qpn),
             header=wr.header,
             qp=receiver_qp,
-        )
-    )
-
-def _deliver_imm(qp, remote_node, wr):
-    """Raise the receiver-side CQE for a WRITE_WITH_IMM.
-
-    The payload already landed at ``raddr`` via the write half; the
-    immediate consumes a recv buffer (or SRQ slot for DCT) purely to
-    carry the CQE, without touching the buffer's memory.
-    """
-    if qp.qp_type is QPT_DC:
-        target = remote_node.rnic.dct_target(wr.dct_number)
-        buffers, cq, receiver_qp = target.srq, target.recv_cq, None
-    else:
-        receiver_qp = remote_node.rnic.qp(_receiver_qpn(qp, wr))
-        if receiver_qp is None:
-            raise _Malformed(WC_RETRY_EXC_ERR)
-        buffers, cq = receiver_qp._recv_buffers, receiver_qp.recv_cq
-    if not buffers or cq is None:
-        raise _RnrNak()
-    recv_buffer = buffers.pop(0)
-    yield timing.WRITE_IMM_DELIVERY_NS
-    cq.push(
-        Completion(
-            recv_buffer.wr_id,
-            WC_SUCCESS,
-            OP_RECV_IMM,
-            byte_len=wr.length,
-            src=(qp.node.gid, qp.qpn),
-            header=wr.header,
-            qp=receiver_qp,
-            imm=wr.imm,
         )
     )
 

@@ -5,9 +5,9 @@ sequence posted as one ``post_send_batch`` chain must produce *exactly*
 the observable behaviour of posting the same WRs serially --
 
 * the same sender-side completion sequence (wr_id, status, opcode,
-  byte_len, imm, covers), in the same order;
-* the same receiver-side completion sequence (SEND and WRITE_IMM raise
-  recv CQEs that consume recv buffers);
+  byte_len, covers), in the same order;
+* the same receiver-side completion sequence (SENDs raise recv CQEs
+  that consume recv buffers);
 * the same final memory contents on both nodes;
 * the same logical obs counters (WRs posted, QP errors, retransmits,
   per-link packet counts, responder ops served).
@@ -44,7 +44,7 @@ from repro.verbs import (
 REGION = 1024
 STRIDE = 64
 
-OPS = ("read", "write", "write_imm", "send", "cas", "fetch_add")
+OPS = ("read", "write", "send", "cas", "fetch_add")
 
 spec_strategy = st.tuples(
     st.sampled_from(OPS),
@@ -77,11 +77,6 @@ def _build_wrs(specs, scratch, lregion, remote, rregion):
             wr = WorkRequest.write(
                 laddr, length, lregion.lkey, raddr, rregion.rkey,
                 wr_id=index, signaled=signaled,
-            )
-        elif op == "write_imm":
-            wr = WorkRequest.write_imm(
-                laddr, length, lregion.lkey, raddr, rregion.rkey,
-                imm=index + 1, wr_id=index, signaled=signaled,
             )
         elif op == "send":
             wr = WorkRequest.send(
@@ -168,13 +163,13 @@ def _run(specs, batched, drop_pct=0, reverse_drop_pct=0, seed=1):
                 for wc in (yield from cq_a.wait_poll(len(wrs))):
                     covered += wc.covers
                     send_wcs.append(
-                        (wc.wr_id, wc.status, wc.opcode, wc.byte_len, wc.imm, wc.covers)
+                        (wc.wr_id, wc.status, wc.opcode, wc.byte_len, wc.covers)
                     )
 
         sim.process(client(), name="equivalence-client")
         sim.run()
         recv_wcs = [
-            (wc.wr_id, wc.status, wc.opcode, wc.byte_len, wc.imm)
+            (wc.wr_id, wc.status, wc.opcode, wc.byte_len)
             for wc in cq_b.poll(4 * len(specs))
         ]
         counters = {
@@ -226,21 +221,21 @@ def test_batched_equals_serial_under_request_faults(specs, drop_pct, seed):
 
 def _assert_structural(run, specs):
     """The mode-independent guarantees every run must uphold."""
-    covers = sum(wc[5] for wc in run["send_wcs"])
+    covers = sum(wc[4] for wc in run["send_wcs"])
     assert covers == len(specs), (covers, run["send_wcs"])
     # In-order completion structure: a success prefix, then errors.  WRs
     # already in flight when the QP errors each finish their own retry
     # ladder (RETRY_EXC and friends, possibly several); WRs still queued
     # flush.  Either way, nothing succeeds after the first error.
     errored = False
-    for wr_id, status, _op, _blen, _imm, _covers in run["send_wcs"]:
+    for wr_id, status, _op, _blen, _covers in run["send_wcs"]:
         if status is WcStatus.SUCCESS:
             assert not errored, f"SUCCESS after error (wr {wr_id})"
         else:
             errored = True
     # No torn writes: every remote slot is fully-old or fully-new.
     for index, (op, length, _signaled) in enumerate(specs):
-        if op not in ("write", "write_imm"):
+        if op != "write":
             continue
         offset = index * STRIDE
         slot = run["mem_b"][offset:offset + length]

@@ -34,8 +34,8 @@ def test_alloc_out_of_memory(memory):
 
 def test_register_and_lookup(memory):
     region = memory.register(0, 4096)
-    assert memory.region_by_rkey(region.rkey) is region
-    assert memory.region_by_lkey(region.lkey) is region
+    assert memory.check_remote(region.rkey, 0, 4096, write=False) is region
+    assert memory.check_local(region.lkey, 0, 4096) is region
     assert region.lkey != region.rkey
 
 
@@ -50,7 +50,6 @@ def test_deregister_invalidates(memory):
     region = memory.register(0, 4096)
     memory.deregister(region)
     assert not region.valid
-    assert memory.region_by_rkey(region.rkey) is None
     with pytest.raises(MemoryError_):
         memory.check_remote(region.rkey, 0, 8, write=False)
 

@@ -13,9 +13,14 @@ from hypothesis import strategies as st
 from repro.cluster.memory import _PAGE_SIZE, PhysicalMemory
 
 
+def _resident(memory):
+    """Bytes of backing store actually materialized (page-granular)."""
+    return len(memory._pages) * _PAGE_SIZE
+
+
 def test_fresh_memory_has_no_resident_pages():
     memory = PhysicalMemory(size=16 << 20)
-    assert memory.resident_bytes == 0
+    assert _resident(memory) == 0
 
 
 def test_untouched_ranges_read_as_zeros():
@@ -23,18 +28,18 @@ def test_untouched_ranges_read_as_zeros():
     assert memory.read(0, 64) == bytes(64)
     assert memory.read((4 << 20) - 10, 10) == bytes(10)
     # Reads do not materialize pages.
-    assert memory.resident_bytes == 0
+    assert _resident(memory) == 0
 
 
 def test_write_materializes_only_touched_pages():
     memory = PhysicalMemory(size=16 << 20)
     memory.write(0, b"x")
-    assert memory.resident_bytes == _PAGE_SIZE
+    assert _resident(memory) == _PAGE_SIZE
     memory.write(5 * _PAGE_SIZE + 7, b"y" * 10)
-    assert memory.resident_bytes == 2 * _PAGE_SIZE
+    assert _resident(memory) == 2 * _PAGE_SIZE
     # Rewriting a resident page allocates nothing new.
     memory.write(3, b"z" * 100)
-    assert memory.resident_bytes == 2 * _PAGE_SIZE
+    assert _resident(memory) == 2 * _PAGE_SIZE
 
 
 def test_page_straddling_write_reads_back_exactly():
@@ -52,7 +57,7 @@ def test_multi_page_spanning_write():
     payload = b"\xab" * (2 * _PAGE_SIZE + 123)
     memory.write(_PAGE_SIZE - 1, payload)
     assert memory.read(_PAGE_SIZE - 1, len(payload)) == payload
-    assert memory.resident_bytes == 4 * _PAGE_SIZE  # pages 0..3 touched
+    assert _resident(memory) == 4 * _PAGE_SIZE  # pages 0..3 touched
 
 
 @settings(max_examples=100, deadline=None)
@@ -110,4 +115,4 @@ def test_empty_tables_materialize_no_page_and_lookups_miss():
     assert txn.read_local(1023) == (0, False, bytes(64))
     meta = MetaServer(nodes[3])
     assert meta.store.get_local(b"dct:node7") is None
-    assert [node.memory.resident_bytes for node in nodes] == [0, 0, 0, 0]
+    assert [_resident(node.memory) for node in nodes] == [0, 0, 0, 0]

@@ -1,5 +1,4 @@
-"""Data-plane throughput modes: CQ polling models, doorbell batching,
-and WRITE_WITH_IMM.
+"""Data-plane throughput modes: CQ polling models and doorbell batching.
 
 Satellite regression nets for the data-plane PR:
 
@@ -12,9 +11,7 @@ Satellite regression nets for the data-plane PR:
   multi-slot (``covers``) completion releasing send-queue slots, and
   ``wait_poll`` racing a QP error completion.
 * ``post_send_batch`` semantics (chained WQE flags, single-WR
-  passthrough, doorbell metrics, issue-cost speedup) and WRITE_WITH_IMM
-  end-to-end (receiver CQE with the immediate, RNR without a buffer,
-  KRCORE's RECV_IMM-to-VQP routing).
+  passthrough, doorbell metrics, issue-cost speedup).
 """
 
 import pytest
@@ -29,7 +26,6 @@ from repro.verbs import (
     CompletionQueue,
     Opcode,
     QpType,
-    RecvBuffer,
     VerbsError,
     WcStatus,
     WorkRequest,
@@ -55,7 +51,8 @@ def test_busy_poll_charges_spin_ns_on_rnic():
     cluster = Cluster(sim, num_nodes=2)
     node_a, node_b = cluster.node(0), cluster.node(1)
     qp_a, _qp_b = quick_rc_pair(node_a, node_b)
-    cq = qp_a.send_cq.set_poll_mode("busy", rnic=node_a.rnic)
+    cq = qp_a.send_cq
+    cq.poll_mode, cq.rnic = "busy", node_a.rnic
     laddr, lmr = register(node_a, 64)
     raddr, rmr = register(node_b, 64, fill=7)
     waited = {}
@@ -154,8 +151,6 @@ def test_unknown_poll_mode_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         CompletionQueue(sim, poll_mode="hybrid")
-    with pytest.raises(ValueError):
-        CompletionQueue(sim).set_poll_mode("hybrid")
 
 
 # ------------------------------------------------------------ CQ edge cases
@@ -171,7 +166,7 @@ def test_wait_with_no_outstanding_entries_blocks_until_push():
     cq.push(Completion(1, WcStatus.SUCCESS, Opcode.SEND))
     assert event.triggered
     # ...and an armed event does not consume the entry.
-    assert len(cq) == 1
+    assert len(cq._entries) == 1
 
 
 def test_poll_releases_multi_slot_covers():
@@ -238,7 +233,8 @@ def test_wait_poll_returns_qp_error_completion():
     qp_a, _qp_b = quick_rc_pair(node_a, node_b)
     qp_a.retry_cnt = 1
     qp_a.timeout_ns = 2 * US
-    cq = qp_a.send_cq.set_poll_mode("busy", rnic=node_a.rnic)
+    cq = qp_a.send_cq
+    cq.poll_mode, cq.rnic = "busy", node_a.rnic
     cluster.fabric.set_link_fault(
         node_a.gid, node_b.gid, LinkFault(drop_prob=1.0)
     )
@@ -328,105 +324,6 @@ def test_batched_chain_finishes_sooner_than_serial():
     assert batched < serial
     # Exactly the issue-cost delta: (n-1) successors at 60ns vs 200ns.
     assert serial - batched == (n - 1) * (timing.NIC_TX_NS - timing.NIC_TX_CHAINED_NS)
-
-
-# ----------------------------------------------------------- WRITE_WITH_IMM
-
-
-def test_write_imm_delivers_payload_and_receiver_cqe():
-    sim = Simulator()
-    cluster = Cluster(sim, num_nodes=2)
-    node_a, node_b = cluster.node(0), cluster.node(1)
-    qp_a, qp_b = quick_rc_pair(node_a, node_b)
-    laddr, lmr = register(node_a, 64)
-    raddr, rmr = register(node_b, 64, fill=0)
-    node_a.memory.write(laddr, b"imm-payload!")
-    scratch, smr = register(node_b, 64)
-    qp_b.post_recv(RecvBuffer(scratch, 64, smr.lkey, wr_id=42))
-
-    def proc():
-        qp_a.post_send(
-            WorkRequest.write_imm(
-                laddr, 12, lmr.lkey, raddr, rmr.rkey, imm=0xBEEF, wr_id=7
-            )
-        )
-        return (yield from qp_a.send_cq.wait_poll())
-
-    wcs = sim.run_process(proc())
-    assert wcs[0].ok and wcs[0].opcode is Opcode.WRITE_IMM and wcs[0].wr_id == 7
-    # The write half landed at raddr (not in the recv buffer)...
-    assert node_b.memory.read(raddr, 12) == b"imm-payload!"
-    # ...and the immediate consumed a recv buffer to carry the CQE.
-    recv = qp_b.recv_cq.poll(4)
-    assert len(recv) == 1
-    wc = recv[0]
-    assert wc.opcode is Opcode.RECV_IMM
-    assert wc.wr_id == 42  # the consumed buffer's wr_id
-    assert wc.imm == 0xBEEF
-    assert wc.byte_len == 12
-    assert len(qp_b._recv_buffers) == 0
-
-
-def test_write_imm_without_recv_buffer_is_rnr():
-    sim = Simulator()
-    cluster = Cluster(sim, num_nodes=2)
-    node_a, node_b = cluster.node(0), cluster.node(1)
-    qp_a, _qp_b = quick_rc_pair(node_a, node_b)
-    qp_a.rnr_retry = 0
-    laddr, lmr = register(node_a, 64)
-    raddr, rmr = register(node_b, 64)
-
-    def proc():
-        qp_a.post_send(
-            WorkRequest.write_imm(laddr, 8, lmr.lkey, raddr, rmr.rkey, imm=1)
-        )
-        return (yield from qp_a.send_cq.wait_poll())
-
-    wcs = sim.run_process(proc())
-    assert wcs[0].status is WcStatus.RNR_ERR
-
-
-def test_krcore_routes_recv_imm_to_vqp_by_immediate():
-    """KRCORE two-sided WRITE_WITH_IMM: the payload flies one-sided into
-    the registered region; the 32-bit immediate names the destination
-    VQP, and the kernel's recv dispatcher routes the CQE to it."""
-    sim = Simulator()
-    cluster, _meta, _modules = krcore_cluster(sim, num_nodes=4, background_rc=False)
-    lib_s = KrcoreLib(cluster.node(2))
-    lib = KrcoreLib(cluster.node(1))
-
-    def setup(lib_, node):
-        def proc():
-            addr = node.memory.alloc(4096)
-            region = yield from lib_.reg_mr(addr, 4096)
-            return addr, region
-
-        return sim.run_process(proc())
-
-    raddr, rmr = setup(lib_s, cluster.node(2))
-    laddr, lmr = setup(lib, cluster.node(1))
-    cluster.node(1).memory.write(laddr, b"krcore-imm")
-
-    def proc():
-        server_vqp = yield from lib_s.create_vqp()
-        vqp = yield from lib.create_vqp()
-        yield from lib.qconnect(vqp, cluster.node(2).gid)
-        yield from lib.post_send(
-            vqp,
-            WorkRequest.write_imm(
-                laddr, 10, lmr.lkey, raddr, rmr.rkey, imm=server_vqp.id
-            ),
-        )
-        entry = yield from vqp.wait_send_completion()
-        assert entry.ok
-        completion = yield from lib_s.recv_wait(server_vqp)
-        return server_vqp, completion
-
-    server_vqp, completion = sim.run_process(proc())
-    assert completion.opcode is Opcode.RECV_IMM
-    assert completion.imm == server_vqp.id
-    assert completion.byte_len == 10
-    assert cluster.node(2).memory.read(raddr, 10) == b"krcore-imm"
 
 
 def test_vqp_post_send_batch_is_one_syscall_one_doorbell():

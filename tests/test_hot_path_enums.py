@@ -61,4 +61,4 @@ def test_constants_are_the_enum_members():
         assert issubclass(enum_type, enum.Enum)
         for member in enum_type:
             assert getattr(types, prefix + member.name) is member
-    assert set(types.POSTABLE_OPCODES) == set(types.Opcode) - {types.OP_RECV, types.OP_RECV_IMM}
+    assert set(types.POSTABLE_OPCODES) == set(types.Opcode) - {types.OP_RECV}

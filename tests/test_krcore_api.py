@@ -69,13 +69,12 @@ def test_poll_cq_nonblocking_returns_none_then_entry(env):
     def proc():
         vqp = yield from lib.create_vqp()
         yield from lib.qconnect(vqp, cluster.node(2).gid)
-        empty = yield from lib.poll_cq(vqp)
+        empty = vqp.poll_cq()
         yield from lib.post_send(
             vqp, WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey, wr_id=3)
         )
         yield 100_000
-        entry = yield from lib.poll_cq(vqp)
-        return empty, entry
+        return empty, vqp.poll_cq()
 
     empty, entry = sim.run_process(proc())
     assert empty is None
@@ -122,11 +121,11 @@ def test_write_sync_and_send_sync(env):
         vqp = yield from lib.create_vqp()
         yield from lib.qconnect(vqp, cluster.node(2).gid, 31)
         yield from lib.write_sync(vqp, laddr, lmr.lkey, raddr, rmr.rkey, 10)
-        # send_sync needs a bound receiver.
+        # The SEND needs a bound receiver.
         server_vqp = yield from lib_s.create_vqp()
         yield from lib_s.qbind(server_vqp, 31)
         yield from lib_s.post_recv(server_vqp, RecvBuffer(raddr + 1024, 512, rmr.lkey))
-        entry = yield from lib.send_sync(vqp, laddr, lmr.lkey, 10)
+        entry = yield from lib.post_send_and_wait(vqp, WorkRequest.send(laddr, 10, lmr.lkey))
         assert entry.ok
         results = yield from lib_s.qpop_msgs_wait(server_vqp)
         return results
@@ -185,8 +184,8 @@ def test_qpop_respects_max_msgs(env):
         for _ in range(5):
             yield from lib.post_send(vqp, WorkRequest.send(laddr, 8, lmr.lkey))
         yield 200_000
-        first = yield from lib_s.qpop_msgs(server_vqp, max_msgs=2)
-        rest = yield from lib_s.qpop_msgs(server_vqp, max_msgs=16)
+        first = yield from lib_s.post_and_qpop(server_vqp, [], max_msgs=2)
+        rest = yield from lib_s.post_and_qpop(server_vqp, [], max_msgs=16)
         return first, rest
 
     first, rest = sim.run_process(proc())
@@ -201,7 +200,7 @@ def test_qpop_on_unbound_vqp_rejected(env):
     def proc():
         vqp = yield from lib.create_vqp()
         with pytest.raises(KrcoreError):
-            yield from lib.qpop_msgs(vqp)
+            yield from lib.qpop_msgs_wait(vqp)
 
     sim.run_process(proc())
 
@@ -224,10 +223,10 @@ def test_messages_wait_for_user_buffers(env):
         yield from lib.qconnect(vqp, cluster.node(2).gid, PORT)
         yield from lib.post_send(vqp, WorkRequest.send(laddr, 8, lmr.lkey))
         yield 200_000
-        nothing = yield from lib_s.qpop_msgs(server_vqp)
-        assert nothing == []  # no user buffer posted yet
+        # No user buffer posted yet: the message waits in the port queue.
+        assert len(lib_s.module.messaging.port_queues[PORT]) == 1
         yield from lib_s.post_recv(server_vqp, RecvBuffer(raddr, 64, rmr.lkey))
-        results = yield from lib_s.qpop_msgs(server_vqp)
+        results = yield from lib_s.qpop_msgs_wait(server_vqp)
         return results
 
     results = sim.run_process(proc())

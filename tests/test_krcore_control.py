@@ -139,7 +139,8 @@ def test_pool_is_per_cpu(env):
 def test_connection_memory_is_small_and_constant(env):
     sim, cluster, meta, modules = env
     module = modules[1]
-    before = module.connection_cache_bytes()
+    pool = module.pool(0)
+    entries, qps = len(module.dc_cache), (len(pool.dc), len(pool.rc))
     lib = KrcoreLib(cluster.node(1))
 
     def proc():
@@ -148,9 +149,10 @@ def test_connection_memory_is_small_and_constant(env):
             yield from lib.qconnect(vqp, cluster.node(target).gid)
 
     sim.run_process(proc())
-    after = module.connection_cache_bytes()
-    # Two new "connections" cost just two 12-byte DCT metadata entries.
-    assert after - before == 2 * timing.DCT_METADATA_BYTES
+    # Two new "connections" cost just two 12-byte DCT metadata entries,
+    # and no QP.
+    assert len(module.dc_cache) == entries + 2
+    assert (len(pool.dc), len(pool.rc)) == qps
 
 
 def test_invalidate_node_drops_cached_state(env):

@@ -189,8 +189,3 @@ def test_memory_grows_linearly_with_cluster():
     assert LiteModule.cache_bytes_for(10_000) == 2 * LiteModule.cache_bytes_for(5_000)
 
 
-def test_connection_cache_bytes_tracks_pool():
-    sim, cluster, modules = _make_env()
-    modules[0].prewarm(modules[1])
-    modules[0].prewarm(modules[2])
-    assert modules[0].connection_cache_bytes() == 2 * timing.RC_QP_MEMORY_BYTES

@@ -77,7 +77,7 @@ def test_ensure_wraps_bare_server_and_passes_planes_through(sim):
     cluster = Cluster(sim, num_nodes=1)
     server = MetaServer(cluster.node(0))
     plane = MetaPlane.ensure(server)
-    assert len(plane) == 1 and plane.shards[0] is server
+    assert len(plane.shards) == 1 and plane.shards[0] is server
     assert MetaPlane.ensure(plane) is plane
 
 

@@ -195,15 +195,6 @@ def test_tracer_chrome_export_schema():
     assert len(tracer.digest()) == 64
 
 
-def test_tracer_export_chrome_writes_file(tmp_path):
-    tracer = Tracer()
-    tracer.instant(0, "t", "only")
-    path = tmp_path / "trace.json"
-    text = tracer.export_chrome(path)
-    assert path.read_text() == text
-    assert json.loads(text)["traceEvents"]
-
-
 # ---------------------------------------------------------------------------
 # Global install plumbing
 # ---------------------------------------------------------------------------

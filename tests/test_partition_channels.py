@@ -68,7 +68,6 @@ def test_channel_seal_returns_batch_and_clears():
     channel.push(_msg(20, dst_part=1, seq=1), send_ns=5)
     batch = channel.seal(barrier_ns=20)
     assert [m.deliver_ns for m in batch] == [30, 20]  # send order, unsorted
-    assert len(channel) == 0
     assert channel.seal(barrier_ns=20) == []
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import repro.sim.engine as engine
 import tests._seed_engine_reference as seed_engine
 from repro.check import FifoStrategy, ScheduleController
-from repro.sim import AllOf, AnyOf, Event, SimulationError, Simulator
+from repro.sim import AnyOf, Event, SimulationError, Simulator
 
 
 @pytest.fixture
@@ -119,18 +119,6 @@ def test_unjoined_process_failure_propagates_from_run(sim):
     sim.process(bad())
     with pytest.raises(ValueError, match="kaboom"):
         sim.run()
-
-
-def test_all_of_waits_for_every_child(sim):
-    def child(delay, value):
-        yield delay
-        return value
-
-    def parent():
-        values = yield AllOf([sim.process(child(30, "a")), sim.process(child(10, "b"))])
-        return (sim.now, values)
-
-    assert sim.run_process(parent()) == (30, ["a", "b"])
 
 
 def test_any_of_fires_on_first_child(sim):
@@ -461,19 +449,14 @@ def test_a_raise_mid_cohort_then_a_second_run_keeps_the_seed_order(shape):
     assert sum(entry[0] == "raised" for entry in ours) == 1
 
 
-def test_all_of_and_any_of_over_timers_and_events_match_the_seed():
-    """Values, failures and resume order of ``AllOf`` / ``AnyOf`` over
-    mixed children: events fired and failed at the same instants as
-    timers, integer delays, timeout events, a joined process, children
-    that fired before the wait, and an empty ``AllOf``."""
+def test_any_of_over_timers_and_events_matches_the_seed():
+    """Values, failures and resume order of ``AnyOf`` over mixed
+    children: events fired and failed at the same instants as timers,
+    integer delays, timeout events and children that fired before the
+    wait."""
 
     def program(module, sim, trace):
         events = [sim.event() for _ in range(3)]
-
-        def child(tag, delay):
-            yield delay
-            trace.append((sim.now, "child", tag))
-            return tag
 
         def firer():
             yield 5
@@ -491,21 +474,17 @@ def test_all_of_and_any_of_over_timers_and_events_match_the_seed():
             trace.append((sim.now, tag, value))
 
         sim.process(firer())
-        sim.process(joiner("all", 0, lambda: module.AllOf(
-            [events[0], 10, sim.process(child("c", 7)), sim.timeout(3)])))
         sim.process(joiner("any-event", 0, lambda: module.AnyOf([events[1], 4, sim.timeout(12)])))
         sim.process(joiner("any-first", 0, lambda: module.AnyOf([sim.timeout(5), events[0]])))
-        sim.process(joiner("all-fails", 0, lambda: module.AllOf([events[0], events[2], 20])))
-        sim.process(joiner("all-empty", 5, lambda: module.AllOf([])))
-        sim.process(joiner("all-fired", 10, lambda: module.AllOf([events[1], events[0], 0])))
+        sim.process(joiner("any-fails", 0, lambda: module.AnyOf([events[2], 20])))
         sim.process(joiner("any-fired", 10, lambda: module.AnyOf([events[2], events[1]])))
         sim.run()
         trace.append(("end", sim.now))
 
     ours, seed = _on_both(program)
     assert ours == seed
-    assert (10, "all", ["e0", None, "c", None]) in ours
-    assert (10, "all-fails", ("failed", "'e2'")) in ours
+    assert (5, "any-first", (0, None)) in ours
+    assert (10, "any-fails", ("failed", "'e2'")) in ours
 
 
 @pytest.mark.parametrize("controlled", [False, True])

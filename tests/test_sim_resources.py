@@ -101,7 +101,7 @@ def test_resource_usage_counters(sim):
     def holder():
         grant = yield resource.acquire()
         yield 50
-        observed.append((resource.in_use, resource.queue_length))
+        observed.append((resource._in_use, len(resource._waiting)))
         resource.release(grant)
 
     def contender():
@@ -159,14 +159,6 @@ def test_store_fifo_order(sim):
     assert got == [1, 2, 3]
 
 
-def test_store_try_get(sim):
-    store = Store(sim)
-    assert store.try_get() is None
-    store.put("y")
-    assert store.try_get() == "y"
-    assert len(store) == 0
-
-
 def test_release_hands_off_without_dropping_in_use(sim):
     """Under contention a release never decrements ``in_use``: the unit
     passes straight to the head waiter, and the count only falls once
@@ -176,7 +168,7 @@ def test_release_hands_off_without_dropping_in_use(sim):
 
     def worker(tag):
         grant = yield resource.acquire()
-        trace.append((tag, resource.in_use, resource.queue_length))
+        trace.append((tag, resource._in_use, len(resource._waiting)))
         yield 10
         resource.release(grant)
 
@@ -186,7 +178,7 @@ def test_release_hands_off_without_dropping_in_use(sim):
     # Every holder saw the unit fully in use; the queue shrank one per
     # handoff and in_use hit 0 only after the last release.
     assert trace == [("a", 1, 2), ("b", 1, 1), ("c", 1, 0)]
-    assert resource.in_use == 0 and resource.queue_length == 0
+    assert resource._in_use == 0 and len(resource._waiting) == 0
 
 
 def test_handoff_grant_is_fresh_and_releasable(sim):
@@ -225,7 +217,7 @@ def test_serve_truncates_float_service_time(sim):
         return sim.now
 
     assert sim.run_process(worker()) == 250
-    assert resource.in_use == 0
+    assert resource._in_use == 0
 
 
 def test_exhausted_pool_acquire_does_not_overgrant(sim):
@@ -236,7 +228,7 @@ def test_exhausted_pool_acquire_does_not_overgrant(sim):
 
     def worker():
         grant = yield resource.acquire()
-        concurrency.append(resource.in_use)
+        concurrency.append(resource._in_use)
         yield 7
         resource.release(grant)
 
@@ -245,7 +237,7 @@ def test_exhausted_pool_acquire_does_not_overgrant(sim):
     sim.run()
     assert max(concurrency) <= 2
     assert len(concurrency) == 6
-    assert resource.in_use == 0 and resource.queue_length == 0
+    assert resource._in_use == 0 and len(resource._waiting) == 0
 
 
 def test_store_fifo_among_blocked_getters(sim):
@@ -280,6 +272,6 @@ def test_store_put_bypasses_queue_when_getter_waits(sim):
     proc = sim.process(getter())
     sim.run()  # getter now parked
     store.put("direct")
-    assert len(store) == 0  # handed straight over, never enqueued
+    assert store._items == []  # handed straight over, never enqueued
     sim.run()
     assert proc.done_event.value == "direct"

@@ -229,7 +229,7 @@ def test_ud_send_to_missing_buffer_is_dropped_silently(sim, cluster):
     completion = _run_one(sim, proc())
     assert completion.ok  # unreliable: the sender never learns
     assert qp_c.state is QpState.RTS
-    assert len(qp_s.recv_cq) == 0
+    assert len(qp_s.recv_cq._entries) == 0
 
 
 def test_ud_send_recv_roundtrip(sim, cluster):

@@ -152,7 +152,7 @@ def test_ud_oversized_payload_dropped(sim, cluster):
         return completions[0]
 
     assert sim.run_process(proc()).ok
-    assert len(qp_s.recv_cq) == 0  # silently dropped
+    assert len(qp_s.recv_cq._entries) == 0  # silently dropped
 
 
 def test_post_send_before_rts_rejected(sim, cluster):
@@ -251,7 +251,7 @@ def test_work_request_clone_copies_every_field_but_the_span_id():
     wr = WorkRequest.read_vectored(
         0x1000, 7, [(0x2000, 9, 8), (0x3000, 9, 16)], wr_id=41, signaled=False,
         compare=3, swap=4, header={"k": 1}, dct_gid="node9", dct_number=5,
-        dct_key=6, imm=77, raddr=0x2000, rkey=9,
+        dct_key=6, raddr=0x2000, rkey=9,
     )
     wr.chained = True
     wr.trace_id = 123
@@ -312,4 +312,4 @@ def test_cq_park_wakes_a_sleeper_in_line_with_event_waiters(sim):
     cq.park(sleeper)
     sim.run()
     assert log[-1] == ("sleeper", 5) and sim.events_dispatched - dispatched == 5
-    assert len(cq) == 1
+    assert len(cq._entries) == 1

@@ -79,8 +79,9 @@ def test_a_dropped_one_sided_vqp_is_freed_by_reference_counting(gc_state):
 
 @pytest.mark.parametrize("publish", ["send", "two-sided record"])
 def test_a_published_vqp_outlives_its_user_until_destroy(gc_state, publish):
-    """The user drops a VQP whose id a peer may name; a message addressed
-    to it still lands, and ``destroy_vqp`` is what frees it."""
+    """The user drops a VQP whose id a peer may name: one that sent (a
+    reply addressed to it still lands) or one that only posted a receive.
+    ``destroy_vqp`` is what frees it."""
     gc.collect()
     gc.disable()
     sim = Simulator()
@@ -100,34 +101,28 @@ def test_a_published_vqp_outlives_its_user_until_destroy(gc_state, publish):
         vqp = yield from lib_c.create_vqp()
         yield from lib_c.qconnect(vqp, server.gid, 13)
         if publish == "send":
-            yield from lib_c.send_sync(vqp, caddr, cmr.lkey, 8)
+            yield from lib_c.post_send_and_wait(vqp, WorkRequest.send(caddr, 8, cmr.lkey))
         else:
             yield from lib_c.post_recv(vqp, RecvBuffer(caddr, 64, cmr.lkey))
         return weakref.ref(vqp), vqp.id
 
-    def serve(vqp_id):
-        if publish == "send":
-            (reply, _completion), = yield from lib_s.qpop_msgs_wait(bound)
-            yield from lib_s.post_send(reply, WorkRequest.send(saddr, 8, smr.lkey, signaled=False))
-        else:
-            # The id reached the peer out of band; the immediate names it.
-            peer = yield from lib_s.create_vqp()
-            yield from lib_s.qconnect(peer, client.gid)
-            wr = WorkRequest.write_imm(saddr, 8, smr.lkey, caddr + 64, cmr.rkey, imm=vqp_id)
-            yield from lib_s.post_send_and_wait(peer, wr)
+    def serve():
+        (reply, _completion), = yield from lib_s.qpop_msgs_wait(bound)
+        yield from lib_s.post_send(reply, WorkRequest.send(saddr, 8, smr.lkey, signaled=False))
         yield 50 * US
 
     bound = sim.run_process(bind())
     ref, vqp_id = sim.run_process(open_client())
     assert ref() is not None and module.published_vqps == {vqp_id: ref()}
-    sim.run_process(serve(vqp_id))
     vqp = module.vqps_by_id[vqp_id]
     if publish == "send":
+        sim.run_process(serve())
         vqp.post_recv(RecvBuffer(caddr, 64, cmr.lkey))
-    completion = sim.run_process(vqp.poll_recv())
-    assert completion is not None and completion.byte_len == 8
+        completion = sim.run_process(vqp.poll_recv())
+        assert completion is not None and completion.byte_len == 8
+        del completion
     module.destroy_vqp(vqp)
-    del vqp, completion
+    del vqp
     assert ref() is None and not list(module.indexed_vqps())
     assert bound.two_sided.bound_port == 13
 

@@ -75,22 +75,20 @@ FRAME_BUDGET_BEFORE = {
 
 #: (transport, opcode) -> (events_dispatched, timer_fires) for one signaled
 #: WR.  Before the PR 13 hop fusion every row cost (16, 6), and (18, 7)
-#: for the two opcodes that deliver a receiver-side CQE; with the inbound
-#: engine a FIFO Resource (PR 13) it cost (12, 5) / (14, 6) -- the two
-#: records since gone were the service-end wake.
+#: for SEND, which delivers a receiver-side CQE; with the inbound engine
+#: a FIFO Resource (PR 13) it cost (12, 5) / (14, 6) -- the two records
+#: since gone were the service-end wake.
 SINGLE_WR_BUDGET = {
     ("RC", "READ"): (10, 4),
     ("RC", "WRITE"): (10, 4),
     ("RC", "SEND"): (12, 5),
     ("RC", "CAS"): (10, 4),
     ("RC", "READ_V"): (10, 4),
-    ("RC", "WRITE_IMM"): (12, 5),
     ("DC", "READ"): (10, 4),
     ("DC", "WRITE"): (10, 4),
     ("DC", "SEND"): (12, 5),
     ("DC", "CAS"): (10, 4),
     ("DC", "READ_V"): (10, 4),
-    ("DC", "WRITE_IMM"): (12, 5),
 }
 
 #: transport -> (events_dispatched, timer_fires) for the whole 16-READ
@@ -102,22 +100,20 @@ WINDOW_BUDGET = {
 }
 
 #: (transport, opcode) -> (CQE byte_len, post-to-poll ns, receiver-side CQE
-#: opcode, its immediate) for the same single WR: what it *does*, recorded
+#: opcode) for the same single WR: what it *does*, recorded
 #: at the commit before enum members became import-time constants (PR 15).
 #: Not to be regenerated for a change that moves no simulated timestamp.
 SINGLE_WR_BEHAVIOUR = {
-    ("RC", "READ"): (8, 1809, None, None),
-    ("RC", "WRITE"): (8, 1819, None, None),
-    ("RC", "SEND"): (8, 4260, "RECV", None),
-    ("RC", "CAS"): (8, 1823, None, None),
-    ("RC", "READ_V"): (16, 1814, None, None),
-    ("RC", "WRITE_IMM"): (8, 2319, "RECV_IMM", 9),
-    ("DC", "READ"): (8, 1810, None, None),
-    ("DC", "WRITE"): (8, 1820, None, None),
-    ("DC", "SEND"): (8, 4260, "RECV", None),
-    ("DC", "CAS"): (8, 1824, None, None),
-    ("DC", "READ_V"): (16, 1815, None, None),
-    ("DC", "WRITE_IMM"): (8, 2320, "RECV_IMM", 9),
+    ("RC", "READ"): (8, 1809, None),
+    ("RC", "WRITE"): (8, 1819, None),
+    ("RC", "SEND"): (8, 4260, "RECV"),
+    ("RC", "CAS"): (8, 1823, None),
+    ("RC", "READ_V"): (16, 1814, None),
+    ("DC", "READ"): (8, 1810, None),
+    ("DC", "WRITE"): (8, 1820, None),
+    ("DC", "SEND"): (8, 4260, "RECV"),
+    ("DC", "CAS"): (8, 1824, None),
+    ("DC", "READ_V"): (16, 1815, None),
 }
 
 
@@ -162,8 +158,6 @@ class _Rig:
             sges = [(raddr, rkey, 8), (raddr + 64, rkey, 8)]
             return WorkRequest.read_vectored(laddr, lkey, sges, **common)
         self.recv_queue(RecvBuffer(self.recv_addr, 64, self.recv_mr.lkey))
-        if opcode is Opcode.WRITE_IMM:
-            return WorkRequest.write_imm(laddr, 8, lkey, raddr, rkey, imm=9, **common)
         return WorkRequest.send(laddr, 8, lkey, **common)
 
     def run(self, wrs):
@@ -244,7 +238,7 @@ def _single_wr_behaviour():
         wr.wr_id = wr_id
         mark = len(tracer.events) if tracer is not None else 0
         rig.run([wr])
-        received = [_cqe_row(c) + (c.imm,) for c in rig.recv_cq.poll(4)]
+        received = [_cqe_row(c) for c in rig.recv_cq.poll(4)]
         spans = [
             (event["ph"], event["name"], event.get("args", {}).get("status"))
             for event in (tracer.events[mark:] if tracer is not None else ())
@@ -257,13 +251,13 @@ def _single_wr_behaviour():
 def test_single_wr_behaviour_matches_the_parent_recording():
     """The budgets count records; this pins what the WRs did, traced and
     untraced, so a mistyped opcode / status constant on the WR path
-    (``WRITE`` for ``WRITE_IMM``) cannot pass silently."""
+    (``READ`` for ``READ_V``) cannot pass silently."""
     expected = {}
     for wr_id, (row, recorded) in enumerate(SINGLE_WR_BEHAVIOUR.items(), start=1):
-        byte_len, latency_ns, recv_opcode, imm = recorded
+        byte_len, latency_ns, recv_opcode = recorded
         expected[row] = (
             (wr_id, "SUCCESS", row[1], byte_len, 1, latency_ns),
-            [(0, "SUCCESS", recv_opcode, 8, 0, imm)] if recv_opcode else [],
+            [(0, "SUCCESS", recv_opcode, 8, 0)] if recv_opcode else [],
             [("b", f"wr.{row[1]}", None), ("e", f"wr.{row[1]}", "SUCCESS")],
         )
     untraced = _single_wr_behaviour()

@@ -1,7 +1,8 @@
 """WR timeline golden: no simulated timestamp on the verbs WR path may move.
 
 ``tests/golden/wr_timeline.json`` was recorded on the commit *before* the
-WR-path hop fusion (PR 13) and is committed unchanged.  It holds, for a
+WR-path hop fusion (PR 13), and re-recorded without WRITE_WITH_IMM on the
+commit before that opcode was deleted.  It holds, for a
 seeded mixed stream, every WR's ``(post_ns, cqe_ns, status, byte_len,
 covers)``, every receiver-side CQE, the simulated time every responder
 op left the inbound engine (each ``Rnic.stats_inbound_ops`` increment,
@@ -44,7 +45,7 @@ import pytest
 from repro.cluster import Cluster, timing
 from repro.cluster.fabric import LinkFault
 from repro.cluster.rnic import Rnic
-from repro.sim import AllOf, Simulator
+from repro.sim import Simulator
 from repro.verbs import (
     CompletionQueue,
     DctTarget,
@@ -164,8 +165,6 @@ class _Stream:
         elif opcode in (Opcode.CAS, Opcode.FETCH_ADD):
             fields.update(length=8, compare=wr_id, swap=wr_id + 1,
                           raddr=tgt.addr + 8 * (wr_id % 64))
-        elif opcode is Opcode.WRITE_IMM:
-            fields["imm"] = wr_id & 0xFFFFFFFF
         elif opcode is Opcode.SEND:
             fields["header"] = {"seq": wr_id}
         fields.update(override)
@@ -192,8 +191,6 @@ class _Stream:
         if draw < 0.88:
             return self.wr(Opcode.READ_V, rng.choice((32, 1024, 16384)), target, signaled)
         self.targets[target].post_recv(self.world.next_wr_id())
-        if draw < 0.94:
-            return self.wr(Opcode.WRITE_IMM, rng.choice(SIZES[:6]), target, signaled)
         return self.wr(Opcode.SEND, rng.choice(SEND_SIZES), target, signaled)
 
     def random_window(self, rng, n, target=None):
@@ -257,7 +254,8 @@ class _World:
         """A ready DC or UD QP (both address per work request)."""
         ctx = DriverContext(node, kernel=True)
         send_cq = _RecordingCq(self.sim, self.send_log)
-        qp = ctx.create_qp_fast(qp_type, send_cq, recv_cq=recv_cq or send_cq)
+        qp = ctx.create_qp_fast(
+            qp_type, send_cq, recv_cq=send_cq if recv_cq is None else recv_cq)
         qp.to_init()
         qp.to_rtr()
         qp.to_rts()
@@ -280,7 +278,9 @@ class _World:
         return _Stream(self, label, qp_c, [_Target(server, self.recv_cq[server.gid], peer_qp=qp_s)])
 
     def join(self, gens):
-        return AllOf([self.sim.process(gen) for gen in gens])
+        """Process: start every generator, then wait for each in turn."""
+        for process in [self.sim.process(gen) for gen in gens]:
+            yield process
 
     def mixed(self, stream, seed, rounds, target=None, window=(1, 1, 2, 4, 8, 16)):
         rng = random.Random(seed)
@@ -323,7 +323,7 @@ class _World:
                         "cqe_ns", "status", "byte_len", "covers"],
             "wrs": wrs,
             "recv_cqes": [
-                [ns, c.wr_id, c.opcode.value, c.byte_len, c.imm, list(c.src)]
+                [ns, c.wr_id, c.opcode.value, c.byte_len, list(c.src)]
                 for ns, c in self.recv_log
             ],
             "inbound_op_ns": self.inbound,
@@ -407,8 +407,8 @@ class _MixedWorld(_World):
         # RNR budget exhausted (no buffer ever arrives).
         rc1.post([rc1.wr(Opcode.SEND, 8), rc1.wr(Opcode.READ, 8)])
         yield from rc1.recover()
-        # No budget at all: the classic immediate RNR_ERR, via WRITE_IMM.
-        rc0.post([rc0.wr(Opcode.WRITE_IMM, 64)])
+        # No budget at all: the classic immediate RNR_ERR.
+        rc0.post([rc0.wr(Opcode.SEND, 64)])
         yield from rc0.recover()
         # Overflow: more WRs than free slots wrecks the QP and flushes
         # what is still queued behind the one WR already issued.
@@ -421,19 +421,19 @@ class _MixedWorld(_World):
     def script(self):
         sim, join, seed = self.sim, self.join, self.seed
         # 1. Everything at once, fault-free.
-        yield join(
+        yield from join(
             self.mixed(stream, seed * 100 + index, rounds=24)
             for index, stream in enumerate(self.streams)
         )
         # 2. Small chasing large.
-        yield join([self.chase(self.rc0), self.chase(self.dc0)])
+        yield from join([self.chase(self.rc0), self.chase(self.dc0)])
         # 3. Link faults on request and response links.
         fabric = self.cluster.fabric
         c0, s2, s3 = self.c0.gid, self.s2.gid, self.s3.gid
         fabric.set_link_fault(c0, s2, LinkFault(drop_prob=0.15, dup_prob=0.2, extra_ns=300, seed=7))
         fabric.set_link_fault(s2, c0, LinkFault(drop_prob=0.1, latency_mult=1.5, seed=8))
         fabric.set_link_fault(c0, s3, LinkFault(drop_prob=0.3, dup_prob=0.1, seed=9))
-        yield join([
+        yield from join([
             self.mixed(self.rc0, seed * 100 + 31, rounds=16, window=(1, 2, 4)),
             self.mixed(self.dc0, seed * 100 + 32, rounds=16, target=0, window=(1, 2, 4)),
             self.mixed(self.ud0, seed * 100 + 33, rounds=12, window=(1, 2)),
@@ -443,7 +443,7 @@ class _MixedWorld(_World):
             fabric.clear_link_fault(*link)
         # 4. The responder dies 1.5 us into two windows.
         sim.schedule(1500, self.s3.fail)
-        yield join([self.crash_window(self.rc2, seed * 100 + 41),
+        yield from join([self.crash_window(self.rc2, seed * 100 + 41),
                     self.crash_window(self.dc1, seed * 100 + 42)])
         self.ud0.post([self.ud0.wr(Opcode.SEND, 8), self.ud0.wr(Opcode.SEND, 8)])
         yield from self.ud0.drain()
@@ -472,7 +472,7 @@ class _FaultedLinksWorld(_World):
             ))
 
     def script(self):
-        yield self.join(
+        yield from self.join(
             self.mixed(stream, self.seed * 100 + index, rounds=40, window=(1, 1, 2, 4, 8))
             for index, stream in enumerate(self.streams)
         )
@@ -519,12 +519,12 @@ def test_wr_timeline_covers_what_it_claims():
         "RETRY_EXC_ERR", "FLUSH_ERR", "QpError", "QpOverflowError", None,
     } <= statuses
     assert {row[2] for row in wrs} == {
-        "READ", "READ_V", "WRITE", "WRITE_IMM", "SEND", "CAS", "FETCH_ADD"
+        "READ", "READ_V", "WRITE", "SEND", "CAS", "FETCH_ADD"
     }
     assert {row[1] for row in wrs} == {"rc0", "rc1", "rc2", "dc0", "dc1", "ud0"}
     assert {row[3] for row in wrs} >= {0, 8, 64, 256, 4096, 65536}
     assert any(row[9] > 1 for row in wrs), "no unsignaled run was covered"
-    assert {row[2] for row in golden["recv_cqes"]} == {"RECV", "RECV_IMM"}
+    assert {row[2] for row in golden["recv_cqes"]} == {"RECV"}
     assert all(golden["inbound_op_ns"].values())
     # The faulted-links stream: every connection waited out at least one
     # retransmission timer.
