@@ -63,31 +63,33 @@ class Fabric:
 
     def __init__(self, sim):
         self.sim = sim
-        self._nodes = {}
+        #: gid -> attached node (:meth:`node` raises on a miss; the flight
+        #: reads this dict directly).
+        self.nodes = {}
         self._one_way_cache = {}
         #: (src_gid, dst_gid) -> LinkFault.  Empty in fault-free runs; the
         #: QP flight path guards every consultation on this dict's truth.
         self.link_faults = {}
 
     def attach(self, node):
-        if node.gid in self._nodes:
+        if node.gid in self.nodes:
             raise ValueError(f"duplicate gid {node.gid}")
-        self._nodes[node.gid] = node
+        self.nodes[node.gid] = node
 
     def detach(self, node):
         """Remove ``node`` from routing.  Idempotent, and safe while
         deliveries are in flight: only the mapping that still points at
         *this* node object is removed, so a replacement node that re-used
         the gid (or a concurrent re-attach) is never knocked out."""
-        if self._nodes.get(node.gid) is node:
-            del self._nodes[node.gid]
+        if self.nodes.get(node.gid) is node:
+            del self.nodes[node.gid]
 
     def node(self, gid):
         """Resolve a gid; raises KeyError for unknown/dead nodes."""
-        return self._nodes[gid]
+        return self.nodes[gid]
 
     def has_node(self, gid):
-        return gid in self._nodes
+        return gid in self.nodes
 
     # -- fault injection -------------------------------------------------------
 

@@ -46,9 +46,6 @@ class MemoryRegion:
         self.access = access
         self.valid = True
 
-    def contains(self, addr, length):
-        return self.addr <= addr and addr + length <= self.addr + self.length
-
     def __repr__(self):
         return (
             f"MemoryRegion(addr={self.addr:#x}, length={self.length}, "
@@ -108,12 +105,15 @@ class PhysicalMemory:
 
     # -- checked access (what the RNIC does using its cached MR state) --------
 
+    # The two checks run on every WR hop: the bounds test is inline, not a call.
+
     def check_remote(self, rkey, addr, length, write):
         """Validate a remote access; raise MemoryError_ on any violation."""
         region = self._regions_by_rkey.get(rkey)
         if region is None or not region.valid:
             raise MemoryError_(f"unknown rkey {rkey}")
-        if not region.contains(addr, length):
+        base = region.addr
+        if addr < base or addr + length > base + region.length:
             raise MemoryError_(
                 f"access [{addr}, {addr + length}) outside region "
                 f"[{region.addr}, {region.addr + region.length})"
@@ -128,7 +128,8 @@ class PhysicalMemory:
         region = self._regions_by_lkey.get(lkey)
         if region is None or not region.valid:
             raise MemoryError_(f"unknown lkey {lkey}")
-        if not region.contains(addr, length):
+        base = region.addr
+        if addr < base or addr + length > base + region.length:
             raise MemoryError_(
                 f"sge [{addr}, {addr + length}) outside region "
                 f"[{region.addr}, {region.addr + region.length})"

@@ -154,7 +154,8 @@ class Rnic:
         duration_ns = int(duration_ns)
         grant = None
         if engine == "inbound":  # one more occupant of the busy-until clock
-            start, end = self._inbound_occupy(duration_ns)
+            start = max(self.sim.now, self._inbound_free_at)
+            end = self._inbound_free_at = start + duration_ns
         else:
             grant = yield self.command_processor.acquire()
             start = self.sim.now
@@ -170,25 +171,30 @@ class Rnic:
             if grant is not None:
                 self.command_processor.release(grant)
 
-    def inbound_admit(self, service_ns, opcode=None):
+    def inbound_admit(self, service_ns, opcode=None, hold_ns=None):
         """Admit one op arriving now; returns the ``(start, end)`` of its
         service.  The whole responder-occupancy model: the hold (stretched
         inside a gray window, the sub-ns rest carried so aggregate
         throughput matches the configured rate) is fixed on arrival and
-        service is FIFO, so departure is arithmetic and nothing is scheduled."""
-        if self._degraded_until and self.sim.now < self._degraded_until:
-            service_ns = service_ns * self._degrade_factor
-        total = service_ns + self._service_carry
-        whole = int(total)
-        self._service_carry = total - whole
-        return self.inbound_readmit(whole, opcode)
-
-    def inbound_readmit(self, hold_ns, opcode=None):
-        """:meth:`inbound_admit` for the re-serve of a duplicated request:
-        the whole-ns hold of the original, not sized a second time."""
-        start, end = self._inbound_occupy(hold_ns)
-        self._inbound_served()  # fold: the deque stays queue-sized
-        self._inbound_ends.append(end)
+        service is FIFO, so departure is arithmetic and nothing is scheduled.
+        The re-serve of a duplicated request passes ``hold_ns``, the
+        whole-ns hold of the original, not sized a second time.  One method,
+        no helper call: every inbound op of every WR comes through here."""
+        now = self.sim.now
+        if hold_ns is None:
+            if self._degraded_until and now < self._degraded_until:
+                service_ns = service_ns * self._degrade_factor
+            total = service_ns + self._service_carry
+            hold_ns = int(total)
+            self._service_carry = total - hold_ns
+        start = self._inbound_free_at
+        if start < now:
+            start = now
+        end = self._inbound_free_at = start + hold_ns
+        ends = self._inbound_ends
+        while ends and ends[0] < now:  # fold the served: the deque stays queue-sized
+            ends.popleft()
+        ends.append(end)
         self._inbound_admitted += 1
         if _check.CHECKER is not None:
             _check.CHECKER.rnic_busy(self, "inbound", start, end)
@@ -200,23 +206,14 @@ class Rnic:
             _metrics.METRICS.counter("rnic.inbound_busy_ns").inc(hold_ns)
         return start, end
 
-    def _inbound_occupy(self, hold_ns):
-        """Advance the busy-until clock by one occupant (an op or a stall)."""
-        start = max(self.sim.now, self._inbound_free_at)
-        end = self._inbound_free_at = start + hold_ns
-        return start, end
-
-    def _inbound_served(self):
-        ends = self._inbound_ends
-        now = self.sim.now
-        while ends and ends[0] < now:
-            ends.popleft()
-        return self._inbound_admitted - len(ends)
-
     @property
     def stats_inbound_ops(self):
         """Inbound ops served (benchmarks read this for unbiased rates): a
         view, the ops admitted whose service ended before this instant.
         One ending this very nanosecond is not in yet -- a reader's timer
         runs ahead of the service-end wake-up there used to be."""
-        return self._inbound_served()
+        ends = self._inbound_ends
+        now = self.sim.now
+        while ends and ends[0] < now:
+            ends.popleft()
+        return self._inbound_admitted - len(ends)

@@ -138,9 +138,19 @@ def responder_payload_service_ns(nbytes):
     return result
 
 
+_onesided_service_cache = {}
+
+
 def onesided_service_ns(read, nbytes, dc):
     """Responder engine occupancy (fractional ns) of one READ (``read``
-    true) or WRITE of ``nbytes``, on the DC transport if ``dc``."""
+    true) or WRITE of ``nbytes``, on the DC transport if ``dc``.
+
+    Memoized like :func:`responder_payload_service_ns`: called once per
+    READ / WRITE a responder admits."""
+    key = (read, nbytes, dc)
+    service = _onesided_service_cache.get(key)
+    if service is not None:
+        return service
     if read:
         service = READ_RESPONDER_SERVICE_NS + responder_payload_service_ns(nbytes)
         if dc:
@@ -149,6 +159,7 @@ def onesided_service_ns(read, nbytes, dc):
         service = WRITE_RESPONDER_SERVICE_NS + responder_payload_service_ns(nbytes)
         if dc:
             service += DC_WRITE_SERVICE_EXTRA_NS
+    _onesided_service_cache[key] = service
     return service
 
 

@@ -189,7 +189,7 @@ class KernelMessaging:
         self._restock(qp)
         dst_vqp = header.get("dst_vqp")
         if dst_vqp is not None:
-            vqp = self.module.vqps_by_id.get(dst_vqp)
+            vqp = self.module.vqp(dst_vqp)
             if vqp is None:
                 self.release(msg)
                 return
@@ -320,6 +320,7 @@ class KernelMessaging:
         timeout the transfer proceeds (its replies can never arrive on the
         old QP either)."""
         gid, peer_vqp_id = vqp.two_sided.peer
+        self.module.published_vqps[vqp.id] = vqp  # ``from_vqp`` below
         ack = self.sim.event()
         self._transfer_acks[(gid, vqp.id)] = ack
         try:
@@ -335,7 +336,7 @@ class KernelMessaging:
         self._transfer_acks.pop((gid, vqp.id), None)
 
     def _handle_peer_transfer(self, header):
-        vqp = self.module.vqps_by_id.get(header["to_vqp"])
+        vqp = self.module.vqp(header["to_vqp"])
         if vqp is not None and vqp.qp is not None:
             new_qp, meta = yield from self.module.target_qp(vqp.cpu_id, vqp.remote_gid)
             if meta is not None:

@@ -44,6 +44,14 @@ RECORD_MAX_BYTES = 64
 SCRATCH_BYTES = max(BUCKET_BYTES, RECORD_MAX_BYTES)
 
 
+#: :meth:`~repro.krcore.module.KrcoreModule.retry_meta`'s (jitter key,
+#: error text) formats for a DCT and an MR-record lookup: ``{0}`` is the
+#: looking-up node's gid, then the record's subject.  Formatted only once a
+#: lookup is retried.
+DCT_RETRY_TEXTS = ("{0}->{1}", "DCT lookup of {1}")
+MR_RETRY_TEXTS = ("{0}:{1}:{2}", "MR ({1}, {2})")
+
+
 def dct_key(gid):
     """The meta-plane key for a node's DCT metadata record."""
     return b"dct:" + gid.encode()
@@ -322,24 +330,23 @@ class MetaClient:
 
     def lookup_dct(self, gid, deadline=None):
         """Process: fetch (dct_number, dct_key) for ``gid``, or None."""
-        value = yield from self._lookup(dct_key(gid), deadline)
-        if value is None:
-            return None
+        return self._lookup(dct_key(gid), deadline, self._dct_meta)
+
+    def lookup_mr(self, gid, rkey, deadline=None):
+        """Process: fetch (addr, length) for a remote MR, or None."""
+        return self._lookup(mr_key(gid, rkey), deadline, _MR_VALUE.unpack)
+
+    def _dct_meta(self, value):
+        """The one (number, key) tuple the server's readers share for a
+        DCT record."""
         metas = self.meta_server.dct_metas
         meta = metas.get(value)
         if meta is None:
             meta = metas[value] = _DCT_VALUE.unpack(value)
         return meta
 
-    def lookup_mr(self, gid, rkey, deadline=None):
-        """Process: fetch (addr, length) for a remote MR, or None."""
-        value = yield from self._lookup(mr_key(gid, rkey), deadline)
-        if value is None:
-            return None
-        addr, length = _MR_VALUE.unpack(value)
-        return (addr, length)
-
-    def _lookup(self, key, deadline=None):
+    def _lookup(self, key, deadline, decode):
+        """Process: ``key``'s record value through ``decode``, or None."""
         if _trace.TRACER is not None:
             _trace.TRACER.begin(
                 self.sim.now, f"meta@{self.node.gid}", "meta.rpc",
@@ -392,4 +399,4 @@ class MetaClient:
                     self.sim.now, f"meta@{self.node.gid}", "meta.rpc",
                     found=value is not None,
                 )
-        return value
+        return None if value is None else decode(value)

@@ -14,7 +14,9 @@ from repro.check import hooks as _check
 from repro.cluster import timing
 from repro.degrade import CircuitBreaker, Deadline
 from repro.krcore.messaging import KernelMessaging
-from repro.krcore.meta import MetaClient, MetaPlane, MetaServer, dct_key, mr_key
+from repro.krcore.meta import (
+    DCT_RETRY_TEXTS, MetaClient, MetaPlane, MetaServer, dct_key, mr_key,
+)
 from repro.krcore.mrstore import MrStore, ValidMr
 from repro.krcore.pool import HybridQpPool
 from repro.krcore.vqp import KrcoreError, Vqp
@@ -48,6 +50,13 @@ class _Token:
         self.covers = covers
         self.entry = entry
         self.event = event
+
+
+class _VqpRef(weakref.ref):
+    """An entry of the VQP id table: a weak reference that knows its id,
+    so the one callback every entry shares can unlink it."""
+
+    __slots__ = ("vqp_id",)
 
 
 class KrcoreModule:
@@ -136,9 +145,12 @@ class KrcoreModule:
                 self.dc_cache.setdefault(shard.node.gid, meta_module.own_dct_meta)
 
         # --- the VQP tables; kernel control messages ---
-        #: VQP id -> live VQP, weakly; connected ones in first-connect order.
-        self.vqps_by_id = weakref.WeakValueDictionary()
-        #: VQP id -> VQP with a two-sided record: a peer may name it.
+        #: VQP id -> ``_VqpRef`` to the live VQP; connected ones in
+        #: first-connect order.  A freed VQP's entry unlinks itself, so the
+        #: table is walked through a snapshot (:meth:`live_vqps`).
+        self.vqps_by_id = {}
+        self._unlink_vqp = self._vqp_freed  # the callback every entry shares
+        #: VQP id -> VQP whose id went on the wire: a peer may name it.
         self.published_vqps = {}
         self._next_vqp_id = 1
         self.messaging.serve_kernel_port()
@@ -204,10 +216,31 @@ class KrcoreModule:
     def create_vqp(self, cpu_id=0):
         """vqp_create (Algorithm 1): software queues only, physical QP
         assignment deferred to qconnect."""
-        vqp = Vqp(self, cpu_id, self._next_vqp_id)
-        self._next_vqp_id += 1
-        self.vqps_by_id[vqp.id] = vqp
+        vqp_id = self._next_vqp_id
+        self._next_vqp_id = vqp_id + 1
+        vqp = Vqp(self, cpu_id, vqp_id)
+        ref = _VqpRef(vqp, self._unlink_vqp)
+        ref.vqp_id = vqp_id
+        self.vqps_by_id[vqp_id] = ref
         return vqp
+
+    def _vqp_freed(self, ref):
+        # pop, not del: a snapshot can outlive the entry destroy_vqp removed.
+        self.vqps_by_id.pop(ref.vqp_id, None)
+
+    def vqp(self, vqp_id):
+        """The live VQP with id ``vqp_id``, or None."""
+        ref = self.vqps_by_id.get(vqp_id)
+        return None if ref is None else ref()
+
+    def live_vqps(self):
+        """The live VQPs in table order (a snapshot)."""
+        vqps = []
+        for ref in list(self.vqps_by_id.values()):
+            vqp = ref()
+            if vqp is not None:
+                vqps.append(vqp)
+        return vqps
 
     def destroy_vqp(self, vqp):
         """ibv_destroy_qp on a VQP: unlink it from every module table.
@@ -226,20 +259,20 @@ class KrcoreModule:
         vqp.destroyed = True
         vqp.qp = None
         del self.vqps_by_id[vqp.id]
+        self.published_vqps.pop(vqp.id, None)
         if vqp.two_sided is not None:
-            del self.published_vqps[vqp.id]
             self.messaging.forget(vqp.two_sided)
 
     def indexed_vqps(self):
         """Every VQP a table reaches: by id, pinned, bound or replying (the audit)."""
-        yield from self.vqps_by_id.values()
+        yield from self.live_vqps()
         yield from self.published_vqps.values()
         yield from self.messaging.bound.values()
         yield from self.messaging.reply_vqps.values()
 
     def connected_vqps(self, gid):
         """The live VQPs connected to ``gid``, in connect order (a snapshot)."""
-        return [vqp for vqp in self.vqps_by_id.values() if vqp.remote_gid == gid]
+        return [vqp for vqp in self.live_vqps() if vqp.remote_gid == gid]
 
     # ------------------------------------------------------------- MR handling
 
@@ -536,17 +569,19 @@ class KrcoreModule:
         retry; returns None for a *reachable* owner with no record (the
         node never booted or was retracted)."""
         return self.retry_meta(
-            self.plane_lookup_dct, (cpu_id, gid, deadline), deadline,
-            f"{self.node.gid}->{gid}", f"DCT lookup of {gid}",
+            self._plane_lookup,
+            (cpu_id, dct_key(gid), deadline, MetaClient.lookup_dct, gid),
+            deadline, DCT_RETRY_TEXTS, gid,
         )
 
-    def retry_meta(self, lookup, args, deadline, jitter_key, what):
+    def retry_meta(self, lookup, args, deadline, texts, *subject):
         """Process: ``lookup(*args)`` (a plane lookup) with bounded retry +
-        exponential backoff (jitter seeded by ``jitter_key`` desynchronizes
-        concurrent herds), each attempt failing over across the record's
-        owner shards.  Raises :class:`MetaUnavailableError` once the budget
-        is spent, or :class:`DeadlineExceededError` as soon as the caller's
-        remaining time cannot cover the next backoff sleep."""
+        exponential backoff (jitter seeded by the jitter key of ``texts``,
+        formatted with this node and ``subject``, desynchronizes concurrent
+        herds), each attempt failing over across the record's owner shards.
+        Raises :class:`MetaUnavailableError` once the budget is spent, or
+        :class:`DeadlineExceededError` as soon as the caller's remaining
+        time cannot cover the next backoff sleep."""
         backoff = timing.KRCORE_BACKOFF_BASE_NS
         attempt = 0
         while True:
@@ -556,11 +591,13 @@ class KrcoreModule:
                 attempt += 1
                 if attempt > timing.KRCORE_META_RETRIES:
                     raise
+                jitter_text, what = texts
+                jitter_key = jitter_text.format(self.node.gid, *subject)
                 pause = backoff + timing.backoff_jitter_ns(backoff, jitter_key, attempt)
                 if deadline is not None and deadline.remaining_ns(self.sim.now) <= pause:
                     raise DeadlineExceededError(
                         f"deadline cannot cover retry {attempt} backoff "
-                        f"({pause} ns) for {what}",
+                        f"({pause} ns) for {what.format(self.node.gid, *subject)}",
                         code=WC_RETRY_EXC_ERR,
                     ) from err
                 yield pause

@@ -17,7 +17,7 @@ posting, or a bad key would wreck the shared QP (§3.1, C#3).
 
 from repro.check import hooks as _check
 from repro.cluster import timing
-from repro.krcore.meta import mr_key
+from repro.krcore.meta import MR_RETRY_TEXTS, mr_key
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.verbs.errors import MetaUnavailableError
@@ -28,37 +28,31 @@ class ValidMr:
 
     def __init__(self, node):
         self.node = node
-        self._by_rkey = {}
         self._by_lkey = {}
         #: forget() calls that found a *different* region under the key --
         #: the recycled-key churn race the identity check below defends.
         self.stats_forget_mismatches = 0
 
     def record(self, region):
-        self._by_rkey[region.rkey] = region
         self._by_lkey[region.lkey] = region
 
     def forget(self, region):
         # Pop by identity, not by key: under churn a retracted region's
-        # recycled rkey/lkey may already name a *new* registration, and
-        # dropping that one would fail every remote validation against
+        # recycled lkey may already name a *new* registration, and
+        # dropping that one would fail every local validation against
         # the live MR.
-        mismatch = False
-        if self._by_rkey.get(region.rkey) is region:
-            del self._by_rkey[region.rkey]
-        elif region.rkey in self._by_rkey:
-            mismatch = True
         if self._by_lkey.get(region.lkey) is region:
             del self._by_lkey[region.lkey]
         elif region.lkey in self._by_lkey:
-            mismatch = True
-        if mismatch:
             self.stats_forget_mismatches += 1
 
     def check_local(self, lkey, addr, length):
         """True iff [addr, addr+length) lies in a valid local region."""
         region = self._by_lkey.get(lkey)
-        return region is not None and region.valid and region.contains(addr, length)
+        return (
+            region is not None and region.valid
+            and region.addr <= addr and addr + length <= region.addr + region.length
+        )
 
     def lookup_region_by_lkey(self, lkey):
         region = self._by_lkey.get(lkey)
@@ -162,8 +156,7 @@ class MrStore:
         try:
             module = self.module
             record = yield from module.retry_meta(
-                module.plane_lookup_mr, (cpu_id, gid, rkey), None,
-                f"{module.node.gid}:{gid}:{rkey}", f"MR ({gid}, {rkey})",
+                module.plane_lookup_mr, (cpu_id, gid, rkey), None, MR_RETRY_TEXTS, gid, rkey
             )
             epoch = self._epoch()
             self._stale_accepted.discard((gid, rkey))

@@ -62,10 +62,11 @@ class CompletionEntry:
 
 class TwoSided:
     """A VQP's two-sided messaging state (§4.4-4.5), built on its first
-    two-sided use: a SEND or a receive posted, a port bound, a peering made
+    use on the receive side: a receive posted, a port bound, a peering made
     or a message routed to it.  A VQP that only ever posts one-sided verbs
-    never has one.  Its queues, like ``Vqp.comp_queue``, are the shared ``()``
-    until their first append (:meth:`Vqp.enqueue`), a list after."""
+    or SENDs never has one.  Its queues, like ``Vqp.comp_queue``, are the
+    shared ``()`` until their first append (:meth:`Vqp.enqueue`), a list
+    after."""
 
     __slots__ = (
         "recv_queue", "recv_completions", "pending_msgs", "msg_waiters",
@@ -90,10 +91,11 @@ class Vqp:
     completion queue (the shared ``()`` until its first append, a list
     after), the physical QP and the target.  What two-sided messaging needs
     lives in one :class:`TwoSided` record, ``two_sided``, None until used.
-    Building it -- a SEND builds it too -- publishes the VQP's id, and the
-    module pins the VQP until ``destroy_vqp``; otherwise reference counting
-    frees it once its user, in-flight wr_id tokens and ports drop it, like a
-    file descriptor (DESIGN.md §16 "VQP lifetime").
+    A message that carries the VQP's id -- a SEND's header, a QP-transfer
+    notice -- publishes it, and the module pins the VQP until
+    ``destroy_vqp``; otherwise reference counting frees it once its user,
+    in-flight wr_id tokens and ports drop it, like a file descriptor
+    (DESIGN.md §16 "VQP lifetime").
     """
 
     __slots__ = (
@@ -119,11 +121,10 @@ class Vqp:
         self._transfer_waiters = None
 
     def ensure_two_sided(self):
-        """The :class:`TwoSided` record, built (and the VQP pinned) on first use."""
+        """The :class:`TwoSided` record, built on first use."""
         state = self.two_sided
         if state is None:
             state = self.two_sided = TwoSided()
-            self.module.published_vqps[self.id] = self
         return state
 
     def enqueue(self, queue_name, item):
@@ -172,7 +173,33 @@ class Vqp:
                         _metrics.METRICS.counter("krcore.dc_cache_misses").inc()
                     if module.degrade is not None:
                         yield from pool.admission_gate(module.sim, module.degrade).admit(deadline)
-                    meta = yield from self._fetch_dct_meta(gid, pool, deadline)
+                    # The robust fetch: cached on success; with the meta
+                    # service unreachable past the retry budget, a full RC
+                    # handshake instead (no metadata needed on an RC-backed
+                    # VQP).  A DeadlineExceededError propagates untouched: a
+                    # spent budget must not trigger the milliseconds-long
+                    # RC fallback.
+                    track = module.track
+                    if _trace.TRACER is not None:
+                        _trace.TRACER.begin(
+                            module.sim.now, track, "meta.lookup_dct", gid=gid,
+                            shard=module.meta_plane.primary_index(dct_key(gid)),
+                        )
+                    try:
+                        try:
+                            meta = yield from module.lookup_dct_robust(
+                                self.cpu_id, gid, deadline
+                            )
+                        finally:
+                            # Close the span on *every* exit (a
+                            # MetaUnavailableError previously left it open,
+                            # corrupting later span nesting on this track).
+                            if _trace.TRACER is not None:
+                                _trace.TRACER.end(module.sim.now, track, "meta.lookup_dct")
+                    except MetaUnavailableError as meta_err:
+                        self.qp = yield from self._rc_fallback(gid, pool, meta_err)
+                    else:
+                        meta = module.cache_dct(gid, meta)
                     if deadline is not None:
                         # A gray-slow fetch can *succeed* past the budget
                         # (the lag sits between the client's checkpoints);
@@ -195,61 +222,35 @@ class Vqp:
             self.qp = None
             raise KrcoreError(f"VQP {self.id} was destroyed")
         if self.remote_gid is None:  # first connect: to the id table's end
-            table = module.vqps_by_id.data
+            table = module.vqps_by_id
             table[self.id] = table.pop(self.id)
         self.remote_gid = gid
         self.remote_port = port
         return self
 
-    def _fetch_dct_meta(self, gid, pool, deadline=None):
-        """Process: robust DCT metadata fetch for :meth:`connect`.
-
-        On success the metadata is cached and returned.  If the meta
-        service is unreachable after the retry budget, fall back to a full
-        RC handshake: ``self.qp`` is set to the fresh RCQP and ``None`` is
-        returned (no metadata needed on an RC-backed VQP).  A
-        :class:`~repro.verbs.errors.DeadlineExceededError` propagates
-        untouched -- a spent budget must *not* trigger the
-        milliseconds-long RC fallback.
-        """
+    def _rc_fallback(self, gid, pool, meta_err):
+        """Process: the degraded :meth:`connect` -- the meta service stayed
+        unreachable, so a full RC handshake to ``gid``; returns the RCQP."""
         module = self.module
         track = module.track
+        module.stats_rc_fallbacks += 1
+        if _trace.TRACER is not None:
+            _trace.TRACER.begin(module.sim.now, track, "rc_fallback", gid=gid)
+        if _metrics.METRICS is not None:
+            _metrics.METRICS.counter("krcore.rc_fallbacks").inc()
         try:
-            if _trace.TRACER is not None:
-                _trace.TRACER.begin(
-                    module.sim.now, track, "meta.lookup_dct", gid=gid,
-                    shard=module.meta_plane.primary_index(dct_key(gid)),
-                )
-            try:
-                meta = yield from module.lookup_dct_robust(
-                    self.cpu_id, gid, deadline
-                )
-            finally:
-                # Close the span on *every* exit (a MetaUnavailableError
-                # previously left it open, corrupting later span nesting
-                # on this track).
-                if _trace.TRACER is not None:
-                    _trace.TRACER.end(module.sim.now, track, "meta.lookup_dct")
-        except MetaUnavailableError as meta_err:
-            module.stats_rc_fallbacks += 1
-            if _trace.TRACER is not None:
-                _trace.TRACER.begin(module.sim.now, track, "rc_fallback", gid=gid)
-            if _metrics.METRICS is not None:
-                _metrics.METRICS.counter("krcore.rc_fallbacks").inc()
-            try:
-                self.qp = yield from module.establish_rc(gid, pool)
-            except (VerbsError, KrcoreError) as rc_err:
-                if _trace.TRACER is not None:
-                    _trace.TRACER.end(module.sim.now, track, "rc_fallback")
-                raise KrcoreError(
-                    f"meta server unreachable and RC fallback to {gid} "
-                    f"failed ({rc_err})",
-                    code=getattr(rc_err, "code", None),
-                ) from meta_err
+            qp = yield from module.establish_rc(gid, pool)
+        except (VerbsError, KrcoreError) as rc_err:
             if _trace.TRACER is not None:
                 _trace.TRACER.end(module.sim.now, track, "rc_fallback")
-            return None
-        return module.cache_dct(gid, meta)
+            raise KrcoreError(
+                f"meta server unreachable and RC fallback to {gid} "
+                f"failed ({rc_err})",
+                code=getattr(rc_err, "code", None),
+            ) from meta_err
+        if _trace.TRACER is not None:
+            _trace.TRACER.end(module.sim.now, track, "rc_fallback")
+        return qp
 
     def revalidate(self):
         """Process: refresh this VQP's DCT metadata after a remote-access
@@ -418,7 +419,9 @@ class Vqp:
         for payloads the kernel buffers cannot (or should not) carry."""
         module = self.module
         messaging = module.messaging
-        peer = self.ensure_two_sided().peer  # the header publishes the id
+        state = self.two_sided
+        peer = None if state is None else state.peer
+        module.published_vqps[self.id] = self  # ``src_vqp`` below: a reply may name it
         header = {
             "dst_port": self.remote_port,
             "dst_vqp": peer[1] if peer else None,

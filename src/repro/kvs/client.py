@@ -6,7 +6,7 @@ query path KRCORE uses for DCT metadata (§4.2) and MR validation.
 """
 
 from repro.cluster import timing
-from repro.kvs.layout import BUCKET_BYTES, Layout, RecordTooLargeError, key_fingerprint
+from repro.kvs.layout import BUCKET_BYTES, SLOT, Layout, RecordTooLargeError, key_fingerprint
 from repro.kvs.store import PROBE_WINDOW, TOMBSTONE_FP
 from repro.verbs import WorkRequest
 from repro.verbs.errors import VerbsError
@@ -31,52 +31,62 @@ class DrtmKvClient:
         self.stats_reads = 0
 
     def lookup(self, key):
-        """Process: fetch ``key``'s value bytes, or None if absent."""
+        """Process: fetch ``key``'s value bytes, or None if absent.
+
+        Every READ -- a bucket of the probe window, a record whose
+        fingerprint matches -- is posted and reaped at one site, in this
+        frame."""
         fp = key_fingerprint(key)
-        home = fp & (self.catalog.bucket_count - 1)
-        for probe in range(PROBE_WINDOW):
-            bucket_index = (home + probe) % self.catalog.bucket_count
-            bucket_addr = self.catalog.base_addr + bucket_index * BUCKET_BYTES
-            bucket = yield from self._read(bucket_addr, BUCKET_BYTES)
-            has_empty = False
-            for slot_fp, slot_off, slot_len in Layout.unpack_slots(bucket):
-                if slot_fp == 0:
-                    has_empty = True
-                    continue
-                if slot_fp == TOMBSTONE_FP or slot_fp != fp:
-                    continue
-                record = yield from self._read(self.heap_addr + slot_off, slot_len)
-                record_key, record_value = Layout.unpack_record(record)
+        catalog = self.catalog
+        qp = self.qp
+        cq = qp.send_cq
+        home = fp & (catalog.bucket_count - 1)
+        probe = 0
+        slots = None  # the bucket being scanned: an iterator of its slots
+        has_empty = False
+        raddr, length = catalog.base_addr + home * BUCKET_BYTES, BUCKET_BYTES
+        while True:
+            if length > self.scratch_len:
+                raise RecordTooLargeError(
+                    f"record of {length} bytes exceeds the {self.scratch_len} B scratch buffer"
+                )
+            yield timing.POST_SEND_CPU_NS
+            qp.post_send(
+                WorkRequest.read(self.scratch_addr, length, self.scratch_lkey, raddr, catalog.rkey)
+            )
+            if cq.poll_mode == "event":  # CompletionQueue.wait_poll, in this frame
+                completions = cq.poll()
+                while not completions:
+                    yield cq.wait()
+                    completions = cq.poll()
+            else:
+                completions = yield from cq.wait_poll()
+            yield timing.POLL_CQ_CPU_NS
+            completion = completions[0]
+            if not completion.ok:
+                raise VerbsError(
+                    f"meta read failed: {completion.status}", code=completion.status
+                )
+            self.stats_reads += 1
+            data = qp.node.memory.read(self.scratch_addr, length)
+            if slots is None:
+                slots = SLOT.iter_unpack(data)
+                has_empty = False
+            else:
+                record_key, record_value = Layout.unpack_record(data)
                 if record_key == key:
                     return record_value
-            if has_empty:
-                return None
-        return None
-
-    def _read(self, raddr, length):
-        if length > self.scratch_len:
-            raise RecordTooLargeError(
-                f"record of {length} bytes exceeds the {self.scratch_len} B scratch buffer"
-            )
-        yield timing.POST_SEND_CPU_NS
-        self.qp.post_send(
-            WorkRequest.read(
-                self.scratch_addr, length, self.scratch_lkey, raddr, self.catalog.rkey
-            )
-        )
-        cq = self.qp.send_cq
-        if cq.poll_mode == "event":  # CompletionQueue.wait_poll, in this frame
-            completions = cq.poll()
-            while not completions:
-                yield cq.wait()
-                completions = cq.poll()
-        else:
-            completions = yield from cq.wait_poll()
-        yield timing.POLL_CQ_CPU_NS
-        completion = completions[0]
-        if not completion.ok:
-            raise VerbsError(
-                f"meta read failed: {completion.status}", code=completion.status
-            )
-        self.stats_reads += 1
-        return self.qp.node.memory.read(self.scratch_addr, length)
+            # On through the bucket to the next slot that may hold the key.
+            for slot_fp, slot_off, slot_len in slots:
+                if slot_fp == 0:
+                    has_empty = True
+                elif slot_fp == fp and slot_fp != TOMBSTONE_FP:
+                    raddr, length = self.heap_addr + slot_off, slot_len
+                    break
+            else:  # the bucket is done
+                probe += 1
+                if has_empty or probe == PROBE_WINDOW:
+                    return None
+                slots = None
+                bucket_index = (home + probe) % catalog.bucket_count
+                raddr, length = catalog.base_addr + bucket_index * BUCKET_BYTES, BUCKET_BYTES

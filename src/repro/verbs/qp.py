@@ -217,7 +217,7 @@ class QueuePair:
 
     @property
     def free_slots(self):
-        return self.sq_depth - self.outstanding
+        return self.sq_depth - self._posted + self._reclaimed
 
     def _reclaim(self, covers):
         self._reclaimed += covers
@@ -243,7 +243,7 @@ class QueuePair:
             raise QpError(f"QP {self.qpn} is in ERR", code=WC_FLUSH_ERR)
         if self.state is not QPS_RTS:
             raise VerbsError(f"QP {self.qpn}: post_send in state {self.state}")
-        if len(wrs) > self.free_slots:
+        if len(wrs) > self.sq_depth - self._posted + self._reclaimed:  # free_slots
             self.enter_error()
             raise QpOverflowError(
                 f"QP {self.qpn}: posting {len(wrs)} WRs with {self.free_slots} free slots",
@@ -325,12 +325,17 @@ class QueuePair:
             if self.qp_type is QPT_DC and (wr.dct_gid, wr.dct_number) != self._dc_current:
                 self._stage = QueuePair._fetch
                 return self.sim.sleep(self, self._dc_retarget(wr))
-            return self._fetch()
+            # The WQE fetch, as in _fetch, armed here: no call per WR.
+            self._stage = QueuePair._launch
+            return self.sim.sleep(
+                self, timing.NIC_TX_CHAINED_NS if wr.chained else timing.NIC_TX_NS
+            )
         self._stage = None
 
     def _fetch(self):
-        # A chained WQE rides the doorbell of its chain head: the NIC
-        # already has the chain, so issue is a cheap descriptor fetch.
+        """The WQE fetch after a DC retarget.  A chained WQE rides the
+        doorbell of its chain head: the NIC already has the chain, so
+        issue is a cheap descriptor fetch."""
         self._stage = QueuePair._launch
         self.sim.sleep(self, timing.NIC_TX_CHAINED_NS if self._tx_wr.chained else timing.NIC_TX_NS)
 
@@ -583,9 +588,8 @@ class _Flight:
         a contended WR costs what an idle one does."""
         qp = self.qp
         wr = self.wr
-        try:
-            remote_node = self.remote_node = qp.node.fabric.node(self.remote_gid)
-        except KeyError:
+        remote_node = self.remote_node = qp.node.fabric.nodes.get(self.remote_gid)
+        if remote_node is None:
             return self._lost()
         rnic = remote_node.rnic
         dc = qp.qp_type is QPT_DC
@@ -628,7 +632,7 @@ class _Flight:
     def _duplicate_served(self):
         self.duplicated = False  # dealt with
         start, end = self.window
-        _start, end = self.remote_node.rnic.inbound_readmit(end - start, self.wr.opcode)
+        _start, end = self.remote_node.rnic.inbound_admit(0, self.wr.opcode, end - start)
         self._stage = _Flight._execute
         sim = self.qp.sim
         sim.sleep(self, end - sim.now + timing.NIC_RESPONDER_PIPELINE_NS)
@@ -693,7 +697,16 @@ class _Flight:
                 response_bytes = 8
         except MemoryError_:
             return self._refused()
-        self._executed(response_bytes)
+        fabric = qp.node.fabric
+        if self.duplicated or fabric.link_faults:
+            return self._executed(response_bytes)
+        # _executed and _respond, inline: no duplicate to re-serve and no
+        # fault to draw for the response.
+        self.executed = True
+        self.response_bytes = response_bytes
+        self.byte_len = wr.length
+        self._stage = _Flight._retire
+        qp.sim.sleep(self, fabric.one_way_ns(response_bytes) + timing.NIC_RX_COMPLETION_NS)
 
     def _deliver(self):
         """Claim the recv buffer (SRQ slot for DCT) an inbound SEND lands

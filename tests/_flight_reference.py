@@ -248,7 +248,7 @@ def _flight(qp, wr, ticket):
                     if start > qp.sim.now:
                         yield start - qp.sim.now
                     yield end - qp.sim.now
-                    start, end = rnic.inbound_readmit(end - start, opcode)
+                    start, end = rnic.inbound_admit(0, opcode, end - start)
                 # Queue wait, service and pipeline are one timer: a
                 # contended WR costs what an idle one does.
                 yield end - qp.sim.now + timing.NIC_RESPONDER_PIPELINE_NS

@@ -45,7 +45,7 @@ DOUBLE_COUNTED = {
         "metric feeds the observatory's krcore.mrstore_hit_ratio"
     ),
     "src/repro/krcore/mrstore.py:MrStore.check(stats_stale_accepts)": _CHAOS_REPORT,
-    "src/repro/krcore/vqp.py:Vqp._fetch_dct_meta(stats_rc_fallbacks)": _CHAOS_REPORT,
+    "src/repro/krcore/vqp.py:Vqp._rc_fallback(stats_rc_fallbacks)": _CHAOS_REPORT,
     "src/repro/krcore/module.py:KrcoreModule._plane_lookup(stats_meta_failovers)": (
         _CHAOS_REPORT
     ),

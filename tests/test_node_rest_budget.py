@@ -73,7 +73,8 @@ WINDOW = 16
 #: weak id-table entry and its id.  Measured 295-320 on 3.11 as the table
 #: grows, against 230-257 while the table held every VQP strongly and a
 #: per-target index held it again: the weakref slot and the table's
-#: ``KeyedRef`` cost ~90 B per held VQP, and buy the next row (296 with the
+#: ``_VqpRef`` (or the ``KeyedRef`` of a ``WeakValueDictionary``, the same
+#: size) cost ~90 B per held VQP, and buy the next row (296 with the
 #: two-sided fields inline, ~3 KB with four eager deques).
 HELD_VQP_BYTES_CEILING = 384
 

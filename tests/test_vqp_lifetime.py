@@ -4,9 +4,9 @@ A VQP lives like a file descriptor (DESIGN.md §16 "VQP lifetime"): its
 user's handle, an in-flight wr_id token, a port binding or reply slot, or
 its own id once published on the wire keep it; when none does, reference
 counting frees it and it leaves the module's weak id table.  A published
-VQP -- one with a two-sided record, or one that posted a SEND whose header
-carries ``src_vqp`` -- is pinned until ``destroy_vqp``, so a reply addressed
-to it still lands.  The transfer paths derive a target's VQPs from the
+VQP -- one that posted a SEND whose header carries ``src_vqp``, or sent a
+QP-transfer notice -- is pinned until ``destroy_vqp``, so a reply addressed
+to it still lands; one that only posted a receive is not.  The transfer paths derive a target's VQPs from the
 live table, in connect order.
 
 Only reference counting may free a VQP: the last tests run whole
@@ -77,18 +77,13 @@ def test_a_dropped_one_sided_vqp_is_freed_by_reference_counting(gc_state):
     assert not module.published_vqps and not module.wrid_tokens
 
 
-@pytest.mark.parametrize("publish", ["send", "two-sided record"])
-def test_a_published_vqp_outlives_its_user_until_destroy(gc_state, publish):
-    """The user drops a VQP whose id a peer may name: one that sent (a
-    reply addressed to it still lands) or one that only posted a receive.
-    ``destroy_vqp`` is what frees it."""
-    gc.collect()
-    gc.disable()
+def _two_sided_pair(background_rc=False):
+    """A client node and a server node with a VQP bound to port 13 that
+    has a receive posted; (sim, module of the client, client lib, server
+    lib, client region, server region, the bound VQP)."""
     sim = Simulator()
-    cluster, _meta, modules = krcore_cluster(sim, num_nodes=3, background_rc=False)
-    client, server = cluster.node(1), cluster.node(2)
-    module = modules[1]
-    lib_c, lib_s = KrcoreLib(client), KrcoreLib(server)
+    cluster, _meta, modules = krcore_cluster(sim, num_nodes=3, background_rc=background_rc)
+    lib_c, lib_s = KrcoreLib(cluster.node(1)), KrcoreLib(cluster.node(2))
     (caddr, cmr), (saddr, smr) = _regions(sim, lib_c, lib_s)
 
     def bind():
@@ -97,13 +92,21 @@ def test_a_published_vqp_outlives_its_user_until_destroy(gc_state, publish):
         yield from lib_s.post_recv(bound, RecvBuffer(saddr, 64, smr.lkey))
         return bound
 
+    bound = sim.run_process(bind())
+    return sim, modules[1], lib_c, lib_s, (caddr, cmr), (saddr, smr), bound
+
+
+def test_a_vqp_that_sent_outlives_its_user_until_destroy(gc_state):
+    """The user drops a VQP that sent: the SEND header carried its id, so
+    a reply addressed to it still lands.  ``destroy_vqp`` is what frees it."""
+    gc.collect()
+    gc.disable()
+    sim, module, lib_c, lib_s, (caddr, cmr), (saddr, smr), bound = _two_sided_pair()
+
     def open_client():
         vqp = yield from lib_c.create_vqp()
-        yield from lib_c.qconnect(vqp, server.gid, 13)
-        if publish == "send":
-            yield from lib_c.post_send_and_wait(vqp, WorkRequest.send(caddr, 8, cmr.lkey))
-        else:
-            yield from lib_c.post_recv(vqp, RecvBuffer(caddr, 64, cmr.lkey))
+        yield from lib_c.qconnect(vqp, lib_s.node.gid, 13)
+        yield from lib_c.post_send_and_wait(vqp, WorkRequest.send(caddr, 8, cmr.lkey))
         return weakref.ref(vqp), vqp.id
 
     def serve():
@@ -111,19 +114,38 @@ def test_a_published_vqp_outlives_its_user_until_destroy(gc_state, publish):
         yield from lib_s.post_send(reply, WorkRequest.send(saddr, 8, smr.lkey, signaled=False))
         yield 50 * US
 
-    bound = sim.run_process(bind())
     ref, vqp_id = sim.run_process(open_client())
     assert ref() is not None and module.published_vqps == {vqp_id: ref()}
-    vqp = module.vqps_by_id[vqp_id]
-    if publish == "send":
-        sim.run_process(serve())
-        vqp.post_recv(RecvBuffer(caddr, 64, cmr.lkey))
-        completion = sim.run_process(vqp.poll_recv())
-        assert completion is not None and completion.byte_len == 8
-        del completion
+    vqp = module.vqp(vqp_id)
+    sim.run_process(serve())
+    vqp.post_recv(RecvBuffer(caddr, 64, cmr.lkey))
+    completion = sim.run_process(vqp.poll_recv())
+    assert completion is not None and completion.byte_len == 8
+    del completion
     module.destroy_vqp(vqp)
     del vqp
     assert ref() is None and not list(module.indexed_vqps())
+    assert bound.two_sided.bound_port == 13
+
+
+def test_a_receive_only_vqp_is_freed_once_dropped(gc_state):
+    """A VQP that only posted a receive has a two-sided record, but no
+    message ever carried its id, so no peer can name it: its user's last
+    reference frees it, without ``destroy_vqp``."""
+    gc.collect()
+    gc.disable()
+    sim, module, lib_c, lib_s, (caddr, cmr), _server, bound = _two_sided_pair()
+
+    def open_client():
+        vqp = yield from lib_c.create_vqp()
+        yield from lib_c.qconnect(vqp, lib_s.node.gid, 13)
+        yield from lib_c.post_recv(vqp, RecvBuffer(caddr, 64, cmr.lkey))
+        assert vqp.two_sided is not None and module.vqp(vqp.id) is vqp
+        return weakref.ref(vqp), vqp.id
+
+    ref, vqp_id = sim.run_process(open_client())
+    assert ref() is None and module.vqp(vqp_id) is None
+    assert not module.published_vqps and not list(module.indexed_vqps())
     assert bound.two_sided.bound_port == 13
 
 

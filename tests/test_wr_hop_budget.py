@@ -14,19 +14,23 @@ Two shapes, idle two-node system, connection warm:
   per-WR cost of a backlog, where the per-doorbell and per-CQE records
   amortize.
 
-The host side of a KRCORE op is pinned too: the generators one
-``create_vqp`` + ``qconnect`` or ``read_sync`` starts (the frame budget).
+The host side is pinned too: the generators one ``create_vqp`` +
+``qconnect`` or ``read_sync`` starts (the frame budget), and the Python
+calls into ``src/repro`` one signaled 8 B READ on RC and on DC and one
+DCCache-miss ``create_vqp`` + ``qconnect`` make (the call budget).
 
-``make hop-budget`` prints both tables (``pytest -s -k "hop_budget or
-frame_budget"``).
+``make hop-budget`` prints the tables (``pytest -s -k "hop_budget or
+frame_budget or call_budget"``).
 """
 
 import gc
 import inspect
+import os
 import sys
 
 import pytest
 
+import repro
 import repro.sim
 from repro import obs
 from repro.cluster import Cluster, timing
@@ -38,20 +42,21 @@ from tests.conftest import krcore_cluster, quick_dc_qp, quick_rc_pair, register
 
 WINDOW = 16
 
+#: The call budget counts code under this directory.
+_SRC = os.path.dirname(repro.__file__) + os.sep
+#: Comprehension code, a frame of its own only before Python 3.12.
+_INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
 _CONNECT = ["create_vqp", "qconnect", "connect"]
 
 #: op -> the generators one KRCORE op starts, in start order, its own
 #: process aside; warm meta client, pool and MR record.
 FRAME_BUDGET = {
     "create_vqp + qconnect, DCCache miss": _CONNECT + [
-        "_fetch_dct_meta",
         "retry_meta",
         "_plane_lookup",
-        "lookup_dct",
         "_lookup",
-        "lookup",
-        "_read",  # the bucket
-        "_read",  # the record
+        "lookup",  # both READs, the bucket's and the record's
     ],
     "create_vqp + qconnect, DCCache hit": _CONNECT,
     "read_sync, warm VQP": [
@@ -71,6 +76,25 @@ FRAME_BUDGET_BEFORE = {
     "create_vqp + qconnect, DCCache miss": 20,
     "create_vqp + qconnect, DCCache hit": 5,
     "read_sync, warm VQP": 7,
+}
+
+#: op -> Python calls into ``src/repro`` it makes, generator resumes
+#: included (``_HostLog``); the engine's run loop and the op's process
+#: start and finish are in, the driving test code is not.
+CALL_BUDGET = {
+    "RC READ, one signaled 8 B": 58,
+    "DC READ, one signaled 8 B": 59,
+    "create_vqp + qconnect, DCCache miss": 184,
+}
+
+#: The same counts before the one-method inbound admission, the inline
+#: bounds checks and dict reads, the memoized responder service time, the
+#: response wire armed in ``_execute`` and the meta lookup chain of 7
+#: generators instead of 11.
+CALL_BUDGET_BEFORE = {
+    "RC READ, one signaled 8 B": 70,
+    "DC READ, one signaled 8 B": 71,
+    "create_vqp + qconnect, DCCache miss": 232,
 }
 
 #: (transport, opcode) -> (events_dispatched, timer_fires) for one signaled
@@ -314,28 +338,36 @@ def test_window_hop_budget_builds_no_process_and_no_generator_per_wr(transport, 
     assert generators == {"driver", "wait_poll"}
 
 
-class _FrameLog:
+class _HostLog:
     """A profile hook recording each generator frame the first time it
     runs, so a generator resumed by an op but started before it (a
-    daemon started at boot) is not counted."""
+    daemon started at boot) is not counted; and counting the Python calls
+    whose code lives under ``src/repro``, generator resumes included.
+    Standard-library calls are not counted (they differ between Python
+    versions), nor are comprehensions, which are frames of their own only
+    before 3.12."""
 
     def __init__(self):
         self._seen = {}  # id(frame) -> frame, kept alive so ids stay unique
         self.started = []
+        self.calls = 0
 
     def __call__(self, frame, event, _arg):
-        if (
-            event == "call" and frame.f_code.co_flags & inspect.CO_GENERATOR
-            and id(frame) not in self._seen
-        ):
+        if event != "call":
+            return
+        code = frame.f_code
+        if code.co_filename.startswith(_SRC) and code.co_name not in _INLINED:
+            self.calls += 1
+        if code.co_flags & inspect.CO_GENERATOR and id(frame) not in self._seen:
             self._seen[id(frame)] = frame
-            self.started.append(frame.f_code.co_name)
+            self.started.append(code.co_name)
 
 
-def _frame_table():
-    """Four booted KRCORE nodes, node 1 the caller; the generators each op
-    starts, the op's own process aside."""
-    log = _FrameLog()
+def _krcore_ops():
+    """Four booted KRCORE nodes, node 1 the caller; per op, the generators
+    it starts (its own process aside) and the calls into ``src/repro`` it
+    makes."""
+    log = _HostLog()
     with _Profiled(log):
         sim = Simulator()
         cluster, _meta, _modules = krcore_cluster(sim, num_nodes=4)
@@ -355,9 +387,9 @@ def _frame_table():
             yield from lib.read_sync(vqp, laddr, lmr.lkey, raddr, rmr.rkey, 8)
 
         def op(gen):
-            mark = len(log.started)
+            mark, calls = len(log.started), log.calls
             sim.run_process(gen)
-            return log.started[mark + 1 :]
+            return log.started[mark + 1 :], log.calls - calls
 
         # Warm: the meta client's QP, node 1's pool and node 2's MR record.
         vqp = sim.run_process(connect(nodes[2].gid))
@@ -374,12 +406,38 @@ def test_krcore_frame_budget():
     where it must wait (DESIGN.md §8).  Each is one resume hop for every
     event the op waits on, so a trampoline or a wrapper creeping back in
     fails here."""
-    table = _frame_table()
+    table = {op: names for op, (names, _calls) in _krcore_ops().items()}
     print("\nKRCORE frame budget, generators started per op")
     print(f"  {'op':<38}{'before':>7}{'now':>5}")
     for op, names in table.items():
         print(f"  {op:<38}{FRAME_BUDGET_BEFORE[op]:>7}{len(names):>5}")
     assert table == FRAME_BUDGET
+
+
+def _call_table():
+    table = {}
+    for transport in ("RC", "DC"):
+        rig = _Rig(transport)
+        wr = rig.wr(Opcode.READ)
+        log = _HostLog()
+        with _Profiled(log):
+            rig.run([wr])
+        table[f"{transport} READ, one signaled 8 B"] = log.calls
+    _names, calls = _krcore_ops()["create_vqp + qconnect, DCCache miss"]
+    table["create_vqp + qconnect, DCCache miss"] = calls
+    return table
+
+
+def test_call_budget():
+    """Python calls into ``src/repro`` per op, generator resumes included:
+    the host cost the engine-record and frame budgets do not see -- a
+    helper call for a comparison or a dict read on a hop fails here."""
+    table = _call_table()
+    print("\nCall budget, Python calls into src/repro per op")
+    print(f"  {'op':<38}{'before':>7}{'now':>5}")
+    for op, calls in table.items():
+        print(f"  {op:<38}{CALL_BUDGET_BEFORE[op]:>7}{calls:>5}")
+    assert table == CALL_BUDGET
 
 
 @pytest.mark.parametrize("qp_type", [QpType.RC, QpType.DC])

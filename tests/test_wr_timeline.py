@@ -73,8 +73,8 @@ class _RecordingRnic(Rnic):
     """Logs the service-end instant of every op the inbound engine admits
     (the simulated time ``stats_inbound_ops`` counts it from)."""
 
-    def inbound_readmit(self, hold_ns, opcode=None):
-        start, end = super().inbound_readmit(hold_ns, opcode)
+    def inbound_admit(self, service_ns, opcode=None, hold_ns=None):
+        start, end = super().inbound_admit(service_ns, opcode, hold_ns)
         self.inbound_log.append(end)
         return start, end
 
