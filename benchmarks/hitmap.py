@@ -86,7 +86,6 @@ RUNS = (
 _RACE_OPS = "ROADMAP item 11: Fig 16's sampled windows call it; the RACE oracle does today"
 _TRANSFER_PEER = "ROADMAP item 1(a): the QP transfer's peer protocol gets a scenario"
 _RECOVERY = "ROADMAP item 1(a): verbs recovery (RNR retry, ERR flush, duplicates) gets a scenario"
-_HOST_DOWN = "ROADMAP item 6: wire section 4.2's host-down invalidation, or delete it"
 _SEARCH = "ROADMAP item 4(a): a verdict per search mode decides whether it stays"
 _VERDICT = ("ROADMAP item 4(a): the checker's verdict record; tests pin a check's "
             "determinism with it today")
@@ -109,7 +108,6 @@ UNIT_ONLY = {
     "check/controller.py:PctStrategy.describe": _SEARCH,
     "check/controller.py:Schedule.save": _SEARCH,
     "check/invariants.py:Violation.to_dict": _VERDICT,
-    "check/invariants.py:Checker.pool_rc_drop": _HOST_DOWN,
     "check/invariants.py:Checker.to_dict": _VERDICT,
     "check/invariants.py:Checker.digest": _VERDICT,
     "check/runner.py:CheckResult.to_dict": _VERDICT,
@@ -124,8 +122,6 @@ UNIT_ONLY = {
     "krcore/messaging.py:KernelMessaging._handle_peer_transfer": _TRANSFER_PEER,
     "krcore/meta.py:MetaPlane.retract_mr": (
         "ROADMAP item 1(a): MR deregistration after one lease gets a chaos scenario"),
-    "krcore/module.py:KrcoreModule.invalidate_node": _HOST_DOWN,
-    "krcore/pool.py:HybridQpPool.drop_rc": _HOST_DOWN,
     "krcore/vqp.py:Vqp._transfer_done": _TRANSFER_PEER,
     "verbs/qp.py:_Flight._flush": _RECOVERY,
     "verbs/qp.py:_Flight._rnr": _RECOVERY,

@@ -22,7 +22,7 @@ mode burns nothing (and is the default everywhere else).
 from repro.bench.harness import FigureResult
 from repro.cluster import Cluster, timing
 from repro.sim import Simulator, US
-from repro.verbs import CompletionQueue, DriverContext, WorkRequest
+from repro.verbs import CompletionQueue, DriverContext, WorkRequest, wire_rc_pair
 from repro.verbs.types import QPT_RC
 
 #: 8-byte payloads: the small-message regime where polling mode dominates.
@@ -68,12 +68,7 @@ def _sweep(mode, batch, fast):
     ctx_b = DriverContext(node_b, kernel=True)
     qp_a = ctx_a.create_qp_fast(QPT_RC, cq, sq_depth=max(64, 2 * batch))
     qp_b = ctx_b.create_qp_fast(QPT_RC, CompletionQueue(sim))
-    qp_a.to_init()
-    qp_a.to_rtr((node_b.gid, qp_b.qpn))
-    qp_a.to_rts()
-    qp_b.to_init()
-    qp_b.to_rtr((node_a.gid, qp_a.qpn))
-    qp_b.to_rts()
+    wire_rc_pair(qp_a, qp_b)
     scratch = node_a.memory.alloc(MSG_BYTES)
     remote = node_b.memory.alloc(MSG_BYTES)
     lregion = node_a.memory.register(scratch, MSG_BYTES)

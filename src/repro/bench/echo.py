@@ -6,6 +6,7 @@ user space; over KRCORE the receive path crosses the kernel (qpop), which
 is the throughput gap of Fig 11b.
 """
 
+from repro.bench.harness import SteadyRate
 from repro.bench.setups import krcore_cluster, spread_clients, verbs_cluster
 from repro.cluster import timing
 from repro.krcore import KrcoreLib
@@ -15,6 +16,7 @@ from repro.verbs import (
     DriverContext,
     RecvBuffer,
     WorkRequest,
+    wire_rc_pair,
 )
 from repro.verbs.types import QPT_RC
 
@@ -23,17 +25,13 @@ MEASURE_NS = 200 * US
 
 
 class EchoResult:
-    def __init__(self, recorder, client_windows):
+    def __init__(self, recorder, steady):
         self.recorder = recorder
-        self.client_windows = client_windows
+        self.steady = steady
 
     @property
     def throughput_mps(self):
-        total = 0.0
-        for start, count, last in self.client_windows.values():
-            if count and last > start:
-                total += count / ((last - start) / 1e9)
-        return total / 1e6
+        return self.steady.per_s() / 1e6
 
     @property
     def avg_latency_us(self):
@@ -71,18 +69,18 @@ def run_echo(
         raise ValueError(f"unknown system {system!r}")
     stop_at = warmup_ns + measure_ns
     recorder = LatencyRecorder()
-    windows = {}
+    steady = SteadyRate()
     env.start_server()
     for index in range(num_clients):
         env.sim.process(
-            _echo_client(env, index, mode, window, windows, recorder, warmup_ns, stop_at),
+            _echo_client(env, index, mode, window, steady, recorder, warmup_ns, stop_at),
             name=f"echo-client{index}",
         )
     env.sim.run(until=stop_at)
-    return EchoResult(recorder, windows)
+    return EchoResult(recorder, steady)
 
 
-def _echo_client(env, index, mode, window, windows, recorder, warmup_ns, stop_at):
+def _echo_client(env, index, mode, window, steady, recorder, warmup_ns, stop_at):
     client = yield from env.make_client(index)
     pipelined = 1 if mode == "sync" else window
     while env.sim.now < stop_at:
@@ -93,12 +91,7 @@ def _echo_client(env, index, mode, window, windows, recorder, warmup_ns, stop_at
             continue
         if mode == "sync":
             recorder.record(now - start)
-        entry = windows.get(index)
-        if entry is None:
-            windows[index] = (now, 0, now)
-        else:
-            origin, count, _ = entry
-            windows[index] = (origin, count + pipelined, now)
+        steady.add(index, now, pipelined)
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +126,7 @@ class _VerbsEcho:
         cq_s = CompletionQueue(sim)
         qp_c = ctx_c.create_qp_fast(QPT_RC, cq_c, recv_cq=cq_c)
         qp_s = ctx_s.create_qp_fast(QPT_RC, cq_s, recv_cq=cq_s)
-        qp_c.to_init()
-        qp_c.to_rtr((server.gid, qp_s.qpn))
-        qp_c.to_rts()
-        qp_s.to_init()
-        qp_s.to_rtr((node.gid, qp_c.qpn))
-        qp_s.to_rts()
+        wire_rc_pair(qp_c, qp_s)
         caddr = node.memory.alloc(payload * 16)
         cmr = node.memory.register(caddr, payload * 16)
         saddr = server.memory.alloc(payload * 16)

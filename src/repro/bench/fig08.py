@@ -6,7 +6,7 @@
 (b) full-mesh establishment time vs #workers: KRCORE cuts ~99%.
 """
 
-from repro.bench.harness import FigureResult
+from repro.bench.harness import FigureResult, SteadyRate
 from repro.bench.setups import krcore_cluster, spread_clients, verbs_cluster
 from repro.krcore import KrcoreLib
 from repro.sim import MS, US
@@ -67,7 +67,7 @@ def _krcore_single(num_clients, fast):
     window_ns = (150 if fast else 400) * US
     warmup_ns = 30 * US
     samples = []
-    windows = {}
+    steady = SteadyRate()
 
     def client(index, node, cpu_id):
         module = node.services["krcore"]
@@ -81,13 +81,12 @@ def _krcore_single(num_clients, fast):
             if now <= warmup_ns:
                 continue
             samples.append(now - start)
-            entry = windows.get(index)
-            windows[index] = (now, 0, now) if entry is None else (entry[0], entry[1] + 1, now)
+            steady.add(index, now)
 
     for index, (node, cpu_id) in enumerate(placements):
         sim.process(client(index, node, cpu_id))
     sim.run(until=warmup_ns + window_ns)
-    return _summarize(samples, windows)
+    return _summarize(samples, steady)
 
 
 def _verbs_lite_single(system, num_clients, fast):
@@ -119,15 +118,12 @@ def _verbs_lite_single(system, num_clients, fast):
     return latency_us, rate
 
 
-def _summarize(samples, windows):
+def _summarize(samples, steady):
     latency_us = sum(samples) / len(samples) / 1000.0
-    rate = 0.0
-    for start, count, last in windows.values():
-        if count and last > start:
-            rate += count / ((last - start) / 1e9)
+    rate = steady.per_s()
     if rate == 0.0:
         # Too few completions for steady-state windows: fall back to 1/latency.
-        rate = len(windows) * 1e9 / (sum(samples) / len(samples))
+        rate = len(steady.windows) * 1e9 / (sum(samples) / len(samples))
     return latency_us, rate
 
 

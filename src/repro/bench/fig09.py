@@ -8,7 +8,7 @@
 """
 
 from repro.bench.echo import run_echo
-from repro.bench.harness import FigureResult
+from repro.bench.harness import FigureResult, SteadyRate
 from repro.bench.setups import krcore_cluster, spread_clients
 from repro.cluster import timing
 from repro.sim import LatencyRecorder, US
@@ -71,7 +71,7 @@ def _meta_query(num_clients, fast):
     window_ns = (150 if fast else 500) * US
     warmup_ns = 30 * US
     recorder = LatencyRecorder()
-    windows = {}
+    steady = SteadyRate()
 
     def client(index, node, cpu_id):
         module = node.services["krcore"]
@@ -86,13 +86,12 @@ def _meta_query(num_clients, fast):
             if now <= warmup_ns:
                 continue
             recorder.record(now - start)
-            entry = windows.get(index)
-            windows[index] = (now, 0, now) if entry is None else (entry[0], entry[1] + 1, now)
+            steady.add(index, now)
 
     for index, (node, cpu_id) in enumerate(placements):
         sim.process(client(index, node, cpu_id))
     sim.run(until=warmup_ns + window_ns)
-    return recorder.mean() / 1000.0, _steady_rate(windows) / 1e6
+    return recorder.mean() / 1000.0, steady.per_s() / 1e6
 
 
 def _rpc_query(num_clients, fast):
@@ -103,7 +102,7 @@ def _rpc_query(num_clients, fast):
     window_ns = (150 if fast else 500) * US
     warmup_ns = 30 * US
     recorder = LatencyRecorder()
-    windows = {}
+    steady = SteadyRate()
 
     # Server: one UD QP + one handler thread.
     server_ctx = DriverContext(server_node, kernel=True)
@@ -167,18 +166,9 @@ def _rpc_query(num_clients, fast):
             if now <= warmup_ns:
                 continue
             recorder.record(now - start)
-            entry = windows.get(index)
-            windows[index] = (now, 0, now) if entry is None else (entry[0], entry[1] + 1, now)
+            steady.add(index, now)
 
     for index, (node, _cpu) in enumerate(placements):
         sim.process(client(index, node))
     sim.run(until=warmup_ns + window_ns)
-    return recorder.mean() / 1000.0, _steady_rate(windows) / 1e6
-
-
-def _steady_rate(windows):
-    rate = 0.0
-    for start, count, last in windows.values():
-        if count and last > start:
-            rate += count / ((last - start) / 1e9)
-    return rate
+    return recorder.mean() / 1000.0, steady.per_s() / 1e6

@@ -8,6 +8,30 @@ def full_mode():
     return os.environ.get("REPRO_BENCH_FULL", "") == "1"
 
 
+class SteadyRate:
+    """Steady-state throughput from per-client completion windows.
+
+    A client's window opens at its first measured completion (not
+    counted) and closes at its last; the rate is the sum over clients of
+    ``count / span`` in ops per second, so the in-flight work at the
+    window's edges does not bias it.
+    """
+
+    def __init__(self):
+        self.windows = {}  # client -> (first_ns, count, last_ns)
+
+    def add(self, client, now, ops=1):
+        entry = self.windows.get(client)
+        self.windows[client] = (now, 0, now) if entry is None else (entry[0], entry[1] + ops, now)
+
+    def per_s(self):
+        rate = 0.0
+        for start, count, last in self.windows.values():
+            if count and last > start:
+                rate += count / ((last - start) / 1e9)
+        return rate
+
+
 class Table:
     """A printable table of benchmark rows."""
 

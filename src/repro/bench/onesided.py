@@ -18,7 +18,7 @@ from repro.bench.setups import (
 from repro.cluster import timing
 from repro.krcore import KrcoreLib
 from repro.sim import LatencyRecorder, US
-from repro.verbs import CompletionQueue, DriverContext, WorkRequest
+from repro.verbs import CompletionQueue, DriverContext, WorkRequest, wire_rc_pair
 from repro.verbs.types import QPT_RC
 
 #: Default measurement windows (ns).
@@ -177,12 +177,7 @@ class _Environment:
                 peer = DriverContext(server, kernel=True).create_qp_fast(
                     QPT_RC, CompletionQueue(self.sim)
                 )
-                qp.to_init()
-                qp.to_rtr((server.gid, peer.qpn))
-                qp.to_rts()
-                peer.to_init()
-                peer.to_rtr((node.gid, qp.qpn))
-                peer.to_rts()
+                wire_rc_pair(qp, peer)
                 qps.append(qp)
             return self._verbs_issuer(qps, laddr, region.lkey, opcode, payload)
         if self.system == "lite":

@@ -4,7 +4,7 @@ from repro.cluster import Cluster
 from repro.krcore import KrcoreModule, MetaPlane, MetaServer
 from repro.lite import LiteModule
 from repro.sim import Simulator
-from repro.verbs import CompletionQueue, ConnectionManager, DriverContext
+from repro.verbs import CompletionQueue, ConnectionManager, DriverContext, wire_rc_pair
 from repro.verbs.types import QPT_RC
 
 
@@ -67,12 +67,7 @@ def plant_rc(module, remote_module, cpu_id=0):
     cq_b = CompletionQueue(sim)
     qp_a = module.context.create_qp_fast(QPT_RC, cq_a, recv_cq=None)
     qp_b = remote_module.context.create_qp_fast(QPT_RC, cq_b, recv_cq=None)
-    qp_a.to_init()
-    qp_a.to_rtr((remote_module.node.gid, qp_b.qpn))
-    qp_a.to_rts()
-    qp_b.to_init()
-    qp_b.to_rtr((module.node.gid, qp_a.qpn))
-    qp_b.to_rts()
+    wire_rc_pair(qp_a, qp_b)
     # Arm the receive sides so two-sided traffic works over the pair.
     module.messaging.arm_rc(qp_a)
     remote_module.messaging.arm_rc(qp_b)

@@ -163,15 +163,6 @@ class Checker:
             else:
                 record[3] = "evicted"
 
-    def pool_rc_drop(self, pool, gid, qp):
-        """An RCQP was dropped from a pool (invalidate_node)."""
-        self._note("pool.drop")
-        record = self._rc_tracked.get(id(qp))
-        if record is None:
-            self._rc_tracked[id(qp)] = [qp, gid, qp.node.rnic, "dropped"]
-        else:
-            record[3] = "dropped"
-
     def rc_retired(self, qp):
         """A previously pooled RCQP finished retirement (unregistered)."""
         self._note("pool.retire")
@@ -441,7 +432,7 @@ class Checker:
             if qp.node.rnic is not rnic:
                 continue  # the node restarted; that RNIC no longer exists
             registered = rnic.qp(qp.qpn) is qp
-            if state in ("evicted", "dropped") and registered:
+            if state == "evicted" and registered:
                 self.violate(
                     "pool-qp-accounting",
                     now,

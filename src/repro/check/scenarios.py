@@ -268,6 +268,7 @@ def batch_fault(controller, checker, chains=3, chain=5, drop_pct=35, seed=9):
     from repro.sim import Simulator
     from repro.verbs import (
         CompletionQueue, DriverContext, QpState, QpType, WcStatus, WorkRequest,
+        wire_rc_pair,
     )
 
     sim = Simulator()
@@ -283,8 +284,7 @@ def batch_fault(controller, checker, chains=3, chain=5, drop_pct=35, seed=9):
     qp_a.retry_cnt = 1
     qp_a.timeout_ns = 2 * US
     qp_b = ctx_b.create_qp_fast(QpType.RC, cq, recv_cq=cq, sq_depth=64)
-    qp_a.to_init(); qp_a.to_rtr((node_b.gid, qp_b.qpn)); qp_a.to_rts()
-    qp_b.to_init(); qp_b.to_rtr((node_a.gid, qp_a.qpn)); qp_b.to_rts()
+    wire_rc_pair(qp_a, qp_b)
     nbytes = 32
     src = node_a.memory.alloc(nbytes)
     dst = node_b.memory.alloc(nbytes)

@@ -18,15 +18,23 @@ underneath, and checks the robustness invariants:
 * **lease safety** -- a retracted MR stops being readable at most one
   lease after retraction.
 
+A crashed server is recovered one way: the injector retracts it from
+the meta plane, caches elsewhere stay stale, and a client's first access
+after the restart fails REM_ACCESS and revalidates.  The report's
+``recovery_us`` times it: per node restart and client, the simulated µs
+from the restart to that client's first successful op on the restarted
+server (informational: not digested).
+
 It asserts no checker invariant, so it runs unchecked unless a checker
 is installed around it (see :mod:`repro.faults.chaos`).
 """
 
+import statistics
 from collections import namedtuple
 
 from repro.cluster import timing
 from repro.faults.chaos import ChaosRun
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import NODE_RESTART, FaultPlan
 from repro.krcore import KrcoreLib
 from repro.verbs.types import WC_REM_ACCESS_ERR
 from repro.verbs.errors import KrcoreError, MetaUnavailableError
@@ -91,6 +99,8 @@ class ChaosHarness(ChaosRun):
             # Shard failovers, and qconnects that degraded to a full RC
             # handshake because every owner shard was unreachable.
             meta_failovers=0, rc_fallbacks=0,
+            # (restart_ns, server gid, client) -> µs to the first ok op.
+            recovery_us={},
         )
         self._done_event = self.sim.event()
 
@@ -132,12 +142,33 @@ class ChaosHarness(ChaosRun):
             )
         self.sim.process(self._controller(), name="chaos-controller")
 
+    def audit(self, checker):
+        report = self.report
+        restarts = [
+            (at_ns, gid) for at_ns, kind, gid in report.fault_log if kind == NODE_RESTART
+        ]
+        if not restarts:
+            return
+        for line in report.op_log:
+            # A client op line (_client): t= c op kind rank= srv= outcome attempts=.
+            fields = line.split()
+            if len(fields) != 8 or fields[6] != "ok":
+                continue
+            t, client, srv = int(fields[0][2:]), fields[1], fields[5][4:]
+            for at_ns, gid in restarts:
+                if gid == srv and t >= at_ns:
+                    report.recovery_us.setdefault((at_ns, gid, client), (t - at_ns) / timing.US)
+
     def summary_fields(self):
         report = self.report
-        return [
+        fields = [
             f"ok={report.ops_ok}", f"failed={report.ops_failed}",
             f"retried={report.retried_ops}", f"faults={len(report.fault_log)}",
         ]
+        if report.recovery_us:
+            median = statistics.median(report.recovery_us.values())
+            fields.append(f"recovery_p50_us={median:.1f}")
+        return fields
 
     # ----------------------------------------------------------------- clients
 

@@ -26,7 +26,7 @@ from repro.kvs.layout import BUCKET_BYTES, Layout
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.sim import Resource
-from repro.verbs import CompletionQueue, DriverContext
+from repro.verbs import CompletionQueue, DriverContext, wire_rc_pair
 from repro.verbs.types import QPT_RC, WC_RETRY_EXC_ERR
 from repro.verbs.errors import MetaUnavailableError, VerbsError
 
@@ -315,12 +315,7 @@ class MetaClient:
         # measured window, so wire the pair directly.
         self.qp = context.create_qp_fast(QPT_RC, cq, recv_cq=cq)
         peer = remote_context.create_qp_fast(QPT_RC, remote_cq, recv_cq=remote_cq)
-        self.qp.to_init()
-        self.qp.to_rtr((self.meta_node.gid, peer.qpn))
-        self.qp.to_rts()
-        peer.to_init()
-        peer.to_rtr((node.gid, self.qp.qpn))
-        peer.to_rts()
+        wire_rc_pair(self.qp, peer)
         scratch_addr = node.memory.alloc(SCRATCH_BYTES)
         scratch_region = node.memory.register(scratch_addr, SCRATCH_BYTES)
         self.kv = DrtmKvClient(

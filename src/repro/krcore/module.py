@@ -699,25 +699,6 @@ class KrcoreModule:
         if not pool.has_rc(client_gid):
             self._insert_rc(pool, client_gid, qp)
 
-    # -------------------------------------------------------------- liveness
-
-    def invalidate_node(self, gid):
-        """Drop all cached state about a dead node (§4.2: DCT metadata is
-        invalidated only when the host is down)."""
-        self.dc_cache.pop(gid, None)
-        self.mr_store.invalidate(gid)
-        for pool in self.built_pools():
-            qp = pool.drop_rc(gid)
-            if qp is not None:
-                # An RCQP to a dead peer is useless; leaving it registered
-                # would leak driver memory exactly like an unretired LRU
-                # victim (the pool-qp-accounting invariant).
-                self.node.rnic.unregister_qp(qp)
-                if _check.CHECKER is not None:
-                    _check.CHECKER.rc_retired(qp)
-        if self.local_shard is not None:
-            self.local_shard.retract_node(gid)
-
 
 def _stable_key(text):
     """A deterministic small hash (Python's hash() is salted per process)."""

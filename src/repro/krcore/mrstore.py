@@ -76,9 +76,6 @@ class MrStore:
         #: lookup per WR); the first probe that finds an owner serving
         #: again drops the marker, so the next access runs a real lookup.
         self._stale_accepted = set()
-        #: gid -> set(rkey) over cache keys, so invalidate(gid) during a
-        #: churn storm is O(entries for that gid), not O(whole cache).
-        self._by_gid = {}
         #: Lease-expired entries accepted because the meta server was
         #: unreachable (degraded mode).
         self.stats_stale_accepts = 0
@@ -190,23 +187,10 @@ class MrStore:
                 self, gid, rkey, epoch, self._epoch(), accepted_stale
             )
         self._cache[(gid, rkey)] = (epoch, record)
-        self._by_gid.setdefault(gid, set()).add(rkey)
         base, span = record
         return base <= addr and addr + length <= base + span
 
-    def invalidate(self, gid, rkey=None):
-        if rkey is not None:
-            if self._cache.pop((gid, rkey), None) is not None:
-                self.stats_invalidated += 1
-            self._stale_accepted.discard((gid, rkey))
-            rkeys = self._by_gid.get(gid)
-            if rkeys is not None:
-                rkeys.discard(rkey)
-                if not rkeys:
-                    del self._by_gid[gid]
-            return
-        # check(), the only insert, indexes every entry under its gid.
-        for rk in self._by_gid.pop(gid, ()):
-            if self._cache.pop((gid, rk), None) is not None:
-                self.stats_invalidated += 1
-            self._stale_accepted.discard((gid, rk))
+    def invalidate(self, gid, rkey):
+        if self._cache.pop((gid, rkey), None) is not None:
+            self.stats_invalidated += 1
+        self._stale_accepted.discard((gid, rkey))

@@ -82,10 +82,3 @@ class HybridQpPool:
         if _check.CHECKER is not None:
             _check.CHECKER.pool_rc_insert(self, gid, qp, evicted)
         return evicted
-
-    def drop_rc(self, gid):
-        self._rc_last_use.pop(gid, None)
-        qp = self.rc.pop(gid, None)
-        if qp is not None and _check.CHECKER is not None:
-            _check.CHECKER.pool_rc_drop(self, gid, qp)
-        return qp

@@ -7,7 +7,7 @@ from repro.verbs import (
     DriverContext,
     WorkRequest,
 )
-from repro.verbs.connection import rc_connect
+from repro.verbs.connection import rc_connect, wire_rc_pair
 from repro.verbs.errors import VerbsError
 from repro.verbs.types import OP_FETCH_ADD, QPT_RC
 
@@ -86,12 +86,7 @@ class LiteModule:
         remote_cq = CompletionQueue(remote_module.sim)
         local_qp = self.context.create_qp_fast(QPT_RC, local_cq)
         remote_qp = remote_module.context.create_qp_fast(QPT_RC, remote_cq)
-        local_qp.to_init()
-        local_qp.to_rtr((remote_module.node.gid, remote_qp.qpn))
-        local_qp.to_rts()
-        remote_qp.to_init()
-        remote_qp.to_rtr((self.node.gid, local_qp.qpn))
-        remote_qp.to_rts()
+        wire_rc_pair(local_qp, remote_qp)
         self.pool[remote_module.node.gid] = local_qp
         remote_module.pool[self.node.gid] = remote_qp
 

@@ -29,7 +29,7 @@ from repro.verbs.errors import (
 from repro.verbs.qp import DctTarget, QueuePair
 from repro.verbs.types import Opcode, QpState, QpType, WcStatus
 from repro.verbs.wr import RecvBuffer, WorkRequest
-from repro.verbs.connection import ConnectionManager, rc_connect
+from repro.verbs.connection import ConnectionManager, rc_connect, wire_rc_pair
 
 __all__ = [
     "POLL_MODES",
@@ -53,4 +53,5 @@ __all__ = [
     "WcStatus",
     "WorkRequest",
     "rc_connect",
+    "wire_rc_pair",
 ]

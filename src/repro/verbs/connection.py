@@ -91,6 +91,20 @@ class ConnectionManager:
         return reply_event
 
 
+def wire_rc_pair(qp_a, qp_b):
+    """Connect two fresh RC QPs to each other at no simulated cost:
+    ``qp_a`` goes INIT -> RTR -> RTS, then ``qp_b``.
+
+    The boot-time pre-connection of §4.2 (a meta client's QP pair) and
+    the warm-start setups whose connection cost is not under test; a
+    connection that is charged goes through :func:`rc_connect`.
+    """
+    for qp, peer in ((qp_a, qp_b), (qp_b, qp_a)):
+        qp.to_init()
+        qp.to_rtr((peer.node.gid, peer.qpn))
+        qp.to_rts()
+
+
 def rc_connect(context, send_cq, server_gid, port=0):
     """Process: establish an RC connection from ``context``'s node.
 

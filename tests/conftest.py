@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.sim import Simulator
-from repro.verbs import CompletionQueue, DriverContext, QpType
+from repro.verbs import CompletionQueue, DriverContext, QpType, wire_rc_pair
 
 
 @pytest.fixture
@@ -29,12 +29,7 @@ def quick_rc_pair(node_a, node_b, sq_depth=292):
     ctx_b = DriverContext(node_b, kernel=True)
     qp_a = ctx_a.create_qp_fast(QpType.RC, cq_a, recv_cq=cq_a, sq_depth=sq_depth)
     qp_b = ctx_b.create_qp_fast(QpType.RC, cq_b, recv_cq=cq_b, sq_depth=sq_depth)
-    qp_a.to_init()
-    qp_a.to_rtr((node_b.gid, qp_b.qpn))
-    qp_a.to_rts()
-    qp_b.to_init()
-    qp_b.to_rtr((node_a.gid, qp_a.qpn))
-    qp_b.to_rts()
+    wire_rc_pair(qp_a, qp_b)
     return qp_a, qp_b
 
 

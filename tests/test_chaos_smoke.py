@@ -31,6 +31,24 @@ def test_chaos_smoke_invariants_hold():
     assert report.ops_ok > 0
 
 
+def test_chaos_smoke_reports_time_to_recover():
+    """Per restart and client: the µs from the restart to the client's
+    first ok op on the restarted server, read off the op log."""
+    report = ChaosHarness(SEED, plan=_smoke_plan(), ops_per_client=30).run()
+    restart_ns = 4 * timing.MS
+    assert set(report.recovery_us) == {(restart_ns, "node1", "c0"), (restart_ns, "node1", "c1")}
+    for (_, gid, client), recovery_us in report.recovery_us.items():
+        ok_after = [
+            int(line.split()[0][2:]) for line in report.op_log
+            if f" {client} op" in line and f"srv={gid} ok " in line
+            and int(line.split()[0][2:]) >= restart_ns
+        ]
+        assert round(recovery_us * timing.US) == min(ok_after) - restart_ns > 0
+    assert "recovery_p50_us=" in report.summary()
+    calm = ChaosHarness(SEED, plan=FaultPlan(seed=SEED), ops_per_client=5).run()
+    assert calm.recovery_us == {} and "recovery_p50_us" not in calm.summary()
+
+
 def test_chaos_smoke_is_deterministic():
     first = ChaosHarness(SEED, plan=_smoke_plan(), ops_per_client=30).run()
     second = ChaosHarness(SEED, plan=_smoke_plan(), ops_per_client=30).run()

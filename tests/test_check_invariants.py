@@ -296,28 +296,6 @@ def test_one_sided_read_reports_inbound_occupancy():
     assert checker.ok
 
 
-def test_pool_drop_hook_fires_on_invalidate_node():
-    from repro.check import hooks
-
-    sim = Simulator()
-    cluster, meta, modules = krcore_cluster(sim, num_nodes=3, background_rc=False)
-    module = modules[1]
-    server_gid = cluster.node(2).gid
-    checker = Checker()
-    with hooks.checking(checker):
-        pool = module.pool(0)
-        qp = sim.run_process(module.establish_rc(server_gid, pool))
-        assert pool.has_rc(server_gid)
-        qpn = qp.qpn
-        module.invalidate_node(server_gid)
-        assert not pool.has_rc(server_gid)
-        # The fix under test: a dropped RCQP leaves the RNIC too.
-        assert module.node.rnic.qp(qpn) is None
-        checker.finalize(modules=[module], now=sim.now)
-    assert checker.observed.get("pool.drop", 0) > 0
-    assert checker.ok, checker.violations
-
-
 def test_registry_catches_pre_fix_accept_path_leak():
     """Re-introduce the accept-path bug PR 4 fixed (insert_rc dropping
     the eviction result): pool-qp-accounting must fire; the fixed module

@@ -24,14 +24,13 @@ guard an observer (``TRACER`` / ``METRICS`` / ``CHECKER is None``) in
 """
 
 import ast
+import functools
 import pathlib
 import re
 
-import repro
+from tests import _source
 
-PACKAGE = pathlib.Path(repro.__file__).resolve().parent
-ROOT = PACKAGE.parents[1]
-THIS = pathlib.Path(__file__).resolve()
+THIS = pathlib.Path(__file__).resolve().relative_to(_source.ROOT).as_posix()
 
 # "<path>:<function>(<stats attribute>)" -> why both sides stay.
 _CHAOS_REPORT = (
@@ -54,14 +53,11 @@ DOUBLE_COUNTED = {
 #: Lines in ``src/repro`` matching GUARD.  The ceiling only goes down:
 #: lower it when a change removes guards, never raise it.
 GUARD = re.compile(r"(TRACER|METRICS|CHECKER) is (not )?None")
-GUARD_CEILING = 89
+GUARD_CEILING = 87
 
 
 def _parsed(*tops):
-    for top in tops:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            if path.resolve() != THIS:
-                yield path.relative_to(ROOT).as_posix(), ast.parse(path.read_text())
+    return ((path, tree) for path, tree in _source.trees(*tops) if path != THIS)
 
 
 def _pushed(node):
@@ -77,18 +73,6 @@ def _pushed(node):
     return None
 
 
-def _functions(tree):
-    """``(qualified name, node)`` per function, methods as ``Class.name``."""
-    scopes = [(node, "") for node in tree.body]
-    while scopes:
-        node, prefix = scopes.pop()
-        if isinstance(node, ast.ClassDef):
-            scopes += [(child, f"{prefix}{node.name}.") for child in node.body]
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield f"{prefix}{node.name}", node
-            scopes += [(child, f"{prefix}{node.name}.") for child in node.body]
-
-
 def _own_nodes(function):
     """The nodes of ``function``'s body, without those of nested functions
     or classes (they are scanned on their own)."""
@@ -101,6 +85,7 @@ def _own_nodes(function):
         stack += ast.iter_child_nodes(node)
 
 
+@functools.cache
 def pushes():
     """``(site, name, is_head)`` per counter push in src/repro;
     ``is_head`` for an f-string, whose ``name`` is its literal head."""
@@ -179,12 +164,13 @@ def unread_stats():
     return sorted(f"{site} {name}" for name, site in assigned.items() if name not in loaded)
 
 
+@functools.cache
 def double_counts():
     """``"<path>:<function>(<stats attribute>)"`` per ``stats_*``
     attribute augmented in a function that also pushes a counter."""
     found = []
     for path, tree in _parsed("src/repro"):
-        for name, function in _functions(tree):
+        for name, _, function in _source.functions(tree):
             nodes = list(_own_nodes(function))
             if not any(_pushed(node) is not None for node in nodes):
                 continue
@@ -200,8 +186,8 @@ def double_counts():
 
 def guard_lines():
     return [
-        f"{path.relative_to(ROOT).as_posix()}:{number}"
-        for path in sorted(PACKAGE.rglob("*.py"))
+        f"{path.relative_to(_source.ROOT).as_posix()}:{number}"
+        for path in _source.files("src/repro")
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if GUARD.search(line)
     ]

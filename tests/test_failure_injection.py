@@ -130,37 +130,23 @@ def test_post_to_wrecked_qp_raises_clean_error(env):
     sim.run_process(proc())
 
 
-def test_invalidate_node_purges_meta_and_pools(env):
-    sim, cluster, meta, modules = env
-    victim = cluster.node(2)
-    lib = KrcoreLib(cluster.node(1))
-
-    def proc():
-        vqp = yield from lib.create_vqp()
-        yield from lib.qconnect(vqp, victim.gid)
-
-    sim.run_process(proc())
-    assert victim.gid in modules[1].dc_cache
-    assert meta.store.get_local(b"dct:" + victim.gid.encode()) is not None
-    victim.fail()
-    modules[1].invalidate_node(victim.gid)
-    modules[0].invalidate_node(victim.gid)  # the meta node retracts it
-    assert victim.gid not in modules[1].dc_cache
-    assert meta.store.get_local(b"dct:" + victim.gid.encode()) is None
-
-
 def test_fresh_connect_after_invalidation_fails_then_new_node_reuses_gid(env):
     sim, cluster, meta, modules = env
     victim = cluster.node(2)
+    # The failure detector's one move (faults/injector.py): retract the
+    # dead host at the meta plane.  The client's DCCache holds no entry,
+    # so its qconnect looks the host up and fails typed.
     victim.fail()
-    modules[0].invalidate_node(victim.gid)
-    modules[1].invalidate_node(victim.gid)
+    meta.retract_node(victim.gid)
+    assert meta.store.get_local(b"dct:" + victim.gid.encode()) is None
+    assert victim.gid not in modules[1].dc_cache
     lib = KrcoreLib(cluster.node(1))
 
     def proc():
         vqp = yield from lib.create_vqp()
-        with pytest.raises(KrcoreError):
+        with pytest.raises(KrcoreError) as exc:
             yield from lib.qconnect(vqp, victim.gid)
+        assert exc.value.code is WcStatus.REM_ACCESS_ERR
 
     sim.run_process(proc())
 

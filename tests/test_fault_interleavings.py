@@ -74,10 +74,12 @@ def test_qconnect_racing_crash_then_restart_converges(env):
     client = cluster.node(1)
     lib = KrcoreLib(client)
 
-    # The failure detector fires while the client is about to connect.
+    # The failure detector fires while the client is about to connect:
+    # the meta plane retracts the host, and the client's DCCache has no
+    # entry to serve instead.
     victim.fail()
     meta.retract_node(victim.gid)
-    modules[1].invalidate_node(victim.gid)
+    assert victim.gid not in modules[1].dc_cache
 
     def connect_fails():
         vqp = yield from lib.create_vqp()

@@ -17,18 +17,17 @@ every measured path).
 
 import ast
 import enum
-import pathlib
 
 from repro.verbs import types
+from tests._source import PACKAGE, files, tree
 
-PACKAGE = pathlib.Path(types.__file__).resolve().parent.parent
 ENUMS = ("Opcode", "WcStatus", "QpType", "QpState")
 EXEMPT = ("verbs/types.py", "check/")
 
 
 def _violations(path):
     found = set()
-    for function in ast.walk(ast.parse(path.read_text())):
+    for function in ast.walk(tree(path)):
         if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         for node in ast.walk(function):
@@ -43,7 +42,7 @@ def _violations(path):
 
 def test_no_enum_member_loads_inside_functions():
     report = []
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in files("src/repro"):
         relative = path.relative_to(PACKAGE).as_posix()
         if not relative.startswith(EXEMPT):
             report += [f"src/repro/{relative}:{hit}" for hit in _violations(path)]

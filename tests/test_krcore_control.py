@@ -155,21 +155,6 @@ def test_connection_memory_is_small_and_constant(env):
     assert (len(pool.dc), len(pool.rc)) == qps
 
 
-def test_invalidate_node_drops_cached_state(env):
-    sim, cluster, meta, modules = env
-    lib = KrcoreLib(cluster.node(1))
-    target = cluster.node(2).gid
-
-    def proc():
-        vqp = yield from lib.create_vqp()
-        yield from lib.qconnect(vqp, target)
-
-    sim.run_process(proc())
-    assert target in modules[1].dc_cache
-    modules[1].invalidate_node(target)
-    assert target not in modules[1].dc_cache
-
-
 def test_meta_server_holds_all_boot_metadata(env):
     sim, cluster, meta, modules = env
     for module in modules:

@@ -238,23 +238,6 @@ def test_mrstore_epoch_expiry():
     assert store.check_cached("g", 1, 0, 64) is None  # lease boundary crossed
 
 
-def test_mrstore_invalidate_by_gid():
-    sim = Simulator()
-    cluster, meta, modules = krcore_cluster(sim, num_nodes=3)
-    store = modules[1].mr_store
-    epoch = store._epoch()
-    # Seeded as check() inserts: the entry, and its rkey under its gid.
-    for gid, rkey, record in (("g", 1, (0, 64)), ("g", 2, (64, 64)), ("h", 1, (0, 64))):
-        store._cache[gid, rkey] = (epoch, record)
-        store._by_gid.setdefault(gid, set()).add(rkey)
-    store.invalidate("g")
-    assert store.check_cached("g", 1, 0, 64) is None
-    assert store.check_cached("g", 2, 0, 64) is None
-    assert store.check_cached("h", 1, 0, 64) is True
-    store.invalidate("h", 1)
-    assert store.check_cached("h", 1, 0, 64) is None
-
-
 # ---------------------------------------------------------------------------
 # wr_id token table
 # ---------------------------------------------------------------------------

@@ -22,12 +22,8 @@ caller calls the object that owns a mechanism.  Two rules:
 """
 
 import ast
-import pathlib
 
-from repro import krcore
-
-KRCORE = pathlib.Path(krcore.__file__).resolve().parent
-PACKAGE = KRCORE.parent
+from tests._source import trees
 FORWARDERS_ALLOWED = set()
 #: (reader under ``src/repro``, the package whose privates it reads).
 PRIVATE_READS_ALLOWED = {
@@ -78,11 +74,11 @@ def _package(relative):
     return head if rest else ""
 
 
-def _private_definers(trees):
+def _private_definers(package_trees):
     """One-underscore name -> the packages whose classes define it."""
     definers = {}
-    for relative, tree in trees:
-        for cls in ast.walk(tree):
+    for relative, module in package_trees:
+        for cls in ast.walk(module):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for node in ast.walk(cls):
@@ -104,28 +100,25 @@ def _private_definers(trees):
 
 def test_no_krcore_method_only_forwards():
     found = set()
-    for path in sorted(KRCORE.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
+    for path, module in trees("src/repro/krcore"):
+        for cls in ast.walk(module):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for function in cls.body:
                 if isinstance(function, ast.FunctionDef) and _forwarded_call(function):
-                    found.add(f"krcore/{path.name}: {cls.name}.{function.name}")
+                    found.add(f"{path[len('src/repro/'):]}: {cls.name}.{function.name}")
     assert found == FORWARDERS_ALLOWED, "\n".join(sorted(found - FORWARDERS_ALLOWED))
 
 
 def test_no_code_reads_another_packages_private():
-    trees = [
-        (path.relative_to(PACKAGE).as_posix(), ast.parse(path.read_text()))
-        for path in sorted(PACKAGE.rglob("*.py"))
-    ]
-    definers = _private_definers(trees)
+    package_trees = [(path[len("src/repro/"):], module) for path, module in trees("src/repro")]
+    definers = _private_definers(package_trees)
     for name in ("_pools", "_recycle", "_cache", "_rc_last_use"):
         assert "krcore" in definers[name]  # KRCORE's collaborators are seen
     found, used = [], set()
-    for relative, tree in trees:
+    for relative, module in package_trees:
         package = _package(relative)
-        for node in ast.walk(tree):
+        for node in ast.walk(module):
             if not isinstance(node, ast.Attribute) or (
                 isinstance(node.value, ast.Name) and node.value.id == "self"
             ):

@@ -15,11 +15,8 @@ to the order.  No other module is exempt.
 """
 
 import ast
-import pathlib
 
-import repro
-
-PACKAGE = pathlib.Path(repro.__file__).resolve().parent
+from tests._source import PACKAGE, files, tree
 
 RANKS = {
     "sim": 0,
@@ -88,7 +85,7 @@ def _imported(node, package):
 def upward_imports():
     """``"<file>:<line>: <module> -> <imported>"`` for each upward import."""
     report = []
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in files("src/repro"):
         relative = path.relative_to(PACKAGE)
         module = ".".join(relative.with_suffix("").parts)
         if relative.name == "__init__.py":
@@ -96,7 +93,7 @@ def upward_imports():
         if not module or relative.name == "__main__.py" or rank(module) == TOP:
             continue
         package = module if relative.name == "__init__.py" else module.rpartition(".")[0]
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree(path)):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 for target in _imported(node, package):
                     if rank(target) > rank(module):

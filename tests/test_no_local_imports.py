@@ -11,18 +11,16 @@ those imports would close a cycle.
 """
 
 import ast
-import pathlib
 
-import repro
+from tests._source import PACKAGE, files, tree
 
-PACKAGE = pathlib.Path(repro.__file__).resolve().parent
 EXEMPT = ("check/scenarios.py",)
 
 
-def _local_imports(source):
+def _local_imports(module):
     """``"<line>: <module>"`` for each ``repro`` import in a function body."""
     found = set()
-    for function in ast.walk(ast.parse(source)):
+    for function in ast.walk(module):
         if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         for node in ast.walk(function):
@@ -40,10 +38,10 @@ def _local_imports(source):
 
 def test_no_repro_import_inside_a_function():
     report = []
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in files("src/repro"):
         relative = path.relative_to(PACKAGE).as_posix()
         if relative not in EXEMPT:
-            hits = _local_imports(path.read_text())
+            hits = _local_imports(tree(path))
             report += [f"src/repro/{relative}:{hit}" for hit in sorted(hits)]
     assert not report, "\n".join(report)
 
@@ -65,6 +63,6 @@ def c():
 def d():
     import json
 """
-    assert _local_imports(source) == {
+    assert _local_imports(ast.parse(source)) == {
         "5: repro.verbs", "8: repro.bench.onesided", "12: .",
     }

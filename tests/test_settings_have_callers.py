@@ -24,12 +24,10 @@ resolve.
 """
 
 import ast
-import pathlib
+import functools
 
-import repro
+from tests import _source
 
-PACKAGE = pathlib.Path(repro.__file__).resolve().parent
-ROOT = PACKAGE.parents[1]
 CALLER_DIRS = ("src", "tests", "examples", "benchmarks")
 
 # "<path>:<function>(<param>)" -> why the AST cannot see its caller.
@@ -51,20 +49,10 @@ def _definitions():
     a method sits in.
     """
     found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        relative = path.relative_to(ROOT).as_posix()
+    for relative, tree in _source.trees("src/repro"):
         if relative.startswith("src/repro/check/"):
             continue
-        tree = ast.parse(path.read_text())
-        scopes = [(node, None) for node in tree.body]
-        while scopes:
-            node, owner = scopes.pop()
-            if isinstance(node, ast.ClassDef):
-                scopes += [(child, node.name) for child in node.body]
-                continue
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            scopes += [(child, None) for child in node.body]
+        for _, owner, node in _source.functions(tree):
             if node.name.startswith("__") and node.name != "__init__":
                 continue
             decorators = {getattr(d, "id", None) for d in node.decorator_list}
@@ -86,8 +74,8 @@ def _classes():
     """``{class: [base names]}`` and ``{class: has own __init__}``, the
     definitions of one name merged."""
     bases, own_init = {}, {}
-    for path in _caller_files():
-        for node in ast.walk(ast.parse(path.read_text())):
+    for _, tree in _source.trees(*CALLER_DIRS):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 bases.setdefault(node.name, []).extend(
                     b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
@@ -119,8 +107,7 @@ def _calls(bases, own_init):
     ``__init__`` runs.
     """
     calls = {}
-    for path in _caller_files():
-        tree = ast.parse(path.read_text())
+    for _, tree in _source.trees(*CALLER_DIRS):
         classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
         in_class = {id(node): klass.name for klass in classes for node in ast.walk(klass)}
         for node in ast.walk(tree):
@@ -146,11 +133,7 @@ def _calls(bases, own_init):
     return calls
 
 
-def _caller_files():
-    for top in CALLER_DIRS:
-        yield from (ROOT / top).rglob("*.py")
-
-
+@functools.cache
 def unused_settings():
     """``"<path>:<function>(<param>)"`` for each parameter no call passes."""
     bases, own_init = _classes()

@@ -16,11 +16,9 @@ module-level ``assert`` in ``timing.py`` is a check, not a read.
 """
 
 import ast
-import pathlib
 
-import repro
+from tests._source import PACKAGE, files, tree
 
-PACKAGE = pathlib.Path(repro.__file__).resolve().parent
 TIMING = PACKAGE / "cluster" / "timing.py"
 
 
@@ -28,7 +26,7 @@ def _definitions():
     """``{name: names its definition uses}`` for every module-level
     assignment and function of ``timing.py``."""
     uses = {}
-    for node in ast.parse(TIMING.read_text()).body:
+    for node in tree(TIMING).body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [t.id for t in targets if isinstance(t, ast.Name)]
@@ -45,10 +43,10 @@ def _definitions():
 def _outside_reads():
     """Names of ``timing`` read by ``src/repro`` outside ``timing.py``."""
     read = set()
-    for path in PACKAGE.rglob("*.py"):
-        if path.resolve() == TIMING:
+    for path in files("src/repro"):
+        if path == TIMING:
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        for node in ast.walk(tree(path)):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id == "timing"):
                 read.add(node.attr)

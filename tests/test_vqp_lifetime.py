@@ -225,7 +225,7 @@ def _krcore_echo():
         "krcore", "async", num_clients=48, window=8, measure_ns=60 * US,
         kernel_buf_bytes=512,
     )
-    return _digest(sorted(result.client_windows.items()), result.throughput_mps)
+    return _digest(sorted(result.steady.windows.items()), result.throughput_mps)
 
 
 def _chaos_ycsb():
