@@ -1,18 +1,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab counts heap hop-budget rest-budget flight-oracle hitmap trace check check-sweep
+.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab counts heap hop-budget rest-budget flight-oracle hitmap trace check
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 # Hit map (benchmarks/hitmap.py, standard library only): tier-1, -m chaos,
-# `pytest benchmarks`, `make check`'s replay and random run and one short
-# traced pass of each observatory workload under a line tracer that follows
+# `pytest benchmarks`, `make check` and one short traced pass of each
+# observatory workload under a line tracer that follows
 # child processes; prints the functions no run entered and the statements no
 # run executed, per file.  Each run is a unit run (tier-1 minus the scenario
-# files) or a system run (the others and the figure, example, checker-corpus,
-# chaos-digest, obs-golden and chaos-CLI test files); fails on a module, or a
+# files) or a system run (the others and the figure, example, chaos-digest,
+# obs-golden and chaos-CLI test files); fails on a module, or a
 # function in a module a system run enters, that only unit runs enter unless
 # the tool's UNIT_ONLY gives the reason it stays, and on a UNIT_ONLY entry a
 # system run enters.  The floor only ratchets up: the measured share, rounded
@@ -97,16 +97,7 @@ rest-budget:
 flight-oracle:
 	PYTHONPATH=src:. $(PYTHON) tests/test_flight_oracle.py
 
-# Model checker (repro.check): replay the committed schedule corpus
-# (tier-1 smoke), then a quick randomized sweep.
+# Model checker (repro.check): every scenario once under the engine's own
+# order with the invariant registry installed.
 check:
-	$(PYTHON) -m repro.check --replay tests/schedules/*_fifo_clean.json tests/schedules/racey_pipeline_underflow.json
-	$(PYTHON) -m repro.check pool_churn --mode random --seeds 5 --quiet
-
-# Nightly-sized budgeted sweep: random schedules over three scenarios,
-# shrinking any failure to schedules-out/<scenario>.json.
-check-sweep:
-	mkdir -p schedules-out
-	$(PYTHON) -m repro.check pool_churn --mode random --seeds 40 --shrink --out schedules-out/pool_churn.json
-	$(PYTHON) -m repro.check kvs_lin --mode random --seeds 25 --shrink --out schedules-out/kvs_lin.json
-	$(PYTHON) -m repro.check chaos_small --mode pct --seeds 15 --shrink --out schedules-out/chaos_small.json
+	$(PYTHON) -m repro.check

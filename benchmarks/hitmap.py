@@ -3,8 +3,8 @@
     python3 benchmarks/hitmap.py [--fail-under PCT]
     make hitmap
 
-Runs tier-1, ``-m chaos``, ``pytest benchmarks``, ``make check``'s
-corpus replay and random run and the observatory's traced passes with a
+Runs tier-1, ``-m chaos``, ``pytest benchmarks``, ``make check`` and
+the observatory's traced passes with a
 ``sys.settrace`` line tracer on, then prints, per file of
 ``src/repro``, the functions no run entered and the statements no run
 executed, and the executed share of all statements.  The tracer starts
@@ -17,16 +17,16 @@ union.
 Each run has an origin, which ``HITMAP_ORIGIN`` carries into every
 process it starts and each dump records.  A *system* run is one that
 runs whole scenarios: ``-m chaos``, ``pytest benchmarks``, the tier-1
-files in ``SYSTEM_FILES`` (figures, examples, the checker corpus, the
-chaos digests, the obs goldens, the chaos CLI), the checker CLI's corpus
-replay and random run, and one short ``--trace 1`` pass of each
+files in ``SYSTEM_FILES`` (figures, examples, the chaos digests, the
+obs goldens, the chaos CLI), the checker CLI's run of every scenario,
+and one short ``--trace 1`` pass of each
 observatory workload.  The rest of tier-1 is the *unit* run.  The report
 lists the modules of ``src/repro`` that define functions and none of
 whose functions a system run entered, then the leads: the functions a
 unit run entered and no system run did, in the modules a system run
 enters -- a feature only its own unit tests reach.  Each must be in
 ``UNIT_ONLY`` with the reason it stays, keyed by module
-(``"check/shrink.py"``) or by function (``"module:Qualname"``), and each
+(``"bench/perf.py"``) or by function (``"module:Qualname"``), and each
 entry there must still name such a module or function.
 
 A statement is what ``ast`` calls one, docstrings excepted; it counts as
@@ -57,7 +57,6 @@ PACKAGE = ROOT / "src" / "repro"
 SYSTEM_FILES = [
     "tests/test_bench_figures.py",
     "tests/test_examples.py",
-    "tests/test_check_corpus.py",
     "tests/test_chaos_digests.py",
     "tests/test_obs_golden.py",
     "tests/test_faults_cli.py",
@@ -65,16 +64,13 @@ SYSTEM_FILES = [
 PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 OBSERVATORY = [workload["name"] for workload in
                json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-# (origin, arguments of the interpreter); then `make check`'s replay and
-# random run, and one short traced pass of each observatory workload.
+# (origin, arguments of the interpreter); then `make check` and one short
+# traced pass of each observatory workload.
 RUNS = (
     ("unit", [*PYTEST, *(f"--ignore={name}" for name in SYSTEM_FILES)]),
     ("system", [*PYTEST, "-m", "chaos", "tests/test_chaos.py"]),
     ("system", [*PYTEST, "--benchmark-disable", "benchmarks", *SYSTEM_FILES]),
-    ("system", ["-m", "repro.check", "--replay", *sorted(
-        str(path.relative_to(ROOT)) for path in ROOT.glob("tests/schedules/*_fifo_clean.json")),
-        "tests/schedules/racey_pipeline_underflow.json"]),
-    ("system", ["-m", "repro.check", "pool_churn", "--mode", "random", "--seeds", "5", "--quiet"]),
+    ("system", ["-m", "repro.check"]),
     *(("system", ["benchmarks/observatory/run.py", "--workload", workload, "--seed", "1",
                   "--seconds", "0.05", "--scale", "0.02", "--trace", "1"])
       for workload in OBSERVATORY),
@@ -86,35 +82,26 @@ RUNS = (
 _RACE_OPS = "ROADMAP item 11: Fig 16's sampled windows call it; the RACE oracle does today"
 _TRANSFER_PEER = "ROADMAP item 1(a): the QP transfer's peer protocol gets a scenario"
 _RECOVERY = "ROADMAP item 1(a): verbs recovery (RNR retry, ERR flush, duplicates) gets a scenario"
-_SEARCH = "ROADMAP item 4(a): a verdict per search mode decides whether it stays"
-_VERDICT = ("ROADMAP item 4(a): the checker's verdict record; tests pin a check's "
-            "determinism with it today")
+_VERDICT = ("the checker's verdict record; a test pins the checker's determinism with it "
+            "(ROADMAP item 1 decides whether it stays)")
+_VIOLATION = ("the checker's violation report: a clean system run files none; "
+              "tests/test_mutants.py files them with re-injected bugs")
 _ORACLE_READ = ("ROADMAP item 5: the differential oracle compares final storage; tests read "
                 "it back through this today")
 UNIT_ONLY = {
-    "check/shrink.py": "the schedule shrinker: the nightly `make check-sweep` runs it (--shrink)",
     "apps/race/client.py:RaceClient.get_batch": _RACE_OPS,
     "apps/race/client.py:RaceClient._read_batch": _RACE_OPS,
     "apps/race/client.py:RaceClient.delete": _RACE_OPS,
     "apps/race/hashing.py:RaceStorage.get_local": _ORACLE_READ,
     "apps/txn/storage.py:TxnStorage.read_local": _ORACLE_READ,
     "bench/perf.py:_profile_report": "`python -m repro.bench --profile` writes it; no system run profiles",
-    "check/__main__.py:_print_violations": "the checker CLI's failure report; a clean corpus prints none",
-    "check/controller.py:FifoStrategy.choose": _SEARCH,
-    "check/controller.py:FifoStrategy.describe": _SEARCH,
-    "check/controller.py:PctStrategy.__init__": _SEARCH,
-    "check/controller.py:PctStrategy._priority": _SEARCH,
-    "check/controller.py:PctStrategy.choose": _SEARCH,
-    "check/controller.py:PctStrategy.describe": _SEARCH,
-    "check/controller.py:Schedule.save": _SEARCH,
+    "check/invariants.py:Violation.__init__": _VIOLATION,
+    "check/invariants.py:Violation.__repr__": _VIOLATION,
     "check/invariants.py:Violation.to_dict": _VERDICT,
+    "check/invariants.py:Checker.violate": _VIOLATION,
+    "check/invariants.py:Checker.custom": _VIOLATION,
     "check/invariants.py:Checker.to_dict": _VERDICT,
     "check/invariants.py:Checker.digest": _VERDICT,
-    "check/runner.py:CheckResult.to_dict": _VERDICT,
-    "check/runner.py:CheckResult.digest": _VERDICT,
-    "check/runner.py:result_schedule": _SEARCH,
-    "check/runner.py:shrink_failure": _SEARCH,
-    "check/runner.py:shrink_failure.<locals>.still_fails": _SEARCH,
     "degrade/__init__.py:Deadline.remaining_ns": (
         "ROADMAP item 1(a): `KrcoreModule.retry_meta`'s deadline cut, in the meta-plane degrade "
         "path, gets a scenario"),
@@ -122,7 +109,6 @@ UNIT_ONLY = {
     "krcore/messaging.py:KernelMessaging._handle_peer_transfer": _TRANSFER_PEER,
     "krcore/meta.py:MetaPlane.retract_mr": (
         "ROADMAP item 1(a): MR deregistration after one lease gets a chaos scenario"),
-    "krcore/vqp.py:Vqp._transfer_done": _TRANSFER_PEER,
     "verbs/qp.py:_Flight._flush": _RECOVERY,
     "verbs/qp.py:_Flight._rnr": _RECOVERY,
     "verbs/qp.py:_Flight._serve_duplicate": _RECOVERY,

@@ -13,8 +13,8 @@ chain), and busy polling beats adaptive at small messages -- the ~2 us
 READ round trip outlives the 1 us adaptive spin budget, so every
 adaptive wait tacks on the ``ibv_req_notify_cq`` rearm plus the event
 wake latency.  Panel (b) shows the bill for that speed: the CPU burned
-spinning, per completed op, accounted on the RNIC's node
-(``rnic.stats_cq_poll_busy_ns``) -- busy mode's dedicated core burns the
+spinning, per completed op, accounted on the CQ
+(``cq.stats_spin_ns``) -- busy mode's dedicated core burns the
 whole wait; adaptive caps the burn at its spin budget; the legacy event
 mode burns nothing (and is the default everywhere else).
 """
@@ -63,7 +63,7 @@ def _sweep(mode, batch, fast):
     sim = Simulator()
     cluster = Cluster(sim, num_nodes=2, cores=4)
     node_a, node_b = cluster.node(0), cluster.node(1)
-    cq = CompletionQueue(sim, poll_mode=mode, rnic=node_a.rnic)
+    cq = CompletionQueue(sim, poll_mode=mode)
     ctx_a = DriverContext(node_a, kernel=True)
     ctx_b = DriverContext(node_b, kernel=True)
     qp_a = ctx_a.create_qp_fast(QPT_RC, cq, sq_depth=max(64, 2 * batch))
@@ -105,5 +105,5 @@ def _sweep(mode, batch, fast):
     mops = ops / seconds / 1e6
     ns_per_op = window_ns / ops if ops else 0.0
     spin_per_op = cq.stats_spin_ns / ops if ops else 0.0
-    busy_us = node_a.rnic.stats_cq_poll_busy_ns / 1000.0
+    busy_us = cq.stats_spin_ns / 1000.0
     return ops, mops, ns_per_op, spin_per_op, cq.stats_rearms, cq.stats_wakes, busy_us

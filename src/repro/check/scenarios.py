@@ -1,30 +1,22 @@
-"""Model-checking scenarios: small workloads with many real interleavings.
+"""Model-checking scenarios: small workloads that drive one slice each.
 
-Each scenario is a function ``fn(controller, checker, **kwargs)`` that
-builds its own :class:`~repro.sim.Simulator`, attaches the controller
-(so the strategy owns same-timestamp dispatch order), runs a workload
-exercising one slice of the control plane, calls
+Each scenario is a function ``fn(checker, **kwargs)`` that builds its
+own :class:`~repro.sim.Simulator`, runs a workload exercising one slice
+of the control plane to quiescence under the engine's own order, calls
 ``checker.finalize(...)`` (a chaos run does that itself, see
 :mod:`repro.faults.chaos`), and returns a small summary dict.  The
-runner (:mod:`repro.check.runner`) supplies the controller/checker and
-handles strategy sweeps, replay, and shrinking.
+runner (:mod:`repro.check.runner`) installs the checker.
 
 Scenario catalogue
 ------------------
 
-``racey_pipeline``
-    A deliberately order-sensitive producer/consumer toy on the bare
-    engine: under FIFO the producers of each round always run before the
-    consumers, under reordering a consumer can drain an empty buffer.
-    Exists to validate the controller + shrinker end-to-end (a failure
-    here is a *scenario* property, not a control-plane bug).
 ``pool_churn``
     Tiny RC pools (``max_rc_per_cpu=1``) with cross-traffic between
     three nodes and a low background-RC threshold: establish / accept /
     LRU-evict / retire races, plus a thread-migration retarget.  Drives
     the pool-accounting, DCCache, and completion-dispatch invariants.
 ``chaos_small``
-    A shrunk chaos run (crash + restart + meta outage over a sharded
+    A small chaos run (crash + restart + meta outage over a sharded
     plane) with the full invariant registry attached and the chaos
     harness's own invariants folded in.
 ``batch_fault``
@@ -37,7 +29,7 @@ Scenario catalogue
 ``kvs_lin``
     Concurrent 8-byte one-sided READ/WRITEs against per-key server
     slots with every op recorded; the Wing & Gong checker must find the
-    per-key histories linearizable under *any* schedule.
+    per-key histories linearizable.
 ``meta_failover``
     MR publication / retraction over a replicated 3-shard plane with
     per-shard outage windows; checks replica convergence and records
@@ -47,11 +39,16 @@ Scenario catalogue
 ``mr_churn``
     The MicroView churn-chaos harness (pod dereg/re-register storms +
     meta outage + stale accepts) under the full registry, most notably
-    ``mr-read-churn-window``: no schedule may let a READ execute
-    against an MR retracted more than one lease ago.
+    ``mr-read-churn-window``: no READ may execute against an MR
+    retracted more than one lease ago.
+``transfer_race``
+    §4.6's fenced QP transfer under fire: two VQP owners keep two READs
+    in flight each while background RC promotion and a thread
+    migration move their VQPs between QPs.  Every post must land on
+    the QP its owner polls: an owner left waiting fails
+    ``transfer-owner-stranded``, a completion never dispatched
+    ``wr-exactly-once``.
 """
-
-from collections import deque
 
 from repro.check.linearizability import record_invoke, record_response
 from repro.obs import current_tracer
@@ -94,51 +91,6 @@ def get_scenario(name):
     return spec
 
 
-# --------------------------------------------------------------- racey toy
-
-
-@scenario("racey_pipeline", rounds=4, lanes=3, gap_ns=1 * US)
-def racey_pipeline(controller, checker, rounds=4, lanes=3, gap_ns=1 * US):
-    """Order-sensitive producer/consumer toy (controller validation)."""
-    from repro.sim import Simulator
-
-    sim = Simulator()
-    controller.attach(sim)
-    buffer = deque()
-    stats = {"produced": 0, "consumed": 0, "underflows": 0}
-
-    def producer(lane):
-        for _ in range(rounds):
-            yield gap_ns
-            buffer.append(lane)
-            stats["produced"] += 1
-
-    def consumer(lane):
-        for _ in range(rounds):
-            yield gap_ns
-            if buffer:
-                buffer.popleft()
-                stats["consumed"] += 1
-            else:
-                stats["underflows"] += 1
-                checker.custom(
-                    "racey-underflow",
-                    sim.now,
-                    f"consumer {lane} drained an empty buffer "
-                    f"(round boundary t={sim.now})",
-                )
-
-    # Producers first: FIFO start order makes every round produce before
-    # it consumes, so the toy is safe under the engine's own schedule.
-    for lane in range(lanes):
-        sim.process(producer(lane), name=f"producer-{lane}")
-    for lane in range(lanes):
-        sim.process(consumer(lane), name=f"consumer-{lane}")
-    sim.run()
-    checker.finalize(now=sim.now)
-    return stats
-
-
 # ------------------------------------------------------------- pool churn
 
 
@@ -154,14 +106,13 @@ def _boot_region(module, meta, slots=8, slot_bytes=64):
 
 
 @scenario("pool_churn", ops=6, gap_ns=4 * US, rc_threshold=3)
-def pool_churn(controller, checker, ops=6, gap_ns=4 * US, rc_threshold=3):
+def pool_churn(checker, ops=6, gap_ns=4 * US, rc_threshold=3):
     """RC establish/accept/evict/retire churn with 1-entry RC pools."""
     from repro.cluster import Cluster
     from repro.krcore import KrcoreLib, KrcoreModule, MetaServer
     from repro.sim import Simulator
 
     sim = Simulator()
-    controller.attach(sim)
     cluster = Cluster(sim, num_nodes=4, cores=2)
     meta = MetaServer(cluster.node(0))
     nodes = [cluster.node(i) for i in range(1, 4)]
@@ -227,8 +178,8 @@ def pool_churn(controller, checker, ops=6, gap_ns=4 * US, rc_threshold=3):
 
 
 @scenario("chaos_small", seed=11, ops_per_client=12)
-def chaos_small(controller, checker, seed=11, ops_per_client=12):
-    """A shrunk chaos run (crash+restart+outage) under the registry."""
+def chaos_small(checker, seed=11, ops_per_client=12):
+    """A small chaos run (crash+restart+outage) under the registry."""
     from repro.faults.harness import ChaosHarness
     from repro.faults.plan import FaultPlan
 
@@ -241,7 +192,6 @@ def chaos_small(controller, checker, seed=11, ops_per_client=12):
     harness = ChaosHarness(
         seed, plan, ops_per_client=ops_per_client, meta_shards=2
     )
-    controller.attach(harness.sim)
     report = harness.run()
     for name, holds in sorted(report.invariants.items()):
         if not holds:
@@ -261,7 +211,7 @@ def chaos_small(controller, checker, seed=11, ops_per_client=12):
 
 
 @scenario("batch_fault", chains=3, chain=5, drop_pct=35, seed=9)
-def batch_fault(controller, checker, chains=3, chain=5, drop_pct=35, seed=9):
+def batch_fault(checker, chains=3, chain=5, drop_pct=35, seed=9):
     """Batched WR chains over a lossy link (batch-exactly-once)."""
     from repro.cluster import Cluster
     from repro.cluster.fabric import LinkFault
@@ -272,7 +222,6 @@ def batch_fault(controller, checker, chains=3, chain=5, drop_pct=35, seed=9):
     )
 
     sim = Simulator()
-    controller.attach(sim)
     cluster = Cluster(sim, num_nodes=2)
     node_a, node_b = cluster.node(0), cluster.node(1)
     cq = CompletionQueue(sim)
@@ -330,7 +279,7 @@ def batch_fault(controller, checker, chains=3, chain=5, drop_pct=35, seed=9):
 
 
 @scenario("kvs_lin", lin=True, seed=3, clients=3, ops=8, keys=4)
-def kvs_lin(controller, checker, seed=3, clients=3, ops=8, keys=4):
+def kvs_lin(checker, seed=3, clients=3, ops=8, keys=4):
     """Concurrent 8-byte one-sided ops; histories must linearize."""
     import random
 
@@ -339,7 +288,6 @@ def kvs_lin(controller, checker, seed=3, clients=3, ops=8, keys=4):
     from repro.sim import Simulator
 
     sim = Simulator()
-    controller.attach(sim)
     cluster = Cluster(sim, num_nodes=2 + clients)
     meta = MetaServer(cluster.node(0))
     server = cluster.node(1)
@@ -399,14 +347,13 @@ def kvs_lin(controller, checker, seed=3, clients=3, ops=8, keys=4):
 
 
 @scenario("meta_failover", seed=5, writers=2, rounds=3, shards=3)
-def meta_failover(controller, checker, seed=5, writers=2, rounds=3, shards=3):
+def meta_failover(checker, seed=5, writers=2, rounds=3, shards=3):
     """MR publish/retract over a replicated plane with shard outages."""
     from repro.cluster import Cluster
     from repro.krcore import KrcoreModule, MetaPlane, MetaServer
     from repro.sim import Simulator
 
     sim = Simulator()
-    controller.attach(sim)
     cluster = Cluster(sim, num_nodes=shards + writers)
     shard_nodes = [cluster.node(i) for i in range(shards)]
     writer_nodes = [cluster.node(shards + i) for i in range(writers)]
@@ -480,12 +427,11 @@ def meta_failover(controller, checker, seed=5, writers=2, rounds=3, shards=3):
 
 
 @scenario("mr_churn", seed=5, cycles=14)
-def mr_churn(controller, checker, seed=5, cycles=14):
+def mr_churn(checker, seed=5, cycles=14):
     """MicroView pod churn + meta outage under the churn-window invariant."""
     from repro.faults.microview import MicroViewChaosHarness
 
     harness = MicroViewChaosHarness(seed, cycles=cycles)
-    controller.attach(harness.sim)
     report = harness.run()
     # Fold in the harness's schedule-independent correctness invariants.
     # degraded_mode_engaged is deliberately left out: whether the outage
@@ -505,3 +451,76 @@ def mr_churn(controller, checker, seed=5, cycles=14):
         "stale_accepts": report.stale_accepts,
         "reads_after_retract": checker.observed.get("mr.read_after_retract", 0),
     }
+
+
+# ------------------------------------------------------------ QP transfer
+
+
+@scenario("transfer_race", ops=24, gap_ns=2 * US)
+def transfer_race(checker, ops=24, gap_ns=2 * US):
+    """Background RC promotion, thread migration and owner posts, concurrent."""
+    from repro.cluster import Cluster
+    from repro.krcore import KrcoreLib, KrcoreModule, MetaServer
+    from repro.sim import Simulator
+    from repro.verbs import WorkRequest
+
+    sim = Simulator()
+    cluster = Cluster(sim, num_nodes=3, cores=2)
+    meta = MetaServer(cluster.node(0))
+    client, server = cluster.node(1), cluster.node(2)
+    modules = {
+        node.gid: KrcoreModule(node, meta, background_rc=True, rc_traffic_threshold=8)
+        for node in cluster.nodes
+    }
+    base, region = _boot_region(modules[server.gid], meta)
+    module = modules[client.gid]
+    lib = KrcoreLib(client, cpu_id=0)
+    nbytes = 8
+    vqps = []
+    stats = {"reads": 0, "owners_done": 0, "migrations": 0}
+
+    def owner(vqp, scratch, lkey):
+        # Two READs in flight per round: the second is posted while the
+        # first -- or a transfer's fence -- is still on the wire.
+        for _ in range(ops):
+            yield gap_ns
+            for slot in range(2):
+                wr = WorkRequest.read(scratch, nbytes, lkey, base + slot * nbytes,
+                                      region.rkey, nbytes)
+                yield from lib.post_send(vqp, wr)
+            for _ in range(2):
+                entry = yield from vqp.wait_send_completion()
+                stats["reads"] += entry.ok
+        stats["owners_done"] += 1
+
+    def migrator():
+        # Thread migration of the first VQP, away and back, while both
+        # owners post and the background promotion moves them onto RC.
+        for cpu in (1, 0, 1):
+            yield 24 * gap_ns
+            yield from module.migrate_vqp(vqps[0], cpu)
+            stats["migrations"] += 1
+
+    def setup():
+        scratch = client.memory.alloc(2 * nbytes)
+        sregion = yield from module.reg_mr(scratch, 2 * nbytes)
+        for index in range(2):
+            vqp = yield from lib.create_vqp()
+            yield from lib.qconnect(vqp, server.gid)
+            vqps.append(vqp)
+            sim.process(owner(vqp, scratch + index * nbytes, sregion.lkey),
+                        name=f"transfer-owner-{index}")
+        sim.process(migrator(), name="transfer-migrator")
+
+    sim.process(setup(), name="transfer-setup")
+    sim.run()
+    if stats["owners_done"] != len(vqps):
+        # An owner left waiting: its completion went where it no longer polls.
+        checker.custom(
+            "transfer-owner-stranded", sim.now,
+            f"{len(vqps) - stats['owners_done']} VQP owner(s) never saw "
+            f"their completions ({stats})",
+        )
+    checker.finalize(modules=modules.values(), plane=module.meta_plane, now=sim.now)
+    stats["transfers"] = module.stats_transfers
+    return stats

@@ -49,12 +49,6 @@ class Rnic:
         #: ``_degrade_factor`` times slower (alive, just sick); 0 = never.
         self._degraded_until = 0
         self._degrade_factor = 1.0
-        #: CPU nanoseconds burned by cores busy-polling CQs on this node
-        #: (``CompletionQueue`` poll modes ``busy``/``adaptive``).  This is
-        #: host CPU, not engine occupancy -- it never queues behind the
-        #: command processor or inbound engine; it is what a dedicated
-        #: polling core costs the node.
-        self.stats_cq_poll_busy_ns = 0
 
     # -- registries -----------------------------------------------------------
 
@@ -108,10 +102,6 @@ class Rnic:
             self._degraded_until, self.sim.now + int(duration_ns)
         )
         self._degrade_factor = float(factor)
-
-    def account_cq_poll(self, spent_ns):
-        """Charge ``spent_ns`` of host CPU burned spinning on a CQ."""
-        self.stats_cq_poll_busy_ns += int(spent_ns)
 
     def _track(self, engine):
         # One per engine: inbound spans are stamped ahead; no track runs backwards.

@@ -5,8 +5,8 @@ the first nodes: a :class:`MetaServer` for one, a :class:`MetaPlane`
 for more; one :class:`KrcoreModule` per node) and **installs** the plan
 (the scenario's default unless given) under a :class:`FaultInjector`
 whose restart hook loads a fresh module on the rebooted node.  Both
-exist before the run, so callers may attach a schedule controller to
-``sim`` or append to ``plan``.  :meth:`ChaosRun.run` **drives** (the
+exist before the run, so callers may read ``sim`` or append to
+``plan``.  :meth:`ChaosRun.run` **drives** (the
 injector, the scenario's processes, the simulation to quiescence),
 **audits** (the checker's quiescence checks, then the scenario's
 invariants) and returns the :class:`ChaosReport`.

@@ -335,10 +335,6 @@ class KrcoreModule:
             for wc in completions:
                 if wc.wr_id:
                     _check.CHECKER.wr_dispatch(self, wc.wr_id)
-        if completions and _metrics.METRICS is not None:
-            _metrics.METRICS.counter("krcore.completions_dispatched").inc(
-                len(completions)
-            )
         saw_error = False
         for wc in completions:
             if wc.status is not WC_SUCCESS:

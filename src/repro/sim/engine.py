@@ -63,10 +63,9 @@ common yield targets -- an integer timeout and an already-triggered event
 
 The engine counts work as it goes: ``Simulator.events_dispatched`` /
 ``timer_fires`` per instance, ``Simulator.total_events_dispatched`` /
-``total_sim_ns`` across all instances in the process.  The schedule
-controller (``repro.check``) replaces the run loop with one that consumes
-the same slab and buckets in the same order (DESIGN.md §11 has the
-history).
+``total_sim_ns`` across all instances in the process.  The model
+checker (``repro.check``) runs its scenarios under this loop as it is:
+their order is the engine's (DESIGN.md §10).
 """
 
 from collections import deque
@@ -282,11 +281,6 @@ class Simulator:
         self._cohort = None
         self._cpos = 0
         self._orphan_failures = deque()
-        #: Optional schedule controller (repro.check): when set, run()
-        #: delegates to it so same-timestamp dispatch order can be
-        #: explored.  None (the default) keeps the batched loop below
-        #: untouched.
-        self._controller = None
         #: Exact number of callbacks this instance's run loop has executed.
         self.events_dispatched = 0
         #: Timer maturations the run loop performed (hop-1 requeues).
@@ -408,8 +402,6 @@ class Simulator:
         per-event heap or ``until`` checks (buckets are strictly future,
         so neither can change mid-timestamp).
         """
-        if self._controller is not None:
-            return self._controller.drive(self, until)
         rbuf = self._rbuf
         heap = self._heap
         buckets = self._buckets
@@ -586,8 +578,7 @@ class Simulator:
 
     def end_run(self, dispatched, timer_fires, start_ns):
         """Fold one run's counts into the instance and process totals and
-        pass its timer fires to ``on_run_end``.  Every run ends here:
-        :meth:`run`'s and the model checker's controlled one."""
+        pass its timer fires to ``on_run_end``."""
         self.events_dispatched += dispatched
         self.timer_fires += timer_fires
         Simulator.total_events_dispatched += dispatched

@@ -10,8 +10,7 @@ CPU/latency trade (ATR's transport design; RDMAbox):
 * ``busy``     -- a dedicated core spins on the CQ.  The spin discovers
   the CQE the instant it is pushed (no wake latency), but every
   nanosecond spent waiting is CPU burned: the elapsed wait is accounted
-  as ``cq_poll`` busy-ns on the owning RNIC's node (and on the CQ's
-  ``stats_spin_ns``).
+  on the CQ's ``stats_spin_ns``.
 * ``adaptive`` -- spin for ``timing.CQ_ADAPTIVE_SPIN_NS``; if nothing
   completes, arm the CQ event (``ibv_req_notify_cq``, costing
   ``CQ_NOTIFY_REARM_NS`` of CPU *and* latency) and sleep.  Waking out of
@@ -66,16 +65,13 @@ class Completion:
 class CompletionQueue:
     """A polled queue of completions with optional event-driven waiting."""
 
-    def __init__(self, sim, depth=257, poll_mode="event", rnic=None):
+    def __init__(self, sim, depth=257, poll_mode="event"):
         self.sim = sim
         self.depth = depth
         if poll_mode not in POLL_MODES:
             raise ValueError(f"unknown CQ poll mode {poll_mode!r} (known: {POLL_MODES})")
         #: Polling-mode model used by :meth:`wait_notify` / :meth:`wait_poll`.
         self.poll_mode = poll_mode
-        #: The RNIC whose node's CPU burns the busy-poll cycles; optional --
-        #: without one, spin time is still tracked on ``stats_spin_ns``.
-        self.rnic = rnic
         self._entries = _EMPTY  # lists from the first append on
         self._waiters = _EMPTY
         #: Nanoseconds of CPU burned spinning on this CQ (busy + the
@@ -140,8 +136,6 @@ class CompletionQueue:
         if spent_ns <= 0:
             return
         self.stats_spin_ns += spent_ns
-        if self.rnic is not None:
-            self.rnic.account_cq_poll(spent_ns)
 
     def wait_notify(self):
         """Process helper: block until the CQ signals, per the poll mode.

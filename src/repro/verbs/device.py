@@ -67,7 +67,7 @@ class DriverContext:
         yield timing.CREATE_CQ_NS - timing.CREATE_CQ_HW_NS
         if _trace.TRACER is not None:
             _trace.TRACER.end(self.sim.now, f"verbs@{self.node.gid}", "create_cq")
-        return CompletionQueue(self.sim, depth=timing.CQ_DEPTH_DEFAULT, rnic=self.node.rnic)
+        return CompletionQueue(self.sim, depth=timing.CQ_DEPTH_DEFAULT)
 
     def create_qp(self, qp_type, send_cq, recv_cq=None):
         """Process: create a QP; 87% of the time is the RNIC building the

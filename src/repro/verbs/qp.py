@@ -293,7 +293,6 @@ class QueuePair:
             for wr in wrs[1:]:
                 wr.chained = True
             if _metrics.METRICS is not None:
-                _metrics.METRICS.counter("verbs.doorbell_batches").inc()
                 _metrics.METRICS.counter("verbs.doorbell_batched_wrs").inc(len(wrs))
             if _check.CHECKER is not None:
                 _check.CHECKER.batch_posted(self, wrs)

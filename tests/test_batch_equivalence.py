@@ -39,6 +39,7 @@ from repro.verbs import (
     RecvBuffer,
     WcStatus,
     WorkRequest,
+    wire_rc_pair,
 )
 
 REGION = 1024
@@ -119,12 +120,7 @@ def _run(specs, batched, drop_pct=0, reverse_drop_pct=0, seed=1):
         # timing-dependent and the equivalence property (correctly) fails.
         qp_a = ctx_a.create_qp_fast(QpType.RC, cq_a, sq_depth=64)
         qp_b = ctx_b.create_qp_fast(QpType.RC, CompletionQueue(sim), recv_cq=cq_b)
-        qp_a.to_init()
-        qp_a.to_rtr((node_b.gid, qp_b.qpn))
-        qp_a.to_rts()
-        qp_b.to_init()
-        qp_b.to_rtr((node_a.gid, qp_a.qpn))
-        qp_b.to_rts()
+        wire_rc_pair(qp_a, qp_b)
         scratch = node_a.memory.alloc(REGION)
         remote = node_b.memory.alloc(REGION)
         lregion = node_a.memory.register(scratch, REGION)

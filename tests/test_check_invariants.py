@@ -13,7 +13,7 @@ Two layers:
 
 from types import SimpleNamespace
 
-from repro.check import Checker, FifoStrategy
+from repro.check.invariants import Checker
 from repro.check.runner import run_once
 from repro.krcore import KrcoreLib
 from repro.sim import Simulator
@@ -250,7 +250,7 @@ def test_checker_digest_is_deterministic():
 def test_every_registry_hook_fires_in_pool_churn():
     """A silently disconnected call site makes the registry blind; this
     pins every hook kind to nonzero activity under one real scenario."""
-    result = run_once("pool_churn", FifoStrategy())
+    result = run_once("pool_churn")
     assert result.ok, result.violations
     for kind in (
         "dct.publish",      # KrcoreModule.__init__
@@ -302,18 +302,18 @@ def test_registry_catches_pre_fix_accept_path_leak():
     must stay clean on the identical scenario."""
 
     with accept_leak():
-        result = run_once("pool_churn", FifoStrategy())
+        result = run_once("pool_churn")
     leaks = [v for v in result.violations if v.invariant == "pool-qp-accounting"]
     assert leaks, "registry missed the pre-fix accept-path RC leak"
     assert "still RNIC-registered" in leaks[0].detail
 
-    fixed = run_once("pool_churn", FifoStrategy())
+    fixed = run_once("pool_churn")
     assert fixed.ok, fixed.violations
 
 
 def test_scenarios_clean_under_fifo():
     for name in ("kvs_lin", "meta_failover", "chaos_small"):
-        result = run_once(name, FifoStrategy())
+        result = run_once(name)
         assert result.ok, (name, result.violations)
         assert sum(result.observed.values()) > 0
 

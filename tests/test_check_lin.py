@@ -1,8 +1,9 @@
 """The Wing & Gong linearizability checker and its history plumbing."""
 
-from repro.check import FifoStrategy, check_histories, check_register
 from repro.check.linearizability import (
     Op,
+    check_histories,
+    check_register,
     extract_histories,
     record_invoke,
     record_response,
@@ -129,7 +130,7 @@ def test_history_round_trip_through_tracer():
 
 
 def test_kvs_lin_scenario_records_and_linearizes():
-    result = run_once("kvs_lin", FifoStrategy())
+    result = run_once("kvs_lin")
     assert result.ok, result.violations
     assert result.histories, "kvs_lin recorded no histories"
     total_ops = sum(len(ops) for ops in result.histories.values())
@@ -142,9 +143,7 @@ def test_meta_histories_linearize_on_single_shard_plane():
     histories must linearize; the replicated plane only promises
     convergence, which is why meta_failover reports instead of enforces."""
     result = run_once(
-        "meta_failover",
-        FifoStrategy(),
-        scenario_kwargs={"shards": 1, "writers": 2, "rounds": 2},
+        "meta_failover", scenario_kwargs={"shards": 1, "writers": 2, "rounds": 2}
     )
     assert result.ok, result.violations
     assert result.histories

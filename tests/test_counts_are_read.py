@@ -53,7 +53,7 @@ DOUBLE_COUNTED = {
 #: Lines in ``src/repro`` matching GUARD.  The ceiling only goes down:
 #: lower it when a change removes guards, never raise it.
 GUARD = re.compile(r"(TRACER|METRICS|CHECKER) is (not )?None")
-GUARD_CEILING = 87
+GUARD_CEILING = 86
 
 
 def _parsed(*tops):

@@ -4,9 +4,8 @@ Satellite regression nets for the data-plane PR:
 
 * CQ polling-mode cost accounting (the ``wait_poll`` busy-spin fix):
   before the fix a busy-mode wait burned a core for the whole wait but
-  charged nothing anywhere -- ``stats_spin_ns`` and the RNIC's
-  ``stats_cq_poll_busy_ns`` did not exist, so these tests fail on the
-  pre-fix code by construction.
+  charged nothing anywhere -- ``stats_spin_ns`` did not exist, so these
+  tests fail on the pre-fix code by construction.
 * CQ edge cases: waiting with no outstanding entries, polling a
   multi-slot (``covers``) completion releasing send-queue slots, and
   ``wait_poll`` racing a QP error completion.
@@ -46,13 +45,13 @@ def _push_later(sim, cq, delay_ns, wr_id=1):
 
 def test_busy_poll_charges_spin_ns_on_rnic():
     """Satellite 1: a busy-polled wait is not free -- the whole elapsed
-    wait lands in ``stats_spin_ns`` and on the RNIC's busy counter."""
+    wait lands in the CQ's ``stats_spin_ns``."""
     sim = Simulator()
     cluster = Cluster(sim, num_nodes=2)
     node_a, node_b = cluster.node(0), cluster.node(1)
     qp_a, _qp_b = quick_rc_pair(node_a, node_b)
     cq = qp_a.send_cq
-    cq.poll_mode, cq.rnic = "busy", node_a.rnic
+    cq.poll_mode = "busy"
     laddr, lmr = register(node_a, 64)
     raddr, rmr = register(node_b, 64, fill=7)
     waited = {}
@@ -68,7 +67,6 @@ def test_busy_poll_charges_spin_ns_on_rnic():
     assert wcs[0].ok
     assert waited["ns"] > 0
     assert cq.stats_spin_ns == waited["ns"]
-    assert node_a.rnic.stats_cq_poll_busy_ns == waited["ns"]
 
 
 def test_event_poll_charges_nothing():
@@ -234,7 +232,7 @@ def test_wait_poll_returns_qp_error_completion():
     qp_a.retry_cnt = 1
     qp_a.timeout_ns = 2 * US
     cq = qp_a.send_cq
-    cq.poll_mode, cq.rnic = "busy", node_a.rnic
+    cq.poll_mode = "busy"
     cluster.fabric.set_link_fault(
         node_a.gid, node_b.gid, LinkFault(drop_prob=1.0)
     )
@@ -266,7 +264,6 @@ def test_post_send_batch_sets_chained_flags():
     ]
     with obs.observe() as (_tracer, metrics):
         qp_a.post_send_batch(wrs)
-        assert metrics.counter("verbs.doorbell_batches").value == 1
         assert metrics.counter("verbs.doorbell_batched_wrs").value == 3
     assert [wr.chained for wr in wrs] == [False, True, True]
     sim.run()
@@ -283,7 +280,7 @@ def test_post_send_batch_single_wr_is_plain_post():
     wr = WorkRequest.read(laddr, 8, lmr.lkey, raddr, rmr.rkey)
     with obs.observe() as (_tracer, metrics):
         qp_a.post_send_batch([wr])
-        assert metrics.counter("verbs.doorbell_batches").value == 0
+        assert metrics.counter("verbs.doorbell_batched_wrs").value == 0
     assert wr.chained is False
     sim.run()
 

@@ -7,9 +7,7 @@ shared physical QP after a remote failure wrecks it.
 
 import pytest
 
-from repro.cluster import timing
 from repro.krcore import KrcoreError, KrcoreLib
-from repro.lite import LiteError
 from repro.sim import MS, Simulator
 from repro.verbs import QpState, WcStatus, WorkRequest
 from tests.conftest import krcore_cluster

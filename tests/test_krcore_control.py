@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import timing
 from repro.krcore import KrcoreError, KrcoreLib
-from repro.sim import Simulator, US
+from repro.sim import Simulator
 from repro.verbs import QpType
 from tests.conftest import krcore_cluster
 

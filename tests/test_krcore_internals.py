@@ -10,7 +10,7 @@ from repro import obs
 from repro.cluster import Cluster, timing
 from repro.krcore import KrcoreError, KrcoreLib
 from repro.krcore.meta import MetaClient, MetaServer, dct_key
-from repro.krcore.mrstore import MrStore, ValidMr
+from repro.krcore.mrstore import ValidMr
 from repro.krcore.pool import HybridQpPool
 from repro.krcore.vqp import Vqp
 from repro.kvs import RecordTooLargeError

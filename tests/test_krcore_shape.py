@@ -15,10 +15,8 @@ caller calls the object that owns a mechanism.  Two rules:
    reader gets a public name.  A name the reader's own package defines
    too is its own: the engine's sleeper seam, ``_resume``, has
    implementations in ``verbs``.  The allow-list holds
-   two readers whose job is another layer's internals: the model
-   checker's schedule controller, which replaces the engine's run loop,
-   and the checker's quiescence audit of the RNIC's inbound busy-until
-   clock.
+   one reader whose job is another layer's internals: the model
+   checker's quiescence audit of the RNIC's inbound busy-until clock.
 """
 
 import ast
@@ -26,10 +24,7 @@ import ast
 from tests._source import trees
 FORWARDERS_ALLOWED = set()
 #: (reader under ``src/repro``, the package whose privates it reads).
-PRIVATE_READS_ALLOWED = {
-    ("check/controller.py", "sim"),
-    ("check/invariants.py", "cluster"),
-}
+PRIVATE_READS_ALLOWED = {("check/invariants.py", "cluster")}
 
 
 def _forwarded_call(function):

@@ -24,7 +24,7 @@ RANKS = {
     "obs": 2,
     "check.hooks": 2,
     "check.invariants": 2,
-    "check": 2,  # the package itself eagerly imports only ``check.hooks``
+    "check": 2,  # the package itself imports nothing
     "cluster": 3,
     "verbs": 4,
     "degrade": 5,

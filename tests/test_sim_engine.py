@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import repro.sim.engine as engine
 import tests._seed_engine_reference as seed_engine
-from repro.check import FifoStrategy, ScheduleController
 from repro.sim import AnyOf, Event, SimulationError, Simulator
 
 
@@ -214,11 +213,8 @@ _SCRIPTS = {
 }
 
 
-def _run_scripts(as_sleepers, controlled=False):
+def _run_scripts(as_sleepers):
     sim = Simulator()
-    controller = ScheduleController(FifoStrategy())
-    if controlled:
-        controller.attach(sim)
     log = []
     for tag, delays in _SCRIPTS.items():
         if as_sleepers == "all" or (as_sleepers == "some" and tag in "bd"):
@@ -226,7 +222,7 @@ def _run_scripts(as_sleepers, controlled=False):
         else:
             sim.process(_scripted_process(sim, tag, delays, log))
     sim.run()
-    return log, sim.events_dispatched, sim.timer_fires, sim.now, controller.points
+    return log, sim.events_dispatched, sim.timer_fires, sim.now
 
 
 @pytest.mark.parametrize("as_sleepers", ["some", "all"])
@@ -238,14 +234,6 @@ def test_sleep_and_wake_count_and_order_like_a_process(as_sleepers):
     processes = _run_scripts(None)
     assert _run_scripts(as_sleepers) == processes
     assert processes[1:4] == (39, 9, 18)  # 5 starts + 17 timers x 2; 9 are not zero-delay
-
-
-def test_sleepers_under_the_schedule_controller():
-    """FIFO-controlled == uncontrolled, choice points aside."""
-    free = _run_scripts("some")
-    driven = _run_scripts("some", controlled=True)
-    assert free[:4] == driven[:4]
-    assert driven[4]  # the controller did see choice points
 
 
 def test_wake_queues_behind_what_is_already_ready(sim):
@@ -487,13 +475,10 @@ def test_any_of_over_timers_and_events_matches_the_seed():
     assert (10, "any-fails", ("failed", "'e2'")) in ours
 
 
-@pytest.mark.parametrize("controlled", [False, True])
-def test_buckets_hold_nothing_once_the_heap_drains(controlled):
-    """A dict keeps its table after it empties, so both run loops drop
-    the buckets' table once the last future timestamp has matured."""
+def test_buckets_hold_nothing_once_the_heap_drains():
+    """A dict keeps its table after it empties, so the run loop drops the
+    buckets' table once the last future timestamp has matured."""
     sim = Simulator()
-    if controlled:
-        ScheduleController(FifoStrategy()).attach(sim)
     fired = []
     for delay in range(1, 2_501):
         sim.schedule(delay, lambda: fired.append(sim.now))

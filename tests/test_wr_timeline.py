@@ -56,6 +56,7 @@ from repro.verbs import (
     QpType,
     RecvBuffer,
     WorkRequest,
+    wire_rc_pair,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -271,10 +272,7 @@ class _World:
         qp_s = ctx_s.create_qp_fast(QpType.RC, cq_s, recv_cq=self.recv_cq[server.gid])
         for name, value in attrs.items():
             setattr(qp_c, name, value)
-        for qp, peer in ((qp_c, qp_s), (qp_s, qp_c)):
-            qp.to_init()
-            qp.to_rtr((peer.node.gid, peer.qpn))
-            qp.to_rts()
+        wire_rc_pair(qp_c, qp_s)
         return _Stream(self, label, qp_c, [_Target(server, self.recv_cq[server.gid], peer_qp=qp_s)])
 
     def join(self, gens):
