@@ -54,6 +54,9 @@ import threading
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
+# The tier-1 files that are system runs, and the chaos suite (marked
+# ``chaos``, outside tier-1).  tests/test_settings_have_callers.py reads
+# both: a system caller is one in src/, benchmarks/, examples/ or these.
 SYSTEM_FILES = [
     "tests/test_bench_figures.py",
     "tests/test_examples.py",
@@ -61,6 +64,7 @@ SYSTEM_FILES = [
     "tests/test_obs_golden.py",
     "tests/test_faults_cli.py",
 ]
+CHAOS_FILE = "tests/test_chaos.py"
 PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 OBSERVATORY = [workload["name"] for workload in
                json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -68,7 +72,7 @@ OBSERVATORY = [workload["name"] for workload in
 # traced pass of each observatory workload.
 RUNS = (
     ("unit", [*PYTEST, *(f"--ignore={name}" for name in SYSTEM_FILES)]),
-    ("system", [*PYTEST, "-m", "chaos", "tests/test_chaos.py"]),
+    ("system", [*PYTEST, "-m", "chaos", CHAOS_FILE]),
     ("system", [*PYTEST, "--benchmark-disable", "benchmarks", *SYSTEM_FILES]),
     ("system", ["-m", "repro.check"]),
     *(("system", ["benchmarks/observatory/run.py", "--workload", workload, "--seed", "1",

@@ -12,6 +12,7 @@ Run:  python examples/serverless_transactions.py
 from repro.apps.race import KrcoreBackend, VerbsBackend
 from repro.apps.serverless import ServerlessPlatform, WARM_START_NS
 from repro.apps.txn import TxnClient, TxnStorage
+from repro.apps.txn.storage import RECORD_BYTES
 from repro.bench.setups import krcore_cluster, verbs_cluster
 
 
@@ -30,7 +31,7 @@ def run_function(kind):
         catalogs = []
         for node in storage_nodes:
             storage = TxnStorage(node, num_records=128, register=False)
-            total = storage.num_records * (8 + storage.value_bytes)
+            total = storage.num_records * RECORD_BYTES
             module = node.services["krcore"]
             region = sim.run_process(module.reg_mr(storage.base, total))
             storage.region = region
@@ -42,7 +43,7 @@ def run_function(kind):
     platform = ServerlessPlatform(sim)
     timings = {}
 
-    def handler(ctx, payload):
+    def handler(ctx):
         client = TxnClient(make_backend() if kind == "verbs" else KrcoreBackend(ctx.node), catalogs)
         start = ctx.sim.now
         yield from client.setup()  # the RDMA control path

@@ -41,7 +41,7 @@ def main():
     sim, cluster, meta, modules = krcore_cluster(num_nodes=3)
     platform = ServerlessPlatform(sim)
 
-    def handler(ctx, payload):
+    def handler(ctx):
         yield 100_000  # 100 us of compute
         return "ok"
 

@@ -25,7 +25,7 @@ class _Container:
 class ServerlessPlatform:
     """Schedules function invocations onto cluster nodes.
 
-    Handlers are generator functions ``handler(ctx, payload)`` run as
+    Handlers are generator functions ``handler(ctx)`` run as
     simulation processes; ``ctx`` gives them their node and platform.
     """
 
@@ -51,7 +51,7 @@ class ServerlessPlatform:
             raise FunctionError(f"unknown function {name!r}")
         return self._containers[name]
 
-    def invoke(self, name, payload=None):
+    def invoke(self, name):
         """Process: start the container (cold or warm) and run the handler.
 
         Returns the handler's return value.
@@ -69,8 +69,7 @@ class ServerlessPlatform:
             container.warm = True
         container.runs += 1
         ctx = InvocationContext(self, node, name)
-        result = yield from handler(ctx, payload)
-        return result
+        return (yield from handler(ctx))
 
 
 class InvocationContext:

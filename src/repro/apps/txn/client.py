@@ -1,6 +1,8 @@
 """Computing-node side: FaRM-style OCC transactions over any backend."""
 
-from repro.apps.txn.storage import HEADER_BYTES, LOCK_BIT, TxnError, VERSION_MASK
+from repro.apps.txn.storage import (
+    HEADER_BYTES, LOCK_BIT, RECORD_BYTES, TxnError, VALUE_BYTES, VERSION_MASK,
+)
 
 
 class TxnAborted(Exception):
@@ -27,9 +29,8 @@ class TxnClient:
     def setup(self):
         """Process: connect + register scratch (the elastic-worker cost)."""
         yield from self.backend.connect([catalog.gid for catalog in self.catalogs])
-        record_bytes = max(c.record_bytes for c in self.catalogs)
         self.scratch_addr, self.scratch_lkey = yield from self.backend.setup_buffer(
-            4096 + record_bytes * 64
+            4096 + RECORD_BYTES * 64
         )
 
     def begin(self):
@@ -78,10 +79,10 @@ class Transaction:
         if record_id in self._writes:
             return self._writes[record_id]
         catalog, local_id = self.client._place(record_id)
-        scratch = self.client.scratch_addr + self._scratch_slot(catalog)
+        scratch = self.client.scratch_addr + self._scratch_slot()
         yield from self.client.backend.read(
             catalog.gid, scratch, self.client.scratch_lkey,
-            catalog.header_addr(local_id), catalog.rkey, catalog.record_bytes,
+            catalog.header_addr(local_id), catalog.rkey, RECORD_BYTES,
         )
         header = int.from_bytes(self.client.node.memory.read(scratch, 8), "big")
         if header & LOCK_BIT:
@@ -94,15 +95,15 @@ class Transaction:
             raise TxnAborted(f"record {record_id} changed mid-transaction")
         self._read_versions[record_id] = version
         value = self.client.node.memory.read(
-            scratch + HEADER_BYTES, catalog.value_bytes
+            scratch + HEADER_BYTES, VALUE_BYTES
         )
         return value
 
     def write(self, record_id, value):
         """Buffer a write (installed at commit)."""
         catalog, _local = self.client._place(record_id)
-        if len(value) > catalog.value_bytes:
-            raise TxnError(f"value of {len(value)}B exceeds {catalog.value_bytes}B records")
+        if len(value) > VALUE_BYTES:
+            raise TxnError(f"value of {len(value)}B exceeds {VALUE_BYTES}B records")
         self._writes[record_id] = value
 
     def _observe_version(self, record_id):
@@ -121,10 +122,10 @@ class Transaction:
         self._read_versions[record_id] = version
         return version
 
-    def _scratch_slot(self, catalog):
+    def _scratch_slot(self):
         slot = self._next_scratch
-        self._next_scratch += catalog.record_bytes
-        if self._next_scratch > 4096 + catalog.record_bytes * 60:
+        self._next_scratch += RECORD_BYTES
+        if self._next_scratch > 4096 + RECORD_BYTES * 60:
             self._next_scratch = 64  # reuse (read data already consumed)
         return slot
 
@@ -174,11 +175,11 @@ class Transaction:
             # 3. Install values, then release locks with bumped versions.
             for record_id, old_header in locked:
                 catalog, local_id = client._place(record_id)
-                value = self._writes[record_id].ljust(catalog.value_bytes, b"\x00")
+                value = self._writes[record_id].ljust(VALUE_BYTES, b"\x00")
                 client.node.memory.write(atomic_scratch + 16, value)
                 yield from client.backend.write(
                     catalog.gid, atomic_scratch + 16, client.scratch_lkey,
-                    catalog.value_addr(local_id), catalog.rkey, catalog.value_bytes,
+                    catalog.value_addr(local_id), catalog.rkey, VALUE_BYTES,
                 )
                 new_version = ((old_header & VERSION_MASK) + 1) & VERSION_MASK
                 client.node.memory.write(

@@ -3,7 +3,7 @@
 Record layout (header is one CAS-able 64-bit word):
 
     header:  lock (bit 63) | version (bits 0..62)
-    value:   ``value_bytes`` of payload
+    value:   ``VALUE_BYTES`` of payload
 
 Records live in one registered region so computing nodes can READ /
 WRITE / CAS them directly.
@@ -13,6 +13,8 @@ LOCK_BIT = 1 << 63
 VERSION_MASK = LOCK_BIT - 1
 
 HEADER_BYTES = 8
+VALUE_BYTES = 16
+RECORD_BYTES = HEADER_BYTES + VALUE_BYTES
 
 
 class TxnError(Exception):
@@ -22,21 +24,16 @@ class TxnError(Exception):
 class TxnCatalog:
     """Geometry a computing node needs to drive one storage node."""
 
-    __slots__ = ("gid", "rkey", "base_addr", "num_records", "value_bytes")
+    __slots__ = ("gid", "rkey", "base_addr", "num_records")
 
-    def __init__(self, gid, rkey, base_addr, num_records, value_bytes):
+    def __init__(self, gid, rkey, base_addr, num_records):
         self.gid = gid
         self.rkey = rkey
         self.base_addr = base_addr
         self.num_records = num_records
-        self.value_bytes = value_bytes
-
-    @property
-    def record_bytes(self):
-        return HEADER_BYTES + self.value_bytes
 
     def header_addr(self, record_id):
-        return self.base_addr + record_id * self.record_bytes
+        return self.base_addr + record_id * RECORD_BYTES
 
     def value_addr(self, record_id):
         return self.header_addr(record_id) + HEADER_BYTES
@@ -45,11 +42,10 @@ class TxnCatalog:
 class TxnStorage:
     """A passive storage node hosting ``num_records`` fixed-size records."""
 
-    def __init__(self, node, num_records=1024, value_bytes=64, register=True):
+    def __init__(self, node, num_records=1024, register=True):
         self.node = node
         self.num_records = num_records
-        self.value_bytes = value_bytes
-        total = num_records * (HEADER_BYTES + value_bytes)
+        total = num_records * RECORD_BYTES
         self.base = node.memory.alloc(total)
         self.region = node.memory.register(self.base, total) if register else None
 
@@ -59,7 +55,6 @@ class TxnStorage:
             self.region.rkey if rkey is None else rkey,
             self.base,
             self.num_records,
-            self.value_bytes,
         )
 
     # -- local helpers (load phase / assertions) -------------------------------
@@ -67,15 +62,13 @@ class TxnStorage:
     def load(self, record_id, value):
         """Initialize a record locally (version stays, lock cleared)."""
         catalog = self.catalog(rkey=0)
-        if len(value) > self.value_bytes:
-            raise TxnError(f"value of {len(value)}B exceeds {self.value_bytes}B records")
-        self.node.memory.write(
-            catalog.value_addr(record_id), value.ljust(self.value_bytes, b"\x00")
-        )
+        if len(value) > VALUE_BYTES:
+            raise TxnError(f"value of {len(value)}B exceeds {VALUE_BYTES}B records")
+        self.node.memory.write(catalog.value_addr(record_id), value.ljust(VALUE_BYTES, b"\x00"))
 
     def read_local(self, record_id):
         """(version, locked, value) as stored right now."""
         catalog = self.catalog(rkey=0)
         header = int.from_bytes(self.node.memory.read(catalog.header_addr(record_id), 8), "big")
-        value = self.node.memory.read(catalog.value_addr(record_id), self.value_bytes)
+        value = self.node.memory.read(catalog.value_addr(record_id), VALUE_BYTES)
         return header & VERSION_MASK, bool(header & LOCK_BIT), value

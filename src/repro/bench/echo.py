@@ -253,7 +253,7 @@ class _KrcoreEcho:
         )
         replies = []
         while True:
-            results = yield from lib.post_and_qpop(vqp, replies, max_msgs=32)
+            results = yield from lib.post_and_qpop(vqp, replies)
             replies = []
             for src_vqp, completion in results:
                 yield handler_ns  # this worker's core

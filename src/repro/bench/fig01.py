@@ -63,7 +63,7 @@ def _transaction_latency(num_txns):
     layout = TpccLayout(num_warehouses=1)
     per_node = -(-layout.total_records // 2)
     storages = [
-        TxnStorage(cluster.node(i), num_records=per_node, value_bytes=16)
+        TxnStorage(cluster.node(i), num_records=per_node)
         for i in (1, 2)
     ]
     client = TxnClient(VerbsBackend(cluster.node(0)), [s.catalog() for s in storages])

@@ -25,6 +25,9 @@ from repro.verbs.types import QPT_RC
 WARMUP_NS = 30 * US
 MEASURE_NS = 150 * US
 
+#: Seed of the client target sequence (``target="random"``).
+SEED = 1234
+
 
 class OneSidedResult:
     """Throughput + latency of one configuration.
@@ -61,9 +64,7 @@ def run_onesided(
     servers=1,
     target="fixed",
     batch=32,
-    warmup_ns=WARMUP_NS,
     measure_ns=MEASURE_NS,
-    seed=1234,
     memory_size=16 << 20,
     single_node=False,
 ):
@@ -77,8 +78,8 @@ def run_onesided(
     Fig 15b "one node to others" setup.
     """
     env = _Environment(system, servers, memory_size)
-    rng = random.Random(seed)
-    stop_at = warmup_ns + measure_ns
+    rng = random.Random(SEED)
+    stop_at = WARMUP_NS + measure_ns
     recorder = LatencyRecorder()
     if single_node:
         node = env.client_nodes[0]
@@ -88,9 +89,9 @@ def run_onesided(
     for index, (node, cpu_id) in enumerate(placements):
         issue = env.make_issuer(node, cpu_id, opcode, payload)
         if mode == "sync":
-            proc = _client_loop(env, issue, target, rng, 1, warmup_ns, stop_at, recorder)
+            proc = _client_loop(env, issue, target, rng, 1, stop_at, recorder)
         elif mode == "async":
-            proc = _client_loop(env, issue, target, rng, batch, warmup_ns, stop_at, None)
+            proc = _client_loop(env, issue, target, rng, batch, stop_at, None)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         env.sim.process(proc, name=f"client{index}")
@@ -104,14 +105,14 @@ def run_onesided(
     def snapshot():
         counts.append(sum(server.rnic.stats_inbound_ops for server in env.server_nodes))
 
-    env.sim.schedule(warmup_ns, snapshot)
+    env.sim.schedule(WARMUP_NS, snapshot)
     env.sim.schedule(stop_at + 1, snapshot)
     env.sim.run(until=stop_at + 1)
     served = counts[1] - counts[0]
     return OneSidedResult(recorder, measure_ns, served)
 
 
-def _client_loop(env, issue, target, rng, batch, warmup_ns, stop_at, recorder):
+def _client_loop(env, issue, target, rng, batch, stop_at, recorder):
     sync = recorder is not None
     while env.sim.now < stop_at:
         server_index = 0 if target == "fixed" else rng.randrange(env.num_servers)
@@ -119,7 +120,7 @@ def _client_loop(env, issue, target, rng, batch, warmup_ns, stop_at, recorder):
         yield from issue(server_index, sync=sync, batch=batch)
         # Ops *begun* during warmup (incl. setup) don't count, nor does one
         # completing in the nanosecond the run overshoots by.
-        if sync and warmup_ns < start and env.sim.now <= stop_at:
+        if sync and WARMUP_NS < start and env.sim.now <= stop_at:
             recorder.record(env.sim.now - start)
 
 

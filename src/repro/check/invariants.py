@@ -44,6 +44,11 @@ Invariants
     At quiescence no module table (by id, published pins, bound
     port, reply) still reaches a VQP that ``destroy_vqp`` dropped (a
     ``qconnect`` in flight across the destroy must fail, not re-index it).
+``vqp-unreaped-completion``
+    At quiescence no live VQP holds a dispatched (ready) completion in
+    its software queue: an owner polls until it has every completion of
+    what it posted, so one left behind was dispatched where its owner no
+    longer looks (a post that slipped behind a QP transfer's fence, §4.6).
 ``batch-exactly-once``
     Every WR of a doorbell-batched chain (``QueuePair.post_send_batch``)
     completes exactly once: a mid-chain fault (RETRY_EXC) must neither
@@ -407,6 +412,15 @@ class Checker:
                     now,
                     f"{module.node.gid} left {len(module.wrid_tokens)} wr_id "
                     "token(s) undispatched at quiescence (lost completion)",
+                )
+            unreaped = [vqp.id for vqp in module.live_vqps()
+                        if any(entry.ready for entry in vqp.comp_queue)]
+            if unreaped:
+                self.violate(
+                    "vqp-unreaped-completion",
+                    now,
+                    f"{module.node.gid}: live VQP(s) {unreaped} hold dispatched "
+                    "completion(s) nobody reaped at quiescence",
                 )
             stale = {vqp.id for vqp in module.indexed_vqps() if vqp.destroyed}
             if stale:

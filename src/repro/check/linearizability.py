@@ -19,7 +19,7 @@ accelerations:
   (Lowe's just-in-time linearizability optimisation).
 
 Semantics are a single register per key: a read returns the value of
-the latest linearized write (``initial`` before any).  An operation with
+the latest linearized write (0 before any).  An operation with
 ``response=None`` is *incomplete* (invoked, never returned): it may be
 linearized anywhere after its invocation or not at all -- required for
 histories with crashed clients or writes acknowledged only by a later
@@ -52,7 +52,7 @@ class Op:
         return f"Op({self.proc} {self.kind}{self.value!r} @{span})"
 
 
-def check_register(ops, initial=0):
+def check_register(ops):
     """True iff ``ops`` is linearizable as a single read/write register.
 
     Iterative DFS over partial linearizations.  A state is the bitmask
@@ -74,7 +74,7 @@ def check_register(ops, initial=0):
     all_mask = (1 << n) - 1
     seen = set()
     # Each frame: (mask_of_linearized, register_value).
-    stack = [(0, initial)]
+    stack = [(0, 0)]
     while stack:
         mask, value = stack.pop()
         if mask & complete_mask == complete_mask:
@@ -108,17 +108,13 @@ def check_register(ops, initial=0):
     return False
 
 
-def check_histories(histories, initial=0):
+def check_histories(histories):
     """Check each key's history independently (P-compositionality).
 
     ``histories`` maps key -> list of :class:`Op`.  Returns the list of
     keys whose history is NOT linearizable (empty == pass).
     """
-    return [
-        key
-        for key in sorted(histories)
-        if not check_register(histories[key], initial=initial)
-    ]
+    return [key for key in sorted(histories) if not check_register(histories[key])]
 
 
 # --------------------------------------------------------- trace recording

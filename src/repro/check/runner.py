@@ -36,15 +36,13 @@ class CheckResult:
         return f"{self.scenario} {status} hook_events={sum(self.observed.values())}"
 
 
-def run_once(scenario_name, scenario_kwargs=None):
+def run_once(scenario_name):
     """Run ``scenario_name`` once with the checker installed."""
     spec = get_scenario(scenario_name)
-    kwargs = dict(spec.defaults)
-    kwargs.update(scenario_kwargs or {})
     checker = Checker()
     with hooks.checking(checker):
         with observe() as (tracer, _metrics):
-            summary = spec.fn(checker, **kwargs)
+            summary = spec.fn(checker)
             histories = extract_histories(tracer)
     nonlinearizable = check_histories(histories) if histories else []
     if spec.lin:

@@ -1,6 +1,6 @@
 """Model-checking scenarios: small workloads that drive one slice each.
 
-Each scenario is a function ``fn(checker, **kwargs)`` that builds its
+Each scenario is a function ``fn(checker)`` that builds its
 own :class:`~repro.sim.Simulator`, runs a workload exercising one slice
 of the control plane to quiescence under the engine's own order, calls
 ``checker.finalize(...)`` (a chaos run does that itself, see
@@ -58,26 +58,28 @@ __all__ = ["SCENARIOS", "get_scenario", "scenario"]
 US = 1_000
 MS = 1_000_000
 
+#: Meta shards of ``meta_failover``'s replicated plane.
+META_FAILOVER_SHARDS = 3
+
 SCENARIOS = {}
 
 
 class ScenarioSpec:
-    __slots__ = ("name", "fn", "lin", "defaults", "doc")
+    __slots__ = ("name", "fn", "lin", "doc")
 
-    def __init__(self, name, fn, lin, defaults):
+    def __init__(self, name, fn, lin):
         self.name = name
         self.fn = fn
         self.lin = lin
-        self.defaults = dict(defaults)
         self.doc = (fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else ""
 
 
-def scenario(name, lin=False, **defaults):
+def scenario(name, lin=False):
     """Register a scenario.  ``lin=True`` makes the runner *enforce*
     linearizability of the recorded histories (it always reports)."""
 
     def decorate(fn):
-        SCENARIOS[name] = ScenarioSpec(name, fn, lin, defaults)
+        SCENARIOS[name] = ScenarioSpec(name, fn, lin)
         return fn
 
     return decorate
@@ -105,13 +107,14 @@ def _boot_region(module, meta, slots=8, slot_bytes=64):
     return addr, region
 
 
-@scenario("pool_churn", ops=6, gap_ns=4 * US, rc_threshold=3)
-def pool_churn(checker, ops=6, gap_ns=4 * US, rc_threshold=3):
+@scenario("pool_churn")
+def pool_churn(checker):
     """RC establish/accept/evict/retire churn with 1-entry RC pools."""
     from repro.cluster import Cluster
     from repro.krcore import KrcoreLib, KrcoreModule, MetaServer
     from repro.sim import Simulator
 
+    ops, gap_ns, rc_threshold = 6, 4 * US, 3
     sim = Simulator()
     cluster = Cluster(sim, num_nodes=4, cores=2)
     meta = MetaServer(cluster.node(0))
@@ -177,21 +180,20 @@ def pool_churn(checker, ops=6, gap_ns=4 * US, rc_threshold=3):
 # ------------------------------------------------------------ small chaos
 
 
-@scenario("chaos_small", seed=11, ops_per_client=12)
-def chaos_small(checker, seed=11, ops_per_client=12):
+@scenario("chaos_small")
+def chaos_small(checker):
     """A small chaos run (crash+restart+outage) under the registry."""
     from repro.faults.harness import ChaosHarness
     from repro.faults.plan import FaultPlan
 
+    seed = 11
     plan = (
         FaultPlan(seed)
         .crash_node(2 * MS, "node2")
         .restart_node(4 * MS, "node2")
         .meta_outage(5 * MS, 1 * MS)
     )
-    harness = ChaosHarness(
-        seed, plan, ops_per_client=ops_per_client, meta_shards=2
-    )
+    harness = ChaosHarness(seed, plan, ops_per_client=12, meta_shards=2)
     report = harness.run()
     for name, holds in sorted(report.invariants.items()):
         if not holds:
@@ -210,8 +212,8 @@ def chaos_small(checker, seed=11, ops_per_client=12):
 # ------------------------------------------------------- batched chains
 
 
-@scenario("batch_fault", chains=3, chain=5, drop_pct=35, seed=9)
-def batch_fault(checker, chains=3, chain=5, drop_pct=35, seed=9):
+@scenario("batch_fault")
+def batch_fault(checker):
     """Batched WR chains over a lossy link (batch-exactly-once)."""
     from repro.cluster import Cluster
     from repro.cluster.fabric import LinkFault
@@ -221,6 +223,7 @@ def batch_fault(checker, chains=3, chain=5, drop_pct=35, seed=9):
         wire_rc_pair,
     )
 
+    chains, chain = 3, 5
     sim = Simulator()
     cluster = Cluster(sim, num_nodes=2)
     node_a, node_b = cluster.node(0), cluster.node(1)
@@ -240,7 +243,7 @@ def batch_fault(checker, chains=3, chain=5, drop_pct=35, seed=9):
     lregion = node_a.memory.register(src, nbytes)
     rregion = node_b.memory.register(dst, nbytes)
     cluster.fabric.set_link_fault(
-        node_a.gid, node_b.gid, LinkFault(drop_prob=drop_pct / 100, seed=seed)
+        node_a.gid, node_b.gid, LinkFault(drop_prob=0.35, seed=9)
     )
     stats = {"success": 0, "retry_exc": 0, "flushed": 0, "repairs": 0}
 
@@ -278,8 +281,8 @@ def batch_fault(checker, chains=3, chain=5, drop_pct=35, seed=9):
 # ------------------------------------------------------- linearizable KVS
 
 
-@scenario("kvs_lin", lin=True, seed=3, clients=3, ops=8, keys=4)
-def kvs_lin(checker, seed=3, clients=3, ops=8, keys=4):
+@scenario("kvs_lin", lin=True)
+def kvs_lin(checker):
     """Concurrent 8-byte one-sided ops; histories must linearize."""
     import random
 
@@ -287,6 +290,7 @@ def kvs_lin(checker, seed=3, clients=3, ops=8, keys=4):
     from repro.krcore import KrcoreLib, KrcoreModule, MetaServer
     from repro.sim import Simulator
 
+    clients, ops, keys = 3, 8, 4
     sim = Simulator()
     cluster = Cluster(sim, num_nodes=2 + clients)
     meta = MetaServer(cluster.node(0))
@@ -302,7 +306,7 @@ def kvs_lin(checker, seed=3, clients=3, ops=8, keys=4):
     stats = {"ops": 0}
 
     def client(cnum, node):
-        rng = random.Random(seed * 1009 + cnum)
+        rng = random.Random(3 * 1009 + cnum)
         tracer = current_tracer()
         lib = KrcoreLib(node, cpu_id=0)
         module = modules[node.gid]
@@ -346,13 +350,14 @@ def kvs_lin(checker, seed=3, clients=3, ops=8, keys=4):
 # ----------------------------------------------------------- meta failover
 
 
-@scenario("meta_failover", seed=5, writers=2, rounds=3, shards=3)
-def meta_failover(checker, seed=5, writers=2, rounds=3, shards=3):
+@scenario("meta_failover")
+def meta_failover(checker):
     """MR publish/retract over a replicated plane with shard outages."""
     from repro.cluster import Cluster
     from repro.krcore import KrcoreModule, MetaPlane, MetaServer
     from repro.sim import Simulator
 
+    writers, rounds, shards = 2, 3, META_FAILOVER_SHARDS
     sim = Simulator()
     cluster = Cluster(sim, num_nodes=shards + writers)
     shard_nodes = [cluster.node(i) for i in range(shards)]
@@ -426,12 +431,12 @@ def meta_failover(checker, seed=5, writers=2, rounds=3, shards=3):
 # --------------------------------------------------------------- MR churn
 
 
-@scenario("mr_churn", seed=5, cycles=14)
-def mr_churn(checker, seed=5, cycles=14):
+@scenario("mr_churn")
+def mr_churn(checker):
     """MicroView pod churn + meta outage under the churn-window invariant."""
     from repro.faults.microview import MicroViewChaosHarness
 
-    harness = MicroViewChaosHarness(seed, cycles=cycles)
+    harness = MicroViewChaosHarness(5, cycles=14)
     report = harness.run()
     # Fold in the harness's schedule-independent correctness invariants.
     # degraded_mode_engaged is deliberately left out: whether the outage
@@ -456,14 +461,15 @@ def mr_churn(checker, seed=5, cycles=14):
 # ------------------------------------------------------------ QP transfer
 
 
-@scenario("transfer_race", ops=24, gap_ns=2 * US)
-def transfer_race(checker, ops=24, gap_ns=2 * US):
+@scenario("transfer_race")
+def transfer_race(checker):
     """Background RC promotion, thread migration and owner posts, concurrent."""
     from repro.cluster import Cluster
     from repro.krcore import KrcoreLib, KrcoreModule, MetaServer
     from repro.sim import Simulator
     from repro.verbs import WorkRequest
 
+    ops, gap_ns = 24, 2 * US
     sim = Simulator()
     cluster = Cluster(sim, num_nodes=3, cores=2)
     meta = MetaServer(cluster.node(0))

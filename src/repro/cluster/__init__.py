@@ -7,13 +7,12 @@ lives in :mod:`repro.cluster.timing`.
 """
 
 from repro.cluster.fabric import Fabric
-from repro.cluster.memory import AccessFlags, MemoryError_, MemoryRegion, PhysicalMemory
+from repro.cluster.memory import MemoryError_, MemoryRegion, PhysicalMemory
 from repro.cluster.node import Cluster, Node
 from repro.cluster.rnic import Rnic
 from repro.cluster import timing
 
 __all__ = [
-    "AccessFlags",
     "Cluster",
     "Fabric",
     "MemoryError_",

@@ -18,32 +18,22 @@ _PAGE_MASK = _PAGE_SIZE - 1
 
 
 class MemoryError_(Exception):
-    """Invalid memory access: bad key, out-of-bounds, or missing permission."""
-
-
-class AccessFlags:
-    """RDMA access permission bits (subset of ibv_access_flags)."""
-
-    LOCAL_WRITE = 1
-    REMOTE_READ = 2
-    REMOTE_WRITE = 4
-    REMOTE_ATOMIC = 8
-
-    ALL = LOCAL_WRITE | REMOTE_READ | REMOTE_WRITE | REMOTE_ATOMIC
+    """Invalid memory access: bad key or out-of-bounds."""
 
 
 class MemoryRegion:
-    """A registered region: address range + lkey/rkey + permissions."""
+    """A registered region: address range + lkey/rkey.  Every region
+    allows local and remote read, write and atomics (``ibv_access_flags``
+    all set), as every caller registers it."""
 
-    __slots__ = ("memory", "addr", "length", "lkey", "rkey", "access", "valid")
+    __slots__ = ("memory", "addr", "length", "lkey", "rkey", "valid")
 
-    def __init__(self, memory, addr, length, lkey, rkey, access):
+    def __init__(self, memory, addr, length, lkey, rkey):
         self.memory = memory
         self.addr = addr
         self.length = length
         self.lkey = lkey
         self.rkey = rkey
-        self.access = access
         self.valid = True
 
     def __repr__(self):
@@ -86,14 +76,14 @@ class PhysicalMemory:
 
     # -- registration ---------------------------------------------------------
 
-    def register(self, addr, length, access=AccessFlags.ALL):
+    def register(self, addr, length):
         """Register ``[addr, addr+length)`` and return the MemoryRegion."""
         if addr < 0 or length <= 0 or addr + length > self.size:
             raise MemoryError_(f"cannot register [{addr}, {addr + length}) of {self.size}")
         lkey = self._next_key
         rkey = self._next_key + 1
         self._next_key += 2
-        region = MemoryRegion(self, addr, length, lkey, rkey, access)
+        region = MemoryRegion(self, addr, length, lkey, rkey)
         self._regions_by_lkey[lkey] = region
         self._regions_by_rkey[rkey] = region
         return region
@@ -107,7 +97,7 @@ class PhysicalMemory:
 
     # The two checks run on every WR hop: the bounds test is inline, not a call.
 
-    def check_remote(self, rkey, addr, length, write):
+    def check_remote(self, rkey, addr, length):
         """Validate a remote access; raise MemoryError_ on any violation."""
         region = self._regions_by_rkey.get(rkey)
         if region is None or not region.valid:
@@ -118,9 +108,6 @@ class PhysicalMemory:
                 f"access [{addr}, {addr + length}) outside region "
                 f"[{region.addr}, {region.addr + region.length})"
             )
-        needed = AccessFlags.REMOTE_WRITE if write else AccessFlags.REMOTE_READ
-        if not region.access & needed:
-            raise MemoryError_(f"rkey {rkey} lacks {'write' if write else 'read'} permission")
         return region
 
     def check_local(self, lkey, addr, length):

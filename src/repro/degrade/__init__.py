@@ -105,31 +105,20 @@ class CircuitBreaker:
     """Closed/open/half-open breaker over one downstream dependency.
 
     CLOSED passes everything and counts *consecutive* failures; at
-    ``failure_threshold`` it opens.  OPEN fast-fails (``allow`` returns
-    False at zero cost -- no :data:`timing.META_OUTAGE_PROBE_NS` burned)
-    until ``recovery_ns`` elapses, then admits exactly one probe in
-    HALF_OPEN.  The probe's outcome decides: success closes, failure
-    re-opens.  A success slower than ``latency_threshold_ns`` counts as
-    a failure -- that is the gray-failure signal: a shard that answers
-    in 250 us is, for a microsecond-scale control plane, down.
+    :data:`timing.DEGRADE_BREAKER_FAILURES` it opens.  OPEN fast-fails
+    (``allow`` returns False at zero cost -- no
+    :data:`timing.META_OUTAGE_PROBE_NS` burned) until
+    :data:`timing.DEGRADE_BREAKER_RECOVERY_NS` elapses, then admits
+    exactly one probe in HALF_OPEN.  The probe's outcome decides: success
+    closes, failure re-opens.  A success slower than
+    :data:`timing.DEGRADE_BREAKER_LATENCY_NS` counts as a failure -- that
+    is the gray-failure signal: a shard that answers in 250 us is, for a
+    microsecond-scale control plane, down.
     """
 
-    def __init__(self, sim, name="", failure_threshold=None, recovery_ns=None,
-                 latency_threshold_ns=None):
+    def __init__(self, sim, name=""):
         self.sim = sim
         self.name = name
-        self.failure_threshold = (
-            timing.DEGRADE_BREAKER_FAILURES
-            if failure_threshold is None else int(failure_threshold)
-        )
-        self.recovery_ns = (
-            timing.DEGRADE_BREAKER_RECOVERY_NS
-            if recovery_ns is None else int(recovery_ns)
-        )
-        self.latency_threshold_ns = (
-            timing.DEGRADE_BREAKER_LATENCY_NS
-            if latency_threshold_ns is None else int(latency_threshold_ns)
-        )
         self.state = BREAKER_CLOSED
         self._failures = 0
         self._opened_at = 0
@@ -154,7 +143,7 @@ class CircuitBreaker:
         if self.state is BREAKER_CLOSED:
             return True
         if self.state is BREAKER_OPEN:
-            if self.sim.now - self._opened_at >= self.recovery_ns:
+            if self.sim.now - self._opened_at >= timing.DEGRADE_BREAKER_RECOVERY_NS:
                 self._transition(BREAKER_HALF_OPEN)
                 self._probe_inflight = True
                 self.stats_probes += 1
@@ -171,7 +160,7 @@ class CircuitBreaker:
 
     def record_success(self, latency_ns=None):
         """A downstream answer arrived; slow answers still count against."""
-        if latency_ns is not None and latency_ns > self.latency_threshold_ns:
+        if latency_ns is not None and latency_ns > timing.DEGRADE_BREAKER_LATENCY_NS:
             self.record_failure()
             return
         self._failures = 0
@@ -187,7 +176,8 @@ class CircuitBreaker:
             self._transition(BREAKER_OPEN)
             return
         self._failures += 1
-        if self.state is BREAKER_CLOSED and self._failures >= self.failure_threshold:
+        if (self.state is BREAKER_CLOSED
+                and self._failures >= timing.DEGRADE_BREAKER_FAILURES):
             self._opened_at = self.sim.now
             self.stats_opens += 1
             self._transition(BREAKER_OPEN)
@@ -209,6 +199,9 @@ class TokenBucket:
     def __init__(self, sim, rate_per_sec, burst):
         if rate_per_sec <= 0:
             raise ValueError("token bucket needs a positive rate")
+        if burst < 1:
+            # A balance capped below one token never yields one.
+            raise ValueError("token bucket needs a burst of at least one token")
         self.sim = sim
         self.rate_per_sec = float(rate_per_sec)
         self.burst = float(burst)

@@ -150,8 +150,7 @@ class GrayChaosHarness(ChaosRun):
             .gray_link(h * 15 // 100, self.storm_node.gid, sick_gid,
                        duration_ns=h * 2 // 5, latency_mult=4.0)
             # And the shard host's RNIC is throttling.
-            .degrade_rnic(h // 5, sick_gid, duration_ns=h * 2 // 5,
-                          factor=8.0)
+            .degrade_rnic(h // 5, sick_gid, duration_ns=h * 2 // 5)
         )
 
     def drive(self):

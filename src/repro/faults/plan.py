@@ -26,6 +26,12 @@ GRAY_LINK = "gray_link"  # wire latency multiplied for a window
 META_LAG = "meta_lag"  # meta lookups serve with extra latency
 RNIC_DEGRADE = "rnic_degrade"  # RNIC engines run N times slower
 
+#: How many times slower a degraded RNIC's engines run.
+RNIC_DEGRADE_FACTOR = 8.0
+
+#: Events in a :meth:`FaultPlan.random` plan.
+RANDOM_PLAN_EVENTS = 6
+
 
 class FaultEvent:
     """One scheduled fault.  ``params`` is kind-specific (see builders)."""
@@ -140,16 +146,16 @@ class FaultPlan:
             )
         )
 
-    def degrade_rnic(self, at_ns, gid, duration_ns, factor=8.0):
-        """Run ``gid``'s RNIC engines ``factor`` times slower for
-        ``duration_ns`` (thermal throttling / sick firmware)."""
+    def degrade_rnic(self, at_ns, gid, duration_ns):
+        """Run ``gid``'s RNIC engines :data:`RNIC_DEGRADE_FACTOR` times
+        slower for ``duration_ns`` (thermal throttling / sick firmware)."""
         return self._add(
             FaultEvent(
                 at_ns,
                 RNIC_DEGRADE,
                 gid=gid,
                 duration_ns=int(duration_ns),
-                factor=float(factor),
+                factor=RNIC_DEGRADE_FACTOR,
             )
         )
 
@@ -168,14 +174,7 @@ class FaultPlan:
     # ------------------------------------------------------------ generation
 
     @classmethod
-    def random(
-        cls,
-        seed,
-        victim_gids,
-        horizon_ns,
-        meta_gid=None,
-        events=6,
-    ):
+    def random(cls, seed, victim_gids, horizon_ns, meta_gid=None):
         """A random-but-reproducible plan over ``victim_gids``.
 
         ``meta_gid`` (if given) is never crashed or stalled -- outages are
@@ -190,7 +189,7 @@ class FaultPlan:
             raise ValueError("no victim gids to build a plan from")
         plan = cls(seed=seed)
         crashed = set()
-        for _ in range(events):
+        for _ in range(RANDOM_PLAN_EVENTS):
             kind = rng.choice(
                 [LINK_FAULT, LINK_FAULT, RNIC_STALL, NODE_CRASH, META_OUTAGE]
             )

@@ -13,6 +13,9 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.verbs import WorkRequest
 
+#: Messages one ``post_and_qpop`` ioctl hands back at most.
+QPOP_MAX_MSGS = 32
+
 
 class KrcoreLib:
     """A per-application (per-thread) handle to the node's KRCORE module.
@@ -197,16 +200,17 @@ class KrcoreLib:
         completion = yield from vqp.wait_recv_completion()
         return completion
 
-    def post_and_qpop(self, vqp, replies, max_msgs=16):
+    def post_and_qpop(self, vqp, replies):
         """Process: post replies and pop the next incoming messages in one
         ioctl (the server-side steady-state loop: one kernel crossing per
         served message).  ``replies`` is a list of (reply_vqp, wr_list).
-        Blocks until at least one new message arrives."""
+        Blocks until at least one new message arrives; returns at most
+        :data:`QPOP_MAX_MSGS`."""
         yield from self.enter_kernel()
         for reply_vqp, wr_list in replies:
             yield from reply_vqp.post_send(wr_list)
         return (
-            yield from self.module.messaging.qpop_msgs(vqp, max_msgs, self.cpu_id)
+            yield from self.module.messaging.qpop_msgs(vqp, QPOP_MAX_MSGS, self.cpu_id)
         )
 
     # -------------------------------------------------------------- receive

@@ -43,6 +43,9 @@ RECORD_MAX_BYTES = 64
 #: larger -- the most one READ of a lookup brings back.
 SCRATCH_BYTES = max(BUCKET_BYTES, RECORD_MAX_BYTES)
 
+#: Buckets of one meta shard's DrTM-KV table: ~4 000 nodes' boot records.
+BUCKETS = 4096
+
 
 #: :meth:`~repro.krcore.module.KrcoreModule.retry_meta`'s (jitter key,
 #: error text) formats for a DCT and an MR-record lookup: ``{0}`` is the
@@ -83,10 +86,10 @@ class MetaServer:
 
     SERVICE = "krcore-meta"
 
-    def __init__(self, node, bucket_count=4096):
+    def __init__(self, node):
         self.node = node
         self.sim = node.sim
-        self.store = DrtmKvServer(node, bucket_count=bucket_count)
+        self.store = DrtmKvServer(node, bucket_count=BUCKETS)
         #: Simulated timestamp until which the service is in an outage
         #: window (fault injection); 0 means never.
         self._outage_until = 0

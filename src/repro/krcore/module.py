@@ -488,13 +488,11 @@ class KrcoreModule:
             self._meta_breakers[shard] = breaker
         return breaker
 
-    def plane_lookup_dct(self, cpu_id, gid, deadline=None):
+    def plane_lookup_dct(self, cpu_id, gid):
         """Process: one DCT lookup via the plane, failing over across the
         key's owner shards (primary first).  Raises
         :class:`MetaUnavailableError` only when *every* owner is dark."""
-        return self._plane_lookup(
-            cpu_id, dct_key(gid), deadline, MetaClient.lookup_dct, gid
-        )
+        return self._plane_lookup(cpu_id, dct_key(gid), None, MetaClient.lookup_dct, gid)
 
     def plane_lookup_mr(self, cpu_id, gid, rkey):
         """Process: one MR-record lookup via the plane, with failover."""

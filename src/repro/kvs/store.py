@@ -16,6 +16,9 @@ PROBE_WINDOW = 8
 #: stay reachable.
 TOMBSTONE_FP = (1 << 64) - 1
 
+#: Bytes of record heap behind the slot table.
+HEAP_BYTES = 1 << 20
+
 
 class Catalog:
     """What a remote client needs to know to READ the store: the region's
@@ -38,10 +41,10 @@ class DrtmKvServer:
     remotely via one-sided READs without involving this code at all.
     """
 
-    def __init__(self, node, bucket_count=1024, heap_bytes=1 << 20):
+    def __init__(self, node, bucket_count=1024):
         self.node = node
-        base_addr = node.memory.alloc(bucket_count * BUCKET_BYTES + heap_bytes)
-        self.layout = Layout(base_addr, bucket_count, heap_bytes)
+        base_addr = node.memory.alloc(bucket_count * BUCKET_BYTES + HEAP_BYTES)
+        self.layout = Layout(base_addr, bucket_count, HEAP_BYTES)
         # Fresh DRAM reads as zeros: every fingerprint starts out empty.
         self.region = node.memory.register(base_addr, self.layout.total_bytes)
         self._heap_cursor = self.layout.heap_addr

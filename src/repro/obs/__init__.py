@@ -41,18 +41,10 @@ __all__ = [
 ]
 
 
-def install(tracer=None, metrics=None):
-    """Install the process-wide tracer and/or metrics registry.
-
-    Passing ``None`` for either leaves that side untouched, so the two
-    can be installed independently.  Returns ``(tracer, metrics)`` as
-    currently installed.
-    """
-    if tracer is not None:
-        _trace_mod.TRACER = tracer
-    if metrics is not None:
-        _install_metrics(metrics)
-    return _trace_mod.TRACER, _metrics_mod.METRICS
+def install(metrics):
+    """Install the process-wide metrics registry alone, tracing off (a
+    tracer comes with :func:`observe`)."""
+    _install_metrics(metrics)
 
 
 def uninstall():

@@ -10,7 +10,7 @@ Pay-for-what-you-use contract
 -----------------------------
 
 The module-level global :data:`TRACER` is ``None`` unless somebody
-installed a tracer (``repro.obs.install``).  Every instrumented hot path
+installed a tracer (``repro.obs.observe``).  Every instrumented hot path
 guards with exactly one falsy check::
 
     if _trace.TRACER is not None:
@@ -39,7 +39,7 @@ import json
 
 #: The process-wide tracer consulted by every instrumented call site.
 #: ``None`` (the default) disables tracing at the cost of one falsy
-#: check.  Install via :func:`repro.obs.install`.
+#: check.  Install via :func:`repro.obs.observe`.
 TRACER = None
 
 #: Fixed pid for all exported events (one simulated "process").

@@ -665,27 +665,27 @@ class _Flight:
         response_bytes = 0
         try:
             if opcode is OP_READ:
-                memory.check_remote(wr.rkey, wr.raddr, wr.length, write=False)
+                memory.check_remote(wr.rkey, wr.raddr, wr.length)
                 qp.node.memory.write(wr.laddr, memory.read(wr.raddr, wr.length))
                 if _check.CHECKER is not None:
                     _check.CHECKER.read_executed(self.remote_gid, wr.rkey, qp.sim.now)
                 response_bytes = wr.length
             elif opcode is OP_WRITE:
-                memory.check_remote(wr.rkey, wr.raddr, wr.length, write=True)
+                memory.check_remote(wr.rkey, wr.raddr, wr.length)
                 memory.write(wr.raddr, self.payload)
             elif opcode is OP_READ_V:
                 # Segments are validated and gathered in order, scattering
                 # back-to-back into the local buffer.
                 offset = 0
                 for raddr, rkey, seg_len in wr.sges:
-                    memory.check_remote(rkey, raddr, seg_len, write=False)
+                    memory.check_remote(rkey, raddr, seg_len)
                     qp.node.memory.write(wr.laddr + offset, memory.read(raddr, seg_len))
                     if _check.CHECKER is not None:
                         _check.CHECKER.read_executed(self.remote_gid, rkey, qp.sim.now)
                     offset += seg_len
                 response_bytes = wr.length
             else:  # CAS / FETCH_ADD
-                memory.check_remote(wr.rkey, wr.raddr, 8, write=True)
+                memory.check_remote(wr.rkey, wr.raddr, 8)
                 old = int.from_bytes(memory.read(wr.raddr, 8), "big")
                 if opcode is OP_CAS:
                     if old == wr.compare:

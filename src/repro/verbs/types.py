@@ -30,7 +30,7 @@ class Opcode(enum.Enum):
 class WcStatus(enum.Enum):
     SUCCESS = "SUCCESS"
     LOC_PROT_ERR = "LOC_PROT_ERR"  # bad local key / bounds
-    REM_ACCESS_ERR = "REM_ACCESS_ERR"  # bad rkey / bounds / permission
+    REM_ACCESS_ERR = "REM_ACCESS_ERR"  # bad rkey / bounds
     BAD_OPCODE_ERR = "BAD_OPCODE_ERR"  # malformed operation code
     FLUSH_ERR = "FLUSH_ERR"  # flushed after the QP entered ERR
     RNR_ERR = "RNR_ERR"  # receiver not ready (no recv buffer)

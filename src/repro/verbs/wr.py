@@ -94,11 +94,10 @@ class WorkRequest:
         )
 
     @classmethod
-    def write(cls, laddr, length, lkey, raddr, rkey, wr_id=0, signaled=True, **kwargs):
+    def write(cls, laddr, length, lkey, raddr, rkey, wr_id=0, **kwargs):
         return cls(
             OP_WRITE,
             wr_id=wr_id,
-            signaled=signaled,
             laddr=laddr,
             length=length,
             lkey=lkey,
@@ -108,7 +107,7 @@ class WorkRequest:
         )
 
     @classmethod
-    def read_vectored(cls, laddr, lkey, sges, wr_id=0, signaled=True, **kwargs):
+    def read_vectored(cls, laddr, lkey, sges, wr_id=0, **kwargs):
         """A vectored gather READ: one WR naming several remote segments.
 
         ``sges`` is a list of ``(raddr, rkey, length)`` tuples; the
@@ -120,7 +119,6 @@ class WorkRequest:
         return cls(
             OP_READ_V,
             wr_id=wr_id,
-            signaled=signaled,
             laddr=laddr,
             length=sum(sge[2] for sge in sges),
             lkey=lkey,
@@ -142,11 +140,10 @@ class WorkRequest:
         )
 
     @classmethod
-    def cas(cls, laddr, lkey, raddr, rkey, compare, swap, wr_id=0, signaled=True, **kwargs):
+    def cas(cls, laddr, lkey, raddr, rkey, compare, swap, wr_id=0, **kwargs):
         return cls(
             OP_CAS,
             wr_id=wr_id,
-            signaled=signaled,
             laddr=laddr,
             length=8,
             lkey=lkey,

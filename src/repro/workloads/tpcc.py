@@ -28,6 +28,7 @@ ITEMS = 64
 ORDER_SLOTS = 64
 INITIAL_STOCK = 10_000  # quantity per (warehouse, item)
 INITIAL_BALANCE = 1_000_000  # per customer
+NEW_ORDER_FRACTION = 0.5  # share of New-Order in the mix, the rest Payment
 
 _U64 = struct.Struct(">Q")
 
@@ -67,11 +68,10 @@ class TpccLayout:
 class TpccWorkload:
     """Generates and executes the New-Order / Payment mix."""
 
-    def __init__(self, client, layout=None, seed=3, new_order_fraction=0.5):
+    def __init__(self, client, layout=None, seed=3):
         self.client = client
         self.layout = layout or TpccLayout()
         self.rng = random.Random(seed)
-        self.new_order_fraction = new_order_fraction
         self.stats = {"new_order": 0, "payment": 0}
 
     # -------------------------------------------------------------- loading
@@ -102,7 +102,7 @@ class TpccWorkload:
 
     def next_transaction(self):
         """Process: run one randomly chosen transaction; returns its kind."""
-        if self.rng.random() < self.new_order_fraction:
+        if self.rng.random() < NEW_ORDER_FRACTION:
             yield from self.new_order()
             return "new_order"
         yield from self.payment()

@@ -4,6 +4,9 @@ import bisect
 import functools
 import random
 
+#: YCSB's skew.
+THETA = 0.99
+
 
 @functools.lru_cache(maxsize=16)
 def _zipf_cdf(n, theta):
@@ -18,19 +21,18 @@ def _zipf_cdf(n, theta):
 
 
 class ZipfGenerator:
-    """Samples ranks 0..n-1 with probability proportional to 1/(rank+1)^theta.
+    """Samples ranks 0..n-1 with probability proportional to 1/(rank+1)^THETA.
 
     Deterministic for a given seed; uses a precomputed CDF + bisect so
     sampling is O(log n).
     """
 
-    def __init__(self, n, theta=0.99, seed=42):
+    def __init__(self, n, seed=42):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
-        self.theta = theta
         self._rng = random.Random(seed)
-        self._cdf = _zipf_cdf(n, theta)
+        self._cdf = _zipf_cdf(n, THETA)
 
     def sample(self):
         point = self._rng.random()

@@ -261,7 +261,7 @@ def _flight(qp, wr, ticket):
                 else:
                     try:
                         if opcode is OP_READ:
-                            memory.check_remote(wr.rkey, wr.raddr, length, write=False)
+                            memory.check_remote(wr.rkey, wr.raddr, length)
                             node.memory.write(wr.laddr, memory.read(wr.raddr, length))
                             if _check.CHECKER is not None:
                                 _check.CHECKER.read_executed(
@@ -269,7 +269,7 @@ def _flight(qp, wr, ticket):
                                 )
                             response_bytes = length
                         else:
-                            memory.check_remote(wr.rkey, wr.raddr, length, write=True)
+                            memory.check_remote(wr.rkey, wr.raddr, length)
                             memory.write(wr.raddr, payload)
                             response_bytes = 0
                     except MemoryError_ as err:
@@ -397,7 +397,7 @@ def _execute_remote(qp, remote_node, wr, payload):
             # back-to-back into the local buffer.
             offset = 0
             for raddr, rkey, seg_len in wr.sges:
-                memory.check_remote(rkey, raddr, seg_len, write=False)
+                memory.check_remote(rkey, raddr, seg_len)
                 qp.node.memory.write(
                     wr.laddr + offset, memory.read(raddr, seg_len)
                 )
@@ -408,7 +408,7 @@ def _execute_remote(qp, remote_node, wr, payload):
                 offset += seg_len
             return wr.length
         if opcode in ATOMIC_OPCODES:
-            memory.check_remote(wr.rkey, wr.raddr, 8, write=True)
+            memory.check_remote(wr.rkey, wr.raddr, 8)
             old = int.from_bytes(memory.read(wr.raddr, 8), "big")
             if opcode is OP_CAS:
                 if old == wr.compare:

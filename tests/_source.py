@@ -11,6 +11,7 @@ trees and never changes one.
 
 import ast
 import functools
+import importlib.util
 import pathlib
 
 import repro
@@ -27,12 +28,13 @@ def tree(path):
 
 @functools.cache
 def files(top):
-    """The ``.py`` files under ``ROOT / top``, sorted."""
-    return tuple(sorted((ROOT / top).rglob("*.py")))
+    """The ``.py`` files under ``ROOT / top`` (or that file), sorted."""
+    path = ROOT / top
+    return (path,) if path.is_file() else tuple(sorted(path.rglob("*.py")))
 
 
 def trees(*tops):
-    """``(path relative to ROOT, tree)`` per file under each of ``tops``."""
+    """``(path relative to ROOT, tree)`` per file under (or at) each of ``tops``."""
     for top in tops:
         for path in files(top):
             yield path.relative_to(ROOT).as_posix(), tree(path)
@@ -52,3 +54,13 @@ def functions(module):
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield f"{prefix}{node.name}", owner, node
             scopes += [(child, f"{prefix}{node.name}.", None) for child in node.body]
+
+
+@functools.cache
+def hitmap():
+    """``benchmarks/hitmap.py`` as a module: its ``SYSTEM_FILES`` and
+    ``CHAOS_FILE`` say which test files are system runs."""
+    spec = importlib.util.spec_from_file_location("hitmap", ROOT / "benchmarks" / "hitmap.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -167,7 +167,7 @@ def test_leftover_wr_tokens_flagged_at_finalize():
     checker = Checker()
     module = SimpleNamespace(
         wrid_tokens={17: object()}, node=SimpleNamespace(gid="nodeZ"),
-        indexed_vqps=lambda: (),
+        live_vqps=lambda: (), indexed_vqps=lambda: (),
     )
     checker.finalize(modules=[module], now=99)
     assert [v.invariant for v in checker.violations] == ["wr-exactly-once"]
@@ -175,15 +175,31 @@ def test_leftover_wr_tokens_flagged_at_finalize():
 
 
 def test_destroyed_vqp_still_indexed_flagged_at_finalize():
-    live = SimpleNamespace(id=1, destroyed=False)
-    dead = SimpleNamespace(id=2, destroyed=True)
+    live = SimpleNamespace(id=1, destroyed=False, comp_queue=[])
+    dead = SimpleNamespace(id=2, destroyed=True, comp_queue=[])
     module = SimpleNamespace(
         wrid_tokens={}, node=SimpleNamespace(gid="nodeZ"),
-        indexed_vqps=lambda: (live, dead, dead),
+        live_vqps=lambda: (live,), indexed_vqps=lambda: (live, dead, dead),
     )
     checker = Checker()
     checker.finalize(modules=[module], now=99)
     assert [v.invariant for v in checker.violations] == ["vqp-table-accounting"]
+    assert "[2]" in checker.violations[0].detail
+
+
+def test_a_completion_left_in_a_live_vqp_is_flagged_at_finalize():
+    """A dispatched completion no owner reaped went where its owner no
+    longer polls; one still in flight (not ready) is the token law's."""
+    pending = SimpleNamespace(ready=False)
+    reaped = SimpleNamespace(id=1, comp_queue=[pending])
+    stranded = SimpleNamespace(id=2, comp_queue=[pending, SimpleNamespace(ready=True)])
+    module = SimpleNamespace(
+        wrid_tokens={}, node=SimpleNamespace(gid="nodeZ"),
+        live_vqps=lambda: (reaped, stranded), indexed_vqps=lambda: (),
+    )
+    checker = Checker()
+    checker.finalize(modules=[module], now=99)
+    assert [v.invariant for v in checker.violations] == ["vqp-unreaped-completion"]
     assert "[2]" in checker.violations[0].detail
 
 

@@ -9,6 +9,7 @@ from repro.check.linearizability import (
     record_response,
 )
 from repro.check.runner import run_once
+from repro.check import scenarios
 from repro.obs import Tracer
 
 
@@ -138,13 +139,12 @@ def test_kvs_lin_scenario_records_and_linearizes():
     assert result.nonlinearizable == []
 
 
-def test_meta_histories_linearize_on_single_shard_plane():
+def test_meta_histories_linearize_on_single_shard_plane(monkeypatch):
     """With one shard (no replica to race), the recorded meta lookup
     histories must linearize; the replicated plane only promises
     convergence, which is why meta_failover reports instead of enforces."""
-    result = run_once(
-        "meta_failover", scenario_kwargs={"shards": 1, "writers": 2, "rounds": 2}
-    )
+    monkeypatch.setattr(scenarios, "META_FAILOVER_SHARDS", 1)
+    result = run_once("meta_failover")
     assert result.ok, result.violations
     assert result.histories
     assert result.nonlinearizable == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import AccessFlags, MemoryError_, PhysicalMemory
+from repro.cluster import MemoryError_, PhysicalMemory
 
 
 @pytest.fixture
@@ -34,7 +34,7 @@ def test_alloc_out_of_memory(memory):
 
 def test_register_and_lookup(memory):
     region = memory.register(0, 4096)
-    assert memory.check_remote(region.rkey, 0, 4096, write=False) is region
+    assert memory.check_remote(region.rkey, 0, 4096) is region
     assert memory.check_local(region.lkey, 0, 4096) is region
     assert region.lkey != region.rkey
 
@@ -51,23 +51,16 @@ def test_deregister_invalidates(memory):
     memory.deregister(region)
     assert not region.valid
     with pytest.raises(MemoryError_):
-        memory.check_remote(region.rkey, 0, 8, write=False)
+        memory.check_remote(region.rkey, 0, 8)
 
 
 def test_check_remote_validates_bounds(memory):
     region = memory.register(64, 128)
-    assert memory.check_remote(region.rkey, 64, 128, write=False) is region
+    assert memory.check_remote(region.rkey, 64, 128) is region
     with pytest.raises(MemoryError_):
-        memory.check_remote(region.rkey, 60, 8, write=False)
+        memory.check_remote(region.rkey, 60, 8)
     with pytest.raises(MemoryError_):
-        memory.check_remote(region.rkey, 64, 129, write=False)
-
-
-def test_check_remote_validates_permissions(memory):
-    region = memory.register(0, 64, access=AccessFlags.REMOTE_READ)
-    memory.check_remote(region.rkey, 0, 8, write=False)
-    with pytest.raises(MemoryError_):
-        memory.check_remote(region.rkey, 0, 8, write=True)
+        memory.check_remote(region.rkey, 64, 129)
 
 
 def test_check_local_validates(memory):

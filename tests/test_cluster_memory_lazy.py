@@ -100,7 +100,7 @@ def test_empty_tables_materialize_no_page_and_lookups_miss():
     """The table builders do not zero-fill what ``alloc`` returns (a
     4096-bucket meta table would write 64 pages of zeros per ``MetaServer``)."""
     from repro.apps.race import RaceStorage
-    from repro.apps.txn.storage import TxnStorage
+    from repro.apps.txn.storage import VALUE_BYTES, TxnStorage
     from repro.cluster import Cluster
     from repro.krcore import MetaServer
     from repro.kvs import DrtmKvServer
@@ -112,7 +112,7 @@ def test_empty_tables_materialize_no_page_and_lookups_miss():
     race = RaceStorage(nodes[1], num_buckets=4096)
     assert race.get_local(b"missing") is None
     txn = TxnStorage(nodes[2], num_records=1024)
-    assert txn.read_local(1023) == (0, False, bytes(64))
+    assert txn.read_local(1023) == (0, False, bytes(VALUE_BYTES))
     meta = MetaServer(nodes[3])
     assert meta.store.get_local(b"dct:node7") is None
     assert [_resident(node.memory) for node in nodes] == [0, 0, 0, 0]

@@ -87,20 +87,28 @@ def _drive(sim, gen):
     return box
 
 
-def test_breaker_walks_the_state_machine():
+def test_token_bucket_rejects_a_burst_below_one_token():
+    # Capped below one token, the bucket never yields one: a gate on it
+    # would admit nothing and its drain pump would never let the run end.
+    with pytest.raises(ValueError):
+        TokenBucket(Simulator(), rate_per_sec=1000, burst=0.5)
+    assert TokenBucket(Simulator(), rate_per_sec=1000, burst=1).take(0)
+
+
+def test_breaker_walks_the_state_machine(monkeypatch):
+    monkeypatch.setattr(timing, "DEGRADE_BREAKER_FAILURES", 2)
+    monkeypatch.setattr(timing, "DEGRADE_BREAKER_RECOVERY_NS", 1000)
+    monkeypatch.setattr(timing, "DEGRADE_BREAKER_LATENCY_NS", 500)
     sim = Simulator()
     checker = Checker()
     with check_hooks.checking(checker):
-        breaker = CircuitBreaker(
-            sim, name="t", failure_threshold=2, recovery_ns=1000,
-            latency_threshold_ns=500,
-        )
+        breaker = CircuitBreaker(sim, name="t")
         assert breaker.allow()
         breaker.record_failure()
         assert breaker.state == "closed"
         breaker.record_failure()
         assert breaker.state == "open"
-        # OPEN fast-fails until recovery_ns elapses...
+        # OPEN fast-fails until the recovery time elapses...
         assert not breaker.allow()
         assert breaker.stats_fast_fails == 1
         sim.schedule(1000, lambda: None)
@@ -201,14 +209,14 @@ def test_deadline_shrinks_across_meta_failover():
     client.dc_cache.pop(target, None)
 
     short = Deadline.after(sim, timing.META_OUTAGE_PROBE_NS // 2)
-    box = _drive(sim, client.plane_lookup_dct(0, target, deadline=short))
+    box = _drive(sim, client.lookup_dct_robust(0, target, deadline=short))
     sim.run()
     assert isinstance(box.get("error"), DeadlineExceededError)
     assert "owner probe" in str(box["error"])
 
     # With budget to spare, the same lookup fails over and succeeds.
     ample = Deadline.after(sim, 10 * timing.MS)
-    box = _drive(sim, client.plane_lookup_dct(0, target, deadline=ample))
+    box = _drive(sim, client.lookup_dct_robust(0, target, deadline=ample))
     sim.run()
     assert "error" not in box, box
     assert box["value"] is not None

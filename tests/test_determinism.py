@@ -5,6 +5,7 @@ hypothesis failures replayable, so it gets its own tests.
 """
 
 from repro.bench.fig03 import run as run_fig03
+from repro.bench import onesided
 from repro.bench.onesided import run_onesided
 from repro.sim import Simulator, US
 from repro.verbs import WorkRequest
@@ -21,18 +22,20 @@ def test_fig03_runs_are_identical():
 
 def test_onesided_driver_is_deterministic():
     kwargs = dict(mode="sync", num_clients=5, servers=2, target="random",
-                  measure_ns=80 * US, seed=7)
+                  measure_ns=80 * US)
     a = run_onesided("krcore_dc", **kwargs)
     b = run_onesided("krcore_dc", **kwargs)
     assert a.recorder.samples == b.recorder.samples
     assert a.throughput_mps == b.throughput_mps
 
 
-def test_onesided_driver_seed_changes_samples():
+def test_onesided_driver_seed_changes_samples(monkeypatch):
     base = dict(mode="sync", num_clients=5, servers=2, target="random",
                 measure_ns=80 * US)
-    a = run_onesided("krcore_dc", seed=7, **base)
-    b = run_onesided("krcore_dc", seed=8, **base)
+    monkeypatch.setattr(onesided, "SEED", 7)
+    a = run_onesided("krcore_dc", **base)
+    monkeypatch.setattr(onesided, "SEED", 8)
+    b = run_onesided("krcore_dc", **base)
     # Different random target sequences -> different retarget patterns.
     assert a.recorder.samples != b.recorder.samples
 

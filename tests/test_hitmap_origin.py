@@ -10,20 +10,14 @@ maps built by hand over a two-module package; nothing runs under the
 tracer.
 """
 
-import importlib.util
-import pathlib
-
 import pytest
 
-HITMAP = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "hitmap.py"
+from tests import _source
 
 
 @pytest.fixture(scope="module")
 def hitmap():
-    spec = importlib.util.spec_from_file_location("hitmap", HITMAP)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _source.hitmap()
 
 
 @pytest.fixture

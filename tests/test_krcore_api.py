@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import timing
 from repro.krcore import KrcoreError, KrcoreLib
+from repro.krcore import api as krcore_api
 from repro.sim import Simulator, US
 from repro.verbs import RecvBuffer, WorkRequest
 from tests.conftest import krcore_cluster
@@ -164,7 +165,8 @@ def test_post_send_and_wait_rejects_a_list_with_no_signaled_wr(env):
     assert sim.run_process(proc()).ok
 
 
-def test_qpop_respects_max_msgs(env):
+def test_qpop_respects_max_msgs(env, monkeypatch):
+    monkeypatch.setattr(krcore_api, "QPOP_MAX_MSGS", 2)
     sim, cluster, meta, modules = env
     lib_s = KrcoreLib(cluster.node(2))
     raddr, rmr = _setup(sim, lib_s, cluster.node(2))
@@ -184,13 +186,13 @@ def test_qpop_respects_max_msgs(env):
         for _ in range(5):
             yield from lib.post_send(vqp, WorkRequest.send(laddr, 8, lmr.lkey))
         yield 200_000
-        first = yield from lib_s.post_and_qpop(server_vqp, [], max_msgs=2)
-        rest = yield from lib_s.post_and_qpop(server_vqp, [], max_msgs=16)
-        return first, rest
+        first = yield from lib_s.post_and_qpop(server_vqp, [])
+        second = yield from lib_s.post_and_qpop(server_vqp, [])
+        rest = yield from lib_s.post_and_qpop(server_vqp, [])
+        return first, second, rest
 
-    first, rest = sim.run_process(proc())
-    assert len(first) == 2
-    assert len(rest) == 3
+    first, second, rest = sim.run_process(proc())
+    assert (len(first), len(second), len(rest)) == (2, 2, 1)
 
 
 def test_qpop_on_unbound_vqp_rejected(env):

@@ -350,7 +350,7 @@ def _echo_server(sim, lib, vqp, bufs, stop_after):
         served = 0
         replies = []
         while served < stop_after:
-            results = yield from lib.post_and_qpop(vqp, replies, max_msgs=16)
+            results = yield from lib.post_and_qpop(vqp, replies)
             replies = []
             for src_vqp, completion in results:
                 # Echo straight back out of the buffer the payload landed in.

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, timing
+from repro.kvs import store as kvs_store
 from repro.kvs import DrtmKvClient, DrtmKvServer, StoreFullError, key_fingerprint
 from repro.kvs.layout import BUCKET_BYTES, Layout
 from repro.sim import Simulator
@@ -15,7 +16,7 @@ from tests.conftest import quick_rc_pair, register
 def _make_store(bucket_count=64):
     sim = Simulator()
     cluster = Cluster(sim, num_nodes=2)
-    server = DrtmKvServer(cluster.node(1), bucket_count=bucket_count, heap_bytes=1 << 18)
+    server = DrtmKvServer(cluster.node(1), bucket_count=bucket_count)
     return sim, cluster, server
 
 
@@ -91,10 +92,11 @@ def test_store_full_raises():
             store.put(f"key{i}".encode(), b"v")
 
 
-def test_heap_exhaustion_raises():
+def test_heap_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(kvs_store, "HEAP_BYTES", 256)
     sim = Simulator()
     cluster = Cluster(sim, num_nodes=1)
-    store = DrtmKvServer(cluster.node(0), bucket_count=1024, heap_bytes=256)
+    store = DrtmKvServer(cluster.node(0), bucket_count=1024)
     with pytest.raises(StoreFullError):
         for i in range(100):
             store.put(f"key{i}".encode(), b"x" * 32)

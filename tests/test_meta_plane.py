@@ -8,6 +8,7 @@ import pytest
 
 from repro.cluster import Cluster, timing
 from repro.krcore import KrcoreError, KrcoreLib, MetaPlane, MetaServer
+from repro.krcore import meta as meta_module
 from repro.krcore.meta import MetaClient, dct_key, mr_key
 from repro.sim import Simulator
 from repro.verbs.errors import MetaUnavailableError
@@ -89,13 +90,14 @@ def test_ensure_gives_one_plane_per_bare_server(sim):
     assert MetaPlane.ensure(other) is not MetaPlane.ensure(server)
 
 
-def test_a_full_meta_table_names_its_load_and_the_way_out(sim):
+def test_a_full_meta_table_names_its_load_and_the_way_out(sim, monkeypatch):
     """One deployment takes ~4 000 nodes' boot records (ROADMAP item 2); what
     a bigger ``krcore_cluster`` dies of must say how full the table was and
     that ``meta_shards`` spreads the records."""
     from repro.kvs import StoreFullError
 
-    server = MetaServer(Cluster(sim, num_nodes=1).node(0), bucket_count=2)
+    monkeypatch.setattr(meta_module, "BUCKETS", 2)
+    server = MetaServer(Cluster(sim, num_nodes=1).node(0))
     with pytest.raises(StoreFullError) as full:
         for index in range(9):
             server.publish_dct(f"node{index}", index, 7)

@@ -203,20 +203,17 @@ def test_tracer_chrome_export_schema():
 def test_install_uninstall_and_observe_restore():
     assert obs.current_tracer() is None
     assert obs.current_metrics() is None
-    tracer, registry = Tracer(), MetricsRegistry()
-    obs.install(tracer=tracer, metrics=registry)
+    registry = MetricsRegistry()
+    obs.install(metrics=registry)
     try:
-        assert obs.current_tracer() is tracer
+        assert obs.current_tracer() is None
         assert obs.current_metrics() is registry
         with obs.observe() as (inner_tracer, inner_metrics):
-            assert obs.current_tracer() is inner_tracer is not tracer
+            assert obs.current_tracer() is inner_tracer is not None
             assert obs.current_metrics() is inner_metrics is not registry
         # observe() restored the previously installed pair.
-        assert obs.current_tracer() is tracer
+        assert obs.current_tracer() is None
         assert obs.current_metrics() is registry
-        # install(None, None) touches nothing.
-        obs.install()
-        assert obs.current_tracer() is tracer
     finally:
         obs.uninstall()
     assert obs.current_tracer() is None

@@ -90,7 +90,7 @@ def _two_sided_scenario():
         server_vqp, bufs = sim.run_process(setup_server())
 
         def echo_server():
-            results = yield from lib_s.post_and_qpop(server_vqp, [], max_msgs=16)
+            results = yield from lib_s.post_and_qpop(server_vqp, [])
             for src_vqp, completion in results:
                 buf = bufs[completion.wr_id]
                 yield timing.TWO_SIDED_SERVER_CPU_NS

@@ -23,9 +23,9 @@ def platform_env():
     return sim, cluster, platform
 
 
-def _noop_handler(ctx, payload):
+def _noop_handler(ctx):
     yield 100_000  # 100 us of "compute"
-    return ("done", payload)
+    return ("done", ctx.function_name)
 
 
 def test_deploy_and_invoke(platform_env):
@@ -33,9 +33,9 @@ def test_deploy_and_invoke(platform_env):
     platform.deploy("fn", _noop_handler, cluster.node(0))
 
     def proc():
-        return (yield from platform.invoke("fn", {"x": 1}))
+        return (yield from platform.invoke("fn"))
 
-    assert sim.run_process(proc()) == ("done", {"x": 1})
+    assert sim.run_process(proc()) == ("done", "fn")
 
 
 def test_cold_then_warm_start_costs(platform_env):
@@ -185,23 +185,23 @@ def test_transfer_rejects_unknown_backend():
 def test_function_chain_through_platform(platform_env):
     sim, cluster, platform = platform_env
 
-    def stage_two(ctx, payload):
+    def stage_two(ctx):
         yield 50_000
-        return payload + ["stage2@" + ctx.node.gid]
+        return ["stage2@" + ctx.node.gid]
 
-    def stage_one(ctx, payload):
+    def stage_one(ctx):
         yield 50_000
-        result = yield from ctx.platform.invoke("stage2", [payload, "stage1@" + ctx.node.gid])
-        return result
+        result = yield from ctx.platform.invoke("stage2")
+        return ["stage1@" + ctx.node.gid] + result
 
     platform.deploy("stage1", stage_one, cluster.node(0))
     platform.deploy("stage2", stage_two, cluster.node(1))
 
     def proc():
-        return (yield from platform.invoke("stage1", "input"))
+        return (yield from platform.invoke("stage1"))
 
     result = sim.run_process(proc())
-    assert result == ["input", "stage1@node0", "stage2@node1"]
+    assert result == ["stage1@node0", "stage2@node1"]
     assert platform.stats_cold_starts == 2
 
 
@@ -212,7 +212,7 @@ def test_concurrent_invocations_share_warm_container(platform_env):
     finished = []
 
     def invoker(tag):
-        result = yield from platform.invoke("fn", tag)
+        result = yield from platform.invoke("fn")
         finished.append((tag, result))
 
     for tag in range(4):

@@ -1,12 +1,16 @@
-"""Every setting has a caller.
+"""Every setting has a system caller.
 
-A defaulted parameter that no call passes is a constant with a second
-name: it doubles the configurations the code claims to support and
+A defaulted parameter that no system run passes is a constant with a
+second name: it doubles the configurations the code claims to support and
 keeps alive the branches only another value would reach.  This guard
-fails on a defaulted parameter of a function in ``src/repro`` (outside
-``check/``, the model checker's own harness) that no call in ``src/``,
-``tests/``, ``examples/`` or ``benchmarks/`` passes -- by keyword, by
-position, or through ``*args`` / ``**kwargs``.
+fails on a defaulted parameter of a function in ``src/repro`` (the model
+checker's ``check/`` included) that no *system caller* passes -- by
+keyword, by position, or through ``*args`` / ``**kwargs``.  A system
+caller is a call in ``src/``, ``benchmarks/`` or ``examples/``, or in a
+test file the hit map runs as a system run (``benchmarks/hitmap.py``'s
+``SYSTEM_FILES`` and ``CHAOS_FILE``): the same unit/system split the hit
+map gives functions.  A setting only unit tests pass becomes a module
+constant, which a test that needs another value monkeypatches.
 
 Calls are matched to definitions by name, which over-matches (two
 methods called ``run`` share their callers) and so can only hide an
@@ -19,8 +23,8 @@ subclass named after its base in another module) merge into one.  Dunder methods
 Definitions are found among the statements of a module, class or
 function body, so a function nested in a function is scanned (``fig12``'s
 ``patched_init`` is one); one defined under an ``if``, ``for`` or
-``with`` is not.  ``ALLOWED`` holds the only sites the AST cannot
-resolve.
+``with`` is not.  ``ALLOWED`` holds the sites the AST cannot resolve,
+each with its reason.
 """
 
 import ast
@@ -28,30 +32,37 @@ import functools
 
 from tests import _source
 
-CALLER_DIRS = ("src", "tests", "examples", "benchmarks")
+SYSTEM_DIRS = ("src/", "benchmarks/", "examples/")
 
-# "<path>:<function>(<param>)" -> why the AST cannot see its caller.
+# "<path>:<function>(<param>)" -> why it stays with no system caller the AST sees.
 _PATCHED_INIT = "mirrors KrcoreLib.__init__: installed over it, called as KrcoreLib(...)"
 _PLANE_LOOKUP = "passed as a function value to KrcoreModule._plane_lookup, called with deadline="
 ALLOWED = {
     "src/repro/bench/fig12.py:patched_init(cpu_id)": _PATCHED_INIT,
     "src/repro/bench/fig12.py:patched_init(charge_syscall)": _PATCHED_INIT,
+    "src/repro/krcore/api.py:__init__(charge_syscall)": (
+        "Fig 12a's ablation passes it through fig12's patched __init__ (original_init(...))"),
     "src/repro/krcore/meta.py:lookup_dct(deadline)": _PLANE_LOOKUP,
     "src/repro/krcore/meta.py:lookup_mr(deadline)": _PLANE_LOOKUP,
 }
 
 
-def _definitions():
-    """``(site, name, kind, params, owner)`` per function with defaults.
+def system_tests():
+    """The test files that are system runs, as the hit map defines them."""
+    hitmap = _source.hitmap()
+    return (*hitmap.SYSTEM_FILES, hitmap.CHAOS_FILE)
+
+
+def _definitions(defined):
+    """``(site, name, params, owner)`` per function with defaults in
+    ``defined`` (``(path, tree)`` pairs).
 
     ``params`` is ``[(param, position)]``, ``position`` counting after
     ``self``/``cls`` and ``None`` for keyword-only; ``owner`` the class
     a method sits in.
     """
     found = []
-    for relative, tree in _source.trees("src/repro"):
-        if relative.startswith("src/repro/check/"):
-            continue
+    for relative, tree in defined:
         for _, owner, node in _source.functions(tree):
             if node.name.startswith("__") and node.name != "__init__":
                 continue
@@ -70,11 +81,11 @@ def _definitions():
     return found
 
 
-def _classes():
+def _classes(trees):
     """``{class: [base names]}`` and ``{class: has own __init__}``, the
     definitions of one name merged."""
     bases, own_init = {}, {}
-    for _, tree in _source.trees(*CALLER_DIRS):
+    for _, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 bases.setdefault(node.name, []).extend(
@@ -100,14 +111,14 @@ def _init_owner(name, bases, own_init, seen=()):
     return None
 
 
-def _calls(bases, own_init):
-    """``{(callee, owner-or-None): [(positional count, keywords, starred)]}``.
+def _calls(trees, bases, own_init):
+    """``{(callee, owner-or-None): [(positional count, keywords, starred, path)]}``.
 
     ``owner`` is set for ``__init__`` calls only: the class whose
     ``__init__`` runs.
     """
     calls = {}
-    for _, tree in _source.trees(*CALLER_DIRS):
+    for relative, tree in trees:
         classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
         in_class = {id(node): klass.name for klass in classes for node in ast.walk(klass)}
         for node in ast.walk(tree):
@@ -129,32 +140,108 @@ def _calls(bases, own_init):
             starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
                 k.arg is None for k in node.keywords)
             calls.setdefault(key, []).append(
-                (len(node.args), {k.arg for k in node.keywords}, starred))
+                (len(node.args), {k.arg for k in node.keywords}, starred, relative))
     return calls
 
 
-@functools.cache
-def unused_settings():
-    """``"<path>:<function>(<param>)"`` for each parameter no call passes."""
-    bases, own_init = _classes()
-    calls = _calls(bases, own_init)
-    unused = []
-    for site, name, params, owner in _definitions():
+def passers(defined, callers):
+    """``{"<path>:<function>(<param>)": {path of each file in callers with a
+    call that passes it}}`` per defaulted parameter of a function in
+    ``defined``; both are ``(path, tree)`` pairs."""
+    defined, callers = list(defined), list(callers)
+    calls = _calls(callers, *_classes(defined + callers))
+    found = {}
+    for site, name, params, owner in _definitions(defined):
         key = ("__init__", owner) if name == "__init__" else (name, None)
         seen = calls.get(key, [])
         for param, position in params:
-            if not any(
-                starred or param in keywords or (position is not None and count > position)
-                for count, keywords, starred in seen
-            ):
-                unused.append(f"{site}:{name}({param})")
-    return unused
+            found[f"{site}:{name}({param})"] = {
+                path for count, keywords, starred, path in seen
+                if starred or param in keywords or (position is not None and count > position)
+            }
+    return found
+
+
+def failures(passed, allowed, system):
+    """What the guard fails on: a setting no system caller passes that
+    ``allowed`` does not name, and an ``allowed`` entry with no reason or
+    that names no such setting.  ``system`` is the system test files."""
+    def is_system(path):
+        return path.startswith(SYSTEM_DIRS) or path in system
+
+    flagged = {site: sorted(paths) for site, paths in passed.items()
+               if not any(map(is_system, paths))}
+    found = []
+    for site, paths in flagged.items():
+        if site not in allowed:
+            who = f"only unit tests pass it: {', '.join(paths)}" if paths else "nothing passes it"
+            found.append(f"{site}: no system caller ({who}); make it a constant, "
+                         "or say in ALLOWED why it stays")
+    for site, reason in allowed.items():
+        if site not in flagged:
+            found.append(f"{site}: in ALLOWED, but a system caller passes it or it is gone")
+        elif not reason:
+            found.append(f"{site}: in ALLOWED with no reason")
+    return found
+
+
+@functools.cache
+def repository_passers():
+    """:func:`passers` over this repository: every file of ``src/repro``
+    defines, every file of ``src``, ``tests``, ``examples`` and
+    ``benchmarks`` calls."""
+    return passers(_source.trees("src/repro"),
+                   _source.trees("src", "tests", "examples", "benchmarks"))
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
-    unused = [site for site in unused_settings() if site not in ALLOWED]
-    assert not unused, "\n".join(unused)
+    """... by a system caller, or ``ALLOWED`` says why it stays."""
+    found = failures(repository_passers(), ALLOWED, system_tests())
+    assert not found, "\n".join(found)
 
 
 def test_the_allow_list_is_live():
-    assert set(ALLOWED) <= set(unused_settings())
+    """A short list: :func:`failures` also fails an entry with no reason
+    or one a system caller now passes."""
+    assert len(ALLOWED) <= 8
+
+
+# ------------------------------------------------- the guard, fed by hand
+
+_DEFINED = [("src/repro/core.py", ast.parse(
+    "def serve(n, depth=1):\n    return n\n"
+    "class Pool:\n    def __init__(self, size=4):\n        self.size = size\n"))]
+
+
+def _caller(path, source):
+    return path, ast.parse(source)
+
+
+def test_a_setting_only_a_unit_test_passes_is_flagged_with_that_file():
+    passed = passers(_DEFINED, [
+        _caller("src/repro/app.py", "serve(1)\nPool(size=8)\n"),
+        _caller("tests/test_core.py", "serve(1, depth=2)\n"),
+    ])
+    assert passed["src/repro/core.py:serve(depth)"] == {"tests/test_core.py"}
+    assert failures(passed, {}, system=()) == [
+        "src/repro/core.py:serve(depth): no system caller (only unit tests pass it: "
+        "tests/test_core.py); make it a constant, or say in ALLOWED why it stays"]
+
+
+def test_a_setting_a_benchmark_or_a_system_test_passes_is_not_flagged():
+    for path in ("benchmarks/run.py", "tests/test_system.py"):
+        passed = passers(_DEFINED, [
+            _caller("src/repro/app.py", "Pool(8)\n"),
+            _caller(path, "serve(1, 2)\n"),
+        ])
+        assert failures(passed, {}, system=("tests/test_system.py",)) == []
+
+
+def test_an_allowed_entry_needs_a_reason_and_a_setting_the_scan_flags():
+    passed = passers(_DEFINED, [_caller("examples/demo.py", "Pool(size=2)\n")])
+    site = "src/repro/core.py:serve(depth)"
+    assert failures(passed, {site: "a reason"}, system=()) == []
+    assert failures(passed, {site: ""}, system=()) == [f"{site}: in ALLOWED with no reason"]
+    stale = "src/repro/core.py:__init__(size)"
+    assert failures(passed, {site: "a reason", stale: "stale"}, system=()) == [
+        f"{stale}: in ALLOWED, but a system caller passes it or it is gone"]

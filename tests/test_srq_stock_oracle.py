@@ -161,7 +161,7 @@ def test_a_drained_burst_larger_than_the_reserve_restocks_the_srq():
         yield 1_000_000  # every message lands before the first pop
         popped = 0
         while popped < burst:
-            popped += len((yield from lib_s.post_and_qpop(bound, [], max_msgs=burst)))
+            popped += len((yield from lib_s.post_and_qpop(bound, [])))
 
     sim.run_process(proc())
     messaging = modules[2].messaging

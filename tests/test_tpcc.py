@@ -31,7 +31,7 @@ def _env(num_storage=2, warehouses=1):
     layout = TpccLayout(num_warehouses=warehouses)
     per_node = -(-layout.total_records // num_storage)
     storages = [
-        TxnStorage(cluster.node(1 + i), num_records=per_node, value_bytes=16)
+        TxnStorage(cluster.node(1 + i), num_records=per_node)
         for i in range(num_storage)
     ]
     client = TxnClient(VerbsBackend(cluster.node(0)), [s.catalog() for s in storages])
@@ -64,7 +64,7 @@ def test_layout_is_disjoint():
 
 def test_new_order_increments_order_ids():
     sim, cluster, storages, client, layout = _env()
-    workload = TpccWorkload(client, layout, seed=5, new_order_fraction=1.0)
+    workload = TpccWorkload(client, layout, seed=5)
     workload.load(storages)
 
     def proc():
@@ -83,7 +83,7 @@ def test_new_order_increments_order_ids():
 
 def test_new_order_decrements_stock():
     sim, cluster, storages, client, layout = _env()
-    workload = TpccWorkload(client, layout, seed=5, new_order_fraction=1.0)
+    workload = TpccWorkload(client, layout, seed=5)
     workload.load(storages)
 
     def proc():
@@ -98,7 +98,7 @@ def test_new_order_decrements_stock():
 
 def test_payment_conserves_money():
     sim, cluster, storages, client, layout = _env()
-    workload = TpccWorkload(client, layout, seed=6, new_order_fraction=0.0)
+    workload = TpccWorkload(client, layout, seed=6)
     workload.load(storages)
 
     def proc():
@@ -121,7 +121,7 @@ def test_payment_conserves_money():
 
 def test_mixed_workload_runs_both_kinds():
     sim, cluster, storages, client, layout = _env()
-    workload = TpccWorkload(client, layout, seed=7, new_order_fraction=0.5)
+    workload = TpccWorkload(client, layout, seed=7)
     workload.load(storages)
 
     def proc():
@@ -139,8 +139,8 @@ def test_mixed_workload_runs_both_kinds():
 def test_concurrent_clients_money_conserved():
     sim, cluster, storages, client_a, layout = _env(num_storage=2)
     client_b = TxnClient(VerbsBackend(cluster.node(cluster.nodes.index(cluster.nodes[0]))), client_a.catalogs)
-    workload_a = TpccWorkload(client_a, layout, seed=8, new_order_fraction=0.0)
-    workload_b = TpccWorkload(client_b, layout, seed=9, new_order_fraction=0.0)
+    workload_a = TpccWorkload(client_a, layout, seed=8)
+    workload_b = TpccWorkload(client_b, layout, seed=9)
     workload_a.load(storages)
 
     def run_client(client, workload, count):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.apps.race import KrcoreBackend, VerbsBackend
 from repro.apps.txn import Transaction, TxnAborted, TxnClient, TxnError, TxnStorage
-from repro.apps.txn.storage import LOCK_BIT
+from repro.apps.txn.storage import LOCK_BIT, RECORD_BYTES
 from repro.cluster import Cluster
 from repro.sim import Simulator, US
 from repro.verbs import ConnectionManager, DriverContext
@@ -30,7 +30,7 @@ def _krcore_env():
     sim = Simulator()
     cluster, meta, modules = krcore_cluster(sim, num_nodes=4)
     storage = TxnStorage(cluster.node(2), num_records=256, register=False)
-    total = storage.num_records * (8 + storage.value_bytes)
+    total = storage.num_records * RECORD_BYTES
 
     def reg():
         region = yield from modules[2].reg_mr(storage.base, total)

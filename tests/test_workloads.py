@@ -11,6 +11,7 @@ from repro.workloads import (
     YcsbWorkload,
     ZipfGenerator,
 )
+from repro.workloads import zipf
 
 
 def _draws(gen, count):
@@ -31,9 +32,11 @@ def test_zipf_draws_match_the_recording_made_before_the_shared_cdf():
             6, 1, 78, 0, 33, 8, 0, 26, 0, 15, 0, 0,
             14, 289, 0, 2, 66, 700, 45, 11, 862, 0, 365, 4,
         ]
-        assert _draws(ZipfGenerator(1024, theta=0.5, seed=7), 12) == [
-            117, 29, 444, 8, 305, 147, 5, 275, 3, 203, 7, 12,
-        ]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(zipf, "THETA", 0.5)
+            assert _draws(ZipfGenerator(1024, seed=7), 12) == [
+                117, 29, 444, 8, 305, 147, 5, 275, 3, 203, 7, 12,
+            ]
         assert _draws(ZipfGenerator(3, seed=1), 12) == [
             0, 2, 1, 0, 0, 0, 1, 1, 0, 0, 2, 0,
         ]
@@ -46,7 +49,7 @@ def test_zipf_different_seeds_differ():
 
 
 def test_zipf_skews_towards_low_ranks():
-    gen = ZipfGenerator(1000, theta=0.99, seed=1)
+    gen = ZipfGenerator(1000, seed=1)
     samples = _draws(gen, 5000)
     head = sum(1 for s in samples if s < 10)
     assert head / len(samples) > 0.25  # the hot head dominates
