@@ -12,9 +12,7 @@
   ServerlessBench and SeBS only issue one request ... on average".
 """
 
-import contextlib
-
-from repro.bench.harness import FigureResult
+from repro.bench.harness import FigureResult, hardware_profile
 from repro.bench.onesided import run_onesided
 from repro.bench.setups import krcore_cluster, verbs_cluster
 from repro.cluster import timing
@@ -37,20 +35,6 @@ CONNECTX6 = {
     "MODIFY_RTS_NS": int(timing.MODIFY_RTS_NS * _CX6_SCALE),
     "HANDSHAKE_NS": int(timing.HANDSHAKE_NS * _CX6_SCALE),
 }
-
-
-@contextlib.contextmanager
-def hardware_profile(**overrides):
-    """Temporarily override timing constants (they are read at run time,
-    so simulations inside the block see the new hardware)."""
-    saved = {name: getattr(timing, name) for name in overrides}
-    for name, value in overrides.items():
-        setattr(timing, name, value)
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            setattr(timing, name, value)
 
 
 def run(fast=True):

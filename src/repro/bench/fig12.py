@@ -8,7 +8,7 @@
 """
 
 from repro.apps.serverless import run_transfer_testcase
-from repro.bench.harness import FigureResult
+from repro.bench.harness import FigureResult, hardware_profile
 from repro.bench.onesided import run_onesided
 from repro.bench.setups import krcore_cluster, verbs_cluster
 from repro.krcore import KrcoreLib
@@ -49,46 +49,28 @@ def _factor_analysis(fast):
     base = run_onesided("verbs", "sync", num_clients=1, measure_ns=measure).avg_latency_us
     rows = [("verbs (base)", base)]
     # +DCQP: KRCORE over DC with neither the syscall nor the checks charged.
-    rows.append(("+DCQP", _krcore_point(measure, syscall=False, checks=False)))
+    with hardware_profile(SYSCALL_NS=0, VIRTUALIZATION_CHECK_NS=0):
+        rows.append(("+DCQP", _krcore_point(measure)))
     # +System call.
-    rows.append(("+System call", _krcore_point(measure, syscall=True, checks=False)))
+    with hardware_profile(VIRTUALIZATION_CHECK_NS=0):
+        rows.append(("+System call", _krcore_point(measure)))
     # +Checks: the full warm KRCORE path.
-    rows.append(("+Checks", _krcore_point(measure, syscall=True, checks=True)))
+    rows.append(("+Checks", _krcore_point(measure)))
     # +MR miss: one cold op (first touch of the remote MR).
     rows.append(("+MR miss", _mr_miss_point()))
     return rows
 
 
-def _krcore_point(measure, syscall, checks):
-    result = _patched_onesided(measure, syscall, checks)
-    return result.avg_latency_us
-
-
-def _patched_onesided(measure, syscall, checks):
-    """run_onesided('krcore_dc', sync) with the ablation knobs applied."""
-    original_init = KrcoreLib.__init__
-
-    def patched_init(self, node, cpu_id=0, charge_syscall=True):
-        original_init(self, node, cpu_id=cpu_id, charge_syscall=syscall)
-        self.module.charge_checks = checks
-
-    KrcoreLib.__init__ = patched_init
-    try:
-        return run_onesided(
-            "krcore_dc", "sync", num_clients=1, measure_ns=measure
-        )
-    finally:
-        KrcoreLib.__init__ = original_init
+def _krcore_point(measure):
+    return run_onesided("krcore_dc", "sync", num_clients=1, measure_ns=measure).avg_latency_us
 
 
 def _mr_miss_point():
     """Latency of a single READ whose remote MR is not yet in MRStore."""
-    sim, cluster, meta, modules = krcore_cluster(background_rc=False)
+    sim, cluster, _, modules = krcore_cluster(background_rc=False)
     server = cluster.nodes[1]
     addr = server.memory.alloc(4096)
-    region = server.memory.register(addr, 4096)
-    modules[1].valid_mr.record(region)
-    meta.publish_mr(server.gid, region.rkey, addr, 4096)
+    region = modules[1].boot_mr(addr, 4096)
     node = cluster.nodes[2]
     laddr = node.memory.alloc(4096)
     lmr = node.memory.register(laddr, 4096)

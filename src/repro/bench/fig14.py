@@ -71,16 +71,14 @@ def _batch_to_many(kind, pool_size, fast):
     kwargs = {"background_rc": False}
     if kind == "dc":
         kwargs["dc_per_cpu"] = pool_size
-    sim, cluster, meta, modules = krcore_cluster(num_nodes=12, **kwargs)
+    sim, cluster, _, modules = krcore_cluster(num_nodes=12, **kwargs)
     client_node = cluster.nodes[1]
     client_module = modules[1]
     targets = cluster.nodes[2:12]
     regions = []
     for node in targets:
         addr = node.memory.alloc(4096)
-        region = node.memory.register(addr, 4096)
-        node.services["krcore"].valid_mr.record(region)
-        meta.publish_mr(node.gid, region.rkey, addr, 4096)
+        region = node.services["krcore"].boot_mr(addr, 4096)
         regions.append((addr, region))
     laddr = client_node.memory.alloc(64 * 1024)
     lmr = client_node.memory.register(laddr, 64 * 1024)

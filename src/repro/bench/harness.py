@@ -1,11 +1,32 @@
-"""Table formatting and result containers for the benchmark drivers."""
+"""Table formatting, result containers and the timing profile for the
+benchmark drivers."""
 
+import contextlib
 import os
+
+from repro.cluster import timing
 
 
 def full_mode():
     """True when REPRO_BENCH_FULL=1: run at the paper's scale."""
     return os.environ.get("REPRO_BENCH_FULL", "") == "1"
+
+
+@contextlib.contextmanager
+def hardware_profile(**overrides):
+    """Override ``cluster/timing.py`` constants for the block: they are
+    read at run time, so simulations inside it see the new hardware (§6's
+    ConnectX-6 profile) or a cost taken away (Fig 12a's factor rows).  A
+    name ``timing`` does not define is refused before anything is set,
+    and every constant is restored however the block exits."""
+    saved = {name: getattr(timing, name) for name in overrides}
+    for name, value in overrides.items():
+        setattr(timing, name, value)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(timing, name, value)
 
 
 class SteadyRate:

@@ -156,10 +156,7 @@ class _Environment:
             size = max(1 << 20, memory_size // 4)
             addr = server.memory.alloc(size)
             if system in ("krcore_rc", "krcore_dc"):
-                module = self.modules[server.gid]
-                region = server.memory.register(addr, size)
-                module.valid_mr.record(region)
-                module.meta_plane.publish_mr(server.gid, region.rkey, addr, size)
+                region = self.modules[server.gid].boot_mr(addr, size)
             else:
                 region = server.memory.register(addr, size)
             self.remote_regions.append((addr, region))
@@ -189,9 +186,7 @@ class _Environment:
             return self._lite_issuer(module, laddr, region.lkey, opcode, payload)
         # KRCORE
         module = self.modules[node.gid]
-        region = node.memory.register(laddr, local_size)
-        module.valid_mr.record(region)
-        module.meta_plane.publish_mr(node.gid, region.rkey, laddr, local_size)
+        region = module.boot_mr(laddr, local_size)
         if self.system == "krcore_rc":
             for server in self.server_nodes:
                 if not module.pool(cpu_id).has_rc(server.gid):

@@ -112,6 +112,10 @@ class Checker:
         #: Hook activity counters, name -> count.  Directed tests assert
         #: these are nonzero, so a silently disconnected hook fails.
         self.observed = {}
+        #: The op history a scenario records for the linearizability pass
+        #: (``repro.check.linearizability``): ``(key, Op)`` pairs in
+        #: invocation order, an op's ``response`` None until it returns.
+        self.history = []
         # pool accounting: id(qp) -> [qp, gid, rnic-at-insert, state]
         self._rc_tracked = {}
         # dccache provenance: gid -> {(dct_number, dct_key), ...}

@@ -1,11 +1,10 @@
 """A Wing & Gong linearizability checker over recorded op histories.
 
-Histories are recorded through ``repro.obs`` async trace events (so the
-recording rides the observability layer rather than adding a parallel
-one): each operation is an async span on the ``check.history`` track
-whose ``begin`` args carry ``(key, kind, proc, value)`` and whose ``end``
-args carry the response value for reads.  :func:`extract_histories`
-pairs them back up per key.
+A scenario records its ops straight into the checker's op list
+(``Checker.history``): one ``(key, Op)`` pair per invocation, whose
+``response`` (and, for a read, ``value``) it fills in when the op
+returns.  :func:`by_key` groups that list into the per-key histories
+the checker takes.
 
 The checker itself is the classic Wing & Gong DFS with the two standard
 accelerations:
@@ -26,7 +25,7 @@ histories with crashed clients or writes acknowledged only by a later
 observation.
 """
 
-__all__ = ["Op", "check_register", "check_histories", "extract_histories"]
+__all__ = ["Op", "by_key", "check_register", "check_histories"]
 
 
 class Op:
@@ -37,19 +36,29 @@ class Op:
     incomplete op.  Times are simulated ns; only their order matters.
     """
 
-    __slots__ = ("proc", "kind", "value", "invoke", "response", "uid")
+    __slots__ = ("proc", "kind", "value", "invoke", "response")
 
-    def __init__(self, proc, kind, value, invoke, response, uid=None):
+    def __init__(self, proc, kind, value, invoke, response):
         self.proc = proc
         self.kind = kind
         self.value = value
         self.invoke = int(invoke)
         self.response = None if response is None else int(response)
-        self.uid = uid
 
     def __repr__(self):
         span = f"{self.invoke}..{'?' if self.response is None else self.response}"
         return f"Op({self.proc} {self.kind}{self.value!r} @{span})"
+
+
+def by_key(history):
+    """Group ``(key, Op)`` pairs into ``{key: [Op]}``.  An open write is
+    kept as incomplete (it may have taken effect); an open read is
+    dropped, since no answer observes nothing."""
+    histories = {}
+    for key, op in history:
+        if op.response is not None or op.kind == "w":
+            histories.setdefault(key, []).append(op)
+    return histories
 
 
 def check_register(ops):
@@ -115,61 +124,3 @@ def check_histories(histories):
     keys whose history is NOT linearizable (empty == pass).
     """
     return [key for key in sorted(histories) if not check_register(histories[key])]
-
-
-# --------------------------------------------------------- trace recording
-
-TRACK = "check.history"
-EVENT = "check.op"
-
-
-def record_invoke(tracer, now, key, kind, proc, value=None):
-    """Record an operation invocation; returns the async id to pass to
-    :func:`record_response` (or to drop, leaving the op incomplete)."""
-    aid = tracer.next_async_id()
-    tracer.async_begin(
-        now, TRACK, EVENT, aid, key=key, kind=kind, proc=proc, value=value
-    )
-    return aid
-
-
-def record_response(tracer, now, aid, value=None):
-    tracer.async_end(now, TRACK, EVENT, aid, value=value)
-
-
-def extract_histories(tracer):
-    """Pair the ``check.history`` async events back into per-key op lists."""
-    begins = {}
-    histories = {}
-    for event in tracer.events:
-        if event.get("cat") != "async" or event.get("name") != EVENT:
-            continue
-        if event["ph"] == "b":
-            begins[event["id"]] = event
-        elif event["ph"] == "e":
-            begin = begins.pop(event["id"], None)
-            if begin is None:
-                continue
-            args = begin.get("args", {})
-            value = args.get("value")
-            if args.get("kind") == "r":
-                value = event.get("args", {}).get("value")
-            histories.setdefault(args["key"], []).append(
-                Op(
-                    args.get("proc", "?"),
-                    args["kind"],
-                    value,
-                    begin["ts"],
-                    event["ts"],
-                    uid=event["id"],
-                )
-            )
-    # Un-ended begins are incomplete ops.
-    for aid, begin in begins.items():
-        args = begin.get("args", {})
-        if args.get("kind") != "w":
-            continue  # an incomplete read constrains nothing
-        histories.setdefault(args["key"], []).append(
-            Op(args.get("proc", "?"), "w", args.get("value"), begin["ts"], None, uid=aid)
-        )
-    return histories

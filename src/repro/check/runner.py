@@ -1,17 +1,16 @@
 """Run one scenario with the checker installed.
 
 :func:`run_once` is the glue the CLI and the tests share: it installs a
-:class:`~repro.check.invariants.Checker`, lets the observability layer
-capture op histories for the linearizability pass (history-recording
-scenarios), runs the scenario to quiescence under the engine's own
-order and returns a :class:`CheckResult`.
+:class:`~repro.check.invariants.Checker`, runs the scenario to
+quiescence under the engine's own order, folds a chaos run's failed
+invariants into the checker, checks the op history the scenario
+recorded for linearizability and returns a :class:`CheckResult`.
 """
 
 from repro.check import hooks
 from repro.check.invariants import Checker
-from repro.check.linearizability import check_histories, extract_histories
+from repro.check.linearizability import by_key, check_histories
 from repro.check.scenarios import get_scenario
-from repro.obs import observe
 
 __all__ = ["CheckResult", "run_once"]
 
@@ -41,10 +40,19 @@ def run_once(scenario_name):
     spec = get_scenario(scenario_name)
     checker = Checker()
     with hooks.checking(checker):
-        with observe() as (tracer, _metrics):
-            summary = spec.fn(checker)
-            histories = extract_histories(tracer)
-    nonlinearizable = check_histories(histories) if histories else []
+        summary = spec.fn(checker)
+    if isinstance(summary, tuple):
+        # A chaos run: each invariant its report failed is a violation.
+        run, summary = summary
+        report = run.report
+        for name, holds in sorted(report.invariants.items()):
+            if not holds:
+                checker.custom(
+                    f"chaos-{name}", run.sim.now,
+                    f"chaos invariant {name} failed ({report.summary()})",
+                )
+    histories = by_key(checker.history)
+    nonlinearizable = check_histories(histories)
     if spec.lin:
         for key in nonlinearizable:
             ops = sorted(histories[key], key=lambda op: op.invoke)

@@ -1,11 +1,15 @@
 """Model-checking scenarios: small workloads that drive one slice each.
 
-Each scenario is a function ``fn(checker)`` that builds its
-own :class:`~repro.sim.Simulator`, runs a workload exercising one slice
-of the control plane to quiescence under the engine's own order, calls
-``checker.finalize(...)`` (a chaos run does that itself, see
-:mod:`repro.faults.chaos`), and returns a small summary dict.  The
-runner (:mod:`repro.check.runner`) installs the checker.
+Each scenario is a function ``fn(checker)`` that builds its own
+deployment (with :func:`~repro.bench.setups.krcore_cluster` where it
+runs KRCORE), runs a workload exercising one slice of the control plane
+to quiescence under the engine's own order, calls
+``checker.finalize(...)`` and returns a small summary dict.  A scenario
+that drives a chaos run returns ``(run, summary)`` instead: the run
+finalizes the checker itself (see :mod:`repro.faults.chaos`) and the
+runner folds its failed invariants in.  A scenario that checks
+linearizability records its ops in ``checker.history``.  The runner
+(:mod:`repro.check.runner`) installs the checker.
 
 Scenario catalogue
 ------------------
@@ -40,7 +44,8 @@ Scenario catalogue
     The MicroView churn-chaos harness (pod dereg/re-register storms +
     meta outage + stale accepts) under the full registry, most notably
     ``mr-read-churn-window``: no READ may execute against an MR
-    retracted more than one lease ago.
+    retracted more than one lease ago.  It is the ``microview`` chaos
+    run at seed 5, every harness invariant folded in.
 ``transfer_race``
     §4.6's fenced QP transfer under fire: two VQP owners keep two READs
     in flight each while background RC promotion and a thread
@@ -50,8 +55,7 @@ Scenario catalogue
     ``wr-exactly-once``.
 """
 
-from repro.check.linearizability import record_invoke, record_response
-from repro.obs import current_tracer
+from repro.check.linearizability import Op
 
 __all__ = ["SCENARIOS", "get_scenario", "scenario"]
 
@@ -93,43 +97,35 @@ def get_scenario(name):
     return spec
 
 
+def _krcore(**kwargs):
+    """``krcore_cluster(**kwargs)`` with its modules keyed by gid."""
+    from repro.bench.setups import krcore_cluster
+
+    sim, cluster, _, modules = krcore_cluster(**kwargs)
+    return sim, cluster, {module.node.gid: module for module in modules}
+
+
+def _boot_region(module, length=512):
+    """A boot-published data region on ``module``'s node: ``(addr, region)``."""
+    addr = module.node.memory.alloc(length)
+    return addr, module.boot_mr(addr, length)
+
+
 # ------------------------------------------------------------- pool churn
-
-
-def _boot_region(module, meta, slots=8, slot_bytes=64):
-    """Register + boot-publish a server data region (harness idiom)."""
-    node = module.node
-    length = slots * slot_bytes
-    addr = node.memory.alloc(length)
-    region = node.memory.register(addr, length)
-    module.valid_mr.record(region)
-    meta.publish_mr(node.gid, region.rkey, region.addr, region.length)
-    return addr, region
 
 
 @scenario("pool_churn")
 def pool_churn(checker):
     """RC establish/accept/evict/retire churn with 1-entry RC pools."""
-    from repro.cluster import Cluster
-    from repro.krcore import KrcoreLib, KrcoreModule, MetaServer
-    from repro.sim import Simulator
+    from repro.krcore import KrcoreLib
 
     ops, gap_ns, rc_threshold = 6, 4 * US, 3
-    sim = Simulator()
-    cluster = Cluster(sim, num_nodes=4, cores=2)
-    meta = MetaServer(cluster.node(0))
-    nodes = [cluster.node(i) for i in range(1, 4)]
-    modules = {}
-    for node in cluster.nodes:
-        modules[node.gid] = KrcoreModule(
-            node,
-            meta,
-            dc_per_cpu=1,
-            max_rc_per_cpu=1,
-            background_rc=True,
-            rc_traffic_threshold=rc_threshold,
-        )
-    regions = {node.gid: _boot_region(modules[node.gid], meta) for node in nodes}
+    sim, cluster, modules = _krcore(
+        num_nodes=4, cores=2, dc_per_cpu=1, max_rc_per_cpu=1,
+        background_rc=True, rc_traffic_threshold=rc_threshold,
+    )
+    nodes = cluster.nodes[1:]
+    regions = {node.gid: _boot_region(modules[node.gid]) for node in nodes}
     scratch_bytes = 64
     done = {"clients": 0}
 
@@ -195,13 +191,7 @@ def chaos_small(checker):
     )
     harness = ChaosHarness(seed, plan, ops_per_client=12, meta_shards=2)
     report = harness.run()
-    for name, holds in sorted(report.invariants.items()):
-        if not holds:
-            checker.custom(
-                f"chaos-{name}", harness.sim.now,
-                f"chaos harness invariant {name} failed ({report.summary()})",
-            )
-    return {
+    return harness, {
         "report_digest": report.digest(),
         "ops_ok": report.ops_ok,
         "ops_failed": report.ops_failed,
@@ -286,28 +276,18 @@ def kvs_lin(checker):
     """Concurrent 8-byte one-sided ops; histories must linearize."""
     import random
 
-    from repro.cluster import Cluster
-    from repro.krcore import KrcoreLib, KrcoreModule, MetaServer
-    from repro.sim import Simulator
+    from repro.krcore import KrcoreLib
 
     clients, ops, keys = 3, 8, 4
-    sim = Simulator()
-    cluster = Cluster(sim, num_nodes=2 + clients)
-    meta = MetaServer(cluster.node(0))
+    sim, cluster, modules = _krcore(num_nodes=2 + clients, background_rc=False)
     server = cluster.node(1)
-    client_nodes = [cluster.node(2 + i) for i in range(clients)]
-    modules = {
-        node.gid: KrcoreModule(node, meta, background_rc=False)
-        for node in cluster.nodes
-    }
+    client_nodes = cluster.nodes[2:]
     slot_bytes = 8
-    base, region = _boot_region(modules[server.gid], meta, slots=keys,
-                                slot_bytes=slot_bytes)
+    base, region = _boot_region(modules[server.gid], keys * slot_bytes)
     stats = {"ops": 0}
 
     def client(cnum, node):
         rng = random.Random(3 * 1009 + cnum)
-        tracer = current_tracer()
         lib = KrcoreLib(node, cpu_id=0)
         module = modules[node.gid]
         scratch = node.memory.alloc(slot_bytes)
@@ -321,19 +301,19 @@ def kvs_lin(checker):
             if rng.random() < 0.5:
                 value = (cnum + 1) * 1000 + index + 1
                 node.memory.write(scratch, value.to_bytes(slot_bytes, "big"))
-                aid = record_invoke(tracer, sim.now, f"k{key}", "w",
-                                    f"c{cnum}", value=value)
+                op = Op(f"c{cnum}", "w", value, sim.now, None)
+                checker.history.append((f"k{key}", op))
                 yield from lib.write_sync(
                     vqp, scratch, sregion.lkey, raddr, region.rkey, slot_bytes
                 )
-                record_response(tracer, sim.now, aid)
             else:
-                aid = record_invoke(tracer, sim.now, f"k{key}", "r", f"c{cnum}")
+                op = Op(f"c{cnum}", "r", None, sim.now, None)
+                checker.history.append((f"k{key}", op))
                 yield from lib.read_sync(
                     vqp, scratch, sregion.lkey, raddr, region.rkey, slot_bytes
                 )
-                value = int.from_bytes(node.memory.read(scratch, slot_bytes), "big")
-                record_response(tracer, sim.now, aid, value=value)
+                op.value = int.from_bytes(node.memory.read(scratch, slot_bytes), "big")
+            op.response = sim.now
             stats["ops"] += 1
 
     for cnum, node in enumerate(client_nodes):
@@ -353,20 +333,14 @@ def kvs_lin(checker):
 @scenario("meta_failover")
 def meta_failover(checker):
     """MR publish/retract over a replicated plane with shard outages."""
-    from repro.cluster import Cluster
-    from repro.krcore import KrcoreModule, MetaPlane, MetaServer
-    from repro.sim import Simulator
-
     writers, rounds, shards = 2, 3, META_FAILOVER_SHARDS
-    sim = Simulator()
-    cluster = Cluster(sim, num_nodes=shards + writers)
-    shard_nodes = [cluster.node(i) for i in range(shards)]
-    writer_nodes = [cluster.node(shards + i) for i in range(writers)]
-    plane = MetaPlane([MetaServer(node) for node in shard_nodes])
-    modules = {
-        node.gid: KrcoreModule(node, plane, background_rc=False)
-        for node in cluster.nodes
-    }
+    sim, cluster, modules = _krcore(
+        num_nodes=shards + writers, meta_shards=shards, background_rc=False
+    )
+    writer_nodes = cluster.nodes[shards:]
+    # One shard comes back bare from krcore_cluster; every module holds
+    # the plane either way.
+    plane = modules[cluster.node(0).gid].meta_plane
     stats = {"published": 0, "lookups": 0, "lookup_failures": 0}
 
     def outages():
@@ -378,44 +352,39 @@ def meta_failover(checker):
     def writer(wnum, node):
         # Each writer churns its *own* MR records (distinct keys: two
         # writers never race on one key, so convergence is well-defined).
-        tracer = current_tracer()
         module = modules[node.gid]
         length = 64
         for index in range(rounds):
             yield 200 * US
             addr = node.memory.alloc(length)
-            aid = record_invoke(
-                tracer, sim.now, f"mr:{node.gid}", "w", f"w{wnum}", value=addr
-            )
-            region = yield from module.reg_mr(addr, length)
             # Publication rides async kernel messages: the write is only
             # known applied once a later lookup observes it, so the op
             # stays open-ended (see linearizability.Op).
-            del aid
+            checker.history.append(
+                (f"mr:{node.gid}", Op(f"w{wnum}", "w", addr, sim.now, None))
+            )
+            region = yield from module.reg_mr(addr, length)
             stats["published"] += 1
             yield 200 * US
             for reader_gid in sorted(modules):
                 if reader_gid == node.gid:
                     continue
                 reader = modules[reader_gid]
-                raid = record_invoke(
-                    tracer, sim.now, f"mr:{node.gid}", "r", reader_gid
-                )
+                op = Op(reader_gid, "r", None, sim.now, None)
+                checker.history.append((f"mr:{node.gid}", op))
                 try:
                     record = yield from reader.plane_lookup_mr(
                         0, node.gid, region.rkey
                     )
                 except Exception:
                     # No answer is not an observation: leave the op
-                    # incomplete (extract_histories drops open reads).
+                    # incomplete (by_key drops open reads).
                     stats["lookup_failures"] += 1
                 else:
                     # A reachable shard with no record observes the
                     # initial state (0, the register checker's default).
-                    record_response(
-                        tracer, sim.now, raid,
-                        value=0 if record is None else record[0],
-                    )
+                    op.value = 0 if record is None else record[0]
+                    op.response = sim.now
                 stats["lookups"] += 1
             if index + 1 < rounds:
                 yield from module.dereg_mr(region)
@@ -436,19 +405,9 @@ def mr_churn(checker):
     """MicroView pod churn + meta outage under the churn-window invariant."""
     from repro.faults.microview import MicroViewChaosHarness
 
-    harness = MicroViewChaosHarness(5, cycles=14)
+    harness = MicroViewChaosHarness(5)
     report = harness.run()
-    # Fold in the harness's schedule-independent correctness invariants.
-    # degraded_mode_engaged is deliberately left out: whether the outage
-    # catches enough expired entries is scenario *effectiveness*, and a
-    # reordered schedule may legally shift the epoch-roll/outage overlap.
-    for name in ("harvest_progress", "shared_qp_healthy", "churn_and_faults_applied"):
-        if not report.invariants[name]:
-            checker.custom(
-                f"microview-{name}", harness.sim.now,
-                f"microview harness invariant {name} failed ({report.summary()})",
-            )
-    return {
+    return harness, {
         "report_digest": report.digest(),
         "cycles": report.cycles,
         "failed_reads": report.failed_reads,
@@ -464,21 +423,15 @@ def mr_churn(checker):
 @scenario("transfer_race")
 def transfer_race(checker):
     """Background RC promotion, thread migration and owner posts, concurrent."""
-    from repro.cluster import Cluster
-    from repro.krcore import KrcoreLib, KrcoreModule, MetaServer
-    from repro.sim import Simulator
+    from repro.krcore import KrcoreLib
     from repro.verbs import WorkRequest
 
     ops, gap_ns = 24, 2 * US
-    sim = Simulator()
-    cluster = Cluster(sim, num_nodes=3, cores=2)
-    meta = MetaServer(cluster.node(0))
+    sim, cluster, modules = _krcore(
+        num_nodes=3, cores=2, background_rc=True, rc_traffic_threshold=8
+    )
     client, server = cluster.node(1), cluster.node(2)
-    modules = {
-        node.gid: KrcoreModule(node, meta, background_rc=True, rc_traffic_threshold=8)
-        for node in cluster.nodes
-    }
-    base, region = _boot_region(modules[server.gid], meta)
+    base, region = _boot_region(modules[server.gid])
     module = modules[client.gid]
     lib = KrcoreLib(client, cpu_id=0)
     nbytes = 8

@@ -122,9 +122,7 @@ class ChaosHarness(ChaosRun):
     def reload(self, node):
         length = NUM_KEYS * VALUE_BYTES
         addr = node.memory.alloc(length)
-        region = node.memory.register(addr, length)
-        self.modules[node.gid].valid_mr.record(region)
-        self.meta.publish_mr(node.gid, region.rkey, region.addr, region.length)
+        region = self.modules[node.gid].boot_mr(addr, length)
         self.servers[node.gid] = _ServerInfo(node.gid, addr, region.rkey)
 
     def default_plan(self):

@@ -50,6 +50,8 @@ CYCLE_GAP_NS = 150 * timing.US
 CHURN_INTERVAL_NS = 1500 * timing.US
 #: The churn driver stops here; the plan's windows are fractions of it.
 HORIZON_NS = 16 * timing.MS
+#: Harvest cycles the collector runs.
+CYCLES = 14
 
 
 class MicroViewChaosHarness(ChaosRun):
@@ -59,8 +61,7 @@ class MicroViewChaosHarness(ChaosRun):
 
     checked = True
 
-    def __init__(self, seed, cycles=14):
-        self.cycles = cycles
+    def __init__(self, seed):
         super().__init__(
             seed, None, 2, 1 + WORKERS, cycles=0, bytes_ok=0,
             failed_reads=0, churns=0, stale_accepts=0, stale_hits=0,
@@ -112,7 +113,7 @@ class MicroViewChaosHarness(ChaosRun):
             ),
             name="microview-chaos-churn",
         )
-        for cycle in range(self.cycles):
+        for cycle in range(CYCLES):
             strategy = STRATEGIES[cycle % len(STRATEGIES)]
             before_ok = self.collector.stats.bytes_ok
             before_failed = self.collector.stats.failed_reads
@@ -141,7 +142,7 @@ class MicroViewChaosHarness(ChaosRun):
             and checker.observed.get("mr.retracted", 0) > 0
         )
         inv = report.invariants
-        inv["harvest_progress"] = stats.cycles == self.cycles and stats.bytes_ok > 0
+        inv["harvest_progress"] = stats.cycles == CYCLES and stats.bytes_ok > 0
         inv["churn_and_faults_applied"] = (
             report.churns > 0 and bool(report.fault_log) and hooks_live
         )

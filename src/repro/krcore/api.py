@@ -24,7 +24,7 @@ class KrcoreLib:
     are per-CPU; each QP is typically used by one thread).
     """
 
-    def __init__(self, node, cpu_id=0, charge_syscall=True):
+    def __init__(self, node, cpu_id=0):
         module = node.services.get("krcore")
         if module is None:
             raise KrcoreError(f"{node.gid} has no KRCORE module loaded")
@@ -32,29 +32,25 @@ class KrcoreLib:
         self.node = node
         self.sim = node.sim
         self.cpu_id = cpu_id
-        self.charge_syscall = charge_syscall
 
     def enter_kernel(self):
         """Process: one syscall, as a ``syscall`` span when traced.
         ``create_vqp``, ``qconnect`` and ``post_send_and_wait`` yield the
         untraced charge in their own frame instead."""
-        if self.charge_syscall:
-            if _trace.TRACER is not None:
-                track = self.module.track
-                _trace.TRACER.begin(self.sim.now, track, "syscall")
-                yield timing.SYSCALL_NS
-                _trace.TRACER.end(self.sim.now, track, "syscall")
-            else:
-                yield timing.SYSCALL_NS
+        if _trace.TRACER is not None:
+            track = self.module.track
+            _trace.TRACER.begin(self.sim.now, track, "syscall")
+            yield timing.SYSCALL_NS
+            _trace.TRACER.end(self.sim.now, track, "syscall")
         else:
-            yield 0
+            yield timing.SYSCALL_NS
 
     # -------------------------------------------------------------- control
 
     def create_vqp(self):
         """Process: ibv_create_qp with qp_type = KRCORE_VQP."""
         if _trace.TRACER is None:
-            yield timing.SYSCALL_NS if self.charge_syscall else 0
+            yield timing.SYSCALL_NS
         else:
             yield from self.enter_kernel()
         return self.module.create_vqp(cpu_id=self.cpu_id)
@@ -82,7 +78,7 @@ class KrcoreLib:
         deadline = self.module.op_deadline(deadline_ns)
         try:
             if tracer is None:
-                yield timing.SYSCALL_NS if self.charge_syscall else 0
+                yield timing.SYSCALL_NS
             else:
                 yield from self.enter_kernel()
             yield from vqp.connect(gid, port, deadline)
@@ -156,7 +152,7 @@ class KrcoreLib:
         if not wanted:
             raise KrcoreError("post_send_and_wait: no signaled WR to wait for")
         if _trace.TRACER is None:
-            yield timing.SYSCALL_NS if self.charge_syscall else 0
+            yield timing.SYSCALL_NS
         else:
             yield from self.enter_kernel()
         yield from vqp.post_send(wr_list)

@@ -97,8 +97,6 @@ class KrcoreModule:
         self.context = DriverContext(node, kernel=True)
         self.background_rc = background_rc
         self.rc_traffic_threshold = rc_traffic_threshold
-        #: Ablation hook (Fig 12a): charge Algorithm 2's integrity checks?
-        self.charge_checks = True
 
         self.valid_mr = ValidMr(node)
         self.mr_store = MrStore(self, lease_ns=mr_lease_ns)
@@ -288,6 +286,15 @@ class KrcoreModule:
         self.sim.process(
             self.messaging.announce_mr(region), name=f"krcore-publish-mr@{self.node.gid}"
         )
+        return region
+
+    def boot_mr(self, addr, length):
+        """Register memory at boot, at no cost: recorded in ValidMR and
+        published to the meta plane at once -- the state :meth:`reg_mr`
+        reaches once its publication lands.  Returns the region."""
+        region = self.node.memory.register(addr, length)
+        self.valid_mr.record(region)
+        self.meta_plane.publish_mr(self.node.gid, region.rkey, addr, length)
         return region
 
     def dereg_mr(self, region):

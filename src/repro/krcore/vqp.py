@@ -304,8 +304,7 @@ class Vqp:
     def _post_chunk(self, wrs, batched):
         module = self.module
         # --- request integrity (lines 5-7), before anything is posted ---
-        if module.charge_checks:
-            yield timing.VIRTUALIZATION_CHECK_NS * len(wrs)
+        yield timing.VIRTUALIZATION_CHECK_NS * len(wrs)
         for wr in wrs:
             if wr.opcode not in POSTABLE_OPCODES:
                 raise KrcoreError(

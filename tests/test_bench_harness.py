@@ -4,10 +4,12 @@ import os
 
 import pytest
 
-from repro.bench.harness import FigureResult, Table, full_mode
+from repro.bench.harness import FigureResult, Table, full_mode, hardware_profile
 from repro.bench.onesided import run_onesided
 from repro.bench.echo import run_echo
 from repro.bench.setups import krcore_cluster, spread_clients, verbs_cluster
+from repro.cluster import timing
+from repro.krcore import KrcoreLib
 from repro.sim import US
 
 
@@ -26,6 +28,40 @@ def test_table_rejects_wrong_arity():
     table = Table("demo", ["a", "b"])
     with pytest.raises(ValueError):
         table.add_row(1)
+
+
+def test_hardware_profile_restores_every_constant_when_its_block_raises():
+    before = (timing.SYSCALL_NS, timing.VIRTUALIZATION_CHECK_NS)
+    with pytest.raises(RuntimeError):
+        with hardware_profile(SYSCALL_NS=0, VIRTUALIZATION_CHECK_NS=7):
+            assert (timing.SYSCALL_NS, timing.VIRTUALIZATION_CHECK_NS) == (0, 7)
+            raise RuntimeError("boom")
+    assert (timing.SYSCALL_NS, timing.VIRTUALIZATION_CHECK_NS) == before
+
+
+def test_hardware_profile_refuses_a_name_timing_does_not_define():
+    before = timing.SYSCALL_NS
+    entered = []
+    with pytest.raises(AttributeError):
+        with hardware_profile(SYSCALL_NS=0, NO_SUCH_NS=1):
+            entered.append(True)
+    assert not entered and timing.SYSCALL_NS == before
+    assert not hasattr(timing, "NO_SUCH_NS")
+
+
+def test_a_profile_without_the_syscall_makes_create_vqp_free():
+    """Fig 12a's "+DCQP" row: the model reads the syscall cost at run time."""
+    sim, cluster, _, _ = krcore_cluster(num_nodes=2, background_rc=False)
+    lib = KrcoreLib(cluster.node(1))
+
+    def proc():
+        start = sim.now
+        yield from lib.create_vqp()
+        return sim.now - start
+
+    with hardware_profile(SYSCALL_NS=0):
+        assert sim.run_process(proc()) == 0
+    assert sim.run_process(proc()) == timing.SYSCALL_NS
 
 
 def test_figure_result_renders_all_tables():

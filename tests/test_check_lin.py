@@ -1,16 +1,8 @@
-"""The Wing & Gong linearizability checker and its history plumbing."""
+"""The Wing & Gong linearizability checker and its op histories."""
 
-from repro.check.linearizability import (
-    Op,
-    check_histories,
-    check_register,
-    extract_histories,
-    record_invoke,
-    record_response,
-)
+from repro.check.linearizability import Op, by_key, check_histories, check_register
 from repro.check.runner import run_once
 from repro.check import scenarios
-from repro.obs import Tracer
 
 
 def _op(proc, kind, value, invoke, response):
@@ -101,24 +93,21 @@ def test_checker_scales_past_naive_factorial():
     assert check_register(ops)
 
 
-# ------------------------------------------------------------ trace plumbing
+# ------------------------------------------------------------- op histories
 
 
-def test_history_round_trip_through_tracer():
-    tracer = Tracer()
-    aid = record_invoke(tracer, 5, "k0", "w", "c0", value=7)
-    record_response(tracer, 15, aid)
-    rid = record_invoke(tracer, 20, "k0", "r", "c1")
-    record_response(tracer, 30, rid, value=7)
-    open_aid = record_invoke(tracer, 40, "k1", "w", "c0", value=9)
-    del open_aid  # crashed client: never responds
-    lost_read = record_invoke(tracer, 50, "k1", "r", "c1")
-    del lost_read  # incomplete reads constrain nothing and are dropped
+def test_recorded_ops_group_by_key_keeping_open_writes_only():
+    write = Op("c0", "w", 7, 5, None)
+    read = Op("c1", "r", None, 20, None)
+    open_write = Op("c0", "w", 9, 40, None)  # crashed client: never responds
+    lost_read = Op("c1", "r", None, 50, None)  # constrains nothing: dropped
+    history = [("k0", write), ("k0", read), ("k1", open_write), ("k1", lost_read)]
+    write.response = 15
+    read.value, read.response = 7, 30
 
-    histories = extract_histories(tracer)
+    histories = by_key(history)
     assert sorted(histories) == ["k0", "k1"]
-    k0 = sorted(histories["k0"], key=lambda op: op.invoke)
-    assert [(op.kind, op.value, op.invoke, op.response) for op in k0] == [
+    assert [(op.kind, op.value, op.invoke, op.response) for op in histories["k0"]] == [
         ("w", 7, 5, 15),
         ("r", 7, 20, 30),
     ]

@@ -5,6 +5,10 @@ README.md, DESIGN.md, EXPERIMENTS.md and the verify skill name files
 ``verbs/qp.py``) and ``make`` targets.  A PR that deletes or renames one
 of them fails here, by document and by name, until the prose follows.
 
+README.md, DESIGN.md and EXPERIMENTS.md together stay under a line
+ceiling that only goes down: a paragraph added is a paragraph cut, and
+per-PR logs go to ``benchmarks/history/``.
+
 Those documents, the code under ``src/`` and ``tests/``, the Makefile
 and CI also cite DESIGN.md by section: ``DESIGN.md §n`` (the file name
 backticked or not), ``DESIGN §n`` and ``§n "Title"``.  Section ``n``
@@ -20,6 +24,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
+#: Lines of README + DESIGN + EXPERIMENTS at most; lower it when they shrink.
+DOC_LINE_CEILING = 2512
 #: Everything checked for section references: the documents, then code.
 REF_SOURCES = DOCS + ["Makefile", ".github/workflows/ci.yml", "src", "tests"]
 
@@ -112,6 +118,11 @@ def test_every_design_section_a_file_cites_exists(source):
         if dangling:
             bad[str(path.relative_to(ROOT))] = dangling
     assert bad == {}
+
+
+def test_the_documents_do_not_grow():
+    lines = {doc: len((ROOT / doc).read_text().splitlines()) for doc in DOCS[:3]}
+    assert sum(lines.values()) <= DOC_LINE_CEILING, lines
 
 
 def test_the_guard_sees_what_it_should():

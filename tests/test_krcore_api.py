@@ -48,18 +48,6 @@ def test_every_call_charges_one_syscall(env):
     assert elapsed == timing.SYSCALL_NS
 
 
-def test_charge_syscall_false_is_free(env):
-    sim, cluster, meta, modules = env
-    lib = KrcoreLib(cluster.node(1), charge_syscall=False)
-
-    def proc():
-        start = sim.now
-        yield from lib.create_vqp()
-        return sim.now - start
-
-    assert sim.run_process(proc()) == 0
-
-
 def test_poll_cq_nonblocking_returns_none_then_entry(env):
     sim, cluster, meta, modules = env
     lib_s = KrcoreLib(cluster.node(2))

@@ -21,10 +21,9 @@ class, ``cls(...)`` inside a class to that class's, and
 subclass named after its base in another module) merge into one.  Dunder methods other than
 ``__init__`` are called by syntax, not by name, and are not scanned.
 Definitions are found among the statements of a module, class or
-function body, so a function nested in a function is scanned (``fig12``'s
-``patched_init`` is one); one defined under an ``if``, ``for`` or
-``with`` is not.  ``ALLOWED`` holds the sites the AST cannot resolve,
-each with its reason.
+function body, so a function nested in a function is scanned; one
+defined under an ``if``, ``for`` or ``with`` is not.  ``ALLOWED`` holds
+the sites the AST cannot resolve, each with its reason.
 """
 
 import ast
@@ -35,13 +34,8 @@ from tests import _source
 SYSTEM_DIRS = ("src/", "benchmarks/", "examples/")
 
 # "<path>:<function>(<param>)" -> why it stays with no system caller the AST sees.
-_PATCHED_INIT = "mirrors KrcoreLib.__init__: installed over it, called as KrcoreLib(...)"
 _PLANE_LOOKUP = "passed as a function value to KrcoreModule._plane_lookup, called with deadline="
 ALLOWED = {
-    "src/repro/bench/fig12.py:patched_init(cpu_id)": _PATCHED_INIT,
-    "src/repro/bench/fig12.py:patched_init(charge_syscall)": _PATCHED_INIT,
-    "src/repro/krcore/api.py:__init__(charge_syscall)": (
-        "Fig 12a's ablation passes it through fig12's patched __init__ (original_init(...))"),
     "src/repro/krcore/meta.py:lookup_dct(deadline)": _PLANE_LOOKUP,
     "src/repro/krcore/meta.py:lookup_mr(deadline)": _PLANE_LOOKUP,
 }
@@ -203,7 +197,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
 def test_the_allow_list_is_live():
     """A short list: :func:`failures` also fails an entry with no reason
     or one a system caller now passes."""
-    assert len(ALLOWED) <= 8
+    assert len(ALLOWED) <= 2
 
 
 # ------------------------------------------------- the guard, fed by hand
