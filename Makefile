@@ -70,8 +70,9 @@ counts:
 
 # Where a workload's heap goes (benchmarks/heap.py): one untimed pass of an
 # observatory workload under tracemalloc; prints the top file:line sites of
-# the live set at the end of the measured phase and the DRAM pages each
-# simulated node materialized.
+# the live set at the end of the measured phase, the simulated DRAM each node
+# holds (KB per node, both page tiers) and the callers whose writes made the
+# host allocate it.
 #   make heap WORKLOAD=<w> [HEAP_ARGS="--scale 0.1 --top 40"]
 heap:
 	$(PYTHON) benchmarks/heap.py --workload $(WORKLOAD) $(HEAP_ARGS)

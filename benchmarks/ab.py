@@ -11,7 +11,10 @@ process per run, one seed per pair, the side that runs first alternating
 from pair to pair), then prints per workload the pair table of the claimed
 metric (``--metric``, default ``wall_s``), each end-to-end metric's medians
 with quartiles and wins, how many pairs have bit-identical ``sim_ops_per_s``
-and digests, and ``compare.py``'s verdicts over the same files.  Use seeds
+and digests, each side's median count of timed passes per run, and
+``compare.py``'s verdicts over the same files.  A run keeps every pass's
+tally, so a side that fits fewer passes into its seconds also reads a lower
+``peak_rss_mb``: read that verdict beside the pass counts.  Use seeds
 not used while the change was written.  Exits non-zero when a run failed its
 checks or ``compare.py`` reports a row ``worse``.  Leave the host alone while
 it runs.
@@ -76,6 +79,9 @@ def summarize(workload, pairs, metrics, claimed):
             f"x{statistics.median(new) / statistics.median(base):.3f}  wins {wins}/{len(pairs)}"
             + (f"  equal {same}/{len(pairs)}" if same else "")
         )
+    passes = [statistics.median(p[side]["metrics"]["wall_s"]["samples"] for p in pairs)
+              for side in (2, 3)]
+    print(f"timed passes per run, median: parent {passes[0]:g}, change {passes[1]:g}")
     digests = sum(p[2]["digest"] == p[3]["digest"] for p in pairs)
     failed = sum(p[side]["failed"] for p in pairs for side in (2, 3))
     print(f"digest equal to the parent's in {digests}/{len(pairs)} pairs; failed ops {failed}")

@@ -10,9 +10,13 @@ everything the pass built is still alive:
 
 * the top-N ``file:line`` sites of the live set, by bytes, with their block
   counts, the traced total and the traced peak;
-* the DRAM pages each simulated node materialized (``PhysicalMemory``
-  backs a node's memory with 4 KiB pages on first touch): per node on
-  average and at most, and the nodes holding the most;
+* the simulated DRAM each node holds on the host (``PhysicalMemory``
+  backs a written page with its written prefix, or with a full 4 KiB page
+  once a write ends past the half): KB per node on average and at most,
+  each tier's pages and KB, and the nodes holding the most;
+* who makes the host allocate that DRAM: the live page bytes by the first
+  frame outside ``cluster/memory.py`` -- the caller whose write created,
+  grew or promoted the page;
 * what parks: the live ``Process`` objects and the suspended generator
   frames, by generator name (a drain loop written as a generator shows
   here once per queue it serves);
@@ -29,6 +33,7 @@ import argparse
 import gc
 import importlib
 import inspect
+import linecache
 import pathlib
 import sys
 import tracemalloc
@@ -36,6 +41,8 @@ from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OBSERVATORY = ROOT / "benchmarks" / "observatory"
+#: Frames kept per allocation: ``PhysicalMemory.write`` and its caller.
+FRAMES = 2
 
 
 def _import_observatory():
@@ -81,7 +88,7 @@ def measured_pass(workload, seed, scale):
     from tally import Tally
 
     with passes.gc_paused():
-        tracemalloc.start()
+        tracemalloc.start(FRAMES)
         try:
             one = workload.Pass(seed, scale)
             one.setup()
@@ -109,6 +116,55 @@ def _print_counts(title, names, top):
         print(f"{count:>12,d}  {name}")
 
 
+def dram_writers(snapshot):
+    """(live bytes, blocks) of simulated DRAM pages by ``file:line`` of the
+    frame that called ``PhysicalMemory.write``, most bytes first."""
+    from repro.cluster import memory
+
+    lines, first = inspect.getsourcelines(memory.PhysicalMemory.write)
+    inside = range(first, first + len(lines))
+    writers = Counter()
+    blocks = Counter()
+    for trace in snapshot.traces:
+        frames = list(reversed(trace.traceback))  # most recent first
+        if frames[0].filename != memory.__file__ or frames[0].lineno not in inside:
+            continue
+        caller = next((f for f in frames if f.filename != memory.__file__), None)
+        site = _site(caller) if caller else "(caller beyond the traced frames)"
+        writers[site] += trace.size
+        blocks[site] += 1
+    return [(size, blocks[site], site) for site, size in writers.most_common()]
+
+
+def _dram_report(nodes, writers, top):
+    """Simulated DRAM the live nodes hold, per tier and per node, and the
+    sites whose writes allocated it."""
+    held = sorted(
+        (
+            (sum(map(len, node.memory._pages.values()))
+             + sum(map(len, node.memory._sparse.values()))) / 1024,
+            node.gid,
+        )
+        for node in nodes
+    )[::-1]
+    if not held:
+        print("\nno simulated node alive at the end of the measured phase")
+        return
+    full = [page for node in nodes for page in node.memory._pages.values()]
+    sparse = [page for node in nodes for page in node.memory._sparse.values()]
+    total = sum(kb for kb, _gid in held)
+    print(f"\nsimulated DRAM held: {total:.1f} KB over {len(held)} nodes, "
+          f"{total / len(held):.1f} KB per node on average, {held[0][0]:.1f} at most")
+    print(f"  full pages {len(full)} ({sum(map(len, full)) / 1024:.1f} KB), "
+          f"sparse pages {len(sparse)} ({sum(map(len, sparse)) / 1024:.1f} KB)")
+    print("  most: " + ", ".join(f"{gid} {kb:.1f}" for kb, gid in held[:5]))
+    print(f"\n{'bytes':>12s} {'blocks':>9s}  DRAM writer (top {top})")
+    for size, count, site in writers[:top]:
+        path, _, lineno = site.rpartition(":")
+        code = linecache.getline(str(ROOT / path), int(lineno)).strip() if path else ""
+        print(f"{size:>12,d} {count:>9,d}  {site}  {code}")
+
+
 def report(name, seed, scale, top, snapshot, traced, nodes, processes, frames, vqps):
     current, peak = traced
     stats = snapshot.filter_traces(
@@ -124,14 +180,7 @@ def report(name, seed, scale, top, snapshot, traced, nodes, processes, frames, v
     _print_counts("live Process objects, by generator", processes, top)
     _print_counts("suspended generator frames, by generator", frames, top)
     _print_counts("live Vqp objects, by holder", vqps, top)
-    pages = sorted(((len(node.memory._pages), node.gid) for node in nodes), reverse=True)
-    if not pages:
-        print("\nno simulated node alive at the end of the measured phase")
-        return
-    total = sum(count for count, _gid in pages)
-    print(f"\nDRAM pages materialized: {total} over {len(pages)} nodes, "
-          f"{total / len(pages):.1f} per node on average, {pages[0][0]} at most")
-    print("  most: " + ", ".join(f"{gid} {count}" for count, gid in pages[:5]))
+    _dram_report(nodes, dram_writers(snapshot), top)
 
 
 def main(argv=None):

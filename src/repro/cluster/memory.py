@@ -10,11 +10,22 @@ each is never written, so eager ``bytearray(size)`` zero-fill used to
 dominate cluster construction (~4s across 180 nodes in fig10 setup
 alone).  Never-written addresses still read as zeros, exactly like the
 eager bytearray did.
+
+A page has one of two tiers.  A page whose writes all end within its first
+half is *sparse*: it holds a bytearray only as long as its highest written
+byte, and reads past that length are zeros (most pages a workload touches
+take one KV slot, tag or 8-64 B READ landing).  The first write that ends
+past the half promotes it to a *full* 4 KiB page, copying what it held.
+So a page never costs the host more than twice its highest written byte,
+and dense traffic reads and writes full pages exactly as before.
 """
 
 _PAGE_SHIFT = 12  # 4 KiB pages: a touched 64 B slot should not cost 64 KiB
 _PAGE_SIZE = 1 << _PAGE_SHIFT
 _PAGE_MASK = _PAGE_SIZE - 1
+#: A sparse page grows up to here; a write ending past it promotes the page,
+#: so host bytes per page stay at most 2x the highest byte written.
+_HALF_PAGE = _PAGE_SIZE >> 1
 
 
 class MemoryError_(Exception):
@@ -48,7 +59,8 @@ class PhysicalMemory:
 
     def __init__(self, size=16 << 20):
         self.size = size
-        self._pages = {}  # page index -> bytearray(_PAGE_SIZE), on first touch
+        self._pages = {}  # page index -> bytearray(_PAGE_SIZE): the full pages
+        self._sparse = {}  # page index -> bytearray of its written prefix
         self._next_key = 1
         self._regions_by_lkey = {}
         self._regions_by_rkey = {}
@@ -134,19 +146,29 @@ class PhysicalMemory:
         last = (addr + length - 1) >> _PAGE_SHIFT
         if first == last:
             page = self._pages.get(first)
+            offset = addr & _PAGE_MASK
+            if page is not None:
+                return bytes(page[offset : offset + length])
+            page = self._sparse.get(first)
             if page is None:
                 return bytes(length)
-            offset = addr & _PAGE_MASK
-            return bytes(page[offset : offset + length])
+            data = page[offset : offset + length]
+            if len(data) < length:  # past the written prefix: zeros
+                data += bytes(length - len(data))
+            return bytes(data)
+        pages, sparse = self._pages, self._sparse
         parts = []
         cursor = addr
         remaining = length
         while remaining:
+            index = cursor >> _PAGE_SHIFT
             offset = cursor & _PAGE_MASK
             chunk = min(_PAGE_SIZE - offset, remaining)
-            page = self._pages.get(cursor >> _PAGE_SHIFT)
+            page = pages.get(index)
             if page is None:
-                parts.append(b"\x00" * chunk)
+                page = sparse.get(index, b"")
+                data = page[offset : offset + chunk]
+                parts.append(bytes(data) + bytes(chunk - len(data)))
             else:
                 parts.append(bytes(page[offset : offset + chunk]))
             cursor += chunk
@@ -164,11 +186,25 @@ class PhysicalMemory:
         last = (addr + length - 1) >> _PAGE_SHIFT
         if first == last:
             page = pages.get(first)
-            if page is None:
-                page = pages[first] = bytearray(_PAGE_SIZE)
             offset = addr & _PAGE_MASK
+            if page is None:
+                end = offset + length
+                sparse = self._sparse
+                held = sparse.get(first)
+                if end <= _HALF_PAGE:
+                    if held is None:
+                        held = sparse[first] = bytearray(end)
+                    elif len(held) < offset:
+                        held += bytes(offset - len(held))
+                    held[offset:end] = payload
+                    return
+                page = pages[first] = bytearray(_PAGE_SIZE)
+                if held is not None:  # promotion: keep what the page held
+                    page[: len(held)] = held
+                    del sparse[first]
             page[offset : offset + length] = payload
             return
+        sparse = self._sparse
         view = memoryview(payload)
         cursor = addr
         consumed = 0
@@ -176,9 +212,20 @@ class PhysicalMemory:
             index = cursor >> _PAGE_SHIFT
             offset = cursor & _PAGE_MASK
             chunk = min(_PAGE_SIZE - offset, length - consumed)
+            end = offset + chunk
             page = pages.get(index)
             if page is None:
+                held = sparse.get(index)
+                if end <= _HALF_PAGE:  # only a last chunk, which starts at 0
+                    if held is None:
+                        sparse[index] = bytearray(view[consumed : consumed + chunk])
+                    else:
+                        held[:end] = view[consumed : consumed + chunk]
+                    break
                 page = pages[index] = bytearray(_PAGE_SIZE)
-            page[offset : offset + chunk] = view[consumed : consumed + chunk]
+                if held is not None:
+                    page[: len(held)] = held
+                    del sparse[index]
+            page[offset:end] = view[consumed : consumed + chunk]
             cursor += chunk
             consumed += chunk

@@ -3,19 +3,23 @@
 The byte-level semantics are covered by ``test_cluster_memory.py``
 (unchanged from the seed, by design); these tests pin the properties the
 lazy page table adds: untouched memory costs nothing, reads of
-never-written ranges are zeros, and writes spanning page boundaries stay
-byte-exact against a flat reference model.
+never-written ranges are zeros, a page written only within its first half
+holds just its written prefix (a sparse page) until a write past the half
+promotes it to a full page, and writes spanning page boundaries and tiers
+stay byte-exact against a flat reference model.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.memory import _PAGE_SIZE, PhysicalMemory
+from repro.cluster.memory import _HALF_PAGE, _PAGE_SIZE, PhysicalMemory
 
 
 def _resident(memory):
-    """Bytes of backing store actually materialized (page-granular)."""
-    return len(memory._pages) * _PAGE_SIZE
+    """Bytes of backing store held, full and sparse pages together."""
+    return sum(len(page) for page in memory._pages.values()) + sum(
+        len(page) for page in memory._sparse.values()
+    )
 
 
 def test_fresh_memory_has_no_resident_pages():
@@ -34,12 +38,62 @@ def test_untouched_ranges_read_as_zeros():
 def test_write_materializes_only_touched_pages():
     memory = PhysicalMemory(size=16 << 20)
     memory.write(0, b"x")
-    assert _resident(memory) == _PAGE_SIZE
+    assert _resident(memory) == 1
     memory.write(5 * _PAGE_SIZE + 7, b"y" * 10)
-    assert _resident(memory) == 2 * _PAGE_SIZE
-    # Rewriting a resident page allocates nothing new.
+    assert _resident(memory) == 1 + 17
+    # Rewriting inside a page's held prefix allocates nothing new.
+    memory.write(0, b"z")
+    assert _resident(memory) == 1 + 17
+    # Writing past it grows the page to the new highest byte only.
     memory.write(3, b"z" * 100)
-    assert _resident(memory) == 2 * _PAGE_SIZE
+    assert _resident(memory) == 103 + 17
+    assert memory._pages == {}
+
+
+def test_a_16_byte_write_holds_16_bytes():
+    memory = PhysicalMemory(size=1 << 20)
+    memory.write(3 * _PAGE_SIZE, b"t" * 16)
+    assert _resident(memory) == 16
+    assert memory.read(3 * _PAGE_SIZE, 16) == b"t" * 16
+
+
+def test_a_write_past_the_half_promotes_the_page_and_keeps_its_bytes():
+    memory = PhysicalMemory(size=1 << 20)
+    memory.write(100, b"a" * 16)
+    memory.write(_HALF_PAGE - 8, b"b" * 8)  # ends exactly at the half: stays sparse
+    assert (list(memory._sparse), memory._pages) == ([0], {})
+    memory.write(_HALF_PAGE, b"c")  # ends one byte past it
+    assert (memory._sparse, list(memory._pages)) == ({}, [0])
+    assert _resident(memory) == _PAGE_SIZE
+    assert memory.read(100, 16) == b"a" * 16
+    assert memory.read(_HALF_PAGE - 8, 9) == b"b" * 8 + b"c"
+    assert memory.read(0, 100) == bytes(100)
+
+
+def test_a_read_past_a_sparse_pages_end_returns_zeros():
+    memory = PhysicalMemory(size=1 << 20)
+    memory.write(64, b"k" * 8)
+    assert memory.read(68, 20) == b"k" * 4 + bytes(16)
+    assert memory.read(72, 8) == bytes(8)
+    assert memory.read(1000, _PAGE_SIZE - 1000) == bytes(_PAGE_SIZE - 1000)
+    # The same through the multi-page path.
+    assert memory.read(60, _PAGE_SIZE) == bytes(4) + b"k" * 8 + bytes(_PAGE_SIZE - 12)
+    assert _resident(memory) == 72
+
+
+def test_a_multi_page_write_spans_a_sparse_and_a_full_page():
+    memory = PhysicalMemory(size=1 << 20)
+    memory.write(16, b"s" * 16)  # page 0: sparse
+    memory.write(_PAGE_SIZE + 3000, b"f" * 16)  # page 1: full
+    memory.write(2 * _PAGE_SIZE, b"e" * 1000)  # page 2: sparse, 1000 B
+    memory.write(_PAGE_SIZE - 50, b"w" * (_PAGE_SIZE + 100))  # pages 0..2
+    assert (list(memory._sparse), sorted(memory._pages)) == ([2], [0, 1])
+    # Page 0 was promoted by its first chunk; page 2 only had its first
+    # 50 bytes overwritten, so it still holds 1000.
+    assert _resident(memory) == 2 * _PAGE_SIZE + 1000
+    assert memory.read(16, 16) == b"s" * 16
+    assert memory.read(_PAGE_SIZE - 50, _PAGE_SIZE + 100) == b"w" * (_PAGE_SIZE + 100)
+    assert memory.read(2 * _PAGE_SIZE + 50, 951) == b"e" * 950 + bytes(1)
 
 
 def test_page_straddling_write_reads_back_exactly():
@@ -57,29 +111,47 @@ def test_multi_page_spanning_write():
     payload = b"\xab" * (2 * _PAGE_SIZE + 123)
     memory.write(_PAGE_SIZE - 1, payload)
     assert memory.read(_PAGE_SIZE - 1, len(payload)) == payload
-    assert _resident(memory) == 4 * _PAGE_SIZE  # pages 0..3 touched
+    # Pages 0..2 full; page 3 holds the 122 bytes the write left in it.
+    assert sorted(memory._pages) == [0, 1, 2]
+    assert _resident(memory) == 3 * _PAGE_SIZE + 122
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     writes=st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=3 * _PAGE_SIZE),
-            st.binary(min_size=0, max_size=300),
+            st.one_of(st.binary(min_size=0, max_size=300), st.binary(max_size=2 * _PAGE_SIZE)),
         ),
         max_size=10,
     ),
     read_addr=st.integers(min_value=0, max_value=3 * _PAGE_SIZE),
-    read_len=st.integers(min_value=0, max_value=600),
+    read_len=st.integers(min_value=0, max_value=2 * _PAGE_SIZE),
 )
 def test_lazy_memory_matches_flat_bytearray(writes, read_addr, read_len):
-    size = 3 * _PAGE_SIZE + 1024
+    """Byte-exact against a flat model, and each page in the tier its
+    writes put it in: sparse holding exactly its highest written byte while
+    every write to it ended within the half, else full."""
+    size = 5 * _PAGE_SIZE + 1024
     memory = PhysicalMemory(size=size)
     flat = bytearray(size)
+    highest = {}  # page index -> highest end of a write within the page
     for addr, payload in writes:
         memory.write(addr, payload)
         flat[addr : addr + len(payload)] = payload
+        for byte in (addr, addr + len(payload) - 1) if payload else ():
+            index = byte // _PAGE_SIZE
+            end = min(addr + len(payload), (index + 1) * _PAGE_SIZE) - index * _PAGE_SIZE
+            highest[index] = max(highest.get(index, 0), end)
+        for index in range(addr // _PAGE_SIZE + 1, (addr + len(payload)) // _PAGE_SIZE):
+            highest[index] = _PAGE_SIZE  # a page the write crossed whole
     assert memory.read(read_addr, read_len) == bytes(flat[read_addr : read_addr + read_len])
+    assert {index: len(page) for index, page in memory._sparse.items()} == {
+        index: end for index, end in highest.items() if end <= _HALF_PAGE
+    }
+    assert sorted(memory._pages) == sorted(
+        index for index, end in highest.items() if end > _HALF_PAGE
+    )
 
 
 # ---------------------------------------------------------------------------

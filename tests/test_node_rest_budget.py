@@ -62,6 +62,15 @@ BOOT_RECORDS = 3
 #: pairs are 30 KB) or a stocked SRQ (192 buffers, 18 KB).
 NODE_KB_CEILING = 40
 
+#: The same with the simulated DRAM the boot wrote, both page tiers: the
+#: meta server's tables on node 0 hold only the buckets and records
+#: published, each sparse page its written prefix.  Measured 19-21 KB per
+#: node at 4 nodes on 3.11, 6.1 of it DRAM (7.0 while every written page
+#: was a full 4 KiB), and 12.6 at 2 000; the ceiling is the one above plus
+#: 8 KB of DRAM per node, below what the meta table zero-filled at boot
+#: (64 pages, 64 KB per node at 4 nodes) would add.
+NODE_WITH_DRAM_KB_CEILING = 48
+
 #: A boot large enough that per-node cost must not grow with the cluster
 #: (a private ring per module did): nodes, meta shards.
 BIG_BOOT = (2000, 2)
@@ -91,10 +100,16 @@ DROPPED_VQP_BYTES_CEILING = 8
 QP_CQ_BYTES_CEILING = 1536
 
 #: Host bytes per meta client after one lookup, DRAM pages included: both
-#: ends of its RCQP, the DrTM-KV client and the mutex.  Measured 2.6 KB on
-#: 3.11 (4.0 KB with a parked sender generator per end, 11 KB when each
-#: scratch buffer was a 4 KiB page of its own).
+#: ends of its RCQP, the DrTM-KV client and the mutex.  Measured 2.4 KB on
+#: 3.11 (2.6 while the DRAM its lookup wrote was full 4 KiB pages, 4.0 KB
+#: with a parked sender generator per end, 11 KB when each scratch buffer
+#: was a 4 KiB page of its own).
 META_CLIENT_BYTES_CEILING = 4096
+
+#: Simulated DRAM bytes per meta client held on the host after one lookup,
+#: both page tiers: its one-bucket scratch buffer, as a prefix of a page the
+#: clients share.  Two shared full pages would be 341 B per client.
+META_CLIENT_DRAM_BYTES_CEILING = 128
 
 #: Meta clients a node builds: one per CPU (and meta shard).
 META_CLIENTS = 24
@@ -157,6 +172,11 @@ def _traced(build):
     return held, kept
 
 
+def _dram_bytes(memory):
+    """Simulated DRAM held on the host: full and sparse pages together."""
+    return sum(map(len, memory._pages.values())) + sum(map(len, memory._sparse.values()))
+
+
 def _weigh(num_nodes=NODES, meta_shards=1):
     """(traced KB per node, the same without DRAM pages) of a booted cluster."""
 
@@ -168,7 +188,7 @@ def _weigh(num_nodes=NODES, meta_shards=1):
         return cluster
 
     held, cluster = _traced(boot)
-    pages = sum(len(page) for node in cluster.nodes for page in node.memory._pages.values())
+    pages = sum(_dram_bytes(node.memory) for node in cluster.nodes)
     return held / num_nodes / 1024, (held - pages) / num_nodes / 1024
 
 
@@ -273,14 +293,17 @@ def test_rest_budget_a_read_wakes_only_the_qps_it_posts_on(monkeypatch):
 def test_rest_budget_node_weight_stays_under_the_ceiling(monkeypatch):
     _weigh()  # warm: import-time and per-size caches are not node weight
     with_pages, node_kb = _weigh()
-    _big_with_pages, big_kb = _weigh(*BIG_BOOT)
+    big_with_pages, big_kb = _weigh(*BIG_BOOT)
     sim, _cluster, modules, started, buffers = _boot(monkeypatch)
     pools = sum(len(module.built_pools()) for module in modules)
     print(f"\nNode rest budget, {NODES} booted 24-core nodes after 10 us")
     print(f"  {'per node':<34}{'measured':>9}{'ceiling':>9}")
     print(f"  {'host heap, KB (no DRAM pages)':<34}{node_kb:>9.1f}{NODE_KB_CEILING:>9}")
     print(f"  {'  same, %d nodes on %d shards' % BIG_BOOT:<34}{big_kb:>9.1f}{NODE_KB_CEILING:>9}")
-    print(f"  {'host heap, KB (with DRAM pages)':<34}{with_pages:>9.1f}{'':>9}")
+    print(f"  {'host heap, KB (with DRAM pages)':<34}{with_pages:>9.1f}"
+          f"{NODE_WITH_DRAM_KB_CEILING:>9}")
+    print(f"  {'  same, %d nodes on %d shards' % BIG_BOOT:<34}{big_with_pages:>9.1f}"
+          f"{NODE_WITH_DRAM_KB_CEILING:>9}")
     print(f"  {'Process objects':<34}{len(started) / NODES:>9.0f}{len(REST_PROCESSES):>9}")
     print(f"  {'boot records dispatched':<34}{sim.events_dispatched / NODES:>9.0f}"
           f"{BOOT_RECORDS:>9}")
@@ -288,6 +311,8 @@ def test_rest_budget_node_weight_stays_under_the_ceiling(monkeypatch):
     print(f"  {'kernel RecvBuffers built':<34}{len(buffers) / NODES:>9.0f}{0:>9}")
     assert node_kb <= NODE_KB_CEILING
     assert big_kb <= NODE_KB_CEILING
+    assert with_pages <= NODE_WITH_DRAM_KB_CEILING
+    assert big_with_pages <= NODE_WITH_DRAM_KB_CEILING
 
 
 def test_rest_budget_a_big_boot_is_one_process_and_three_records_per_node(monkeypatch):
@@ -351,7 +376,7 @@ def _drained_qp_cq_bytes(count=48):
 
 
 def _meta_client_weight(count=META_CLIENTS):
-    """(host bytes, DRAM pages materialized) per meta client built on one
+    """(host bytes, simulated DRAM bytes held) per meta client built on one
     node and used for one lookup."""
     sim, cluster, meta, _modules = krcore_cluster(num_nodes=NODES)
     node = cluster.node(1)
@@ -366,9 +391,9 @@ def _meta_client_weight(count=META_CLIENTS):
         sim.run_process(lookups())
         return clients
 
-    pages = len(node.memory._pages)
+    dram = _dram_bytes(node.memory)
     held, _clients = _traced(build)
-    return held / count, (len(node.memory._pages) - pages) / count
+    return held / count, (_dram_bytes(node.memory) - dram) / count
 
 
 def test_rest_budget_a_drained_window_leaves_no_deque():
@@ -465,7 +490,7 @@ def test_rest_budget_a_drained_window_pins_no_flight_and_no_wr(monkeypatch):
 def test_rest_budget_used_state_weighs_under_the_ceilings():
     held_vqp_bytes, dropped_vqp_bytes = _vqp_bytes(True), _vqp_bytes(False)
     qp_cq_bytes = _drained_qp_cq_bytes()
-    meta_bytes, meta_pages = _meta_client_weight()
+    meta_bytes, meta_dram_bytes = _meta_client_weight()
     print(f"\nUsed state at rest, host bytes per object ({WINDOW}-WR window)")
     print(f"  {'per object':<34}{'measured':>9}{'ceiling':>9}")
     print(f"  {'connected idle VQP, held':<34}{held_vqp_bytes:>9.0f}{HELD_VQP_BYTES_CEILING:>9}")
@@ -474,10 +499,11 @@ def test_rest_budget_used_state_weighs_under_the_ceilings():
     print(f"  {'drained QP + CQ':<34}{qp_cq_bytes:>9.0f}{QP_CQ_BYTES_CEILING:>9}")
     print(f"  {'meta client, DRAM pages included':<34}{meta_bytes:>9.0f}"
           f"{META_CLIENT_BYTES_CEILING:>9}")
-    print(f"  {'  DRAM pages it materialized':<34}{meta_pages:>9.2f}{'':>9}")
+    print(f"  {'  DRAM bytes it holds':<34}{meta_dram_bytes:>9.0f}"
+          f"{META_CLIENT_DRAM_BYTES_CEILING:>9}")
     assert held_vqp_bytes <= HELD_VQP_BYTES_CEILING
     assert dropped_vqp_bytes <= DROPPED_VQP_BYTES_CEILING
     assert qp_cq_bytes <= QP_CQ_BYTES_CEILING
     assert meta_bytes <= META_CLIENT_BYTES_CEILING
-    # The scratch buffers, one bucket each, share at most two pages.
-    assert meta_pages * META_CLIENTS <= 2
+    # The scratch buffers, one bucket each, share the pages they sit in.
+    assert meta_dram_bytes <= META_CLIENT_DRAM_BYTES_CEILING

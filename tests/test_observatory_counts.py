@@ -37,3 +37,21 @@ def test_a_run_that_leaves_no_result_is_reported_with_command_exit_and_stderr(tm
     message = str(died.value)
     assert "run.py --workload data_onesided" in message and "exit 1" in message
     assert "no src/ here" in message
+
+
+def test_the_pair_summary_prints_each_sides_median_timed_pass_count(capsys):
+    """A run keeps every pass's tally, so a side that fits fewer passes reads
+    a lower ``peak_rss_mb``: the summary prints both sides' pass counts."""
+    module_spec = importlib.util.spec_from_file_location("ab", ROOT / "benchmarks" / "ab.py")
+    ab = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(ab)
+
+    def record(passes, rss):
+        metrics = {"wall_s": {"value": 1.0, "samples": passes}, "peak_rss_mb": {"value": rss}}
+        return {"metrics": metrics, "digest": "d", "failed": 0}
+
+    pairs = [(1001, "parent", record(5, 38.0), record(4, 37.0)),
+             (1002, "change", record(7, 38.5), record(4, 37.2)),
+             (1003, "parent", record(6, 38.2), record(5, 37.1))]
+    ab.summarize("app_elastic", pairs, [("peak_rss_mb", "lower")], "peak_rss_mb")
+    assert "timed passes per run, median: parent 6, change 4\n" in capsys.readouterr().out
