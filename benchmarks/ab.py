@@ -11,7 +11,9 @@ process per run, one seed per pair, the side that runs first alternating
 from pair to pair), then prints per workload the pair table of the claimed
 metric (``--metric``, default ``wall_s``), each end-to-end metric's medians
 with quartiles and wins, how many pairs have bit-identical ``sim_ops_per_s``
-and digests, each side's median count of timed passes per run, and
+and digests, each side's median count of timed passes per run, each
+side's ``host_speed`` (median and range over its runs: how fast the host
+ran the reference kernel, so a drift across the runs shows), and
 ``compare.py``'s verdicts over the same files.  A run keeps every pass's
 tally, so a side that fits fewer passes into its seconds also reads a lower
 ``peak_rss_mb``: read that verdict beside the pass counts.  Use seeds
@@ -82,6 +84,11 @@ def summarize(workload, pairs, metrics, claimed):
     passes = [statistics.median(p[side]["metrics"]["wall_s"]["samples"] for p in pairs)
               for side in (2, 3)]
     print(f"timed passes per run, median: parent {passes[0]:g}, change {passes[1]:g}")
+    speeds = [[p[side]["host_speed"] for p in pairs] for side in (2, 3)]
+    print("host_speed, median [min, max]: " + ", ".join(
+        f"{name} {statistics.median(values):.3f} [{min(values):.3f}, {max(values):.3f}]"
+        for name, values in zip(("parent", "change"), speeds)
+    ))
     digests = sum(p[2]["digest"] == p[3]["digest"] for p in pairs)
     failed = sum(p[side]["failed"] for p in pairs for side in (2, 3))
     print(f"digest equal to the parent's in {digests}/{len(pairs)} pairs; failed ops {failed}")

@@ -13,7 +13,9 @@ everything the pass built is still alive:
 * the simulated DRAM each node holds on the host (``PhysicalMemory``
   backs a written page with its written prefix, or with a full 4 KiB page
   once a write ends past the half): KB per node on average and at most,
-  each tier's pages and KB, and the nodes holding the most;
+  each tier's pages and KB, and the nodes holding the most (named
+  ``c<k>/<gid>``: several clusters, each with its own ``node0``, can be
+  alive at once; ``k`` numbers them in the order their nodes are found);
 * who makes the host allocate that DRAM: the live page bytes by the first
   frame outside ``cluster/memory.py`` -- the caller whose write created,
   grew or promoted the page;
@@ -139,11 +141,12 @@ def dram_writers(snapshot):
 def _dram_report(nodes, writers, top):
     """Simulated DRAM the live nodes hold, per tier and per node, and the
     sites whose writes allocated it."""
+    clusters = {}  # id(fabric) -> ordinal: one fabric per cluster
     held = sorted(
         (
             (sum(map(len, node.memory._pages.values()))
              + sum(map(len, node.memory._sparse.values()))) / 1024,
-            node.gid,
+            f"c{clusters.setdefault(id(node.fabric), len(clusters))}/{node.gid}",
         )
         for node in nodes
     )[::-1]
@@ -152,12 +155,12 @@ def _dram_report(nodes, writers, top):
         return
     full = [page for node in nodes for page in node.memory._pages.values()]
     sparse = [page for node in nodes for page in node.memory._sparse.values()]
-    total = sum(kb for kb, _gid in held)
+    total = sum(kb for kb, _name in held)
     print(f"\nsimulated DRAM held: {total:.1f} KB over {len(held)} nodes, "
           f"{total / len(held):.1f} KB per node on average, {held[0][0]:.1f} at most")
     print(f"  full pages {len(full)} ({sum(map(len, full)) / 1024:.1f} KB), "
           f"sparse pages {len(sparse)} ({sum(map(len, sparse)) / 1024:.1f} KB)")
-    print("  most: " + ", ".join(f"{gid} {kb:.1f}" for kb, gid in held[:5]))
+    print("  most: " + ", ".join(f"{name} {kb:.1f}" for kb, name in held[:5]))
     print(f"\n{'bytes':>12s} {'blocks':>9s}  DRAM writer (top {top})")
     for size, count, site in writers[:top]:
         path, _, lineno = site.rpartition(":")

@@ -62,6 +62,10 @@ def _fetch_add_wr(laddr, lkey, raddr, rkey, delta):
     )
 
 
+def _krcore_failed(entry):
+    raise RaceError(f"KRCORE {entry.opcode.name} failed: {entry.status}")
+
+
 class VerbsBackend:
     """User-space verbs: the baseline control plane."""
 
@@ -209,25 +213,21 @@ class KrcoreBackend:
         return addr, region.lkey
 
     def read(self, gid, laddr, lkey, raddr, rkey, length):
-        yield from self.lib.read_sync(self.vqps[gid], laddr, lkey, raddr, rkey, length)
+        return self.lib.read_sync(self.vqps[gid], laddr, lkey, raddr, rkey, length)
 
     def read_vectored(self, gid, laddr, lkey, sges):
-        yield from self.lib.read_vectored_sync(self.vqps[gid], laddr, lkey, sges)
+        return self.lib.read_vectored_sync(self.vqps[gid], laddr, lkey, sges)
 
     def write(self, gid, laddr, lkey, raddr, rkey, length):
-        yield from self.lib.write_sync(self.vqps[gid], laddr, lkey, raddr, rkey, length)
+        return self.lib.write_sync(self.vqps[gid], laddr, lkey, raddr, rkey, length)
 
     def cas(self, gid, laddr, lkey, raddr, rkey, compare, swap):
         wr = WorkRequest.cas(laddr, lkey, raddr, rkey, compare, swap)
-        entry = yield from self.lib.post_send_and_wait(self.vqps[gid], wr)
-        if not entry.ok:
-            raise RaceError(f"KRCORE CAS failed: {entry.status}")
+        return self.lib.post_send_and_wait(self.vqps[gid], wr, _krcore_failed)
 
     def fetch_add(self, gid, laddr, lkey, raddr, rkey, delta):
         wr = _fetch_add_wr(laddr, lkey, raddr, rkey, delta)
-        entry = yield from self.lib.post_send_and_wait(self.vqps[gid], wr)
-        if not entry.ok:
-            raise RaceError(f"KRCORE FETCH_ADD failed: {entry.status}")
+        return self.lib.post_send_and_wait(self.vqps[gid], wr, _krcore_failed)
 
     def read_batch(self, requests):
         """Process: doorbell batching through the VQPs (one syscall per

@@ -64,14 +64,9 @@ def _value_word(rank, counter):
 def _verify_value(rank, data):
     """True iff ``data`` is an uncorrupted slot image for ``rank``:
     either still all-zero, or every word identical and rank-tagged."""
-    if data == b"\x00" * len(data):
-        return True
     first = data[:_WORD]
-    if int.from_bytes(first, "big") >> 32 != rank + 1:
-        return False
-    return all(
-        data[i : i + _WORD] == first for i in range(_WORD, len(data), _WORD)
-    )
+    word = int.from_bytes(first, "big")
+    return data == first * (len(data) // _WORD) and (word == 0 or word >> 32 == rank + 1)
 
 
 #: One server's data region (replaced when the server restarts).
@@ -182,12 +177,11 @@ class ChaosHarness(ChaosRun):
         vqps = {}
         for info in self.servers.values():
             vqp = yield from lib.create_vqp()
-            yield from self._robust(
-                lambda v=vqp, g=info.gid: lib.qconnect(v, g), vqp=vqp
-            )
+            yield from self._robust(vqp, lib.qconnect, vqp, info.gid)
             vqps[info.gid] = vqp
         counter = 0
         server_gids = sorted(self.servers)
+        lkey = scratch_region.lkey
         for index in range(self.ops_per_client):
             if self.op_gap_ns:
                 yield self.op_gap_ns
@@ -196,12 +190,16 @@ class ChaosHarness(ChaosRun):
             gid = server_gids[rank % len(server_gids)]
             if kind == "update":
                 counter += 1
+            vqp = vqps[gid]
             outcome, attempts = yield from self._robust(
-                lambda k=kind, r=rank, g=gid, c=counter: self._attempt(
-                    lib, vqps[g], scratch, scratch_region, node, k, r, g, c
-                ),
-                vqp=vqps[gid],
+                vqp, self._attempt, lib, vqp, scratch, lkey, node, kind, rank, gid, counter
             )
+            if kind == "read" and outcome == "ok":
+                data = node.memory.read(scratch, VALUE_BYTES)
+                if not _verify_value(rank, data):
+                    raise AssertionError(
+                        f"corrupt read: rank={rank} data={data[:16].hex()}..."
+                    )
             self.report.record(
                 f"t={self.sim.now} c{client_id} op{index} {kind} rank={rank} "
                 f"srv={gid} {outcome} attempts={attempts}"
@@ -210,28 +208,18 @@ class ChaosHarness(ChaosRun):
         if self._clients_done == len(self.client_nodes):
             self._done_event.trigger(None)
 
-    def _attempt(self, lib, vqp, scratch, scratch_region, node, kind, rank, gid, counter):
+    def _attempt(self, lib, vqp, scratch, lkey, node, kind, rank, gid, counter):
+        """One try at a client op, the sync op's own generator (an update
+        writes its value first); ``_client`` checks what a READ delivered."""
         info = self.servers[gid]
         raddr = info.base + rank * VALUE_BYTES
         if kind == "read":
-            yield from lib.read_sync(
-                vqp, scratch, scratch_region.lkey, raddr, info.rkey, VALUE_BYTES
-            )
-            data = node.memory.read(scratch, VALUE_BYTES)
-            if not _verify_value(rank, data):
-                raise AssertionError(
-                    f"corrupt read: rank={rank} data={data[:16].hex()}..."
-                )
-        else:
-            node.memory.write(
-                scratch, _value_word(rank, counter) * (VALUE_BYTES // _WORD)
-            )
-            yield from lib.write_sync(
-                vqp, scratch, scratch_region.lkey, raddr, info.rkey, VALUE_BYTES
-            )
+            return lib.read_sync(vqp, scratch, lkey, raddr, info.rkey, VALUE_BYTES)
+        node.memory.write(scratch, _value_word(rank, counter) * (VALUE_BYTES // _WORD))
+        return lib.write_sync(vqp, scratch, lkey, raddr, info.rkey, VALUE_BYTES)
 
-    def _robust(self, make_process, vqp=None):
-        """Process: run ``make_process()`` with the recovery policy --
+    def _robust(self, vqp, attempt, *args):
+        """Process: run ``attempt(*args)`` with the recovery policy --
         revalidate ``vqp`` on REM_ACCESS (stale DCT key after a restart),
         back off exponentially on everything else, give up after
         ``MAX_ATTEMPTS``.
@@ -245,13 +233,13 @@ class ChaosHarness(ChaosRun):
         # Seed-derived salt: each _robust call jitters its own way, so
         # clients knocked down by the same fault do not re-arrive as one
         # synchronized herd -- while (seed, workload) still fixes the run.
-        self._robust_seq += 1
-        salt = f"{self.seed}:{self._robust_seq}"
+        # Formatted only when a retry reads it.
+        seq = self._robust_seq = self._robust_seq + 1
         last = "unknown"
         while attempts < MAX_ATTEMPTS:
             attempts += 1
             try:
-                yield from make_process()
+                yield from attempt(*args)
                 if attempts > 1:
                     self.report.retried_ops += 1
                 self.report.ops_ok += 1
@@ -261,7 +249,7 @@ class ChaosHarness(ChaosRun):
             except KrcoreError as err:
                 code = err.code
                 last = getattr(code, "value", None) or type(err).__name__
-                if code is WC_REM_ACCESS_ERR and vqp is not None:
+                if code is WC_REM_ACCESS_ERR:
                     # Stale metadata is the likely culprit (the server
                     # restarted with a new DCT key, or its data region is
                     # not re-registered yet): refresh and try again.
@@ -269,7 +257,7 @@ class ChaosHarness(ChaosRun):
                         yield from vqp.revalidate()
                     except KrcoreError:
                         pass
-            yield backoff + timing.backoff_jitter_ns(backoff, salt, attempts)
+            yield backoff + timing.backoff_jitter_ns(backoff, f"{self.seed}:{seq}", attempts)
             backoff = min(backoff * 2, timing.KRCORE_BACKOFF_MAX_NS)
         self.report.ops_failed += 1
         return (f"failed:{last}", attempts)
@@ -309,10 +297,7 @@ class ChaosHarness(ChaosRun):
             for gid in sorted(self.servers):
                 vqp = yield from lib.create_vqp()
                 outcome, attempts = yield from self._robust(
-                    lambda v=vqp, g=gid: self._verify_one(
-                        lib, v, scratch, region, node, g
-                    ),
-                    vqp=vqp,
+                    vqp, self._verify_one, lib, vqp, scratch, region, node, gid
                 )
                 self.report.record(
                     f"t={self.sim.now} verify c{cnum} srv={gid} {outcome} "

@@ -17,6 +17,15 @@ from repro.verbs import WorkRequest
 QPOP_MAX_MSGS = 32
 
 
+def _failed(entry):
+    """A sync op's ``fail``: its failed entry as a :class:`KrcoreError`."""
+    raise KrcoreError(f"{entry.opcode.name} failed: {entry.status}", code=entry.status)
+
+
+def _hand_back(entry):
+    """``post_send_and_wait``'s ``fail``: its caller reads the entry."""
+
+
 class KrcoreLib:
     """A per-application (per-thread) handle to the node's KRCORE module.
 
@@ -35,8 +44,8 @@ class KrcoreLib:
 
     def enter_kernel(self):
         """Process: one syscall, as a ``syscall`` span when traced.
-        ``create_vqp``, ``qconnect`` and ``post_send_and_wait`` yield the
-        untraced charge in their own frame instead."""
+        ``create_vqp`` and ``qconnect`` yield the untraced charge in their
+        own frame instead, and a sync op's frame charges its own."""
         if _trace.TRACER is not None:
             track = self.module.track
             _trace.TRACER.begin(self.sim.now, track, "syscall")
@@ -138,54 +147,33 @@ class KrcoreLib:
         for vqp, wr_list in posts:
             yield from vqp.post_send(wr_list)
 
-    def post_send_and_wait(self, vqp, wr_list):
-        """Process: post + wait in one blocking ioctl (the sync fast path).
-
-        Returns the completion entry for the *last* signaled request.
-        A list with no signaled WR is rejected before anything is charged
-        or posted: there would be no completion to block on.
-        """
-        wanted = 0
-        for wr in wr_list if isinstance(wr_list, (list, tuple)) else (wr_list,):
+    def post_send_and_wait(self, vqp, wr_list, fail=_hand_back):
+        """Process: post + wait in one blocking ioctl (the sync fast path);
+        returns the entry of the *last* signaled WR, a failed one through
+        ``fail``.  A list with no signaled WR is rejected before anything is
+        charged or posted: there would be no completion to block on."""
+        wrs = list(wr_list) if isinstance(wr_list, (list, tuple)) else [wr_list]
+        for wr in wrs:
             if wr.signaled:
-                wanted += 1
-        if not wanted:
-            raise KrcoreError("post_send_and_wait: no signaled WR to wait for")
-        if _trace.TRACER is None:
-            yield timing.SYSCALL_NS
-        else:
-            yield from self.enter_kernel()
-        yield from vqp.post_send(wr_list)
-        for _ in range(wanted):
-            entry = yield from vqp.wait_send_completion()
-        yield timing.POLL_CQ_CPU_NS
-        return entry
+                return vqp._post_chunk(wrs, False, fail)
+        raise KrcoreError("post_send_and_wait: no signaled WR to wait for")
 
     def read_sync(self, vqp, laddr, lkey, raddr, rkey, length):
         """Process: one synchronous one-sided READ; returns the entry."""
         wr = WorkRequest.read(laddr, length, lkey, raddr, rkey)
-        entry = yield from self.post_send_and_wait(vqp, wr)
-        if not entry.ok:
-            raise KrcoreError(f"READ failed: {entry.status}", code=entry.status)
-        return entry
+        return vqp._post_chunk([wr], False, _failed)
 
     def read_vectored_sync(self, vqp, laddr, lkey, sges):
         """Process: one synchronous vectored gather READ (§4.3 TODO in the
         MicroView collector): ``sges`` is a list of ``(raddr, rkey, length)``
         remote segments scattered back-to-back into ``laddr``."""
         wr = WorkRequest.read_vectored(laddr, lkey, sges)
-        entry = yield from self.post_send_and_wait(vqp, wr)
-        if not entry.ok:
-            raise KrcoreError(f"READ_V failed: {entry.status}", code=entry.status)
-        return entry
+        return vqp._post_chunk([wr], False, _failed)
 
     def write_sync(self, vqp, laddr, lkey, raddr, rkey, length):
         """Process: one synchronous one-sided WRITE; returns the entry."""
         wr = WorkRequest.write(laddr, length, lkey, raddr, rkey)
-        entry = yield from self.post_send_and_wait(vqp, wr)
-        if not entry.ok:
-            raise KrcoreError(f"WRITE failed: {entry.status}", code=entry.status)
-        return entry
+        return vqp._post_chunk([wr], False, _failed)
 
     def send_and_recv(self, vqp, send_wr):
         """Process: post a SEND and block for the response message, all in

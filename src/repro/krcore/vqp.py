@@ -276,18 +276,8 @@ class Vqp:
         shared physical queue from overflowing, and posts.  A bad request
         raises :class:`KrcoreError` *before anything is posted*.
         """
-        if self.qp is None:
-            raise KrcoreError(f"VQP {self.id} is not connected")
-        if isinstance(wr_list, (list, tuple)):
-            wrs = list(wr_list)
-        else:
-            wrs = [wr_list]
-        # Segment so each posted chunk fits the physical queue (§4.4).
-        depth = self.qp.sq_depth
-        index = 0
-        while index < len(wrs):
-            yield from self._post_chunk(wrs[index : index + depth], batched)
-            index += depth
+        wrs = list(wr_list) if isinstance(wr_list, (list, tuple)) else [wr_list]
+        return self._post_chunk(wrs, batched, None)
 
     def post_send_batch(self, wr_list):
         """Process: post a doorbell-batched chain through the shared QP.
@@ -299,10 +289,30 @@ class Vqp:
         ``KrcoreLib.post_send_batch``, the full chain crosses the
         virtualized-QP boundary at one-command cost (§4.3).
         """
-        yield from self.post_send(wr_list, batched=True)
+        return self.post_send(wr_list, True)
 
-    def _post_chunk(self, wrs, batched):
+    def _post_chunk(self, wrs, batched, fail):
+        """Process: Algorithm 2 over ``wrs`` (posted in chunks that fit the
+        physical queue, §4.4); returns the signaled count.  With ``fail``, a
+        sync op's whole blocking ioctl (§4.1): syscall, post, wait, poll;
+        returns the last signaled entry, a failed one through ``fail``."""
         module = self.module
+        if fail is not None:
+            if _trace.TRACER is None:
+                yield timing.SYSCALL_NS
+            else:
+                _trace.TRACER.begin(module.sim.now, module.track, "syscall")
+                yield timing.SYSCALL_NS
+                _trace.TRACER.end(module.sim.now, module.track, "syscall")
+        if self.qp is None:
+            raise KrcoreError(f"VQP {self.id} is not connected")
+        wanted = 0
+        depth = self.qp.sq_depth
+        while len(wrs) > depth:
+            wanted += yield from self._post_chunk(wrs[:depth], batched, None)
+            wrs = wrs[depth:]
+        if not wrs:
+            return wanted
         # --- request integrity (lines 5-7), before anything is posted ---
         yield timing.VIRTUALIZATION_CHECK_NS * len(wrs)
         for wr in wrs:
@@ -358,6 +368,7 @@ class Vqp:
                 comp_queue.append(entry)
                 pwr.wr_id = module.encode_wr_id(self, unsignaled_cnt + 1, entry=entry)
                 unsignaled_cnt = 0
+                wanted += 1
             else:
                 pwr.wr_id = 0
                 unsignaled_cnt += 1
@@ -412,6 +423,22 @@ class Vqp:
                 code=getattr(err, "code", None) or WC_RETRY_EXC_ERR,
             ) from err
         module.note_traffic(self.remote_gid, self.cpu_id, len(phys))
+        if fail is None:
+            return wanted
+        # wait_send_completion's loop (a pending entry keeps self.qp set).
+        while wanted:
+            module.poll_inner(self.qp)
+            if comp_queue and comp_queue[0].ready:
+                entry = comp_queue.pop(0)
+                wanted -= 1
+            elif self.qp.send_cq.poll_mode == "event":
+                yield self.qp.send_cq.wait()
+            else:
+                yield from self.qp.send_cq.wait_notify()
+        yield timing.POLL_CQ_CPU_NS
+        if entry.status is not WC_SUCCESS:
+            fail(entry)
+        return entry
 
     def _prepare_send(self, pwr):
         """Attach the piggybacked header; switch to the zero-copy protocol

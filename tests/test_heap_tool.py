@@ -6,7 +6,9 @@ import importlib.util
 import pathlib
 import tracemalloc
 
+from repro.cluster import Cluster
 from repro.cluster.memory import _PAGE_SIZE, PhysicalMemory
+from repro.sim import Simulator
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -49,3 +51,18 @@ def test_dram_writers_names_the_caller_of_each_page_write():
     # where three full pages would be 12 KiB; a whole page for the full one.
     assert writers[tag][1] >= 6 and 48 < writers[tag][0] < 1024
     assert writers[page][1] >= 2 and _PAGE_SIZE < writers[page][0] < 2 * _PAGE_SIZE
+
+
+def test_dram_report_tells_apart_clusters_that_share_gids(capsys):
+    """Several clusters can be alive at the end of a pass, each with its
+    own ``node0``: the report names a node by its cluster and its gid."""
+    heap = _heap_tool()
+    nodes = []
+    for pages in (3, 1):
+        cluster = Cluster(Simulator(), num_nodes=2)
+        for index in range(pages):
+            _write_page(cluster.nodes[0].memory, index)
+        nodes += cluster.nodes
+    heap._dram_report(nodes, [], 5)
+    most = next(line for line in capsys.readouterr().out.splitlines() if "most:" in line)
+    assert most == "  most: c0/node0 12.0, c1/node0 4.0, c1/node1 0.0, c0/node1 0.0"

@@ -41,17 +41,23 @@ def test_a_run_that_leaves_no_result_is_reported_with_command_exit_and_stderr(tm
 
 def test_the_pair_summary_prints_each_sides_median_timed_pass_count(capsys):
     """A run keeps every pass's tally, so a side that fits fewer passes reads
-    a lower ``peak_rss_mb``: the summary prints both sides' pass counts."""
+    a lower ``peak_rss_mb``: the summary prints both sides' pass counts,
+    and each side's host speed, which shows a host that drifted."""
     module_spec = importlib.util.spec_from_file_location("ab", ROOT / "benchmarks" / "ab.py")
     ab = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(ab)
 
-    def record(passes, rss):
+    def record(passes, rss, speed):
         metrics = {"wall_s": {"value": 1.0, "samples": passes}, "peak_rss_mb": {"value": rss}}
-        return {"metrics": metrics, "digest": "d", "failed": 0}
+        return {"metrics": metrics, "digest": "d", "failed": 0, "host_speed": speed}
 
-    pairs = [(1001, "parent", record(5, 38.0), record(4, 37.0)),
-             (1002, "change", record(7, 38.5), record(4, 37.2)),
-             (1003, "parent", record(6, 38.2), record(5, 37.1))]
+    pairs = [(1001, "parent", record(5, 38.0, 0.41), record(4, 37.0, 0.52)),
+             (1002, "change", record(7, 38.5, 0.29), record(4, 37.2, 0.44)),
+             (1003, "parent", record(6, 38.2, 0.35), record(5, 37.1, 0.47))]
     ab.summarize("app_elastic", pairs, [("peak_rss_mb", "lower")], "peak_rss_mb")
-    assert "timed passes per run, median: parent 6, change 4\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "timed passes per run, median: parent 6, change 4\n" in out
+    assert (
+        "host_speed, median [min, max]: parent 0.350 [0.290, 0.410], "
+        "change 0.470 [0.440, 0.520]\n"
+    ) in out

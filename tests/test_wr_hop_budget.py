@@ -12,12 +12,16 @@ Two shapes, idle two-node system, connection warm:
   (transport, opcode);
 * a 16-WR window posted with one ``post_send`` (last WR signaled) -- the
   per-WR cost of a backlog, where the per-doorbell and per-CQE records
-  amortize.
+  amortize;
+* one KRCORE sync op on a warm VQP, RC- and DC-backed -- the WR's records
+  plus the ioctl's own timers (syscall, virtualization check, posting and
+  polling CPU).
 
 The host side is pinned too: the generators one ``create_vqp`` +
 ``qconnect`` or ``read_sync`` starts (the frame budget), and the Python
-calls into ``src/repro`` one signaled 8 B READ on RC and on DC and one
-DCCache-miss ``create_vqp`` + ``qconnect`` make (the call budget).
+calls into ``src/repro`` one signaled 8 B READ on RC and on DC, one
+DCCache-miss ``create_vqp`` + ``qconnect`` and one warm ``read_sync`` make
+(the call budget).
 
 ``make hop-budget`` prints the tables (``pytest -s -k "hop_budget or
 frame_budget or call_budget"``).
@@ -33,6 +37,8 @@ import pytest
 import repro
 import repro.sim
 from repro import obs
+from repro.apps.race import KrcoreBackend
+from repro.bench.setups import plant_rc
 from repro.cluster import Cluster, timing
 from repro.cluster.fabric import LinkFault
 from repro.krcore import KrcoreLib
@@ -59,19 +65,15 @@ FRAME_BUDGET = {
         "lookup",  # both READs, the bucket's and the record's
     ],
     "create_vqp + qconnect, DCCache hit": _CONNECT,
-    "read_sync, warm VQP": [
-        "read_sync",
-        "post_send_and_wait",
-        "post_send",
-        "_post_chunk",
-        "wait_send_completion",
-    ],
+    # The blocking ioctl: syscall, post and wait in the VQP's one frame.
+    "read_sync, warm VQP": ["_post_chunk"],
 }
 
 #: The same counts while the syscall charge (``enter_kernel``), the
 #: admission check, the plane-lookup trampoline, the event-mode CQ waits
-#: (``wait_poll`` / ``wait_notify``) and the bucket reader
-#: (``unpack_slots``) were generators of their own.
+#: (``wait_poll`` / ``wait_notify``), the bucket reader (``unpack_slots``)
+#: and, in a sync op, ``read_sync``, ``post_send_and_wait``, ``post_send``
+#: and ``wait_send_completion`` were generators of their own.
 FRAME_BUDGET_BEFORE = {
     "create_vqp + qconnect, DCCache miss": 20,
     "create_vqp + qconnect, DCCache hit": 5,
@@ -85,16 +87,19 @@ CALL_BUDGET = {
     "RC READ, one signaled 8 B": 58,
     "DC READ, one signaled 8 B": 59,
     "create_vqp + qconnect, DCCache miss": 184,
+    "read_sync, warm VQP": 80,
 }
 
 #: The same counts before the one-method inbound admission, the inline
 #: bounds checks and dict reads, the memoized responder service time, the
-#: response wire armed in ``_execute`` and the meta lookup chain of 7
-#: generators instead of 11.
+#: response wire armed in ``_execute``, the meta lookup chain of 7
+#: generators instead of 11 and the sync ioctl in one generator instead
+#: of 5.
 CALL_BUDGET_BEFORE = {
     "RC READ, one signaled 8 B": 70,
     "DC READ, one signaled 8 B": 71,
     "create_vqp + qconnect, DCCache miss": 232,
+    "read_sync, warm VQP": 96,
 }
 
 #: (transport, opcode) -> (events_dispatched, timer_fires) for one signaled
@@ -121,6 +126,18 @@ SINGLE_WR_BUDGET = {
 WINDOW_BUDGET = {
     "RC": (130, 64),
     "DC": (130, 64),
+}
+
+#: (transport, op) -> (events_dispatched, timer_fires) for one KRCORE sync
+#: op on a warm VQP: the WR's (10, 4) plus the ioctl's four timers (the
+#: syscall, the virtualization check, the posting CPU and the CQ poll).
+#: CAS and FETCH_ADD go through the RACE ``KrcoreBackend``.  Recorded
+#: while each op still ran as a chain of five generators; a change to the
+#: host side of the ioctl moves none of them.
+KRCORE_SYNC_BUDGET = {
+    (transport, op): (18, 8)
+    for transport in ("RC", "DC")
+    for op in ("read_sync", "write_sync", "CAS", "FETCH_ADD", "read_vectored_sync")
 }
 
 #: (transport, opcode) -> (CQE byte_len, post-to-poll ns, receiver-side CQE
@@ -338,6 +355,71 @@ def test_window_hop_budget_builds_no_process_and_no_generator_per_wr(transport, 
     assert generators == {"driver", "wait_poll"}
 
 
+class _KrcoreRig:
+    """Three booted KRCORE nodes (node 0 the meta server), node 1 the
+    caller with one warm VQP to node 2 -- on the pooled RCQP or a DCQP --
+    through the RACE backend: its MR records cached, its first READ done."""
+
+    def __init__(self, transport):
+        self.sim = sim = Simulator()
+        cluster, _meta, modules = krcore_cluster(sim, num_nodes=3)
+        client, server = cluster.nodes[1], cluster.nodes[2]
+        if transport == "RC":
+            plant_rc(modules[1], modules[2])
+        self.backend = KrcoreBackend(client)
+        self.lib, self.gid = self.backend.lib, server.gid
+        self.laddr = client.memory.alloc(4096)
+        self.lkey = sim.run_process(self.lib.reg_mr(self.laddr, 4096)).lkey
+        self.raddr = server.memory.alloc(4096)
+        self.rkey = sim.run_process(KrcoreLib(server).reg_mr(self.raddr, 4096)).rkey
+        sim.run(until=sim.now + timing.MS)  # the MR publication lands
+        sim.run_process(self.backend.connect([self.gid]))
+        self.vqp = self.backend.vqps[self.gid]
+        assert self.vqp.is_rc_backed == (transport == "RC")
+        self.run("read_sync")
+
+    def op(self, name):
+        """The generator of one sync op ``name`` on the warm VQP."""
+        lib, vqp, backend, gid = self.lib, self.vqp, self.backend, self.gid
+        laddr, lkey, raddr, rkey = self.laddr, self.lkey, self.raddr, self.rkey
+        if name == "read_sync":
+            return lib.read_sync(vqp, laddr, lkey, raddr, rkey, 8)
+        if name == "write_sync":
+            return lib.write_sync(vqp, laddr, lkey, raddr, rkey, 8)
+        if name == "read_vectored_sync":
+            sges = [(raddr, rkey, 8), (raddr + 64, rkey, 8)]
+            return lib.read_vectored_sync(vqp, laddr, lkey, sges)
+        if name == "CAS":
+            return backend.cas(gid, laddr, lkey, raddr + 128, rkey, 0, 0)
+        return backend.fetch_add(gid, laddr, lkey, raddr + 136, rkey, 1)
+
+    def run(self, name):
+        """Run one op in its own process; the (events, timer fires) it
+        cost, the process's start record aside."""
+        sim = self.sim
+        events, fires = sim.events_dispatched, sim.timer_fires
+
+        def driver():
+            yield from self.op(name)
+
+        sim.run_process(driver())
+        return sim.events_dispatched - events - 1, sim.timer_fires - fires
+
+
+def test_krcore_sync_op_hop_budget():
+    """The schedule of the blocking ioctl: one sync op per row costs the
+    records it did while it ran as a chain of generators."""
+    table = {}
+    for transport, op in KRCORE_SYNC_BUDGET:
+        rig = _KrcoreRig(transport)
+        table[transport, op] = rig.run(op)
+    print("\nKRCORE sync-op hop budget, one op on a warm VQP")
+    print(f"  {'transport':<10}{'op':<20}{'events':>7}{'timer_fires':>13}")
+    for (transport, op), (events, fires) in table.items():
+        print(f"  {transport:<10}{op:<20}{events:>7}{fires:>13}")
+    assert table == KRCORE_SYNC_BUDGET
+
+
 class _HostLog:
     """A profile hook recording each generator frame the first time it
     runs, so a generator resumed by an op but started before it (a
@@ -423,8 +505,9 @@ def _call_table():
         with _Profiled(log):
             rig.run([wr])
         table[f"{transport} READ, one signaled 8 B"] = log.calls
-    _names, calls = _krcore_ops()["create_vqp + qconnect, DCCache miss"]
-    table["create_vqp + qconnect, DCCache miss"] = calls
+    ops = _krcore_ops()
+    for op in ("create_vqp + qconnect, DCCache miss", "read_sync, warm VQP"):
+        table[op] = ops[op][1]
     return table
 
 
