@@ -5,9 +5,9 @@ Two parts:
 1. the invariant registry (:class:`Checker`): the control plane's
    correctness arguments -- Algorithm 2's shared-QP accounting, §4.6's
    fenced QP transfer, §4.2's metadata validity with MR leases, meta
-   replication, exactly-once completion dispatch -- as hook events fed by
-   guarded call sites in ``krcore``, ``verbs`` and ``cluster``, collected
-   without perturbing the run and audited again at quiescence;
+   replication, exactly-once completion dispatch -- as hooks fed through
+   the observer seam (the ``hook`` column of :mod:`repro.obs.probes`),
+   collected without perturbing the run and audited again at quiescence;
 2. scenarios (:mod:`repro.check.scenarios`): small workloads that drive
    one slice of the control plane each, run to quiescence under the
    engine's own order with the registry installed, plus a
@@ -25,6 +25,6 @@ Usage::
     python -m repro.check pool_churn
 
 The package exports nothing itself: import from its modules.  The
-layers the registry audits import only :mod:`repro.check.hooks`, which
-imports no ``repro`` module; the scenario layer imports them back.
+layers the registry audits import none of them: a checker is installed
+with ``repro.obs.attached(checker=...)``.
 """

@@ -1,9 +1,9 @@
 """The invariant registry: control-plane safety properties as hooks.
 
-A :class:`Checker` is installed process-wide via ``repro.check.hooks``
-and fed by guarded call sites in ``krcore`` (pool, module, MRStore,
-meta) and ``cluster`` (RNIC).  Hooks are synchronous, never yield, and
-read simulated time off the calling object's own clock, so an installed
+A :class:`Checker` subscribes through the observer seam
+(``repro.obs.attached(checker=...)``); its hooks are the ``hook`` column
+of :mod:`repro.obs.probes`.  Hooks are synchronous, never yield, and read
+simulated time off the calling object's own clock, so an installed
 checker observes a run without perturbing it.
 
 Invariants

@@ -7,7 +7,7 @@ invariants into the checker, checks the op history the scenario
 recorded for linearizability and returns a :class:`CheckResult`.
 """
 
-from repro.check import hooks
+from repro import obs
 from repro.check.invariants import Checker
 from repro.check.linearizability import by_key, check_histories
 from repro.check.scenarios import get_scenario
@@ -39,7 +39,7 @@ def run_once(scenario_name):
     """Run ``scenario_name`` once with the checker installed."""
     spec = get_scenario(scenario_name)
     checker = Checker()
-    with hooks.checking(checker):
+    with obs.attached(checker=checker):
         summary = spec.fn(checker)
     if isinstance(summary, tuple):
         # A chaos run: each invariant its report failed is a violation.

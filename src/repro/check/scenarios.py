@@ -55,7 +55,17 @@ Scenario catalogue
     ``wr-exactly-once``.
 """
 
+from repro.bench.setups import krcore_cluster
 from repro.check.linearizability import Op
+from repro.cluster import Cluster
+from repro.cluster.fabric import LinkFault
+from repro.faults.harness import ChaosHarness
+from repro.faults.microview import MicroViewChaosHarness
+from repro.faults.plan import FaultPlan
+from repro.krcore import KrcoreLib
+from repro.sim import Simulator
+from repro.verbs import CompletionQueue, DriverContext, QpState, QpType, WcStatus
+from repro.verbs import WorkRequest, wire_rc_pair
 
 __all__ = ["SCENARIOS", "get_scenario", "scenario"]
 
@@ -99,8 +109,6 @@ def get_scenario(name):
 
 def _krcore(**kwargs):
     """``krcore_cluster(**kwargs)`` with its modules keyed by gid."""
-    from repro.bench.setups import krcore_cluster
-
     sim, cluster, _, modules = krcore_cluster(**kwargs)
     return sim, cluster, {module.node.gid: module for module in modules}
 
@@ -117,8 +125,6 @@ def _boot_region(module, length=512):
 @scenario("pool_churn")
 def pool_churn(checker):
     """RC establish/accept/evict/retire churn with 1-entry RC pools."""
-    from repro.krcore import KrcoreLib
-
     ops, gap_ns, rc_threshold = 6, 4 * US, 3
     sim, cluster, modules = _krcore(
         num_nodes=4, cores=2, dc_per_cpu=1, max_rc_per_cpu=1,
@@ -179,9 +185,6 @@ def pool_churn(checker):
 @scenario("chaos_small")
 def chaos_small(checker):
     """A small chaos run (crash+restart+outage) under the registry."""
-    from repro.faults.harness import ChaosHarness
-    from repro.faults.plan import FaultPlan
-
     seed = 11
     plan = (
         FaultPlan(seed)
@@ -205,14 +208,6 @@ def chaos_small(checker):
 @scenario("batch_fault")
 def batch_fault(checker):
     """Batched WR chains over a lossy link (batch-exactly-once)."""
-    from repro.cluster import Cluster
-    from repro.cluster.fabric import LinkFault
-    from repro.sim import Simulator
-    from repro.verbs import (
-        CompletionQueue, DriverContext, QpState, QpType, WcStatus, WorkRequest,
-        wire_rc_pair,
-    )
-
     chains, chain = 3, 5
     sim = Simulator()
     cluster = Cluster(sim, num_nodes=2)
@@ -275,8 +270,6 @@ def batch_fault(checker):
 def kvs_lin(checker):
     """Concurrent 8-byte one-sided ops; histories must linearize."""
     import random
-
-    from repro.krcore import KrcoreLib
 
     clients, ops, keys = 3, 8, 4
     sim, cluster, modules = _krcore(num_nodes=2 + clients, background_rc=False)
@@ -403,8 +396,6 @@ def meta_failover(checker):
 @scenario("mr_churn")
 def mr_churn(checker):
     """MicroView pod churn + meta outage under the churn-window invariant."""
-    from repro.faults.microview import MicroViewChaosHarness
-
     harness = MicroViewChaosHarness(5)
     report = harness.run()
     return harness, {
@@ -423,9 +414,6 @@ def mr_churn(checker):
 @scenario("transfer_race")
 def transfer_race(checker):
     """Background RC promotion, thread migration and owner posts, concurrent."""
-    from repro.krcore import KrcoreLib
-    from repro.verbs import WorkRequest
-
     ops, gap_ns = 24, 2 * US
     sim, cluster, modules = _krcore(
         num_nodes=3, cores=2, background_rc=True, rc_traffic_threshold=8

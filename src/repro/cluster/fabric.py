@@ -1,7 +1,7 @@
 """The switched InfiniBand fabric connecting the cluster's nodes."""
 
+from repro import obs
 from repro.cluster import timing
-from repro.obs import metrics as _metrics
 
 
 class LinkFault:
@@ -109,10 +109,8 @@ class Fabric:
         Memoized per size: called for every request and response, over a
         handful of distinct sizes per figure.
         """
-        registry = _metrics.METRICS
-        if registry is not None:
-            registry.counter("fabric.hops").inc()
-            registry.counter("fabric.bytes").inc(nbytes)
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_fabric_hop(nbytes)
         cached = self._one_way_cache.get(nbytes)
         if cached is not None:
             return cached

@@ -17,9 +17,7 @@ block other ops.
 
 from collections import deque
 
-from repro.check import hooks as _check
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
+from repro import obs
 from repro.sim import Resource
 
 ENGINES = ("command", "inbound")  #: what :meth:`Rnic.stall` can wedge
@@ -103,10 +101,6 @@ class Rnic:
         )
         self._degrade_factor = float(factor)
 
-    def _track(self, engine):
-        # One per engine: inbound spans are stamped ahead; no track runs backwards.
-        return f"rnic@{self.node.gid}" + ("" if engine == "inbound" else "/command")
-
     def command(self, service_ns):
         """Process: occupy the command processor for ``service_ns``."""
         if self._degraded_until and self.sim.now < self._degraded_until:
@@ -116,20 +110,15 @@ class Rnic:
         resource = self.command_processor
         grant = yield resource.acquire()
         start = self.sim.now
-        if _trace.TRACER is not None:
-            _trace.TRACER.begin(self.sim.now, self._track("command"), "rnic.command")
+        observer = obs.OBSERVER
+        if observer is not None:
+            observer.on_rnic_command(start, self)
         try:
             yield int(service_ns)
         finally:
             resource.release(grant)
-            if _check.CHECKER is not None:
-                _check.CHECKER.rnic_busy(self, "command", start, self.sim.now)
-        if _trace.TRACER is not None:
-            _trace.TRACER.end(self.sim.now, self._track("command"), "rnic.command")
-        if _metrics.METRICS is not None:
-            registry = _metrics.METRICS
-            registry.counter("rnic.command_ops").inc()
-            registry.counter("rnic.command_busy_ns").inc(int(service_ns))
+            if observer is not None:
+                observer.on_rnic_command_end(self.sim.now, self, start, int(service_ns))
 
     def stall(self, duration_ns, engine="command"):
         """Process: wedge one engine for ``duration_ns`` (fault injection).
@@ -150,11 +139,8 @@ class Rnic:
             grant = yield self.command_processor.acquire()
             start = self.sim.now
             end = start + duration_ns
-        if _check.CHECKER is not None:
-            _check.CHECKER.rnic_busy(self, engine, start, end)
-        if _trace.TRACER is not None:
-            _trace.TRACER.begin(start, self._track(engine), "rnic.stall", engine=engine)
-            _trace.TRACER.end(end, self._track(engine), "rnic.stall")
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_rnic_stall(start, end, self, engine)
         try:
             yield end - self.sim.now
         finally:
@@ -186,14 +172,8 @@ class Rnic:
             ends.popleft()
         ends.append(end)
         self._inbound_admitted += 1
-        if _check.CHECKER is not None:
-            _check.CHECKER.rnic_busy(self, "inbound", start, end)
-        if _trace.TRACER is not None:
-            span_args = {} if opcode is None else {"opcode": opcode.value}
-            _trace.TRACER.begin(start, self._track("inbound"), "rnic.inbound", **span_args)
-            _trace.TRACER.end(end, self._track("inbound"), "rnic.inbound")
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("rnic.inbound_busy_ns").inc(hold_ns)
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_rnic_inbound(start, end, self, opcode, hold_ns)
         return start, end
 
     @property

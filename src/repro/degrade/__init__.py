@@ -29,16 +29,14 @@ the defense layer:
   every committed figure CSV byte-identical.
 
 All timing is simulated-clock based and fully deterministic; breaker
-transitions and admission lifecycle events report to ``repro.check``
-hooks and ``repro.obs`` metrics behind the usual single falsy checks.
+transitions and admission lifecycle events are probes of the observer
+seam (the ``breaker`` and ``admission`` rows of :mod:`repro.obs.probes`).
 """
 
 import math
 
-from repro.check import hooks as _check
+from repro import obs
 from repro.cluster import timing
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.verbs.errors import DeadlineExceededError, OverloadRejectedError
 
 __all__ = [
@@ -130,13 +128,8 @@ class CircuitBreaker:
     def _transition(self, new_state):
         old_state = self.state
         self.state = new_state
-        if _check.CHECKER is not None:
-            _check.CHECKER.breaker_transition(self, old_state, new_state, self.sim.now)
-        if _trace.TRACER is not None:
-            _trace.TRACER.instant(
-                self.sim.now, f"degrade/{self.name}", f"breaker.{new_state}",
-                prev=old_state,
-            )
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_breaker(self.sim.now, self, old_state, new_state)
 
     def allow(self):
         """May a request go downstream right now?  False = fast-fail."""
@@ -272,10 +265,8 @@ class AdmissionGate:
         return len(self._waiters)
 
     def _report(self, op_id, event):
-        if _check.CHECKER is not None:
-            _check.CHECKER.admission_event(self, op_id, event, self.sim.now)
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter(f"degrade.admission_{event}").inc()
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_admission(self, op_id, event, self.sim.now)
 
     def admit(self, deadline=None):
         """Process: return once admitted, raise OverloadRejectedError if

@@ -30,7 +30,7 @@ so a model-checking scenario drives a run without finalizing it again.
 
 import hashlib
 
-from repro.check import hooks
+from repro import obs
 from repro.check.invariants import Checker
 from repro.cluster import Cluster
 from repro.faults.injector import FaultInjector
@@ -129,9 +129,11 @@ class ChaosRun:
     # --------------------------------------------------------------------- run
 
     def run(self):
-        checker = hooks.CHECKER
+        observer = obs.OBSERVER
+        checker = None if observer is None else observer.checker
         if checker is None and self.checked:
-            with hooks.checking(Checker()) as checker:
+            checker = Checker()
+            with obs.attached(checker=checker):
                 return self._run(checker)
         return self._run(checker)
 

@@ -14,10 +14,9 @@ hook, which is responsible for reloading the software stack (KRCORE
 module, MR registrations) exactly like an operator would.
 """
 
+from repro import obs
 from repro.cluster.fabric import LinkFault
 from repro.faults import plan as plan_mod
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 
 #: The fault kinds :meth:`FaultInjector.start` accepts: every kind
 #: :mod:`repro.faults.plan` builds.
@@ -143,10 +142,6 @@ class FaultInjector:
             node = self._nodes[params["gid"]]
             node.rnic.set_degraded(params["duration_ns"], params["factor"])
             summary = f"{node.gid} x{params['factor']} {params['duration_ns']}ns"
-        if _trace.TRACER is not None:
-            _trace.TRACER.instant(
-                self.sim.now, "faults", f"fault.{kind}", summary=summary
-            )
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("faults.injected").inc()
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_fault_injected(self.sim.now, kind, summary)
         self.applied.append((self.sim.now, kind, summary))

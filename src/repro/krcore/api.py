@@ -7,10 +7,9 @@ that posts and waits, which is why a sync 8B READ costs baseline + ~1 us
 (Fig 12a) rather than two crossings.
 """
 
+from repro import obs
 from repro.cluster import timing
 from repro.krcore.vqp import KrcoreError
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.verbs import WorkRequest
 
 #: Messages one ``post_and_qpop`` ioctl hands back at most.
@@ -43,25 +42,28 @@ class KrcoreLib:
         self.cpu_id = cpu_id
 
     def enter_kernel(self):
-        """Process: one syscall, as a ``syscall`` span when traced.
-        ``create_vqp`` and ``qconnect`` yield the untraced charge in their
-        own frame instead, and a sync op's frame charges its own."""
-        if _trace.TRACER is not None:
-            track = self.module.track
-            _trace.TRACER.begin(self.sim.now, track, "syscall")
+        """Process: one syscall, a ``syscall`` span when observed.
+        ``create_vqp``, ``qconnect`` and a sync op charge theirs in their
+        own frame instead."""
+        observer = obs.OBSERVER
+        if observer is None:
             yield timing.SYSCALL_NS
-            _trace.TRACER.end(self.sim.now, track, "syscall")
         else:
+            observer.on_syscall(self.sim.now, self.module)
             yield timing.SYSCALL_NS
+            observer.on_syscall_end(self.sim.now, self.module)
 
     # -------------------------------------------------------------- control
 
     def create_vqp(self):
         """Process: ibv_create_qp with qp_type = KRCORE_VQP."""
-        if _trace.TRACER is None:
+        observer = obs.OBSERVER
+        if observer is None:
             yield timing.SYSCALL_NS
         else:
-            yield from self.enter_kernel()
+            observer.on_syscall(self.sim.now, self.module)
+            yield timing.SYSCALL_NS
+            observer.on_syscall_end(self.sim.now, self.module)
         return self.module.create_vqp(cpu_id=self.cpu_id)
 
     def qconnect(self, vqp, gid, port=0, deadline_ns=None):
@@ -76,24 +78,21 @@ class KrcoreLib:
         :class:`~repro.verbs.errors.DeadlineExceededError` instead of
         piling more retries onto an overloaded plane.
         """
-        tracer = _trace.TRACER
-        if tracer is not None:
-            tracer.begin(
-                self.sim.now, self.module.track, "qconnect",
-                gid=gid, vqp=vqp.id,
-            )
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("krcore.qconnects").inc()
-        deadline = self.module.op_deadline(deadline_ns)
+        module = self.module
+        deadline = module.op_deadline(deadline_ns)
+        observer = obs.OBSERVER
+        if observer is None:
+            yield timing.SYSCALL_NS
+            yield from vqp.connect(gid, port, deadline)
+            return vqp
+        observer.on_qconnect(self.sim.now, module, gid, vqp)
         try:
-            if tracer is None:
-                yield timing.SYSCALL_NS
-            else:
-                yield from self.enter_kernel()
+            observer.on_syscall(self.sim.now, module)
+            yield timing.SYSCALL_NS
+            observer.on_syscall_end(self.sim.now, module)
             yield from vqp.connect(gid, port, deadline)
         finally:
-            if tracer is not None:
-                tracer.end(self.sim.now, self.module.track, "qconnect")
+            observer.on_qconnect_end(self.sim.now, module)
         return vqp
 
     def destroy_vqp(self, vqp):

@@ -19,12 +19,10 @@ import bisect
 import hashlib
 import struct
 
-from repro.check import hooks as _check
+from repro import obs
 from repro.cluster import timing
 from repro.kvs import DrtmKvClient, DrtmKvServer, RecordTooLargeError, StoreFullError
 from repro.kvs.layout import BUCKET_BYTES, Layout
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.sim import Resource
 from repro.verbs import CompletionQueue, DriverContext, wire_rc_pair
 from repro.verbs.types import QPT_RC, WC_RETRY_EXC_ERR
@@ -159,8 +157,8 @@ class MetaServer:
             raise RecordTooLargeError(
                 f"meta record {key!r} is {size} B; a shard accepts {RECORD_MAX_BYTES} B"
             )
-        if _check.CHECKER is not None:
-            _check.CHECKER.meta_write(self, key, value)
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_meta_write(self, key, value)
         try:
             self.store.put(key, value)
         except StoreFullError as err:
@@ -170,16 +168,17 @@ class MetaServer:
             ) from err
 
     def retract_mr(self, gid, rkey):
-        if _check.CHECKER is not None:
-            _check.CHECKER.meta_write(self, mr_key(gid, rkey), None)
-        self.store.delete(mr_key(gid, rkey))
+        self._delete(mr_key(gid, rkey))
 
     def retract_node(self, gid):
         """Drop a dead node's DCT metadata (§4.2: metadata is invalidated
         only when the host is down)."""
-        if _check.CHECKER is not None:
-            _check.CHECKER.meta_write(self, dct_key(gid), None)
-        self.store.delete(dct_key(gid))
+        self._delete(dct_key(gid))
+
+    def _delete(self, key):
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_meta_write(self, key, None)
+        self.store.delete(key)
 
 
 class MetaPlane:
@@ -345,17 +344,13 @@ class MetaClient:
 
     def _lookup(self, key, deadline, decode):
         """Process: ``key``'s record value through ``decode``, or None."""
-        if _trace.TRACER is not None:
-            _trace.TRACER.begin(
-                self.sim.now, f"meta@{self.node.gid}", "meta.rpc",
-                key=key.decode("latin-1"), shard=self.shard_index,
-            )
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("krcore.meta_rpcs").inc()
+        observer = obs.OBSERVER
+        if observer is not None:
+            observer.on_meta_rpc(self.sim.now, self, key)
         value = None
-        # The span must close on *every* exit -- a MetaUnavailableError
-        # escaping with the begin un-ended would corrupt the nesting of
-        # every later span on this track.
+        # The span closes on every exit but teardown -- a
+        # MetaUnavailableError escaping with the begin un-ended would
+        # corrupt the nesting of every later span on this track.
         try:
             grant = yield self._mutex.acquire()
             try:
@@ -392,9 +387,6 @@ class MetaClient:
             finally:
                 self._mutex.release(grant)
         finally:
-            if _trace.TRACER is not None:
-                _trace.TRACER.end(
-                    self.sim.now, f"meta@{self.node.gid}", "meta.rpc",
-                    found=value is not None,
-                )
+            if observer is not None:
+                observer.on_meta_rpc_end(self.sim.now, self, value is not None)
         return None if value is None else decode(value)

@@ -10,7 +10,7 @@ collaborator :class:`~repro.krcore.messaging.KernelMessaging`,
 
 import weakref
 
-from repro.check import hooks as _check
+from repro import obs
 from repro.cluster import timing
 from repro.degrade import CircuitBreaker, Deadline
 from repro.krcore.messaging import KernelMessaging
@@ -20,8 +20,6 @@ from repro.krcore.meta import (
 from repro.krcore.mrstore import MrStore, ValidMr
 from repro.krcore.pool import HybridQpPool
 from repro.krcore.vqp import KrcoreError, Vqp
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.verbs.errors import DeadlineExceededError, MetaUnavailableError
 from repro.verbs import (
     CompletionQueue, ConnectionManager, DctTarget, DriverContext, WorkRequest,
@@ -81,7 +79,6 @@ class KrcoreModule:
     ):
         self.node = node
         self.sim = node.sim
-        self.track = f"krcore@{node.gid}"  # this module's trace track
         #: Overload-protection policy (repro.degrade.DegradePolicy) or
         #: None -- the default, in which case every guard below is a
         #: single falsy check and the control path is unchanged.
@@ -112,8 +109,8 @@ class KrcoreModule:
             dc_key = _stable_key(node.gid)
         self.dct_target = DctTarget(node, dc_key)
         self.dct_target.recv_cq = CompletionQueue(self.sim)
-        if _check.CHECKER is not None:
-            _check.CHECKER.dct_published(node.gid, node.incarnation, self.own_dct_meta)
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_dct_published(node.gid, node.incarnation, self.own_dct_meta)
         self.messaging = KernelMessaging(
             self, kernel_buf_bytes, kernel_buf_count, zero_copy, zero_copy_threshold
         )
@@ -281,8 +278,8 @@ class KrcoreModule:
         region = self.node.memory.register(addr, length)
         self.valid_mr.record(region)
         self.stats_mrs_registered += 1
-        if _check.CHECKER is not None:
-            _check.CHECKER.mr_registered(self.node.gid, region.rkey, self.sim.now)
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_mr_registered(self.node.gid, region.rkey, self.sim.now)
         self.sim.process(
             self.messaging.announce_mr(region), name=f"krcore-publish-mr@{self.node.gid}"
         )
@@ -303,10 +300,8 @@ class KrcoreModule:
         memory (§4.2)."""
         self.valid_mr.forget(region)
         self.stats_mrs_retracted += 1
-        if _check.CHECKER is not None:
-            _check.CHECKER.mr_retracted(
-                self.node.gid, region.rkey, self.sim.now, self.mr_store.lease_ns
-            )
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_mr_retracted(self, region, self.sim.now)
         yield from self.messaging.announce_mr(region, retract=True)
         self.sim.schedule(
             self.mr_store.lease_ns, lambda: self.node.memory.deregister(region)
@@ -338,10 +333,10 @@ class KrcoreModule:
         background repair reconfigures the physical QP.
         """
         completions = qp.send_cq.poll(64)
-        if completions and _check.CHECKER is not None:
+        if completions and obs.OBSERVER is not None:
             for wc in completions:
                 if wc.wr_id:
-                    _check.CHECKER.wr_dispatch(self, wc.wr_id)
+                    obs.OBSERVER.on_wr_dispatch(self, wc.wr_id)
         saw_error = False
         for wc in completions:
             if wc.status is not WC_SUCCESS:
@@ -424,12 +419,10 @@ class KrcoreModule:
 
     def _dct_meta_for(self, cpu_id, gid):
         meta = self.dc_cache.get(gid)
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_dct_meta_miss() if meta is None else obs.OBSERVER.on_dct_meta_hit()
         if meta is None:
-            if _metrics.METRICS is not None:
-                _metrics.METRICS.counter("krcore.dc_cache_misses").inc()
             meta = self.cache_dct(gid, (yield from self.lookup_dct_robust(cpu_id, gid)))
-        elif _metrics.METRICS is not None:
-            _metrics.METRICS.counter("krcore.dc_cache_hits").inc()
         return meta
 
     def cache_dct(self, gid, meta):
@@ -437,8 +430,8 @@ class KrcoreModule:
         (None) fails the access REM_ACCESS."""
         if meta is None:
             raise KrcoreError(f"no DCT metadata for {gid}", code=WC_REM_ACCESS_ERR)
-        if _check.CHECKER is not None:
-            _check.CHECKER.dc_cache_insert(self, gid, meta)
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_dc_cache_insert(self, gid, meta)
         self.dc_cache[gid] = meta
         return meta
 
@@ -523,11 +516,8 @@ class KrcoreModule:
                         f"budget spent after {position} owner probe(s) of "
                         f"{key!r}", code=WC_RETRY_EXC_ERR,
                     )
-                if _trace.TRACER is not None:
-                    _trace.TRACER.instant(
-                        self.sim.now, self.track, "meta.failover",
-                        shard=shard,
-                    )
+                if obs.OBSERVER is not None:
+                    obs.OBSERVER.on_meta_failover_probe(self.sim.now, self, shard)
             breaker = self.meta_breaker(shard) if breakers else None
             if breaker is not None and not breaker.allow():
                 # Open breaker: fast-fail this shard without burning a
@@ -561,8 +551,8 @@ class KrcoreModule:
                     return value
             if position + 1 < len(owners):
                 self.stats_meta_failovers += 1
-                if _metrics.METRICS is not None:
-                    _metrics.METRICS.counter("krcore.meta_failovers").inc()
+                if obs.OBSERVER is not None:
+                    obs.OBSERVER.on_meta_failover()
         raise last_error
 
     def lookup_dct_robust(self, cpu_id, gid, deadline=None):
@@ -608,10 +598,8 @@ class KrcoreModule:
         """Process: drop a suspect DCCache entry and re-fetch fresh DCT
         metadata (§4.2: metadata is invalidated when the host is down -- a
         restarted host publishes a new key under the same gid)."""
-        if _trace.TRACER is not None:
-            _trace.TRACER.instant(
-                self.sim.now, self.track, "dct.revalidate", gid=gid
-            )
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_dct_revalidate(self.sim.now, self, gid)
         cached = self.dc_cache.get(gid)
         if stale_meta is None or cached is None or cached == tuple(stale_meta):
             self.dc_cache.pop(gid, None)
@@ -646,8 +634,9 @@ class KrcoreModule:
         Used both for background RC promotion and as the degraded-mode
         fallback when the meta service is unreachable (a handshake needs no
         DCT metadata).  Returns the RTS queue pair."""
-        if _trace.TRACER is not None:
-            _trace.TRACER.begin(self.sim.now, self.track, "krcore.establish_rc", gid=gid)
+        observer = obs.OBSERVER
+        if observer is not None:
+            observer.on_establish_rc(self.sim.now, self, gid)
         try:
             qp = yield from rc_connect(
                 self.context, CompletionQueue(self.sim), gid, port=KRCORE_RC_PORT
@@ -655,8 +644,8 @@ class KrcoreModule:
             self.messaging.arm_rc(qp)
             self._insert_rc(pool, gid, qp)
         finally:
-            if _trace.TRACER is not None:
-                _trace.TRACER.end(self.sim.now, self.track, "krcore.establish_rc")
+            if observer is not None:
+                observer.on_establish_rc_end(self.sim.now, self)
         return qp
 
     def _insert_rc(self, pool, gid, qp):
@@ -686,8 +675,8 @@ class KrcoreModule:
                 meta = yield from self._dct_meta_for(pool.cpu_id, gid)
                 yield from vqp.transfer_to(pool.select_dc(), new_dct_meta=meta)
         self.node.rnic.unregister_qp(qp)
-        if _check.CHECKER is not None:
-            _check.CHECKER.rc_retired(qp)
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_rc_retired(qp)
 
     def _on_rc_accept(self, qp, client_gid):
         """The remote side of background RC creation: arm the accepted QP

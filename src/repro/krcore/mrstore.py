@@ -15,11 +15,9 @@ posting, or a bad key would wreck the shared QP (§3.1, C#3).
   timer alive.)
 """
 
-from repro.check import hooks as _check
+from repro import obs
 from repro.cluster import timing
 from repro.krcore.meta import MR_RETRY_TEXTS, mr_key
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.verbs.errors import MetaUnavailableError
 
 
@@ -114,14 +112,13 @@ class MrStore:
         entry = self._cache.get((gid, rkey))
         if entry is None:
             return None
-        if entry[0] != self.sim.now // self.lease_ns:
+        stale = entry[0] != self.sim.now // self.lease_ns
+        if stale:
             if not self._stale_hit(gid, rkey):
                 return None
             self.stats_stale_hits += 1
-            if _metrics.METRICS is not None:
-                _metrics.METRICS.counter("krcore.mrstore_stale_hits").inc()
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("krcore.mrstore_hits").inc()
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_mrstore_stale_hit() if stale else obs.OBSERVER.on_mrstore_hit()
         base, span = entry[1]
         return base <= addr and addr + length <= base + span
 
@@ -142,13 +139,9 @@ class MrStore:
         verdict = self.check_cached(gid, rkey, addr, length)
         if verdict is not None:
             return verdict
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("krcore.mrstore_misses").inc()
-        if _trace.TRACER is not None:
-            _trace.TRACER.begin(
-                self.sim.now, self.module.track,
-                "mrstore.check", gid=gid, rkey=rkey,
-            )
+        observer = obs.OBSERVER
+        if observer is not None:
+            observer.on_mrstore_miss(self.sim.now, self.module, gid, rkey)
         accepted_stale = False
         try:
             module = self.module
@@ -162,8 +155,8 @@ class MrStore:
             if stale is None:
                 raise
             self.stats_stale_accepts += 1
-            if _metrics.METRICS is not None:
-                _metrics.METRICS.counter("krcore.mrstore_stale_accepts").inc()
+            if obs.OBSERVER is not None:
+                obs.OBSERVER.on_mrstore_stale_accept()
             # Keep the *original* epoch: a stale accept is a degraded-
             # mode verdict, not a revalidation.  Re-stamping it with
             # the current epoch would promote the entry to fully valid
@@ -175,17 +168,12 @@ class MrStore:
             if record is not None:
                 self._stale_accepted.add((gid, rkey))
         finally:
-            if _trace.TRACER is not None:
-                _trace.TRACER.end(
-                    self.sim.now, self.module.track,
-                    "mrstore.check",
-                )
+            if observer is not None:
+                observer.on_mrstore_miss_end(self.sim.now, self.module)
         if record is None:
             return False
-        if _check.CHECKER is not None:
-            _check.CHECKER.mr_accept(
-                self, gid, rkey, epoch, self._epoch(), accepted_stale
-            )
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_mr_accept(self, gid, rkey, epoch, self._epoch(), accepted_stale)
         self._cache[(gid, rkey)] = (epoch, record)
         base, span = record
         return base <= addr and addr + length <= base + span

@@ -7,9 +7,8 @@ appear in the background for frequently-contacted nodes and are reclaimed
 LRU when the pool overflows.
 """
 
-from repro.check import hooks as _check
+from repro import obs
 from repro.degrade import AdmissionGate
-from repro.obs import metrics as _metrics
 
 
 class HybridQpPool:
@@ -50,8 +49,8 @@ class HybridQpPool:
     def select_rc(self, gid):
         qp = self.rc[gid]
         self._rc_last_use[gid] = self.sim.now
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("krcore.pool_rc_grabs").inc()
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_pool_rc_grab()
         return qp
 
     def select_dc(self):
@@ -61,8 +60,8 @@ class HybridQpPool:
             raise LookupError(f"cpu {self.cpu_id}: no DC QPs in the pool")
         qp = self.dc[self._dc_next % len(self.dc)]
         self._dc_next += 1
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("krcore.pool_dc_grabs").inc()
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_pool_dc_grab()
         return qp
 
     # -- RC lifecycle ------------------------------------------------------------
@@ -79,6 +78,6 @@ class HybridQpPool:
             del self._rc_last_use[victim]
         self.rc[gid] = qp
         self._rc_last_use[gid] = self.sim.now
-        if _check.CHECKER is not None:
-            _check.CHECKER.pool_rc_insert(self, gid, qp, evicted)
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_pool_rc_insert(self, gid, qp, evicted)
         return evicted

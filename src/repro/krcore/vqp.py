@@ -12,10 +12,9 @@ hinges on three duties the paper spells out (§4.4):
    send-queue slots a signaled request covers are encoded in ``wr_id``.
 """
 
+from repro import obs
 from repro.cluster import timing
 from repro.krcore.meta import dct_key
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.verbs.errors import KrcoreError, MetaUnavailableError, VerbsError
 from repro.verbs.types import (
     ATOMIC_OPCODES,
@@ -164,13 +163,11 @@ class Vqp:
                 self.qp = pool.select_rc(gid)
             else:
                 meta = module.dc_cache.get(gid)
+                observer = obs.OBSERVER
+                if observer is not None:
+                    probe = observer.on_dc_cache_miss if meta is None else observer.on_dc_cache_hit
+                    probe(module.sim.now, module, gid)
                 if meta is None:
-                    if _trace.TRACER is not None:
-                        _trace.TRACER.instant(
-                            module.sim.now, module.track, "dc_cache.miss", gid=gid
-                        )
-                    if _metrics.METRICS is not None:
-                        _metrics.METRICS.counter("krcore.dc_cache_misses").inc()
                     if module.degrade is not None:
                         yield from pool.admission_gate(module.sim, module.degrade).admit(deadline)
                     # The robust fetch: cached on success; with the meta
@@ -179,23 +176,20 @@ class Vqp:
                     # VQP).  A DeadlineExceededError propagates untouched: a
                     # spent budget must not trigger the milliseconds-long
                     # RC fallback.
-                    track = module.track
-                    if _trace.TRACER is not None:
-                        _trace.TRACER.begin(
-                            module.sim.now, track, "meta.lookup_dct", gid=gid,
-                            shard=module.meta_plane.primary_index(dct_key(gid)),
-                        )
+                    if observer is not None:
+                        shard = module.meta_plane.primary_index(dct_key(gid))
+                        observer.on_lookup_dct(module.sim.now, module, gid, shard)
                     try:
                         try:
                             meta = yield from module.lookup_dct_robust(
                                 self.cpu_id, gid, deadline
                             )
                         finally:
-                            # Close the span on *every* exit (a
-                            # MetaUnavailableError previously left it open,
-                            # corrupting later span nesting on this track).
-                            if _trace.TRACER is not None:
-                                _trace.TRACER.end(module.sim.now, track, "meta.lookup_dct")
+                            # Close the span on every exit but teardown (a
+                            # MetaUnavailableError left open corrupts later
+                            # span nesting on this track).
+                            if observer is not None:
+                                observer.on_lookup_dct_end(module.sim.now, module)
                     except MetaUnavailableError as meta_err:
                         self.qp = yield from self._rc_fallback(gid, pool, meta_err)
                     else:
@@ -208,13 +202,6 @@ class Vqp:
                         deadline.check(
                             module.sim.now, f"fetched DCT metadata for {gid}"
                         )
-                else:
-                    if _trace.TRACER is not None:
-                        _trace.TRACER.instant(
-                            module.sim.now, module.track, "dc_cache.hit", gid=gid
-                        )
-                    if _metrics.METRICS is not None:
-                        _metrics.METRICS.counter("krcore.dc_cache_hits").inc()
                 if self.qp is None:  # not claimed by the RC fallback
                     self.qp = pool.select_dc()
                     self.dct_meta = meta
@@ -232,24 +219,21 @@ class Vqp:
         """Process: the degraded :meth:`connect` -- the meta service stayed
         unreachable, so a full RC handshake to ``gid``; returns the RCQP."""
         module = self.module
-        track = module.track
         module.stats_rc_fallbacks += 1
-        if _trace.TRACER is not None:
-            _trace.TRACER.begin(module.sim.now, track, "rc_fallback", gid=gid)
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("krcore.rc_fallbacks").inc()
+        observer = obs.OBSERVER
+        if observer is not None:
+            observer.on_rc_fallback(module.sim.now, module, gid)
         try:
             qp = yield from module.establish_rc(gid, pool)
         except (VerbsError, KrcoreError) as rc_err:
-            if _trace.TRACER is not None:
-                _trace.TRACER.end(module.sim.now, track, "rc_fallback")
             raise KrcoreError(
                 f"meta server unreachable and RC fallback to {gid} "
                 f"failed ({rc_err})",
                 code=getattr(rc_err, "code", None),
             ) from meta_err
-        if _trace.TRACER is not None:
-            _trace.TRACER.end(module.sim.now, track, "rc_fallback")
+        finally:
+            if observer is not None:
+                observer.on_rc_fallback_end(module.sim.now, module)
         return qp
 
     def revalidate(self):
@@ -298,12 +282,13 @@ class Vqp:
         returns the last signaled entry, a failed one through ``fail``."""
         module = self.module
         if fail is not None:
-            if _trace.TRACER is None:
+            observer = obs.OBSERVER
+            if observer is None:
                 yield timing.SYSCALL_NS
             else:
-                _trace.TRACER.begin(module.sim.now, module.track, "syscall")
+                observer.on_syscall(module.sim.now, module)
                 yield timing.SYSCALL_NS
-                _trace.TRACER.end(module.sim.now, module.track, "syscall")
+                observer.on_syscall_end(module.sim.now, module)
         if self.qp is None:
             raise KrcoreError(f"VQP {self.id} is not connected")
         wanted = 0

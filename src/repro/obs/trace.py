@@ -1,135 +1,84 @@
 """Structured tracing stamped with *simulated* nanoseconds.
 
-A :class:`Tracer` records span (begin/end), async-span, and instant
-events; every event carries the simulated timestamp its call site reads
-off its own ``Simulator`` (``sim.now``), so a trace is a faithful,
-deterministic picture of where simulated time went -- the per-stage
-breakdown the paper's Figure 3 measures with CPU timestamping.
+A :class:`Tracer` records span, async-span and instant events, each at
+the simulated time its site read off its own ``Simulator`` -- the
+per-stage breakdown Fig 3 measures with CPU timestamps.  Recording never
+yields or reads wall-clock time, so a seeded run's export is
+byte-identical across runs; sites reach a tracer only through the
+observer seam (:mod:`repro.obs.probes`).
 
-Pay-for-what-you-use contract
------------------------------
-
-The module-level global :data:`TRACER` is ``None`` unless somebody
-installed a tracer (``repro.obs.observe``).  Every instrumented hot path
-guards with exactly one falsy check::
-
-    if _trace.TRACER is not None:
-        _trace.TRACER.instant(sim.now, "krcore@node0", "dc_cache.miss")
-
-so the disabled cost is a module-attribute load and an identity
-comparison -- no allocation, no call.  Instrumentation never yields and
-never reads wall-clock time, so an installed tracer observes the
-simulation without perturbing it: the event stream is a pure function of
-the (seeded, deterministic) run, and the exported JSON is byte-identical
-across runs of the same scenario.
-
-Export is Chrome trace-event JSON (the ``traceEvents`` array format),
-loadable in Perfetto / ``about://tracing``.  Timestamps are exported in
-microseconds (the format's unit) as exact ``ns / 1000`` values.  Tracks
-are interned to integer ``tid``s in first-use order and named through
-``thread_name`` metadata events; if the same tracer outlives several
-``Simulator`` instances (simulated time restarts from zero), a track
-whose clock would run backwards is forked into a fresh ``tid``
-(``"name#2"``), keeping ``ts`` monotonic per tid -- a property the test
-suite validates.
+Export is Chrome trace-event JSON (Perfetto / ``about://tracing``),
+``ts`` in microseconds as exact ``ns / 1000``.  Tracks are interned to
+``tid``s in first-use order and named by ``thread_name`` metadata; when
+one tracer outlives several simulators, a track whose clock would run
+backwards is forked into a fresh tid (``"name#2"``), keeping ``ts``
+monotonic per tid.
 """
 
 import hashlib
 import json
-
-#: The process-wide tracer consulted by every instrumented call site.
-#: ``None`` (the default) disables tracing at the cost of one falsy
-#: check.  Install via :func:`repro.obs.observe`.
-TRACER = None
 
 #: Fixed pid for all exported events (one simulated "process").
 _PID = 1
 
 
 class Tracer:
-    """Collects structured trace events; export with :meth:`to_json`.
-
-    All record methods take the simulated timestamp explicitly (call
-    sites pass their own ``sim.now``), so one tracer can observe any
-    number of components without holding a clock reference.
-    """
+    """Collects trace events, each stamped with the simulated time its
+    caller passes (no clock of its own); export with :meth:`to_json`."""
 
     def __init__(self):
         self.events = []
-        self._tracks = {}  # current track name -> (tid, last_ts)
+        self._tracks = {}  # track name -> [tid, last ts, epoch]
         self._next_tid = 0
         self._next_async_id = 0
+        self._async_open = set()
 
     # ------------------------------------------------------------- recording
 
-    def _tid(self, track, ts):
-        """Intern ``track`` to an integer tid, forking a new tid if the
-        clock ran backwards (a fresh Simulator under the same tracer)."""
+    def record(self, ph, ts, track, name, args, async_id):
+        """Append one event of phase ``ph`` (``i``, ``B`` / ``E``, async
+        ``b`` / ``e`` with ``async_id``).  A track whose clock would run
+        backwards (a fresh Simulator under the same tracer) is forked into
+        a new tid.  An async end of an id this tracer did not open, or
+        already closed, records nothing."""
+        if ph == "e":
+            if async_id not in self._async_open:
+                return
+            self._async_open.discard(async_id)
+        elif ph == "b":
+            self._async_open.add(async_id)
         entry = self._tracks.get(track)
-        if entry is None:
-            entry = self._new_track(track, track, 1)
-        elif ts < entry[1]:
-            epoch = entry[2] + 1
-            entry = self._new_track(track, f"{track}#{epoch}", epoch)
+        if entry is None or ts < entry[1]:
+            epoch = 1 if entry is None else entry[2] + 1
+            tid = self._next_tid
+            self._next_tid += 1
+            label = track if epoch == 1 else f"{track}#{epoch}"
+            self.events.append({"ph": "M", "ts": 0, "pid": _PID, "tid": tid,
+                                "name": "thread_name", "args": {"name": label}})
+            entry = self._tracks[track] = [tid, -1, epoch]
         entry[1] = ts
-        return entry[0]
-
-    def _new_track(self, key, label, epoch):
-        tid = self._next_tid
-        self._next_tid += 1
-        self.events.append(
-            {
-                "ph": "M",
-                "ts": 0,
-                "pid": _PID,
-                "tid": tid,
-                "name": "thread_name",
-                "args": {"name": label},
-            }
-        )
-        entry = [tid, -1, epoch]
-        self._tracks[key] = entry
-        return entry
-
-    def _event(self, ph, ts, track, name, args, extra=None):
-        event = {
-            "ph": ph,
-            "ts": int(ts),
-            "pid": _PID,
-            "tid": self._tid(track, ts),
-            "name": name,
-        }
+        event = {"ph": ph, "ts": int(ts), "pid": _PID, "tid": entry[0], "name": name}
         if args:
             event["args"] = args
-        if extra:
-            event.update(extra)
+        if ph == "i":
+            event["s"] = "t"
+        elif async_id is not None:
+            event["cat"] = "async"
+            event["id"] = async_id
         self.events.append(event)
 
     def begin(self, ts, track, name, **args):
         """Open a synchronous span on ``track`` (Chrome ``B``)."""
-        self._event("B", ts, track, name, args)
+        self.record("B", ts, track, name, args, None)
 
     def end(self, ts, track, name, **args):
         """Close the innermost open span of ``name`` (Chrome ``E``)."""
-        self._event("E", ts, track, name, args)
-
-    def instant(self, ts, track, name, **args):
-        """A zero-duration marker (Chrome ``i``, thread scope)."""
-        self._event("i", ts, track, name, args, extra={"s": "t"})
+        self.record("E", ts, track, name, args, None)
 
     def next_async_id(self):
         """A fresh id for an async span (post -> completion)."""
         self._next_async_id += 1
         return self._next_async_id
-
-    def async_begin(self, ts, track, name, async_id, **args):
-        """Open an async span (Chrome ``b``); pair with :meth:`async_end`."""
-        self._event("b", ts, track, name, args,
-                    extra={"cat": "async", "id": async_id})
-
-    def async_end(self, ts, track, name, async_id, **args):
-        self._event("e", ts, track, name, args,
-                    extra={"cat": "async", "id": async_id})
 
     # -------------------------------------------------------------- queries
 
@@ -143,22 +92,15 @@ class Tracer:
         omitted.  Handy for tests and for deriving stage breakdowns.
         """
         open_stack = {}
-        pairs = []
-        order = []
+        pairs = []  # [begin, end or None], in begin order
         for event in self.events:
             key = (event["tid"], event["name"])
             if event["ph"] == "B":
-                open_stack.setdefault(key, []).append(event)
-                order.append(event)
-            elif event["ph"] == "E":
-                stack = open_stack.get(key)
-                if stack:
-                    pairs.append((stack.pop(), event))
-        begin_index = {id(b): i for i, b in enumerate(order)}
-        pairs.sort(key=lambda pair: begin_index[id(pair[0])])
-        if name is None:
-            return pairs
-        return [p for p in pairs if p[0]["name"] == name]
+                pairs.append([event, None])
+                open_stack.setdefault(key, []).append(pairs[-1])
+            elif event["ph"] == "E" and open_stack.get(key):
+                open_stack[key].pop()[1] = event
+        return [(b, e) for b, e in pairs if e is not None and name in (None, b["name"])]
 
     # ------------------------------------------------------------- exporting
 

@@ -261,8 +261,8 @@ class Simulator:
     total_events_dispatched = 0
     total_sim_ns = 0
     #: Called as ``on_run_end(timer_fires)`` when a run returns (see
-    #: :meth:`end_run`); a metrics registry sets it while installed
-    #: (``repro.obs``), so the engine imports no layer above it.
+    #: :meth:`end_run`); an installed observer sets it (``repro.obs``, its
+    #: ``run_end`` probe), so the engine imports no layer above it.
     on_run_end = None
 
     def __init__(self):

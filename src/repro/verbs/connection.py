@@ -13,8 +13,8 @@ replies with its QPN right after ``create_qp`` and performs its own
 RTR/RTS configuration concurrently with the client's.
 """
 
+from repro import obs
 from repro.cluster import timing
-from repro.obs import trace as _trace
 from repro.sim import Store
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.errors import VerbsError
@@ -114,12 +114,10 @@ def rc_connect(context, send_cq, server_gid, port=0):
     driver context (``ensure_init``) and created ``send_cq``.
     """
     node = context.node
-    track = f"verbs@{node.gid}"
-    if _trace.TRACER is not None:
-        _trace.TRACER.begin(node.sim.now, track, "rc_connect", server=server_gid)
-    # A failed connect ends its open spans; not in a ``finally``, because a
-    # connect closed by GeneratorExit at teardown must not write into
-    # whatever tracer is installed then.
+    observer = obs.OBSERVER
+    if observer is not None:
+        observer.on_rc_connect(node.sim.now, node, server_gid)
+    connected_qpn = None  # stays None on a failed connect: its end has no qpn
     try:
         qp = yield from context.create_qp(QPT_RC, send_cq, recv_cq=send_cq)
         if not node.fabric.has_node(server_gid):
@@ -129,24 +127,19 @@ def rc_connect(context, send_cq, server_gid, port=0):
         if manager is None:
             raise ConnectError(f"{server_gid} runs no connection manager")
         # Fixed protocol overhead of the UD handshake (both directions).
-        if _trace.TRACER is not None:
-            _trace.TRACER.begin(node.sim.now, track, "handshake")
+        if observer is not None:
+            observer.on_handshake(node.sim.now, node)
         try:
             yield timing.HANDSHAKE_NS
             yield node.fabric.one_way_ns(_HANDSHAKE_BYTES)
             reply = yield manager.submit({"gid": node.gid, "qpn": qp.qpn, "port": port})
             yield node.fabric.one_way_ns(_HANDSHAKE_BYTES)
-        except Exception:
-            if _trace.TRACER is not None:
-                _trace.TRACER.end(node.sim.now, track, "handshake")
-            raise
-        if _trace.TRACER is not None:
-            _trace.TRACER.end(node.sim.now, track, "handshake")
+        finally:
+            if observer is not None:
+                observer.on_handshake_end(node.sim.now, node)
         yield from context.modify_to_ready(qp, remote=(server_gid, reply["qpn"]))
-    except Exception:
-        if _trace.TRACER is not None:
-            _trace.TRACER.end(node.sim.now, track, "rc_connect")
-        raise
-    if _trace.TRACER is not None:
-        _trace.TRACER.end(node.sim.now, track, "rc_connect", qpn=qp.qpn)
+        connected_qpn = qp.qpn
+    finally:
+        if observer is not None:
+            observer.on_rc_connect_end(node.sim.now, node, connected_qpn)
     return qp

@@ -7,8 +7,8 @@ KRCORE) share one pre-initialized context per node, which is why they skip
 this cost (§2.3.2).
 """
 
+from repro import obs
 from repro.cluster import timing
-from repro.obs import trace as _trace
 from repro.verbs.cq import CompletionQueue
 from repro.verbs.errors import VerbsError
 from repro.verbs.qp import QueuePair
@@ -41,16 +41,13 @@ class DriverContext:
     def ensure_init(self):
         """Process: pay the one-time driver initialization if needed."""
         if not self._initialized:
-            if _trace.TRACER is not None:
-                _trace.TRACER.begin(
-                    self.sim.now, f"verbs@{self.node.gid}", "driver_init"
-                )
+            observer = obs.OBSERVER
+            if observer is not None:
+                observer.on_driver_init(self.sim.now, self.node)
             yield timing.DRIVER_INIT_NS
             self._initialized = True
-            if _trace.TRACER is not None:
-                _trace.TRACER.end(
-                    self.sim.now, f"verbs@{self.node.gid}", "driver_init"
-                )
+            if observer is not None:
+                observer.on_driver_init_end(self.sim.now, self.node)
 
     def alloc_pd(self):
         if not self._initialized:
@@ -61,12 +58,13 @@ class DriverContext:
         """Process: create a completion queue (hardware queue allocation)."""
         if not self._initialized:
             raise VerbsError("driver context not initialized")
-        if _trace.TRACER is not None:
-            _trace.TRACER.begin(self.sim.now, f"verbs@{self.node.gid}", "create_cq")
+        observer = obs.OBSERVER
+        if observer is not None:
+            observer.on_create_cq(self.sim.now, self.node)
         yield from self.node.rnic.command(timing.CREATE_CQ_HW_NS)
         yield timing.CREATE_CQ_NS - timing.CREATE_CQ_HW_NS
-        if _trace.TRACER is not None:
-            _trace.TRACER.end(self.sim.now, f"verbs@{self.node.gid}", "create_cq")
+        if observer is not None:
+            observer.on_create_cq_end(self.sim.now, self.node)
         return CompletionQueue(self.sim, depth=timing.CQ_DEPTH_DEFAULT)
 
     def create_qp(self, qp_type, send_cq, recv_cq=None):
@@ -74,15 +72,13 @@ class DriverContext:
         hardware queues (§2.3.1)."""
         if not self._initialized:
             raise VerbsError("driver context not initialized")
-        if _trace.TRACER is not None:
-            _trace.TRACER.begin(
-                self.sim.now, f"verbs@{self.node.gid}", "create_qp",
-                qp_type=qp_type.value,
-            )
+        observer = obs.OBSERVER
+        if observer is not None:
+            observer.on_create_qp(self.sim.now, self.node, qp_type)
         yield from self.node.rnic.command(timing.CREATE_QP_HW_NS)
         yield timing.CREATE_QP_NS - timing.CREATE_QP_HW_NS
-        if _trace.TRACER is not None:
-            _trace.TRACER.end(self.sim.now, f"verbs@{self.node.gid}", "create_qp")
+        if observer is not None:
+            observer.on_create_qp_end(self.sim.now, self.node)
         return QueuePair(self.node, qp_type, send_cq, recv_cq=recv_cq)
 
     def create_qp_fast(
@@ -100,14 +96,13 @@ class DriverContext:
 
     def modify_to_ready(self, qp, remote=None):
         """Process: INIT -> RTR -> RTS, charging the RNIC command processor."""
-        if _trace.TRACER is not None:
-            _trace.TRACER.begin(
-                self.sim.now, f"verbs@{self.node.gid}", "configure", qpn=qp.qpn
-            )
+        observer = obs.OBSERVER
+        if observer is not None:
+            observer.on_configure(self.sim.now, self.node, qp.qpn)
         yield from self.node.rnic.command(timing.MODIFY_RTR_NS)
         qp.to_init()
         qp.to_rtr(remote)
         yield from self.node.rnic.command(timing.MODIFY_RTS_NS)
         qp.to_rts()
-        if _trace.TRACER is not None:
-            _trace.TRACER.end(self.sim.now, f"verbs@{self.node.gid}", "configure")
+        if observer is not None:
+            observer.on_configure_end(self.sim.now, self.node)

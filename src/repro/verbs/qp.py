@@ -23,11 +23,9 @@ re-executes remote side effects -- the responder recognizes the duplicate
 PSN and resends -- so atomics and SENDs stay exactly-once.
 """
 
-from repro.check import hooks as _check
+from repro import obs
 from repro.cluster import timing
 from repro.cluster.memory import MemoryError_
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.verbs.cq import _EMPTY, Completion
 from repro.verbs.errors import QpError, QpOverflowError, VerbsError
 from repro.verbs.types import (
@@ -154,11 +152,10 @@ class QueuePair:
     # ------------------------------------------------------------------ state
 
     def _trace_state(self):
-        if _trace.TRACER is not None:
-            _trace.TRACER.instant(
-                self.sim.now, f"verbs@{self.node.gid}", "qp.state",
-                qpn=self.qpn, state=self.state.name,
-            )
+        observer = obs.OBSERVER
+        if observer is not None:
+            probe = observer.on_qp_error if self.state is QPS_ERR else observer.on_qp_state
+            probe(self.sim.now, self)
 
     def to_init(self):
         self._require_state(QPS_RESET)
@@ -250,19 +247,9 @@ class QueuePair:
                 code=WC_FLUSH_ERR,
             )
         self._posted += len(wrs)
-        tracer = _trace.TRACER
-        if tracer is not None:
-            track = f"qp{self.qpn}@{self.node.gid}"
-            now = self.sim.now
+        if obs.OBSERVER is not None:
             for wr in wrs:
-                wr.trace_id = tracer.next_async_id()
-                tracer.async_begin(
-                    now, track, f"wr.{wr.opcode.value}", wr.trace_id,
-                    wr_id=wr.wr_id, length=wr.length,
-                )
-        registry = _metrics.METRICS
-        if registry is not None:
-            registry.counter("verbs.wr_posted").inc(len(wrs))
+                obs.OBSERVER.on_wr_post(self.sim.now, self, wr)
         if self._sq is None:
             self._sq = []
         self._sq.extend(wrs)
@@ -292,10 +279,8 @@ class QueuePair:
             wrs[0].chained = False
             for wr in wrs[1:]:
                 wr.chained = True
-            if _metrics.METRICS is not None:
-                _metrics.METRICS.counter("verbs.doorbell_batched_wrs").inc(len(wrs))
-            if _check.CHECKER is not None:
-                _check.CHECKER.batch_posted(self, wrs)
+            if obs.OBSERVER is not None:
+                obs.OBSERVER.on_doorbell_batch(self, wrs, len(wrs))
         self.post_send(wrs)
 
     def post_recv(self, recv_buffer):
@@ -363,13 +348,8 @@ class QueuePair:
         the source of DC's 99.9th-percentile tail (Fig 14b).
         """
         self._dc_current = (wr.dct_gid, wr.dct_number)
-        if _trace.TRACER is not None:
-            _trace.TRACER.instant(
-                self.sim.now, f"qp{self.qpn}@{self.node.gid}",
-                "dc.retarget", gid=wr.dct_gid, dct=wr.dct_number,
-            )
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("verbs.dc_retargets").inc()
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_dc_retarget(self.sim.now, self, wr)
         delay = timing.DCT_RECONNECT_NS
         if self.sim.now - self._dc_last_retarget_ns < timing.DCT_RECONNECT_BUSY_WINDOW_NS:
             delay += timing.DCT_RECONNECT_BUSY_NS  # teardown not drained yet
@@ -384,13 +364,8 @@ class QueuePair:
     def _complete(self, wr, status, byte_len=0, stale=False):
         """Generate (or account) the completion for a finished WR; a
         ``stale`` one (posted before the last reset) covers no slot."""
-        if wr.trace_id is not None and _trace.TRACER is not None:
-            _trace.TRACER.async_end(
-                self.sim.now, f"qp{self.qpn}@{self.node.gid}",
-                f"wr.{wr.opcode.value}", wr.trace_id, status=status.name,
-            )
-        if _check.CHECKER is not None:
-            _check.CHECKER.wr_completed(self, wr, status)
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_wr_complete(self.sim.now, self, wr, status)
         if stale:
             covers = 0
         elif status is WC_SUCCESS and not wr.signaled:
@@ -409,8 +384,6 @@ class QueuePair:
             return
         self.state = QPS_ERR
         self._trace_state()
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("verbs.qp_errors").inc()
         # What is still in the send queue is flushed by the sender as it
         # gets there: behind the WRs already issued, in posting order.
 
@@ -557,13 +530,8 @@ class _Flight:
 
     def _retransmit(self, cause, wait_ns):
         qp = self.qp
-        if _trace.TRACER is not None:
-            _trace.TRACER.instant(
-                qp.sim.now, f"qp{qp.qpn}@{qp.node.gid}",
-                "qp.retransmit", wr_id=self.wr.wr_id, cause=cause,
-            )
-        if _metrics.METRICS is not None:
-            _metrics.METRICS.counter("verbs.retransmits").inc()
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_retransmit(qp.sim.now, qp, self.wr, cause)
         self._stage = _Flight._issue
         qp.sim.sleep(self, wait_ns)
 
@@ -667,8 +635,8 @@ class _Flight:
             if opcode is OP_READ:
                 memory.check_remote(wr.rkey, wr.raddr, wr.length)
                 qp.node.memory.write(wr.laddr, memory.read(wr.raddr, wr.length))
-                if _check.CHECKER is not None:
-                    _check.CHECKER.read_executed(self.remote_gid, wr.rkey, qp.sim.now)
+                if obs.OBSERVER is not None:
+                    obs.OBSERVER.on_read_executed(self.remote_gid, wr.rkey, qp.sim.now)
                 response_bytes = wr.length
             elif opcode is OP_WRITE:
                 memory.check_remote(wr.rkey, wr.raddr, wr.length)
@@ -680,8 +648,8 @@ class _Flight:
                 for raddr, rkey, seg_len in wr.sges:
                     memory.check_remote(rkey, raddr, seg_len)
                     qp.node.memory.write(wr.laddr + offset, memory.read(raddr, seg_len))
-                    if _check.CHECKER is not None:
-                        _check.CHECKER.read_executed(self.remote_gid, rkey, qp.sim.now)
+                    if obs.OBSERVER is not None:
+                        obs.OBSERVER.on_read_executed(self.remote_gid, rkey, qp.sim.now)
                     offset += seg_len
                 response_bytes = wr.length
             else:  # CAS / FETCH_ADD

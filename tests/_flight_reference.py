@@ -21,11 +21,9 @@ did before it went with its one user.
 Do not modernize the generator; its value is that it does not change.
 """
 
-from repro.check import hooks as _check
+from repro import obs
 from repro.cluster import timing
 from repro.cluster.memory import MemoryError_
-from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.sim import Event, Process
 from repro.verbs.cq import Completion
 from repro.verbs.qp import _responder_service_ns
@@ -204,10 +202,6 @@ def _flight(qp, wr, ticket):
                         raise _Unreachable()
                     duplicated = fault.duplicates()
                     wire_out = fault.delay_ns(wire_out)
-            if _metrics.METRICS is not None:
-                _metrics.METRICS.counter(
-                    f"fabric.link[{node.gid}->{remote_gid}]"
-                ).inc()
             if qp_type is QPT_RC:
                 # PSN ordering: an RC request never lands before its
                 # predecessor on the same connection.  A no-op for
@@ -263,10 +257,8 @@ def _flight(qp, wr, ticket):
                         if opcode is OP_READ:
                             memory.check_remote(wr.rkey, wr.raddr, length)
                             node.memory.write(wr.laddr, memory.read(wr.raddr, length))
-                            if _check.CHECKER is not None:
-                                _check.CHECKER.read_executed(
-                                    remote_gid, wr.rkey, qp.sim.now
-                                )
+                            if obs.OBSERVER is not None:
+                                obs.OBSERVER.on_read_executed(remote_gid, wr.rkey, qp.sim.now)
                             response_bytes = length
                         else:
                             memory.check_remote(wr.rkey, wr.raddr, length)
@@ -297,10 +289,6 @@ def _flight(qp, wr, ticket):
                     if qp_type is QPT_UD:
                         raise _UdDrop()
                     raise _Unreachable()
-            if _metrics.METRICS is not None:
-                _metrics.METRICS.counter(
-                    f"fabric.link[{remote_gid}->{node.gid}]"
-                ).inc()
             wire_back = fabric.one_way_ns(response_bytes)
             if rfault is not None:
                 wire_back = rfault.delay_ns(wire_back)
@@ -319,13 +307,8 @@ def _flight(qp, wr, ticket):
             # then try again; RETRY_EXC_ERR only when the budget dies.
             if attempts_left > 0:
                 attempts_left -= 1
-                if _trace.TRACER is not None:
-                    _trace.TRACER.instant(
-                        qp.sim.now, f"qp{qp.qpn}@{node.gid}",
-                        "qp.retransmit", wr_id=wr.wr_id, cause="timeout",
-                    )
-                if _metrics.METRICS is not None:
-                    _metrics.METRICS.counter("verbs.retransmits").inc()
+                if obs.OBSERVER is not None:
+                    obs.OBSERVER.on_retransmit(qp.sim.now, qp, wr, "timeout")
                 yield qp.timeout_ns
                 continue
             status = WC_RETRY_EXC_ERR
@@ -335,13 +318,8 @@ def _flight(qp, wr, ticket):
             # Receiver not ready: honor the RNR retry budget.
             if rnr_left > 0:
                 rnr_left -= 1
-                if _trace.TRACER is not None:
-                    _trace.TRACER.instant(
-                        qp.sim.now, f"qp{qp.qpn}@{node.gid}",
-                        "qp.retransmit", wr_id=wr.wr_id, cause="rnr",
-                    )
-                if _metrics.METRICS is not None:
-                    _metrics.METRICS.counter("verbs.retransmits").inc()
+                if obs.OBSERVER is not None:
+                    obs.OBSERVER.on_retransmit(qp.sim.now, qp, wr, "rnr")
                 yield qp.rnr_timer_ns
                 continue
             status = (
@@ -401,10 +379,8 @@ def _execute_remote(qp, remote_node, wr, payload):
                 qp.node.memory.write(
                     wr.laddr + offset, memory.read(raddr, seg_len)
                 )
-                if _check.CHECKER is not None:
-                    _check.CHECKER.read_executed(
-                        remote_node.gid, rkey, qp.sim.now
-                    )
+                if obs.OBSERVER is not None:
+                    obs.OBSERVER.on_read_executed(remote_node.gid, rkey, qp.sim.now)
                 offset += seg_len
             return wr.length
         if opcode in ATOMIC_OPCODES:

@@ -1,7 +1,7 @@
 """The repository's Python source as the AST guards read it, parsed once.
 
-Every guard (``test_counts_are_read``, ``test_settings_have_callers``,
-``test_layers``, ``test_no_local_imports``,
+Every guard (``test_counts_are_read``, ``test_probes``,
+``test_settings_have_callers``, ``test_layers``, ``test_no_local_imports``,
 ``test_timing_constants_are_read``, ``test_krcore_shape``,
 ``test_hot_path_enums``) scans ``src/repro`` and some scan ``tests``,
 ``benchmarks`` and ``examples`` too; parsing was most of their cost.
@@ -54,6 +54,70 @@ def functions(module):
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield f"{prefix}{node.name}", owner, node
             scopes += [(child, f"{prefix}{node.name}.", None) for child in node.body]
+
+
+#: The observer seam's global (``repro.obs.OBSERVER``) and the attributes
+#: of an observer that are subscribers, not probes.
+SEAM = "OBSERVER"
+SUBSCRIBERS = ("tracer", "metrics", "checker")
+
+
+def own_nodes(scope):
+    """The nodes of a module's or function's body, without those of the
+    functions or classes defined in it (they are scopes of their own)."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        stack += ast.iter_child_nodes(node)
+
+
+def seam_uses(scope):
+    """``(tests, probes)`` in ``scope``'s own code: each ``is None`` /
+    ``is not None`` comparison of the seam, and each attribute node read
+    off it that fires a probe (any but a subscriber).  The seam is
+    ``OBSERVER`` read off its module, by its own name, or through a local
+    alias assigned from it."""
+    nodes = list(own_nodes(scope))
+
+    def is_seam(node):
+        return (isinstance(node, ast.Attribute) and node.attr == SEAM) or (
+            isinstance(node, ast.Name) and node.id == SEAM)
+
+    aliases = {
+        target.id
+        for node in nodes if isinstance(node, ast.Assign) and is_seam(node.value)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+    def seam(node):
+        return is_seam(node) or (isinstance(node, ast.Name) and node.id in aliases)
+
+    tests = [
+        node for node in nodes
+        if isinstance(node, ast.Compare) and len(node.ops) == 1
+        and isinstance(node.ops[0], (ast.Is, ast.IsNot)) and seam(node.left)
+        and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value is None
+    ]
+    probes = [
+        node for node in nodes
+        if isinstance(node, ast.Attribute) and seam(node.value) and node.attr not in SUBSCRIBERS
+    ]
+    return tests, probes
+
+
+def probe_name(node):
+    """The probe an ``on_<name>`` attribute read off the seam fires (the
+    attribute itself if it lacks the prefix: no probe has that name)."""
+    return node.attr[3:] if node.attr.startswith("on_") else node.attr
+
+
+def scopes(module):
+    """The module and every function defined in it, each a scope of
+    :func:`seam_uses`."""
+    return [module, *(function for _, _, function in functions(module))]
 
 
 @functools.cache

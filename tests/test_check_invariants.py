@@ -13,6 +13,7 @@ Two layers:
 
 from types import SimpleNamespace
 
+from repro import obs
 from repro.check.invariants import Checker
 from repro.check.runner import run_once
 from repro.krcore import KrcoreLib
@@ -226,13 +227,12 @@ def test_inbound_ops_and_stalls_share_one_busy_chain_and_drain():
     """An inbound stall and the ops queued behind it are one interval
     chain (there is no Resource object to key it by any more), and the
     quiescence audit wants the busy-until clock caught up with."""
-    from repro.check import hooks
     from repro.cluster import Cluster
 
     sim = Simulator()
     rnic = Cluster(sim, num_nodes=1).nodes[0].rnic
     checker = Checker()
-    with hooks.checking(checker):
+    with obs.attached(checker=checker):
         sim.process(rnic.stall(500, engine="inbound"))
         sim.run(until=100)
         assert rnic.inbound_admit(7.5) == (500, 507)
@@ -287,7 +287,6 @@ def test_one_sided_read_reports_inbound_occupancy():
     """Regression: the READ/WRITE responder block inlined in
     ``QueuePair._flight`` never called ``CHECKER.rnic_busy``, leaving
     ``rnic-busy-conservation`` blind to the bulk of the traffic."""
-    from repro.check import hooks
     from repro.cluster import Cluster
     from repro.verbs import WorkRequest
     from tests.conftest import quick_rc_pair, register
@@ -306,7 +305,7 @@ def test_one_sided_read_reports_inbound_occupancy():
         yield from qp.send_cq.wait_poll()
 
     checker = Checker()
-    with hooks.checking(checker):
+    with obs.attached(checker=checker):
         sim.run_process(proc())
     assert checker.observed.get("rnic.busy") == 2
     assert checker.ok
@@ -335,11 +334,10 @@ def test_scenarios_clean_under_fifo():
 
 
 def test_uninstalled_checker_costs_nothing_observable():
-    """With no checker installed the hook sites are single falsy checks;
-    a run must not create or require one (CHECKER stays None)."""
-    from repro.check import hooks
+    """With nothing installed the probe sites are single identity tests;
+    a run must not create or require an observer (OBSERVER stays None)."""
 
-    assert hooks.CHECKER is None
+    assert obs.OBSERVER is None
     sim = Simulator()
     cluster, meta, modules = krcore_cluster(sim, num_nodes=3, background_rc=False)
     lib = KrcoreLib(cluster.node(1))
@@ -349,4 +347,4 @@ def test_uninstalled_checker_costs_nothing_observable():
         yield from lib.qconnect(vqp, cluster.node(2).gid)
 
     sim.run_process(proc())
-    assert hooks.CHECKER is None
+    assert obs.OBSERVER is None

@@ -2,32 +2,35 @@
 
 A count nobody reads is work on every pass through its site -- a guard,
 a dict lookup, an f-string -- that buys nothing; a fact counted twice,
-once in a ``stats_*`` attribute and once in a ``METRICS`` counter, is
-two numbers that can drift apart.  Three rules over ``src/repro``:
+once in a ``stats_*`` attribute and once in a probe's counter, is two
+numbers that can drift apart.  Three rules over ``src/repro``, whose
+counters are declared once, in :mod:`repro.obs.probes`:
 
-1. Every metric name pushed through ``.counter(name).inc(...)`` appears
-   in a string constant under ``tests/`` or ``benchmarks/`` (not as the
-   name of such a push there; ``.counter(name).value`` is a read).  An
-   f-string name is matched by its literal head, against a constant
-   that starts with it and is not itself a name pushed literally.
+1. Every counter the probe table declares appears in a string constant
+   under ``tests/`` or ``benchmarks/`` (not as the name of a
+   ``.counter(name).inc(...)`` push there; ``.value`` is a read).  A
+   templated name (``degrade.admission_{event}``) is matched by its
+   literal head, against a constant that starts with it and is not
+   itself a declared name.
 2. Every ``stats_*`` attribute assigned is loaded somewhere in
    ``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` (or named by
    a string constant, as ``getattr`` does) -- its own ``+=`` is a
    store, not a load.
-3. No function both augments a ``stats_*`` attribute and pushes a
-   ``METRICS`` counter, except the facts in ``DOUBLE_COUNTED``: each
+3. No function both augments a ``stats_*`` attribute and fires a probe
+   that bumps a counter, except the facts in ``DOUBLE_COUNTED``: each
    side of those has a reader that cannot move yet.
 
-Rules 1 and 2 have no allow-list.  A fourth check caps the lines that
-guard an observer (``TRACER`` / ``METRICS`` / ``CHECKER is None``) in
-``src/repro``.
+Rules 1 and 2 have no allow-list.  A fourth check caps the tests of the
+observer seam in ``src/repro`` code: every ``is None`` / ``is not None``
+comparison of a seam global (``OBSERVER``), read off its module, by its
+own name, or through a local alias, outside docstrings.
 """
 
 import ast
 import functools
 import pathlib
-import re
 
+from repro.obs.probes import PROBES
 from tests import _source
 
 THIS = pathlib.Path(__file__).resolve().relative_to(_source.ROOT).as_posix()
@@ -50,14 +53,25 @@ DOUBLE_COUNTED = {
     ),
 }
 
-#: Lines in ``src/repro`` matching GUARD.  The ceiling only goes down:
-#: lower it when a change removes guards, never raise it.
-GUARD = re.compile(r"(TRACER|METRICS|CHECKER) is (not )?None")
-GUARD_CEILING = 86
+#: Tests of the seam in ``src/repro`` code (see the module docstring).
+#: The ceiling only goes down: lower it when a change removes tests,
+#: never raise it.
+GUARD_CEILING = 67
 
 
 def _parsed(*tops):
     return ((path, tree) for path, tree in _source.trees(*tops) if path != THIS)
+
+
+def declared():
+    """``(probe, name, is_head)`` per counter the probe table declares;
+    ``is_head`` for a templated name, whose ``name`` is its literal head."""
+    found = []
+    for probe in PROBES.values():
+        for name, _ in probe.counters():
+            head = name.partition("{")[0]
+            found.append((probe.name, head, head != name))
+    return found
 
 
 def _pushed(node):
@@ -71,43 +85,6 @@ def _pushed(node):
             and counter.func.attr == "counter" and len(counter.args) == 1):
         return counter.args[0]
     return None
-
-
-def _own_nodes(function):
-    """The nodes of ``function``'s body, without those of nested functions
-    or classes (they are scanned on their own)."""
-    stack = list(function.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        yield node
-        stack += ast.iter_child_nodes(node)
-
-
-@functools.cache
-def pushes():
-    """``(site, name, is_head)`` per counter push in src/repro;
-    ``is_head`` for an f-string, whose ``name`` is its literal head."""
-    found = []
-    for path, tree in _parsed("src/repro"):
-        for node in ast.walk(tree):
-            arg = _pushed(node)
-            if arg is None:
-                continue
-            site = f"{path}:{node.lineno}"
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                found.append((site, arg.value, False))
-            elif isinstance(arg, ast.JoinedStr):
-                head = ""
-                for part in arg.values:
-                    if not isinstance(part, ast.Constant):
-                        break
-                    head += part.value
-                found.append((site, head, True))
-            else:  # a name the AST cannot read is never matched
-                found.append((site, ast.unparse(arg), False))
-    return found
 
 
 def _read_strings():
@@ -128,12 +105,13 @@ def _read_strings():
 
 
 def unread_metrics():
-    """``"<site> <name>"`` for each push no test or benchmark reads."""
-    found = pushes()
+    """``"<probe> <name>"`` for each declared counter no test or
+    benchmark reads."""
+    found = declared()
     literal = {name for _, name, is_head in found if not is_head}
     strings = _read_strings()
     unread = []
-    for site, name, is_head in found:
+    for probe, name, is_head in found:
         if is_head:
             read = bool(name) and any(
                 s.startswith(name) and s not in literal for s in strings
@@ -141,7 +119,7 @@ def unread_metrics():
         else:
             read = name in strings
         if not read:
-            unread.append(f"{site} {name}{'{...}' if is_head else ''}")
+            unread.append(f"{probe} {name}{'{...}' if is_head else ''}")
     return unread
 
 
@@ -167,16 +145,17 @@ def unread_stats():
 @functools.cache
 def double_counts():
     """``"<path>:<function>(<stats attribute>)"`` per ``stats_*``
-    attribute augmented in a function that also pushes a counter."""
+    attribute augmented in a function that also fires a counting probe."""
+    counting = {probe.name for probe in PROBES.values() if probe.count}
     found = []
     for path, tree in _parsed("src/repro"):
         for name, _, function in _source.functions(tree):
-            nodes = list(_own_nodes(function))
-            if not any(_pushed(node) is not None for node in nodes):
+            _, probes = _source.seam_uses(function)
+            if not {_source.probe_name(node) for node in probes} & counting:
                 continue
             found += sorted({
                 f"{path}:{name}({node.target.attr})"
-                for node in nodes
+                for node in _source.own_nodes(function)
                 if isinstance(node, ast.AugAssign)
                 and isinstance(node.target, ast.Attribute)
                 and node.target.attr.startswith("stats_")
@@ -184,18 +163,19 @@ def double_counts():
     return found
 
 
-def guard_lines():
-    return [
-        f"{path.relative_to(_source.ROOT).as_posix()}:{number}"
-        for path in _source.files("src/repro")
-        for number, line in enumerate(path.read_text().splitlines(), 1)
-        if GUARD.search(line)
-    ]
+def seam_tests():
+    """``"<path>:<line>"`` per test of the seam in src/repro code."""
+    return sorted(
+        f"{path}:{node.lineno}"
+        for path, tree in _parsed("src/repro")
+        for scope in _source.scopes(tree)
+        for node in _source.seam_uses(scope)[0]
+    )
 
 
-def test_every_pushed_metric_is_read():
+def test_every_declared_metric_is_read():
     unread = unread_metrics()
-    assert not unread, "pushed, never read:\n" + "\n".join(unread)
+    assert not unread, "declared, never read:\n" + "\n".join(unread)
 
 
 def test_every_stats_attribute_is_read():
@@ -206,7 +186,7 @@ def test_every_stats_attribute_is_read():
 def test_no_fact_is_counted_twice():
     doubled = [site for site in double_counts() if site not in DOUBLE_COUNTED]
     assert not doubled, (
-        "a stats_* attribute and a METRICS counter in one function; keep "
+        "a stats_* attribute and a probe's counter in one function; keep "
         "the side something reads:\n" + "\n".join(doubled)
     )
 
@@ -215,18 +195,23 @@ def test_the_double_count_allow_list_is_live():
     assert set(DOUBLE_COUNTED) <= set(double_counts())
 
 
-def test_guard_lines_stay_under_the_ceiling():
-    lines = guard_lines()
-    assert len(lines) <= GUARD_CEILING, (
-        f"{len(lines)} observer guard lines in src/repro, ceiling "
-        f"{GUARD_CEILING}; the ceiling only goes down -- fold the new guard "
+def test_seam_tests_stay_under_the_ceiling():
+    tests = seam_tests()
+    assert len(tests) <= GUARD_CEILING, (
+        f"{len(tests)} tests of the observer seam in src/repro, ceiling "
+        f"{GUARD_CEILING}; the ceiling only goes down -- fold the new test "
         "into an existing one instead of raising it"
     )
 
 
 def test_the_rules_see_what_they_check():
-    """The scans find what they claim to: a literal and an f-string push
-    (the allow-list test covers the double-count scan)."""
-    names = {name for _, name, _ in pushes()}
+    """The scans find what they claim to: a literal and a templated
+    counter, a test through a local alias and one by the global's own
+    name, and no docstring (the allow-list test covers the double-count
+    scan)."""
+    names = {name for _, name, _ in declared()}
     assert {"krcore.qconnects", "degrade.admission_"} <= names
-    assert guard_lines()
+    tests = seam_tests()
+    assert any(site.startswith("src/repro/krcore/api.py:") for site in tests)
+    assert any(site.startswith("src/repro/obs/__init__.py:") for site in tests)
+    assert len(tests) == len(set(tests)) == GUARD_CEILING

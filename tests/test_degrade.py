@@ -11,7 +11,7 @@ import pathlib
 
 import pytest
 
-from repro.check import hooks as check_hooks
+from repro import obs
 from repro.check.invariants import Checker
 from repro.cluster import timing
 from repro.degrade import (
@@ -101,7 +101,7 @@ def test_breaker_walks_the_state_machine(monkeypatch):
     monkeypatch.setattr(timing, "DEGRADE_BREAKER_LATENCY_NS", 500)
     sim = Simulator()
     checker = Checker()
-    with check_hooks.checking(checker):
+    with obs.attached(checker=checker):
         breaker = CircuitBreaker(sim, name="t")
         assert breaker.allow()
         breaker.record_failure()
@@ -140,7 +140,7 @@ def test_breaker_checker_flags_illegal_transition():
 def test_admission_gate_sheds_oldest_lifo():
     sim = Simulator()
     checker = Checker()
-    with check_hooks.checking(checker):
+    with obs.attached(checker=checker):
         # One token then dry for a long time: rate = 1 token / 100 us.
         gate = AdmissionGate(
             sim, rate_per_sec=1e4, burst=1, max_pending=2, name="t"

@@ -2,16 +2,16 @@
 
 The layer order, lowest first::
 
-    sim < workloads < obs, check.hooks, check.invariants < cluster < verbs
+    sim < workloads < obs, check.invariants < cluster < verbs
         < degrade, kvs < krcore, lite < apps < bench, faults
 
 A module may import its own layer and the layers below it; an import of
-a higher layer fails this test.  ``check.hooks`` and
-``check.invariants`` sit with ``obs`` because every layer that reports
-to the model checker imports them (and they import no ``repro``
-module); the rest of ``check/`` drives the whole stack and ranks above
-it, so it and every ``__main__`` (a CLI over its package) are not held
-to the order.  No other module is exempt.
+a higher layer fails this test.  Every layer reports to the model
+checker through the observer seam in ``obs``; ``check.invariants`` (the
+checker, which imports no ``repro`` module) sits with it.  The rest of
+``check/`` drives the whole stack and ranks above it, so it and every
+``__main__`` (a CLI over its package) are not held to the order.  No
+other module is exempt.
 """
 
 import ast
@@ -22,7 +22,6 @@ RANKS = {
     "sim": 0,
     "workloads": 1,
     "obs": 2,
-    "check.hooks": 2,
     "check.invariants": 2,
     "check": 2,  # the package itself imports nothing
     "cluster": 3,
@@ -70,7 +69,7 @@ def _imported(node, package):
     if source != "repro" and not source.startswith("repro."):
         return []
     module = source[len("repro."):]
-    # ``from repro.check import hooks, runner`` imports both submodules;
+    # ``from repro.check import invariants, runner`` imports both submodules;
     # ``from repro import obs`` imports ``obs``.
     found = []
     for alias in node.names:
@@ -115,7 +114,7 @@ def test_the_ranks_cover_every_package():
 
 
 def test_rank_reads_check_modules_apart():
-    assert rank("check.hooks") == rank("obs") == rank("check")
+    assert rank("check.invariants") == rank("obs") == rank("check")
     assert rank("check.runner") == rank("check.scenarios") == TOP
     assert rank("krcore.module") == rank("lite") > rank("kvs.store")
 
@@ -127,7 +126,8 @@ def _names(source, package="sim"):
 def test_imported_reads_every_import_form():
     assert _names("import repro.obs.metrics, os") == ["obs.metrics"]
     assert _names("from repro import obs") == ["obs"]
-    assert _names("from repro.check import hooks, runner") == ["check.hooks", "check.runner"]
+    assert _names("from repro.check import invariants, runner") == [
+        "check.invariants", "check.runner"]
     assert _names("from repro.verbs import qp, QueuePair") == ["verbs.qp", "verbs"]
     assert _names("from repro.obs.metrics import MetricsRegistry") == ["obs.metrics"]
     assert _names("from ..obs import metrics", package="sim") == ["obs.metrics"]
@@ -137,6 +137,5 @@ def test_imported_reads_every_import_form():
 def test_an_upward_import_in_either_from_form_ranks_upward():
     # ``sim/engine.py`` importing ``obs``, and ``cluster`` importing ``check.runner``.
     assert max(rank(target) for target in _names("from repro import obs")) > rank("sim")
-    assert max(rank(target) for target in _names("from repro.check import hooks, runner")) > rank(
-        "cluster"
-    )
+    names = _names("from repro.check import invariants, runner")
+    assert max(rank(target) for target in names) > rank("cluster")

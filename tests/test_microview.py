@@ -20,7 +20,6 @@ from repro.apps.microview import (
     VerbsBackend,
 )
 from repro.bench.setups import lite_cluster, verbs_cluster
-from repro.check import hooks as _check_hooks
 from repro.check.invariants import Checker
 from repro.sim import MS, US, Simulator
 from tests.conftest import krcore_cluster
@@ -211,7 +210,7 @@ def test_churned_harvest_upholds_churn_window_invariant(seed, interval_us, strat
         yield from collector.run_cycles(6, strategy, gap_ns=30 * US)
 
     checker = Checker()
-    with _check_hooks.checking(checker):
+    with obs.attached(checker=checker):
         sim.run_process(drive())
         checker.finalize(
             modules=[m for m in modules], plane=modules[1].meta_plane, now=sim.now

@@ -4,17 +4,12 @@ An import inside a function body runs every time the function does (a
 ``sys.modules`` lookup and a name bind, once per routed message on the
 path that had one) and hides an edge of the import graph from the
 module's header, which is where a cycle should be seen and fixed.  One
-rule for the package, with one exemption: ``check/scenarios.py``, whose
-scenario builders import the stack the model checker drives -- the
-layers under check import ``repro.check.hooks``, so at module scope
-those imports would close a cycle.
+rule for the package, with no exemption.
 """
 
 import ast
 
 from tests._source import PACKAGE, files, tree
-
-EXEMPT = ("check/scenarios.py",)
 
 
 def _local_imports(module):
@@ -40,9 +35,7 @@ def test_no_repro_import_inside_a_function():
     report = []
     for path in files("src/repro"):
         relative = path.relative_to(PACKAGE).as_posix()
-        if relative not in EXEMPT:
-            hits = _local_imports(tree(path))
-            report += [f"src/repro/{relative}:{hit}" for hit in sorted(hits)]
+        report += [f"src/repro/{relative}:{hit}" for hit in sorted(_local_imports(tree(path)))]
     assert not report, "\n".join(report)
 
 

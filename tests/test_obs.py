@@ -6,6 +6,7 @@ model (span pairing, tid interning and clock-restart forking, Chrome
 export schema), and the install/observe global plumbing.
 """
 
+import gc
 import json
 
 import pytest
@@ -13,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.krcore import KrcoreLib
 from repro.obs import Counter, MetricsRegistry, Tracer
+from repro.sim import Simulator
+from tests.conftest import krcore_cluster
 
 # ---------------------------------------------------------------------------
 # Metrics primitives
@@ -23,7 +27,7 @@ from repro.obs import Counter, MetricsRegistry, Tracer
 def test_counter_accumulates_and_rejects_negative():
     counter = Counter("ops")
     assert counter.value == 0
-    counter.inc()
+    counter.inc(1)
     counter.inc(41)
     assert counter.value == 42
     with pytest.raises(ValueError):
@@ -61,7 +65,7 @@ def test_registry_get_or_create_and_kind_mismatch():
 
 def test_registry_snapshot_is_name_sorted():
     registry = MetricsRegistry()
-    registry.counter("zulu").inc()
+    registry.counter("zulu").inc(1)
     registry.counter("alpha").inc(2)
     registry.counter("mid").inc(7)
     assert list(registry.snapshot()) == ["alpha", "mid", "zulu"]
@@ -102,7 +106,7 @@ def test_registry_snapshot_deterministic(ops):
 
 def test_registry_export_json():
     registry = MetricsRegistry()
-    registry.counter("zulu").inc()
+    registry.counter("zulu").inc(1)
     registry.counter("ops").inc(3)
     text = registry.to_json()
     assert json.loads(text) == {"ops": 3, "zulu": 1}
@@ -139,12 +143,12 @@ def test_tracer_unmatched_begin_is_omitted():
 
 def test_tracer_interns_tracks_and_forks_on_clock_restart():
     tracer = Tracer()
-    tracer.instant(100, "engine", "tick")
-    tracer.instant(200, "engine", "tick")
+    tracer.record("i", 100, "engine", "tick", None, None)
+    tracer.record("i", 200, "engine", "tick", None, None)
     first_tid = tracer.events[-1]["tid"]
     # Simulated time restarting (a second Simulator under the same
     # tracer) must not produce a backwards clock on the same tid.
-    tracer.instant(50, "engine", "tick")
+    tracer.record("i", 50, "engine", "tick", None, None)
     second_tid = tracer.events[-1]["tid"]
     assert second_tid != first_tid
     names = [
@@ -165,13 +169,15 @@ def test_tracer_async_spans_share_ids():
     first = tracer.next_async_id()
     second = tracer.next_async_id()
     assert first != second
-    tracer.async_begin(0, "qp", "wr.READ", first)
-    tracer.async_begin(5, "qp", "wr.READ", second)
-    tracer.async_end(9, "qp", "wr.READ", second, status="SUCCESS")
-    tracer.async_end(12, "qp", "wr.READ", first, status="SUCCESS")
+    tracer.record("b", 0, "qp", "wr.READ", {}, first)
+    tracer.record("b", 5, "qp", "wr.READ", {}, second)
+    tracer.record("e", 9, "qp", "wr.READ", {"status": "SUCCESS"}, second)
+    tracer.record("e", 12, "qp", "wr.READ", {"status": "SUCCESS"}, first)
+    tracer.record("e", 13, "qp", "wr.READ", {"status": "SUCCESS"}, first)  # closed: dropped
     begins = [e for e in tracer.events if e["ph"] == "b"]
     ends = [e for e in tracer.events if e["ph"] == "e"]
     assert {e["id"] for e in begins} == {e["id"] for e in ends} == {first, second}
+    assert len(ends) == 2
     assert all(e["cat"] == "async" for e in begins + ends)
 
 
@@ -179,7 +185,7 @@ def test_tracer_chrome_export_schema():
     tracer = Tracer()
     tracer.begin(1500, "track", "span", detail=7)
     tracer.end(2500, "track", "span")
-    tracer.instant(2000, "track", "mark")
+    tracer.record("i", 2000, "track", "mark", None, None)
     doc = tracer.to_chrome()
     assert doc["displayTimeUnit"] == "ns"
     for event in doc["traceEvents"]:
@@ -226,3 +232,49 @@ def test_observe_restores_on_error():
             raise RuntimeError("boom")
     assert obs.current_tracer() is None
     assert obs.current_metrics() is None
+
+
+def _qconnect_cut_off_mid_lookup():
+    """An uncached qconnect run to 2 us, inside its meta lookup; returns
+    the simulator (dropping every reference to it tears the run down)."""
+    sim = Simulator()
+    cluster, _meta, _modules = krcore_cluster(sim, num_nodes=4)
+    lib = KrcoreLib(cluster.node(2))
+
+    def proc():
+        vqp = yield from lib.create_vqp()
+        yield from lib.qconnect(vqp, cluster.node(3).gid)
+
+    sim.process(proc())
+    sim.run(until=2000)
+    return sim
+
+
+def test_a_dropped_run_writes_no_span_end_into_any_tracer():
+    """A span's end goes to the observer that opened it: a run cut off
+    mid-qconnect and dropped while a second tracer is installed ends no
+    span in it (``meta.rpc`` and ``meta.lookup_dct`` end in ``finally``
+    blocks), nor in the first tracer after it was uninstalled
+    (``qconnect``)."""
+    with obs.observe() as (first, _metrics):
+        sim = _qconnect_cut_off_mid_lookup()
+    recorded = len(first)
+    open_spans = {e["name"] for e in first.events if e["ph"] == "B"}
+    assert {"qconnect", "meta.lookup_dct", "meta.rpc"} <= open_spans
+    with obs.observe() as (second, _metrics):
+        del sim
+        gc.collect()
+    assert second.events == []
+    assert len(first) == recorded
+
+
+def test_teardown_ends_no_span():
+    """A process dropped while its span is open (``GeneratorExit``) ends
+    it nowhere, not even in the tracer that opened it: the span did not
+    end in the simulation."""
+    with obs.observe() as (tracer, _metrics):
+        sim = _qconnect_cut_off_mid_lookup()
+        recorded = len(tracer)
+        del sim
+        gc.collect()
+        assert len(tracer) == recorded
