@@ -1,18 +1,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab counts heap hop-budget rest-budget flight-oracle hitmap trace check
+.PHONY: test chaos bench-fast bench bench-full observatory observatory-selftest ab counts heap hop-budget rest-budget flight-oracle hitmap trace
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 # Hit map (benchmarks/hitmap.py, standard library only): tier-1, -m chaos,
-# `pytest benchmarks`, `make check` and one short traced pass of each
+# `pytest benchmarks` and one short traced pass of each
 # observatory workload under a line tracer that follows
 # child processes; prints the functions no run entered and the statements no
 # run executed, per file.  Each run is a unit run (tier-1 minus the scenario
 # files) or a system run (the others and the figure, example, chaos-digest,
-# obs-golden and chaos-CLI test files); fails on a module, or a
+# obs-golden, chaos-CLI and checked-run test files); fails on a module, or a
 # function in a module a system run enters, that only unit runs enter unless
 # the tool's UNIT_ONLY gives the reason it stays, and on a UNIT_ONLY entry a
 # system run enters.  The floor only ratchets up: the measured share, rounded
@@ -97,8 +97,3 @@ rest-budget:
 # 12-seed slice of the same comparison).
 flight-oracle:
 	PYTHONPATH=src:. $(PYTHON) tests/test_flight_oracle.py
-
-# Model checker (repro.check): every scenario once under the engine's own
-# order with the invariant registry installed.
-check:
-	$(PYTHON) -m repro.check

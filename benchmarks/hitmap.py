@@ -3,8 +3,8 @@
     python3 benchmarks/hitmap.py [--fail-under PCT]
     make hitmap
 
-Runs tier-1, ``-m chaos``, ``pytest benchmarks``, ``make check`` and
-the observatory's traced passes with a
+Runs tier-1, ``-m chaos``, ``pytest benchmarks`` and the observatory's
+traced passes with a
 ``sys.settrace`` line tracer on, then prints, per file of
 ``src/repro``, the functions no run entered and the statements no run
 executed, and the executed share of all statements.  The tracer starts
@@ -18,8 +18,8 @@ Each run has an origin, which ``HITMAP_ORIGIN`` carries into every
 process it starts and each dump records.  A *system* run is one that
 runs whole scenarios: ``-m chaos``, ``pytest benchmarks``, the tier-1
 files in ``SYSTEM_FILES`` (figures, examples, the chaos digests, the
-obs goldens, the chaos CLI), the checker CLI's run of every scenario,
-and one short ``--trace 1`` pass of each
+obs goldens, the chaos CLI, the checked control-plane runs), and one
+short ``--trace 1`` pass of each
 observatory workload.  The rest of tier-1 is the *unit* run.  The report
 lists the modules of ``src/repro`` that define functions and none of
 whose functions a system run entered, then the leads: the functions a
@@ -63,18 +63,18 @@ SYSTEM_FILES = [
     "tests/test_chaos_digests.py",
     "tests/test_obs_golden.py",
     "tests/test_faults_cli.py",
+    "tests/test_check_runs.py",
 ]
 CHAOS_FILE = "tests/test_chaos.py"
 PYTEST = ["-m", "pytest", "-q", "-p", "no:cacheprovider"]
 OBSERVATORY = [workload["name"] for workload in
                json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-# (origin, arguments of the interpreter); then `make check` and one short
-# traced pass of each observatory workload.
+# (origin, arguments of the interpreter); then one short traced pass of
+# each observatory workload.
 RUNS = (
     ("unit", [*PYTEST, *(f"--ignore={name}" for name in SYSTEM_FILES)]),
     ("system", [*PYTEST, "-m", "chaos", CHAOS_FILE]),
     ("system", [*PYTEST, "--benchmark-disable", "benchmarks", *SYSTEM_FILES]),
-    ("system", ["-m", "repro.check"]),
     *(("system", ["benchmarks/observatory/run.py", "--workload", workload, "--seed", "1",
                   "--seconds", "0.05", "--scale", "0.02", "--trace", "1"])
       for workload in OBSERVATORY),
@@ -86,8 +86,6 @@ RUNS = (
 _RACE_OPS = "ROADMAP item 11: Fig 16's sampled windows call it; the RACE oracle does today"
 _TRANSFER_PEER = "ROADMAP item 1(a): the QP transfer's peer protocol gets a scenario"
 _RECOVERY = "ROADMAP item 1(a): verbs recovery (RNR retry, ERR flush, duplicates) gets a scenario"
-_VERDICT = ("the checker's verdict record; a test pins the checker's determinism with it "
-            "(ROADMAP item 1 decides whether it stays)")
 _VIOLATION = ("the checker's violation report: a clean system run files none; "
               "tests/test_mutants.py files them with re-injected bugs")
 _ORACLE_READ = ("ROADMAP item 5: the differential oracle compares final storage; tests read "
@@ -101,11 +99,7 @@ UNIT_ONLY = {
     "bench/perf.py:_profile_report": "`python -m repro.bench --profile` writes it; no system run profiles",
     "check/invariants.py:Violation.__init__": _VIOLATION,
     "check/invariants.py:Violation.__repr__": _VIOLATION,
-    "check/invariants.py:Violation.to_dict": _VERDICT,
     "check/invariants.py:Checker.violate": _VIOLATION,
-    "check/invariants.py:Checker.custom": _VIOLATION,
-    "check/invariants.py:Checker.to_dict": _VERDICT,
-    "check/invariants.py:Checker.digest": _VERDICT,
     "degrade/__init__.py:Deadline.remaining_ns": (
         "ROADMAP item 1(a): `KrcoreModule.retry_meta`'s deadline cut, in the meta-plane degrade "
         "path, gets a scenario"),

@@ -6,6 +6,16 @@ of :mod:`repro.obs.probes`.  Hooks are synchronous, never yield, and read
 simulated time off the calling object's own clock, so an installed
 checker observes a run without perturbing it.
 
+One checker may watch many runs.  What it keys by gid or meta key is
+kept per :class:`~repro.sim.Simulator` (a *world*), since gids and keys
+repeat across clusters; it learns a world's modules from their boot
+(``dct_published``) and the meta planes from those modules.  It holds
+each simulator it saw, but the QPs, WRs, modules, breakers and gates it
+watches only weakly or by value: it never keeps a run alive.
+:meth:`Checker.finalize` audits what belongs to a drained simulator; a
+run still holding events (stopped at ``until=``) gets only the laws
+checked at the hook.
+
 Invariants
 ----------
 
@@ -39,7 +49,10 @@ Invariants
 ``wr-exactly-once``
     No signaled work-request completion is dispatched twice through one
     module's ``poll_inner`` (Algorithm 2's wr_id token table), and no
-    token is left undispatched at quiescence.
+    token is lost at quiescence: one left in the table must have its
+    completion waiting, unpolled, on the QP its VQP is on.  No
+    completion, or one on a QP the VQP has left (a post that slipped
+    behind a QP transfer's fence, §4.6), is a lost one.
 ``vqp-table-accounting``
     At quiescence no module table (by id, published pins, bound
     port, reply) still reaches a VQP that ``destroy_vqp`` dropped (a
@@ -48,14 +61,14 @@ Invariants
     At quiescence no live VQP holds a dispatched (ready) completion in
     its software queue: an owner polls until it has every completion of
     what it posted, so one left behind was dispatched where its owner no
-    longer looks (a post that slipped behind a QP transfer's fence, §4.6).
+    longer looks.
 ``batch-exactly-once``
     Every WR of a doorbell-batched chain (``QueuePair.post_send_batch``)
-    completes exactly once: a mid-chain fault (RETRY_EXC) must neither
-    drop its successors (they flush with FLUSH_ERR) nor complete any
-    chain member twice.  Checked per physical WR at the ``_complete``
-    hook, with a quiescence sweep for chain members that never
-    completed.
+    that the QP accepted completes exactly once: a mid-chain fault
+    (RETRY_EXC) must neither drop its successors (they flush with
+    FLUSH_ERR) nor complete any chain member twice.  Checked per
+    physical WR at the ``_complete`` hook, with a quiescence sweep for
+    chain members that never completed.
 ``rnic-busy-conservation``
     Busy intervals of one serialized RNIC engine (ops and stalls alike)
     never overlap: occupancy is conserved, so modelled throughput
@@ -71,12 +84,9 @@ Invariants
     (admission is a promise), and at quiescence every arrival settled
     exactly once: admitted + shed + rejected, with no waiter stranded
     in the queue.
-
-Scenario-specific invariants are reported through :meth:`Checker.custom`.
 """
 
-import hashlib
-import json
+import weakref
 
 __all__ = ["Checker", "Violation"]
 
@@ -91,11 +101,31 @@ class Violation:
         self.t = int(t)
         self.detail = detail
 
-    def to_dict(self):
-        return {"invariant": self.invariant, "t": self.t, "detail": self.detail}
-
     def __repr__(self):
         return f"Violation({self.invariant!r}, t={self.t}, {self.detail!r})"
+
+
+def _watch(table, obj, *state):
+    """``table``'s record of ``obj``, ``[weakref, *state]`` keyed by its
+    id: a fresh one if the id last named another (dead) object."""
+    record = table.get(id(obj))
+    if record is None or record[0]() is not obj:
+        record = table[id(obj)] = [weakref.ref(obj), *state]
+    return record
+
+
+class _World:
+    """What the checker knows of one simulator's run, by gid and by key."""
+
+    __slots__ = ("sim", "modules", "published_dct", "incarnations", "mr_retired", "meta_last")
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.modules = []  # [weakref(module), incarnation at boot]
+        self.published_dct = {}  # gid -> {(dct_number, dct_key), ...}
+        self.incarnations = {}  # gid -> latest incarnation seen
+        self.mr_retired = {}  # (gid, rkey) -> (retract_t, lease_ns)
+        self.meta_last = {}  # key bytes -> (last value or None, weakref(server))
 
 
 class Checker:
@@ -112,49 +142,41 @@ class Checker:
         #: Hook activity counters, name -> count.  Directed tests assert
         #: these are nonzero, so a silently disconnected hook fails.
         self.observed = {}
-        #: The op history a scenario records for the linearizability pass
-        #: (``repro.check.linearizability``): ``(key, Op)`` pairs in
-        #: invocation order, an op's ``response`` None until it returns.
-        self.history = []
-        # pool accounting: id(qp) -> [qp, gid, rnic-at-insert, state]
-        self._rc_tracked = {}
-        # dccache provenance: gid -> {(dct_number, dct_key), ...}
-        self._published_dct = {}
-        self._incarnations = {}  # gid -> latest incarnation seen
-        # meta writes: key(bytes) -> last value (None == deleted)
-        self._meta_last = {}
-        # wr dispatch: id(module) -> [module, set(wr_id)]
-        self._wr_seen = {}
-        # doorbell chains: id(wr) -> [wr, qp, chain_no, index, completions]
-        self._batch_wrs = {}
+        self._worlds = {}  # Simulator -> _World
+        # Keyed by the id of a live object, each record led by its weakref:
+        self._rc_tracked = {}  # id(qp) -> [ref, gid, weakref(rnic at insert), state]
+        self._dispatched = {}  # id(module) -> [ref, {wr_id, ...}]
+        self._busy = {"command": {}, "inbound": {}}  # engine -> id(rnic) -> [ref, last end]
+        self._gates = {}  # id(gate) -> [ref, {op_id: last event}]
+        self._breakers = {}  # id(breaker) -> [ref, last_state]
+        # id(wr) -> [ref, sim, qpn, gid, chain, index, wr_id, opcode, completions],
+        # and the records of chain members that died before they completed.
+        self._batch = {}
+        self._lost_batch = []
         self._batch_chains = 0
-        # rnic busy: (rnic, engine) -> last_end
-        self._busy = {}
-        # mr churn: (gid, rkey) -> (retract_t, lease_ns) for retracted MRs
-        self._mr_retired = {}
-        # degrade breakers: id(breaker) -> [breaker, last_state]
-        self._breakers = {}
-        # admission lifecycle: (id(gate), op_id) -> last event
-        self._admission = {}
-        # admission gates seen, for quiescence accounting: id -> gate
-        self._gates = {}
 
     # ------------------------------------------------------------- reporting
 
     def _note(self, kind):
         self.observed[kind] = self.observed.get(kind, 0) + 1
 
+    def _world(self, sim):
+        world = self._worlds.get(sim)
+        if world is None:
+            world = self._worlds[sim] = _World(sim)
+        return world
+
     def violate(self, invariant, t, detail):
         self.violations.append(Violation(invariant, t, detail))
-
-    def custom(self, invariant, t, detail):
-        """Report a scenario-specific invariant violation."""
-        self._note(f"custom.{invariant}")
-        self.violate(invariant, t, detail)
 
     @property
     def ok(self):
         return not self.violations
+
+    def summary(self):
+        status = "PASS" if self.ok else f"FAIL({len(self.violations)})"
+        hooks = sum(self.observed.values())
+        return f"invariants={status} hook_events={hooks}"
 
     # ------------------------------------------------- krcore pool accounting
 
@@ -162,44 +184,44 @@ class Checker:
         """An RCQP entered ``pool`` (establish_rc / _on_rc_accept),
         possibly LRU-evicting ``evicted = (gid, qp)``."""
         self._note("pool.insert")
-        self._rc_tracked[id(qp)] = [qp, gid, qp.node.rnic, "pooled"]
+        tracked = self._rc_tracked
+        tracked[id(qp)] = [weakref.ref(qp), gid, weakref.ref(qp.node.rnic), "pooled"]
         if evicted is not None:
             egid, eqp = evicted
-            record = self._rc_tracked.get(id(eqp))
-            if record is None:
-                record = [eqp, egid, eqp.node.rnic, "evicted"]
-                self._rc_tracked[id(eqp)] = record
-            else:
-                record[3] = "evicted"
+            _watch(tracked, eqp, egid, weakref.ref(eqp.node.rnic), None)[3] = "evicted"
 
     def rc_retired(self, qp):
         """A previously pooled RCQP finished retirement (unregistered)."""
         self._note("pool.retire")
         record = self._rc_tracked.get(id(qp))
-        if record is not None:
+        if record is not None and record[0]() is qp:
             record[3] = "retired"
 
     # -------------------------------------------------- DCCache incarnations
 
-    def dct_published(self, gid, incarnation, meta):
-        """A node incarnation came up and published its DCT metadata."""
+    def dct_published(self, module):
+        """A node incarnation's module booted and published its DCT metadata."""
         self._note("dct.publish")
-        self._published_dct.setdefault(gid, set()).add(tuple(meta))
-        self._incarnations[gid] = incarnation
+        world = self._world(module.sim)
+        node = module.node
+        world.modules.append([weakref.ref(module), node.incarnation])
+        world.published_dct.setdefault(node.gid, set()).add(tuple(module.own_dct_meta))
+        world.incarnations[node.gid] = node.incarnation
 
     def dc_cache_insert(self, module, gid, meta):
         """A DCCache insert sourced from the meta plane (authoritative
         lookups only -- piggybacked metadata is deliberately unhooked,
         an in-flight message from an older incarnation is legal)."""
         self._note("dccache.insert")
-        published = self._published_dct.get(gid)
+        world = self._world(module.sim)
+        published = world.published_dct.get(gid)
         if published is not None and tuple(meta) not in published:
             self.violate(
                 "dccache-incarnation",
                 module.sim.now,
                 f"{module.node.gid} cached DCT meta {tuple(meta)} for {gid}, "
                 f"never published by any incarnation "
-                f"(latest {self._incarnations.get(gid)})",
+                f"(latest {world.incarnations.get(gid)})",
             )
 
     # --------------------------------------------------------- MRStore lease
@@ -232,31 +254,35 @@ class Checker:
 
     # ------------------------------------------------------- MR churn window
 
-    def mr_registered(self, gid, rkey, t):
-        """``KrcoreModule.reg_mr`` registered (gid, rkey): the key is live
-        again, so any earlier retraction record for it is obsolete."""
+    def mr_registered(self, module, rkey):
+        """``KrcoreModule.reg_mr`` registered ``rkey`` on ``module``'s node:
+        the key is live again, so any earlier retraction record for it is
+        obsolete."""
         self._note("mr.registered")
-        self._mr_retired.pop((gid, rkey), None)
+        self._world(module.sim).mr_retired.pop((module.node.gid, rkey), None)
 
-    def mr_retracted(self, gid, rkey, t, lease_ns):
-        """``KrcoreModule.dereg_mr`` retracted (gid, rkey); the physical
-        free lands one lease later."""
+    def mr_retracted(self, module, rkey, t):
+        """``KrcoreModule.dereg_mr`` retracted ``rkey`` on ``module``'s
+        node; the physical free lands one lease later."""
         self._note("mr.retracted")
-        self._mr_retired[(gid, rkey)] = (int(t), int(lease_ns))
+        world = self._world(module.sim)
+        world.mr_retired[module.node.gid, rkey] = (int(t), int(module.mr_store.lease_ns))
 
-    def read_executed(self, gid, rkey, t):
+    def read_executed(self, sim, gid, rkey):
         """A one-sided READ's memory op executed against (gid, rkey)."""
-        record = self._mr_retired.get((gid, rkey))
+        world = self._worlds.get(sim)
+        record = None if world is None else world.mr_retired.get((gid, rkey))
         if record is None:
             return
         self._note("mr.read_after_retract")
         retract_t, lease_ns = record
+        t = sim.now
         if t > retract_t + lease_ns:
             self.violate(
                 "mr-read-churn-window",
                 t,
-                f"READ executed against ({gid}, rkey={rkey}) at t={int(t)}, "
-                f"{int(t) - retract_t} ns after its retraction at "
+                f"READ executed against ({gid}, rkey={rkey}) at t={t}, "
+                f"{t - retract_t} ns after its retraction at "
                 f"{retract_t} -- past the one-lease ({lease_ns} ns) "
                 "deferred-free window",
             )
@@ -266,18 +292,14 @@ class Checker:
     def meta_write(self, server, key, value):
         """A meta shard applied a write (``value is None`` == delete)."""
         self._note("meta.write")
-        self._meta_last[bytes(key)] = value
+        self._world(server.sim).meta_last[bytes(key)] = (value, weakref.ref(server))
 
     # ------------------------------------------------------- completion path
 
     def wr_dispatch(self, module, wr_id):
         """``poll_inner`` on ``module`` saw a completion for ``wr_id``."""
         self._note("wr.dispatch")
-        record = self._wr_seen.get(id(module))
-        if record is None:
-            self._wr_seen[id(module)] = [module, {wr_id}]
-            return
-        seen = record[1]
+        seen = _watch(self._dispatched, module, set())[1]
         if wr_id in seen:
             self.violate(
                 "wr-exactly-once",
@@ -288,37 +310,46 @@ class Checker:
             seen.add(wr_id)
 
     def batch_posted(self, qp, wrs):
-        """A doorbell-batched chain was posted via ``post_send_batch``."""
+        """``post_send_batch`` accepted a doorbell-batched chain."""
         self._note("batch.posted")
         self._batch_chains += 1
-        chain_no = self._batch_chains
+        batch, sim, gid = self._batch, qp.sim, qp.node.gid
         for index, wr in enumerate(wrs):
-            self._batch_wrs[id(wr)] = [wr, qp, chain_no, index, 0]
+            old = batch.get(id(wr))
+            if old is not None and old[8] == 0:
+                self._lost_batch.append(old)  # its WR died before it completed
+            batch[id(wr)] = [weakref.ref(wr), sim, qp.qpn, gid, self._batch_chains, index,
+                             wr.wr_id, wr.opcode.value, 0]
 
     def wr_completed(self, qp, wr, status):
         """``QueuePair._complete`` resolved ``wr`` (every WR, batched or
         not; unsignaled successes count -- they resolve without a CQE).
         Only chain members registered by :meth:`batch_posted` are
-        tracked, so unbatched traffic leaves no trace in the digest."""
-        record = self._batch_wrs.get(id(wr))
-        if record is None:
+        tracked."""
+        record = self._batch.get(id(wr))
+        if record is None or record[0]() is not wr:
             return
         self._note("batch.complete")
-        record[4] += 1
-        if record[4] > 1:
+        record[8] += 1
+        if record[8] > 1:
             self.violate(
                 "batch-exactly-once",
                 qp.sim.now,
-                f"qpn={qp.qpn} on {qp.node.gid}: chain {record[2]} WR "
-                f"#{record[3]} (wr_id={wr.wr_id}) completed {record[4]} "
+                f"qpn={qp.qpn} on {qp.node.gid}: chain {record[4]} WR "
+                f"#{record[5]} (wr_id={wr.wr_id}) completed {record[8]} "
                 f"times (last status {status.name})",
             )
 
     def rnic_busy(self, rnic, engine, start, end):
         """``rnic``'s serialized ``engine`` ("command" / "inbound") is
         occupied over [start, end], by an op or by a stall."""
-        self._note("rnic.busy")
-        last_end = self._busy.get((rnic, engine))
+        observed = self.observed  # _note inlined: one call per RNIC op
+        observed["rnic.busy"] = observed.get("rnic.busy", 0) + 1
+        ends = self._busy[engine]
+        record = ends.get(id(rnic))
+        if record is None or record[0]() is not rnic:
+            record = ends[id(rnic)] = [weakref.ref(rnic), None]
+        last_end = record[1]
         if last_end is not None and start < last_end:
             self.violate(
                 "rnic-busy-conservation",
@@ -327,7 +358,7 @@ class Checker:
                 f"overlaps previous busy interval ending at {last_end}",
             )
             end = max(end, last_end)
-        self._busy[rnic, engine] = int(end)
+        record[1] = end
 
     # ------------------------------------------------------ degrade breakers
 
@@ -346,9 +377,7 @@ class Checker:
     def breaker_transition(self, breaker, old, new, t):
         """A :class:`repro.degrade.CircuitBreaker` changed state."""
         self._note("breaker.transition")
-        record = self._breakers.get(id(breaker))
-        if record is None:
-            record = self._breakers[id(breaker)] = [breaker, "closed"]
+        record = _watch(self._breakers, breaker, "closed")
         if old != record[1]:
             self.violate(
                 "breaker-state-sanity",
@@ -382,9 +411,8 @@ class Checker:
     def admission_event(self, gate, op_id, event, t):
         """One step in an :class:`repro.degrade.AdmissionGate` op's life."""
         self._note(f"admission.{event}")
-        self._gates[id(gate)] = gate
-        key = (id(gate), op_id)
-        prev = self._admission.get(key)
+        steps = _watch(self._gates, gate, {})[1]
+        prev = steps.get(op_id)
         if (prev, event) not in self._ADMISSION_LEGAL:
             name = (
                 "admission-no-drop"
@@ -397,25 +425,44 @@ class Checker:
                 f"gate {gate.name!r} op {op_id}: illegal lifecycle step "
                 f"{prev!r} -> {event!r}",
             )
-        self._admission[key] = event
+        steps[op_id] = event
 
     # --------------------------------------------------------------- finalize
 
-    def finalize(self, modules=(), plane=None, now=0):
-        """Run the quiescence checks; call after the simulation drained."""
-        modules = list(modules)
-        self._finalize_pools(now)
-        self._finalize_admission(now)
-        self._finalize_rnics(now)
-        if plane is not None:
-            self._finalize_meta(plane, now)
+    def finalize(self):
+        """Run the quiescence laws over what belongs to a drained
+        simulator; returns the violations."""
+        for world in self._worlds.values():
+            if world.sim.drained:
+                self._finalize_world(world, world.sim.now)
+        self._finalize_pools()
+        self._finalize_rnics()
+        self._finalize_admission()
+        for record in [*self._lost_batch, *self._batch.values()]:
+            _, sim, qpn, gid, chain_no, index, wr_id, opcode, completions = record
+            if completions == 0 and sim.drained:
+                self.violate(
+                    "batch-exactly-once",
+                    sim.now,
+                    f"qpn={qpn} on {gid}: chain {chain_no} WR #{index} "
+                    f"(wr_id={wr_id}, {opcode}) never completed "
+                    "(dropped successor of a faulted chain?)",
+                )
+        return self.violations
+
+    def _finalize_world(self, world, now):
+        modules = [module for ref, incarnation in world.modules
+                   if (module := ref()) is not None and module.node.incarnation == incarnation]
+        planes = {id(module.meta_plane): module.meta_plane for module in modules}
+        self._finalize_meta(world, planes.values(), now)
         for module in modules:
-            if module.wrid_tokens:
+            lost = self._lost_tokens(module)
+            if lost:
                 self.violate(
                     "wr-exactly-once",
                     now,
-                    f"{module.node.gid} left {len(module.wrid_tokens)} wr_id "
-                    "token(s) undispatched at quiescence (lost completion)",
+                    f"{module.node.gid} lost the completion of wr_id token(s) {lost} "
+                    "at quiescence: none waits on the QP its VQP is on",
                 )
             unreaped = [vqp.id for vqp in module.live_vqps()
                         if any(entry.ready for entry in vqp.comp_queue)]
@@ -434,21 +481,30 @@ class Checker:
                     f"{module.node.gid} still indexes destroyed VQP(s) "
                     f"{sorted(stale)}",
                 )
-        for wr, qp, chain_no, index, completions in self._batch_wrs.values():
-            if completions == 0:
-                self.violate(
-                    "batch-exactly-once",
-                    now,
-                    f"qpn={qp.qpn} on {qp.node.gid}: chain {chain_no} WR "
-                    f"#{index} (wr_id={wr.wr_id}, {wr.opcode.value}) never "
-                    "completed (dropped successor of a faulted chain?)",
-                )
-        return self.violations
 
-    def _finalize_pools(self, now):
-        for qp, gid, rnic, state in self._rc_tracked.values():
-            if qp.node.rnic is not rnic:
-                continue  # the node restarted; that RNIC no longer exists
+    @staticmethod
+    def _lost_tokens(module):
+        """``module``'s wr_id tokens whose completion waits nowhere: on no
+        pool QP for a token naming no VQP, else not on the QP its VQP is
+        on."""
+        lost = []
+        for wr_id, token in module.wrid_tokens.items():
+            if token.vqp is None:
+                qps = [qp for pool in module.built_pools() for qp in (*pool.dc, *pool.rc.values())]
+            else:
+                qps = [] if token.vqp.qp is None else [token.vqp.qp]
+            if not any(qp.send_cq.holds(qp, wr_id) for qp in qps):
+                lost.append(wr_id)
+        return lost
+
+    def _finalize_pools(self):
+        for ref, gid, rnic_ref, state in self._rc_tracked.values():
+            qp, rnic = ref(), rnic_ref()
+            if qp is None or rnic is None or qp.node.rnic is not rnic:
+                continue  # gone, or the node restarted: that RNIC no longer exists
+            if not qp.sim.drained:
+                continue
+            now = qp.sim.now
             registered = rnic.qp(qp.qpn) is qp
             if state == "evicted" and registered:
                 self.violate(
@@ -465,9 +521,13 @@ class Checker:
                     f"{qp.node.gid} but not RNIC-registered",
                 )
 
-    def _finalize_rnics(self, now):
+    def _finalize_rnics(self):
         """RNIC queues all drained (the inbound busy-until clock)."""
-        for rnic in {rnic: None for rnic, _engine in self._busy}:
+        for ref, _end in self._busy["inbound"].values():
+            rnic = ref()
+            if rnic is None or not rnic.sim.drained:
+                continue
+            now = rnic.sim.now
             unserved = rnic._inbound_admitted - rnic.stats_inbound_ops
             if unserved or rnic._inbound_free_at > rnic.sim.now:
                 self.violate(
@@ -477,8 +537,12 @@ class Checker:
                     f"{rnic._inbound_free_at}, {unserved} op(s) unserved at quiescence",
                 )
 
-    def _finalize_admission(self, now):
-        for gate in self._gates.values():
+    def _finalize_admission(self):
+        for ref, _steps in self._gates.values():
+            gate = ref()
+            if gate is None or not gate.sim.drained:
+                continue
+            now = gate.sim.now
             if gate.pending:
                 self.violate(
                     "admission-accounting",
@@ -496,14 +560,19 @@ class Checker:
                     f"shed={gate.stats_shed} rejected={gate.stats_rejected})",
                 )
 
-    def _finalize_meta(self, plane, now):
-        for key, expected in sorted(self._meta_last.items()):
+    def _finalize_meta(self, world, planes, now):
+        """Each write against the live owners of its key, in the plane whose
+        shard applied it."""
+        plane_of = {id(shard): plane for plane in planes for shard in plane.shards}
+        for key, (expected, server_ref) in sorted(world.meta_last.items()):
+            server = server_ref()
+            plane = None if server is None else plane_of.get(id(server))
+            if plane is None:
+                continue
             owners = [shard for shard in plane.owners(key) if shard.node.alive]
             if not owners:
                 continue
-            actual = {
-                shard.node.gid: shard.store.get_local(key) for shard in owners
-            }
+            actual = {shard.node.gid: shard.store.get_local(key) for shard in owners}
             values = list(actual.values())
             label = key.decode("latin-1")
             if all(value != expected for value in values):
@@ -520,21 +589,3 @@ class Checker:
                     f"meta key {label}: owners diverge at quiescence "
                     f"({actual!r}, expected {expected!r})",
                 )
-
-    # ---------------------------------------------------------------- export
-
-    def to_dict(self):
-        return {
-            "violations": [v.to_dict() for v in self.violations],
-            "observed": {k: self.observed[k] for k in sorted(self.observed)},
-        }
-
-    def digest(self):
-        """SHA-256 over the canonical JSON of violations + hook counts."""
-        text = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    def summary(self):
-        status = "PASS" if self.ok else f"FAIL({len(self.violations)})"
-        hooks = sum(self.observed.values())
-        return f"invariants={status} hook_events={hooks}"

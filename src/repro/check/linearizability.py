@@ -1,10 +1,9 @@
 """A Wing & Gong linearizability checker over recorded op histories.
 
-A scenario records its ops straight into the checker's op list
-(``Checker.history``): one ``(key, Op)`` pair per invocation, whose
-``response`` (and, for a read, ``value``) it fills in when the op
-returns.  :func:`by_key` groups that list into the per-key histories
-the checker takes.
+A run records its ops in a list: one ``(key, Op)`` pair per
+invocation, whose ``response`` (and, for a read, ``value``) it fills in
+when the op returns.  :func:`by_key` groups that list into the per-key
+histories the checker takes.
 
 The checker itself is the classic Wing & Gong DFS with the two standard
 accelerations:

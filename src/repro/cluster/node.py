@@ -69,9 +69,6 @@ class Node:
         self.fabric.attach(self)
         return self
 
-    def __repr__(self):
-        return f"Node(gid={self.gid!r}, cores={self.cores})"
-
 
 class Cluster:
     """A rack-scale cluster like the paper's testbed (ten nodes, one switch)."""

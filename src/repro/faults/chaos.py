@@ -22,12 +22,14 @@ order: moving one moves the digest), :meth:`~ChaosRun.audit` reads
 invariants after the run and ``summary_fields()`` the summary.
 
 **Checker rule.**  A scenario that asserts checker invariants
-(``checked = True``) runs under the installed :mod:`repro.check`
-checker if there is one and installs its own otherwise, and reports
-``checker_clean``.  Any installed checker is finalized after the run,
-so a model-checking scenario drives a run without finalizing it again.
+(``checked = True``) runs under a :mod:`repro.check` checker of its own,
+finalizes it after the run and reports ``checker_clean``; one that does
+not runs under whatever observer is installed and audits with no
+checker.  Either way the report depends only on the run's ``checked``
+flag, never on its caller.
 """
 
+import contextlib
 import hashlib
 
 from repro import obs
@@ -89,21 +91,30 @@ class ChaosRun:
 
     def __init__(self, seed, plan, meta_shards, num_nodes, **counters):
         self.seed = seed
-        self.sim = Simulator()
-        self.report = ChaosReport(seed, **counters)
-        self.cluster = Cluster(self.sim, num_nodes=meta_shards + num_nodes)
-        self.meta_nodes = self.cluster.nodes[:meta_shards]
-        self.place(self.cluster.nodes[meta_shards:])
-        self.meta = (MetaServer(self.meta_nodes[0]) if meta_shards == 1
-                     else MetaPlane([MetaServer(node) for node in self.meta_nodes]))
-        self.modules = {}
-        for node in self.cluster.nodes:
-            self.modules[node.gid] = self._load(node)
-        self.setup()
+        self.checker = Checker() if self.checked else None
+        with self._observed():
+            self.sim = Simulator()
+            self.report = ChaosReport(seed, **counters)
+            self.cluster = Cluster(self.sim, num_nodes=meta_shards + num_nodes)
+            self.meta_nodes = self.cluster.nodes[:meta_shards]
+            self.place(self.cluster.nodes[meta_shards:])
+            self.meta = (MetaServer(self.meta_nodes[0]) if meta_shards == 1
+                         else MetaPlane([MetaServer(node) for node in self.meta_nodes]))
+            self.modules = {}
+            for node in self.cluster.nodes:
+                self.modules[node.gid] = self._load(node)
+            self.setup()
         self.plan = self.default_plan() if plan is None else plan
         self.injector = FaultInjector(
             self.cluster, self.meta, self.plan, on_restart=self._restart
         )
+
+    def _observed(self):
+        """A checked run's own checker installed beside the observer;
+        nothing changed for an unchecked one."""
+        if self.checker is None:
+            return contextlib.nullcontext()
+        return obs.attached(checker=self.checker)
 
     def _load(self, node):
         return KrcoreModule(
@@ -129,27 +140,15 @@ class ChaosRun:
     # --------------------------------------------------------------------- run
 
     def run(self):
-        observer = obs.OBSERVER
-        checker = None if observer is None else observer.checker
-        if checker is None and self.checked:
-            checker = Checker()
-            with obs.attached(checker=checker):
-                return self._run(checker)
-        return self._run(checker)
-
-    def _run(self, checker):
-        self.injector.start()
-        self.drive()
-        self.sim.run()
+        with self._observed():
+            self.injector.start()
+            self.drive()
+            self.sim.run()
         report = self.report
         report.fault_log = list(self.injector.applied)
+        checker = self.checker
         if checker is not None:
-            checker.finalize(
-                modules=self.modules.values(),
-                plane=MetaPlane.ensure(self.meta),
-                now=self.sim.now,
-            )
-        if self.checked:
+            checker.finalize()
             report.invariants["checker_clean"] = checker.ok
             report.checker_summary = checker.summary()
         self.audit(checker)

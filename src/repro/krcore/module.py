@@ -110,7 +110,7 @@ class KrcoreModule:
         self.dct_target = DctTarget(node, dc_key)
         self.dct_target.recv_cq = CompletionQueue(self.sim)
         if obs.OBSERVER is not None:
-            obs.OBSERVER.on_dct_published(node.gid, node.incarnation, self.own_dct_meta)
+            obs.OBSERVER.on_dct_published(self)
         self.messaging = KernelMessaging(
             self, kernel_buf_bytes, kernel_buf_count, zero_copy, zero_copy_threshold
         )
@@ -279,7 +279,7 @@ class KrcoreModule:
         self.valid_mr.record(region)
         self.stats_mrs_registered += 1
         if obs.OBSERVER is not None:
-            obs.OBSERVER.on_mr_registered(self.node.gid, region.rkey, self.sim.now)
+            obs.OBSERVER.on_mr_registered(self, region)
         self.sim.process(
             self.messaging.announce_mr(region), name=f"krcore-publish-mr@{self.node.gid}"
         )

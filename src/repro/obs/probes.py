@@ -82,7 +82,7 @@ _ROWS = (
           "verbs.dc_retargets", track=QP),
     Probe("retransmit", "ts qp wr cause", "i qp.retransmit(wr_id=wr.wr_id, cause)",
           "verbs.retransmits", track=QP),
-    Probe("read_executed", "gid rkey t", hook="read_executed(gid, rkey, t)"),
+    Probe("read_executed", "sim gid rkey", hook="read_executed(sim, gid, rkey)"),
     *_span("driver_init", "node", "driver_init", VERBS),
     *_span("create_cq", "node", "create_cq", VERBS),
     *_span("create_qp", "node qp_type", "create_qp(qp_type=qp_type.value)", VERBS),
@@ -116,11 +116,10 @@ _ROWS = (
     Probe("meta_failover", count="krcore.meta_failovers"),
     Probe("meta_failover_probe", "ts module shard", "i meta.failover(shard)", track=KRCORE),
     Probe("dct_revalidate", "ts module gid", "i dct.revalidate(gid)", track=KRCORE),
-    Probe("dct_published", "gid inc meta", hook="dct_published(gid, inc, meta)"),
+    Probe("dct_published", "module", hook="dct_published(module)"),
     Probe("dc_cache_insert", "module gid meta", hook="dc_cache_insert(module, gid, meta)"),
-    Probe("mr_registered", "gid rkey t", hook="mr_registered(gid, rkey, t)"),
-    Probe("mr_retracted", "module region t",
-          hook="mr_retracted(module.node.gid, region.rkey, t, module.mr_store.lease_ns)"),
+    Probe("mr_registered", "module region", hook="mr_registered(module, region.rkey)"),
+    Probe("mr_retracted", "module region t", hook="mr_retracted(module, region.rkey, t)"),
     Probe("wr_dispatch", "module wr_id", hook="wr_dispatch(module, wr_id)"),
     Probe("rc_retired", "qp", hook="rc_retired(qp)"),
     Probe("pool_rc_grab", count="krcore.pool_rc_grabs"),

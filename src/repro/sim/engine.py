@@ -587,6 +587,11 @@ class Simulator:
         if on_run_end is not None:
             on_run_end(timer_fires)
 
+    @property
+    def drained(self):
+        """No event is scheduled: a run would return at once."""
+        return not self._heap and self._cohort is None and self._rpos >= len(self._rbuf)
+
     def run_process(self, gen):
         """Start ``gen``, run to completion, and return its value."""
         proc = self.process(gen)

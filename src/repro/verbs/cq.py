@@ -105,6 +105,10 @@ class CompletionQueue:
             polled.append(completion)
         return polled
 
+    def holds(self, qp, wr_id):
+        """Whether a completion of ``qp``'s ``wr_id`` waits here unpolled."""
+        return any(c.wr_id == wr_id and c.qp is qp for c in self._entries)
+
     def disown(self, qp):
         """``qp`` was reset: its CQEs still queued release no slot when polled."""
         for completion in self._entries:

@@ -275,13 +275,16 @@ class QueuePair:
             wrs = list(wr_list)
         else:
             wrs = [wr_list]
-        if len(wrs) >= 2:
-            wrs[0].chained = False
-            for wr in wrs[1:]:
-                wr.chained = True
-            if obs.OBSERVER is not None:
-                obs.OBSERVER.on_doorbell_batch(self, wrs, len(wrs))
+        if len(wrs) < 2:
+            self.post_send(wrs)
+            return
+        wrs[0].chained = False
+        for wr in wrs[1:]:
+            wr.chained = True
         self.post_send(wrs)
+        # After the post: a chain post_send rejected was never batched.
+        if obs.OBSERVER is not None:
+            obs.OBSERVER.on_doorbell_batch(self, wrs, len(wrs))
 
     def post_recv(self, recv_buffer):
         if self._recv_buffers is _EMPTY:
@@ -636,7 +639,7 @@ class _Flight:
                 memory.check_remote(wr.rkey, wr.raddr, wr.length)
                 qp.node.memory.write(wr.laddr, memory.read(wr.raddr, wr.length))
                 if obs.OBSERVER is not None:
-                    obs.OBSERVER.on_read_executed(self.remote_gid, wr.rkey, qp.sim.now)
+                    obs.OBSERVER.on_read_executed(qp.sim, self.remote_gid, wr.rkey)
                 response_bytes = wr.length
             elif opcode is OP_WRITE:
                 memory.check_remote(wr.rkey, wr.raddr, wr.length)
@@ -649,7 +652,7 @@ class _Flight:
                     memory.check_remote(rkey, raddr, seg_len)
                     qp.node.memory.write(wr.laddr + offset, memory.read(raddr, seg_len))
                     if obs.OBSERVER is not None:
-                        obs.OBSERVER.on_read_executed(self.remote_gid, rkey, qp.sim.now)
+                        obs.OBSERVER.on_read_executed(qp.sim, self.remote_gid, rkey)
                     offset += seg_len
                 response_bytes = wr.length
             else:  # CAS / FETCH_ADD

@@ -34,6 +34,7 @@ class WorkRequest:
         "sges",
         "chained",
         "trace_id",
+        "__weakref__",  # the checker watches a batched chain's WRs weakly
     )
 
     def __init__(

@@ -2,9 +2,28 @@
 
 import pytest
 
+from repro import obs
+from repro.check.invariants import Checker
 from repro.cluster import Cluster
 from repro.sim import Simulator
 from repro.verbs import CompletionQueue, DriverContext, QpType, wire_rc_pair
+
+
+@pytest.fixture(autouse=True)
+def checker(request):
+    """The invariant registry over the whole test: at teardown each
+    simulator the test drained is audited at quiescence, and a violation
+    fails the test.  ``@pytest.mark.unchecked(reason)`` opts a test out."""
+    marker = request.node.get_closest_marker("unchecked")
+    if marker is not None:
+        assert marker.args, "@pytest.mark.unchecked(reason): say why it runs unchecked"
+        yield None
+        return
+    checker = Checker()
+    with obs.attached(checker=checker):
+        yield checker
+    if checker.finalize():
+        pytest.fail("\n".join(map(repr, checker.violations)), pytrace=False)
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
-"""The Wing & Gong linearizability checker and its op histories."""
+"""The Wing & Gong linearizability checker and its op histories, and a
+meta-plane run that records them (the KRCORE KVS run is in
+``tests/test_check_runs.py``)."""
 
+from repro.bench.setups import krcore_cluster
 from repro.check.linearizability import Op, by_key, check_histories, check_register
-from repro.check.runner import run_once
-from repro.check import scenarios
+
+US = 1_000
 
 
 def _op(proc, kind, value, invoke, response):
@@ -116,24 +119,50 @@ def test_recorded_ops_group_by_key_keeping_open_writes_only():
     assert check_histories(histories) == []
 
 
-# ----------------------------------------------------------- scenario layer
+def test_meta_histories_linearize_on_single_shard_plane():
+    """MR publication / retraction with lookups across a shard outage:
+    with one shard (no replica to race) the lookup histories must
+    linearize.  A replicated plane promises convergence only, which the
+    checker holds every sharded run to (DESIGN.md §10)."""
+    writers, rounds = 2, 3
+    sim, cluster, _meta, modules = krcore_cluster(num_nodes=1 + writers, background_rc=False)
+    plane = modules[0].meta_plane
+    modules = {module.node.gid: module for module in modules}
+    history = []
 
+    def outage():
+        yield 300 * US
+        plane.set_outage(400 * US, shard=0)
 
-def test_kvs_lin_scenario_records_and_linearizes():
-    result = run_once("kvs_lin")
-    assert result.ok, result.violations
-    assert result.histories, "kvs_lin recorded no histories"
-    total_ops = sum(len(ops) for ops in result.histories.values())
-    assert total_ops == result.summary["ops"]
-    assert result.nonlinearizable == []
+    def writer(wnum, node):
+        # Each writer churns its own MR records: no two race on one key.
+        module = modules[node.gid]
+        for index in range(rounds):
+            yield 200 * US
+            addr = node.memory.alloc(64)
+            # Publication rides async kernel messages: the write stays
+            # open-ended until a later lookup observes it.
+            history.append((f"mr:{node.gid}", Op(f"w{wnum}", "w", addr, sim.now, None)))
+            region = yield from module.reg_mr(addr, 64)
+            yield 200 * US
+            for reader_gid in sorted(modules):
+                if reader_gid == node.gid:
+                    continue
+                op = Op(reader_gid, "r", None, sim.now, None)
+                history.append((f"mr:{node.gid}", op))
+                try:
+                    record = yield from modules[reader_gid].plane_lookup_mr(
+                        0, node.gid, region.rkey)
+                except Exception:
+                    continue  # no answer observes nothing: the read stays open
+                op.value, op.response = 0 if record is None else record[0], sim.now
+            if index + 1 < rounds:
+                yield from module.dereg_mr(region)
 
-
-def test_meta_histories_linearize_on_single_shard_plane(monkeypatch):
-    """With one shard (no replica to race), the recorded meta lookup
-    histories must linearize; the replicated plane only promises
-    convergence, which is why meta_failover reports instead of enforces."""
-    monkeypatch.setattr(scenarios, "META_FAILOVER_SHARDS", 1)
-    result = run_once("meta_failover")
-    assert result.ok, result.violations
-    assert result.histories
-    assert result.nonlinearizable == []
+    sim.process(outage())
+    for wnum, node in enumerate(cluster.nodes[1:]):
+        sim.process(writer(wnum, node))
+    sim.run()
+    histories = by_key(history)
+    assert histories
+    assert check_histories(histories) == []

@@ -56,7 +56,7 @@ DOUBLE_COUNTED = {
 #: Tests of the seam in ``src/repro`` code (see the module docstring).
 #: The ceiling only goes down: lower it when a change removes tests,
 #: never raise it.
-GUARD_CEILING = 67
+GUARD_CEILING = 66
 
 
 def _parsed(*tops):

@@ -147,7 +147,7 @@ def test_admission_gate_sheds_oldest_lifo():
         )
         boxes = [_drive(sim, gate.admit()) for _ in range(4)]
         sim.run()
-        checker._finalize_admission(sim.now)
+        checker.finalize()
     # op0 took the burst token; op1/op2 queued; op3 overflowed the
     # bounded queue, shedding the *oldest* waiter (op1).  The drain pump
     # then serves the *newest* first (op3), then op2.

@@ -25,7 +25,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"]
 #: Lines of README + DESIGN + EXPERIMENTS at most; lower it when they shrink.
-DOC_LINE_CEILING = 2512
+DOC_LINE_CEILING = 2485
 #: Everything checked for section references: the documents, then code.
 REF_SOURCES = DOCS + ["Makefile", ".github/workflows/ci.yml", "src", "tests"]
 

@@ -11,8 +11,7 @@ bodies under ``src/repro`` on those constants
 (``tests/test_no_local_imports.py`` keeps imports out of them).
 
 One rule for the package.  Exempt: ``verbs/types.py`` (defines the
-constants) and ``check/`` (scenario builders of the model checker, off
-every measured path).
+constants).
 """
 
 import ast
@@ -22,7 +21,7 @@ from repro.verbs import types
 from tests._source import PACKAGE, files, tree
 
 ENUMS = ("Opcode", "WcStatus", "QpType", "QpState")
-EXEMPT = ("verbs/types.py", "check/")
+EXEMPT = ("verbs/types.py",)
 
 
 def _violations(path):

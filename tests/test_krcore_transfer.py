@@ -205,6 +205,7 @@ def test_two_sided_transfer_notifies_peer(env):
         yield from lib_c.qconnect(client_vqp, server_node.gid, PORT)
         yield from lib_c.post_send(client_vqp, WorkRequest.send(caddr, 10, cmr.lkey))
         results = yield from lib_s.qpop_msgs_wait(server_vqp)
+        assert (yield from client_vqp.wait_send_completion()).ok
         reply_vqp = results[0][0]
         # Transfer the reply VQP (it has a two-sided peer): the client's
         # kernel must be notified and acknowledge before the swap.

@@ -9,8 +9,9 @@ A module may import its own layer and the layers below it; an import of
 a higher layer fails this test.  Every layer reports to the model
 checker through the observer seam in ``obs``; ``check.invariants`` (the
 checker, which imports no ``repro`` module) sits with it.  The rest of
-``check/`` drives the whole stack and ranks above it, so it and every
-``__main__`` (a CLI over its package) are not held to the order.  No
+``check/`` (the linearizability checker, which tests drive) ranks above
+every layer, so it and every ``__main__`` (a CLI over its package) are
+not held to the order.  No
 other module is exempt.
 """
 
@@ -69,7 +70,7 @@ def _imported(node, package):
     if source != "repro" and not source.startswith("repro."):
         return []
     module = source[len("repro."):]
-    # ``from repro.check import invariants, runner`` imports both submodules;
+    # ``from repro.check import invariants, linearizability`` imports both;
     # ``from repro import obs`` imports ``obs``.
     found = []
     for alias in node.names:
@@ -115,7 +116,7 @@ def test_the_ranks_cover_every_package():
 
 def test_rank_reads_check_modules_apart():
     assert rank("check.invariants") == rank("obs") == rank("check")
-    assert rank("check.runner") == rank("check.scenarios") == TOP
+    assert rank("check.linearizability") == TOP
     assert rank("krcore.module") == rank("lite") > rank("kvs.store")
 
 
@@ -126,8 +127,8 @@ def _names(source, package="sim"):
 def test_imported_reads_every_import_form():
     assert _names("import repro.obs.metrics, os") == ["obs.metrics"]
     assert _names("from repro import obs") == ["obs"]
-    assert _names("from repro.check import invariants, runner") == [
-        "check.invariants", "check.runner"]
+    assert _names("from repro.check import invariants, linearizability") == [
+        "check.invariants", "check.linearizability"]
     assert _names("from repro.verbs import qp, QueuePair") == ["verbs.qp", "verbs"]
     assert _names("from repro.obs.metrics import MetricsRegistry") == ["obs.metrics"]
     assert _names("from ..obs import metrics", package="sim") == ["obs.metrics"]
@@ -135,7 +136,8 @@ def test_imported_reads_every_import_form():
 
 
 def test_an_upward_import_in_either_from_form_ranks_upward():
-    # ``sim/engine.py`` importing ``obs``, and ``cluster`` importing ``check.runner``.
+    # ``sim/engine.py`` importing ``obs``, and ``cluster`` importing
+    # ``check.linearizability``.
     assert max(rank(target) for target in _names("from repro import obs")) > rank("sim")
-    names = _names("from repro.check import invariants, runner")
+    names = _names("from repro.check import invariants, linearizability")
     assert max(rank(target) for target in names) > rank("cluster")

@@ -212,9 +212,7 @@ def test_churned_harvest_upholds_churn_window_invariant(seed, interval_us, strat
     checker = Checker()
     with obs.attached(checker=checker):
         sim.run_process(drive())
-        checker.finalize(
-            modules=[m for m in modules], plane=modules[1].meta_plane, now=sim.now
-        )
+        checker.finalize()
     window = [v for v in checker.violations if v.invariant == "mr-read-churn-window"]
     assert not window, window
     assert checker.ok, checker.violations

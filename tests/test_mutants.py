@@ -2,25 +2,29 @@
 ``tests/_mutants.py`` re-injects fails its detector, and the detector
 passes on the shipping code.
 
-A detector is a checker scenario -- run under the invariant registry with
-``run_once``; it fails when the run reports a violation -- or the tier-1
-regression test written with the fix.  Where a scenario kills the mutant
-it is the detector named here, since that is the kill the checker has to
-keep, and where a registry law kills it the scenario's own checks do not
-count; DESIGN.md §10 has the whole kill matrix.
+A detector is a tier-1 test.  Where a law of the invariant registry
+kills the mutant, the detector runs the test under a checker of its own
+and only a law counts, never the test's own asserts, since that is the
+kill the checker has to keep; DESIGN.md §10 has the whole kill matrix.
+These tests run unchecked: the mutants break laws on purpose.
 """
 
+import contextlib
 import functools
 
 import pytest
 
 import tests._mutants as mutants
-from repro.check.runner import run_once
+from repro import obs
+from repro.check.invariants import Checker
 from repro.cluster import Cluster
-from repro.sim import Simulator
+from repro.faults.microview import MicroViewChaosHarness
+from repro.sim import SimulationError, Simulator
 from repro.verbs import VerbsError
 from tests import (
     test_krcore_internals,
+    test_krcore_transfer,
+    test_meta_plane,
     test_node_rest_budget,
     test_race,
     test_srq_stock_oracle,
@@ -28,23 +32,19 @@ from tests import (
     test_verbs_dataplane,
 )
 
+pytestmark = pytest.mark.unchecked("re-injects fixed bugs that break laws on purpose")
 
-def _scenario(name):
+
+def _law(test):
+    """``test`` under a checker of its own: a law of the invariant
+    registry kills the mutant, the test's own asserts do not count."""
+
+    @functools.wraps(test)
     def detect():
-        result = run_once(name)
-        assert result.ok, result.violations
-
-    return detect
-
-
-def _registry(name):
-    """The scenario with its own checks (``Checker.custom``) discounted:
-    only a law of the invariant registry kills the mutant."""
-
-    def detect():
-        result = run_once(name)
-        laws = [v for v in result.violations if f"custom.{v.invariant}" not in result.observed]
-        assert not laws, result.violations
+        checker = Checker()
+        with obs.attached(checker=checker), contextlib.suppress(AssertionError, SimulationError):
+            test()
+        assert checker.finalize() == [], checker.violations
 
     return detect
 
@@ -69,11 +69,22 @@ def _monkeypatched(test):
     return detect
 
 
+def _microview_chaos_holds():
+    """The MicroView chaos run at seed 5, its checker's laws included."""
+    report = MicroViewChaosHarness(5).run()
+    assert report.all_invariants_hold, report.summary()
+
+
 #: mutant -> (detector, what the detector raises under the mutant).
 CORPUS = {
-    "accept_leak": (_scenario("pool_churn"), AssertionError),
-    "transfer_post_gate": (_registry("transfer_race"), AssertionError),
-    "batch_stale_completion": (_scenario("mr_churn"), AssertionError),
+    "accept_leak": (
+        _law(test_meta_plane.test_rc_accept_eviction_unregisters_victim_qp), AssertionError,
+    ),
+    "transfer_post_gate": (
+        _law(test_krcore_transfer.test_harvest_under_churn_survives_background_promotion),
+        AssertionError,
+    ),
+    "batch_stale_completion": (_microview_chaos_holds, AssertionError),
     "recycle_skips_owed": (
         test_srq_stock_oracle.test_a_drained_burst_larger_than_the_reserve_restocks_the_srq,
         AssertionError,

@@ -30,6 +30,8 @@ import gc
 import tracemalloc
 from collections import deque
 
+import pytest
+
 import repro.krcore.module
 import repro.sim
 from repro.bench.setups import krcore_cluster
@@ -290,6 +292,7 @@ def test_rest_budget_a_read_wakes_only_the_qps_it_posts_on(monkeypatch):
     ]
 
 
+@pytest.mark.unchecked("weighs the host heap, which a checker's tables would join")
 def test_rest_budget_node_weight_stays_under_the_ceiling(monkeypatch):
     _weigh()  # warm: import-time and per-size caches are not node weight
     with_pages, node_kb = _weigh()
@@ -487,6 +490,7 @@ def test_rest_budget_a_drained_window_pins_no_flight_and_no_wr(monkeypatch):
     assert pinned == []
 
 
+@pytest.mark.unchecked("weighs the host heap, which a checker's tables would join")
 def test_rest_budget_used_state_weighs_under_the_ceilings():
     held_vqp_bytes, dropped_vqp_bytes = _vqp_bytes(True), _vqp_bytes(False)
     qp_cq_bytes = _drained_qp_cq_bytes()

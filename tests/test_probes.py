@@ -90,9 +90,9 @@ def test_a_fired_probe_reaches_each_subscriber_its_row_names():
     checker = Checker()
     with obs.observe() as (tracer, metrics), obs.attached(checker=checker):
         obs.OBSERVER.on_fault_injected(5, "drop", "node1")
-        obs.OBSERVER.on_mr_registered(1, 7, 5)
+        obs.OBSERVER.on_mr_accept(None, "node1", 7, 4, 4, False)
         obs.OBSERVER.on_dct_meta_miss()
     [event] = [e for e in tracer.events if e["ph"] != "M"]
     assert (event["ph"], event["name"], event["args"]) == ("i", "fault.drop", {"summary": "node1"})
     assert metrics.snapshot() == {"faults.injected": 1, "krcore.dc_cache_misses": 1}
-    assert checker.observed == {"mr.registered": 1}
+    assert checker.observed == {"mrstore.accept": 1}

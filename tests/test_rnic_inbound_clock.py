@@ -19,6 +19,7 @@ nanosecond, of any service-end wake-up, so an op ending at the sampled
 instant is not counted yet.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +131,7 @@ _SCRIPT = st.lists(
 )
 
 
+@pytest.mark.unchecked("drives the inbound clock by hand: it admits ops no flight serves")
 @settings(max_examples=150, deadline=None)
 @given(_SCRIPT)
 def test_busy_until_clock_is_the_fifo_server(script):

@@ -511,6 +511,7 @@ def _call_table():
     return table
 
 
+@pytest.mark.unchecked("counts the calls into src/repro, and a checker hook is one")
 def test_call_budget():
     """Python calls into ``src/repro`` per op, generator resumes included:
     the host cost the engine-record and frame budgets do not see -- a
